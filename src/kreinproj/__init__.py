@@ -80,8 +80,10 @@ from .verification import (
     ProjectionFlags,
     classify,
     contractive_positive_equivalence,
+    extremal_checks,
     extremality_probe,
     full_report,
+    split_checks,
 )
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Four subcommands: ``gen`` writes random test inputs, ``extremal`` writes a
-closed-form extreme symmetry for an idempotent, ``decompose`` splits a
+closed-form extreme symmetry for an idempotent once the report's checks on
+it pass, ``decompose`` splits a
 projection against a symmetry, and ``verify`` runs the full check suite
 and writes a machine-readable report.
 
@@ -27,11 +28,11 @@ from .errors import (
     SingularShift,
 )
 from .idempotents import block_form, random_idempotent
-from .linalg import Tolerances, scale_of
+from .linalg import Tolerances
 from .matrixio import read_matrix, write_matrix, write_report
-from .reporting import Report, margin_check, matrix_digest, residual_check
+from .reporting import Report, matrix_digest
 from .symmetries import ExtremalKind, SymmetryFamily, assemble_symmetry, sample_params, sign_formula_symmetry, extremal_symmetry
-from .verification import full_report
+from .verification import SIGN_FORMULA, extremal_checks, full_report, split_checks
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -39,12 +40,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SINGULAR_SHIFT = 4
 EXIT_NOT_J_PROJECTION = 5
-
-_FAMILIES = {
-    "projection": SymmetryFamily.J_PROJECTION,
-    "positive": SymmetryFamily.J_POSITIVE,
-    "contractive": SymmetryFamily.J_CONTRACTIVE,
-}
 
 
 def _add_tol_flags(sub):
@@ -76,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--corner-scale", type=float, default=2.0,
                      help="max magnitude of corner entries (0 gives an orthogonal projection)")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--family", choices=sorted(_FAMILIES),
+    gen.add_argument("--family", choices=sorted(f.value for f in SymmetryFamily),
                      help="family to sample from (symmetry-for)")
     gen.add_argument("--for", dest="for_path", metavar="P_FILE",
                      help="idempotent file the symmetry is built for")
@@ -85,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext = subs.add_parser("extremal", help="write a closed-form extreme symmetry")
     ext.add_argument("p_path", help="idempotent matrix file")
     ext.add_argument("--which", required=True,
-                     choices=["pos-min", "pos-max", "contr-min", "contr-max", "sign-formula"])
+                     choices=[k.value for k in ExtremalKind] + [SIGN_FORMULA])
     _add_tol_flags(ext)
     ext.add_argument("-o", "--out", required=True, help="output matrix file")
 
@@ -131,7 +126,7 @@ def _cmd_gen(args) -> int:
             raise UsageError("gen symmetry-for requires --for and --family")
         p = read_matrix(args.for_path)
         bf = block_form(p)
-        family = _FAMILIES[args.family]
+        family = SymmetryFamily(args.family)
         params = sample_params(bf, family, 1, args.seed)[0]
         m = assemble_symmetry(bf, family, params)
     write_matrix(args.out, m)
@@ -142,10 +137,14 @@ def _cmd_gen(args) -> int:
 def _cmd_extremal(args) -> int:
     p = read_matrix(args.p_path)
     tol = _tol_from(args)
-    if args.which == "sign-formula":
+    if args.which == SIGN_FORMULA:
         j = sign_formula_symmetry(p, tol)
     else:
         j = extremal_symmetry(p, ExtremalKind(args.which), tol)
+    certificate = Report(subject={}, checks=extremal_checks(p, args.which, j, tol), config=tol)
+    if not certificate.passed:
+        _print_summary(certificate)
+        return EXIT_CHECK_FAILURE
     write_matrix(args.out, j)
     print(f"wrote {args.out}")
     return EXIT_PASS
@@ -158,26 +157,14 @@ def _cmd_decompose(args) -> int:
     if args.kind == "contr-exp":
         split = dec.contractive_expansive_split(p, j, tol)
         names = ("e1", "e2")
-        ref = "Corollary 14"
     else:
         split = dec.positive_negative_split(p, j, tol)
         names = ("q", "r")
-        ref = "Lemma 13"
     prefix = args.out
     paths = [f"{prefix}{name}.json" for name in names]
     write_matrix(paths[0], split.e1)
     write_matrix(paths[1], split.e2)
 
-    res_budget = tol.residual_tol * scale_of(p)
-    psd_budget = tol.psd_tol * scale_of(p)
-    checks = []
-    for key, val in dec.split_identity_residuals(split, p).items():
-        checks.append(residual_check(key, ref, val, res_budget))
-    for key, val in dec.split_classification_margins(split, j).items():
-        if key.endswith("residual"):
-            checks.append(residual_check(key, ref, val, res_budget))
-        else:
-            checks.append(margin_check(key, ref, val, psd_budget))
     report = Report(
         subject={
             "dim": p.shape[0],
@@ -185,7 +172,7 @@ def _cmd_decompose(args) -> int:
             "matrix_sha256": matrix_digest(p),
             "symmetry_sha256": matrix_digest(j),
         },
-        checks=checks,
+        checks=split_checks(split, p, j, tol),
         config=tol,
         seed=None,
     )

@@ -17,7 +17,7 @@ import enum
 import numpy as np
 
 from .errors import DegenerateBlock, InternalMismatch, NotJProjection, SingularBlock
-from .idempotents import BlockForm, block_form, kernel_projections
+from .idempotents import block_form
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -26,13 +26,14 @@ from .linalg import (
     hermitian_sign,
     is_symmetry,
     kernel_projection,
+    min_eig,
     polar,
-    range_projection,
+    rank_mask,
     scale_of,
     spectral_parts,
 )
 from .reporting import Report, matrix_digest, residual_check
-from .symmetries import SymmetryFamily, assemble_symmetry
+from .symmetries import SymmetryFamily, _corner_inv_sqrts, assemble_symmetry
 
 __all__ = [
     "SplitKind",
@@ -61,12 +62,7 @@ def _negative_part_formula(b, tol: Tolerances) -> np.ndarray:
     """
     b = as_matrix(b)
     m, k = b.shape
-    if min(m, k) == 0:
-        tinv = np.eye(m, dtype=np.complex128)
-    else:
-        u, s, _ = np.linalg.svd(b, full_matrices=True)
-        diag = np.concatenate([(1.0 + 4.0 * s**2) ** -0.5, np.ones(m - s.size)])
-        tinv = (u * diag) @ u.conj().T
+    tinv, _, _ = _corner_inv_sqrts(b, 2.0)
     v = polar(b.conj().T, tol).isometry
     out = np.zeros((m + k, m + k), dtype=np.complex128)
     out[:m, :m] = 0.5 * (np.eye(m) - tinv)
@@ -244,12 +240,6 @@ def split_classification_margins(split: SplitResult, j) -> dict:
     the classification.
     """
 
-    def min_eig(m):
-        m = 0.5 * (m + m.conj().T)
-        if m.shape[0] == 0:
-            return float("inf")
-        return float(np.linalg.eigvalsh(m)[0])
-
     j = as_matrix(j)
     e1, e2 = split.e1, split.e2
     if split.kind is SplitKind.CONTRACTIVE_EXPANSIVE:
@@ -275,20 +265,24 @@ def _unitary_polar(m, tol: Tolerances, what: str) -> np.ndarray:
     if m.shape[0] == 0:
         return m.copy()
     u, s, vh = np.linalg.svd(m)
-    if s[-1] <= tol.rank_tol * max(1.0, s[0]):
+    if not rank_mask(s, tol)[-1]:
         raise DegenerateBlock(
             f"{what} is numerically rank deficient (sigma_min = {s[-1]:.3e})"
         )
     return u @ vh
 
 
-def _intertwine(bf_p: BlockForm, bf_q: BlockForm, tol: Tolerances):
-    """Unitaries carrying the corner of P to the corner of I - P.
+def _intertwine(p, tol: Tolerances):
+    """Block forms of P and I - P and the unitaries carrying one corner to
+    the other.
 
     The basis-change unitary between the two block representations of
     I - P has invertible off-diagonal blocks; their unitary polar factors
-    u1 and v1 satisfy ``corner(I-P) = u1 @ corner(P)* @ v1``.
+    u1 and v1 satisfy ``corner(I-P) = u1 @ corner(P)* @ v1``.  Returns
+    ``(bf_p, bf_q, u1, v1, residual)``.
     """
+    bf_p = block_form(p, tol)
+    bf_q = block_form(np.eye(p.shape[0], dtype=np.complex128) - p, tol)
     r = bf_p.rank
     qr = bf_q.rank
     if r + qr != bf_p.dim:
@@ -303,7 +297,7 @@ def _intertwine(bf_p: BlockForm, bf_q: BlockForm, tol: Tolerances):
     u1 = v
     v1 = u.conj().T
     residual = frobenius(bf_q.corner - u1 @ bf_p.corner.conj().T @ v1)
-    return u1, v1, residual
+    return bf_p, bf_q, u1, v1, residual
 
 
 def intertwining_unitaries(p, tol: Tolerances = DEFAULT_TOL):
@@ -314,27 +308,21 @@ def intertwining_unitaries(p, tol: Tolerances = DEFAULT_TOL):
     range(P) coordinates.  Raises ``DegenerateBlock`` if an intertwiner
     block is numerically rank deficient (a rank misclassification).
     """
-    p = as_matrix(p)
-    eye = np.eye(p.shape[0], dtype=np.complex128)
-    bf_p = block_form(p, tol)
-    bf_q = block_form(eye - p, tol)
-    return _intertwine(bf_p, bf_q, tol)
+    _, _, u1, v1, residual = _intertwine(as_matrix(p), tol)
+    return u1, v1, residual
+
+
+def _antidiagonal(top_right, bottom_left) -> np.ndarray:
+    """The square block matrix [[0, top_right], [bottom_left, 0]]."""
+    (k, c), (m, r) = top_right.shape, bottom_left.shape
+    return np.block([[np.zeros((k, r)), top_right], [bottom_left, np.zeros((m, c))]])
 
 
 def adjoint_similarity(p, tol: Tolerances = DEFAULT_TOL):
     """An ambient unitary U with U* P* U = P, plus the achieved residual."""
     p = as_matrix(p)
-    n = p.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    bf_p = block_form(p, tol)
-    bf_q = block_form(eye - p, tol)
-    u1, v1, _ = _intertwine(bf_p, bf_q, tol)
-    r = bf_p.rank
-    qr = bf_q.rank
-    blk = np.zeros((n, n), dtype=np.complex128)
-    blk[:qr, r:] = -u1
-    blk[qr:, :r] = v1.conj().T
-    u = bf_q.unitary @ blk @ bf_p.unitary.conj().T
+    bf_p, bf_q, u1, v1, _ = _intertwine(p, tol)
+    u = bf_q.unitary @ _antidiagonal(-u1, v1.conj().T) @ bf_p.unitary.conj().T
     residual = frobenius(u.conj().T @ p.conj().T @ u - p)
     return u, residual
 
@@ -346,30 +334,17 @@ def complement_sum_equivalence(p, tol: Tolerances = DEFAULT_TOL):
 
         U* (P + P* + 2 (I - proj R(P))) U = 2I - P - P* + 2 (I - proj R(I-P))
 
-    and returns ``(U, residual)``.  The sorted spectra of the two Hermitian
-    matrices are also compared; disagreement raises ``InternalMismatch``.
+    and returns ``(U, residual)``.  That the two padded sums share their
+    spectrum is certified by the report check ``complement-sum-spectra``.
     """
     p = as_matrix(p)
     n = p.shape[0]
     eye = np.eye(n, dtype=np.complex128)
-    bf_p = block_form(p, tol)
-    bf_q = block_form(eye - p, tol)
-    u1, v1, _ = _intertwine(bf_p, bf_q, tol)
-    r = bf_p.rank
-    qr = bf_q.rank
-    blk = np.zeros((n, n), dtype=np.complex128)
-    blk[:r, qr:] = v1
-    blk[r:, :qr] = u1.conj().T
-    u = bf_p.unitary @ blk @ bf_q.unitary.conj().T
-
-    lhs = p + p.conj().T + 2 * (eye - range_projection(p, tol))
-    rhs = 2 * eye - p - p.conj().T + 2 * (eye - range_projection(eye - p, tol))
-    residual = frobenius(u.conj().T @ lhs @ u - rhs)
-    spec_l = np.linalg.eigvalsh(0.5 * (lhs + lhs.conj().T))
-    spec_r = np.linalg.eigvalsh(0.5 * (rhs + rhs.conj().T))
-    if spec_l.size and float(np.max(np.abs(spec_l - spec_r))) > tol.residual_tol * scale_of(lhs):
-        raise InternalMismatch("padded sums have different spectra")
-    return u, residual
+    bf_p, bf_q, u1, v1, _ = _intertwine(p, tol)
+    u = bf_p.unitary @ _antidiagonal(v1, u1.conj().T) @ bf_q.unitary.conj().T
+    lhs = p + p.conj().T + 2 * (eye - bf_p.basis_range @ bf_p.basis_range.conj().T)
+    rhs = 2 * eye - p - p.conj().T + 2 * (eye - bf_q.basis_range @ bf_q.basis_range.conj().T)
+    return u, frobenius(u.conj().T @ lhs @ u - rhs)
 
 
 def spectral_projection_identities(p, tol: Tolerances = DEFAULT_TOL) -> Report:
@@ -387,7 +362,8 @@ def spectral_projection_identities(p, tol: Tolerances = DEFAULT_TOL) -> Report:
     comp = 2 * eye - a
     parts_a = spectral_parts(a, tol)
     parts_c = spectral_parts(comp, tol)
-    ker_sum, ker_diff = kernel_projections(p, tol)
+    # i(P - P*) is Hermitian with the same null space as P - P*.
+    ker_diff = spectral_parts(1j * (p - p.conj().T), tol).proj_kernel
     bf_p = block_form(p, tol)
     bf_q = block_form(eye - p, tol)
 
@@ -425,7 +401,7 @@ def spectral_projection_identities(p, tol: Tolerances = DEFAULT_TOL) -> Report:
         residual_check(
             "complement-kernel-difference",
             "Eq. (2.29)",
-            frobenius(parts_c.proj_kernel - (ker_diff - ker_sum)),
+            frobenius(parts_c.proj_kernel - (ker_diff - parts_a.proj_kernel)),
             budget,
         ),
     ]

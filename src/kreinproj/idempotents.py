@@ -21,9 +21,11 @@ from .errors import BadRank, InternalMismatch, NotIdempotent, NotOrthonormal
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _require_square,
     as_matrix,
     frobenius,
     kernel_projection,
+    rank_mask,
     scale_of,
     spectral_parts,
 )
@@ -111,10 +113,7 @@ class BlockForm:
 def validate_idempotent(p, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when ``p @ p == p`` within ``residual_tol * scale``."""
     p = as_matrix(p)
-    if p.shape[0] != p.shape[1]:
-        from .errors import DimensionMismatch
-
-        raise DimensionMismatch(f"idempotent must be square, got {p.shape}")
+    _require_square(p, "idempotent")
     return frobenius(p @ p - p) <= tol.residual_tol * scale_of(p)
 
 
@@ -146,7 +145,7 @@ def block_form(p, tol: Tolerances = DEFAULT_TOL) -> BlockForm:
         z = np.zeros((0, 0), dtype=np.complex128)
         return BlockForm(z, z, z)
     u, s, _ = np.linalg.svd(p)
-    r = int(np.sum(s > tol.rank_tol * max(1.0, s[0])))
+    r = int(np.sum(rank_mask(s, tol)))
     basis_range = _canonical_phases(u[:, :r])
     basis_perp = _canonical_phases(u[:, r:])
     corner = basis_range.conj().T @ p @ basis_perp

@@ -36,7 +36,8 @@ __all__ = [
     "loewner_geq",
     "is_symmetry",
     "hermitian_sign",
-    "inv_sqrt_geq_identity",
+    "min_eig",
+    "rank_mask",
 ]
 
 
@@ -122,6 +123,20 @@ def hermitian_eig(a, tol: Tolerances = DEFAULT_TOL):
     return w[::-1].copy(), q[:, ::-1].copy()
 
 
+def min_eig(a) -> float:
+    """Smallest eigenvalue of the Hermitian part of ``a``; +inf when empty."""
+    a = np.asarray(a)
+    if a.shape[0] == 0:
+        return float("inf")
+    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
+
+
+def rank_mask(s, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Which of the descending, nonempty singular values ``s`` count toward
+    the rank: those above ``rank_tol * max(1, s[0])``."""
+    return s > tol.rank_tol * max(1.0, s[0])
+
+
 @dataclasses.dataclass(frozen=True)
 class SpectralParts:
     """Positive/negative parts of a Hermitian matrix with the three
@@ -177,8 +192,7 @@ def range_projection(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if min(t.shape) == 0:
         return np.zeros((m, m), dtype=np.complex128)
     u, s, _ = np.linalg.svd(t, full_matrices=False)
-    keep = s > tol.rank_tol * max(1.0, s[0])
-    u = u[:, keep]
+    u = u[:, rank_mask(s, tol)]
     return u @ u.conj().T
 
 
@@ -217,7 +231,7 @@ def polar(t, tol: Tolerances = DEFAULT_TOL) -> PolarParts:
         )
     u, s, vh = np.linalg.svd(t, full_matrices=False)
     modulus = (vh.conj().T * s) @ vh
-    keep = s > tol.rank_tol * max(1.0, s[0])
+    keep = rank_mask(s, tol)
     isometry = u[:, keep] @ vh[keep, :]
     return PolarParts(isometry=isometry, modulus=modulus)
 
@@ -237,11 +251,8 @@ def loewner_geq(a, b, tol: Tolerances = DEFAULT_TOL):
     for m in (a, b):
         if frobenius(m - m.conj().T) > tol.residual_tol * scale_of(m):
             raise NotHermitian("loewner_geq requires Hermitian operands")
-    if a.shape[0] == 0:
-        return True, float("inf")
     d = a - b
-    d = 0.5 * (d + d.conj().T)
-    margin = float(np.linalg.eigvalsh(d)[0])
+    margin = min_eig(d)
     return margin >= -tol.psd_tol * scale_of(d), margin
 
 
@@ -269,14 +280,3 @@ def hermitian_sign(a, tol: Tolerances = DEFAULT_TOL):
     w, q = hermitian_eig(a, tol)
     min_abs = float(np.min(np.abs(w))) if w.size else float("inf")
     return (q * np.sign(w)) @ q.conj().T, min_abs
-
-
-def inv_sqrt_geq_identity(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Inverse square root of a Hermitian matrix known to dominate the identity.
-
-    Eigenvalues are floored at 1 so matrices of the form ``I + X X*`` never
-    need regularization.
-    """
-    w, q = hermitian_eig(a, tol)
-    w = np.maximum(w, 1.0)
-    return (q * w**-0.5) @ q.conj().T

@@ -41,13 +41,14 @@ from .linalg import (
     as_matrix,
     frobenius,
     hermitian_sign,
-    inv_sqrt_geq_identity,
     is_symmetry,
     kernel_projection,
+    min_eig,
+    rank_mask,
     scale_of,
-    spectral_norm,
     spectral_parts,
 )
+from .reporting import FAIL, margin_check, residual_check
 
 __all__ = [
     "SymmetryFamily",
@@ -55,6 +56,7 @@ __all__ = [
     "SymmetryParams",
     "DominanceVerdict",
     "assemble_symmetry",
+    "family_checks",
     "sample_params",
     "extremal_symmetry",
     "extremal_symmetry_via_blocks",
@@ -79,6 +81,13 @@ class ExtremalKind(enum.Enum):
     CONTR_MIN = "contr-min"
     CONTR_MAX = "contr-max"
 
+    @property
+    def family(self) -> SymmetryFamily:
+        """The family this kind is the least or greatest element of."""
+        if self in (ExtremalKind.POS_MIN, ExtremalKind.POS_MAX):
+            return SymmetryFamily.J_POSITIVE
+        return SymmetryFamily.J_CONTRACTIVE
+
 
 class SymmetryParams(NamedTuple):
     """Family parameters in block-form coordinates.
@@ -92,33 +101,42 @@ class SymmetryParams(NamedTuple):
     on_perp: np.ndarray
 
 
-def _symmetric_psd_margin(m) -> float:
-    # lambda_min of the Hermitian part; +inf for empty input.
-    m = 0.5 * (m + m.conj().T)
-    if m.shape[0] == 0:
-        return float("inf")
-    return float(np.linalg.eigvalsh(m)[0])
-
-
-def _check_family_property(p, j, family, tol):
-    """Raise InternalMismatch when an assembled J misses its defining relation."""
-    p = as_matrix(p)
-    sp = scale_of(p)
+def family_checks(prefix, ref, p, j, family, tol, sp) -> list:
+    """Checks that a symmetry ``j`` satisfies its family's defining relation
+    with the idempotent ``p``, where ``sp = scale_of(p)``: ``<prefix>-intertwines``,
+    ``-hermitian`` and ``-psd``, or ``-dominates``."""
     if family is SymmetryFamily.J_PROJECTION:
         res = frobenius(j @ p @ j - p.conj().T)
-        if res > tol.residual_tol * sp:
-            raise InternalMismatch(f"assembled J fails J P J = P*: {res:.3e}")
-    elif family is SymmetryFamily.J_POSITIVE:
+        return [residual_check(f"{prefix}-intertwines", ref, res, tol.residual_tol * sp)]
+    if family is SymmetryFamily.J_POSITIVE:
         jp = j @ p
-        if frobenius(jp - jp.conj().T) > tol.residual_tol * sp:
-            raise InternalMismatch("assembled J gives a non-Hermitian J P")
-        if _symmetric_psd_margin(jp) < -tol.psd_tol * sp:
-            raise InternalMismatch("assembled J gives an indefinite J P")
-    else:
-        d = j - p.conj().T @ j @ p
-        margin = _symmetric_psd_margin(d)
-        if margin < -tol.psd_tol * scale_of(d):
-            raise InternalMismatch(f"assembled J fails P* J P <= J: {margin:.3e}")
+        return [
+            residual_check(f"{prefix}-hermitian", ref, frobenius(jp - jp.conj().T), tol.residual_tol * sp),
+            margin_check(f"{prefix}-psd", ref, min_eig(jp), tol.psd_tol * sp),
+        ]
+    margin = min_eig(j - p.conj().T @ j @ p)
+    return [margin_check(f"{prefix}-dominates", ref, margin, tol.psd_tol * sp)]
+
+
+def _corner_inv_sqrts(corner, k: float = 1.0):
+    """``(I + k^2 C C*)^(-1/2)``, ``(I + k^2 C* C)^(-1/2)`` and ``||C||``
+    from one SVD of the corner ``C``.
+
+    Each singular value enters as ``(1 + (k sigma)^2)^(-1/2)``, which keeps
+    full relative accuracy for every sigma; forming ``I + C C*`` first would
+    lose the small eigenvalues next to a large one.
+    """
+    m, c = corner.shape
+    if min(m, c) == 0:
+        return np.eye(m, dtype=np.complex128), np.eye(c, dtype=np.complex128), 0.0
+    u, s, vh = np.linalg.svd(corner, full_matrices=False)
+    shrink = (1.0 + (k * s) ** 2) ** -0.5 - 1.0
+    v = vh.conj().T
+    return (
+        np.eye(m) + (u * shrink) @ u.conj().T,
+        np.eye(c) + (v * shrink) @ vh,
+        float(s[0]),
+    )
 
 
 def assemble_symmetry(
@@ -144,7 +162,7 @@ def assemble_symmetry(
         raise NotSymmetryParam("family parameters must be symmetries")
 
     corner = bf.corner
-    cs = max(1.0, spectral_norm(corner))
+    tinv, sinv, corner_norm = _corner_inv_sqrts(corner)
     if family is SymmetryFamily.J_POSITIVE:
         if frobenius(j1 - np.eye(r)) > tol.residual_tol * max(1.0, r):
             raise ConstraintViolated("positive family fixes the range-side parameter to I")
@@ -155,13 +173,11 @@ def assemble_symmetry(
         constraint = j1 @ corner + corner
     else:
         constraint = j1 @ corner + corner @ j2
-    if frobenius(constraint) > tol.residual_tol * cs:
+    if frobenius(constraint) > tol.residual_tol * max(1.0, corner_norm):
         raise ConstraintViolated(
             f"parameters violate the corner constraint: {frobenius(constraint):.3e}"
         )
 
-    tinv = inv_sqrt_geq_identity(np.eye(r) + corner @ corner.conj().T, tol)
-    sinv = inv_sqrt_geq_identity(np.eye(c) + corner.conj().T @ corner, tol)
     j = bf.assemble(
         j1 @ tinv,
         j1 @ tinv @ corner,
@@ -170,7 +186,13 @@ def assemble_symmetry(
     )
     if not is_symmetry(j, tol):
         raise InternalMismatch("assembled matrix is not a symmetry")
-    _check_family_property(bf.reassemble(), j, family, tol)
+    p = bf.reassemble()
+    for check in family_checks("assembled", "", p, j, family, tol, scale_of(p)):
+        if check.status == FAIL:
+            raise InternalMismatch(
+                f"assembled J fails {check.name}: residual {check.residual:.3e}, "
+                f"margin {check.margin:.3e}"
+            )
     return j
 
 
@@ -185,7 +207,7 @@ def _null_range_split(m):
     if min(m.shape) == 0:
         return np.eye(rows, dtype=np.complex128), np.zeros((rows, 0), np.complex128)
     u, s, _ = np.linalg.svd(m, full_matrices=True)
-    k = int(np.sum(s > DEFAULT_TOL.rank_tol * max(1.0, s[0])))
+    k = int(np.sum(rank_mask(s, DEFAULT_TOL)))
     return u[:, k:], u[:, :k]
 
 
@@ -240,7 +262,10 @@ def extremal_symmetry(p, kind: ExtremalKind, tol: Tolerances = DEFAULT_TOL) -> n
         contr-max = 2 proj(A-) - I + 2 proj(N(P - P*))
 
     computed in the ambient basis from spectral projections.  The result is
-    verified to be a symmetry satisfying its family's defining property.
+    checked to be a symmetry; its family's defining relation is certified by
+    the report checks ``extremal-<kind>-hermitian`` and ``-psd`` (positive
+    family) or ``extremal-<kind>-dominates`` (contractive family), see
+    :func:`kreinproj.verification.extremal_checks`.
     """
     p = as_matrix(p)
     if not validate_idempotent(p, tol):
@@ -259,12 +284,6 @@ def extremal_symmetry(p, kind: ExtremalKind, tol: Tolerances = DEFAULT_TOL) -> n
         j = 2 * parts.proj_negative - eye + 2 * ker_diff
     if not is_symmetry(j, tol):
         raise InternalMismatch(f"extremal {kind.value} is not a symmetry")
-    family = (
-        SymmetryFamily.J_POSITIVE
-        if kind in (ExtremalKind.POS_MIN, ExtremalKind.POS_MAX)
-        else SymmetryFamily.J_CONTRACTIVE
-    )
-    _check_family_property(p, j, family, tol)
     return j
 
 
@@ -285,23 +304,14 @@ def extremal_symmetry_via_blocks(
     null_corner = kernel_projection(bf.corner, tol)            # on range(P)-perp
     null_corner_adj = kernel_projection(bf.corner.conj().T, tol)  # on range(P)
     if kind is ExtremalKind.POS_MIN:
-        family, params = SymmetryFamily.J_POSITIVE, (i_r, -i_c)
+        params = (i_r, -i_c)
     elif kind is ExtremalKind.POS_MAX:
-        family, params = SymmetryFamily.J_POSITIVE, (i_r, 2 * null_corner - i_c)
+        params = (i_r, 2 * null_corner - i_c)
     elif kind is ExtremalKind.CONTR_MIN:
-        family, params = SymmetryFamily.J_CONTRACTIVE, (-i_r, i_c)
+        params = (-i_r, i_c)
     else:
-        family, params = SymmetryFamily.J_CONTRACTIVE, (2 * null_corner_adj - i_r, i_c)
-    return assemble_symmetry(bf, family, params, tol)
-
-
-def _sign_formula_pieces(p, tol: Tolerances):
-    """(sign of P+P*-I, projection onto N(P+P*), min |eig| of the shift, its scale)."""
-    p = as_matrix(p)
-    shift = p + p.conj().T - np.eye(p.shape[0])
-    sgn, min_abs = hermitian_sign(shift, tol)
-    ker = spectral_parts(p + p.conj().T, tol).proj_kernel
-    return sgn, ker, min_abs, scale_of(shift)
+        params = (2 * null_corner_adj - i_r, i_c)
+    return assemble_symmetry(bf, kind.family, params, tol)
 
 
 def sign_formula_symmetry(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -312,25 +322,21 @@ def sign_formula_symmetry(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Requires the shift P + P* - I to be numerically invertible, else
     ``SingularShift`` (for exactly idempotent P the shift always dominates
     the identity in modulus, so this only triggers on loose rank cutoffs or
-    corrupted inputs).  The result is verified against the spectral route
-    and the kernel identity sign(shift) @ proj(N) = -proj(N).
+    corrupted inputs).  Agreement with the spectral route and the kernel
+    identity sign(shift) @ proj(N) = -proj(N) are certified by the report
+    checks ``sign-formula-matches-pos-max`` and ``sign-formula-kernel-action``,
+    see :func:`kreinproj.verification.extremal_checks`.
     """
     p = as_matrix(p)
     if not validate_idempotent(p, tol):
         raise NotIdempotent("sign_formula_symmetry requires an idempotent input")
-    sgn, ker, min_abs, shift_scale = _sign_formula_pieces(p, tol)
-    if min_abs <= tol.rank_tol * shift_scale:
+    shift = p + p.conj().T - np.eye(p.shape[0])
+    sgn, min_abs = hermitian_sign(shift, tol)
+    if min_abs <= tol.rank_tol * scale_of(shift):
         raise SingularShift(
             f"P + P* - I is numerically singular: min |eig| = {min_abs:.3e}"
         )
-    j = sgn + 2 * ker
-    sp = scale_of(p)
-    jmax = extremal_symmetry(p, ExtremalKind.POS_MAX, tol)
-    if frobenius(j - jmax) > tol.residual_tol * sp:
-        raise InternalMismatch("sign-function route disagrees with the spectral route")
-    if frobenius(sgn @ ker + ker) > tol.residual_tol * sp:
-        raise InternalMismatch("sign(P+P*-I) does not act as -I on N(P+P*)")
-    return j
+    return sgn + 2 * spectral_parts(p + p.conj().T, tol).proj_kernel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -365,11 +371,9 @@ def nonexistence_witnesses(p, tol: Tolerances = DEFAULT_TOL):
     j_a = assemble_symmetry(bf, SymmetryFamily.J_PROJECTION, (-i_r, i_c), tol)
     j_b = assemble_symmetry(bf, SymmetryFamily.J_PROJECTION, (i_r, -i_c), tol)
     d = j_a - j_b
-    d = 0.5 * (d + d.conj().T)
     if d.shape[0] == 0:
         return j_a, j_b, DominanceVerdict("psd", 0.0, 0.0)
-    eigs = np.linalg.eigvalsh(d)
-    lo, hi = float(eigs[0]), float(eigs[-1])
+    lo, hi = min_eig(d), -min_eig(-d)
     band = tol.psd_tol * scale_of(d)
     if lo >= -band:
         kind = "psd"

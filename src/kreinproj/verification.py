@@ -5,7 +5,9 @@ idempotent P.  ``extremality_probe`` samples admissible family members and
 measures their Loewner margins against the closed-form extremes.
 ``full_report`` runs every check this package knows about over one input
 pair and returns a report whose failures are check results, never
-exceptions.
+exceptions.  ``extremal_checks`` and ``split_checks`` are the slices of it
+that certify one construction; the constructions themselves check only
+their inputs.
 """
 
 from __future__ import annotations
@@ -24,15 +26,18 @@ from .idempotents import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _require_square,
     as_matrix,
     frobenius,
     is_symmetry,
     loewner_geq,
+    min_eig,
     scale_of,
     spectral_norm,
     spectral_parts,
 )
 from .reporting import (
+    FAIL,
     CheckResult,
     Report,
     margin_check,
@@ -43,9 +48,9 @@ from .reporting import (
 from .symmetries import (
     ExtremalKind,
     SymmetryFamily,
-    _sign_formula_pieces,
     assemble_symmetry,
     extremal_symmetry,
+    family_checks,
     extremal_symmetry_via_blocks,
     nonexistence_witnesses,
     sample_params,
@@ -56,8 +61,10 @@ __all__ = [
     "ProjectionFlags",
     "classify",
     "contractive_positive_equivalence",
+    "extremal_checks",
     "extremality_probe",
     "full_report",
+    "split_checks",
 ]
 
 # Residual recorded when a check could not be computed at all.
@@ -78,13 +85,6 @@ class ProjectionFlags(NamedTuple):
     j_expansive: bool
 
 
-def _min_eig_sym(m) -> float:
-    m = 0.5 * (m + m.conj().T)
-    if m.shape[0] == 0:
-        return float("inf")
-    return float(np.linalg.eigvalsh(m)[0])
-
-
 def classify(p, j, tol: Tolerances = DEFAULT_TOL) -> ProjectionFlags:
     """Test all five relations between an idempotent and a symmetry.
 
@@ -98,15 +98,15 @@ def classify(p, j, tol: Tolerances = DEFAULT_TOL) -> ProjectionFlags:
     if not is_symmetry(j, tol):
         raise NotSymmetry("classify requires a symmetry J")
     sp = scale_of(p)
-    jp = j @ p
-    hermitian = frobenius(jp - jp.conj().T) <= tol.residual_tol * sp
-    lo = _min_eig_sym(jp)
-    hi = -_min_eig_sym(-jp)
+
+    def holds(jj, family):
+        return all(c.status != FAIL for c in family_checks("", "", p, jj, family, tol, sp))
+
     pjp = p.conj().T @ j @ p
     return ProjectionFlags(
-        j_projection=frobenius(j @ p @ j - p.conj().T) <= tol.residual_tol * sp,
-        j_positive=hermitian and lo >= -tol.psd_tol * sp,
-        j_negative=hermitian and hi <= tol.psd_tol * sp,
+        j_projection=holds(j, SymmetryFamily.J_PROJECTION),
+        j_positive=holds(j, SymmetryFamily.J_POSITIVE),
+        j_negative=holds(-j, SymmetryFamily.J_POSITIVE),
         j_contractive=loewner_geq(j, pjp, tol)[0],
         j_expansive=loewner_geq(pjp, j, tol)[0],
     )
@@ -130,7 +130,7 @@ def contractive_positive_equivalence(p, j, tol: Tolerances = DEFAULT_TOL) -> Che
 
     comp = j @ (np.eye(p.shape[0]) - p)
     herm_res = frobenius(comp - comp.conj().T)
-    p_margin = _min_eig_sym(comp)
+    p_margin = min_eig(comp)
     positive = herm_res <= tol.residual_tol * sp and p_margin >= -tol.psd_tol * scale_of(comp)
 
     if contractive == positive:
@@ -162,27 +162,68 @@ _KIND_REFS = {
 }
 
 
-def _admissibility_checks(prefix, ref, p, j, family, tol) -> list:
-    """Checks that a candidate symmetry satisfies its family's relation."""
-    sp = scale_of(p)
+def _sign_formula_checks(jsf, pos_max, ker, budget) -> list:
+    """The sign-function route against pos-max (when built) and its action on
+    N(P+P*): sign(P+P*-I) = J - 2 proj(N) acts there as -I iff J acts as +I."""
     out = []
-    if family is SymmetryFamily.J_POSITIVE:
-        jp = j @ p
-        out.append(
-            residual_check(
-                f"{prefix}-hermitian", ref, frobenius(jp - jp.conj().T),
-                tol.residual_tol * sp,
-            )
-        )
-        out.append(margin_check(f"{prefix}-psd", ref, _min_eig_sym(jp), tol.psd_tol * sp))
-    else:
-        out.append(
-            margin_check(
-                f"{prefix}-dominates", ref,
-                _min_eig_sym(j - p.conj().T @ j @ p), tol.psd_tol * sp,
-            )
-        )
+    if pos_max is not None:
+        out.append(residual_check("sign-formula-matches-pos-max", "Remark", frobenius(jsf - pos_max), budget))
+    out.append(residual_check("sign-formula-kernel-action", "Remark", frobenius(jsf @ ker - ker), budget))
     return out
+
+
+SIGN_FORMULA = "sign-formula"
+
+
+def extremal_checks(p, which: str, j, tol: Tolerances = DEFAULT_TOL) -> list:
+    """The checks of :func:`full_report` that certify ``j`` as the extreme
+    symmetry ``which`` (an :class:`ExtremalKind` value or ``"sign-formula"``)
+    of the idempotent ``p``.
+
+    Each kind gets ``extremal-<kind>-symmetry`` and its family's checks.  The
+    sign-function route gets the same as pos-max under the prefix
+    ``sign-formula``, plus its match with pos-max and its kernel action.
+    """
+    p = as_matrix(p)
+    j = as_matrix(j)
+    sp = scale_of(p)
+    if which == SIGN_FORMULA:
+        kind, prefix, ref = ExtremalKind.POS_MAX, SIGN_FORMULA, "Remark"
+    else:
+        kind = ExtremalKind(which)
+        prefix, ref = f"extremal-{which}", _KIND_REFS[kind]
+    sym_res = max(frobenius(j - j.conj().T), frobenius(j @ j - np.eye(p.shape[0])))
+    checks = [residual_check(f"{prefix}-symmetry", ref, sym_res, tol.residual_tol * sp)]
+    checks += family_checks(prefix, ref, p, j, kind.family, tol, sp)
+    if which == SIGN_FORMULA:
+        pos_max = extremal_symmetry(p, kind, tol)
+        ker = spectral_parts(p + p.conj().T, tol).proj_kernel
+        checks += _sign_formula_checks(j, pos_max, ker, tol.residual_tol * sp)
+    return checks
+
+
+_SPLIT_REFS = {
+    dec.SplitKind.CONTRACTIVE_EXPANSIVE: "Corollary 14",
+    dec.SplitKind.POSITIVE_NEGATIVE: "Lemma 13",
+}
+
+
+def split_checks(split, p, j, tol: Tolerances = DEFAULT_TOL, prefix: str = "") -> list:
+    """Identity residuals and classification margins certifying a split of
+    ``p`` against ``j``, named ``<prefix><key>``, at budgets scaled by ``scale_of(p)``."""
+    p = as_matrix(p)
+    ref = _SPLIT_REFS[split.kind]
+    sp = scale_of(p)
+    checks = [
+        residual_check(f"{prefix}{key}", ref, val, tol.residual_tol * sp)
+        for key, val in dec.split_identity_residuals(split, p).items()
+    ]
+    for key, val in dec.split_classification_margins(split, j).items():
+        if key.endswith("residual"):
+            checks.append(residual_check(f"{prefix}{key}", ref, val, tol.residual_tol * sp))
+        else:
+            checks.append(margin_check(f"{prefix}{key}", ref, val, tol.psd_tol * sp))
+    return checks
 
 
 def extremality_probe(
@@ -205,24 +246,22 @@ def extremality_probe(
         raise ValueError("the intertwining family has no extreme elements to probe")
     p = as_matrix(p)
     bf = block_form(p, tol)
-    if family is SymmetryFamily.J_POSITIVE:
-        kinds = (ExtremalKind.POS_MIN, ExtremalKind.POS_MAX)
-    else:
-        kinds = (ExtremalKind.CONTR_MIN, ExtremalKind.CONTR_MAX)
+    kind_min, kind_max = (k for k in ExtremalKind if k.family is family)
     ref = _FAMILY_REFS[family]
-    j_min = extremal_symmetry(p, kinds[0], tol)
-    j_max = extremal_symmetry(p, kinds[1], tol)
+    j_min = extremal_symmetry(p, kind_min, tol)
+    j_max = extremal_symmetry(p, kind_max, tol)
 
+    sp = scale_of(p)
     checks = []
-    checks += _admissibility_checks("extreme-min", _KIND_REFS[kinds[0]], p, j_min, family, tol)
-    checks += _admissibility_checks("extreme-max", _KIND_REFS[kinds[1]], p, j_max, family, tol)
+    checks += family_checks("extreme-min", _KIND_REFS[kind_min], p, j_min, family, tol, sp)
+    checks += family_checks("extreme-max", _KIND_REFS[kind_max], p, j_max, family, tol, sp)
     for i, params in enumerate(sample_params(bf, family, samples, seed)):
         j = assemble_symmetry(bf, family, params, tol)
         checks.append(
-            margin_check(f"sample-{i:03d}-above-min", ref, _min_eig_sym(j - j_min), tol.psd_tol)
+            margin_check(f"sample-{i:03d}-above-min", ref, min_eig(j - j_min), tol.psd_tol)
         )
         checks.append(
-            margin_check(f"sample-{i:03d}-below-max", ref, _min_eig_sym(j_max - j), tol.psd_tol)
+            margin_check(f"sample-{i:03d}-below-max", ref, min_eig(j_max - j), tol.psd_tol)
         )
     subject = {
         "dim": p.shape[0],
@@ -274,25 +313,31 @@ def full_report(
 
     Failures become failing check results rather than exceptions.  Checks
     that do not apply are recorded as skipped with a reason: everything
-    after a failed idempotency gate, and the J-dependent group when J is
-    missing, is not a symmetry, or does not satisfy J P J = P*.
+    after a failed idempotency gate (including an input that is not a
+    finite square matrix, whose error is the gate's note), and the
+    J-dependent group when J is missing, is not a symmetry, or does not
+    satisfy J P J = P*.
     """
-    p = as_matrix(p)
-    n = p.shape[0]
-    sp = scale_of(p)
-    res_budget = tol.residual_tol * sp
-    psd_budget = tol.psd_tol * sp
     checks = []
-    subject = {"dim": n, "matrix_sha256": matrix_digest(p)}
+    subject = {}
     report = Report(subject=subject, checks=checks, config=tol, seed=seed)
-
-    idem_res = frobenius(p @ p - p)
-    checks.append(residual_check("idempotent", "§1", idem_res, res_budget))
-    if idem_res > res_budget:
+    try:
+        p = as_matrix(p)
+        _require_square(p, "idempotent")
+        subject.update(dim=p.shape[0], matrix_sha256=matrix_digest(p))
+        sp = scale_of(p)
+        gate = residual_check("idempotent", "§1", frobenius(p @ p - p), tol.residual_tol * sp)
+    except (KreinProjError, TypeError, ValueError) as e:
+        gate = _failed("idempotent", "§1", e)
+    checks.append(gate)
+    if gate.status == FAIL:
         for name, ref in _GROUPS + _J_GROUPS:
             checks.append(skipped_check(name, ref, "input is not idempotent"))
         return report
 
+    n = p.shape[0]
+    res_budget = tol.residual_tol * sp
+    psd_budget = tol.psd_tol * sp
     bf = block_form(p, tol)
     eye = np.eye(n, dtype=np.complex128)
     bf_comp = block_form(eye - p, tol)
@@ -357,16 +402,7 @@ def full_report(
         try:
             jk = extremal_symmetry(p, kind, tol)
             extremes[kind] = jk
-            sym_res = max(frobenius(jk - jk.conj().T), frobenius(jk @ jk - eye))
-            checks.append(
-                residual_check(f"extremal-{kind.value}-symmetry", ref, sym_res, res_budget)
-            )
-            family = (
-                SymmetryFamily.J_POSITIVE
-                if kind in (ExtremalKind.POS_MIN, ExtremalKind.POS_MAX)
-                else SymmetryFamily.J_CONTRACTIVE
-            )
-            checks += _admissibility_checks(f"extremal-{kind.value}", ref, p, jk, family, tol)
+            checks += extremal_checks(p, kind.value, jk, tol)
             via_blocks = extremal_symmetry_via_blocks(p, kind, tol)
             checks.append(
                 residual_check(
@@ -391,19 +427,8 @@ def full_report(
     # sign-function route to the positive family's greatest element
     try:
         jsf = sign_formula_symmetry(p, tol)
-        sgn, ker, _, _ = _sign_formula_pieces(p, tol)
-        if ExtremalKind.POS_MAX in extremes:
-            checks.append(
-                residual_check(
-                    "sign-formula-matches-pos-max", "Remark",
-                    frobenius(jsf - extremes[ExtremalKind.POS_MAX]), res_budget,
-                )
-            )
-        checks.append(
-            residual_check(
-                "sign-formula-kernel-action", "Remark",
-                frobenius(sgn @ ker + ker), res_budget,
-            )
+        checks += _sign_formula_checks(
+            jsf, extremes.get(ExtremalKind.POS_MAX), parts.proj_kernel, res_budget
         )
     except SingularShift as e:
         checks.append(skipped_check("sign-formula", "Remark", str(e)))
@@ -472,59 +497,47 @@ def full_report(
     if j is None:
         skip_reason = "no symmetry supplied"
     else:
-        j = as_matrix(j)
         subject["symmetry_sha256"] = matrix_digest(j)
+        j = np.asarray(j, dtype=np.complex128)
         if j.shape != p.shape:
             skip_reason = "symmetry dimension does not match"
-        elif not is_symmetry(j, tol):
+        elif not np.all(np.isfinite(j)) or not is_symmetry(j, tol):
             skip_reason = "J is not a symmetry"
-        elif frobenius(j @ p @ j - p.conj().T) > res_budget:
-            skip_reason = "JPJ != P*"
+        else:
+            jpj_res = frobenius(j @ p @ j - p.conj().T)
+            if jpj_res > res_budget:
+                skip_reason = "JPJ != P*"
     if skip_reason is not None:
         for name, ref in _J_GROUPS:
             checks.append(skipped_check(name, ref, skip_reason))
         return report
 
-    checks.append(
-        residual_check(
-            "j-intertwines-adjoint", "§1",
-            frobenius(j @ p @ j - p.conj().T), res_budget,
-        )
-    )
-    flags = classify(p, j, tol)
-    subject["classification"] = dict(flags._asdict())
-    checks.append(contractive_positive_equivalence(p, j, tol))
+    checks.append(residual_check("j-intertwines-adjoint", "§1", jpj_res, res_budget))
+    try:
+        flags = classify(p, j, tol)
+        subject["classification"] = dict(flags._asdict())
+    except KreinProjError as e:
+        checks.append(_failed("j-checks", "§1", e))
+    try:
+        checks.append(contractive_positive_equivalence(p, j, tol))
+    except KreinProjError as e:
+        checks.append(_failed("biconditional", "Lemma 11", e))
 
     try:
         ce = dec.contractive_expansive_split(p, j, tol)
-        for key, val in dec.split_identity_residuals(ce, p).items():
-            checks.append(residual_check(f"split-ce-{key}", "Corollary 14", val, res_budget))
-        for key, val in dec.split_classification_margins(ce, j).items():
-            checks.append(margin_check(f"split-ce-{key}", "Corollary 14", val, psd_budget))
+        checks += split_checks(ce, p, j, tol, prefix="split-ce-")
     except KreinProjError as e:
         checks.append(_failed("contractive-expansive-split", "Corollary 14", e))
     try:
         pn = dec.positive_negative_split(p, j, tol)
-        for key, val in dec.split_identity_residuals(pn, p).items():
-            checks.append(residual_check(f"split-pn-{key}", "Lemma 13", val, res_budget))
-        margins = dec.split_classification_margins(pn, j)
-        for key, val in margins.items():
-            if key.endswith("residual"):
-                checks.append(residual_check(f"split-pn-{key}", "Lemma 13", val, res_budget))
-            else:
-                checks.append(margin_check(f"split-pn-{key}", "Lemma 13", val, psd_budget))
+        checks += split_checks(pn, p, j, tol, prefix="split-pn-")
     except KreinProjError as e:
         checks.append(_failed("positive-negative-split", "Lemma 13", e))
 
     try:
         j_a, j_b, verdict = nonexistence_witnesses(p, tol)
-        for name, wit in (("witness-a-intertwines", j_a), ("witness-b-intertwines", j_b)):
-            checks.append(
-                residual_check(
-                    name, "Theorem 8(ii)",
-                    frobenius(wit @ p @ wit - p.conj().T), res_budget,
-                )
-            )
+        for name, wit in (("witness-a", j_a), ("witness-b", j_b)):
+            checks += family_checks(name, "Theorem 8(ii)", p, wit, SymmetryFamily.J_PROJECTION, tol, sp)
         if spectral_norm(bf.corner) > tol.rank_tol * sp:
             # nonzero corner: no greatest element, witnessed by a gap with
             # eigenvalues of both signs
@@ -544,7 +557,7 @@ def full_report(
                     frobenius(p - p.conj().T), res_budget,
                 )
             )
-            dominance = min(_min_eig_sym(eye - j_a), _min_eig_sym(eye - j_b))
+            dominance = min(min_eig(eye - j_a), min_eig(eye - j_b))
             checks.append(
                 margin_check(
                     "witness-bound-identity-dominates", "Theorem 8(ii)",

@@ -260,3 +260,16 @@ def test_cross_process_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_extremal_failing_check_writes_nothing(tmp_path, capsys):
+    # P is idempotent within the residual budget, but the pos-min extreme
+    # leaves J P with eigenvalue -5e-11, past a psd slack of 1e-12.
+    p_path = tmp_path / "P.json"
+    write_matrix(p_path, np.diag([1.0, 5e-11]))
+    out = tmp_path / "J.json"
+    code = main(["extremal", str(p_path), "--which", "pos-min", "--tol-psd", "1e-12",
+                 "-o", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert "FAIL extremal-pos-min-psd" in capsys.readouterr().out

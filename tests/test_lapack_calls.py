@@ -1,0 +1,61 @@
+"""Ratchet on the number of LAPACK factorizations per entry point at n = 8.
+
+Counts calls of ``numpy.linalg.svd``, ``eigh``, ``eigvalsh`` and
+``norm(..., 2)`` (an SVD) made by one call of each entry point, on the same
+input shape the benchmark's ``linalg.entry_calls.*`` metrics use.  The
+bounds are the counts of the current code: a change may lower them, and
+should lower the bound with them, but never raise them.
+"""
+
+import numpy as np
+import pytest
+
+import kreinproj as kp
+
+BOUNDS = {
+    "full_report": 293,
+    "extremal_contr_max": 16,
+    "assemble_symmetry": 6,
+}
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    counts = {"n": 0}
+
+    def counting(fn, only_ord2=False):
+        def wrapped(*args, **kwargs):
+            ord_ = args[1] if len(args) > 1 else kwargs.get("ord")
+            if not only_ord2 or ord_ == 2:
+                counts["n"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    monkeypatch.setattr(np.linalg, "norm", counting(np.linalg.norm, only_ord2=True))
+    return counts
+
+
+def _entry_points(seed):
+    rng = np.random.default_rng([seed, 4])
+    p = kp.random_idempotent(8, 4, 2.0, rng)
+    bf = kp.block_form(p)
+    proj, contr = kp.SymmetryFamily.J_PROJECTION, kp.SymmetryFamily.J_CONTRACTIVE
+    j = kp.assemble_symmetry(bf, proj, kp.sample_params(bf, proj, 1, seed)[0])
+    params = kp.sample_params(bf, contr, 1, seed + 1)[0]
+    return {
+        "full_report": lambda: kp.full_report(p, j, samples=1),
+        "extremal_contr_max": lambda: kp.extremal_symmetry(p, kp.ExtremalKind.CONTR_MAX),
+        "assemble_symmetry": lambda: kp.assemble_symmetry(bf, contr, params),
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("entry", sorted(BOUNDS))
+def test_lapack_calls_at_most_bound(lapack_calls, entry, seed):
+    call = _entry_points(seed)[entry]
+    lapack_calls["n"] = 0
+    call()
+    assert lapack_calls["n"] <= BOUNDS[entry]

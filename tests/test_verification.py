@@ -190,3 +190,40 @@ def test_report_determinism():
     assert a == b
     c = render_report(full_report(p, None, samples=8, seed=6))
     assert a != c
+
+
+def test_full_report_turns_bad_input_into_a_failing_gate():
+    nan_p = np.array([[1.0, np.nan], [0.0, 0.0]])
+    for bad, error in ((nan_p, "NonFinite"), (np.ones((2, 3)), "DimensionMismatch")):
+        report = full_report(bad, None, samples=2, seed=0)
+        gate = report.checks[0]
+        assert (gate.name, gate.status) == ("idempotent", "fail")
+        assert gate.note.startswith(error)
+        assert all(c.status == "skipped" for c in report.checks[1:])
+        assert len(report.checks) == 17
+
+
+def test_full_report_non_finite_symmetry_skips_j_groups():
+    report = full_report(P2, np.array([[np.nan, 0.0], [0.0, 1.0]]), samples=2, seed=0)
+    assert report.passed
+    skipped = [c for c in report.checks if c.status == "skipped"]
+    assert [c.note for c in skipped] == ["J is not a symmetry"] * 5
+
+
+def test_full_report_passes_across_a_wide_corner_spectrum():
+    # Corner singular values 1e4, 3 and 1e-2 under random rotations.  Taking
+    # (I + C C*)^(-1/2) from an eigendecomposition of I + C C* lost the small
+    # eigenvalues next to 1e8 and made assemble_symmetry raise.
+    from conftest import structured_idempotent
+    from kreinproj import haar_unitary
+
+    for seed in range(10):
+        rng = np.random.default_rng([seed, 11])
+        corner = haar_unitary(3, rng) @ np.diag([1e4, 3.0, 1e-2]) @ haar_unitary(3, rng)
+        p = structured_idempotent(6, 3, corner, seed)
+        bf = block_form(p)
+        for family in SymmetryFamily:
+            for params in sample_params(bf, family, 2, seed):
+                assemble_symmetry(bf, family, params)
+        report = full_report(p, None, samples=2, seed=seed)
+        assert report.failures() == [], seed
