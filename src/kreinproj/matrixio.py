@@ -2,9 +2,12 @@
 
 Matrices travel as JSON documents with complex entries stored as
 ``[re, im]`` pairs.  Floats are rendered at 17 significant digits, which
-round-trips IEEE doubles exactly, and rendering is fully deterministic so
-identical inputs produce byte-identical files.  Writes go through a
-temporary file plus rename.
+round-trips every IEEE double exactly except -0.0 (written ``-0``, which JSON
+reads back as the integer 0), and rendering is fully deterministic so
+identical inputs produce byte-identical files.  Matrix files are streamed
+row by row, in both directions: ``write_matrix`` formats one row per
+``%``-call and never holds the whole text, and ``doc_to_matrix`` converts one
+row per ``np.array`` call.  Writes go through a temporary file plus rename.
 """
 
 from __future__ import annotations
@@ -65,21 +68,58 @@ def render_json(value) -> str:
     raise FileFormatError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def matrix_to_doc(m) -> dict:
+def _checked_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise FileFormatError("matrix documents require a 2-D array")
     if m.size and not np.all(np.isfinite(m)):
         raise FileFormatError("matrix contains non-finite entries")
+    return m
+
+
+def matrix_to_doc(m) -> dict:
+    m = _checked_matrix(m)
     rows, cols = m.shape
-    data = [
-        [[float(m[i, j].real), float(m[i, j].imag)] for j in range(cols)]
-        for i in range(rows)
-    ]
-    return {"rows": rows, "cols": cols, "data": data}
+    return {"rows": rows, "cols": cols, "data": np.stack([m.real, m.imag], -1).tolist()}
+
+
+def _matrix_chunks(m: np.ndarray):
+    """The text of ``render_json(matrix_to_doc(m)) + "\\n"``, one row per chunk.
+
+    ``%.17g`` and ``format(x, ".17g")`` share one CPython routine, so the
+    bytes are the same as the document route's.
+    """
+    rows, cols = m.shape
+    parts = np.ascontiguousarray(m).view(np.float64).reshape(rows, 2 * cols)
+    template = "[" + ", ".join(["[%.17g, %.17g]"] * cols) + "]"
+    yield f'{{"rows": {rows}, "cols": {cols}, "data": ['
+    for i in range(rows):
+        yield (", " if i else "") + template % tuple(parts[i].tolist())
+    yield "]}\n"
+
+
+def _fill_row_checked(out: np.ndarray, i: int, row, cols: int):
+    if not isinstance(row, list) or len(row) != cols:
+        raise FileFormatError(f"row {i} does not have {cols} entries")
+    for j, pair in enumerate(row):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise FileFormatError(f"entry ({i}, {j}) is not an [re, im] pair")
+        re, im = pair
+        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+            raise FileFormatError(f"entry ({i}, {j}) has non-numeric parts")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise FileFormatError(f"entry ({i}, {j}) is not finite")
+        out[i, j] = complex(re, im)
 
 
 def doc_to_matrix(doc) -> np.ndarray:
+    """Matrix of a parsed matrix document, validated entry by entry.
+
+    A row that numpy reads as a finite ``(cols, 2)`` int or float array is
+    copied in one step; any other row goes through the per-entry checks,
+    which fill it (bools, integers beyond int64) or raise
+    ``FileFormatError``.  Both routes give the same doubles.
+    """
     if not isinstance(doc, dict):
         raise FileFormatError("matrix document must be a JSON object")
     try:
@@ -93,27 +133,31 @@ def doc_to_matrix(doc) -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows:
         raise FileFormatError(f"expected {rows} rows, found {len(data) if isinstance(data, list) else 'non-list'}")
     out = np.zeros((rows, cols), dtype=np.complex128)
+    parts = out.view(np.float64).reshape(rows, cols, 2)
     for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise FileFormatError(f"row {i} does not have {cols} entries")
-        for j, pair in enumerate(row):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise FileFormatError(f"entry ({i}, {j}) is not an [re, im] pair")
-            re, im = pair
-            if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-                raise FileFormatError(f"entry ({i}, {j}) has non-numeric parts")
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise FileFormatError(f"entry ({i}, {j}) is not finite")
-            out[i, j] = complex(re, im)
+        if isinstance(row, list) and len(row) == cols:
+            try:
+                a = np.array(row)
+            except (ValueError, TypeError, OverflowError):  # ragged or odd entries
+                a = None
+            if (
+                a is not None
+                and a.shape == (cols, 2)
+                and a.dtype.kind in "fi"
+                and np.isfinite(a).all()
+            ):
+                parts[i] = a
+                continue
+        _fill_row_checked(out, i, row, cols)
     return out
 
 
-def _atomic_write_text(path: str, text: str):
+def _atomic_write_text(path: str, chunks):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kreinproj-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -124,7 +168,7 @@ def _atomic_write_text(path: str, text: str):
 
 
 def write_matrix(path, m):
-    _atomic_write_text(str(path), render_json(matrix_to_doc(m)) + "\n")
+    _atomic_write_text(str(path), _matrix_chunks(_checked_matrix(m)))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -159,4 +203,4 @@ def render_report(report: Report) -> str:
 
 
 def write_report(path, report: Report):
-    _atomic_write_text(str(path), render_report(report))
+    _atomic_write_text(str(path), [render_report(report)])

@@ -170,6 +170,10 @@ READER_CASES = {
         '{"rows": 1, "cols": 2, "data": [[[9007199254740993, 1], [9007199254740995, 0.25]]]}',
         [[(2.0**53, 1.0), (2.0**53 + 4, 0.25)]],
     ),
+    "ints-int64-row": (
+        '{"rows": 1, "cols": 2, "data": [[[9007199254740993, 1], [-9007199254740995, 0]]]}',
+        [[(2.0**53, 1.0), (-(2.0**53 + 4), 0.0)]],
+    ),
     "special-doubles": (
         '{"rows": 1, "cols": 3, "data": [[[-0.0, -0], [4.9406564584124654e-324, 1e300],'
         ' [0.10000000000000001, -0.33333333333333331]]]}',
