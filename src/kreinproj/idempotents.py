@@ -243,17 +243,18 @@ def random_idempotent(n: int, r: int, corner_scale: float = 2.0, seed=0) -> np.n
     return w @ core @ w.conj().T
 
 
-def random_symmetry_on(basis, seed=0) -> np.ndarray:
+def random_symmetry_on(basis, seed=0, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Random symmetry on the span of the given orthonormal columns.
 
     The result is k x k in the coordinates of the k columns: conjugate a
     random plus/minus-1 diagonal by a Haar unitary.  Raises
-    ``NotOrthonormal`` when the columns are not orthonormal.
+    ``NotOrthonormal`` when the columns are not orthonormal within
+    ``tol.residual_tol``.
     """
     basis = as_matrix(basis)
     k = basis.shape[1]
     gram = basis.conj().T @ basis
-    if frobenius(gram - np.eye(k)) > DEFAULT_TOL.residual_tol * max(1.0, k):
+    if frobenius(gram - np.eye(k)) > tol.residual_tol * max(1.0, k):
         raise NotOrthonormal("basis columns are not orthonormal")
     rng = as_rng(seed)
     q = haar_unitary(k, rng)

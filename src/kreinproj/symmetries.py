@@ -196,23 +196,24 @@ def assemble_symmetry(
     return j
 
 
-def _null_range_split(m):
+def _null_range_split(m, tol: Tolerances = DEFAULT_TOL):
     """Orthonormal bases (null, range) for the codomain splitting of ``m``.
 
     Returns ``(u_null, u_range)``: columns of ``u_range`` span range(m),
-    columns of ``u_null`` span its orthocomplement N(m*).
+    columns of ``u_null`` span its orthocomplement N(m*); the rank is decided
+    by ``tol.rank_tol``.
     """
     m = as_matrix(m)
     rows = m.shape[0]
     if min(m.shape) == 0:
         return np.eye(rows, dtype=np.complex128), np.zeros((rows, 0), np.complex128)
     u, s, _ = np.linalg.svd(m, full_matrices=True)
-    k = int(np.sum(rank_mask(s, DEFAULT_TOL)))
+    k = int(np.sum(rank_mask(s, tol)))
     return u[:, k:], u[:, :k]
 
 
 def sample_params(
-    bf: BlockForm, family: SymmetryFamily, count: int, seed=0
+    bf: BlockForm, family: SymmetryFamily, count: int, seed=0, tol: Tolerances = DEFAULT_TOL
 ) -> list:
     """Draw admissible family parameters, deterministic in the seed.
 
@@ -225,8 +226,8 @@ def sample_params(
     if count < 1:
         raise ValueError("count must be at least 1")
     corner = bf.corner
-    u_null, u_range = _null_range_split(corner)              # split of range(P)
-    v_null, v_range = _null_range_split(corner.conj().T)     # split of range(P)-perp
+    u_null, u_range = _null_range_split(corner, tol)           # split of range(P)
+    v_null, v_range = _null_range_split(corner.conj().T, tol)  # split of range(P)-perp
     r = bf.rank
     c = bf.dim - r
     children = np.random.SeedSequence(seed).spawn(count)
@@ -234,17 +235,17 @@ def sample_params(
     for child in children:
         rng = np.random.default_rng(child)
         if family is SymmetryFamily.J_CONTRACTIVE:
-            s1 = random_symmetry_on(u_null, rng)
+            s1 = random_symmetry_on(u_null, rng, tol)
             j1 = u_null @ s1 @ u_null.conj().T - u_range @ u_range.conj().T
             j2 = np.eye(c, dtype=np.complex128)
         elif family is SymmetryFamily.J_POSITIVE:
-            s2 = random_symmetry_on(v_null, rng)
+            s2 = random_symmetry_on(v_null, rng, tol)
             j1 = np.eye(r, dtype=np.complex128)
             j2 = v_null @ s2 @ v_null.conj().T - v_range @ v_range.conj().T
         else:
             eps = 1.0 if rng.integers(0, 2) else -1.0
-            s1 = random_symmetry_on(u_null, rng)
-            s2 = random_symmetry_on(v_null, rng)
+            s1 = random_symmetry_on(u_null, rng, tol)
+            s2 = random_symmetry_on(v_null, rng, tol)
             j1 = u_null @ s1 @ u_null.conj().T + eps * u_range @ u_range.conj().T
             j2 = v_null @ s2 @ v_null.conj().T - eps * v_range @ v_range.conj().T
         out.append(SymmetryParams(on_range=j1, on_perp=j2))
@@ -270,21 +271,23 @@ def extremal_symmetry(p, kind: ExtremalKind, tol: Tolerances = DEFAULT_TOL) -> n
     p = as_matrix(p)
     if not validate_idempotent(p, tol):
         raise NotIdempotent("extremal_symmetry requires an idempotent input")
-    n = p.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    parts = spectral_parts(p + p.conj().T, tol)
-    if kind is ExtremalKind.POS_MIN:
-        j = 2 * parts.proj_positive - eye
-    elif kind is ExtremalKind.POS_MAX:
-        j = 2 * parts.proj_positive - eye + 2 * parts.proj_kernel
-    elif kind is ExtremalKind.CONTR_MIN:
-        j = 2 * parts.proj_negative - eye + 2 * parts.proj_kernel
-    else:
-        _, ker_diff = kernel_projections(p, tol)
-        j = 2 * parts.proj_negative - eye + 2 * ker_diff
+    j = _extreme_from_parts(p, spectral_parts(p + p.conj().T, tol), kind, tol)
     if not is_symmetry(j, tol):
         raise InternalMismatch(f"extremal {kind.value} is not a symmetry")
     return j
+
+
+def _extreme_from_parts(p, parts, kind: ExtremalKind, tol: Tolerances) -> np.ndarray:
+    """The extreme ``kind`` of :func:`extremal_symmetry` from ``spectral_parts(P + P*)``."""
+    eye = np.eye(p.shape[0], dtype=np.complex128)
+    if kind is ExtremalKind.POS_MIN:
+        return 2 * parts.proj_positive - eye
+    if kind is ExtremalKind.POS_MAX:
+        return 2 * parts.proj_positive - eye + 2 * parts.proj_kernel
+    if kind is ExtremalKind.CONTR_MIN:
+        return 2 * parts.proj_negative - eye + 2 * parts.proj_kernel
+    _, ker_diff = kernel_projections(p, tol)
+    return 2 * parts.proj_negative - eye + 2 * ker_diff
 
 
 def extremal_symmetry_via_blocks(

@@ -47,6 +47,7 @@ from .reporting import (
 )
 from .symmetries import (
     ExtremalKind,
+    _extreme_from_parts,
     SymmetryFamily,
     assemble_symmetry,
     extremal_symmetry,
@@ -182,7 +183,8 @@ def extremal_checks(p, which: str, j, tol: Tolerances = DEFAULT_TOL) -> list:
 
     Each kind gets ``extremal-<kind>-symmetry`` and its family's checks.  The
     sign-function route gets the same as pos-max under the prefix
-    ``sign-formula``, plus its match with pos-max and its kernel action.
+    ``sign-formula``, plus its match with pos-max and its kernel action,
+    both built from one ``spectral_parts(P + P*)``.
     """
     p = as_matrix(p)
     j = as_matrix(j)
@@ -196,9 +198,9 @@ def extremal_checks(p, which: str, j, tol: Tolerances = DEFAULT_TOL) -> list:
     checks = [residual_check(f"{prefix}-symmetry", ref, sym_res, tol.residual_tol * sp)]
     checks += family_checks(prefix, ref, p, j, kind.family, tol, sp)
     if which == SIGN_FORMULA:
-        pos_max = extremal_symmetry(p, kind, tol)
-        ker = spectral_parts(p + p.conj().T, tol).proj_kernel
-        checks += _sign_formula_checks(j, pos_max, ker, tol.residual_tol * sp)
+        parts = spectral_parts(p + p.conj().T, tol)
+        pos_max = _extreme_from_parts(p, parts, kind, tol)
+        checks += _sign_formula_checks(j, pos_max, parts.proj_kernel, tol.residual_tol * sp)
     return checks
 
 
@@ -255,7 +257,7 @@ def extremality_probe(
     checks = []
     checks += family_checks("extreme-min", _KIND_REFS[kind_min], p, j_min, family, tol, sp)
     checks += family_checks("extreme-max", _KIND_REFS[kind_max], p, j_max, family, tol, sp)
-    for i, params in enumerate(sample_params(bf, family, samples, seed)):
+    for i, params in enumerate(sample_params(bf, family, samples, seed, tol)):
         j = assemble_symmetry(bf, family, params, tol)
         checks.append(
             margin_check(f"sample-{i:03d}-above-min", ref, min_eig(j - j_min), tol.psd_tol)

@@ -2,7 +2,9 @@
 
 Counts calls of ``numpy.linalg.svd``, ``eigh``, ``eigvalsh`` and
 ``norm(..., 2)`` (an SVD) made by one call of each entry point, on the same
-input shape the benchmark's ``linalg.entry_calls.*`` metrics use.  The
+input shape the benchmark's ``linalg.entry_calls.*`` metrics use;
+``extremal_sign_formula`` is the work of ``kreinproj extremal --which
+sign-formula``: the construction plus its certificate.  The
 bounds are the counts of the current code: a change may lower them, and
 should lower the bound with them, but never raise them.
 """
@@ -16,6 +18,7 @@ BOUNDS = {
     "full_report": 293,
     "extremal_contr_max": 16,
     "assemble_symmetry": 6,
+    "extremal_sign_formula": 12,
 }
 
 
@@ -49,6 +52,7 @@ def _entry_points(seed):
         "full_report": lambda: kp.full_report(p, j, samples=1),
         "extremal_contr_max": lambda: kp.extremal_symmetry(p, kp.ExtremalKind.CONTR_MAX),
         "assemble_symmetry": lambda: kp.assemble_symmetry(bf, contr, params),
+        "extremal_sign_formula": lambda: kp.extremal_checks(p, "sign-formula", kp.sign_formula_symmetry(p)),
     }
 
 

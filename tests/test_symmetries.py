@@ -91,6 +91,25 @@ def test_sample_contractive_two_member_family():
     assert seen == {-1, 1}
 
 
+def test_sample_params_rank_decision_follows_tol():
+    # The corner's singular value 1e-7 counts toward its rank at the default
+    # rank_tol (1e-10), leaving the contractive family the single member -I.
+    # At rank_tol=1e-6 it does not: its direction joins the corner's null
+    # space, and the range-side parameter gets a free sign there.
+    eye = np.eye(4, dtype=complex)
+    corner = np.diag([1.0, 1e-7]).astype(complex)
+    bf = BlockForm(basis_range=eye[:, :2], basis_perp=eye[:, 2:], corner=corner)
+    family = SymmetryFamily.J_CONTRACTIVE
+    for params in sample_params(bf, family, 20, seed=4):
+        np.testing.assert_allclose(params.on_range, -np.eye(2), atol=1e-13)
+    signs = set()
+    for params in sample_params(bf, family, 20, seed=4, tol=Tolerances(rank_tol=1e-6)):
+        j1 = params.on_range
+        np.testing.assert_allclose([j1[0, 0], j1[0, 1], j1[1, 0]], [-1.0, 0.0, 0.0], atol=1e-13)
+        signs.add(round(float(j1[1, 1].real)))
+    assert signs == {-1, 1}
+
+
 def test_sample_positive_unconstrained_when_orthogonal():
     bf = block_form(np.diag([1.0, 0.0]))
     seen = set()
