@@ -113,12 +113,15 @@ def _fill_row_checked(out: np.ndarray, i: int, row, cols: int):
 
 
 def doc_to_matrix(doc) -> np.ndarray:
-    """Matrix of a parsed matrix document, validated entry by entry.
+    """Matrix of a parsed matrix document, with every entry validated.
 
     A row that numpy reads as a finite ``(cols, 2)`` int or float array is
     copied in one step; any other row goes through the per-entry checks,
     which fill it (bools, integers beyond int64) or raise
-    ``FileFormatError``.  Both routes give the same doubles.
+    ``FileFormatError``.  Both routes give the same doubles.  A document
+    built in Python rather than parsed from JSON may hold tuples or numpy
+    scalars; the per-entry checks reject those, but a row of them that
+    numpy reads as such an array is accepted.
     """
     if not isinstance(doc, dict):
         raise FileFormatError("matrix document must be a JSON object")

@@ -271,23 +271,24 @@ def extremal_symmetry(p, kind: ExtremalKind, tol: Tolerances = DEFAULT_TOL) -> n
     p = as_matrix(p)
     if not validate_idempotent(p, tol):
         raise NotIdempotent("extremal_symmetry requires an idempotent input")
-    j = _extreme_from_parts(p, spectral_parts(p + p.conj().T, tol), kind, tol)
+    # contr-max's N(P - P*) first, so its factorizations do not overlap the
+    # spectral parts in memory
+    ker_diff = kernel_projections(p, tol)[1] if kind is ExtremalKind.CONTR_MAX else None
+    j = _extreme_from_parts(spectral_parts(p + p.conj().T, tol), kind, ker_diff)
     if not is_symmetry(j, tol):
         raise InternalMismatch(f"extremal {kind.value} is not a symmetry")
     return j
 
 
-def _extreme_from_parts(p, parts, kind: ExtremalKind, tol: Tolerances) -> np.ndarray:
-    """The extreme ``kind`` of :func:`extremal_symmetry` from ``spectral_parts(P + P*)``."""
-    eye = np.eye(p.shape[0], dtype=np.complex128)
-    if kind is ExtremalKind.POS_MIN:
-        return 2 * parts.proj_positive - eye
-    if kind is ExtremalKind.POS_MAX:
-        return 2 * parts.proj_positive - eye + 2 * parts.proj_kernel
-    if kind is ExtremalKind.CONTR_MIN:
-        return 2 * parts.proj_negative - eye + 2 * parts.proj_kernel
-    _, ker_diff = kernel_projections(p, tol)
-    return 2 * parts.proj_negative - eye + 2 * ker_diff
+def _extreme_from_parts(parts, kind: ExtremalKind, ker_diff=None) -> np.ndarray:
+    """The extreme ``kind`` of :func:`extremal_symmetry` from ``spectral_parts(P + P*)``;
+    contr-max also needs ``ker_diff``, the projection onto N(P - P*)."""
+    pos = kind.family is SymmetryFamily.J_POSITIVE
+    j = 2 * (parts.proj_positive if pos else parts.proj_negative)
+    j[np.diag_indices_from(j)] -= 1.0
+    if kind is not ExtremalKind.POS_MIN:
+        j += 2 * (ker_diff if kind is ExtremalKind.CONTR_MAX else parts.proj_kernel)
+    return j
 
 
 def extremal_symmetry_via_blocks(

@@ -199,7 +199,7 @@ def extremal_checks(p, which: str, j, tol: Tolerances = DEFAULT_TOL) -> list:
     checks += family_checks(prefix, ref, p, j, kind.family, tol, sp)
     if which == SIGN_FORMULA:
         parts = spectral_parts(p + p.conj().T, tol)
-        pos_max = _extreme_from_parts(p, parts, kind, tol)
+        pos_max = _extreme_from_parts(parts, kind)
         checks += _sign_formula_checks(j, pos_max, parts.proj_kernel, tol.residual_tol * sp)
     return checks
 
