@@ -98,6 +98,19 @@ def _matrix_chunks(m: np.ndarray):
     yield "]}\n"
 
 
+def _numeric_row(row, cols: int):
+    """``row`` as a finite ``(cols, 2)`` int or float array, else None."""
+    if not isinstance(row, list) or len(row) != cols:
+        return None
+    try:
+        a = np.array(row)
+    except (ValueError, TypeError, OverflowError):  # ragged or odd entries
+        return None
+    if a.shape == (cols, 2) and a.dtype.kind in "fi" and np.isfinite(a).all():
+        return a
+    return None
+
+
 def _fill_row_checked(out: np.ndarray, i: int, row, cols: int):
     if not isinstance(row, list) or len(row) != cols:
         raise FileFormatError(f"row {i} does not have {cols} entries")
@@ -138,20 +151,11 @@ def doc_to_matrix(doc) -> np.ndarray:
     out = np.zeros((rows, cols), dtype=np.complex128)
     parts = out.view(np.float64).reshape(rows, cols, 2)
     for i, row in enumerate(data):
-        if isinstance(row, list) and len(row) == cols:
-            try:
-                a = np.array(row)
-            except (ValueError, TypeError, OverflowError):  # ragged or odd entries
-                a = None
-            if (
-                a is not None
-                and a.shape == (cols, 2)
-                and a.dtype.kind in "fi"
-                and np.isfinite(a).all()
-            ):
-                parts[i] = a
-                continue
-        _fill_row_checked(out, i, row, cols)
+        a = _numeric_row(row, cols)
+        if a is None:
+            _fill_row_checked(out, i, row, cols)
+        else:
+            parts[i] = a
     return out
 
 

@@ -10,12 +10,16 @@ when a change to the file format is intended) with
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinproj import FileFormatError, Tolerances, random_idempotent
 from kreinproj.matrixio import (
+    _fill_row_checked,
     doc_to_matrix,
     matrix_to_doc,
     read_matrix,
@@ -121,6 +125,29 @@ def test_write_matrix_matches_golden_bytes(tmp_path, name):
     assert path.read_bytes() == expected
     # the document route renders the same text, so the two cannot drift apart
     assert (render_json(matrix_to_doc(m)) + "\n").encode("utf-8") == expected
+
+
+_ANY_DOUBLE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_streamed_rows_match_the_entrywise_routes(rows, cols, data):
+    parts = data.draw(st.lists(_ANY_DOUBLE, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    m = _from_parts(parts, (rows, cols))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        write_matrix(path, m)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        got = read_matrix(path)
+    assert text == render_json(matrix_to_doc(m)) + "\n"
+    # reference: every row through the per-entry checks
+    doc = json.loads(text)
+    want = np.zeros((rows, cols), dtype=np.complex128)
+    for i, row in enumerate(doc["data"]):
+        _fill_row_checked(want, i, row, cols)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_negative_zero_reads_back_as_positive_zero(tmp_path):
