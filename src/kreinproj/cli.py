@@ -75,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="family to sample from (symmetry-for)")
     gen.add_argument("--for", dest="for_path", metavar="P_FILE",
                      help="idempotent file the symmetry is built for")
+    _add_tol_flags(gen)
     gen.add_argument("-o", "--out", required=True, help="output matrix file")
 
     ext = subs.add_parser("extremal", help="write a closed-form extreme symmetry")
@@ -124,11 +125,12 @@ def _cmd_gen(args) -> int:
     else:
         if args.for_path is None or args.family is None:
             raise UsageError("gen symmetry-for requires --for and --family")
+        tol = _tol_from(args)
         p = read_matrix(args.for_path)
-        bf = block_form(p)
+        bf = block_form(p, tol)
         family = SymmetryFamily(args.family)
-        params = sample_params(bf, family, 1, args.seed)[0]
-        m = assemble_symmetry(bf, family, params)
+        params = sample_params(bf, family, 1, args.seed, tol)[0]
+        m = assemble_symmetry(bf, family, params, tol)
     write_matrix(args.out, m)
     print(f"wrote {args.out}")
     return EXIT_PASS

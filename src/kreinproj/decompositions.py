@@ -31,6 +31,7 @@ from .linalg import (
     rank_mask,
     scale_of,
     spectral_parts,
+    within_scaled,
 )
 from .reporting import Report, matrix_digest, residual_check
 from .symmetries import SymmetryFamily, _corner_inv_sqrts, assemble_symmetry
@@ -93,7 +94,7 @@ def negative_part_projection_formula(b, tol: Tolerances = DEFAULT_TOL) -> np.nda
     out = _negative_part_formula(b, tol)
     s = anchored_block(b)
     oracle = spectral_parts(s, tol).proj_negative
-    if frobenius(out - oracle) > tol.residual_tol * scale_of(s):
+    if not within_scaled(frobenius(out - oracle), tol.residual_tol, s):
         raise InternalMismatch(
             "closed-form negative projection disagrees with the spectral route"
         )
@@ -114,17 +115,15 @@ def extract_params(p, j, tol: Tolerances = DEFAULT_TOL):
     if not is_symmetry(j, tol):
         raise NotJProjection("J is not a symmetry")
     bf = block_form(p, tol)
-    sp = scale_of(p)
-    if frobenius(j @ p @ j - p.conj().T) > tol.residual_tol * sp:
-        raise NotJProjection(
-            f"J P J differs from P* by {frobenius(j @ p @ j - p.conj().T):.3e}"
-        )
+    jpj_res = frobenius(j @ p @ j - p.conj().T)
+    if not within_scaled(jpj_res, tol.residual_tol, p):
+        raise NotJProjection(f"J P J differs from P* by {jpj_res:.3e}")
     j11 = bf.basis_range.conj().T @ j @ bf.basis_range
     j22 = bf.basis_perp.conj().T @ j @ bf.basis_perp
     params = []
     for name, blockm in (("range", j11), ("perp", j22)):
         sgn, min_abs = hermitian_sign(blockm, tol)
-        if min_abs <= tol.rank_tol * scale_of(blockm):
+        if within_scaled(min_abs, tol.rank_tol, blockm):
             raise SingularBlock(
                 f"diagonal {name} block is numerically singular "
                 f"(min |eig| = {min_abs:.3e})"
@@ -132,7 +131,7 @@ def extract_params(p, j, tol: Tolerances = DEFAULT_TOL):
         params.append(sgn)
     j1, j2 = params
     rebuilt = assemble_symmetry(bf, SymmetryFamily.J_PROJECTION, (j1, j2), tol)
-    if frobenius(rebuilt - j) > tol.residual_tol * scale_of(j):
+    if not within_scaled(frobenius(rebuilt - j), tol.residual_tol, j):
         raise NotJProjection("J is not in the admissible block-parameterized family")
     return j1, j2
 

@@ -26,8 +26,8 @@ from .linalg import (
     frobenius,
     kernel_projection,
     rank_mask,
-    scale_of,
     spectral_parts,
+    within_scaled,
 )
 
 __all__ = [
@@ -114,7 +114,7 @@ def validate_idempotent(p, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when ``p @ p == p`` within ``residual_tol * scale``."""
     p = as_matrix(p)
     _require_square(p, "idempotent")
-    return frobenius(p @ p - p) <= tol.residual_tol * scale_of(p)
+    return within_scaled(frobenius(p @ p - p), tol.residual_tol, p)
 
 
 def _canonical_phases(u: np.ndarray) -> np.ndarray:
@@ -185,12 +185,11 @@ def kernel_projections(p, tol: Tolerances = DEFAULT_TOL):
     direct_sum, block_sum, direct_diff, block_diff = _kernel_projection_routes(
         p, bf, tol
     )
-    s = scale_of(p)
-    if frobenius(direct_sum - block_sum) > tol.residual_tol * s:
+    if not within_scaled(frobenius(direct_sum - block_sum), tol.residual_tol, p):
         raise InternalMismatch(
             "N(P+P*) projections disagree between spectral and block routes"
         )
-    if frobenius(direct_diff - block_diff) > tol.residual_tol * s:
+    if not within_scaled(frobenius(direct_diff - block_diff), tol.residual_tol, p):
         raise InternalMismatch(
             "N(P-P*) projections disagree between spectral and block routes"
         )

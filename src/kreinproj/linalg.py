@@ -8,7 +8,10 @@ cutoff, polar decomposition, Loewner-order comparison, and the symmetry
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 Every tolerance is relative to ``scale = max(1, spectral norm)`` of the
-matrix being tested.
+matrix being tested.  The spectral norm costs an SVD, so a verdict against
+such a tolerance goes through :func:`within_scaled`, which brackets the
+scale between 1 and the Frobenius norm and computes the spectral norm only
+when the verdict depends on it; every verdict is the same as with the norm.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "frobenius",
     "spectral_norm",
     "scale_of",
+    "within_scaled",
     "hermitian_eig",
     "spectral_parts",
     "range_projection",
@@ -97,6 +101,30 @@ def scale_of(a) -> float:
     return max(1.0, spectral_norm(a))
 
 
+# ||a||_2 <= ||a||_F, with equality for rank-1 ``a``; the slack covers the
+# rounding of both computed norms.
+_FROBENIUS_SLACK = 1.0 + 1e-8
+
+
+def _scale_ceiling(a) -> float:
+    """An upper bound on ``scale_of(a)`` that needs no SVD."""
+    return max(1.0, _FROBENIUS_SLACK * frobenius(a))
+
+
+def within_scaled(value, coef, a) -> bool:
+    """Exactly ``value <= coef * scale_of(a)``, for ``coef >= 0``.
+
+    The scale lies between 1 and ``max(1, ||a||_F)``, so the verdict is
+    known without the spectral norm unless ``value`` falls between
+    ``coef`` and ``coef * max(1, ||a||_F)``; only then is the SVD run.
+    """
+    if value <= coef:
+        return True
+    if value > coef * _scale_ceiling(a):
+        return False
+    return value <= coef * scale_of(a)
+
+
 def _require_square(a, what="matrix"):
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {a.shape}")
@@ -112,11 +140,10 @@ def hermitian_eig(a, tol: Tolerances = DEFAULT_TOL):
     """
     a = as_matrix(a)
     _require_square(a)
-    s = scale_of(a)
-    if frobenius(a - a.conj().T) > tol.residual_tol * s:
+    asym = frobenius(a - a.conj().T)
+    if not within_scaled(asym, tol.residual_tol, a):
         raise NotHermitian(
-            f"asymmetry {frobenius(a - a.conj().T):.3e} exceeds "
-            f"{tol.residual_tol * s:.3e}"
+            f"asymmetry {asym:.3e} exceeds {tol.residual_tol * scale_of(a):.3e}"
         )
     h = 0.5 * (a + a.conj().T)
     w, q = np.linalg.eigh(h)
@@ -157,12 +184,18 @@ def spectral_parts(a, tol: Tolerances = DEFAULT_TOL) -> SpectralParts:
     """Split a Hermitian matrix into positive part, negative part and the
     projections onto their ranges and onto the null space.
 
-    Eigenvalues inside ``(-rank_tol * scale, rank_tol * scale)`` are
-    assigned to the kernel bucket.
+    Eigenvalues inside ``[-rank_tol * scale, rank_tol * scale]`` are
+    assigned to the kernel bucket.  The scale is computed only when some
+    eigenvalue lies where it could move that bucket's edge.
     """
     a = as_matrix(a)
     w, q = hermitian_eig(a, tol)
-    cutoff = tol.rank_tol * scale_of(a)
+    # the cutoff rank_tol * scale lies in [rank_tol, edge]
+    cutoff = tol.rank_tol
+    edge = tol.rank_tol * _scale_ceiling(a)
+    absw = np.abs(w)
+    if np.any((absw > cutoff) & (absw <= edge)):
+        cutoff = tol.rank_tol * scale_of(a)
     pos = w > cutoff
     neg = w < -cutoff
     ker = ~(pos | neg)
@@ -249,11 +282,11 @@ def loewner_geq(a, b, tol: Tolerances = DEFAULT_TOL):
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     for m in (a, b):
-        if frobenius(m - m.conj().T) > tol.residual_tol * scale_of(m):
+        if not within_scaled(frobenius(m - m.conj().T), tol.residual_tol, m):
             raise NotHermitian("loewner_geq requires Hermitian operands")
     d = a - b
     margin = min_eig(d)
-    return margin >= -tol.psd_tol * scale_of(d), margin
+    return within_scaled(-margin, tol.psd_tol, d), margin
 
 
 def is_symmetry(j, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -263,10 +296,10 @@ def is_symmetry(j, tol: Tolerances = DEFAULT_TOL) -> bool:
     n = j.shape[0]
     if n == 0:
         return True
-    s = scale_of(j)
+    res = tol.residual_tol
     return (
-        frobenius(j - j.conj().T) <= tol.residual_tol * s
-        and frobenius(j @ j - np.eye(n)) <= tol.residual_tol * s
+        within_scaled(frobenius(j - j.conj().T), res, j)
+        and within_scaled(frobenius(j @ j - np.eye(n)), res, j)
     )
 
 

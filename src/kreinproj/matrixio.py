@@ -16,7 +16,7 @@ import dataclasses
 import json
 import math
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -120,7 +120,11 @@ def _fill_row_checked(out: np.ndarray, i: int, row, cols: int):
         re, im = pair
         if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
             raise FileFormatError(f"entry ({i}, {j}) has non-numeric parts")
-        if not (math.isfinite(re) and math.isfinite(im)):
+        try:
+            finite = math.isfinite(re) and math.isfinite(im)
+        except OverflowError:  # an integer beyond the double range
+            raise FileFormatError(f"entry ({i}, {j}) is beyond the double range") from None
+        if not finite:
             raise FileFormatError(f"entry ({i}, {j}) is not finite")
         out[i, j] = complex(re, im)
 
@@ -161,7 +165,10 @@ def doc_to_matrix(doc) -> np.ndarray:
 
 def _atomic_write_text(path: str, chunks):
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kreinproj-", suffix=".tmp")
+    # Mode 0o666 less the umask, as ``open(path, "w")`` gives; ``mkstemp``
+    # would make the file 0o600.
+    tmp = os.path.join(directory, f".kreinproj-{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)

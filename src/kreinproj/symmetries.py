@@ -47,6 +47,7 @@ from .linalg import (
     rank_mask,
     scale_of,
     spectral_parts,
+    within_scaled,
 )
 from .reporting import FAIL, margin_check, residual_check
 
@@ -187,7 +188,11 @@ def assemble_symmetry(
     if not is_symmetry(j, tol):
         raise InternalMismatch("assembled matrix is not a symmetry")
     p = bf.reassemble()
-    for check in family_checks("assembled", "", p, j, family, tol, scale_of(p)):
+    # a check passing at scale 1 passes at scale_of(p) >= 1
+    checks = family_checks("assembled", "", p, j, family, tol, 1.0)
+    if any(c.status == FAIL for c in checks):
+        checks = family_checks("assembled", "", p, j, family, tol, scale_of(p))
+    for check in checks:
         if check.status == FAIL:
             raise InternalMismatch(
                 f"assembled J fails {check.name}: residual {check.residual:.3e}, "
@@ -336,7 +341,7 @@ def sign_formula_symmetry(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NotIdempotent("sign_formula_symmetry requires an idempotent input")
     shift = p + p.conj().T - np.eye(p.shape[0])
     sgn, min_abs = hermitian_sign(shift, tol)
-    if min_abs <= tol.rank_tol * scale_of(shift):
+    if within_scaled(min_abs, tol.rank_tol, shift):
         raise SingularShift(
             f"P + P* - I is numerically singular: min |eig| = {min_abs:.3e}"
         )
@@ -378,10 +383,9 @@ def nonexistence_witnesses(p, tol: Tolerances = DEFAULT_TOL):
     if d.shape[0] == 0:
         return j_a, j_b, DominanceVerdict("psd", 0.0, 0.0)
     lo, hi = min_eig(d), -min_eig(-d)
-    band = tol.psd_tol * scale_of(d)
-    if lo >= -band:
+    if within_scaled(-lo, tol.psd_tol, d):
         kind = "psd"
-    elif hi <= band:
+    elif within_scaled(hi, tol.psd_tol, d):
         kind = "nsd"
     else:
         kind = "indefinite"

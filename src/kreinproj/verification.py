@@ -35,6 +35,7 @@ from .linalg import (
     scale_of,
     spectral_norm,
     spectral_parts,
+    within_scaled,
 )
 from .reporting import (
     FAIL,
@@ -98,7 +99,11 @@ def classify(p, j, tol: Tolerances = DEFAULT_TOL) -> ProjectionFlags:
         raise NotIdempotent("classify requires an idempotent P")
     if not is_symmetry(j, tol):
         raise NotSymmetry("classify requires a symmetry J")
-    sp = scale_of(p)
+    return _classify(p, j, tol, scale_of(p))
+
+
+def _classify(p, j, tol, sp) -> ProjectionFlags:
+    """:func:`classify` of a checked pair, with ``sp = scale_of(p)``."""
 
     def holds(jj, family):
         return all(c.status != FAIL for c in family_checks("", "", p, jj, family, tol, sp))
@@ -126,13 +131,17 @@ def contractive_positive_equivalence(p, j, tol: Tolerances = DEFAULT_TOL) -> Che
         raise NotIdempotent("biconditional check requires an idempotent P")
     if not is_symmetry(j, tol):
         raise NotSymmetry("biconditional check requires a symmetry J")
-    sp = scale_of(p)
+    return _contractive_positive_equivalence(p, j, tol, scale_of(p))
+
+
+def _contractive_positive_equivalence(p, j, tol, sp) -> CheckResult:
+    """:func:`contractive_positive_equivalence` of a checked pair, with ``sp = scale_of(p)``."""
     contractive, c_margin = loewner_geq(j, p.conj().T @ j @ p, tol)
 
     comp = j @ (np.eye(p.shape[0]) - p)
     herm_res = frobenius(comp - comp.conj().T)
     p_margin = min_eig(comp)
-    positive = herm_res <= tol.residual_tol * sp and p_margin >= -tol.psd_tol * scale_of(comp)
+    positive = herm_res <= tol.residual_tol * sp and within_scaled(-p_margin, tol.psd_tol, comp)
 
     if contractive == positive:
         residual = 0.0
@@ -187,8 +196,11 @@ def extremal_checks(p, which: str, j, tol: Tolerances = DEFAULT_TOL) -> list:
     both built from one ``spectral_parts(P + P*)``.
     """
     p = as_matrix(p)
-    j = as_matrix(j)
-    sp = scale_of(p)
+    return _extremal_checks(p, which, as_matrix(j), tol, scale_of(p))
+
+
+def _extremal_checks(p, which, j, tol, sp) -> list:
+    """:func:`extremal_checks` with ``sp = scale_of(p)``."""
     if which == SIGN_FORMULA:
         kind, prefix, ref = ExtremalKind.POS_MAX, SIGN_FORMULA, "Remark"
     else:
@@ -214,8 +226,12 @@ def split_checks(split, p, j, tol: Tolerances = DEFAULT_TOL, prefix: str = "") -
     """Identity residuals and classification margins certifying a split of
     ``p`` against ``j``, named ``<prefix><key>``, at budgets scaled by ``scale_of(p)``."""
     p = as_matrix(p)
+    return _split_checks(split, p, j, tol, scale_of(p), prefix)
+
+
+def _split_checks(split, p, j, tol, sp, prefix) -> list:
+    """:func:`split_checks` with ``sp = scale_of(p)``."""
     ref = _SPLIT_REFS[split.kind]
-    sp = scale_of(p)
     checks = [
         residual_check(f"{prefix}{key}", ref, val, tol.residual_tol * sp)
         for key, val in dec.split_identity_residuals(split, p).items()
@@ -247,13 +263,17 @@ def extremality_probe(
     if family is SymmetryFamily.J_PROJECTION:
         raise ValueError("the intertwining family has no extreme elements to probe")
     p = as_matrix(p)
+    return _extremality_probe(p, family, samples, seed, tol, scale_of(p))
+
+
+def _extremality_probe(p, family, samples, seed, tol, sp) -> Report:
+    """:func:`extremality_probe` with checked arguments and ``sp = scale_of(p)``."""
     bf = block_form(p, tol)
     kind_min, kind_max = (k for k in ExtremalKind if k.family is family)
     ref = _FAMILY_REFS[family]
     j_min = extremal_symmetry(p, kind_min, tol)
     j_max = extremal_symmetry(p, kind_max, tol)
 
-    sp = scale_of(p)
     checks = []
     checks += family_checks("extreme-min", _KIND_REFS[kind_min], p, j_min, family, tol, sp)
     checks += family_checks("extreme-max", _KIND_REFS[kind_max], p, j_max, family, tol, sp)
@@ -404,7 +424,7 @@ def full_report(
         try:
             jk = extremal_symmetry(p, kind, tol)
             extremes[kind] = jk
-            checks += extremal_checks(p, kind.value, jk, tol)
+            checks += _extremal_checks(p, kind.value, jk, tol, sp)
             via_blocks = extremal_symmetry_via_blocks(p, kind, tol)
             checks.append(
                 residual_check(
@@ -443,7 +463,7 @@ def full_report(
         (SymmetryFamily.J_CONTRACTIVE, "probe-contractive/"),
     ):
         try:
-            probe = extremality_probe(p, family, samples, seed, tol)
+            probe = _extremality_probe(p, family, samples, seed, tol, sp)
             report.extend_prefixed(prefix, probe)
         except KreinProjError as e:
             checks.append(_failed(prefix.rstrip("/"), _FAMILY_REFS[family], e))
@@ -515,24 +535,25 @@ def full_report(
         return report
 
     checks.append(residual_check("j-intertwines-adjoint", "§1", jpj_res, res_budget))
+    # the idempotency gate and is_symmetry(j) above are the public wrappers' checks
     try:
-        flags = classify(p, j, tol)
+        flags = _classify(p, j, tol, sp)
         subject["classification"] = dict(flags._asdict())
     except KreinProjError as e:
         checks.append(_failed("j-checks", "§1", e))
     try:
-        checks.append(contractive_positive_equivalence(p, j, tol))
+        checks.append(_contractive_positive_equivalence(p, j, tol, sp))
     except KreinProjError as e:
         checks.append(_failed("biconditional", "Lemma 11", e))
 
     try:
         ce = dec.contractive_expansive_split(p, j, tol)
-        checks += split_checks(ce, p, j, tol, prefix="split-ce-")
+        checks += _split_checks(ce, p, j, tol, sp, "split-ce-")
     except KreinProjError as e:
         checks.append(_failed("contractive-expansive-split", "Corollary 14", e))
     try:
         pn = dec.positive_negative_split(p, j, tol)
-        checks += split_checks(pn, p, j, tol, prefix="split-pn-")
+        checks += _split_checks(pn, p, j, tol, sp, "split-pn-")
     except KreinProjError as e:
         checks.append(_failed("positive-negative-split", "Lemma 13", e))
 

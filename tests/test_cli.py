@@ -53,6 +53,41 @@ def test_gen_usage_errors(tmp_path):
     assert main(["no-such-command"]) == 2
 
 
+def test_gen_symmetry_for_takes_the_tolerance_flags(tmp_path):
+    # The corner's singular value 1e-7 counts toward its rank by default, so
+    # the contractive family is fixed to -I on range(P).  At --tol-rank 1e-6
+    # its direction is null and gets a random sign (+1 at seed 0), which
+    # breaks the corner constraint by 2e-7: beyond the default residual
+    # budget, within --tol-res 1e-6.
+    from kreinproj import SymmetryFamily, Tolerances, assemble_symmetry, block_form, sample_params
+
+    p = np.zeros((4, 4))
+    p[:2, :2] = np.eye(2)
+    p[0, 2], p[1, 3] = 1.0, 1e-7
+    p_path = tmp_path / "P.json"
+    write_matrix(p_path, p)
+    base = ["gen", "symmetry-for", "--for", str(p_path), "--family", "contractive",
+            "--seed", "0", "-o"]
+    assert main(base + [str(tmp_path / "d.json")]) == 0
+    assert main(base + [str(tmp_path / "t.json"), "--tol-rank", "1e-6", "--tol-res", "1e-6"]) == 0
+    assert main(base + [str(tmp_path / "u.json"), "--tol-rank", "1e-6"]) == 2
+    tol = Tolerances(rank_tol=1e-6, residual_tol=1e-6)
+    bf = block_form(p, tol)
+    family = SymmetryFamily.J_CONTRACTIVE
+    want = assemble_symmetry(bf, family, sample_params(bf, family, 1, 0, tol)[0], tol)
+    got = read_matrix(tmp_path / "t.json")
+    assert got.tobytes() == want.tobytes()
+    assert np.abs(got - read_matrix(tmp_path / "d.json")).max() > 1.0
+
+
+def test_integer_beyond_double_range_is_an_io_error(tmp_path, capsys):
+    p_path = tmp_path / "P.json"
+    p_path.write_text('{"rows": 1, "cols": 1, "data": [[[1' + "0" * 400 + ', 0]]]}')
+    assert main(["extremal", str(p_path), "--which", "pos-max", "-o", str(tmp_path / "J.json")]) == 3
+    assert main(["verify", str(p_path)]) == 3
+    assert "beyond the double range" in capsys.readouterr().err
+
+
 def test_extremal_matches_module_value(tmp_path):
     p_path = tmp_path / "P.json"
     write_matrix(p_path, P2)

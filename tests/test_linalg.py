@@ -13,6 +13,7 @@ from kreinproj import (
     NonFinite,
     NotHermitian,
     Tolerances,
+    haar_unitary,
     hermitian_eig,
     is_symmetry,
     kernel_projection,
@@ -21,6 +22,7 @@ from kreinproj import (
     range_projection,
     spectral_parts,
 )
+from kreinproj.linalg import scale_of, within_scaled
 
 SQRT2 = math.sqrt(2.0)
 
@@ -248,3 +250,54 @@ def test_empty_matrices_are_legal():
     ok, margin = loewner_geq(e, e)
     assert ok and margin == math.inf
     assert is_symmetry(e)
+
+
+def _scale_test_matrix(kind, shape, seed):
+    if kind == "empty":
+        return np.zeros((0, shape[1]), dtype=complex)
+    if kind == "zero":
+        return np.zeros(shape, dtype=complex)
+    if kind == "rank-1":
+        x = random_complex((shape[0], 1), seed)
+        y = random_complex((1, shape[1]), seed + 1)
+        return x @ y
+    return random_complex(shape, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["random", "rank-1", "zero", "empty"]),
+    st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    st.integers(0, 10**6),
+    st.integers(-12, 12),
+    st.sampled_from([0.0, 1e-10, 1e-9, 0.25, 1.0, 3.0]),
+    st.sampled_from(["bound", "above", "below", "frobenius", "frobenius-above"]),
+)
+def test_within_scaled_is_exact(kind, shape, seed, k, coef, where):
+    a = _scale_test_matrix(kind, shape, seed) * 10.0**k
+    bound = coef * scale_of(a)
+    value = {
+        "bound": bound,
+        "above": bound * (1 + 1e-15),
+        "below": bound * (1 - 1e-15),
+        "frobenius": coef * np.linalg.norm(a),
+        "frobenius-above": coef * np.linalg.norm(a) * (1 + 1e-15),
+    }[where]
+    assert within_scaled(value, coef, a) == (value <= coef * scale_of(a))
+
+
+def test_spectral_parts_band_eigenvalue_follows_the_scaled_cutoff():
+    # With ||a|| = 1e4 the cutoff is rank_tol * 1e4 = 1e-6: an eigenvalue
+    # 5e-7 lies above rank_tol (the scale-1 cutoff) but in the kernel, and
+    # 5e-6 stays positive.  Both lie where only the spectral norm decides.
+    q = haar_unitary(4, 11)
+    for small, in_kernel in ((5e-7, True), (5e-6, False)):
+        a = (q * np.array([1e4, small, 0.0, -1.0])) @ q.conj().T
+        w, v = hermitian_eig(a)
+        cutoff = Tolerances().rank_tol * scale_of(a)
+        ker = ~((w > cutoff) | (w < -cutoff))
+        assert bool(ker[1]) is in_kernel
+        parts = spectral_parts(a)
+        vk, vp = v[:, ker], v[:, w > cutoff]
+        np.testing.assert_array_equal(parts.proj_kernel, vk @ vk.conj().T)
+        np.testing.assert_array_equal(parts.proj_positive, vp @ vp.conj().T)

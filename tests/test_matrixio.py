@@ -26,6 +26,7 @@ from kreinproj.matrixio import (
     render_json,
     render_report,
     write_matrix,
+    write_report,
 )
 from kreinproj.reporting import Report, residual_check
 
@@ -95,6 +96,22 @@ def test_write_is_atomic_and_parseable(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["rows"] == 2
     np.testing.assert_array_equal(read_matrix(path), np.eye(2))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=oct)
+def test_written_files_get_the_umask_default_mode(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w"):
+            pass
+        write_matrix(tmp_path / "m.json", np.eye(2))
+        write_report(tmp_path / "r.json", Report(subject={}, checks=[]))
+    finally:
+        os.umask(old)
+    want = os.stat(plain).st_mode
+    assert os.stat(tmp_path / "m.json").st_mode == want
+    assert os.stat(tmp_path / "r.json").st_mode == want
 
 
 def test_report_rendering_stable():
@@ -183,6 +200,9 @@ READER_CASES = {
     "nan-token": ('{"rows": 1, "cols": 2, "data": [[[1, 0], [NaN, 0]]]}', FileFormatError),
     "infinity-token": ('{"rows": 1, "cols": 1, "data": [[[0, Infinity]]]}', FileFormatError),
     "minus-infinity-token": ('{"rows": 1, "cols": 1, "data": [[[-Infinity, 0]]]}', FileFormatError),
+    "int-beyond-double-range": (
+        '{"rows": 1, "cols": 2, "data": [[[1, 0], [1' + "0" * 400 + ', 0]]]}', FileFormatError
+    ),
     "too-few-rows": ('{"rows": 2, "cols": 1, "data": [[[1, 0]]]}', FileFormatError),
     "bool-row": (
         '{"rows": 2, "cols": 2, "data": [[[true, false], [false, true]], [[1.5, 0], [0, 2]]]}',
