@@ -51,6 +51,17 @@ def _add_tol_flags(sub):
                      help="Frobenius residual budget for identity checks")
 
 
+def _positive_int(text) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _tol_from(args) -> Tolerances:
     return Tolerances(
         rank_tol=args.tol_rank, psd_tol=args.tol_psd, residual_tol=args.tol_res
@@ -98,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("j_path", nargs="?", help="optional symmetry matrix file")
     ver.add_argument("--glob", dest="glob_pattern", metavar="PATTERN",
                      help="verify every matching idempotent file instead")
-    ver.add_argument("--samples", type=int, default=20)
+    ver.add_argument("--samples", type=_positive_int, default=20,
+                     help="sampled members per bounded family (at least 1)")
     ver.add_argument("--seed", type=int, default=0)
     _add_tol_flags(ver)
     ver.add_argument("--out", help="report file to write")

@@ -17,7 +17,7 @@ import enum
 import numpy as np
 
 from .errors import DegenerateBlock, InternalMismatch, NotJProjection, SingularBlock
-from .idempotents import block_form
+from .idempotents import BlockForm, _corner_inv_sqrts, _Factors, block_form
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -25,16 +25,14 @@ from .linalg import (
     frobenius,
     hermitian_sign,
     is_symmetry,
-    kernel_projection,
     min_eig,
     polar,
     rank_mask,
-    scale_of,
     spectral_parts,
     within_scaled,
 )
 from .reporting import Report, matrix_digest, residual_check
-from .symmetries import SymmetryFamily, _corner_inv_sqrts, assemble_symmetry
+from .symmetries import SymmetryFamily, assemble_symmetry
 
 __all__ = [
     "SplitKind",
@@ -101,6 +99,14 @@ def negative_part_projection_formula(b, tol: Tolerances = DEFAULT_TOL) -> np.nda
     return out
 
 
+def _checked_symmetry(j, tol: Tolerances) -> np.ndarray:
+    """``j`` as a matrix; ``NotJProjection`` when it is not a symmetry."""
+    j = as_matrix(j)
+    if not is_symmetry(j, tol):
+        raise NotJProjection("J is not a symmetry")
+    return j
+
+
 def extract_params(p, j, tol: Tolerances = DEFAULT_TOL):
     """Recover the block parameters of a symmetry J with J P J = P*.
 
@@ -111,10 +117,12 @@ def extract_params(p, j, tol: Tolerances = DEFAULT_TOL):
     singular diagonal blocks raise ``SingularBlock``.
     """
     p = as_matrix(p)
-    j = as_matrix(j)
-    if not is_symmetry(j, tol):
-        raise NotJProjection("J is not a symmetry")
-    bf = block_form(p, tol)
+    j = _checked_symmetry(j, tol)
+    return _extract_params(p, j, block_form(p, tol), tol)
+
+
+def _extract_params(p, j, bf: BlockForm, tol: Tolerances):
+    """:func:`extract_params` for a symmetry ``j``, with ``bf = block_form(p)``."""
     jpj_res = frobenius(j @ p @ j - p.conj().T)
     if not within_scaled(jpj_res, tol.residual_tol, p):
         raise NotJProjection(f"J P J differs from P* by {jpj_res:.3e}")
@@ -163,8 +171,13 @@ def contractive_expansive_split(p, j, tol: Tolerances = DEFAULT_TOL) -> SplitRes
     so that P = E1 E2 = E2 E1 = E1 + E2 - I.
     """
     p = as_matrix(p)
-    _, j2 = extract_params(p, j, tol)
-    bf = block_form(p, tol)
+    j = _checked_symmetry(j, tol)
+    return _contractive_expansive_split(p, j, block_form(p, tol), tol)
+
+
+def _contractive_expansive_split(p, j, bf: BlockForm, tol: Tolerances) -> SplitResult:
+    """:func:`contractive_expansive_split` for a symmetry ``j``, with ``bf = block_form(p)``."""
+    _, j2 = _extract_params(p, j, bf, tol)
     r = bf.rank
     c = bf.dim - r
     i_c = np.eye(c, dtype=np.complex128)
@@ -182,8 +195,14 @@ def positive_negative_split(p, j, tol: Tolerances = DEFAULT_TOL) -> SplitResult:
     complements.
     """
     p = as_matrix(p)
-    eye = np.eye(p.shape[0], dtype=np.complex128)
-    inner = contractive_expansive_split(eye - p, j, tol)
+    j = _checked_symmetry(j, tol)
+    return _positive_negative_split(_Factors(p, tol), j)
+
+
+def _positive_negative_split(f: _Factors, j) -> SplitResult:
+    """:func:`positive_negative_split` for a symmetry ``j``, from the block form of I - P."""
+    eye = np.eye(f.p.shape[0], dtype=np.complex128)
+    inner = _contractive_expansive_split(eye - f.p, j, f.bf_comp, f.tol)
     return SplitResult(
         e1=eye - inner.e1, e2=eye - inner.e2, kind=SplitKind.POSITIVE_NEGATIVE
     )
@@ -271,17 +290,15 @@ def _unitary_polar(m, tol: Tolerances, what: str) -> np.ndarray:
     return u @ vh
 
 
-def _intertwine(p, tol: Tolerances):
-    """Block forms of P and I - P and the unitaries carrying one corner to
-    the other.
+def _intertwine(f: _Factors):
+    """The unitaries carrying the corner of P to the corner of I - P.
 
     The basis-change unitary between the two block representations of
     I - P has invertible off-diagonal blocks; their unitary polar factors
     u1 and v1 satisfy ``corner(I-P) = u1 @ corner(P)* @ v1``.  Returns
-    ``(bf_p, bf_q, u1, v1, residual)``.
+    ``(u1, v1, residual)``.
     """
-    bf_p = block_form(p, tol)
-    bf_q = block_form(np.eye(p.shape[0], dtype=np.complex128) - p, tol)
+    bf_p, bf_q, tol = f.bf, f.bf_comp, f.tol
     r = bf_p.rank
     qr = bf_q.rank
     if r + qr != bf_p.dim:
@@ -296,7 +313,7 @@ def _intertwine(p, tol: Tolerances):
     u1 = v
     v1 = u.conj().T
     residual = frobenius(bf_q.corner - u1 @ bf_p.corner.conj().T @ v1)
-    return bf_p, bf_q, u1, v1, residual
+    return u1, v1, residual
 
 
 def intertwining_unitaries(p, tol: Tolerances = DEFAULT_TOL):
@@ -307,8 +324,7 @@ def intertwining_unitaries(p, tol: Tolerances = DEFAULT_TOL):
     range(P) coordinates.  Raises ``DegenerateBlock`` if an intertwiner
     block is numerically rank deficient (a rank misclassification).
     """
-    _, _, u1, v1, residual = _intertwine(as_matrix(p), tol)
-    return u1, v1, residual
+    return _intertwine(_Factors(as_matrix(p), tol))
 
 
 def _antidiagonal(top_right, bottom_left) -> np.ndarray:
@@ -319,9 +335,14 @@ def _antidiagonal(top_right, bottom_left) -> np.ndarray:
 
 def adjoint_similarity(p, tol: Tolerances = DEFAULT_TOL):
     """An ambient unitary U with U* P* U = P, plus the achieved residual."""
-    p = as_matrix(p)
-    bf_p, bf_q, u1, v1, _ = _intertwine(p, tol)
-    u = bf_q.unitary @ _antidiagonal(-u1, v1.conj().T) @ bf_p.unitary.conj().T
+    f = _Factors(as_matrix(p), tol)
+    return _adjoint_similarity(f, *_intertwine(f)[:2])
+
+
+def _adjoint_similarity(f: _Factors, u1, v1):
+    """:func:`adjoint_similarity` from the factors of P and its intertwiners."""
+    p = f.p
+    u = f.bf_comp.unitary @ _antidiagonal(-u1, v1.conj().T) @ f.bf.unitary.conj().T
     residual = frobenius(u.conj().T @ p.conj().T @ u - p)
     return u, residual
 
@@ -336,10 +357,15 @@ def complement_sum_equivalence(p, tol: Tolerances = DEFAULT_TOL):
     and returns ``(U, residual)``.  That the two padded sums share their
     spectrum is certified by the report check ``complement-sum-spectra``.
     """
-    p = as_matrix(p)
+    f = _Factors(as_matrix(p), tol)
+    return _complement_sum_equivalence(f, *_intertwine(f)[:2])
+
+
+def _complement_sum_equivalence(f: _Factors, u1, v1):
+    """:func:`complement_sum_equivalence` from the factors of P and its intertwiners."""
+    p, bf_p, bf_q = f.p, f.bf, f.bf_comp
     n = p.shape[0]
     eye = np.eye(n, dtype=np.complex128)
-    bf_p, bf_q, u1, v1, _ = _intertwine(p, tol)
     u = bf_p.unitary @ _antidiagonal(v1, u1.conj().T) @ bf_q.unitary.conj().T
     lhs = p + p.conj().T + 2 * (eye - bf_p.basis_range @ bf_p.basis_range.conj().T)
     rhs = 2 * eye - p - p.conj().T + 2 * (eye - bf_q.basis_range @ bf_q.basis_range.conj().T)
@@ -355,23 +381,25 @@ def spectral_projection_identities(p, tol: Tolerances = DEFAULT_TOL) -> Report:
     projection of 2I - A equals the positive projection of A, and the
     kernel of 2I - A is the gap between the kernels of P - P* and P + P*.
     """
-    p = as_matrix(p)
+    return _spectral_projection_identities(_Factors(as_matrix(p), tol))
+
+
+def _spectral_projection_identities(f: _Factors) -> Report:
+    """:func:`spectral_projection_identities` from the factors of P."""
+    p, tol = f.p, f.tol
     a = p + p.conj().T
     eye = np.eye(p.shape[0], dtype=np.complex128)
-    comp = 2 * eye - a
-    parts_a = spectral_parts(a, tol)
-    parts_c = spectral_parts(comp, tol)
-    # i(P - P*) is Hermitian with the same null space as P - P*.
-    ker_diff = spectral_parts(1j * (p - p.conj().T), tol).proj_kernel
-    bf_p = block_form(p, tol)
-    bf_q = block_form(eye - p, tol)
+    parts_a = f.sum_parts
+    parts_c = spectral_parts(2 * eye - a, tol)
+    ker_diff = f.ker_diff
+    bf_p, bf_q = f.bf, f.bf_comp
 
-    null_p_range = bf_p.embed_range(kernel_projection(bf_p.corner.conj().T, tol))
-    null_p_perp = bf_p.embed_perp(kernel_projection(bf_p.corner, tol))
-    null_q_range = bf_q.embed_range(kernel_projection(bf_q.corner.conj().T, tol))
-    null_q_perp = bf_q.embed_perp(kernel_projection(bf_q.corner, tol))
+    null_p_range = bf_p.embed_range(f.corner_nulls[1])
+    null_p_perp = bf_p.embed_perp(f.corner_nulls[0])
+    null_q_range = bf_q.embed_range(f.corner_nulls_comp[1])
+    null_q_perp = bf_q.embed_perp(f.corner_nulls_comp[0])
 
-    budget = tol.residual_tol * scale_of(a)
+    budget = tol.residual_tol * f.sum_scale
     checks = [
         residual_check(
             "complement-positive-projection",

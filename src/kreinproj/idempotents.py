@@ -14,6 +14,7 @@ everything this package builds for P is parameterized by ``C``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .linalg import (
     frobenius,
     kernel_projection,
     rank_mask,
+    scale_of,
     spectral_parts,
     within_scaled,
 )
@@ -109,6 +111,39 @@ class BlockForm:
             np.eye(r), self.corner, np.zeros((c, r)), np.zeros((c, c))
         )
 
+    # Tolerance-free factors of the corner, computed once per form because
+    # every family member assembled on it reuses them; callers must not
+    # modify the arrays.
+
+    @functools.cached_property
+    def _reassembled(self) -> np.ndarray:
+        return self.reassemble()
+
+    @functools.cached_property
+    def _inv_sqrts(self):
+        return _corner_inv_sqrts(self.corner)
+
+
+def _corner_inv_sqrts(corner, k: float = 1.0):
+    """``(I + k^2 C C*)^(-1/2)``, ``(I + k^2 C* C)^(-1/2)`` and ``||C||``
+    from one SVD of the corner ``C``.
+
+    Each singular value enters as ``(1 + (k sigma)^2)^(-1/2)``, which keeps
+    full relative accuracy for every sigma; forming ``I + C C*`` first would
+    lose the small eigenvalues next to a large one.
+    """
+    m, c = corner.shape
+    if min(m, c) == 0:
+        return np.eye(m, dtype=np.complex128), np.eye(c, dtype=np.complex128), 0.0
+    u, s, vh = np.linalg.svd(corner, full_matrices=False)
+    shrink = (1.0 + (k * s) ** 2) ** -0.5 - 1.0
+    v = vh.conj().T
+    return (
+        np.eye(m) + (u * shrink) @ u.conj().T,
+        np.eye(c) + (v * shrink) @ vh,
+        float(s[0]),
+    )
+
 
 def validate_idempotent(p, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when ``p @ p == p`` within ``residual_tol * scale``."""
@@ -152,21 +187,79 @@ def block_form(p, tol: Tolerances = DEFAULT_TOL) -> BlockForm:
     return BlockForm(basis_range=basis_range, basis_perp=basis_perp, corner=corner)
 
 
-def _kernel_projection_routes(p, bf: BlockForm, tol: Tolerances):
+class _Factors:
+    """The factorizations of one square matrix ``p`` under ``tol``, each
+    computed at most once, on first use; ``bf`` and ``bf_comp`` raise
+    ``NotIdempotent`` when ``p`` is not idempotent.
+
+    A report builds one and hands it to every check group, so P and I - P are
+    each put in block form once and P + P* is split once; a public function
+    builds its own, which dies with the call.
+    """
+
+    def __init__(self, p: np.ndarray, tol: Tolerances):
+        self.p = p
+        self.tol = tol
+
+    @functools.cached_property
+    def sp(self) -> float:
+        """``scale_of(P)``."""
+        return scale_of(self.p)
+
+    @functools.cached_property
+    def bf(self) -> BlockForm:
+        return block_form(self.p, self.tol)
+
+    @functools.cached_property
+    def bf_comp(self) -> BlockForm:
+        """The block form of I - P."""
+        return block_form(np.eye(self.p.shape[0], dtype=np.complex128) - self.p, self.tol)
+
+    @functools.cached_property
+    def sum_parts(self):
+        """``spectral_parts(P + P*)``."""
+        return spectral_parts(self.p + self.p.conj().T, self.tol)
+
+    @functools.cached_property
+    def sum_scale(self) -> float:
+        """``scale_of(P + P*)``."""
+        return scale_of(self.p + self.p.conj().T)
+
+    @functools.cached_property
+    def ker_diff(self) -> np.ndarray:
+        """The projection onto N(P - P*)."""
+        # i(P - P*) is Hermitian with the same null space as P - P*.
+        return spectral_parts(1j * (self.p - self.p.conj().T), self.tol).proj_kernel
+
+    @functools.cached_property
+    def corner_nulls(self):
+        """``(proj N(C), proj N(C*))`` for the corner C of P."""
+        return _corner_nulls(self.bf, self.tol)
+
+    @functools.cached_property
+    def corner_nulls_comp(self):
+        """``(proj N(C), proj N(C*))`` for the corner C of I - P."""
+        return _corner_nulls(self.bf_comp, self.tol)
+
+
+def _corner_nulls(bf: BlockForm, tol: Tolerances):
+    return kernel_projection(bf.corner, tol), kernel_projection(bf.corner.conj().T, tol)
+
+
+def _kernel_projection_routes(f: _Factors):
     """Both computations of the projections onto N(P+P*) and N(P-P*).
 
     Returns ``(direct_sum, block_sum, direct_diff, block_diff)`` where the
     direct pair comes from spectral decompositions in the ambient basis and
     the block pair from the corner's null spaces lifted through the basis.
     """
-    p = as_matrix(p)
-    adj = p.conj().T
-    direct_sum = spectral_parts(p + adj, tol).proj_kernel
-    # i(P - P*) is Hermitian with the same null space as P - P*.
-    direct_diff = spectral_parts(1j * (p - adj), tol).proj_kernel
-
-    null_corner = kernel_projection(bf.corner, tol)
-    null_corner_adj = kernel_projection(bf.corner.conj().T, tol)
+    # The block form first, so that a non-idempotent input fails before any
+    # eigendecomposition; then N(P - P*), whose spectral parts are freed
+    # before those of P + P* are built and kept in ``f``.
+    bf = f.bf
+    direct_diff = f.ker_diff
+    direct_sum = f.sum_parts.proj_kernel
+    null_corner, null_corner_adj = f.corner_nulls
     block_sum = bf.embed_perp(null_corner)
     block_diff = bf.embed_range(null_corner_adj) + block_sum
     return direct_sum, block_sum, direct_diff, block_diff
@@ -180,16 +273,17 @@ def kernel_projections(p, tol: Tolerances = DEFAULT_TOL):
     raises ``InternalMismatch`` (a rank misclassification), otherwise the
     spectral pair is returned.
     """
-    p = as_matrix(p)
-    bf = block_form(p, tol)
-    direct_sum, block_sum, direct_diff, block_diff = _kernel_projection_routes(
-        p, bf, tol
-    )
-    if not within_scaled(frobenius(direct_sum - block_sum), tol.residual_tol, p):
+    return _kernel_projections(_Factors(as_matrix(p), tol))
+
+
+def _kernel_projections(f: _Factors):
+    """:func:`kernel_projections` from the factors of P."""
+    direct_sum, block_sum, direct_diff, block_diff = _kernel_projection_routes(f)
+    if not within_scaled(frobenius(direct_sum - block_sum), f.tol.residual_tol, f.p):
         raise InternalMismatch(
             "N(P+P*) projections disagree between spectral and block routes"
         )
-    if not within_scaled(frobenius(direct_diff - block_diff), tol.residual_tol, p):
+    if not within_scaled(frobenius(direct_diff - block_diff), f.tol.residual_tol, f.p):
         raise InternalMismatch(
             "N(P-P*) projections disagree between spectral and block routes"
         )

@@ -34,7 +34,14 @@ from .errors import (
     NotSymmetryParam,
     SingularShift,
 )
-from .idempotents import BlockForm, block_form, kernel_projections, random_symmetry_on, validate_idempotent
+from .idempotents import (
+    BlockForm,
+    _Factors,
+    _kernel_projections,
+    block_form,
+    random_symmetry_on,
+    validate_idempotent,
+)
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -42,11 +49,9 @@ from .linalg import (
     frobenius,
     hermitian_sign,
     is_symmetry,
-    kernel_projection,
     min_eig,
     rank_mask,
     scale_of,
-    spectral_parts,
     within_scaled,
 )
 from .reporting import FAIL, margin_check, residual_check
@@ -119,27 +124,6 @@ def family_checks(prefix, ref, p, j, family, tol, sp) -> list:
     return [margin_check(f"{prefix}-dominates", ref, margin, tol.psd_tol * sp)]
 
 
-def _corner_inv_sqrts(corner, k: float = 1.0):
-    """``(I + k^2 C C*)^(-1/2)``, ``(I + k^2 C* C)^(-1/2)`` and ``||C||``
-    from one SVD of the corner ``C``.
-
-    Each singular value enters as ``(1 + (k sigma)^2)^(-1/2)``, which keeps
-    full relative accuracy for every sigma; forming ``I + C C*`` first would
-    lose the small eigenvalues next to a large one.
-    """
-    m, c = corner.shape
-    if min(m, c) == 0:
-        return np.eye(m, dtype=np.complex128), np.eye(c, dtype=np.complex128), 0.0
-    u, s, vh = np.linalg.svd(corner, full_matrices=False)
-    shrink = (1.0 + (k * s) ** 2) ** -0.5 - 1.0
-    v = vh.conj().T
-    return (
-        np.eye(m) + (u * shrink) @ u.conj().T,
-        np.eye(c) + (v * shrink) @ vh,
-        float(s[0]),
-    )
-
-
 def assemble_symmetry(
     bf: BlockForm, family: SymmetryFamily, params, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
@@ -163,7 +147,7 @@ def assemble_symmetry(
         raise NotSymmetryParam("family parameters must be symmetries")
 
     corner = bf.corner
-    tinv, sinv, corner_norm = _corner_inv_sqrts(corner)
+    tinv, sinv, corner_norm = bf._inv_sqrts
     if family is SymmetryFamily.J_POSITIVE:
         if frobenius(j1 - np.eye(r)) > tol.residual_tol * max(1.0, r):
             raise ConstraintViolated("positive family fixes the range-side parameter to I")
@@ -187,7 +171,7 @@ def assemble_symmetry(
     )
     if not is_symmetry(j, tol):
         raise InternalMismatch("assembled matrix is not a symmetry")
-    p = bf.reassemble()
+    p = bf._reassembled
     # a check passing at scale 1 passes at scale_of(p) >= 1
     checks = family_checks("assembled", "", p, j, family, tol, 1.0)
     if any(c.status == FAIL for c in checks):
@@ -276,11 +260,14 @@ def extremal_symmetry(p, kind: ExtremalKind, tol: Tolerances = DEFAULT_TOL) -> n
     p = as_matrix(p)
     if not validate_idempotent(p, tol):
         raise NotIdempotent("extremal_symmetry requires an idempotent input")
-    # contr-max's N(P - P*) first, so its factorizations do not overlap the
-    # spectral parts in memory
-    ker_diff = kernel_projections(p, tol)[1] if kind is ExtremalKind.CONTR_MAX else None
-    j = _extreme_from_parts(spectral_parts(p + p.conj().T, tol), kind, ker_diff)
-    if not is_symmetry(j, tol):
+    return _extremal_symmetry(_Factors(p, tol), kind)
+
+
+def _extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
+    """:func:`extremal_symmetry` from the factors of a checked idempotent."""
+    ker_diff = _kernel_projections(f)[1] if kind is ExtremalKind.CONTR_MAX else None
+    j = _extreme_from_parts(f.sum_parts, kind, ker_diff)
+    if not is_symmetry(j, f.tol):
         raise InternalMismatch(f"extremal {kind.value} is not a symmetry")
     return j
 
@@ -305,13 +292,18 @@ def extremal_symmetry_via_blocks(
     :func:`extremal_symmetry`: the extreme parameters are signs of the
     corner's null-space projections.
     """
-    bf = block_form(p, tol)
+    return _extremal_symmetry_via_blocks(_Factors(as_matrix(p), tol), kind)
+
+
+def _extremal_symmetry_via_blocks(f: _Factors, kind: ExtremalKind) -> np.ndarray:
+    """:func:`extremal_symmetry_via_blocks` from the factors of P."""
+    bf = f.bf
     r = bf.rank
     c = bf.dim - r
     i_r = np.eye(r, dtype=np.complex128)
     i_c = np.eye(c, dtype=np.complex128)
-    null_corner = kernel_projection(bf.corner, tol)            # on range(P)-perp
-    null_corner_adj = kernel_projection(bf.corner.conj().T, tol)  # on range(P)
+    # on range(P)-perp and on range(P)
+    null_corner, null_corner_adj = f.corner_nulls
     if kind is ExtremalKind.POS_MIN:
         params = (i_r, -i_c)
     elif kind is ExtremalKind.POS_MAX:
@@ -320,7 +312,7 @@ def extremal_symmetry_via_blocks(
         params = (-i_r, i_c)
     else:
         params = (2 * null_corner_adj - i_r, i_c)
-    return assemble_symmetry(bf, kind.family, params, tol)
+    return assemble_symmetry(bf, kind.family, params, f.tol)
 
 
 def sign_formula_symmetry(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -339,13 +331,19 @@ def sign_formula_symmetry(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     p = as_matrix(p)
     if not validate_idempotent(p, tol):
         raise NotIdempotent("sign_formula_symmetry requires an idempotent input")
+    return _sign_formula_symmetry(_Factors(p, tol))
+
+
+def _sign_formula_symmetry(f: _Factors) -> np.ndarray:
+    """:func:`sign_formula_symmetry` from the factors of a checked idempotent."""
+    p, tol = f.p, f.tol
     shift = p + p.conj().T - np.eye(p.shape[0])
     sgn, min_abs = hermitian_sign(shift, tol)
     if within_scaled(min_abs, tol.rank_tol, shift):
         raise SingularShift(
             f"P + P* - I is numerically singular: min |eig| = {min_abs:.3e}"
         )
-    return sgn + 2 * spectral_parts(p + p.conj().T, tol).proj_kernel
+    return sgn + 2 * f.sum_parts.proj_kernel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -371,8 +369,11 @@ def nonexistence_witnesses(p, tol: Tolerances = DEFAULT_TOL):
     greatest (or least) element of the family; for orthogonal projections
     the family is bounded by I and -I instead.
     """
-    p = as_matrix(p)
-    bf = block_form(p, tol)
+    return _nonexistence_witnesses(block_form(as_matrix(p), tol), tol)
+
+
+def _nonexistence_witnesses(bf: BlockForm, tol: Tolerances):
+    """:func:`nonexistence_witnesses` from the block form of P."""
     r = bf.rank
     c = bf.dim - r
     i_r = np.eye(r, dtype=np.complex128)

@@ -12,17 +12,14 @@ their inputs.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import decompositions as dec
 from .errors import KreinProjError, NotIdempotent, NotSymmetry, SingularShift
-from .idempotents import (
-    _kernel_projection_routes,
-    block_form,
-    validate_idempotent,
-)
+from .idempotents import _Factors, _kernel_projection_routes, validate_idempotent
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -48,15 +45,15 @@ from .reporting import (
 )
 from .symmetries import (
     ExtremalKind,
-    _extreme_from_parts,
     SymmetryFamily,
+    _extremal_symmetry,
+    _extremal_symmetry_via_blocks,
+    _extreme_from_parts,
+    _nonexistence_witnesses,
+    _sign_formula_symmetry,
     assemble_symmetry,
-    extremal_symmetry,
     family_checks,
-    extremal_symmetry_via_blocks,
-    nonexistence_witnesses,
     sample_params,
-    sign_formula_symmetry,
 )
 
 __all__ = [
@@ -99,11 +96,12 @@ def classify(p, j, tol: Tolerances = DEFAULT_TOL) -> ProjectionFlags:
         raise NotIdempotent("classify requires an idempotent P")
     if not is_symmetry(j, tol):
         raise NotSymmetry("classify requires a symmetry J")
-    return _classify(p, j, tol, scale_of(p))
+    return _classify(_Factors(p, tol), j)
 
 
-def _classify(p, j, tol, sp) -> ProjectionFlags:
-    """:func:`classify` of a checked pair, with ``sp = scale_of(p)``."""
+def _classify(f: _Factors, j) -> ProjectionFlags:
+    """:func:`classify` of a checked pair, from the factors of P."""
+    p, tol, sp = f.p, f.tol, f.sp
 
     def holds(jj, family):
         return all(c.status != FAIL for c in family_checks("", "", p, jj, family, tol, sp))
@@ -131,11 +129,12 @@ def contractive_positive_equivalence(p, j, tol: Tolerances = DEFAULT_TOL) -> Che
         raise NotIdempotent("biconditional check requires an idempotent P")
     if not is_symmetry(j, tol):
         raise NotSymmetry("biconditional check requires a symmetry J")
-    return _contractive_positive_equivalence(p, j, tol, scale_of(p))
+    return _contractive_positive_equivalence(_Factors(p, tol), j)
 
 
-def _contractive_positive_equivalence(p, j, tol, sp) -> CheckResult:
-    """:func:`contractive_positive_equivalence` of a checked pair, with ``sp = scale_of(p)``."""
+def _contractive_positive_equivalence(f: _Factors, j) -> CheckResult:
+    """:func:`contractive_positive_equivalence` of a checked pair, from the factors of P."""
+    p, tol, sp = f.p, f.tol, f.sp
     contractive, c_margin = loewner_geq(j, p.conj().T @ j @ p, tol)
 
     comp = j @ (np.eye(p.shape[0]) - p)
@@ -195,12 +194,12 @@ def extremal_checks(p, which: str, j, tol: Tolerances = DEFAULT_TOL) -> list:
     ``sign-formula``, plus its match with pos-max and its kernel action,
     both built from one ``spectral_parts(P + P*)``.
     """
-    p = as_matrix(p)
-    return _extremal_checks(p, which, as_matrix(j), tol, scale_of(p))
+    return _extremal_checks(_Factors(as_matrix(p), tol), which, as_matrix(j))
 
 
-def _extremal_checks(p, which, j, tol, sp) -> list:
-    """:func:`extremal_checks` with ``sp = scale_of(p)``."""
+def _extremal_checks(f: _Factors, which, j) -> list:
+    """:func:`extremal_checks` from the factors of P."""
+    p, tol, sp = f.p, f.tol, f.sp
     if which == SIGN_FORMULA:
         kind, prefix, ref = ExtremalKind.POS_MAX, SIGN_FORMULA, "Remark"
     else:
@@ -210,7 +209,7 @@ def _extremal_checks(p, which, j, tol, sp) -> list:
     checks = [residual_check(f"{prefix}-symmetry", ref, sym_res, tol.residual_tol * sp)]
     checks += family_checks(prefix, ref, p, j, kind.family, tol, sp)
     if which == SIGN_FORMULA:
-        parts = spectral_parts(p + p.conj().T, tol)
+        parts = f.sum_parts
         pos_max = _extreme_from_parts(parts, kind)
         checks += _sign_formula_checks(j, pos_max, parts.proj_kernel, tol.residual_tol * sp)
     return checks
@@ -225,12 +224,12 @@ _SPLIT_REFS = {
 def split_checks(split, p, j, tol: Tolerances = DEFAULT_TOL, prefix: str = "") -> list:
     """Identity residuals and classification margins certifying a split of
     ``p`` against ``j``, named ``<prefix><key>``, at budgets scaled by ``scale_of(p)``."""
-    p = as_matrix(p)
-    return _split_checks(split, p, j, tol, scale_of(p), prefix)
+    return _split_checks(split, _Factors(as_matrix(p), tol), j, prefix)
 
 
-def _split_checks(split, p, j, tol, sp, prefix) -> list:
-    """:func:`split_checks` with ``sp = scale_of(p)``."""
+def _split_checks(split, f: _Factors, j, prefix) -> list:
+    """:func:`split_checks` from the factors of P."""
+    p, tol, sp = f.p, f.tol, f.sp
     ref = _SPLIT_REFS[split.kind]
     checks = [
         residual_check(f"{prefix}{key}", ref, val, tol.residual_tol * sp)
@@ -262,17 +261,19 @@ def extremality_probe(
         raise ValueError("samples must be at least 1")
     if family is SymmetryFamily.J_PROJECTION:
         raise ValueError("the intertwining family has no extreme elements to probe")
-    p = as_matrix(p)
-    return _extremality_probe(p, family, samples, seed, tol, scale_of(p))
+    return _extremality_probe(_Factors(as_matrix(p), tol), family, samples, seed, {})
 
 
-def _extremality_probe(p, family, samples, seed, tol, sp) -> Report:
-    """:func:`extremality_probe` with checked arguments and ``sp = scale_of(p)``."""
-    bf = block_form(p, tol)
+def _extremality_probe(f: _Factors, family, samples, seed, extremes) -> Report:
+    """:func:`extremality_probe` with checked arguments, from the factors of P;
+    the extremes it needs come from ``extremes`` (by kind) when there."""
+    p, tol, sp = f.p, f.tol, f.sp
+    bf = f.bf
     kind_min, kind_max = (k for k in ExtremalKind if k.family is family)
     ref = _FAMILY_REFS[family]
-    j_min = extremal_symmetry(p, kind_min, tol)
-    j_max = extremal_symmetry(p, kind_max, tol)
+    j_min, j_max = (
+        extremes[k] if k in extremes else _extremal_symmetry(f, k) for k in (kind_min, kind_max)
+    )
 
     checks = []
     checks += family_checks("extreme-min", _KIND_REFS[kind_min], p, j_min, family, tol, sp)
@@ -338,7 +339,10 @@ def full_report(
     after a failed idempotency gate (including an input that is not a
     finite square matrix, whose error is the gate's note), and the
     J-dependent group when J is missing, is not a symmetry, or does not
-    satisfy J P J = P*.
+    satisfy J P J = P*.  ``samples < 1`` fails the two probe groups.
+
+    The report factors P and I - P once and every check group reuses those
+    factors; each public function called on its own factors its own input.
     """
     checks = []
     subject = {}
@@ -347,8 +351,8 @@ def full_report(
         p = as_matrix(p)
         _require_square(p, "idempotent")
         subject.update(dim=p.shape[0], matrix_sha256=matrix_digest(p))
-        sp = scale_of(p)
-        gate = residual_check("idempotent", "§1", frobenius(p @ p - p), tol.residual_tol * sp)
+        f = _Factors(p, tol)
+        gate = residual_check("idempotent", "§1", frobenius(p @ p - p), tol.residual_tol * f.sp)
     except (KreinProjError, TypeError, ValueError) as e:
         gate = _failed("idempotent", "§1", e)
     checks.append(gate)
@@ -357,14 +361,14 @@ def full_report(
             checks.append(skipped_check(name, ref, "input is not idempotent"))
         return report
 
+    # From here on every group reads the factorizations of P from ``f`` and
+    # skips the idempotency check of its public function: the gate made it.
     n = p.shape[0]
-    res_budget = tol.residual_tol * sp
-    psd_budget = tol.psd_tol * sp
-    bf = block_form(p, tol)
+    res_budget = tol.residual_tol * f.sp
+    psd_budget = tol.psd_tol * f.sp
+    bf, bf_comp, parts = f.bf, f.bf_comp, f.sum_parts
     eye = np.eye(n, dtype=np.complex128)
-    bf_comp = block_form(eye - p, tol)
     subject["rank"] = bf.rank
-    parts = spectral_parts(p + p.conj().T, tol)
 
     # block form
     w = bf.unitary
@@ -377,13 +381,13 @@ def full_report(
     checks.append(
         residual_check(
             "block-form-round-trip", "Eq. (1.1)",
-            frobenius(bf.reassemble() - p), res_budget,
+            frobenius(bf._reassembled - p), res_budget,
         )
     )
 
     # kernel projections, both routes
     try:
-        ds, bs, dd, bd = _kernel_projection_routes(p, bf, tol)
+        ds, bs, dd, bd = _kernel_projection_routes(f)
         checks.append(
             residual_check("kernel-sum-route-agreement", "Lemma 6(i)", frobenius(ds - bs), res_budget)
         )
@@ -411,7 +415,7 @@ def full_report(
             residual_check(
                 "negative-part-halved-corner", "Lemma 1",
                 frobenius(halved - sum_neg_blocks),
-                tol.residual_tol * scale_of(p + p.conj().T),
+                tol.residual_tol * f.sum_scale,
             )
         )
     except KreinProjError as e:
@@ -422,10 +426,10 @@ def full_report(
     for kind in ExtremalKind:
         ref = _KIND_REFS[kind]
         try:
-            jk = extremal_symmetry(p, kind, tol)
+            jk = _extremal_symmetry(f, kind)
             extremes[kind] = jk
-            checks += _extremal_checks(p, kind.value, jk, tol, sp)
-            via_blocks = extremal_symmetry_via_blocks(p, kind, tol)
+            checks += _extremal_checks(f, kind.value, jk)
+            via_blocks = _extremal_symmetry_via_blocks(f, kind)
             checks.append(
                 residual_check(
                     f"extremal-{kind.value}-block-route", ref,
@@ -448,7 +452,7 @@ def full_report(
 
     # sign-function route to the positive family's greatest element
     try:
-        jsf = sign_formula_symmetry(p, tol)
+        jsf = _sign_formula_symmetry(f)
         checks += _sign_formula_checks(
             jsf, extremes.get(ExtremalKind.POS_MAX), parts.proj_kernel, res_budget
         )
@@ -462,21 +466,27 @@ def full_report(
         (SymmetryFamily.J_POSITIVE, "probe-positive/"),
         (SymmetryFamily.J_CONTRACTIVE, "probe-contractive/"),
     ):
+        name, ref = prefix.rstrip("/"), _FAMILY_REFS[family]
+        if samples < 1:
+            checks.append(_failed(name, ref, ValueError("samples must be at least 1")))
+            continue
         try:
-            probe = _extremality_probe(p, family, samples, seed, tol, sp)
-            report.extend_prefixed(prefix, probe)
+            report.extend_prefixed(prefix, _extremality_probe(f, family, samples, seed, extremes))
         except KreinProjError as e:
-            checks.append(_failed(prefix.rstrip("/"), _FAMILY_REFS[family], e))
+            checks.append(_failed(name, ref, e))
 
     # spectral projection identities for the complement
     try:
-        report.extend_prefixed("", dec.spectral_projection_identities(p, tol))
+        report.extend_prefixed("", dec._spectral_projection_identities(f))
     except KreinProjError as e:
         checks.append(_failed("projection-identities", "Theorem 12", e))
 
-    # intertwining unitaries and the unitary equivalences they produce
+    # intertwining unitaries and the unitary equivalences they produce, from
+    # one computation of the unitaries (a failing one is retried, and fails
+    # the same way, in each group)
+    intertwine = functools.cache(lambda: dec._intertwine(f))
     try:
-        _, _, intertwine_res = dec.intertwining_unitaries(p, tol)
+        _, _, intertwine_res = intertwine()
         checks.append(
             residual_check("intertwining-residual", "Proposition 9", intertwine_res, res_budget)
         )
@@ -489,14 +499,14 @@ def full_report(
     except KreinProjError as e:
         checks.append(_failed("intertwining", "Proposition 9", e))
     try:
-        _, adj_res = dec.adjoint_similarity(p, tol)
+        _, adj_res = dec._adjoint_similarity(f, *intertwine()[:2])
         checks.append(
             residual_check("adjoint-similarity-residual", "Corollary 10(i)", adj_res, res_budget)
         )
     except KreinProjError as e:
         checks.append(_failed("adjoint-similarity", "Corollary 10(i)", e))
     try:
-        _, sum_res = dec.complement_sum_equivalence(p, tol)
+        _, sum_res = dec._complement_sum_equivalence(f, *intertwine()[:2])
         checks.append(
             residual_check("complement-sum-residual", "Corollary 10(iii)", sum_res, res_budget)
         )
@@ -537,31 +547,31 @@ def full_report(
     checks.append(residual_check("j-intertwines-adjoint", "§1", jpj_res, res_budget))
     # the idempotency gate and is_symmetry(j) above are the public wrappers' checks
     try:
-        flags = _classify(p, j, tol, sp)
+        flags = _classify(f, j)
         subject["classification"] = dict(flags._asdict())
     except KreinProjError as e:
         checks.append(_failed("j-checks", "§1", e))
     try:
-        checks.append(_contractive_positive_equivalence(p, j, tol, sp))
+        checks.append(_contractive_positive_equivalence(f, j))
     except KreinProjError as e:
         checks.append(_failed("biconditional", "Lemma 11", e))
 
     try:
-        ce = dec.contractive_expansive_split(p, j, tol)
-        checks += _split_checks(ce, p, j, tol, sp, "split-ce-")
+        ce = dec._contractive_expansive_split(p, j, bf, tol)
+        checks += _split_checks(ce, f, j, "split-ce-")
     except KreinProjError as e:
         checks.append(_failed("contractive-expansive-split", "Corollary 14", e))
     try:
-        pn = dec.positive_negative_split(p, j, tol)
-        checks += _split_checks(pn, p, j, tol, sp, "split-pn-")
+        pn = dec._positive_negative_split(f, j)
+        checks += _split_checks(pn, f, j, "split-pn-")
     except KreinProjError as e:
         checks.append(_failed("positive-negative-split", "Lemma 13", e))
 
     try:
-        j_a, j_b, verdict = nonexistence_witnesses(p, tol)
+        j_a, j_b, verdict = _nonexistence_witnesses(bf, tol)
         for name, wit in (("witness-a", j_a), ("witness-b", j_b)):
-            checks += family_checks(name, "Theorem 8(ii)", p, wit, SymmetryFamily.J_PROJECTION, tol, sp)
-        if spectral_norm(bf.corner) > tol.rank_tol * sp:
+            checks += family_checks(name, "Theorem 8(ii)", p, wit, SymmetryFamily.J_PROJECTION, tol, f.sp)
+        if spectral_norm(bf.corner) > tol.rank_tol * f.sp:
             # nonzero corner: no greatest element, witnessed by a gap with
             # eigenvalues of both signs
             gap = min(verdict.max_eig, -verdict.min_eig) - INDEFINITE_MARGIN

@@ -308,3 +308,10 @@ def test_extremal_failing_check_writes_nothing(tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert "FAIL extremal-pos-min-psd" in capsys.readouterr().out
+
+
+def test_verify_rejects_samples_below_one_before_reading(tmp_path, capsys):
+    # the file does not exist: parsing must fail first, naming the flag
+    for value in ("0", "-3", "two"):
+        assert main(["verify", str(tmp_path / "absent.json"), "--samples", value]) == 2
+        assert "--samples" in capsys.readouterr().err

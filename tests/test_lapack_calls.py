@@ -4,11 +4,17 @@ Counts calls of ``numpy.linalg.svd``, ``eigh``, ``eigvalsh`` and
 ``norm(..., 2)`` (an SVD) made by one call of each entry point, on the same
 input shape the benchmark's ``linalg.entry_calls.*`` metrics use;
 ``extremal_sign_formula`` is the work of ``kreinproj extremal --which
-sign-formula``: the construction plus its certificate.  The
+sign-formula``: the construction plus its certificate.
+``assemble_symmetry`` is counted on a block form that has already
+assembled one member, so it reuses that form's corner factors.  The
 bounds are the counts of the current code: a change may lower them, and
 should lower the bound with them, but never raise them.  ``NORM2_BOUND``
 caps the ``norm(..., 2)`` calls within ``full_report``'s count: tolerance
 verdicts compute a spectral norm only when they depend on it.
+``test_full_report_factors_each_matrix_once`` pins the n x n
+factorizations of one report: P and I - P are each put in block form once,
+and P + P*, i(P - P*), 2I - P - P*, the anchored block of the corner and
+the sign-formula shift are each diagonalized once.
 """
 
 import numpy as np
@@ -17,17 +23,18 @@ import pytest
 import kreinproj as kp
 
 BOUNDS = {
-    "full_report": 129,
-    "extremal_contr_max": 6,
-    "assemble_symmetry": 2,
+    "full_report": 65,
+    "extremal_contr_max": 5,
+    "assemble_symmetry": 1,
     "extremal_sign_formula": 5,
 }
-NORM2_BOUND = 5
+NORM2_BOUND = 4
+SQUARE_BOUNDS = {"svd": 2, "eigh": 5}
 
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    counts = {"n": 0, "norm2": 0}
+    counts = {"n": 0, "norm2": 0, "shapes": []}
 
     def counting(fn, only_ord2=False):
         def wrapped(*args, **kwargs):
@@ -35,6 +42,7 @@ def lapack_calls(monkeypatch):
             if not only_ord2 or ord_ == 2:
                 counts["n"] += 1
                 counts["norm2"] += only_ord2
+                counts["shapes"].append((fn.__name__, np.shape(args[0])))
             return fn(*args, **kwargs)
 
         return wrapped
@@ -75,3 +83,18 @@ def test_norm2_calls_in_full_report_at_most_bound(lapack_calls, seed):
     lapack_calls["norm2"] = 0
     call()
     assert lapack_calls["norm2"] <= NORM2_BOUND
+
+
+@pytest.mark.parametrize("samples", [1, 5])
+def test_full_report_factors_each_matrix_once(lapack_calls, samples):
+    rng = np.random.default_rng([1, 4])
+    p = kp.random_idempotent(8, 4, 2.0, rng)
+    bf = kp.block_form(p)
+    proj = kp.SymmetryFamily.J_PROJECTION
+    j = kp.assemble_symmetry(bf, proj, kp.sample_params(bf, proj, 1, 1)[0])
+    lapack_calls["shapes"].clear()
+    report = kp.full_report(p, j, samples=samples)
+    assert "classification" in report.subject
+    for name, bound in SQUARE_BOUNDS.items():
+        square = [s for fn, s in lapack_calls["shapes"] if fn == name and s == (8, 8)]
+        assert len(square) <= bound, name

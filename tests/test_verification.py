@@ -1,6 +1,7 @@
 """Classification flags, the contractivity/positivity biconditional, probes,
 and the all-in-one report."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -227,3 +228,76 @@ def test_full_report_passes_across_a_wide_corner_spectrum():
                 assemble_symmetry(bf, family, params)
         report = full_report(p, None, samples=2, seed=seed)
         assert report.failures() == [], seed
+
+
+def _shared_path_cases():
+    """(label, P, J) over the corner regimes: random, rank 0, rank n, an
+    orthogonal projection and a corner with singular values 1e4, 3, 1e-2."""
+    from conftest import structured_idempotent
+    from kreinproj import haar_unitary
+
+    rng = np.random.default_rng(19)
+    wide = haar_unitary(3, rng) @ np.diag([1e4, 3.0, 1e-2]) @ haar_unitary(3, rng)
+    cases = [
+        ("random", random_idempotent(7, 3, 2.0, seed=5)),
+        ("rank-0", np.zeros((4, 4))),
+        ("rank-n", np.eye(4)),
+        ("orthogonal", random_idempotent(5, 2, 0.0, seed=6)),
+        ("wide-sigma", structured_idempotent(6, 3, wide, 7)),
+    ]
+    out = []
+    for i, (label, p) in enumerate(cases):
+        bf = block_form(p)
+        fam = SymmetryFamily.J_PROJECTION
+        out.append((label, p, assemble_symmetry(bf, fam, sample_params(bf, fam, 1, i)[0])))
+    return out
+
+
+@pytest.mark.parametrize("label, p, j", _shared_path_cases(), ids=lambda x: x if isinstance(x, str) else "")
+def test_standalone_functions_match_full_report(label, p, j):
+    # full_report shares one factorization of P among its check groups; each
+    # public function factors its own input.  Both must give the same bits.
+    from kreinproj import (
+        adjoint_similarity,
+        complement_sum_equivalence,
+        contractive_expansive_split,
+        intertwining_unitaries,
+        positive_negative_split,
+        spectral_projection_identities,
+        split_checks,
+    )
+
+    samples = 3
+    report = full_report(p, j, samples=samples, seed=0)
+    by_name = {c.name: c for c in report.checks}
+    assert "classification" in report.subject, label
+
+    expected = []
+    for family, prefix in ((SymmetryFamily.J_POSITIVE, "probe-positive/"),
+                           (SymmetryFamily.J_CONTRACTIVE, "probe-contractive/")):
+        expected += [(prefix + c.name, c) for c in extremality_probe(p, family, samples).checks]
+    expected += [(c.name, c) for c in spectral_projection_identities(p).checks]
+    expected += [(c.name, c) for c in split_checks(contractive_expansive_split(p, j), p, j, prefix="split-ce-")]
+    expected += [(c.name, c) for c in split_checks(positive_negative_split(p, j), p, j, prefix="split-pn-")]
+    for name, c in expected:
+        assert name in by_name, (label, name)
+        assert by_name[name] == dataclasses.replace(c, name=name), (label, name)
+
+    residuals = {
+        "intertwining-residual": intertwining_unitaries(p)[2],
+        "adjoint-similarity-residual": adjoint_similarity(p)[1],
+        "complement-sum-residual": complement_sum_equivalence(p)[1],
+    }
+    for name, residual in residuals.items():
+        assert by_name[name].residual == residual, (label, name)
+
+
+def test_full_report_records_probe_groups_failed_for_samples_below_one():
+    p = random_idempotent(5, 2, 2.0, seed=3)
+    for samples in (0, -1):
+        report = full_report(p, None, samples=samples, seed=0)
+        failed = [(c.name, c.note) for c in report.failures()]
+        note = "ValueError: samples must be at least 1"
+        assert failed == [("probe-positive", note), ("probe-contractive", note)]
+        assert not any(c.name.startswith("probe-") and "/" in c.name for c in report.checks)
+        assert "complement-sum-residual" in {c.name for c in report.checks}
