@@ -34,10 +34,8 @@ from .linalg import (
     Tolerances,
     hermitian_eig,
     is_symmetry,
-    kernel_projection,
     loewner_geq,
     polar,
-    range_projection,
     spectral_parts,
 )
 from .idempotents import (

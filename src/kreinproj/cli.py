@@ -31,8 +31,11 @@ from .idempotents import block_form, random_idempotent
 from .linalg import Tolerances
 from .matrixio import read_matrix, write_matrix, write_report
 from .reporting import Report, matrix_digest
-from .symmetries import ExtremalKind, SymmetryFamily, assemble_symmetry, sample_params, sign_formula_symmetry, extremal_symmetry
-from .verification import SIGN_FORMULA, extremal_checks, full_report, split_checks
+from .symmetries import (
+    ExtremalKind, SymmetryFamily, _checked_factors, _extremal_symmetry, _sign_formula_symmetry,
+    assemble_symmetry, sample_params,
+)
+from .verification import SIGN_FORMULA, _extremal_checks, full_report, split_checks
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -151,11 +154,11 @@ def _cmd_gen(args) -> int:
 def _cmd_extremal(args) -> int:
     p = read_matrix(args.p_path)
     tol = _tol_from(args)
-    if args.which == SIGN_FORMULA:
-        j = sign_formula_symmetry(p, tol)
-    else:
-        j = extremal_symmetry(p, ExtremalKind(args.which), tol)
-    certificate = Report(subject={}, checks=extremal_checks(p, args.which, j, tol), config=tol)
+    sign = args.which == SIGN_FORMULA
+    # one set of factors serves the construction and its certificate
+    f = _checked_factors(p, tol, "sign_formula_symmetry" if sign else "extremal_symmetry")
+    j = _sign_formula_symmetry(f) if sign else _extremal_symmetry(f, ExtremalKind(args.which))
+    certificate = Report(subject={}, checks=_extremal_checks(f, args.which, j), config=tol)
     if not certificate.passed:
         _print_summary(certificate)
         return EXIT_CHECK_FAILURE

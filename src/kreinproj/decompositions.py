@@ -17,7 +17,10 @@ import enum
 import numpy as np
 
 from .errors import DegenerateBlock, InternalMismatch, NotJProjection, SingularBlock
-from .idempotents import BlockForm, _corner_inv_sqrts, _Factors, block_form
+from .idempotents import (
+    BlockForm, _Factors, _corner_inv_sqrts, _corner_null_projections, _corner_split, _full_svd,
+    block_form,
+)
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -26,7 +29,6 @@ from .linalg import (
     hermitian_sign,
     is_symmetry,
     min_eig,
-    polar,
     rank_mask,
     spectral_parts,
     within_scaled,
@@ -50,8 +52,9 @@ __all__ = [
 ]
 
 
-def _negative_part_formula(b, tol: Tolerances) -> np.ndarray:
-    """Closed-form projection onto the negative subspace of [[I, B], [B*, 0]].
+def _negative_part_formula(b, svd, tol: Tolerances) -> np.ndarray:
+    """Closed-form projection onto the negative subspace of [[I, B], [B*, 0]],
+    from the full SVD ``svd = (u, s, vh)`` of ``B``.
 
     With T = (I + 4 B B*)^(1/2) and V the kernel-matching partial isometry
     of B* the projection is
@@ -59,10 +62,11 @@ def _negative_part_formula(b, tol: Tolerances) -> np.ndarray:
         [[(I - Tinv) / 2,  -Tinv B              ],
          [-B* Tinv,        V (I + Tinv) V* / 2  ]].
     """
-    b = as_matrix(b)
     m, k = b.shape
-    tinv, _, _ = _corner_inv_sqrts(b, 2.0)
-    v = polar(b.conj().T, tol).isometry
+    tinv, _, _ = _corner_inv_sqrts(svd, 2.0)
+    # B* = V S U*, so its partial isometry is V_range U_range*
+    _, u_range, _, v_range = _corner_split(svd, tol)
+    v = v_range @ u_range.conj().T
     out = np.zeros((m + k, m + k), dtype=np.complex128)
     out[:m, :m] = 0.5 * (np.eye(m) - tinv)
     out[:m, m:] = -tinv @ b
@@ -89,7 +93,7 @@ def negative_part_projection_formula(b, tol: Tolerances = DEFAULT_TOL) -> np.nda
     matrix itself; disagreement raises ``InternalMismatch``.
     """
     b = as_matrix(b)
-    out = _negative_part_formula(b, tol)
+    out = _negative_part_formula(b, _full_svd(b), tol)
     s = anchored_block(b)
     oracle = spectral_parts(s, tol).proj_negative
     if not within_scaled(frobenius(out - oracle), tol.residual_tol, s):
@@ -394,10 +398,9 @@ def _spectral_projection_identities(f: _Factors) -> Report:
     ker_diff = f.ker_diff
     bf_p, bf_q = f.bf, f.bf_comp
 
-    null_p_range = bf_p.embed_range(f.corner_nulls[1])
-    null_p_perp = bf_p.embed_perp(f.corner_nulls[0])
-    null_q_range = bf_q.embed_range(f.corner_nulls_comp[1])
-    null_q_perp = bf_q.embed_perp(f.corner_nulls_comp[0])
+    (null_p_range, null_p_perp), (null_q_range, null_q_perp) = (
+        _corner_null_projections(bf, tol) for bf in (bf_p, bf_q)
+    )
 
     budget = tol.residual_tol * f.sum_scale
     checks = [

@@ -25,7 +25,6 @@ from .linalg import (
     _require_square,
     as_matrix,
     frobenius,
-    kernel_projection,
     rank_mask,
     scale_of,
     spectral_parts,
@@ -111,8 +110,8 @@ class BlockForm:
             np.eye(r), self.corner, np.zeros((c, r)), np.zeros((c, c))
         )
 
-    # Tolerance-free factors of the corner, computed once per form because
-    # every family member assembled on it reuses them; callers must not
+    # Factors of the corner, computed once per form because every family
+    # member, extreme and check built on it reuses them; callers must not
     # modify the arrays.
 
     @functools.cached_property
@@ -120,27 +119,54 @@ class BlockForm:
         return self.reassemble()
 
     @functools.cached_property
+    def _corner_svd(self):
+        """``svd(corner, full_matrices=True)``: the one factorization of C."""
+        return _full_svd(self.corner)
+
+    @functools.cached_property
     def _inv_sqrts(self):
-        return _corner_inv_sqrts(self.corner)
+        return _corner_inv_sqrts(self._corner_svd)
+
+    def corner_split(self, tol: Tolerances = DEFAULT_TOL):
+        """Orthonormal bases ``(u_null, u_range, v_null, v_range)`` of
+        N(C*), R(C) in range(P) and of N(C), R(C*) in range(P)-perp, from
+        one rank decision on the corner's singular values."""
+        return _corner_split(self._corner_svd, tol)
 
 
-def _corner_inv_sqrts(corner, k: float = 1.0):
+def _full_svd(m):
+    """``svd(m, full_matrices=True)``, with identity factors when ``m`` is empty."""
+    rows, cols = m.shape
+    if min(rows, cols) == 0:
+        return np.eye(rows, dtype=np.complex128), np.zeros(0), np.eye(cols, dtype=np.complex128)
+    return np.linalg.svd(m, full_matrices=True)
+
+
+def _corner_split(svd, tol: Tolerances):
+    """:meth:`BlockForm.corner_split` from the full SVD ``(u, s, vh)`` of a corner."""
+    u, s, vh = svd
+    k = int(np.sum(rank_mask(s, tol))) if s.size else 0
+    v = vh.conj().T
+    return u[:, k:], u[:, :k], v[:, k:], v[:, :k]
+
+
+def _corner_inv_sqrts(svd, k: float = 1.0):
     """``(I + k^2 C C*)^(-1/2)``, ``(I + k^2 C* C)^(-1/2)`` and ``||C||``
-    from one SVD of the corner ``C``.
+    from the full SVD ``(u, s, vh)`` of the corner ``C``.
 
     Each singular value enters as ``(1 + (k sigma)^2)^(-1/2)``, which keeps
     full relative accuracy for every sigma; forming ``I + C C*`` first would
     lose the small eigenvalues next to a large one.
     """
-    m, c = corner.shape
-    if min(m, c) == 0:
+    u, s, vh = svd
+    m, c, q = u.shape[0], vh.shape[0], s.size
+    if q == 0:
         return np.eye(m, dtype=np.complex128), np.eye(c, dtype=np.complex128), 0.0
-    u, s, vh = np.linalg.svd(corner, full_matrices=False)
     shrink = (1.0 + (k * s) ** 2) ** -0.5 - 1.0
-    v = vh.conj().T
+    u, vh = u[:, :q], vh[:q]
     return (
         np.eye(m) + (u * shrink) @ u.conj().T,
-        np.eye(c) + (v * shrink) @ vh,
+        np.eye(c) + (vh.conj().T * shrink) @ vh,
         float(s[0]),
     )
 
@@ -231,19 +257,11 @@ class _Factors:
         # i(P - P*) is Hermitian with the same null space as P - P*.
         return spectral_parts(1j * (self.p - self.p.conj().T), self.tol).proj_kernel
 
-    @functools.cached_property
-    def corner_nulls(self):
-        """``(proj N(C), proj N(C*))`` for the corner C of P."""
-        return _corner_nulls(self.bf, self.tol)
 
-    @functools.cached_property
-    def corner_nulls_comp(self):
-        """``(proj N(C), proj N(C*))`` for the corner C of I - P."""
-        return _corner_nulls(self.bf_comp, self.tol)
-
-
-def _corner_nulls(bf: BlockForm, tol: Tolerances):
-    return kernel_projection(bf.corner, tol), kernel_projection(bf.corner.conj().T, tol)
+def _corner_null_projections(bf: BlockForm, tol: Tolerances):
+    """The ambient projections onto N(C*) in range(P) and N(C) in range(P)-perp."""
+    u_null, _, v_null, _ = bf.corner_split(tol)
+    return bf.embed_range(u_null @ u_null.conj().T), bf.embed_perp(v_null @ v_null.conj().T)
 
 
 def _kernel_projection_routes(f: _Factors):
@@ -259,9 +277,8 @@ def _kernel_projection_routes(f: _Factors):
     bf = f.bf
     direct_diff = f.ker_diff
     direct_sum = f.sum_parts.proj_kernel
-    null_corner, null_corner_adj = f.corner_nulls
-    block_sum = bf.embed_perp(null_corner)
-    block_diff = bf.embed_range(null_corner_adj) + block_sum
+    null_range_side, block_sum = _corner_null_projections(bf, f.tol)
+    block_diff = null_range_side + block_sum
     return direct_sum, block_sum, direct_diff, block_diff
 
 

@@ -2,9 +2,8 @@
 
 Everything downstream is built on the operations here: Hermitian
 eigendecomposition, splitting a Hermitian matrix into its positive and
-negative parts, range/kernel projections with a scaled singular value
-cutoff, polar decomposition, Loewner-order comparison, and the symmetry
-(self-adjoint involution) test.
+negative parts, the scaled singular value cutoff, polar decomposition,
+Loewner-order comparison, and the symmetry (self-adjoint involution) test.
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 Every tolerance is relative to ``scale = max(1, spectral norm)`` of the
@@ -34,8 +33,6 @@ __all__ = [
     "within_scaled",
     "hermitian_eig",
     "spectral_parts",
-    "range_projection",
-    "kernel_projection",
     "polar",
     "loewner_geq",
     "is_symmetry",
@@ -212,28 +209,6 @@ def spectral_parts(a, tol: Tolerances = DEFAULT_TOL) -> SpectralParts:
         proj_negative=proj(neg),
         proj_kernel=proj(ker),
     )
-
-
-def range_projection(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projection onto the range (column space) of ``t``.
-
-    Built from the left singular vectors with singular value greater than
-    ``rank_tol * scale``; the zero matrix projects onto the zero subspace.
-    """
-    t = as_matrix(t)
-    m = t.shape[0]
-    if min(t.shape) == 0:
-        return np.zeros((m, m), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(t, full_matrices=False)
-    u = u[:, rank_mask(s, tol)]
-    return u @ u.conj().T
-
-
-def kernel_projection(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projection onto the null space of ``t`` (a cols x cols matrix)."""
-    t = as_matrix(t)
-    n = t.shape[1]
-    return np.eye(n, dtype=np.complex128) - range_projection(t.conj().T, tol)
 
 
 @dataclasses.dataclass(frozen=True)

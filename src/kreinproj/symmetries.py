@@ -50,7 +50,6 @@ from .linalg import (
     hermitian_sign,
     is_symmetry,
     min_eig,
-    rank_mask,
     scale_of,
     within_scaled,
 )
@@ -185,22 +184,6 @@ def assemble_symmetry(
     return j
 
 
-def _null_range_split(m, tol: Tolerances = DEFAULT_TOL):
-    """Orthonormal bases (null, range) for the codomain splitting of ``m``.
-
-    Returns ``(u_null, u_range)``: columns of ``u_range`` span range(m),
-    columns of ``u_null`` span its orthocomplement N(m*); the rank is decided
-    by ``tol.rank_tol``.
-    """
-    m = as_matrix(m)
-    rows = m.shape[0]
-    if min(m.shape) == 0:
-        return np.eye(rows, dtype=np.complex128), np.zeros((rows, 0), np.complex128)
-    u, s, _ = np.linalg.svd(m, full_matrices=True)
-    k = int(np.sum(rank_mask(s, tol)))
-    return u[:, k:], u[:, :k]
-
-
 def sample_params(
     bf: BlockForm, family: SymmetryFamily, count: int, seed=0, tol: Tolerances = DEFAULT_TOL
 ) -> list:
@@ -214,9 +197,7 @@ def sample_params(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    corner = bf.corner
-    u_null, u_range = _null_range_split(corner, tol)           # split of range(P)
-    v_null, v_range = _null_range_split(corner.conj().T, tol)  # split of range(P)-perp
+    u_null, u_range, v_null, v_range = bf.corner_split(tol)
     r = bf.rank
     c = bf.dim - r
     children = np.random.SeedSequence(seed).spawn(count)
@@ -257,10 +238,16 @@ def extremal_symmetry(p, kind: ExtremalKind, tol: Tolerances = DEFAULT_TOL) -> n
     family) or ``extremal-<kind>-dominates`` (contractive family), see
     :func:`kreinproj.verification.extremal_checks`.
     """
+    return _extremal_symmetry(_checked_factors(p, tol, "extremal_symmetry"), kind)
+
+
+def _checked_factors(p, tol: Tolerances, what: str) -> _Factors:
+    """The factors of ``p``; ``NotIdempotent`` naming ``what`` when ``p``
+    fails :func:`validate_idempotent`."""
     p = as_matrix(p)
     if not validate_idempotent(p, tol):
-        raise NotIdempotent("extremal_symmetry requires an idempotent input")
-    return _extremal_symmetry(_Factors(p, tol), kind)
+        raise NotIdempotent(f"{what} requires an idempotent input")
+    return _Factors(p, tol)
 
 
 def _extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
@@ -302,16 +289,16 @@ def _extremal_symmetry_via_blocks(f: _Factors, kind: ExtremalKind) -> np.ndarray
     c = bf.dim - r
     i_r = np.eye(r, dtype=np.complex128)
     i_c = np.eye(c, dtype=np.complex128)
-    # on range(P)-perp and on range(P)
-    null_corner, null_corner_adj = f.corner_nulls
+    # on N(C*) in range(P) and on N(C) in range(P)-perp
+    u_null, _, v_null, _ = bf.corner_split(f.tol)
     if kind is ExtremalKind.POS_MIN:
         params = (i_r, -i_c)
     elif kind is ExtremalKind.POS_MAX:
-        params = (i_r, 2 * null_corner - i_c)
+        params = (i_r, 2 * (v_null @ v_null.conj().T) - i_c)
     elif kind is ExtremalKind.CONTR_MIN:
         params = (-i_r, i_c)
     else:
-        params = (2 * null_corner_adj - i_r, i_c)
+        params = (2 * (u_null @ u_null.conj().T) - i_r, i_c)
     return assemble_symmetry(bf, kind.family, params, f.tol)
 
 
@@ -328,10 +315,7 @@ def sign_formula_symmetry(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     checks ``sign-formula-matches-pos-max`` and ``sign-formula-kernel-action``,
     see :func:`kreinproj.verification.extremal_checks`.
     """
-    p = as_matrix(p)
-    if not validate_idempotent(p, tol):
-        raise NotIdempotent("sign_formula_symmetry requires an idempotent input")
-    return _sign_formula_symmetry(_Factors(p, tol))
+    return _sign_formula_symmetry(_checked_factors(p, tol, "sign_formula_symmetry"))
 
 
 def _sign_formula_symmetry(f: _Factors) -> np.ndarray:

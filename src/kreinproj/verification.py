@@ -12,6 +12,7 @@ their inputs.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from typing import NamedTuple, Optional
 
@@ -30,7 +31,6 @@ from .linalg import (
     loewner_geq,
     min_eig,
     scale_of,
-    spectral_norm,
     spectral_parts,
     within_scaled,
 )
@@ -261,12 +261,14 @@ def extremality_probe(
         raise ValueError("samples must be at least 1")
     if family is SymmetryFamily.J_PROJECTION:
         raise ValueError("the intertwining family has no extreme elements to probe")
-    return _extremality_probe(_Factors(as_matrix(p), tol), family, samples, seed, {})
+    return _extremality_probe(_Factors(as_matrix(p), tol), family, samples, seed, {}, {})
 
 
-def _extremality_probe(f: _Factors, family, samples, seed, extremes) -> Report:
-    """:func:`extremality_probe` with checked arguments, from the factors of P;
-    the extremes it needs come from ``extremes`` (by kind) when there."""
+def _extremality_probe(f: _Factors, family, samples, seed, extremes, extreme_checks) -> Report:
+    """:func:`extremality_probe` with checked arguments, from the factors of P.
+    The extremes it needs come from ``extremes`` (by kind) when there, and
+    their family checks from ``extreme_checks``: the ``extremal-<kind>``
+    family checks of :func:`extremal_checks`, which it renames."""
     p, tol, sp = f.p, f.tol, f.sp
     bf = f.bf
     kind_min, kind_max = (k for k in ExtremalKind if k.family is family)
@@ -276,8 +278,12 @@ def _extremality_probe(f: _Factors, family, samples, seed, extremes) -> Report:
     )
 
     checks = []
-    checks += family_checks("extreme-min", _KIND_REFS[kind_min], p, j_min, family, tol, sp)
-    checks += family_checks("extreme-max", _KIND_REFS[kind_max], p, j_max, family, tol, sp)
+    for label, kind, j in (("extreme-min", kind_min, j_min), ("extreme-max", kind_max, j_max)):
+        if kind in extreme_checks:
+            cut = len(f"extremal-{kind.value}")
+            checks += [dataclasses.replace(c, name=label + c.name[cut:]) for c in extreme_checks[kind]]
+        else:
+            checks += family_checks(label, _KIND_REFS[kind], p, j, family, tol, sp)
     for i, params in enumerate(sample_params(bf, family, samples, seed, tol)):
         j = assemble_symmetry(bf, family, params, tol)
         checks.append(
@@ -399,9 +405,9 @@ def full_report(
 
     # closed-form negative projection against its spectral oracle
     try:
-        corner = bf.corner
+        corner, (u, sv, vh) = bf.corner, bf._corner_svd
         s_mat = dec.anchored_block(corner)
-        formula = dec._negative_part_formula(corner, tol)
+        formula = dec._negative_part_formula(corner, (u, sv, vh), tol)
         oracle = spectral_parts(s_mat, tol).proj_negative
         checks.append(
             residual_check(
@@ -409,7 +415,7 @@ def full_report(
                 frobenius(formula - oracle), tol.residual_tol * scale_of(s_mat),
             )
         )
-        halved = dec._negative_part_formula(corner / 2, tol)
+        halved = dec._negative_part_formula(corner / 2, (u, sv / 2, vh), tol)
         sum_neg_blocks = w.conj().T @ parts.proj_negative @ w
         checks.append(
             residual_check(
@@ -421,14 +427,17 @@ def full_report(
     except KreinProjError as e:
         checks.append(_failed("negative-part-formula", "Lemma 1", e))
 
-    # extremal constructions, both code paths, plus the identity web
-    extremes = {}
+    # extremal constructions, both code paths, plus the identity web; each
+    # extreme's family checks are shared with the probes
+    extremes, extreme_checks = {}, {}
     for kind in ExtremalKind:
         ref = _KIND_REFS[kind]
         try:
             jk = _extremal_symmetry(f, kind)
             extremes[kind] = jk
-            checks += _extremal_checks(f, kind.value, jk)
+            kind_checks = _extremal_checks(f, kind.value, jk)
+            extreme_checks[kind] = kind_checks[1:]
+            checks += kind_checks
             via_blocks = _extremal_symmetry_via_blocks(f, kind)
             checks.append(
                 residual_check(
@@ -471,7 +480,8 @@ def full_report(
             checks.append(_failed(name, ref, ValueError("samples must be at least 1")))
             continue
         try:
-            report.extend_prefixed(prefix, _extremality_probe(f, family, samples, seed, extremes))
+            probe = _extremality_probe(f, family, samples, seed, extremes, extreme_checks)
+            report.extend_prefixed(prefix, probe)
         except KreinProjError as e:
             checks.append(_failed(name, ref, e))
 
@@ -490,8 +500,7 @@ def full_report(
         checks.append(
             residual_check("intertwining-residual", "Proposition 9", intertwine_res, res_budget)
         )
-        sv_p = np.linalg.svd(bf.corner, compute_uv=False)
-        sv_q = np.linalg.svd(bf_comp.corner, compute_uv=False)
+        sv_p, sv_q = bf._corner_svd[1], bf_comp._corner_svd[1]
         sv_gap = float(np.max(np.abs(sv_p - sv_q))) if sv_p.size else 0.0
         checks.append(
             residual_check("corner-singular-values", "Proposition 9", sv_gap, res_budget)
@@ -571,7 +580,7 @@ def full_report(
         j_a, j_b, verdict = _nonexistence_witnesses(bf, tol)
         for name, wit in (("witness-a", j_a), ("witness-b", j_b)):
             checks += family_checks(name, "Theorem 8(ii)", p, wit, SymmetryFamily.J_PROJECTION, tol, f.sp)
-        if spectral_norm(bf.corner) > tol.rank_tol * f.sp:
+        if bf._inv_sqrts[2] > tol.rank_tol * f.sp:
             # nonzero corner: no greatest element, witnessed by a gap with
             # eigenvalues of both signs
             gap = min(verdict.max_eig, -verdict.min_eig) - INDEFINITE_MARGIN

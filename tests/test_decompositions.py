@@ -84,12 +84,14 @@ def test_negative_formula_random_blocks():
 
 def test_negative_formula_halved_corner_rescale():
     # the anchored block of corner/2 reproduces the negative projection of
-    # P + P* in block coordinates (positive rescaling keeps sign buckets)
+    # P + P* in block coordinates (positive rescaling keeps sign buckets);
+    # its SVD is the corner's with the singular values halved
     for p, n, r in idempotent_cases(8, seed=9, max_dim=10):
         from kreinproj.decompositions import _negative_part_formula
 
         bf = block_form(p)
-        halved = _negative_part_formula(bf.corner / 2, Tolerances())
+        u, s, vh = bf._corner_svd
+        halved = _negative_part_formula(bf.corner / 2, (u, s / 2, vh), Tolerances())
         w = bf.unitary
         ambient = spectral_parts(p + p.conj().T).proj_negative
         np.testing.assert_allclose(halved, w.conj().T @ ambient @ w, atol=1e-10)

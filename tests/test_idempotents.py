@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import projector_onto
+from conftest import projector_onto, random_complex, structured_idempotent
 from kreinproj import (
     BadRank,
     NotIdempotent,
     NotOrthonormal,
+    Tolerances,
     block_form,
     haar_unitary,
     is_symmetry,
@@ -74,6 +75,50 @@ def test_block_form_degenerate_ranks():
     for p in (np.zeros((3, 3)), np.eye(3), np.zeros((0, 0))):
         bf = block_form(p)
         np.testing.assert_allclose(bf.reassemble(), p, atol=1e-13)
+
+
+def _low_rank_corner(rows, cols, rank, seed):
+    return random_complex((rows, rank), seed) @ random_complex((rank, cols), seed + 1)
+
+
+# (P, rank of the corner): empty corners at r = 0 and r = n, a zero corner,
+# square and rectangular corners of full and deficient rank
+CORNER_SPLIT_CASES = {
+    "r=0": (np.zeros((4, 4)), 0),
+    "r=n": (np.eye(4), 0),
+    "zero-corner": (np.diag([1.0, 1.0, 0.0, 0.0, 0.0]), 0),
+    "square": (random_idempotent(6, 3, 2.0, seed=5), 3),
+    "wide-rank-2": (structured_idempotent(8, 3, _low_rank_corner(3, 5, 2, 1), 2), 2),
+    "tall-rank-1": (structured_idempotent(8, 5, _low_rank_corner(5, 3, 1, 3), 4), 1),
+    "wide-full": (structured_idempotent(7, 2, _low_rank_corner(2, 5, 2, 5), 6), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORNER_SPLIT_CASES))
+def test_corner_split_bases(case):
+    p, k = CORNER_SPLIT_CASES[case]
+    bf = block_form(p)
+    r, c = bf.rank, bf.dim - bf.rank
+    corner = bf.corner
+    u_null, u_range, v_null, v_range = bf.corner_split()
+    assert (u_null.shape, u_range.shape) == ((r, r - k), (r, k))
+    assert (v_null.shape, v_range.shape) == ((c, c - k), (c, k))
+    # each side's two bases together form a unitary: orthonormal, complementary
+    for null, rng in ((u_null, u_range), (v_null, v_range)):
+        w = np.hstack([null, rng])
+        np.testing.assert_allclose(w.conj().T @ w, np.eye(w.shape[1]), atol=1e-12)
+        np.testing.assert_allclose(w @ w.conj().T, np.eye(w.shape[0]), atol=1e-12)
+    scale = max(1.0, np.linalg.norm(corner))
+    assert np.linalg.norm(corner @ v_null) <= 1e-12 * scale
+    assert np.linalg.norm(u_null.conj().T @ corner) <= 1e-12 * scale
+
+
+def test_corner_split_rank_follows_tolerance():
+    # corner singular values 1 and 1e-7: kept at the default cutoff, dropped
+    # into both null spaces at rank_tol = 1e-6
+    bf = block_form(structured_idempotent(4, 2, np.diag([1.0, 1e-7]), 3))
+    assert [b.shape[1] for b in bf.corner_split()] == [0, 2, 0, 2]
+    assert [b.shape[1] for b in bf.corner_split(Tolerances(rank_tol=1e-6))] == [1, 1, 1, 1]
 
 
 def test_kernel_projections_orthogonal():

@@ -3,8 +3,8 @@
 Counts calls of ``numpy.linalg.svd``, ``eigh``, ``eigvalsh`` and
 ``norm(..., 2)`` (an SVD) made by one call of each entry point, on the same
 input shape the benchmark's ``linalg.entry_calls.*`` metrics use;
-``extremal_sign_formula`` is the work of ``kreinproj extremal --which
-sign-formula``: the construction plus its certificate.
+``extremal_sign_formula`` runs ``kreinproj extremal --which sign-formula``
+through ``cli.main``: the construction plus its certificate.
 ``assemble_symmetry`` is counted on a block form that has already
 assembled one member, so it reuses that form's corner factors.  The
 bounds are the counts of the current code: a change may lower them, and
@@ -15,20 +15,24 @@ verdicts compute a spectral norm only when they depend on it.
 factorizations of one report: P and I - P are each put in block form once,
 and P + P*, i(P - P*), 2I - P - P*, the anchored block of the corner and
 the sign-formula shift are each diagonalized once.
+``test_full_report_factors_each_corner_once`` pins the corner SVDs: the
+corners of P and of I - P are each factored once per report.
 """
 
 import numpy as np
 import pytest
 
 import kreinproj as kp
+from kreinproj import cli
+from kreinproj.matrixio import write_matrix
 
 BOUNDS = {
-    "full_report": 65,
-    "extremal_contr_max": 5,
+    "full_report": 46,
+    "extremal_contr_max": 4,
     "assemble_symmetry": 1,
-    "extremal_sign_formula": 5,
+    "extremal_sign_formula": 4,
 }
-NORM2_BOUND = 4
+NORM2_BOUND = 3
 SQUARE_BOUNDS = {"svd": 2, "eigh": 5}
 
 
@@ -53,33 +57,40 @@ def lapack_calls(monkeypatch):
     return counts
 
 
-def _entry_points(seed):
+def _entry_points(seed, tmp_path):
     rng = np.random.default_rng([seed, 4])
     p = kp.random_idempotent(8, 4, 2.0, rng)
     bf = kp.block_form(p)
     proj, contr = kp.SymmetryFamily.J_PROJECTION, kp.SymmetryFamily.J_CONTRACTIVE
     j = kp.assemble_symmetry(bf, proj, kp.sample_params(bf, proj, 1, seed)[0])
     params = kp.sample_params(bf, contr, 1, seed + 1)[0]
+    p_path = str(tmp_path / "p.json")
+    write_matrix(p_path, p)
+    sign_argv = ["extremal", p_path, "--which", "sign-formula", "-o", str(tmp_path / "j.json")]
     return {
         "full_report": lambda: kp.full_report(p, j, samples=1),
         "extremal_contr_max": lambda: kp.extremal_symmetry(p, kp.ExtremalKind.CONTR_MAX),
         "assemble_symmetry": lambda: kp.assemble_symmetry(bf, contr, params),
-        "extremal_sign_formula": lambda: kp.extremal_checks(p, "sign-formula", kp.sign_formula_symmetry(p)),
+        "extremal_sign_formula": lambda: _cli_passes(sign_argv),
     }
+
+
+def _cli_passes(argv):
+    assert cli.main(argv) == cli.EXIT_PASS
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("entry", sorted(BOUNDS))
-def test_lapack_calls_at_most_bound(lapack_calls, entry, seed):
-    call = _entry_points(seed)[entry]
+def test_lapack_calls_at_most_bound(lapack_calls, entry, seed, tmp_path):
+    call = _entry_points(seed, tmp_path)[entry]
     lapack_calls["n"] = 0
     call()
     assert lapack_calls["n"] <= BOUNDS[entry]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_norm2_calls_in_full_report_at_most_bound(lapack_calls, seed):
-    call = _entry_points(seed)["full_report"]
+def test_norm2_calls_in_full_report_at_most_bound(lapack_calls, seed, tmp_path):
+    call = _entry_points(seed, tmp_path)["full_report"]
     lapack_calls["norm2"] = 0
     call()
     assert lapack_calls["norm2"] <= NORM2_BOUND
@@ -98,3 +109,12 @@ def test_full_report_factors_each_matrix_once(lapack_calls, samples):
     for name, bound in SQUARE_BOUNDS.items():
         square = [s for fn, s in lapack_calls["shapes"] if fn == name and s == (8, 8)]
         assert len(square) <= bound, name
+
+
+def test_full_report_factors_each_corner_once(lapack_calls):
+    # r = 3 at n = 8: the corner of P is 3 x 5 and that of I - P is 5 x 3
+    p = kp.random_idempotent(8, 3, 2.0, np.random.default_rng([1, 4]))
+    lapack_calls["shapes"].clear()
+    kp.full_report(p, samples=1)
+    corners = [s for fn, s in lapack_calls["shapes"] if fn == "svd" and s in ((3, 5), (5, 3))]
+    assert len(corners) <= 2
