@@ -27,12 +27,12 @@ from .errors import (
     SingularBlock,
     SingularShift,
 )
-from .idempotents import block_form, random_idempotent
+from .idempotents import _checked_factors, block_form, random_idempotent
 from .linalg import Tolerances
 from .matrixio import read_matrix, write_matrix, write_report
 from .reporting import Report, matrix_digest
 from .symmetries import (
-    ExtremalKind, SymmetryFamily, _checked_factors, _extremal_symmetry, _sign_formula_symmetry,
+    ExtremalKind, SymmetryFamily, _extremal_symmetry, _sign_formula_symmetry,
     assemble_symmetry, sample_params,
 )
 from .verification import SIGN_FORMULA, _extremal_checks, full_report, split_checks
@@ -54,15 +54,19 @@ def _add_tol_flags(sub):
                      help="Frobenius residual budget for identity checks")
 
 
-def _positive_int(text) -> int:
-    """An argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _tol_from(args) -> Tolerances:
@@ -112,9 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("j_path", nargs="?", help="optional symmetry matrix file")
     ver.add_argument("--glob", dest="glob_pattern", metavar="PATTERN",
                      help="verify every matching idempotent file instead")
-    ver.add_argument("--samples", type=_positive_int, default=20,
+    ver.add_argument("--samples", type=_int_at_least(1), default=20,
                      help="sampled members per bounded family (at least 1)")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_tol_flags(ver)
     ver.add_argument("--out", help="report file to write")
     return parser
@@ -156,7 +160,8 @@ def _cmd_extremal(args) -> int:
     tol = _tol_from(args)
     sign = args.which == SIGN_FORMULA
     # one set of factors serves the construction and its certificate
-    f = _checked_factors(p, tol, "sign_formula_symmetry" if sign else "extremal_symmetry")
+    what = "sign_formula_symmetry" if sign else "extremal_symmetry"
+    f = _checked_factors(p, tol, f"{what} requires an idempotent input")
     j = _sign_formula_symmetry(f) if sign else _extremal_symmetry(f, ExtremalKind(args.which))
     certificate = Report(subject={}, checks=_extremal_checks(f, args.which, j), config=tol)
     if not certificate.passed:
@@ -208,11 +213,17 @@ def _cmd_verify(args) -> int:
         paths = sorted(globmod.glob(args.glob_pattern))
         if not paths:
             raise FileNotFoundError(f"no files match {args.glob_pattern!r}")
+        # each case is named by its file's stem, so two files may not share one
+        cases = {}
+        for path in paths:
+            stem = os.path.splitext(os.path.basename(path))[0]
+            if stem in cases:
+                raise UsageError(f"{cases[stem]} and {path} would both be case {stem!r}")
+            cases[stem] = path
         merged = Report(
             subject={"cases": {}}, checks=[], config=tol, seed=args.seed
         )
-        for path in paths:
-            stem = os.path.splitext(os.path.basename(path))[0]
+        for stem, path in cases.items():
             p = read_matrix(path)
             case = full_report(p, None, tol, args.samples, args.seed)
             merged.subject["cases"][stem] = case.subject

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DegenerateBlock, InternalMismatch, NotJProjection, SingularBlock
 from .idempotents import (
-    BlockForm, _Factors, _corner_inv_sqrts, _corner_null_projections, _corner_split, _full_svd,
-    block_form,
+    _checked_symmetry, _corner_inv_sqrts, _corner_null_projections, _corner_split, _Factors,
+    _full_svd, _per_handle,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -27,7 +27,6 @@ from .linalg import (
     as_matrix,
     frobenius,
     hermitian_sign,
-    is_symmetry,
     min_eig,
     rank_mask,
     spectral_parts,
@@ -103,14 +102,6 @@ def negative_part_projection_formula(b, tol: Tolerances = DEFAULT_TOL) -> np.nda
     return out
 
 
-def _checked_symmetry(j, tol: Tolerances) -> np.ndarray:
-    """``j`` as a matrix; ``NotJProjection`` when it is not a symmetry."""
-    j = as_matrix(j)
-    if not is_symmetry(j, tol):
-        raise NotJProjection("J is not a symmetry")
-    return j
-
-
 def extract_params(p, j, tol: Tolerances = DEFAULT_TOL):
     """Recover the block parameters of a symmetry J with J P J = P*.
 
@@ -120,13 +111,14 @@ def extract_params(p, j, tol: Tolerances = DEFAULT_TOL):
     outside the admissible family raise ``NotJProjection``, numerically
     singular diagonal blocks raise ``SingularBlock``.
     """
-    p = as_matrix(p)
-    j = _checked_symmetry(j, tol)
-    return _extract_params(p, j, block_form(p, tol), tol)
+    f = _Factors(as_matrix(p), tol)
+    j = _checked_symmetry(j, tol, NotJProjection, "J is not a symmetry")
+    return _extract_params(f, j)
 
 
-def _extract_params(p, j, bf: BlockForm, tol: Tolerances):
-    """:func:`extract_params` for a symmetry ``j``, with ``bf = block_form(p)``."""
+def _extract_params(f: _Factors, j):
+    """:func:`extract_params` for a symmetry ``j``, from the factors of P."""
+    p, bf, tol = f.p, f.bf, f.tol
     jpj_res = frobenius(j @ p @ j - p.conj().T)
     if not within_scaled(jpj_res, tol.residual_tol, p):
         raise NotJProjection(f"J P J differs from P* by {jpj_res:.3e}")
@@ -174,14 +166,15 @@ def contractive_expansive_split(p, j, tol: Tolerances = DEFAULT_TOL) -> SplitRes
 
     so that P = E1 E2 = E2 E1 = E1 + E2 - I.
     """
-    p = as_matrix(p)
-    j = _checked_symmetry(j, tol)
-    return _contractive_expansive_split(p, j, block_form(p, tol), tol)
+    f = _Factors(as_matrix(p), tol)
+    j = _checked_symmetry(j, tol, NotJProjection, "J is not a symmetry")
+    return _contractive_expansive_split(f, j)
 
 
-def _contractive_expansive_split(p, j, bf: BlockForm, tol: Tolerances) -> SplitResult:
-    """:func:`contractive_expansive_split` for a symmetry ``j``, with ``bf = block_form(p)``."""
-    _, j2 = _extract_params(p, j, bf, tol)
+def _contractive_expansive_split(f: _Factors, j) -> SplitResult:
+    """:func:`contractive_expansive_split` for a symmetry ``j``, from the factors of P."""
+    _, j2 = _extract_params(f, j)
+    bf = f.bf
     r = bf.rank
     c = bf.dim - r
     i_c = np.eye(c, dtype=np.complex128)
@@ -198,15 +191,16 @@ def positive_negative_split(p, j, tol: Tolerances = DEFAULT_TOL) -> SplitResult:
     Obtained from the contractive/expansive splitting of I - P by taking
     complements.
     """
-    p = as_matrix(p)
-    j = _checked_symmetry(j, tol)
-    return _positive_negative_split(_Factors(p, tol), j)
+    f = _Factors(as_matrix(p), tol)
+    j = _checked_symmetry(j, tol, NotJProjection, "J is not a symmetry")
+    return _positive_negative_split(f, j)
 
 
 def _positive_negative_split(f: _Factors, j) -> SplitResult:
-    """:func:`positive_negative_split` for a symmetry ``j``, from the block form of I - P."""
+    """:func:`positive_negative_split` for a symmetry ``j``: the complements of
+    the contractive/expansive split of I - P."""
     eye = np.eye(f.p.shape[0], dtype=np.complex128)
-    inner = _contractive_expansive_split(eye - f.p, j, f.bf_comp, f.tol)
+    inner = _contractive_expansive_split(f.comp, j)
     return SplitResult(
         e1=eye - inner.e1, e2=eye - inner.e2, kind=SplitKind.POSITIVE_NEGATIVE
     )
@@ -294,6 +288,7 @@ def _unitary_polar(m, tol: Tolerances, what: str) -> np.ndarray:
     return u @ vh
 
 
+@_per_handle
 def _intertwine(f: _Factors):
     """The unitaries carrying the corner of P to the corner of I - P.
 
@@ -302,7 +297,7 @@ def _intertwine(f: _Factors):
     u1 and v1 satisfy ``corner(I-P) = u1 @ corner(P)* @ v1``.  Returns
     ``(u1, v1, residual)``.
     """
-    bf_p, bf_q, tol = f.bf, f.bf_comp, f.tol
+    bf_p, bf_q, tol = f.bf, f.comp.bf, f.tol
     r = bf_p.rank
     qr = bf_q.rank
     if r + qr != bf_p.dim:
@@ -339,14 +334,14 @@ def _antidiagonal(top_right, bottom_left) -> np.ndarray:
 
 def adjoint_similarity(p, tol: Tolerances = DEFAULT_TOL):
     """An ambient unitary U with U* P* U = P, plus the achieved residual."""
-    f = _Factors(as_matrix(p), tol)
-    return _adjoint_similarity(f, *_intertwine(f)[:2])
+    return _adjoint_similarity(_Factors(as_matrix(p), tol))
 
 
-def _adjoint_similarity(f: _Factors, u1, v1):
-    """:func:`adjoint_similarity` from the factors of P and its intertwiners."""
+def _adjoint_similarity(f: _Factors):
+    """:func:`adjoint_similarity` from the factors of P."""
     p = f.p
-    u = f.bf_comp.unitary @ _antidiagonal(-u1, v1.conj().T) @ f.bf.unitary.conj().T
+    u1, v1, _ = _intertwine(f)
+    u = f.comp.bf.unitary @ _antidiagonal(-u1, v1.conj().T) @ f.bf.unitary.conj().T
     residual = frobenius(u.conj().T @ p.conj().T @ u - p)
     return u, residual
 
@@ -361,19 +356,25 @@ def complement_sum_equivalence(p, tol: Tolerances = DEFAULT_TOL):
     and returns ``(U, residual)``.  That the two padded sums share their
     spectrum is certified by the report check ``complement-sum-spectra``.
     """
-    f = _Factors(as_matrix(p), tol)
-    return _complement_sum_equivalence(f, *_intertwine(f)[:2])
+    return _complement_sum_equivalence(_Factors(as_matrix(p), tol))
 
 
-def _complement_sum_equivalence(f: _Factors, u1, v1):
-    """:func:`complement_sum_equivalence` from the factors of P and its intertwiners."""
-    p, bf_p, bf_q = f.p, f.bf, f.bf_comp
-    n = p.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    u = bf_p.unitary @ _antidiagonal(v1, u1.conj().T) @ bf_q.unitary.conj().T
+def _complement_sum_equivalence(f: _Factors):
+    """:func:`complement_sum_equivalence` from the factors of P."""
+    u1, v1, _ = _intertwine(f)
+    u = f.bf.unitary @ _antidiagonal(v1, u1.conj().T) @ f.comp.bf.unitary.conj().T
+    lhs, rhs = _padded_sums(f)
+    return u, frobenius(u.conj().T @ lhs @ u - rhs)
+
+
+@_per_handle
+def _padded_sums(f: _Factors):
+    """``P + P* + 2 (I - proj R(P))`` and ``2I - P - P* + 2 (I - proj R(I-P))``."""
+    p, bf_p, bf_q = f.p, f.bf, f.comp.bf
+    eye = np.eye(p.shape[0], dtype=np.complex128)
     lhs = p + p.conj().T + 2 * (eye - bf_p.basis_range @ bf_p.basis_range.conj().T)
     rhs = 2 * eye - p - p.conj().T + 2 * (eye - bf_q.basis_range @ bf_q.basis_range.conj().T)
-    return u, frobenius(u.conj().T @ lhs @ u - rhs)
+    return lhs, rhs
 
 
 def spectral_projection_identities(p, tol: Tolerances = DEFAULT_TOL) -> Report:
@@ -396,10 +397,8 @@ def _spectral_projection_identities(f: _Factors) -> Report:
     parts_a = f.sum_parts
     parts_c = spectral_parts(2 * eye - a, tol)
     ker_diff = f.ker_diff
-    bf_p, bf_q = f.bf, f.bf_comp
-
     (null_p_range, null_p_perp), (null_q_range, null_q_perp) = (
-        _corner_null_projections(bf, tol) for bf in (bf_p, bf_q)
+        _corner_null_projections(g) for g in (f, f.comp)
     )
 
     budget = tol.residual_tol * f.sum_scale
@@ -437,7 +436,7 @@ def _spectral_projection_identities(f: _Factors) -> Report:
     ]
     subject = {
         "dim": p.shape[0],
-        "rank": bf_p.rank,
+        "rank": f.bf.rank,
         "matrix_sha256": matrix_digest(p),
     }
     return Report(subject=subject, checks=checks, config=tol, seed=None)

@@ -25,6 +25,7 @@ from .linalg import (
     _require_square,
     as_matrix,
     frobenius,
+    is_symmetry,
     rank_mask,
     scale_of,
     spectral_parts,
@@ -214,18 +215,26 @@ def block_form(p, tol: Tolerances = DEFAULT_TOL) -> BlockForm:
 
 
 class _Factors:
-    """The factorizations of one square matrix ``p`` under ``tol``, each
-    computed at most once, on first use; ``bf`` and ``bf_comp`` raise
-    ``NotIdempotent`` when ``p`` is not idempotent.
+    """The one internal handle of a square matrix ``p`` under ``tol``: each
+    factorization of ``p`` computed at most once, on first use, and ``comp``,
+    the handle of I - P.  ``bf`` raises ``NotIdempotent`` when ``p`` is not
+    idempotent.
 
-    A report builds one and hands it to every check group, so P and I - P are
-    each put in block form once and P + P* is split once; a public function
-    builds its own, which dies with the call.
+    Anything derived from the factors that more than one check group reads
+    (the extremes, the intertwiners, the padded sums) is kept on the handle
+    by :func:`_per_handle`.  A report builds one handle and hands it to every
+    check group; a public function builds its own, which dies with the call.
     """
 
     def __init__(self, p: np.ndarray, tol: Tolerances):
         self.p = p
         self.tol = tol
+        self._memo = {}
+
+    def kept(self, fn, *args):
+        """What ``fn(self, *args)`` returned on this handle, for a
+        :func:`_per_handle` function ``fn``; None when no call has returned."""
+        return self._memo.get((fn, *args))
 
     @functools.cached_property
     def sp(self) -> float:
@@ -237,9 +246,9 @@ class _Factors:
         return block_form(self.p, self.tol)
 
     @functools.cached_property
-    def bf_comp(self) -> BlockForm:
-        """The block form of I - P."""
-        return block_form(np.eye(self.p.shape[0], dtype=np.complex128) - self.p, self.tol)
+    def comp(self) -> "_Factors":
+        """The handle of I - P."""
+        return _Factors(np.eye(self.p.shape[0], dtype=np.complex128) - self.p, self.tol)
 
     @functools.cached_property
     def sum_parts(self):
@@ -257,29 +266,60 @@ class _Factors:
         # i(P - P*) is Hermitian with the same null space as P - P*.
         return spectral_parts(1j * (self.p - self.p.conj().T), self.tol).proj_kernel
 
+    @functools.cached_property
+    def kernel_route_gaps(self):
+        """Frobenius distances ``(sum_gap, diff_gap)`` between the two routes
+        to the projections onto N(P+P*) and N(P-P*): spectral decompositions in
+        the ambient basis, and the corner's null spaces lifted through the basis."""
+        # The block form first, so that a non-idempotent input fails before any
+        # eigendecomposition; then N(P - P*), whose spectral parts are freed
+        # before those of P + P* are built and kept on the handle; the corner
+        # null projections last, so that they are not alive during either.
+        self.bf
+        ker_diff = self.ker_diff
+        ker_sum = self.sum_parts.proj_kernel
+        block_diff, block_sum = _corner_null_projections(self)
+        block_diff += block_sum  # N(C*) in range(P) plus N(C) in range(P)-perp
+        return frobenius(ker_sum - block_sum), frobenius(ker_diff - block_diff)
 
-def _corner_null_projections(bf: BlockForm, tol: Tolerances):
+
+def _per_handle(fn):
+    """Compute ``fn(f, *args)`` once per handle ``f`` and keep the result on
+    it.  An exception is not kept, so a failing call fails again, the same
+    way, wherever it is made."""
+
+    @functools.wraps(fn)
+    def once(f: _Factors, *args):
+        key = (once, *args)
+        if key not in f._memo:
+            f._memo[key] = fn(f, *args)
+        return f._memo[key]
+
+    return once
+
+
+def _checked_factors(p, tol: Tolerances, message: str) -> _Factors:
+    """The handle of ``p``; ``NotIdempotent(message)`` when ``p`` fails
+    :func:`validate_idempotent`."""
+    p = as_matrix(p)
+    if not validate_idempotent(p, tol):
+        raise NotIdempotent(message)
+    return _Factors(p, tol)
+
+
+def _checked_symmetry(j, tol: Tolerances, error: type, message: str) -> np.ndarray:
+    """``j`` as a matrix; ``error(message)`` when it is not a symmetry."""
+    j = as_matrix(j)
+    if not is_symmetry(j, tol):
+        raise error(message)
+    return j
+
+
+def _corner_null_projections(f: _Factors):
     """The ambient projections onto N(C*) in range(P) and N(C) in range(P)-perp."""
-    u_null, _, v_null, _ = bf.corner_split(tol)
-    return bf.embed_range(u_null @ u_null.conj().T), bf.embed_perp(v_null @ v_null.conj().T)
-
-
-def _kernel_projection_routes(f: _Factors):
-    """Both computations of the projections onto N(P+P*) and N(P-P*).
-
-    Returns ``(direct_sum, block_sum, direct_diff, block_diff)`` where the
-    direct pair comes from spectral decompositions in the ambient basis and
-    the block pair from the corner's null spaces lifted through the basis.
-    """
-    # The block form first, so that a non-idempotent input fails before any
-    # eigendecomposition; then N(P - P*), whose spectral parts are freed
-    # before those of P + P* are built and kept in ``f``.
     bf = f.bf
-    direct_diff = f.ker_diff
-    direct_sum = f.sum_parts.proj_kernel
-    null_range_side, block_sum = _corner_null_projections(bf, f.tol)
-    block_diff = null_range_side + block_sum
-    return direct_sum, block_sum, direct_diff, block_diff
+    u_null, _, v_null, _ = bf.corner_split(f.tol)
+    return bf.embed_range(u_null @ u_null.conj().T), bf.embed_perp(v_null @ v_null.conj().T)
 
 
 def kernel_projections(p, tol: Tolerances = DEFAULT_TOL):
@@ -295,16 +335,10 @@ def kernel_projections(p, tol: Tolerances = DEFAULT_TOL):
 
 def _kernel_projections(f: _Factors):
     """:func:`kernel_projections` from the factors of P."""
-    direct_sum, block_sum, direct_diff, block_diff = _kernel_projection_routes(f)
-    if not within_scaled(frobenius(direct_sum - block_sum), f.tol.residual_tol, f.p):
-        raise InternalMismatch(
-            "N(P+P*) projections disagree between spectral and block routes"
-        )
-    if not within_scaled(frobenius(direct_diff - block_diff), f.tol.residual_tol, f.p):
-        raise InternalMismatch(
-            "N(P-P*) projections disagree between spectral and block routes"
-        )
-    return direct_sum, direct_diff
+    for kernel, gap in zip(("N(P+P*)", "N(P-P*)"), f.kernel_route_gaps):
+        if not within_scaled(gap, f.tol.residual_tol, f.p):
+            raise InternalMismatch(f"{kernel} projections disagree between spectral and block routes")
+    return f.sum_parts.proj_kernel, f.ker_diff
 
 
 def haar_unitary(n: int, seed=0) -> np.ndarray:

@@ -62,7 +62,10 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("rank_tol", "psd_tol", "residual_tol"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 

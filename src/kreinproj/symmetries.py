@@ -27,20 +27,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConstraintViolated,
-    InternalMismatch,
-    NotIdempotent,
-    NotSymmetryParam,
-    SingularShift,
-)
+from .errors import ConstraintViolated, InternalMismatch, NotSymmetryParam, SingularShift
 from .idempotents import (
     BlockForm,
+    _checked_factors,
     _Factors,
     _kernel_projections,
-    block_form,
+    _per_handle,
     random_symmetry_on,
-    validate_idempotent,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -238,30 +232,24 @@ def extremal_symmetry(p, kind: ExtremalKind, tol: Tolerances = DEFAULT_TOL) -> n
     family) or ``extremal-<kind>-dominates`` (contractive family), see
     :func:`kreinproj.verification.extremal_checks`.
     """
-    return _extremal_symmetry(_checked_factors(p, tol, "extremal_symmetry"), kind)
+    f = _checked_factors(p, tol, "extremal_symmetry requires an idempotent input")
+    return _extremal_symmetry(f, kind)
 
 
-def _checked_factors(p, tol: Tolerances, what: str) -> _Factors:
-    """The factors of ``p``; ``NotIdempotent`` naming ``what`` when ``p``
-    fails :func:`validate_idempotent`."""
-    p = as_matrix(p)
-    if not validate_idempotent(p, tol):
-        raise NotIdempotent(f"{what} requires an idempotent input")
-    return _Factors(p, tol)
-
-
+@_per_handle
 def _extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
     """:func:`extremal_symmetry` from the factors of a checked idempotent."""
-    ker_diff = _kernel_projections(f)[1] if kind is ExtremalKind.CONTR_MAX else None
-    j = _extreme_from_parts(f.sum_parts, kind, ker_diff)
+    j = _extreme(f, kind)
     if not is_symmetry(j, f.tol):
         raise InternalMismatch(f"extremal {kind.value} is not a symmetry")
     return j
 
 
-def _extreme_from_parts(parts, kind: ExtremalKind, ker_diff=None) -> np.ndarray:
-    """The extreme ``kind`` of :func:`extremal_symmetry` from ``spectral_parts(P + P*)``;
-    contr-max also needs ``ker_diff``, the projection onto N(P - P*)."""
+def _extreme(f: _Factors, kind: ExtremalKind) -> np.ndarray:
+    """The formula of :func:`extremal_symmetry` for ``kind``, from the spectral
+    projections of P + P* and, for contr-max, the projection onto N(P - P*)."""
+    ker_diff = _kernel_projections(f)[1] if kind is ExtremalKind.CONTR_MAX else None
+    parts = f.sum_parts
     pos = kind.family is SymmetryFamily.J_POSITIVE
     j = 2 * (parts.proj_positive if pos else parts.proj_negative)
     j[np.diag_indices_from(j)] -= 1.0
@@ -315,7 +303,8 @@ def sign_formula_symmetry(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     checks ``sign-formula-matches-pos-max`` and ``sign-formula-kernel-action``,
     see :func:`kreinproj.verification.extremal_checks`.
     """
-    return _sign_formula_symmetry(_checked_factors(p, tol, "sign_formula_symmetry"))
+    f = _checked_factors(p, tol, "sign_formula_symmetry requires an idempotent input")
+    return _sign_formula_symmetry(f)
 
 
 def _sign_formula_symmetry(f: _Factors) -> np.ndarray:
@@ -353,11 +342,12 @@ def nonexistence_witnesses(p, tol: Tolerances = DEFAULT_TOL):
     greatest (or least) element of the family; for orthogonal projections
     the family is bounded by I and -I instead.
     """
-    return _nonexistence_witnesses(block_form(as_matrix(p), tol), tol)
+    return _nonexistence_witnesses(_Factors(as_matrix(p), tol))
 
 
-def _nonexistence_witnesses(bf: BlockForm, tol: Tolerances):
-    """:func:`nonexistence_witnesses` from the block form of P."""
+def _nonexistence_witnesses(f: _Factors):
+    """:func:`nonexistence_witnesses` from the factors of P."""
+    bf, tol = f.bf, f.tol
     r = bf.rank
     c = bf.dim - r
     i_r = np.eye(r, dtype=np.complex128)

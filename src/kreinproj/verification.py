@@ -13,14 +13,13 @@ their inputs.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import decompositions as dec
-from .errors import KreinProjError, NotIdempotent, NotSymmetry, SingularShift
-from .idempotents import _Factors, _kernel_projection_routes, validate_idempotent
+from .errors import KreinProjError, NotSymmetry, SingularShift
+from .idempotents import _checked_factors, _checked_symmetry, _Factors, _per_handle
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -48,7 +47,7 @@ from .symmetries import (
     SymmetryFamily,
     _extremal_symmetry,
     _extremal_symmetry_via_blocks,
-    _extreme_from_parts,
+    _extreme,
     _nonexistence_witnesses,
     _sign_formula_symmetry,
     assemble_symmetry,
@@ -90,13 +89,8 @@ def classify(p, j, tol: Tolerances = DEFAULT_TOL) -> ProjectionFlags:
     Positivity and negativity require J P to be Hermitian within tolerance;
     the PSD test alone is not enough.
     """
-    p = as_matrix(p)
-    j = as_matrix(j)
-    if not validate_idempotent(p, tol):
-        raise NotIdempotent("classify requires an idempotent P")
-    if not is_symmetry(j, tol):
-        raise NotSymmetry("classify requires a symmetry J")
-    return _classify(_Factors(p, tol), j)
+    f = _checked_factors(p, tol, "classify requires an idempotent P")
+    return _classify(f, _checked_symmetry(j, tol, NotSymmetry, "classify requires a symmetry J"))
 
 
 def _classify(f: _Factors, j) -> ProjectionFlags:
@@ -123,13 +117,9 @@ def contractive_positive_equivalence(p, j, tol: Tolerances = DEFAULT_TOL) -> Che
     verdicts agree (including the case where both fail).  On disagreement
     the residual records the larger violation.
     """
-    p = as_matrix(p)
-    j = as_matrix(j)
-    if not validate_idempotent(p, tol):
-        raise NotIdempotent("biconditional check requires an idempotent P")
-    if not is_symmetry(j, tol):
-        raise NotSymmetry("biconditional check requires a symmetry J")
-    return _contractive_positive_equivalence(_Factors(p, tol), j)
+    f = _checked_factors(p, tol, "biconditional check requires an idempotent P")
+    j = _checked_symmetry(j, tol, NotSymmetry, "biconditional check requires a symmetry J")
+    return _contractive_positive_equivalence(f, j)
 
 
 def _contractive_positive_equivalence(f: _Factors, j) -> CheckResult:
@@ -209,10 +199,15 @@ def _extremal_checks(f: _Factors, which, j) -> list:
     checks = [residual_check(f"{prefix}-symmetry", ref, sym_res, tol.residual_tol * sp)]
     checks += family_checks(prefix, ref, p, j, kind.family, tol, sp)
     if which == SIGN_FORMULA:
-        parts = f.sum_parts
-        pos_max = _extreme_from_parts(parts, kind)
-        checks += _sign_formula_checks(j, pos_max, parts.proj_kernel, tol.residual_tol * sp)
+        pos_max = _extreme(f, kind)
+        checks += _sign_formula_checks(j, pos_max, f.sum_parts.proj_kernel, tol.residual_tol * sp)
     return checks
+
+
+@_per_handle
+def _extreme_checks(f: _Factors, kind: ExtremalKind) -> list:
+    """:func:`extremal_checks` of the extreme ``kind`` of P."""
+    return _extremal_checks(f, kind.value, _extremal_symmetry(f, kind))
 
 
 _SPLIT_REFS = {
@@ -261,29 +256,20 @@ def extremality_probe(
         raise ValueError("samples must be at least 1")
     if family is SymmetryFamily.J_PROJECTION:
         raise ValueError("the intertwining family has no extreme elements to probe")
-    return _extremality_probe(_Factors(as_matrix(p), tol), family, samples, seed, {}, {})
+    return _extremality_probe(_Factors(as_matrix(p), tol), family, samples, seed)
 
 
-def _extremality_probe(f: _Factors, family, samples, seed, extremes, extreme_checks) -> Report:
+def _extremality_probe(f: _Factors, family, samples, seed) -> Report:
     """:func:`extremality_probe` with checked arguments, from the factors of P.
-    The extremes it needs come from ``extremes`` (by kind) when there, and
-    their family checks from ``extreme_checks``: the ``extremal-<kind>``
-    family checks of :func:`extremal_checks`, which it renames."""
-    p, tol, sp = f.p, f.tol, f.sp
-    bf = f.bf
+    The extremes' family checks are their ``extremal-<kind>`` checks, renamed."""
+    p, tol, bf = f.p, f.tol, f.bf
     kind_min, kind_max = (k for k in ExtremalKind if k.family is family)
-    ref = _FAMILY_REFS[family]
-    j_min, j_max = (
-        extremes[k] if k in extremes else _extremal_symmetry(f, k) for k in (kind_min, kind_max)
-    )
-
+    j_min, j_max = _extremal_symmetry(f, kind_min), _extremal_symmetry(f, kind_max)
     checks = []
-    for label, kind, j in (("extreme-min", kind_min, j_min), ("extreme-max", kind_max, j_max)):
-        if kind in extreme_checks:
-            cut = len(f"extremal-{kind.value}")
-            checks += [dataclasses.replace(c, name=label + c.name[cut:]) for c in extreme_checks[kind]]
-        else:
-            checks += family_checks(label, _KIND_REFS[kind], p, j, family, tol, sp)
+    for label, kind in (("extreme-min", kind_min), ("extreme-max", kind_max)):
+        cut = len(f"extremal-{kind.value}")
+        checks += [dataclasses.replace(c, name=label + c.name[cut:]) for c in _extreme_checks(f, kind)[1:]]
+    ref = _FAMILY_REFS[family]
     for i, params in enumerate(sample_params(bf, family, samples, seed, tol)):
         j = assemble_symmetry(bf, family, params, tol)
         checks.append(
@@ -302,33 +288,226 @@ def _extremality_probe(f: _Factors, family, samples, seed, extremes, extreme_che
     return Report(subject=subject, checks=checks, config=tol, seed=seed)
 
 
-_GROUPS = [
-    ("block-form", "Eq. (1.1)"),
-    ("kernel-routes", "Lemma 6"),
-    ("negative-part-formula", "Lemma 1"),
-    ("extremal-constructions", "Lemma 4 / Theorems 7, 8(i)"),
-    ("sign-formula", "Remark"),
-    ("probe-positive", "Lemma 4 / Theorem 8(i)"),
-    ("probe-contractive", "Theorem 7(i)(ii)"),
-    ("projection-identities", "Theorem 12"),
-    ("intertwining", "Proposition 9"),
-    ("adjoint-similarity", "Corollary 10(i)"),
-    ("complement-sum", "Corollary 10(iii)"),
-]
+# The check groups of full_report.  Each body takes the factors of P and the
+# run, and yields its checks; a body that raises ends its group with one
+# failed check named after the group, keeping the checks it already yielded.
 
-_J_GROUPS = [
-    ("j-checks", "§1"),
-    ("biconditional", "Lemma 11"),
-    ("contractive-expansive-split", "Corollary 14"),
-    ("positive-negative-split", "Lemma 13"),
-    ("witness-pair", "Theorem 8(ii)"),
-]
+
+class _Run(NamedTuple):
+    """What a check group reads besides the factors of P."""
+
+    j: Optional[np.ndarray]  # the admitted symmetry, for the J groups
+    samples: int
+    seed: Optional[int]
+    subject: dict
 
 
 def _failed(name, ref, exc) -> CheckResult:
     return residual_check(
         name, ref, _ERROR_RESIDUAL, 0.0, note=f"{type(exc).__name__}: {exc}"
     )
+
+
+def _run_group(name, ref, body, *args) -> list:
+    """The checks ``body(*args)`` yields, ended by a failed check ``name`` if it
+    raises, or by a skipped one if the sign-formula shift is singular."""
+    checks = []
+    try:
+        for check in body(*args):
+            checks.append(check)
+    except SingularShift as e:
+        checks.append(skipped_check(name, ref, str(e)))
+    except (KreinProjError, ValueError) as e:
+        checks.append(_failed(name, ref, e))
+    return checks
+
+
+def _block_form_checks(f: _Factors, run: _Run):
+    w = f.bf.unitary
+    budget = f.tol.residual_tol * f.sp
+    eye = np.eye(f.p.shape[0], dtype=np.complex128)
+    yield residual_check("block-basis-unitary", "Eq. (1.1)", frobenius(w.conj().T @ w - eye), budget)
+    yield residual_check("block-form-round-trip", "Eq. (1.1)", frobenius(f.bf._reassembled - f.p), budget)
+
+
+def _kernel_route_checks(f: _Factors, run: _Run):
+    sum_gap, diff_gap = f.kernel_route_gaps
+    budget = f.tol.residual_tol * f.sp
+    yield residual_check("kernel-sum-route-agreement", "Lemma 6(i)", sum_gap, budget)
+    yield residual_check("kernel-diff-route-agreement", "Lemma 6(ii)", diff_gap, budget)
+
+
+def _negative_part_checks(f: _Factors, run: _Run):
+    """The closed-form negative projection against its spectral oracle."""
+    tol, bf = f.tol, f.bf
+    corner, (u, sv, vh) = bf.corner, bf._corner_svd
+    s_mat = dec.anchored_block(corner)
+    formula = dec._negative_part_formula(corner, (u, sv, vh), tol)
+    oracle = spectral_parts(s_mat, tol).proj_negative
+    yield residual_check(
+        "negative-part-closed-form", "Lemma 1",
+        frobenius(formula - oracle), tol.residual_tol * scale_of(s_mat),
+    )
+    halved = dec._negative_part_formula(corner / 2, (u, sv / 2, vh), tol)
+    w = bf.unitary
+    sum_neg_blocks = w.conj().T @ f.sum_parts.proj_negative @ w
+    yield residual_check(
+        "negative-part-halved-corner", "Lemma 1",
+        frobenius(halved - sum_neg_blocks), tol.residual_tol * f.sum_scale,
+    )
+
+
+def _construction_checks(f: _Factors, kind: ExtremalKind):
+    """One extreme's checks and its match with the block-route construction."""
+    yield from _extreme_checks(f, kind)
+    via_blocks = _extremal_symmetry_via_blocks(f, kind)
+    yield residual_check(
+        f"extremal-{kind.value}-block-route", _KIND_REFS[kind],
+        frobenius(via_blocks - _extremal_symmetry(f, kind)), f.tol.residual_tol * f.sp,
+    )
+
+
+def _extremal_construction_checks(f: _Factors, run: _Run):
+    """Both constructions of each extreme, then, when all four were built, the
+    identity web tying them to the spectral projections of P + P*."""
+    for kind in ExtremalKind:
+        yield from _run_group(f"extremal-{kind.value}", _KIND_REFS[kind], _construction_checks, f, kind)
+    extremes = [f.kept(_extremal_symmetry, kind) for kind in ExtremalKind]
+    if any(jk is None for jk in extremes):
+        return
+    j_pos_min, j_pos_max, j_contr_min, _ = extremes
+    parts, budget = f.sum_parts, f.tol.residual_tol * f.sp
+    web = [
+        ("identity-web-pos-min", "Lemma 4", j_pos_min,
+         parts.proj_positive - parts.proj_negative - parts.proj_kernel),
+        ("identity-web-pos-max", "Theorem 8(i)", j_pos_max,
+         parts.proj_positive - parts.proj_negative + parts.proj_kernel),
+        ("identity-web-contr-min", "Theorem 7(i)", j_contr_min,
+         parts.proj_negative - parts.proj_positive + parts.proj_kernel),
+    ]
+    for name, ref, lhs, rhs in web:
+        yield residual_check(name, ref, frobenius(lhs - rhs), budget)
+
+
+def _sign_formula_group(f: _Factors, run: _Run):
+    """The sign-function route to pos-max, against pos-max where the
+    extremal group built it."""
+    jsf = _sign_formula_symmetry(f)
+    pos_max = f.kept(_extremal_symmetry, ExtremalKind.POS_MAX)
+    return _sign_formula_checks(jsf, pos_max, f.sum_parts.proj_kernel, f.tol.residual_tol * f.sp)
+
+
+def _probe_checks(f: _Factors, run: _Run, family: SymmetryFamily):
+    if run.samples < 1:
+        raise ValueError("samples must be at least 1")
+    probe = _extremality_probe(f, family, run.samples, run.seed)
+    return [dataclasses.replace(c, name=f"probe-{family.value}/{c.name}") for c in probe.checks]
+
+
+def _intertwining_checks(f: _Factors, run: _Run):
+    budget = f.tol.residual_tol * f.sp
+    yield residual_check("intertwining-residual", "Proposition 9", dec._intertwine(f)[2], budget)
+    sv_p, sv_q = f.bf._corner_svd[1], f.comp.bf._corner_svd[1]
+    sv_gap = float(np.max(np.abs(sv_p - sv_q))) if sv_p.size else 0.0
+    yield residual_check("corner-singular-values", "Proposition 9", sv_gap, budget)
+
+
+def _adjoint_similarity_checks(f: _Factors, run: _Run):
+    residual = dec._adjoint_similarity(f)[1]
+    yield residual_check("adjoint-similarity-residual", "Corollary 10(i)", residual, f.tol.residual_tol * f.sp)
+
+
+def _complement_sum_checks(f: _Factors, run: _Run):
+    budget = f.tol.residual_tol * f.sp
+    residual = dec._complement_sum_equivalence(f)[1]
+    yield residual_check("complement-sum-residual", "Corollary 10(iii)", residual, budget)
+    lhs, rhs = dec._padded_sums(f)
+    spec_gap = (
+        float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (lhs + lhs.conj().T))
+                            - np.linalg.eigvalsh(0.5 * (rhs + rhs.conj().T)))))
+        if f.p.shape[0]
+        else 0.0
+    )
+    yield residual_check("complement-sum-spectra", "Corollary 10(iii)", spec_gap, budget)
+
+
+def _classification(f: _Factors, run: _Run):
+    run.subject["classification"] = dict(_classify(f, run.j)._asdict())
+    return ()
+
+
+def _witness_checks(f: _Factors, run: _Run):
+    p, tol = f.p, f.tol
+    j_a, j_b, verdict = _nonexistence_witnesses(f)
+    for name, wit in (("witness-a", j_a), ("witness-b", j_b)):
+        yield from family_checks(name, "Theorem 8(ii)", p, wit, SymmetryFamily.J_PROJECTION, tol, f.sp)
+    if f.bf._inv_sqrts[2] > tol.rank_tol * f.sp:
+        # nonzero corner: no greatest element, witnessed by a gap with
+        # eigenvalues of both signs
+        gap = min(verdict.max_eig, -verdict.min_eig) - INDEFINITE_MARGIN
+        yield margin_check(
+            "witness-gap-indefinite", "Theorem 8(ii)", gap, 0.0,
+            note="difference must carry eigenvalues of both signs",
+        )
+    else:
+        # orthogonal projection: the greatest element exists and is the
+        # identity, which must be admissible and dominate both witnesses
+        yield residual_check(
+            "witness-bound-identity-admissible", "Theorem 8(ii)",
+            frobenius(p - p.conj().T), tol.residual_tol * f.sp,
+        )
+        eye = np.eye(p.shape[0], dtype=np.complex128)
+        dominance = min(min_eig(eye - j_a), min_eig(eye - j_b))
+        yield margin_check(
+            "witness-bound-identity-dominates", "Theorem 8(ii)", dominance, tol.psd_tol * f.sp,
+        )
+
+
+_POS, _CONTR = SymmetryFamily.J_POSITIVE, SymmetryFamily.J_CONTRACTIVE
+
+_GROUPS = [
+    ("block-form", "Eq. (1.1)", _block_form_checks),
+    ("kernel-routes", "Lemma 6", _kernel_route_checks),
+    ("negative-part-formula", "Lemma 1", _negative_part_checks),
+    ("extremal-constructions", "Lemma 4 / Theorems 7, 8(i)", _extremal_construction_checks),
+    ("sign-formula", "Remark", _sign_formula_group),
+    ("probe-positive", _FAMILY_REFS[_POS], lambda f, run: _probe_checks(f, run, _POS)),
+    ("probe-contractive", _FAMILY_REFS[_CONTR], lambda f, run: _probe_checks(f, run, _CONTR)),
+    ("projection-identities", "Theorem 12", lambda f, run: dec._spectral_projection_identities(f).checks),
+    ("intertwining", "Proposition 9", _intertwining_checks),
+    ("adjoint-similarity", "Corollary 10(i)", _adjoint_similarity_checks),
+    ("complement-sum", "Corollary 10(iii)", _complement_sum_checks),
+]
+
+_J_GROUPS = [
+    ("j-checks", "§1", _classification),
+    ("biconditional", "Lemma 11", lambda f, run: [_contractive_positive_equivalence(f, run.j)]),
+    ("contractive-expansive-split", _SPLIT_REFS[dec.SplitKind.CONTRACTIVE_EXPANSIVE],
+     lambda f, run: _split_checks(dec._contractive_expansive_split(f, run.j), f, run.j, "split-ce-")),
+    ("positive-negative-split", _SPLIT_REFS[dec.SplitKind.POSITIVE_NEGATIVE],
+     lambda f, run: _split_checks(dec._positive_negative_split(f, run.j), f, run.j, "split-pn-")),
+    ("witness-pair", "Theorem 8(ii)", _witness_checks),
+]
+
+
+def _admitted_symmetry(f: _Factors, j, subject: dict):
+    """``(J, ||J P J - P*||, None)`` for a symmetry J that intertwines P and
+    P*, else ``(None, None, reason)``: the reason the J groups are skipped."""
+    if j is None:
+        return None, None, "no symmetry supplied"
+    try:
+        subject["symmetry_sha256"] = matrix_digest(j)
+        j = np.asarray(j, dtype=np.complex128)
+    except (TypeError, ValueError) as e:
+        return None, None, f"J is not a matrix ({type(e).__name__}: {e})"
+    if j.shape != f.p.shape:
+        return None, None, "symmetry dimension does not match"
+    if not np.all(np.isfinite(j)) or not is_symmetry(j, f.tol):
+        return None, None, "J is not a symmetry"
+    jpj_res = frobenius(j @ f.p @ j - f.p.conj().T)
+    if jpj_res > f.tol.residual_tol * f.sp:
+        return None, None, "JPJ != P*"
+    return j, jpj_res, None
 
 
 def full_report(
@@ -344,11 +523,13 @@ def full_report(
     that do not apply are recorded as skipped with a reason: everything
     after a failed idempotency gate (including an input that is not a
     finite square matrix, whose error is the gate's note), and the
-    J-dependent group when J is missing, is not a symmetry, or does not
-    satisfy J P J = P*.  ``samples < 1`` fails the two probe groups.
+    J-dependent group when J is missing, is not a matrix or not a symmetry,
+    or does not satisfy J P J = P*.  ``samples < 1`` fails the two probe groups.
 
-    The report factors P and I - P once and every check group reuses those
-    factors; each public function called on its own factors its own input.
+    The report builds one handle each for P and I - P: each is factored
+    once, and what several check groups read (the extremes, the
+    intertwiners, the padded sums) is computed once per report.  Each
+    public function called on its own factors its own input.
     """
     checks = []
     subject = {}
@@ -363,250 +544,25 @@ def full_report(
         gate = _failed("idempotent", "§1", e)
     checks.append(gate)
     if gate.status == FAIL:
-        for name, ref in _GROUPS + _J_GROUPS:
+        for name, ref, _ in _GROUPS + _J_GROUPS:
             checks.append(skipped_check(name, ref, "input is not idempotent"))
         return report
 
     # From here on every group reads the factorizations of P from ``f`` and
     # skips the idempotency check of its public function: the gate made it.
-    n = p.shape[0]
-    res_budget = tol.residual_tol * f.sp
-    psd_budget = tol.psd_tol * f.sp
-    bf, bf_comp, parts = f.bf, f.bf_comp, f.sum_parts
-    eye = np.eye(n, dtype=np.complex128)
-    subject["rank"] = bf.rank
+    subject["rank"] = f.bf.rank
+    run = _Run(None, samples, seed, subject)
+    for name, ref, body in _GROUPS:
+        checks += _run_group(name, ref, body, f, run)
 
-    # block form
-    w = bf.unitary
-    checks.append(
-        residual_check(
-            "block-basis-unitary", "Eq. (1.1)",
-            frobenius(w.conj().T @ w - eye), res_budget,
-        )
-    )
-    checks.append(
-        residual_check(
-            "block-form-round-trip", "Eq. (1.1)",
-            frobenius(bf._reassembled - p), res_budget,
-        )
-    )
-
-    # kernel projections, both routes
-    try:
-        ds, bs, dd, bd = _kernel_projection_routes(f)
-        checks.append(
-            residual_check("kernel-sum-route-agreement", "Lemma 6(i)", frobenius(ds - bs), res_budget)
-        )
-        checks.append(
-            residual_check("kernel-diff-route-agreement", "Lemma 6(ii)", frobenius(dd - bd), res_budget)
-        )
-    except KreinProjError as e:
-        checks.append(_failed("kernel-routes", "Lemma 6", e))
-
-    # closed-form negative projection against its spectral oracle
-    try:
-        corner, (u, sv, vh) = bf.corner, bf._corner_svd
-        s_mat = dec.anchored_block(corner)
-        formula = dec._negative_part_formula(corner, (u, sv, vh), tol)
-        oracle = spectral_parts(s_mat, tol).proj_negative
-        checks.append(
-            residual_check(
-                "negative-part-closed-form", "Lemma 1",
-                frobenius(formula - oracle), tol.residual_tol * scale_of(s_mat),
-            )
-        )
-        halved = dec._negative_part_formula(corner / 2, (u, sv / 2, vh), tol)
-        sum_neg_blocks = w.conj().T @ parts.proj_negative @ w
-        checks.append(
-            residual_check(
-                "negative-part-halved-corner", "Lemma 1",
-                frobenius(halved - sum_neg_blocks),
-                tol.residual_tol * f.sum_scale,
-            )
-        )
-    except KreinProjError as e:
-        checks.append(_failed("negative-part-formula", "Lemma 1", e))
-
-    # extremal constructions, both code paths, plus the identity web; each
-    # extreme's family checks are shared with the probes
-    extremes, extreme_checks = {}, {}
-    for kind in ExtremalKind:
-        ref = _KIND_REFS[kind]
-        try:
-            jk = _extremal_symmetry(f, kind)
-            extremes[kind] = jk
-            kind_checks = _extremal_checks(f, kind.value, jk)
-            extreme_checks[kind] = kind_checks[1:]
-            checks += kind_checks
-            via_blocks = _extremal_symmetry_via_blocks(f, kind)
-            checks.append(
-                residual_check(
-                    f"extremal-{kind.value}-block-route", ref,
-                    frobenius(via_blocks - jk), res_budget,
-                )
-            )
-        except KreinProjError as e:
-            checks.append(_failed(f"extremal-{kind.value}", ref, e))
-    if len(extremes) == len(list(ExtremalKind)):
-        web = [
-            ("identity-web-pos-min", "Lemma 4", extremes[ExtremalKind.POS_MIN],
-             parts.proj_positive - parts.proj_negative - parts.proj_kernel),
-            ("identity-web-pos-max", "Theorem 8(i)", extremes[ExtremalKind.POS_MAX],
-             parts.proj_positive - parts.proj_negative + parts.proj_kernel),
-            ("identity-web-contr-min", "Theorem 7(i)", extremes[ExtremalKind.CONTR_MIN],
-             parts.proj_negative - parts.proj_positive + parts.proj_kernel),
-        ]
-        for name, ref, lhs, rhs in web:
-            checks.append(residual_check(name, ref, frobenius(lhs - rhs), res_budget))
-
-    # sign-function route to the positive family's greatest element
-    try:
-        jsf = _sign_formula_symmetry(f)
-        checks += _sign_formula_checks(
-            jsf, extremes.get(ExtremalKind.POS_MAX), parts.proj_kernel, res_budget
-        )
-    except SingularShift as e:
-        checks.append(skipped_check("sign-formula", "Remark", str(e)))
-    except KreinProjError as e:
-        checks.append(_failed("sign-formula", "Remark", e))
-
-    # sampled extremality probes for both bounded families
-    for family, prefix in (
-        (SymmetryFamily.J_POSITIVE, "probe-positive/"),
-        (SymmetryFamily.J_CONTRACTIVE, "probe-contractive/"),
-    ):
-        name, ref = prefix.rstrip("/"), _FAMILY_REFS[family]
-        if samples < 1:
-            checks.append(_failed(name, ref, ValueError("samples must be at least 1")))
-            continue
-        try:
-            probe = _extremality_probe(f, family, samples, seed, extremes, extreme_checks)
-            report.extend_prefixed(prefix, probe)
-        except KreinProjError as e:
-            checks.append(_failed(name, ref, e))
-
-    # spectral projection identities for the complement
-    try:
-        report.extend_prefixed("", dec._spectral_projection_identities(f))
-    except KreinProjError as e:
-        checks.append(_failed("projection-identities", "Theorem 12", e))
-
-    # intertwining unitaries and the unitary equivalences they produce, from
-    # one computation of the unitaries (a failing one is retried, and fails
-    # the same way, in each group)
-    intertwine = functools.cache(lambda: dec._intertwine(f))
-    try:
-        _, _, intertwine_res = intertwine()
-        checks.append(
-            residual_check("intertwining-residual", "Proposition 9", intertwine_res, res_budget)
-        )
-        sv_p, sv_q = bf._corner_svd[1], bf_comp._corner_svd[1]
-        sv_gap = float(np.max(np.abs(sv_p - sv_q))) if sv_p.size else 0.0
-        checks.append(
-            residual_check("corner-singular-values", "Proposition 9", sv_gap, res_budget)
-        )
-    except KreinProjError as e:
-        checks.append(_failed("intertwining", "Proposition 9", e))
-    try:
-        _, adj_res = dec._adjoint_similarity(f, *intertwine()[:2])
-        checks.append(
-            residual_check("adjoint-similarity-residual", "Corollary 10(i)", adj_res, res_budget)
-        )
-    except KreinProjError as e:
-        checks.append(_failed("adjoint-similarity", "Corollary 10(i)", e))
-    try:
-        _, sum_res = dec._complement_sum_equivalence(f, *intertwine()[:2])
-        checks.append(
-            residual_check("complement-sum-residual", "Corollary 10(iii)", sum_res, res_budget)
-        )
-        lhs = p + p.conj().T + 2 * (eye - bf.basis_range @ bf.basis_range.conj().T)
-        rhs = 2 * eye - p - p.conj().T + 2 * (eye - bf_comp.basis_range @ bf_comp.basis_range.conj().T)
-        spec_gap = (
-            float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (lhs + lhs.conj().T))
-                                - np.linalg.eigvalsh(0.5 * (rhs + rhs.conj().T)))))
-            if n
-            else 0.0
-        )
-        checks.append(
-            residual_check("complement-sum-spectra", "Corollary 10(iii)", spec_gap, res_budget)
-        )
-    except KreinProjError as e:
-        checks.append(_failed("complement-sum", "Corollary 10(iii)", e))
-
-    # J-dependent group
-    skip_reason = None
-    if j is None:
-        skip_reason = "no symmetry supplied"
-    else:
-        subject["symmetry_sha256"] = matrix_digest(j)
-        j = np.asarray(j, dtype=np.complex128)
-        if j.shape != p.shape:
-            skip_reason = "symmetry dimension does not match"
-        elif not np.all(np.isfinite(j)) or not is_symmetry(j, tol):
-            skip_reason = "J is not a symmetry"
-        else:
-            jpj_res = frobenius(j @ p @ j - p.conj().T)
-            if jpj_res > res_budget:
-                skip_reason = "JPJ != P*"
+    j, jpj_res, skip_reason = _admitted_symmetry(f, j, subject)
     if skip_reason is not None:
-        for name, ref in _J_GROUPS:
+        for name, ref, _ in _J_GROUPS:
             checks.append(skipped_check(name, ref, skip_reason))
         return report
-
-    checks.append(residual_check("j-intertwines-adjoint", "§1", jpj_res, res_budget))
-    # the idempotency gate and is_symmetry(j) above are the public wrappers' checks
-    try:
-        flags = _classify(f, j)
-        subject["classification"] = dict(flags._asdict())
-    except KreinProjError as e:
-        checks.append(_failed("j-checks", "§1", e))
-    try:
-        checks.append(_contractive_positive_equivalence(f, j))
-    except KreinProjError as e:
-        checks.append(_failed("biconditional", "Lemma 11", e))
-
-    try:
-        ce = dec._contractive_expansive_split(p, j, bf, tol)
-        checks += _split_checks(ce, f, j, "split-ce-")
-    except KreinProjError as e:
-        checks.append(_failed("contractive-expansive-split", "Corollary 14", e))
-    try:
-        pn = dec._positive_negative_split(f, j)
-        checks += _split_checks(pn, f, j, "split-pn-")
-    except KreinProjError as e:
-        checks.append(_failed("positive-negative-split", "Lemma 13", e))
-
-    try:
-        j_a, j_b, verdict = _nonexistence_witnesses(bf, tol)
-        for name, wit in (("witness-a", j_a), ("witness-b", j_b)):
-            checks += family_checks(name, "Theorem 8(ii)", p, wit, SymmetryFamily.J_PROJECTION, tol, f.sp)
-        if bf._inv_sqrts[2] > tol.rank_tol * f.sp:
-            # nonzero corner: no greatest element, witnessed by a gap with
-            # eigenvalues of both signs
-            gap = min(verdict.max_eig, -verdict.min_eig) - INDEFINITE_MARGIN
-            checks.append(
-                margin_check(
-                    "witness-gap-indefinite", "Theorem 8(ii)", gap, 0.0,
-                    note="difference must carry eigenvalues of both signs",
-                )
-            )
-        else:
-            # orthogonal projection: the greatest element exists and is the
-            # identity, which must be admissible and dominate both witnesses
-            checks.append(
-                residual_check(
-                    "witness-bound-identity-admissible", "Theorem 8(ii)",
-                    frobenius(p - p.conj().T), res_budget,
-                )
-            )
-            dominance = min(min_eig(eye - j_a), min_eig(eye - j_b))
-            checks.append(
-                margin_check(
-                    "witness-bound-identity-dominates", "Theorem 8(ii)",
-                    dominance, psd_budget,
-                )
-            )
-    except KreinProjError as e:
-        checks.append(_failed("witness-pair", "Theorem 8(ii)", e))
-
+    checks.append(residual_check("j-intertwines-adjoint", "§1", jpj_res, tol.residual_tol * f.sp))
+    # the checks of _admitted_symmetry are those of the public wrappers
+    run = run._replace(j=j)
+    for name, ref, body in _J_GROUPS:
+        checks += _run_group(name, ref, body, f, run)
     return report

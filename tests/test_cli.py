@@ -243,6 +243,31 @@ def test_verify_glob_merges_cases(tmp_path):
     assert passing_case0 and all(c["status"] != "fail" for c in passing_case0)
 
 
+def test_verify_rejects_non_finite_tolerances_before_writing(tmp_path, capsys):
+    p_path = tmp_path / "P.json"
+    write_matrix(p_path, P2)
+    out = tmp_path / "R.json"
+    for flag in ("--tol-res=nan", "--tol-psd=inf", "--tol-rank=-inf"):
+        assert main(["verify", str(p_path), flag, "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+    j_path = tmp_path / "J.json"
+    assert main(["extremal", str(p_path), "--which", "pos-max", "--tol-res", "nan",
+                 "-o", str(j_path)]) == 2
+    assert not j_path.exists()
+
+
+def test_verify_glob_rejects_cases_sharing_a_stem(tmp_path, capsys):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        write_matrix(tmp_path / sub / "P.json", P2)
+    out = tmp_path / "merged.json"
+    assert main(["verify", "--glob", str(tmp_path / "*" / "P.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "a" / "P.json") in err and str(tmp_path / "b" / "P.json") in err
+    assert not out.exists()
+
+
 def test_verify_glob_usage(tmp_path):
     assert main(["verify", "--glob", str(tmp_path / "nothing*.json")]) == 3
     p_path = tmp_path / "P.json"
@@ -315,3 +340,10 @@ def test_verify_rejects_samples_below_one_before_reading(tmp_path, capsys):
     for value in ("0", "-3", "two"):
         assert main(["verify", str(tmp_path / "absent.json"), "--samples", value]) == 2
         assert "--samples" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_negative_seed_before_reading(tmp_path, capsys):
+    # a report with a negative seed records its probe groups as failed, so
+    # the command refuses the seed as a usage error first
+    assert main(["verify", str(tmp_path / "absent.json"), "--seed=-1"]) == 2
+    assert "--seed: must be at least 0, got -1" in capsys.readouterr().err

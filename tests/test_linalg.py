@@ -30,6 +30,14 @@ def test_tolerances_reject_negative():
         Tolerances(rank_tol=-1e-3)
 
 
+@pytest.mark.parametrize("field", ["rank_tol", "psd_tol", "residual_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_tolerances_reject_non_finite(field, value):
+    # a NaN budget fails every check and an infinite one passes every check
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Tolerances(**{field: value})
+
+
 def test_eig_already_diagonal():
     w, q = hermitian_eig(np.diag([2.0, 0.0]))
     np.testing.assert_allclose(w, [2.0, 0.0], atol=1e-14)

@@ -6,11 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kreinproj import (
     ExtremalKind,
     NotIdempotent,
     NotSymmetry,
+    Report,
     SymmetryFamily,
     assemble_symmetry,
     block_form,
@@ -22,6 +26,7 @@ from kreinproj import (
     random_symmetry_on,
     sample_params,
 )
+from kreinproj.linalg import DEFAULT_TOL
 from kreinproj.matrixio import render_report
 
 SQRT2 = math.sqrt(2.0)
@@ -211,6 +216,36 @@ def test_full_report_non_finite_symmetry_skips_j_groups():
     assert [c.note for c in skipped] == ["J is not a symmetry"] * 5
 
 
+@pytest.mark.parametrize("bad_j", ["x", [[1.0, 0.0], [0.0]], object()], ids=["string", "ragged", "object"])
+def test_full_report_skips_j_groups_for_a_symmetry_that_is_not_a_matrix(bad_j):
+    report = full_report(P2, bad_j, samples=2, seed=0)
+    without_j = full_report(P2, None, samples=2, seed=0)
+    j_groups = without_j.checks[-5:]
+    assert report.checks[:-5] == without_j.checks[:-5]
+    assert [c.name for c in report.checks[-5:]] == [c.name for c in j_groups]
+    for c in report.checks[-5:]:
+        assert c.status == "skipped" and c.note.startswith("J is not a matrix ("), c.note
+
+
+_ENTRIES = st.one_of(st.floats(-2.0, 2.0), st.just(math.nan), st.just(math.inf))
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+_MALFORMED = st.one_of(
+    st.text(max_size=3),
+    st.lists(st.lists(st.floats(-2.0, 2.0), max_size=3), max_size=3),  # ragged or empty
+    hnp.arrays(np.float64, _SHAPES, elements=_ENTRIES),  # NaN, empty, 1-D, 3-D, non-square
+    hnp.arrays(np.bool_, _SHAPES),  # many small boolean matrices are idempotent
+    st.sampled_from([P2, P3, np.zeros((0, 0)), np.eye(3), None, object()]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=_MALFORMED, j=_MALFORMED)
+def test_full_report_never_raises_on_malformed_input(p, j):
+    report = full_report(p, j, samples=1, seed=0)
+    assert isinstance(report, Report)
+    assert report.checks[0].name == "idempotent"
+
+
 def test_full_report_passes_across_a_wide_corner_spectrum():
     # Corner singular values 1e4, 3 and 1e-2 under random rotations.  Taking
     # (I + C C*)^(-1/2) from an eigendecomposition of I + C C* lost the small
@@ -261,11 +296,18 @@ def test_standalone_functions_match_full_report(label, p, j):
         adjoint_similarity,
         complement_sum_equivalence,
         contractive_expansive_split,
+        extremal_checks,
+        extremal_symmetry,
         intertwining_unitaries,
+        nonexistence_witnesses,
         positive_negative_split,
+        sign_formula_symmetry,
         spectral_projection_identities,
         split_checks,
     )
+    from kreinproj.linalg import scale_of
+    from kreinproj.symmetries import family_checks
+    from kreinproj.verification import INDEFINITE_MARGIN
 
     samples = 3
     report = full_report(p, j, samples=samples, seed=0)
@@ -279,9 +321,27 @@ def test_standalone_functions_match_full_report(label, p, j):
     expected += [(c.name, c) for c in spectral_projection_identities(p).checks]
     expected += [(c.name, c) for c in split_checks(contractive_expansive_split(p, j), p, j, prefix="split-ce-")]
     expected += [(c.name, c) for c in split_checks(positive_negative_split(p, j), p, j, prefix="split-pn-")]
+    for kind in ExtremalKind:
+        expected += [(c.name, c) for c in extremal_checks(p, kind.value, extremal_symmetry(p, kind))]
+    expected.append(("contractive-iff-complement-positive", contractive_positive_equivalence(p, j)))
+    j_a, j_b, verdict = nonexistence_witnesses(p)
+    for name, wit in (("witness-a", j_a), ("witness-b", j_b)):
+        expected += [(c.name, c) for c in family_checks(
+            name, "Theorem 8(ii)", p, wit, SymmetryFamily.J_PROJECTION, DEFAULT_TOL, scale_of(p))]
     for name, c in expected:
         assert name in by_name, (label, name)
         assert by_name[name] == dataclasses.replace(c, name=name), (label, name)
+    if "witness-gap-indefinite" in by_name:
+        gap = min(verdict.max_eig, -verdict.min_eig) - INDEFINITE_MARGIN
+        assert by_name["witness-gap-indefinite"].margin == gap, label
+
+    # the report keeps two of the sign-function route's checks
+    sign = {c.name: c for c in extremal_checks(p, "sign-formula", sign_formula_symmetry(p))}
+    in_report = [name for name in by_name if name.startswith("sign-formula-")]
+    assert in_report == ["sign-formula-matches-pos-max", "sign-formula-kernel-action"], label
+    for name in in_report:
+        assert by_name[name] == sign[name], (label, name)
+    assert report.subject["classification"] == classify(p, j)._asdict(), label
 
     residuals = {
         "intertwining-residual": intertwining_unitaries(p)[2],
@@ -301,3 +361,9 @@ def test_full_report_records_probe_groups_failed_for_samples_below_one():
         assert failed == [("probe-positive", note), ("probe-contractive", note)]
         assert not any(c.name.startswith("probe-") and "/" in c.name for c in report.checks)
         assert "complement-sum-residual" in {c.name for c in report.checks}
+
+
+def test_full_report_records_probe_groups_failed_for_a_negative_seed():
+    report = full_report(random_idempotent(5, 2, 2.0, seed=3), None, samples=2, seed=-1)
+    failed = [(c.name, c.note.split(":")[0]) for c in report.failures()]
+    assert failed == [("probe-positive", "ValueError"), ("probe-contractive", "ValueError")]
