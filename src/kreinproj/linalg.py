@@ -152,10 +152,18 @@ def hermitian_eig(a, tol: Tolerances = DEFAULT_TOL):
 
 def min_eig(a) -> float:
     """Smallest eigenvalue of the Hermitian part of ``a``; +inf when empty."""
+    return _eig_range(a)[0]
+
+
+def _eig_range(a):
+    """``(lambda_min, lambda_max)`` of the Hermitian part of ``a`` from one
+    ``eigvalsh``; ``(+inf, -inf)`` when empty.  ``-lambda_max`` equals
+    ``min_eig(-a)`` up to rounding, not always bitwise."""
     a = np.asarray(a)
     if a.shape[0] == 0:
-        return float("inf")
-    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
+        return float("inf"), float("-inf")
+    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+    return float(w[0]), float(w[-1])
 
 
 def rank_mask(s, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -254,6 +262,14 @@ def loewner_geq(a, b, tol: Tolerances = DEFAULT_TOL):
     the verdict is true when the margin is at least ``-psd_tol * scale`` of
     the difference.
     """
+    d = _loewner_diff(a, b, tol)
+    margin = min_eig(d)
+    return within_scaled(-margin, tol.psd_tol, d), margin
+
+
+def _loewner_diff(a, b, tol: Tolerances):
+    """``a - b`` for the operands of :func:`loewner_geq`, which must be
+    Hermitian matrices of one square shape."""
     a = as_matrix(a)
     b = as_matrix(b)
     _require_square(a)
@@ -262,9 +278,7 @@ def loewner_geq(a, b, tol: Tolerances = DEFAULT_TOL):
     for m in (a, b):
         if not within_scaled(frobenius(m - m.conj().T), tol.residual_tol, m):
             raise NotHermitian("loewner_geq requires Hermitian operands")
-    d = a - b
-    margin = min_eig(d)
-    return within_scaled(-margin, tol.psd_tol, d), margin
+    return a - b
 
 
 def is_symmetry(j, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -126,7 +126,10 @@ def assemble_symmetry(
     must be symmetries on the right subspaces and satisfy the family
     constraint, else ``NotSymmetryParam`` / ``ConstraintViolated``.  The
     result is returned in the ambient basis and verified to be a symmetry
-    with the family's defining property.
+    with the family's defining property.  For the positive and contractive
+    families the relation's smallest eigenvalue is a certified lower bound
+    (see :func:`_relation_certified`); exact eigenvalue when the bound does
+    not decide.
     """
     j1, j2 = (as_matrix(x) for x in params)
     r = bf.rank
@@ -164,6 +167,8 @@ def assemble_symmetry(
     )
     if not is_symmetry(j, tol):
         raise InternalMismatch("assembled matrix is not a symmetry")
+    if _relation_certified(bf, j, family, tol):
+        return j
     p = bf._reassembled
     # a check passing at scale 1 passes at scale_of(p) >= 1
     checks = family_checks("assembled", "", p, j, family, tol, 1.0)
@@ -176,6 +181,42 @@ def assemble_symmetry(
                 f"margin {check.margin:.3e}"
             )
     return j
+
+
+# Rounding of a computed reference relation, in units of its Frobenius norm.
+_REFERENCE_ROUNDING = 4 * float(np.finfo(float).eps)
+
+
+def _relation_certified(bf: BlockForm, j, family: SymmetryFamily, tol: Tolerances) -> bool:
+    """True when Weyl's inequality certifies the defining relation of the
+    member ``j`` at scale 1, with no eigensolve: the relation's matrix lies
+    within ``psd_tol`` (Frobenius, rounding of the reference included) of a
+    PSD reference that is the same for every member of the family,
+
+        J - P* J P = W diag(0, (I + C* C)^(1/2)) W*    (contractive),
+        J P        = W [I; C*] Tinv [I, C] W*         (positive),
+
+    and, for the positive family, J P is Hermitian within ``residual_tol``.
+    Both are built from the cached corner factors and not kept.  False for
+    the intertwining family, whose check needs no eigensolve.
+    """
+    p = bf._reassembled
+    if family is SymmetryFamily.J_CONTRACTIVE:
+        rel = j - p.conj().T @ j @ p
+        _, s, vh = bf._corner_svd
+        v = vh[: s.size].conj().T
+        grow = s * (s / (1.0 + np.hypot(1.0, s)))  # sqrt(1 + s^2) - 1
+        ref = bf.embed_perp(np.eye(bf.dim - bf.rank) + (v * grow) @ v.conj().T)
+    elif family is SymmetryFamily.J_POSITIVE:
+        rel = j @ p
+        if frobenius(rel - rel.conj().T) > tol.residual_tol:
+            return False
+        b = bf.basis_range + bf.basis_perp @ bf.corner.conj().T
+        ref = b @ bf._inv_sqrts[0] @ b.conj().T
+    else:
+        return False
+    gap = frobenius(0.5 * (rel + rel.conj().T) - ref)
+    return gap + _REFERENCE_ROUNDING * frobenius(ref) <= tol.psd_tol
 
 
 def sample_params(

@@ -13,6 +13,7 @@ their inputs.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -23,6 +24,8 @@ from .idempotents import _checked_factors, _checked_symmetry, _Factors, _per_han
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _eig_range,
+    _loewner_diff,
     _require_square,
     as_matrix,
     frobenius,
@@ -94,19 +97,21 @@ def classify(p, j, tol: Tolerances = DEFAULT_TOL) -> ProjectionFlags:
 
 
 def _classify(f: _Factors, j) -> ProjectionFlags:
-    """:func:`classify` of a checked pair, from the factors of P."""
+    """:func:`classify` of a checked pair, from the factors of P: the budgets
+    of :func:`family_checks` for J and -J and of :func:`loewner_geq` both
+    ways, with one ``eigvalsh`` each of J P and J - P* J P read at both ends."""
     p, tol, sp = f.p, f.tol, f.sp
-
-    def holds(jj, family):
-        return all(c.status != FAIL for c in family_checks("", "", p, jj, family, tol, sp))
-
-    pjp = p.conj().T @ j @ p
+    jp = j @ p
+    hermitian = frobenius(jp - jp.conj().T) <= tol.residual_tol * sp
+    jp_min, jp_max = _eig_range(jp)
+    d = _loewner_diff(j, p.conj().T @ j @ p, tol)
+    d_min, d_max = _eig_range(d)
     return ProjectionFlags(
-        j_projection=holds(j, SymmetryFamily.J_PROJECTION),
-        j_positive=holds(j, SymmetryFamily.J_POSITIVE),
-        j_negative=holds(-j, SymmetryFamily.J_POSITIVE),
-        j_contractive=loewner_geq(j, pjp, tol)[0],
-        j_expansive=loewner_geq(pjp, j, tol)[0],
+        j_projection=frobenius(jp @ j - p.conj().T) <= tol.residual_tol * sp,
+        j_positive=hermitian and jp_min >= -tol.psd_tol * sp,
+        j_negative=hermitian and -jp_max >= -tol.psd_tol * sp,
+        j_contractive=within_scaled(-d_min, tol.psd_tol, d),
+        j_expansive=within_scaled(d_max, tol.psd_tol, -d),
     )
 
 
@@ -122,10 +127,15 @@ def contractive_positive_equivalence(p, j, tol: Tolerances = DEFAULT_TOL) -> Che
     return _contractive_positive_equivalence(f, j)
 
 
-def _contractive_positive_equivalence(f: _Factors, j) -> CheckResult:
-    """:func:`contractive_positive_equivalence` of a checked pair, from the factors of P."""
+def _contractive_positive_equivalence(f: _Factors, j, contractive=None) -> CheckResult:
+    """:func:`contractive_positive_equivalence` of a checked pair, from the
+    factors of P.  ``contractive`` is the verdict on P* J P <= J when the
+    caller has it from :func:`_classify`; its margin is then computed only
+    if the two verdicts disagree."""
     p, tol, sp = f.p, f.tol, f.sp
-    contractive, c_margin = loewner_geq(j, p.conj().T @ j @ p, tol)
+    c_margin = None
+    if contractive is None:
+        contractive, c_margin = loewner_geq(j, p.conj().T @ j @ p, tol)
 
     comp = j @ (np.eye(p.shape[0]) - p)
     herm_res = frobenius(comp - comp.conj().T)
@@ -138,6 +148,8 @@ def _contractive_positive_equivalence(f: _Factors, j) -> CheckResult:
     else:
         violations = []
         if not contractive:
+            if c_margin is None:
+                c_margin = loewner_geq(j, p.conj().T @ j @ p, tol)[1]
             violations.append(max(0.0, -c_margin))
         if not positive:
             violations.append(max(herm_res, max(0.0, -p_margin)))
@@ -250,18 +262,51 @@ def extremality_probe(
 
     Each sampled J contributes two margin checks, lambda_min(J - J_min) and
     lambda_min(J_max - J), judged against psd_tol as an absolute bound.
-    The extremes themselves are checked for admissibility.
+    Each margin is a certified lower bound; exact eigenvalue when the bound
+    does not decide (see :func:`_sample_margin`).  The extremes themselves
+    are checked for admissibility.  ``samples`` must be an integer of at
+    least 1 and ``seed`` an integer or None, else ``ValueError``.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
     if family is SymmetryFamily.J_PROJECTION:
         raise ValueError("the intertwining family has no extreme elements to probe")
     return _extremality_probe(_Factors(as_matrix(p), tol), family, samples, seed)
 
 
+def _whole(value, what):
+    """``value`` as an int, else ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _sample_margin(d, embed, null, block, psd_tol) -> float:
+    """lambda_min of the Hermitian part of a sample's Loewner difference
+    ``d``: a certified lower bound when it passes the check, else the exact
+    eigenvalue.
+
+    In exact arithmetic ``d`` is the block model M = embed(null block null*):
+    a member differs from its family's extremes only on the corner null
+    space spanned by ``null`` (k columns), where the free symmetry lives.
+    By Weyl's inequality lambda_min(d) >= lambda_min(M) - ||d - M||_F, and
+    lambda_min(M) is the smaller of the k x k ``block``'s and, when k < n, 0.
+    """
+    k, n = block.shape[0], d.shape[0]
+    low = min_eig(block)
+    if k < n:
+        low = min(low, 0.0)
+    bound = low - frobenius(d - embed(null @ block @ null.conj().T))
+    return bound if bound >= -psd_tol else min_eig(d)
+
+
 def _extremality_probe(f: _Factors, family, samples, seed) -> Report:
-    """:func:`extremality_probe` with checked arguments, from the factors of P.
-    The extremes' family checks are their ``extremal-<kind>`` checks, renamed."""
+    """:func:`extremality_probe` from the factors of P.  The extremes' family
+    checks are their ``extremal-<kind>`` checks, renamed."""
+    samples = _whole(samples, "samples")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if seed is not None:
+        seed = _whole(seed, "seed")
     p, tol, bf = f.p, f.tol, f.bf
     kind_min, kind_max = (k for k in ExtremalKind if k.family is family)
     j_min, j_max = _extremal_symmetry(f, kind_min), _extremal_symmetry(f, kind_max)
@@ -270,14 +315,20 @@ def _extremality_probe(f: _Factors, family, samples, seed) -> Report:
         cut = len(f"extremal-{kind.value}")
         checks += [dataclasses.replace(c, name=label + c.name[cut:]) for c in _extreme_checks(f, kind)[1:]]
     ref = _FAMILY_REFS[family]
+    # The free part of a member acts on N(C*) in range(P) (contractive
+    # family) or N(C) in range(P)-perp (positive family); the least and
+    # greatest extremes carry -I and +I there.
+    u_null, _, v_null, _ = bf.corner_split(tol)
+    contr = family is SymmetryFamily.J_CONTRACTIVE
+    null, embed = (u_null, bf.embed_range) if contr else (v_null, bf.embed_perp)
+    eye = np.eye(null.shape[1])
     for i, params in enumerate(sample_params(bf, family, samples, seed, tol)):
         j = assemble_symmetry(bf, family, params, tol)
-        checks.append(
-            margin_check(f"sample-{i:03d}-above-min", ref, min_eig(j - j_min), tol.psd_tol)
-        )
-        checks.append(
-            margin_check(f"sample-{i:03d}-below-max", ref, min_eig(j_max - j), tol.psd_tol)
-        )
+        free = null.conj().T @ params[0 if contr else 1] @ null
+        above = _sample_margin(j - j_min, embed, null, free + eye, tol.psd_tol)
+        below = _sample_margin(j_max - j, embed, null, eye - free, tol.psd_tol)
+        checks.append(margin_check(f"sample-{i:03d}-above-min", ref, above, tol.psd_tol))
+        checks.append(margin_check(f"sample-{i:03d}-below-max", ref, below, tol.psd_tol))
     subject = {
         "dim": p.shape[0],
         "rank": bf.rank,
@@ -398,8 +449,6 @@ def _sign_formula_group(f: _Factors, run: _Run):
 
 
 def _probe_checks(f: _Factors, run: _Run, family: SymmetryFamily):
-    if run.samples < 1:
-        raise ValueError("samples must be at least 1")
     probe = _extremality_probe(f, family, run.samples, run.seed)
     return [dataclasses.replace(c, name=f"probe-{family.value}/{c.name}") for c in probe.checks]
 
@@ -434,6 +483,12 @@ def _complement_sum_checks(f: _Factors, run: _Run):
 def _classification(f: _Factors, run: _Run):
     run.subject["classification"] = dict(_classify(f, run.j)._asdict())
     return ()
+
+
+def _biconditional(f: _Factors, run: _Run):
+    # the verdict on P* J P <= J that the j-checks group recorded, if it ran
+    contractive = run.subject.get("classification", {}).get("j_contractive")
+    return [_contractive_positive_equivalence(f, run.j, contractive)]
 
 
 def _witness_checks(f: _Factors, run: _Run):
@@ -481,7 +536,7 @@ _GROUPS = [
 
 _J_GROUPS = [
     ("j-checks", "§1", _classification),
-    ("biconditional", "Lemma 11", lambda f, run: [_contractive_positive_equivalence(f, run.j)]),
+    ("biconditional", "Lemma 11", _biconditional),
     ("contractive-expansive-split", _SPLIT_REFS[dec.SplitKind.CONTRACTIVE_EXPANSIVE],
      lambda f, run: _split_checks(dec._contractive_expansive_split(f, run.j), f, run.j, "split-ce-")),
     ("positive-negative-split", _SPLIT_REFS[dec.SplitKind.POSITIVE_NEGATIVE],
@@ -524,7 +579,9 @@ def full_report(
     after a failed idempotency gate (including an input that is not a
     finite square matrix, whose error is the gate's note), and the
     J-dependent group when J is missing, is not a matrix or not a symmetry,
-    or does not satisfy J P J = P*.  ``samples < 1`` fails the two probe groups.
+    or does not satisfy J P J = P*.  A ``samples`` that is not an integer of
+    at least 1, or a ``seed`` that is neither None nor a nonnegative
+    integer, fails the two probe groups.
 
     The report builds one handle each for P and I - P: each is factored
     once, and what several check groups read (the extremes, the

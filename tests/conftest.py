@@ -1,6 +1,7 @@
 """Shared generators for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from kreinproj import haar_unitary, random_idempotent
 
@@ -44,3 +45,17 @@ def structured_idempotent(n, r, corner, seed):
     core[:r, r:] = corner
     w = haar_unitary(n, seed)
     return w @ core @ w.conj().T
+
+
+@st.composite
+def wide_corner_idempotents(draw):
+    """An idempotent whose r x (n-r) corner has log-uniform singular values in
+    [1e-8, 1e4], with r in {0, 1, n-1, n} or anywhere: a rectangular corner
+    leaves a null space on its longer side, where the probe samples differ."""
+    n = draw(st.integers(2, 7))
+    r = draw(st.sampled_from([0, 1, n - 1, n, draw(st.integers(0, n))]))
+    q = min(r, n - r)
+    sigma = 10.0 ** np.array(draw(st.lists(st.floats(-8, 4), min_size=q, max_size=q)))
+    seed = draw(st.integers(0, 2**16))
+    u, v = haar_unitary(r, seed), haar_unitary(n - r, seed + 1)
+    return structured_idempotent(n, r, (u[:, :q] * sigma) @ v[:, :q].conj().T, seed + 2)

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import wide_corner_idempotents
+
 from kreinproj import (
     ExtremalKind,
     NotIdempotent,
@@ -367,3 +369,47 @@ def test_full_report_records_probe_groups_failed_for_a_negative_seed():
     report = full_report(random_idempotent(5, 2, 2.0, seed=3), None, samples=2, seed=-1)
     failed = [(c.name, c.note.split(":")[0]) for c in report.failures()]
     assert failed == [("probe-positive", "ValueError"), ("probe-contractive", "ValueError")]
+
+
+@pytest.mark.parametrize("bad", [{"samples": 2.5}, {"samples": "3"}, {"seed": "x"}, {"seed": 1.5}],
+                         ids=["samples-float", "samples-str", "seed-str", "seed-float"])
+def test_full_report_records_probe_groups_failed_for_non_integer_arguments(bad):
+    (what, value), = bad.items()
+    report = full_report(random_idempotent(5, 2, 2.0, seed=3), None, **{"samples": 2, "seed": 0, **bad})
+    note = f"ValueError: {what} must be an integer, got {value!r}"
+    assert [(c.name, c.note) for c in report.failures()] == [
+        ("probe-positive", note), ("probe-contractive", note)]
+    assert "complement-sum-residual" in {c.name for c in report.checks}
+    render_report(report)
+
+
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=wide_corner_idempotents(), seed=st.integers(0, 2**16))
+def test_probe_sample_margins_are_certified_lower_bounds(p, seed):
+    # each sample margin is at most the exact smallest eigenvalue of its
+    # Loewner difference (up to the rounding of that eigenvalue), and has
+    # the verdict the exact eigenvalue gives
+    from kreinproj import KreinProjError, extremal_symmetry
+    from kreinproj.linalg import frobenius, min_eig
+    from kreinproj.reporting import margin_check
+
+    bf = block_form(p)
+    for family in (SymmetryFamily.J_POSITIVE, SymmetryFamily.J_CONTRACTIVE):
+        try:
+            report = extremality_probe(p, family, 2, seed)
+        except KreinProjError:
+            continue  # a construction failed its own checks; nothing to bound
+        by_name = {c.name: c for c in report.checks}
+        kind_min, kind_max = (k for k in ExtremalKind if k.family is family)
+        j_min, j_max = extremal_symmetry(p, kind_min), extremal_symmetry(p, kind_max)
+        for i, params in enumerate(sample_params(bf, family, 2, seed)):
+            j = assemble_symmetry(bf, family, params)
+            for name, d in ((f"sample-{i:03d}-above-min", j - j_min),
+                            (f"sample-{i:03d}-below-max", j_max - j)):
+                exact = min_eig(d)
+                check = by_name[name]
+                assert check.margin <= exact + 8 * _EPS * frobenius(d), name
+                assert check.status == margin_check(name, "", exact, DEFAULT_TOL.psd_tol).status, name
