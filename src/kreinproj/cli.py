@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Four subcommands: ``gen`` writes random test inputs, ``extremal`` writes a
-closed-form extreme symmetry for an idempotent once the report's checks on
-it pass, ``decompose`` splits a
-projection against a symmetry, and ``verify`` runs the full check suite
+Four subcommands: ``gen`` writes random test inputs (a family member once
+its member checks pass), ``extremal`` writes a closed-form extreme symmetry
+for an idempotent once the report's checks on it pass, ``decompose`` splits
+a projection against a symmetry, and ``verify`` runs the full check suite
 and writes a machine-readable report.
 
 Exit codes: 0 pass, 1 check failure, 2 usage or bad input, 3 I/O failure,
@@ -27,7 +27,7 @@ from .errors import (
     SingularBlock,
     SingularShift,
 )
-from .idempotents import _checked_factors, block_form, random_idempotent
+from .idempotents import _checked_factors, _Factors, random_idempotent
 from .linalg import Tolerances
 from .matrixio import read_matrix, write_matrix, write_report
 from .reporting import Report, matrix_digest
@@ -35,7 +35,9 @@ from .symmetries import (
     ExtremalKind, SymmetryFamily, _extremal_symmetry, _sign_formula_symmetry,
     assemble_symmetry, sample_params,
 )
-from .verification import SIGN_FORMULA, _extremal_checks, full_report, split_checks
+from .verification import (
+    _FAMILY_REFS, SIGN_FORMULA, _extremal_checks, _member_checks, full_report, split_checks,
+)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -136,23 +138,31 @@ def _print_summary(report: Report):
         print(f"FAIL {c.name} [{c.paper_ref}] {detail} tol={c.tolerance:.3e}{note}")
 
 
+def _write_certified(path, m, checks) -> int:
+    """Write ``m`` when every check passes; else print the failures and write nothing."""
+    certificate = Report(subject={}, checks=checks)
+    if not certificate.passed:
+        _print_summary(certificate)
+        return EXIT_CHECK_FAILURE
+    write_matrix(path, m)
+    print(f"wrote {path}")
+    return EXIT_PASS
+
+
 def _cmd_gen(args) -> int:
     if args.kind == "idempotent":
         if args.dim is None or args.rank is None:
             raise UsageError("gen idempotent requires --dim and --rank")
         m = random_idempotent(args.dim, args.rank, args.corner_scale, args.seed)
-    else:
-        if args.for_path is None or args.family is None:
-            raise UsageError("gen symmetry-for requires --for and --family")
-        tol = _tol_from(args)
-        p = read_matrix(args.for_path)
-        bf = block_form(p, tol)
-        family = SymmetryFamily(args.family)
-        params = sample_params(bf, family, 1, args.seed, tol)[0]
-        m = assemble_symmetry(bf, family, params, tol)
-    write_matrix(args.out, m)
-    print(f"wrote {args.out}")
-    return EXIT_PASS
+        return _write_certified(args.out, m, [])
+    if args.for_path is None or args.family is None:
+        raise UsageError("gen symmetry-for requires --for and --family")
+    tol = _tol_from(args)
+    # one set of factors serves the construction and its certificate
+    f = _Factors(read_matrix(args.for_path), tol)
+    family = SymmetryFamily(args.family)
+    m = assemble_symmetry(f.bf, family, sample_params(f.bf, family, 1, args.seed, tol)[0], tol)
+    return _write_certified(args.out, m, _member_checks("member", _FAMILY_REFS[family], f, m, family))
 
 
 def _cmd_extremal(args) -> int:
@@ -163,13 +173,7 @@ def _cmd_extremal(args) -> int:
     what = "sign_formula_symmetry" if sign else "extremal_symmetry"
     f = _checked_factors(p, tol, f"{what} requires an idempotent input")
     j = _sign_formula_symmetry(f) if sign else _extremal_symmetry(f, ExtremalKind(args.which))
-    certificate = Report(subject={}, checks=_extremal_checks(f, args.which, j), config=tol)
-    if not certificate.passed:
-        _print_summary(certificate)
-        return EXIT_CHECK_FAILURE
-    write_matrix(args.out, j)
-    print(f"wrote {args.out}")
-    return EXIT_PASS
+    return _write_certified(args.out, j, _extremal_checks(f, args.which, j))
 
 
 def _cmd_decompose(args) -> int:

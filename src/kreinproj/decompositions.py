@@ -112,7 +112,7 @@ def extract_params(p, j, tol: Tolerances = DEFAULT_TOL):
     singular diagonal blocks raise ``SingularBlock``.
     """
     f = _Factors(as_matrix(p), tol)
-    j = _checked_symmetry(j, tol, NotJProjection, "J is not a symmetry")
+    j = _checked_symmetry(j, f, NotJProjection, "J is not a symmetry")
     return _extract_params(f, j)
 
 
@@ -167,7 +167,7 @@ def contractive_expansive_split(p, j, tol: Tolerances = DEFAULT_TOL) -> SplitRes
     so that P = E1 E2 = E2 E1 = E1 + E2 - I.
     """
     f = _Factors(as_matrix(p), tol)
-    j = _checked_symmetry(j, tol, NotJProjection, "J is not a symmetry")
+    j = _checked_symmetry(j, f, NotJProjection, "J is not a symmetry")
     return _contractive_expansive_split(f, j)
 
 
@@ -192,7 +192,7 @@ def positive_negative_split(p, j, tol: Tolerances = DEFAULT_TOL) -> SplitResult:
     complements.
     """
     f = _Factors(as_matrix(p), tol)
-    j = _checked_symmetry(j, tol, NotJProjection, "J is not a symmetry")
+    j = _checked_symmetry(j, f, NotJProjection, "J is not a symmetry")
     return _positive_negative_split(f, j)
 
 

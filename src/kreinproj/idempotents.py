@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .errors import BadRank, InternalMismatch, NotIdempotent, NotOrthonormal
+from .errors import BadRank, DimensionMismatch, InternalMismatch, NotIdempotent, NotOrthonormal
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -89,13 +89,6 @@ class BlockForm:
         w = self.unitary
         return w @ out @ w.conj().T
 
-    def blocks_of(self, m) -> tuple:
-        """The four blocks of an ambient matrix in these coordinates."""
-        r = self.rank
-        w = self.unitary
-        b = w.conj().T @ as_matrix(m) @ w
-        return b[:r, :r], b[:r, r:], b[r:, :r], b[r:, r:]
-
     def embed_range(self, m) -> np.ndarray:
         """Lift an r x r matrix on range(P) to the ambient space (zero elsewhere)."""
         return self.basis_range @ as_matrix(m) @ self.basis_range.conj().T
@@ -114,10 +107,6 @@ class BlockForm:
     # Factors of the corner, computed once per form because every family
     # member, extreme and check built on it reuses them; callers must not
     # modify the arrays.
-
-    @functools.cached_property
-    def _reassembled(self) -> np.ndarray:
-        return self.reassemble()
 
     @functools.cached_property
     def _corner_svd(self):
@@ -307,10 +296,13 @@ def _checked_factors(p, tol: Tolerances, message: str) -> _Factors:
     return _Factors(p, tol)
 
 
-def _checked_symmetry(j, tol: Tolerances, error: type, message: str) -> np.ndarray:
-    """``j`` as a matrix; ``error(message)`` when it is not a symmetry."""
+def _checked_symmetry(j, f: _Factors, error: type, message: str) -> np.ndarray:
+    """``j`` as a matrix; ``DimensionMismatch`` when its shape is not that of
+    the handle's P, ``error(message)`` when it is not a symmetry."""
     j = as_matrix(j)
-    if not is_symmetry(j, tol):
+    if j.shape != f.p.shape:
+        raise DimensionMismatch(f"J has shape {j.shape} but P has shape {f.p.shape}")
+    if not is_symmetry(j, f.tol):
         raise error(message)
     return j
 

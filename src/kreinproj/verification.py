@@ -93,7 +93,7 @@ def classify(p, j, tol: Tolerances = DEFAULT_TOL) -> ProjectionFlags:
     the PSD test alone is not enough.
     """
     f = _checked_factors(p, tol, "classify requires an idempotent P")
-    return _classify(f, _checked_symmetry(j, tol, NotSymmetry, "classify requires a symmetry J"))
+    return _classify(f, _checked_symmetry(j, f, NotSymmetry, "classify requires a symmetry J"))
 
 
 def _classify(f: _Factors, j) -> ProjectionFlags:
@@ -123,7 +123,7 @@ def contractive_positive_equivalence(p, j, tol: Tolerances = DEFAULT_TOL) -> Che
     the residual records the larger violation.
     """
     f = _checked_factors(p, tol, "biconditional check requires an idempotent P")
-    j = _checked_symmetry(j, tol, NotSymmetry, "biconditional check requires a symmetry J")
+    j = _checked_symmetry(j, f, NotSymmetry, "biconditional check requires a symmetry J")
     return _contractive_positive_equivalence(f, j)
 
 
@@ -161,6 +161,7 @@ def _contractive_positive_equivalence(f: _Factors, j, contractive=None) -> Check
 
 
 _FAMILY_REFS = {
+    SymmetryFamily.J_PROJECTION: "§1",
     SymmetryFamily.J_POSITIVE: "Lemma 4 / Theorem 8(i)",
     SymmetryFamily.J_CONTRACTIVE: "Theorem 7(i)(ii)",
 }
@@ -207,13 +208,44 @@ def _extremal_checks(f: _Factors, which, j) -> list:
     else:
         kind = ExtremalKind(which)
         prefix, ref = f"extremal-{which}", _KIND_REFS[kind]
-    sym_res = max(frobenius(j - j.conj().T), frobenius(j @ j - np.eye(p.shape[0])))
-    checks = [residual_check(f"{prefix}-symmetry", ref, sym_res, tol.residual_tol * sp)]
+    checks = [_symmetry_check(prefix, ref, j, tol.residual_tol * sp)]
     checks += family_checks(prefix, ref, p, j, kind.family, tol, sp)
     if which == SIGN_FORMULA:
         pos_max = _extreme(f, kind)
         checks += _sign_formula_checks(j, pos_max, f.sum_parts.proj_kernel, tol.residual_tol * sp)
     return checks
+
+
+def _symmetry_check(prefix, ref, j, budget) -> CheckResult:
+    """``<prefix>-symmetry``: the larger of ||J - J*|| and ||J^2 - I||."""
+    res = max(frobenius(j - j.conj().T), frobenius(j @ j - np.eye(j.shape[0])))
+    return residual_check(f"{prefix}-symmetry", ref, res, budget)
+
+
+def _member_checks(prefix, ref, f: _Factors, j, family: SymmetryFamily) -> list:
+    """Certify ``j``, a member of ``family`` built from the block form of P:
+    ``<prefix>-symmetry`` at ``residual_tol``, then :func:`family_checks` at
+    its budgets, a PSD margin by :func:`_weyl_margin` against the family's PSD
+    model (rounding 4 eps ||model||_F), J - P* J P = W diag(0, (I + C* C)^(1/2)) W*
+    or J P = W [I; C*] Tinv [I, C] W*."""
+    p, tol, sp, bf = f.p, f.tol, f.sp, f.bf
+    checks = [_symmetry_check(prefix, ref, j, tol.residual_tol)]
+    if family is SymmetryFamily.J_PROJECTION:
+        return checks + family_checks(prefix, ref, p, j, family, tol, sp)
+    if family is SymmetryFamily.J_CONTRACTIVE:
+        rel, name = j - p.conj().T @ j @ p, "dominates"
+        _, s, vh = bf._corner_svd
+        grow = s * (s / (1.0 + np.hypot(1.0, s)))  # sqrt(1 + s^2) - 1
+        model = bf.embed_perp(np.eye(bf.dim - bf.rank) + (vh[: s.size].conj().T * grow) @ vh[: s.size])
+    else:
+        rel, name = j @ p, "psd"
+        herm = frobenius(rel - rel.conj().T)
+        checks.append(residual_check(f"{prefix}-hermitian", ref, herm, tol.residual_tol * sp))
+        b = bf.basis_range + bf.basis_perp @ bf.corner.conj().T
+        model = b @ bf._inv_sqrts[0] @ b.conj().T
+    budget = tol.psd_tol * sp
+    margin = _weyl_margin(rel, model, -4 * np.finfo(float).eps * frobenius(model), budget)
+    return checks + [margin_check(f"{prefix}-{name}", ref, margin, budget)]
 
 
 @_per_handle
@@ -260,12 +292,13 @@ def extremality_probe(
     """Sample admissible symmetries and measure their margins against the
     family's closed-form least and greatest elements.
 
-    Each sampled J contributes two margin checks, lambda_min(J - J_min) and
-    lambda_min(J_max - J), judged against psd_tol as an absolute bound.
-    Each margin is a certified lower bound; exact eigenvalue when the bound
-    does not decide (see :func:`_sample_margin`).  The extremes themselves
-    are checked for admissibility.  ``samples`` must be an integer of at
-    least 1 and ``seed`` an integer or None, else ``ValueError``.
+    Each sampled J gets its member checks (``sample-NNN-symmetry`` and the
+    family's, see :func:`_member_checks`) and two margin checks,
+    lambda_min(J - J_min) and lambda_min(J_max - J), judged against psd_tol
+    as an absolute bound: a certified lower bound, exact eigenvalue when the
+    bound does not decide (see :func:`_weyl_margin`).  The extremes
+    themselves are checked for admissibility.  ``samples`` must be an
+    integer of at least 1 and ``seed`` an integer or None, else ``ValueError``.
     """
     if family is SymmetryFamily.J_PROJECTION:
         raise ValueError("the intertwining family has no extreme elements to probe")
@@ -280,23 +313,13 @@ def _whole(value, what):
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _sample_margin(d, embed, null, block, psd_tol) -> float:
-    """lambda_min of the Hermitian part of a sample's Loewner difference
-    ``d``: a certified lower bound when it passes the check, else the exact
-    eigenvalue.
-
-    In exact arithmetic ``d`` is the block model M = embed(null block null*):
-    a member differs from its family's extremes only on the corner null
-    space spanned by ``null`` (k columns), where the free symmetry lives.
-    By Weyl's inequality lambda_min(d) >= lambda_min(M) - ||d - M||_F, and
-    lambda_min(M) is the smaller of the k x k ``block``'s and, when k < n, 0.
-    """
-    k, n = block.shape[0], d.shape[0]
-    low = min_eig(block)
-    if k < n:
-        low = min(low, 0.0)
-    bound = low - frobenius(d - embed(null @ block @ null.conj().T))
-    return bound if bound >= -psd_tol else min_eig(d)
+def _weyl_margin(d, model, low, budget) -> float:
+    """lambda_min of the Hermitian part of ``d``: Weyl's lower bound
+    ``low - ||d - model||_F`` when it passes a check at ``budget``, else the
+    exact eigenvalue.  ``model`` is Hermitian, equal to ``d`` in exact
+    arithmetic and has no eigenvalue below ``low``; ||herm(d) - model||_2 <= ||d - model||_F."""
+    bound = low - frobenius(d - model)
+    return bound if bound >= -budget else min_eig(d)
 
 
 def _extremality_probe(f: _Factors, family, samples, seed) -> Report:
@@ -315,20 +338,22 @@ def _extremality_probe(f: _Factors, family, samples, seed) -> Report:
         cut = len(f"extremal-{kind.value}")
         checks += [dataclasses.replace(c, name=label + c.name[cut:]) for c in _extreme_checks(f, kind)[1:]]
     ref = _FAMILY_REFS[family]
-    # The free part of a member acts on N(C*) in range(P) (contractive
-    # family) or N(C) in range(P)-perp (positive family); the least and
-    # greatest extremes carry -I and +I there.
+    # The free part of a member acts on N(C*) in range(P) (contractive family)
+    # or N(C) in range(P)-perp (positive family), spanned by the k columns of
+    # ``null``, where the extremes carry -I and +I: J - J_min and J_max - J are
+    # embed(null block null*), with block free + I and I - free, respectively.
     u_null, _, v_null, _ = bf.corner_split(tol)
     contr = family is SymmetryFamily.J_CONTRACTIVE
     null, embed = (u_null, bf.embed_range) if contr else (v_null, bf.embed_perp)
     eye = np.eye(null.shape[1])
     for i, params in enumerate(sample_params(bf, family, samples, seed, tol)):
         j = assemble_symmetry(bf, family, params, tol)
+        checks += _member_checks(f"sample-{i:03d}", ref, f, j, family)
         free = null.conj().T @ params[0 if contr else 1] @ null
-        above = _sample_margin(j - j_min, embed, null, free + eye, tol.psd_tol)
-        below = _sample_margin(j_max - j, embed, null, eye - free, tol.psd_tol)
-        checks.append(margin_check(f"sample-{i:03d}-above-min", ref, above, tol.psd_tol))
-        checks.append(margin_check(f"sample-{i:03d}-below-max", ref, below, tol.psd_tol))
+        for name, d, block in (("above-min", j - j_min, free + eye), ("below-max", j_max - j, eye - free)):
+            low = min(min_eig(block), 0.0) if block.shape[0] < d.shape[0] else min_eig(block)
+            margin = _weyl_margin(d, embed(null @ block @ null.conj().T), low, tol.psd_tol)
+            checks.append(margin_check(f"sample-{i:03d}-{name}", ref, margin, tol.psd_tol))
     subject = {
         "dim": p.shape[0],
         "rank": bf.rank,
@@ -378,7 +403,7 @@ def _block_form_checks(f: _Factors, run: _Run):
     budget = f.tol.residual_tol * f.sp
     eye = np.eye(f.p.shape[0], dtype=np.complex128)
     yield residual_check("block-basis-unitary", "Eq. (1.1)", frobenius(w.conj().T @ w - eye), budget)
-    yield residual_check("block-form-round-trip", "Eq. (1.1)", frobenius(f.bf._reassembled - f.p), budget)
+    yield residual_check("block-form-round-trip", "Eq. (1.1)", frobenius(f.bf.reassemble() - f.p), budget)
 
 
 def _kernel_route_checks(f: _Factors, run: _Run):
@@ -495,8 +520,8 @@ def _witness_checks(f: _Factors, run: _Run):
     p, tol = f.p, f.tol
     j_a, j_b, verdict = _nonexistence_witnesses(f)
     for name, wit in (("witness-a", j_a), ("witness-b", j_b)):
-        yield from family_checks(name, "Theorem 8(ii)", p, wit, SymmetryFamily.J_PROJECTION, tol, f.sp)
-    if f.bf._inv_sqrts[2] > tol.rank_tol * f.sp:
+        yield from _member_checks(name, "Theorem 8(ii)", f, wit, SymmetryFamily.J_PROJECTION)
+    if f.bf.corner_split(tol)[1].shape[1]:
         # nonzero corner: no greatest element, witnessed by a gap with
         # eigenvalues of both signs
         gap = min(verdict.max_eig, -verdict.min_eig) - INDEFINITE_MARGIN

@@ -168,6 +168,16 @@ def test_decompose_rejects_non_intertwining(tmp_path):
                  "-o", str(tmp_path / "x-")]) == 5
 
 
+def test_decompose_rejects_a_symmetry_of_another_shape(tmp_path, capsys):
+    p_path = tmp_path / "P.json"
+    j_path = tmp_path / "J.json"
+    write_matrix(p_path, np.kron(np.eye(2), P2))
+    write_matrix(j_path, HADAMARD)
+    assert main(["decompose", str(p_path), str(j_path), "--kind", "contr-exp",
+                 "-o", str(tmp_path / "x-")]) == 2
+    assert "J has shape (2, 2) but P has shape (4, 4)" in capsys.readouterr().err
+
+
 def test_verify_pass_and_report(tmp_path, capsys):
     p_path = tmp_path / "P.json"
     assert main(["gen", "idempotent", "--dim", "5", "--rank", "2", "--seed", "9",

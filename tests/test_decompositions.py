@@ -8,14 +8,17 @@ import pytest
 
 from conftest import idempotent_cases, projector_onto, random_complex
 from kreinproj import (
+    DimensionMismatch,
     NotJProjection,
     SingularBlock,
     SplitKind,
     Tolerances,
     adjoint_similarity,
     block_form,
+    classify,
     complement_sum_equivalence,
     contractive_expansive_split,
+    contractive_positive_equivalence,
     extract_params,
     intertwining_unitaries,
     negative_part_projection_formula,
@@ -33,6 +36,15 @@ SQRT5 = math.sqrt(5.0)
 P2 = np.array([[1.0, 1.0], [0.0, 0.0]])
 P3 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
+
+
+def test_symmetry_of_another_shape_is_a_dimension_mismatch():
+    # a 2 x 2 J against a 4 x 4 P used to reach numpy's matmul ValueError
+    p = random_idempotent(4, 2, 2.0, seed=3)
+    for fn in (classify, contractive_positive_equivalence, extract_params,
+               contractive_expansive_split, positive_negative_split):
+        with pytest.raises(DimensionMismatch, match=r"J has shape \(2, 2\) but P has shape \(4, 4\)"):
+            fn(p, HADAMARD)
 
 
 def _negative_projector_oracle(s):

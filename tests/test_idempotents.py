@@ -57,12 +57,11 @@ def test_block_form_three_by_three():
 def test_block_form_structure_of_blocks():
     p = random_idempotent(9, 4, 2.0, seed=11)
     bf = block_form(p)
-    b11, b12, b21, b22 = bf.blocks_of(p)
-    np.testing.assert_allclose(b11, np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(b12, bf.corner, atol=1e-12)
-    np.testing.assert_allclose(b21, 0, atol=1e-12)
-    np.testing.assert_allclose(b22, 0, atol=1e-12)
     w = bf.unitary
+    b = w.conj().T @ p @ w
+    np.testing.assert_allclose(b[:4, :4], np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(b[:4, 4:], bf.corner, atol=1e-12)
+    np.testing.assert_allclose(b[4:], 0, atol=1e-12)
     np.testing.assert_allclose(w.conj().T @ w, np.eye(9), atol=1e-12)
 
 

@@ -15,8 +15,8 @@ verdicts compute a spectral norm only when they depend on it.
 factorizations of one report: P and I - P are each put in block form once,
 and P + P*, i(P - P*), 2I - P - P*, the anchored block of the corner and
 the sign-formula shift are each diagonalized once.  Its n x n ``eigvalsh``
-count does not grow with ``samples``: a probe sample's margins and its
-assembly check are certified by bounds whose only eigenproblem is on a
+count does not grow with ``samples``: a probe sample's member checks and
+margins are certified by Weyl bounds, whose only eigenproblem is on a
 corner null space.
 ``test_full_report_factors_each_corner_once`` pins the corner SVDs: the
 corners of P and of I - P are each factored once per report.

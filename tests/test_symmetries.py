@@ -4,10 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import idempotent_cases, projector_onto, wide_corner_idempotents
+from conftest import idempotent_cases, projector_onto
 from kreinproj import (
     BlockForm,
     ConstraintViolated,
@@ -300,58 +298,3 @@ def test_no_sampled_member_dominates_both_witnesses():
             lo_b = np.linalg.eigvalsh(0.5 * ((j - j_b) + (j - j_b).conj().T))[0]
             assert min(lo_a, lo_b) < -1e-6
 
-
-def _rotated(j, angle, seed):
-    """U J U* for the unitary U = exp(i angle H) of a random Hermitian H of
-    unit norm: a symmetry again, generally off J's family."""
-    rng = np.random.default_rng(seed)
-    n = j.shape[0]
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    w, q = np.linalg.eigh(z + z.conj().T)
-    u = (q * np.exp(1j * angle * w / np.max(np.abs(w)))) @ q.conj().T
-    return u @ j @ u.conj().T
-
-
-_RECTANGULAR = random_idempotent(7, 2, 2.0, seed=5)  # corner 2 x 5: dim N(C) = 3
-
-
-@pytest.mark.parametrize("family", [SymmetryFamily.J_POSITIVE, SymmetryFamily.J_CONTRACTIVE])
-def test_assemble_symmetry_falls_back_and_raises_off_the_family(monkeypatch, family):
-    # a symmetry rotated off the family is not certified; the exact checks
-    # that follow fail it, and assemble_symmetry raises
-    from kreinproj import InternalMismatch, Tolerances
-    from kreinproj.symmetries import _relation_certified, family_checks
-
-    bf = block_form(_RECTANGULAR)
-    params = sample_params(bf, family, 1, 0)[0]
-    j = assemble_symmetry(bf, family, params)
-    assert _relation_certified(bf, j, family, Tolerances())
-    off = _rotated(j, 1e-3, 0)
-    assert is_symmetry(off)
-    assert not _relation_certified(bf, off, family, Tolerances())
-    exact = family_checks("", "", _RECTANGULAR, off, family, Tolerances(), 1.0)
-    assert any(c.status == "fail" for c in exact)
-    # the form's reassembled P is cached by now, so only the member changes
-    monkeypatch.setattr(BlockForm, "assemble", lambda self, *blocks: off)
-    with pytest.raises(InternalMismatch, match="assembled J fails"):
-        assemble_symmetry(bf, family, params)
-
-
-@settings(max_examples=60, deadline=None)
-@given(p=wide_corner_idempotents(), seed=st.integers(0, 2**16), log_angle=st.floats(-14, -2))
-def test_relation_certificate_passes_only_family_members(p, seed, log_angle):
-    # whatever the certificate passes, the exact checks at scale 1 pass too
-    from kreinproj import KreinProjError, Tolerances
-    from kreinproj.symmetries import _relation_certified, family_checks
-
-    tol = Tolerances()
-    bf = block_form(p)
-    for family in (SymmetryFamily.J_POSITIVE, SymmetryFamily.J_CONTRACTIVE):
-        try:
-            j = assemble_symmetry(bf, family, sample_params(bf, family, 1, seed)[0])
-        except KreinProjError:
-            continue
-        for candidate in (j, _rotated(j, 10.0 ** log_angle, seed)):
-            if _relation_certified(bf, candidate, family, tol):
-                checks = family_checks("", "", bf.reassemble(), candidate, family, tol, 1.0)
-                assert all(c.status == "pass" for c in checks), family

@@ -413,3 +413,80 @@ def test_probe_sample_margins_are_certified_lower_bounds(p, seed):
                 check = by_name[name]
                 assert check.margin <= exact + 8 * _EPS * frobenius(d), name
                 assert check.status == margin_check(name, "", exact, DEFAULT_TOL.psd_tol).status, name
+
+
+def _rotated(j, angle, seed):
+    """U J U* for the unitary U = exp(i angle H) of a random Hermitian H of
+    unit norm: a symmetry again, generally off J's family."""
+    rng = np.random.default_rng(seed)
+    n = j.shape[0]
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, q = np.linalg.eigh(z + z.conj().T)
+    u = (q * np.exp(1j * angle * w / np.max(np.abs(w)))) @ q.conj().T
+    return u @ j @ u.conj().T
+
+
+_RECTANGULAR = random_idempotent(7, 2, 2.0, seed=5)  # corner 2 x 5: dim N(C) = 3
+
+
+def test_member_checks_fail_a_member_rotated_off_its_family(monkeypatch, tmp_path, capsys):
+    # BlockForm.assemble hands out a symmetry rotated off the family in place
+    # of the first sampled member: the report's member checks fail it, and
+    # gen symmetry-for writes nothing
+    from kreinproj import BlockForm, is_symmetry
+    from kreinproj.cli import main
+    from kreinproj.matrixio import write_matrix
+
+    p_path = tmp_path / "P.json"
+    write_matrix(p_path, _RECTANGULAR)
+    bf = block_form(_RECTANGULAR)
+    real = BlockForm.assemble
+    for family, relation in ((SymmetryFamily.J_POSITIVE, "psd"), (SymmetryFamily.J_CONTRACTIVE, "dominates")):
+        j = assemble_symmetry(bf, family, sample_params(bf, family, 1, 0)[0])
+        off = _rotated(j, 1e-3, 0)
+        assert is_symmetry(off)
+        prefix = f"probe-{family.value}/sample-000"
+        by_name = {c.name: c for c in full_report(_RECTANGULAR, samples=1).checks}
+        assert by_name[f"{prefix}-{relation}"].status == "pass"
+
+        def swap(self, *blocks, j=j, off=off):
+            out = real(self, *blocks)
+            return off if np.array_equal(out, j) else out
+
+        with monkeypatch.context() as m:
+            m.setattr(BlockForm, "assemble", swap)
+            by_name = {c.name: c for c in full_report(_RECTANGULAR, samples=1).checks}
+            out = tmp_path / f"{family.value}.json"
+            code = main(["gen", "symmetry-for", "--for", str(p_path), "--family", family.value,
+                         "-o", str(out)])
+        assert by_name[f"{prefix}-symmetry"].status == "pass"
+        assert by_name[f"{prefix}-{relation}"].status == "fail"
+        assert code == 1 and not out.exists()
+        assert f"FAIL member-{relation}" in capsys.readouterr().out
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=wide_corner_idempotents(), seed=st.integers(0, 2**16), log_angle=st.floats(-14, -2))
+def test_member_checks_pass_only_family_members(p, seed, log_angle):
+    # whatever the Weyl bound of a member check passes, the exact family
+    # checks pass too, and its margin is a lower bound on the exact one
+    from kreinproj import KreinProjError
+    from kreinproj.idempotents import _Factors
+    from kreinproj.linalg import frobenius, min_eig
+    from kreinproj.symmetries import family_checks
+    from kreinproj.verification import _member_checks
+
+    f = _Factors(p, DEFAULT_TOL)
+    for family in (SymmetryFamily.J_POSITIVE, SymmetryFamily.J_CONTRACTIVE):
+        try:
+            j = assemble_symmetry(f.bf, family, sample_params(f.bf, family, 1, seed)[0])
+        except KreinProjError:
+            continue
+        for candidate in (j, _rotated(j, 10.0 ** log_angle, seed)):
+            member = {c.name: c for c in _member_checks("m", "", f, candidate, family)}
+            rel = candidate @ p if family is SymmetryFamily.J_POSITIVE else candidate - p.conj().T @ candidate @ p
+            for check in family_checks("m", "", p, candidate, family, DEFAULT_TOL, f.sp):
+                if member[check.name].status == "pass":
+                    assert check.status == "pass", check.name
+            name = "m-psd" if family is SymmetryFamily.J_POSITIVE else "m-dominates"
+            assert member[name].margin <= min_eig(rel) + 8 * _EPS * frobenius(rel), name
