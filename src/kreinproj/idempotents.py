@@ -163,9 +163,7 @@ def _corner_inv_sqrts(svd, k: float = 1.0):
 
 def validate_idempotent(p, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when ``p @ p == p`` within ``residual_tol * scale``."""
-    p = as_matrix(p)
-    _require_square(p, "idempotent")
-    return within_scaled(frobenius(p @ p - p), tol.residual_tol, p)
+    return _Factors(as_matrix(p), tol).idempotent
 
 
 def _canonical_phases(u: np.ndarray) -> np.ndarray:
@@ -186,11 +184,11 @@ def block_form(p, tol: Tolerances = DEFAULT_TOL) -> BlockForm:
     canonicalized, so the form is deterministic in the input.  Raises
     ``NotIdempotent`` when the input fails :func:`validate_idempotent`.
     """
-    p = as_matrix(p)
-    if not validate_idempotent(p, tol):
-        raise NotIdempotent(
-            f"||P^2 - P|| = {frobenius(p @ p - p):.3e} exceeds tolerance"
-        )
+    return _Factors(as_matrix(p), tol).bf
+
+
+def _block_form(p: np.ndarray, tol: Tolerances) -> BlockForm:
+    """:func:`block_form` of a checked idempotent."""
     n = p.shape[0]
     if n == 0:
         z = np.zeros((0, 0), dtype=np.complex128)
@@ -231,8 +229,21 @@ class _Factors:
         return scale_of(self.p)
 
     @functools.cached_property
+    def idem_residual(self) -> float:
+        """``||P^2 - P||_F``; ``DimensionMismatch`` when P is not square."""
+        _require_square(self.p, "idempotent")
+        return frobenius(self.p @ self.p - self.p)
+
+    @property
+    def idempotent(self) -> bool:
+        """``idem_residual <= residual_tol * scale_of(P)``."""
+        return within_scaled(self.idem_residual, self.tol.residual_tol, self.p)
+
+    @functools.cached_property
     def bf(self) -> BlockForm:
-        return block_form(self.p, self.tol)
+        if not self.idempotent:
+            raise NotIdempotent(f"||P^2 - P|| = {self.idem_residual:.3e} exceeds tolerance")
+        return _block_form(self.p, self.tol)
 
     @functools.cached_property
     def comp(self) -> "_Factors":
@@ -290,10 +301,10 @@ def _per_handle(fn):
 def _checked_factors(p, tol: Tolerances, message: str) -> _Factors:
     """The handle of ``p``; ``NotIdempotent(message)`` when ``p`` fails
     :func:`validate_idempotent`."""
-    p = as_matrix(p)
-    if not validate_idempotent(p, tol):
+    f = _Factors(as_matrix(p), tol)
+    if not f.idempotent:
         raise NotIdempotent(message)
-    return _Factors(p, tol)
+    return f
 
 
 def _checked_symmetry(j, f: _Factors, error: type, message: str) -> np.ndarray:

@@ -6,16 +6,24 @@ round-trips every IEEE double exactly except -0.0 (written ``-0``, which JSON
 reads back as the integer 0), and rendering is fully deterministic so
 identical inputs produce byte-identical files.  Matrix files are streamed
 row by row, in both directions: ``write_matrix`` formats one row per
-``%``-call and never holds the whole text, and ``doc_to_matrix`` converts one
-row per ``np.array`` call.  Writes go through a temporary file plus rename.
+``%``-call and never holds the whole text, and ``read_matrix`` reads a file
+in the writer's exact layout one row at a time from its bytes, each row's
+numbers parsed by ``json.loads`` as one flat list.  Any other document, or a
+row that fails the layout checks or holds a non-finite number, takes the
+general route: text-mode UTF-8 with universal newlines, ``json.load``, then
+``doc_to_matrix``, which converts one row per ``np.array`` call and raises
+the reader's errors.  Both routes give the same doubles; ``-0`` reads as
++0.0 on both.  Writes go through a temporary file plus rename.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import os
+import re
 import secrets
 
 import numpy as np
@@ -185,8 +193,64 @@ def write_matrix(path, m):
     _atomic_write_text(str(path), _matrix_chunks(_checked_matrix(m)))
 
 
+# The writer's layout of an R x C matrix, R and C at least 1: this header,
+# then R rows ``[[re, im], ..., [re, im]]`` joined by ", ", then "]}\n".  So
+# rows meet at _ROW_JOIN and the file ends with _TRAILER.
+_HEADER = re.compile(rb'\{"rows": ([1-9][0-9]*), "cols": ([1-9][0-9]*), "data": \[')
+_ROW_JOIN = b"]], [["
+_TRAILER = b"]]]}\n"
+# The bytes a JSON number can hold.
+_NUMBER_BYTES = b"0123456789.eE+-"
+
+
+def _read_writer_layout(data: bytes):
+    """The matrix ``data`` holds when it is in the writer's exact layout with
+    every number finite, else None.
+
+    Rows are found by their joins and parsed one at a time, without
+    building the nested document: a row is accepted when deleting its
+    number bytes leaves exactly the pair skeleton ``[[, ], ..., [, ]]``,
+    and its numbers then go through ``json.loads`` as one flat list, so
+    JSON's own number grammar decides each token.  The values are those of
+    ``doc_to_matrix(json.loads(data))``.
+    """
+    head = _HEADER.match(data)
+    if head is None or not data.endswith(_TRAILER):
+        return None
+    rows, cols = int(head[1]), int(head[2])
+    if 8 * rows * cols > len(data):  # a row of C pairs takes at least 8C bytes
+        return None
+    skeleton = b"[" + b", ".join([b"[, ]"] * cols) + b"]"
+    out = np.empty((rows, cols), dtype=np.complex128)
+    parts = out.view(np.float64)
+    start, end = head.end(), len(data) - len(_TRAILER) + 2  # the last row ends in the trailer's "]]"
+    for i in range(rows):
+        if i + 1 < rows:
+            stop = data.find(_ROW_JOIN, start, end)
+            if stop < 0:
+                return None
+            stop += 2
+        else:
+            stop = end
+        row = data[start:stop]
+        if row.translate(None, _NUMBER_BYTES) != skeleton:
+            return None
+        try:
+            # ASCII, as the skeleton matched; json.loads of bytes decodes slower
+            parts[i] = json.loads((b"[" + row.translate(None, b"[]") + b"]").decode("ascii"))
+        except (ValueError, TypeError, OverflowError):
+            return None
+        start = stop + 2
+    return out if np.isfinite(parts).all() else None
+
+
 def read_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    out = _read_writer_layout(data)
+    if out is not None:
+        return out
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:

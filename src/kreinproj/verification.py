@@ -621,7 +621,7 @@ def full_report(
         _require_square(p, "idempotent")
         subject.update(dim=p.shape[0], matrix_sha256=matrix_digest(p))
         f = _Factors(p, tol)
-        gate = residual_check("idempotent", "§1", frobenius(p @ p - p), tol.residual_tol * f.sp)
+        gate = residual_check("idempotent", "§1", f.idem_residual, tol.residual_tol * f.sp)
     except (KreinProjError, TypeError, ValueError) as e:
         gate = _failed("idempotent", "§1", e)
     checks.append(gate)

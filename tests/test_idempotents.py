@@ -19,6 +19,7 @@ from kreinproj import (
     random_symmetry_on,
     validate_idempotent,
 )
+from kreinproj import idempotents
 
 P2 = np.array([[1.0, 1.0], [0.0, 0.0]])
 P3 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
@@ -28,6 +29,26 @@ def test_validate_idempotent_cases():
     assert validate_idempotent(np.eye(4))
     assert validate_idempotent(P2)  # P @ P = P by direct multiplication
     assert not validate_idempotent(np.array([[1.0, 1.0], [0.0, 0.5]]))
+
+
+def test_idempotency_residual_is_computed_once_per_handle(monkeypatch):
+    # the idempotency check and the block form of one handle share one
+    # ||P^2 - P||, and a non-idempotent input reports that same value
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return np.linalg.norm(a)
+
+    monkeypatch.setattr(idempotents, "frobenius", counted)
+    f = idempotents._checked_factors(random_idempotent(6, 2, 2.0, seed=3), Tolerances(), "not idempotent")
+    assert f.bf.rank == 2 and f.idempotent
+    assert calls == [(6, 6)]
+    calls.clear()
+    bad = np.array([[1.0, 1.0], [0.0, 0.5]])
+    with pytest.raises(NotIdempotent, match=r"\|\|P\^2 - P\|\| = 5\.590e-01 exceeds tolerance"):
+        block_form(bad)
+    assert calls == [(2, 2)]
 
 
 def test_block_form_orthogonal_projection():

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from kreinproj import FileFormatError, Tolerances, random_idempotent
 from kreinproj.matrixio import (
+    _HEADER,
     _fill_row_checked,
+    _read_writer_layout,
     doc_to_matrix,
     matrix_to_doc,
     read_matrix,
@@ -248,6 +250,167 @@ def test_reader_results_are_pinned(tmp_path, name):
         assert got.dtype == np.complex128
         assert got.shape == want.shape[:2]
         assert got.view(np.float64).reshape(want.shape).tobytes() == want.tobytes()
+
+
+# Documents in the writer's exact layout (the header, rows joined by ", ",
+# the trailer ``]}\n``), each with one defect, and what the reader makes of
+# them: (re, im) pairs row by row, or the exception class and message of
+# ``FileFormatError`` (``{path}`` stands for the file's path).  The defect
+# sits in the second row, after a row the layout reader accepts.
+_LAYOUT_ROWS = ["[[1, 0.5], [-2, 0]]", "[[0.25, 0], [0, 3]]"]
+_LAYOUT_VALUES = [[(1.0, 0.5), (-2.0, 0.0)], [(0.25, 0.0), (0.0, 3.0)]]
+
+
+def _layout(rows=_LAYOUT_ROWS, nrows=None) -> str:
+    nrows = len(rows) if nrows is None else nrows
+    return f'{{"rows": {nrows}, "cols": 2, "data": [' + ", ".join(rows) + "]}\n"
+
+
+def _second_row(row) -> str:
+    return _layout([_LAYOUT_ROWS[0], row])
+
+
+def _token(t) -> str:
+    return _second_row(f"[[{t}, 0], [0, 3]]")
+
+
+def _invalid_json(message):
+    return FileFormatError, "{path}: invalid JSON: " + message
+
+
+LAYOUT_CASES = {
+    "plus-sign": (_token("+1"), _invalid_json("Expecting value: line 1 column 56 (char 55)")),
+    "leading-dot": (_token(".5"), _invalid_json("Expecting value: line 1 column 56 (char 55)")),
+    "trailing-dot": (_token("1."), _invalid_json("Expecting ',' delimiter: line 1 column 57 (char 56)")),
+    "leading-zero": (_token("01"), _invalid_json("Expecting ',' delimiter: line 1 column 57 (char 56)")),
+    "negative-leading-zero": (
+        _token("-01"), _invalid_json("Expecting ',' delimiter: line 1 column 58 (char 57)")
+    ),
+    "dot-before-exponent": (
+        _token("1.e5"), _invalid_json("Expecting ',' delimiter: line 1 column 57 (char 56)")
+    ),
+    "nan": (_token("NaN"), (FileFormatError, "entry (1, 0) is not finite")),
+    "infinity": (_token("Infinity"), (FileFormatError, "entry (1, 0) is not finite")),
+    "exponent-overflow": (_token("1e999"), (FileFormatError, "entry (1, 0) is not finite")),
+    "int-beyond-double-range": (
+        _token("1" + "0" * 400), (FileFormatError, "entry (1, 0) is beyond the double range")
+    ),
+    "true": (_token("true"), [_LAYOUT_VALUES[0], [(1.0, 0.0), (0.0, 3.0)]]),
+    "null": (_token("null"), (FileFormatError, "entry (1, 0) has non-numeric parts")),
+    "extra-pair": (
+        _second_row("[[0.25, 0], [0, 3], [1, 1]]"), (FileFormatError, "row 1 does not have 2 entries")
+    ),
+    "missing-pair": (_second_row("[[0.25, 0]]"), (FileFormatError, "row 1 does not have 2 entries")),
+    "three-part-pair": (
+        _second_row("[[0.25, 0, 1], [0, 3]]"), (FileFormatError, "entry (1, 0) is not an [re, im] pair")
+    ),
+    "one-part-entry": (
+        _second_row("[[0.25], [0, 3]]"), (FileFormatError, "entry (1, 0) is not an [re, im] pair")
+    ),
+    "rows-over": (_layout(nrows=3), (FileFormatError, "expected 3 rows, found 2")),
+    "rows-under": (_layout(nrows=1), (FileFormatError, "expected 1 rows, found 2")),
+    "rows-beyond-the-file": (
+        '{"rows": 99999999999, "cols": 99999999, "data": [[[1, 0]]]}\n',
+        (FileFormatError, "expected 99999999999 rows, found 1"),
+    ),
+    "blank-line-after-trailer": (_layout() + "\n", _LAYOUT_VALUES),
+    "bytes-after-trailer": (_layout() + "x", _invalid_json("Extra data: line 2 column 1 (char 75)")),
+    "brace-for-newline": (_layout()[:-1] + "}", _invalid_json("Extra data: line 1 column 75 (char 74)")),
+    "crlf-ending": (_layout()[:-1] + "\r\n", _LAYOUT_VALUES),
+    # positions count each CRLF as one character, as text mode reads it
+    "crlf-lines": (
+        _token("+1").replace(", [[", ",\r\n[[")[:-1] + "\r\n",
+        _invalid_json("Expecting value: line 2 column 3 (char 55)"),
+    ),
+    "utf8-bom": (
+        "\ufeff" + _layout(),
+        _invalid_json("Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ),
+}
+
+
+def _reference_read(path) -> np.ndarray:
+    """The general route alone: text-mode UTF-8, ``json.load``, ``doc_to_matrix``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise FileFormatError(f"{path}: invalid JSON: {e}") from e
+    return doc_to_matrix(doc)
+
+
+def test_layout_cases_are_in_the_writers_layout():
+    # every case but these passes the layout reader's header and trailer
+    # tests, so its defect is found in the rows
+    unframed = {
+        "utf8-bom", "crlf-ending", "crlf-lines", "blank-line-after-trailer", "bytes-after-trailer",
+        "brace-for-newline",
+    }
+    plain = _layout()
+    assert plain == render_json(matrix_to_doc(_from_parts(np.ravel(_LAYOUT_VALUES), (2, 2)))) + "\n"
+    for name, (text, _) in LAYOUT_CASES.items():
+        framed = _HEADER.match(text.encode()) is not None and text.endswith("]]]}\n")
+        assert framed == (name not in unframed)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_layout_defects_read_as_the_general_route_reads_them(tmp_path, name):
+    text, expected = LAYOUT_CASES[name]
+    path = tmp_path / "m.json"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read_writer_layout(path.read_bytes()) is None
+    if isinstance(expected, tuple):
+        error, message = expected
+        message = message.format(path=path)
+        for read in (read_matrix, _reference_read):
+            with pytest.raises(error) as info:
+                read(path)
+            assert str(info.value) == message
+            assert isinstance(info.value.__cause__, json.JSONDecodeError) == ("invalid JSON" in message)
+        return
+    want = np.array(expected, dtype=np.float64)
+    for got in (read_matrix(path), _reference_read(path)):
+        assert got.dtype == np.complex128
+        assert got.view(np.float64).reshape(want.shape).tobytes() == want.tobytes()
+
+
+def test_undecodable_bytes_raise_the_general_routes_error(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'{"rows": 1, "cols": 1, "data": [[[1\xff, 0]]]}\n')
+    with pytest.raises(UnicodeDecodeError, match="byte 0xff in position 35"):
+        read_matrix(path)
+
+
+# Integer tokens the writer never prints: beyond int64, within the double
+# range, some at a rounding tie.
+_BIG_INT = st.integers(2**63, int(np.finfo(np.float64).max)) | st.sampled_from(
+    [2**63, 2**63 + 2**10, 2**64 + 2**11, 2**64 + 3 * 2**11, 2**1023 + 2**970]
+)
+_TOKEN = st.sampled_from(SPECIAL + [-x for x in SPECIAL]).map("%.17g".__mod__) | st.builds(
+    lambda k, sign: str(sign * k), _BIG_INT, st.sampled_from([1, -1])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_layout_reader_matches_the_document_route(rows, cols, data):
+    tokens = data.draw(st.lists(_TOKEN, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    pairs = iter(f"[{tokens[k]}, {tokens[k + 1]}]" for k in range(0, len(tokens), 2))
+    body = ", ".join("[" + ", ".join(next(pairs) for _ in range(cols)) + "]" for _ in range(rows))
+    text = f'{{"rows": {rows}, "cols": {cols}, "data": [{body}]}}\n'
+    want = doc_to_matrix(json.loads(text))
+    got = _read_writer_layout(text.encode())
+    assert got is not None and got.tobytes() == want.tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        if all(t == "%.17g" % float(t) for t in tokens):  # no integer token
+            write_matrix(path, _from_parts([float(t) for t in tokens], (rows, cols)))
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == text
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        assert read_matrix(path).tobytes() == want.tobytes()
 
 
 if __name__ == "__main__":
