@@ -7,8 +7,9 @@ reads back as the integer 0), and rendering is fully deterministic so
 identical inputs produce byte-identical files.  Matrix files are streamed
 row by row, in both directions: ``write_matrix`` formats one row per
 ``%``-call and never holds the whole text, and ``read_matrix`` reads a file
-in the writer's exact layout one row at a time from its bytes, each row's
-numbers parsed by ``json.loads`` as one flat list.  Any other document, or a
+in the writer's exact layout (its final newline optional, so ``json.dump``
+of a ``matrix_to_doc`` document qualifies) one row at a time from its bytes,
+each row's numbers parsed by ``json.loads`` as one flat list.  Any other document, or a
 row that fails the layout checks or holds a non-finite number, takes the
 general route: text-mode UTF-8 with universal newlines, ``json.load``, then
 ``doc_to_matrix``, which converts one row per ``np.array`` call and raises
@@ -19,7 +20,6 @@ the reader's errors.  Both routes give the same doubles; ``-0`` reads as
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
 import os
@@ -195,10 +195,13 @@ def write_matrix(path, m):
 
 # The writer's layout of an R x C matrix, R and C at least 1: this header,
 # then R rows ``[[re, im], ..., [re, im]]`` joined by ", ", then "]}\n".  So
-# rows meet at _ROW_JOIN and the file ends with _TRAILER.
-_HEADER = re.compile(rb'\{"rows": ([1-9][0-9]*), "cols": ([1-9][0-9]*), "data": \[')
+# rows meet at _ROW_JOIN and the file ends with _TRAILER and its newline,
+# which ``json.dump`` leaves out and the layout reader does not require.
+# R and C take at most 18 digits here, so ``int`` never meets Python's limit
+# on digits; a longer one takes the general route and its error.
+_HEADER = re.compile(rb'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17}), "data": \[')
 _ROW_JOIN = b"]], [["
-_TRAILER = b"]]]}\n"
+_TRAILER = b"]]]}"
 # The bytes a JSON number can hold.
 _NUMBER_BYTES = b"0123456789.eE+-"
 
@@ -209,13 +212,15 @@ def _read_writer_layout(data: bytes):
 
     Rows are found by their joins and parsed one at a time, without
     building the nested document: a row is accepted when deleting its
-    number bytes leaves exactly the pair skeleton ``[[, ], ..., [, ]]``,
+    number bytes leaves exactly the pair skeleton ``[[, ], ..., [, ]]`` and
+    no number sits in the row's ``[[`` or in a join ``], [`` between pairs,
     and its numbers then go through ``json.loads`` as one flat list, so
     JSON's own number grammar decides each token.  The values are those of
     ``doc_to_matrix(json.loads(data))``.
     """
     head = _HEADER.match(data)
-    if head is None or not data.endswith(_TRAILER):
+    end = len(data) - data.endswith(b"\n")
+    if head is None or not data.endswith(_TRAILER, 0, end):
         return None
     rows, cols = int(head[1]), int(head[2])
     if 8 * rows * cols > len(data):  # a row of C pairs takes at least 8C bytes
@@ -223,7 +228,7 @@ def _read_writer_layout(data: bytes):
     skeleton = b"[" + b", ".join([b"[, ]"] * cols) + b"]"
     out = np.empty((rows, cols), dtype=np.complex128)
     parts = out.view(np.float64)
-    start, end = head.end(), len(data) - len(_TRAILER) + 2  # the last row ends in the trailer's "]]"
+    start, end = head.end(), end - len(_TRAILER) + 2  # the last row ends in the trailer's "]]"
     for i in range(rows):
         if i + 1 < rows:
             stop = data.find(_ROW_JOIN, start, end)
@@ -233,7 +238,14 @@ def _read_writer_layout(data: bytes):
         else:
             stop = end
         row = data[start:stop]
-        if row.translate(None, _NUMBER_BYTES) != skeleton:
+        # Once the skeleton matches, the row's "[[" and its C - 1 joins
+        # "], [" between pairs pin every number to its slot: a digit inside
+        # one of them would be glued to its neighbour when the brackets go.
+        if (
+            row.translate(None, _NUMBER_BYTES) != skeleton
+            or not row.startswith(b"[[")
+            or row.count(b"], [") != cols - 1
+        ):
             return None
         try:
             # ASCII, as the skeleton matched; json.loads of bytes decodes slower
@@ -246,11 +258,11 @@ def _read_writer_layout(data: bytes):
 
 def read_matrix(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        data = fh.read()
-    out = _read_writer_layout(data)
+        out = _read_writer_layout(fh.read())
     if out is not None:
         return out
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+    # the general route reads the file again rather than holding its bytes
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from kreinproj import FileFormatError, Tolerances, random_idempotent
 from kreinproj.matrixio import (
-    _HEADER,
     _fill_row_checked,
     _read_writer_layout,
     doc_to_matrix,
@@ -186,8 +185,30 @@ def test_negative_zero_reads_back_as_positive_zero(tmp_path):
     assert np.all(back[zero] == 0.0) and not np.signbit(back[zero]).any()
 
 
+# Writer-layout documents (the header, rows joined by ", ", the trailer
+# ``]}`` and its newline), each with one defect, mostly in the second row,
+# after a row the layout reader accepts.
+_LAYOUT_ROWS = ["[[1, 0.5], [-2, 0]]", "[[0.25, 0], [0, 3]]"]
+_LAYOUT_VALUES = [[(1.0, 0.5), (-2.0, 0.0)], [(0.25, 0.0), (0.0, 3.0)]]
+_INVALID_JSON = "{path}: invalid JSON: "
+
+
+def _layout(rows=_LAYOUT_ROWS, nrows=None) -> str:
+    nrows = len(rows) if nrows is None else nrows
+    return f'{{"rows": {nrows}, "cols": 2, "data": [' + ", ".join(rows) + "]}\n"
+
+
+def _second_row(row) -> str:
+    return _layout([_LAYOUT_ROWS[0], row])
+
+
+def _token(t) -> str:
+    return _second_row(f"[[{t}, 0], [0, 3]]")
+
+
 # Documents and what the reader makes of them: (re, im) pairs row by row, or
-# the exception class.  Covers every route a row can take through the reader.
+# the exception class, optionally with its message (``{path}`` stands for the
+# file's path).  Covers every route a row can take through the reader.
 READER_CASES = {
     "ragged-row": ('{"rows": 2, "cols": 2, "data": [[[1, 0], [2, 0]], [[3, 0]]]}', FileFormatError),
     "row-not-a-list": ('{"rows": 1, "cols": 1, "data": [5]}', FileFormatError),
@@ -231,146 +252,135 @@ READER_CASES = {
     "rows-zero": ('{"rows": 0, "cols": 3, "data": []}', np.zeros((0, 3, 2))),
     "cols-zero": ('{"rows": 2, "cols": 0, "data": [[], []]}', np.zeros((2, 0, 2))),
     "cols-zero-nonempty-row": ('{"rows": 1, "cols": 0, "data": [[[0, 0]]]}', FileFormatError),
+    "layout": (_layout(), _LAYOUT_VALUES),
+    "layout-without-final-newline": (_layout()[:-1], _LAYOUT_VALUES),
+    "layout-plus-sign": (
+        _token("+1"), FileFormatError, _INVALID_JSON + "Expecting value: line 1 column 56 (char 55)"
+    ),
+    "layout-plus-sign-without-final-newline": (
+        _token("+1")[:-1], FileFormatError, _INVALID_JSON + "Expecting value: line 1 column 56 (char 55)"
+    ),
+    "layout-leading-dot": (
+        _token(".5"), FileFormatError, _INVALID_JSON + "Expecting value: line 1 column 56 (char 55)"
+    ),
+    "layout-trailing-dot": (
+        _token("1."), FileFormatError, _INVALID_JSON + "Expecting ',' delimiter: line 1 column 57 (char 56)"
+    ),
+    "layout-leading-zero": (
+        _token("01"), FileFormatError, _INVALID_JSON + "Expecting ',' delimiter: line 1 column 57 (char 56)"
+    ),
+    "layout-negative-leading-zero": (
+        _token("-01"), FileFormatError, _INVALID_JSON + "Expecting ',' delimiter: line 1 column 58 (char 57)"
+    ),
+    "layout-dot-before-exponent": (
+        _token("1.e5"), FileFormatError, _INVALID_JSON + "Expecting ',' delimiter: line 1 column 57 (char 56)"
+    ),
+    "layout-nan": (_token("NaN"), FileFormatError, "entry (1, 0) is not finite"),
+    "layout-infinity": (_token("Infinity"), FileFormatError, "entry (1, 0) is not finite"),
+    "layout-exponent-overflow": (_token("1e999"), FileFormatError, "entry (1, 0) is not finite"),
+    "layout-int-beyond-double-range": (
+        _token("1" + "0" * 400), FileFormatError, "entry (1, 0) is beyond the double range"
+    ),
+    "layout-true": (_token("true"), [_LAYOUT_VALUES[0], [(1.0, 0.0), (0.0, 3.0)]]),
+    "layout-null": (_token("null"), FileFormatError, "entry (1, 0) has non-numeric parts"),
+    "layout-extra-pair": (
+        _second_row("[[0.25, 0], [0, 3], [1, 1]]"), FileFormatError, "row 1 does not have 2 entries"
+    ),
+    "layout-missing-pair": (_second_row("[[0.25, 0]]"), FileFormatError, "row 1 does not have 2 entries"),
+    "layout-three-part-pair": (
+        _second_row("[[0.25, 0, 1], [0, 3]]"), FileFormatError, "entry (1, 0) is not an [re, im] pair"
+    ),
+    "layout-one-part-entry": (
+        _second_row("[[0.25], [0, 3]]"), FileFormatError, "entry (1, 0) is not an [re, im] pair"
+    ),
+    # a number outside its slot, which deleting the brackets would glue to a
+    # neighbour: the im part after its "]", 0.5 + 5, 5 + 0, 1 + 0.5
+    "layout-number-after-its-bracket": (
+        _second_row("[[0.25, ]0, [0, 3]]"),
+        FileFormatError,
+        _INVALID_JSON + "Expecting value: line 1 column 62 (char 61)",
+    ),
+    "layout-number-after-a-pair": (
+        _layout(["[[1, 0.5]5, [-2, 0]]", _LAYOUT_ROWS[1]]),
+        FileFormatError,
+        _INVALID_JSON + "Expecting ',' delimiter: line 1 column 42 (char 41)",
+    ),
+    "layout-number-before-a-pair": (
+        _second_row("[[0.25, 0], 5[0, 3]]"),
+        FileFormatError,
+        _INVALID_JSON + "Expecting ',' delimiter: line 1 column 67 (char 66)",
+    ),
+    "layout-number-before-the-first-pair": (
+        _layout(["[1[0.5, 0], [-2, 0]]", _LAYOUT_ROWS[1]]),
+        FileFormatError,
+        _INVALID_JSON + "Expecting ',' delimiter: line 1 column 35 (char 34)",
+    ),
+    "layout-number-before-a-row": (
+        _second_row("5" + _LAYOUT_ROWS[1]),
+        FileFormatError,
+        _INVALID_JSON + "Expecting ',' delimiter: line 1 column 55 (char 54)",
+    ),
+    # valid JSON, though not the writer's spacing
+    "layout-number-before-the-space": (_second_row("[[0.25,0 ], [0, 3]]"), _LAYOUT_VALUES),
+    "layout-rows-over": (_layout(nrows=3), FileFormatError, "expected 3 rows, found 2"),
+    "layout-rows-under": (_layout(nrows=1), FileFormatError, "expected 1 rows, found 2"),
+    # beyond Python's limit on the digits of an int string: json raises it
+    "layout-rows-of-4301-digits": ('{"rows": ' + "1" * 4301 + ', "cols": 1, "data": [[[1, 0]]]}\n', ValueError),
+    "layout-rows-beyond-the-file": (
+        '{"rows": 99999999999, "cols": 99999999, "data": [[[1, 0]]]}\n',
+        FileFormatError,
+        "expected 99999999999 rows, found 1",
+    ),
+    "layout-blank-line-after-trailer": (_layout() + "\n", _LAYOUT_VALUES),
+    "layout-bytes-after-trailer": (
+        _layout() + "x", FileFormatError, _INVALID_JSON + "Extra data: line 2 column 1 (char 75)"
+    ),
+    "layout-brace-for-newline": (
+        _layout()[:-1] + "}", FileFormatError, _INVALID_JSON + "Extra data: line 1 column 75 (char 74)"
+    ),
+    "layout-crlf-ending": (_layout()[:-1] + "\r\n", _LAYOUT_VALUES),
+    # positions count each CRLF as one character, as text mode reads it
+    "layout-crlf-lines": (
+        _token("+1").replace(", [[", ",\r\n[[")[:-1] + "\r\n",
+        FileFormatError,
+        _INVALID_JSON + "Expecting value: line 2 column 3 (char 55)",
+    ),
+    "layout-utf8-bom": (
+        "\ufeff" + _layout(),
+        FileFormatError,
+        _INVALID_JSON + "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+    ),
 }
+
+
+def _document_route(text):
+    """``doc_to_matrix(json.loads(text))`` after text mode's newline translation."""
+    return doc_to_matrix(json.loads(text.replace("\r\n", "\n")))
 
 
 @pytest.mark.parametrize("name", sorted(READER_CASES))
 def test_reader_results_are_pinned(tmp_path, name):
-    text, expected = READER_CASES[name]
-    path = tmp_path / "m.json"
-    path.write_text(text)
-    if isinstance(expected, type):
-        with pytest.raises(expected):
-            doc_to_matrix(json.loads(text))
-        with pytest.raises(expected):
-            read_matrix(path)
-        return
-    want = np.array(expected, dtype=np.float64)
-    for got in (doc_to_matrix(json.loads(text)), read_matrix(path)):
-        assert got.dtype == np.complex128
-        assert got.shape == want.shape[:2]
-        assert got.view(np.float64).reshape(want.shape).tobytes() == want.tobytes()
-
-
-# Documents in the writer's exact layout (the header, rows joined by ", ",
-# the trailer ``]}\n``), each with one defect, and what the reader makes of
-# them: (re, im) pairs row by row, or the exception class and message of
-# ``FileFormatError`` (``{path}`` stands for the file's path).  The defect
-# sits in the second row, after a row the layout reader accepts.
-_LAYOUT_ROWS = ["[[1, 0.5], [-2, 0]]", "[[0.25, 0], [0, 3]]"]
-_LAYOUT_VALUES = [[(1.0, 0.5), (-2.0, 0.0)], [(0.25, 0.0), (0.0, 3.0)]]
-
-
-def _layout(rows=_LAYOUT_ROWS, nrows=None) -> str:
-    nrows = len(rows) if nrows is None else nrows
-    return f'{{"rows": {nrows}, "cols": 2, "data": [' + ", ".join(rows) + "]}\n"
-
-
-def _second_row(row) -> str:
-    return _layout([_LAYOUT_ROWS[0], row])
-
-
-def _token(t) -> str:
-    return _second_row(f"[[{t}, 0], [0, 3]]")
-
-
-def _invalid_json(message):
-    return FileFormatError, "{path}: invalid JSON: " + message
-
-
-LAYOUT_CASES = {
-    "plus-sign": (_token("+1"), _invalid_json("Expecting value: line 1 column 56 (char 55)")),
-    "leading-dot": (_token(".5"), _invalid_json("Expecting value: line 1 column 56 (char 55)")),
-    "trailing-dot": (_token("1."), _invalid_json("Expecting ',' delimiter: line 1 column 57 (char 56)")),
-    "leading-zero": (_token("01"), _invalid_json("Expecting ',' delimiter: line 1 column 57 (char 56)")),
-    "negative-leading-zero": (
-        _token("-01"), _invalid_json("Expecting ',' delimiter: line 1 column 58 (char 57)")
-    ),
-    "dot-before-exponent": (
-        _token("1.e5"), _invalid_json("Expecting ',' delimiter: line 1 column 57 (char 56)")
-    ),
-    "nan": (_token("NaN"), (FileFormatError, "entry (1, 0) is not finite")),
-    "infinity": (_token("Infinity"), (FileFormatError, "entry (1, 0) is not finite")),
-    "exponent-overflow": (_token("1e999"), (FileFormatError, "entry (1, 0) is not finite")),
-    "int-beyond-double-range": (
-        _token("1" + "0" * 400), (FileFormatError, "entry (1, 0) is beyond the double range")
-    ),
-    "true": (_token("true"), [_LAYOUT_VALUES[0], [(1.0, 0.0), (0.0, 3.0)]]),
-    "null": (_token("null"), (FileFormatError, "entry (1, 0) has non-numeric parts")),
-    "extra-pair": (
-        _second_row("[[0.25, 0], [0, 3], [1, 1]]"), (FileFormatError, "row 1 does not have 2 entries")
-    ),
-    "missing-pair": (_second_row("[[0.25, 0]]"), (FileFormatError, "row 1 does not have 2 entries")),
-    "three-part-pair": (
-        _second_row("[[0.25, 0, 1], [0, 3]]"), (FileFormatError, "entry (1, 0) is not an [re, im] pair")
-    ),
-    "one-part-entry": (
-        _second_row("[[0.25], [0, 3]]"), (FileFormatError, "entry (1, 0) is not an [re, im] pair")
-    ),
-    "rows-over": (_layout(nrows=3), (FileFormatError, "expected 3 rows, found 2")),
-    "rows-under": (_layout(nrows=1), (FileFormatError, "expected 1 rows, found 2")),
-    "rows-beyond-the-file": (
-        '{"rows": 99999999999, "cols": 99999999, "data": [[[1, 0]]]}\n',
-        (FileFormatError, "expected 99999999999 rows, found 1"),
-    ),
-    "blank-line-after-trailer": (_layout() + "\n", _LAYOUT_VALUES),
-    "bytes-after-trailer": (_layout() + "x", _invalid_json("Extra data: line 2 column 1 (char 75)")),
-    "brace-for-newline": (_layout()[:-1] + "}", _invalid_json("Extra data: line 1 column 75 (char 74)")),
-    "crlf-ending": (_layout()[:-1] + "\r\n", _LAYOUT_VALUES),
-    # positions count each CRLF as one character, as text mode reads it
-    "crlf-lines": (
-        _token("+1").replace(", [[", ",\r\n[[")[:-1] + "\r\n",
-        _invalid_json("Expecting value: line 2 column 3 (char 55)"),
-    ),
-    "utf8-bom": (
-        "\ufeff" + _layout(),
-        _invalid_json("Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
-    ),
-}
-
-
-def _reference_read(path) -> np.ndarray:
-    """The general route alone: text-mode UTF-8, ``json.load``, ``doc_to_matrix``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FileFormatError(f"{path}: invalid JSON: {e}") from e
-    return doc_to_matrix(doc)
-
-
-def test_layout_cases_are_in_the_writers_layout():
-    # every case but these passes the layout reader's header and trailer
-    # tests, so its defect is found in the rows
-    unframed = {
-        "utf8-bom", "crlf-ending", "crlf-lines", "blank-line-after-trailer", "bytes-after-trailer",
-        "brace-for-newline",
-    }
-    plain = _layout()
-    assert plain == render_json(matrix_to_doc(_from_parts(np.ravel(_LAYOUT_VALUES), (2, 2)))) + "\n"
-    for name, (text, _) in LAYOUT_CASES.items():
-        framed = _HEADER.match(text.encode()) is not None and text.endswith("]]]}\n")
-        assert framed == (name not in unframed)
-
-
-@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
-def test_layout_defects_read_as_the_general_route_reads_them(tmp_path, name):
-    text, expected = LAYOUT_CASES[name]
+    text, expected, *message = READER_CASES[name]
     path = tmp_path / "m.json"
     path.write_bytes(text.encode("utf-8"))
-    assert _read_writer_layout(path.read_bytes()) is None
-    if isinstance(expected, tuple):
-        error, message = expected
-        message = message.format(path=path)
-        for read in (read_matrix, _reference_read):
-            with pytest.raises(error) as info:
-                read(path)
-            assert str(info.value) == message
-            assert isinstance(info.value.__cause__, json.JSONDecodeError) == ("invalid JSON" in message)
+    if isinstance(expected, type):
+        assert _read_writer_layout(path.read_bytes()) is None
+        with pytest.raises(Exception) as want:
+            _document_route(text)
+        with pytest.raises(expected) as got:
+            read_matrix(path)
+        if isinstance(want.value, json.JSONDecodeError):
+            assert isinstance(got.value.__cause__, json.JSONDecodeError)
+            assert str(got.value) == f"{path}: invalid JSON: {want.value}"
+        else:
+            assert isinstance(want.value, expected) and str(got.value) == str(want.value)
+        if message:
+            assert str(got.value) == message[0].format(path=path)
         return
     want = np.array(expected, dtype=np.float64)
-    for got in (read_matrix(path), _reference_read(path)):
+    for got in (_document_route(text), read_matrix(path)):
         assert got.dtype == np.complex128
+        assert got.shape == want.shape[:2]
         assert got.view(np.float64).reshape(want.shape).tobytes() == want.tobytes()
 
 
@@ -379,6 +389,21 @@ def test_undecodable_bytes_raise_the_general_routes_error(tmp_path):
     path.write_bytes(b'{"rows": 1, "cols": 1, "data": [[[1\xff, 0]]]}\n')
     with pytest.raises(UnicodeDecodeError, match="byte 0xff in position 35"):
         read_matrix(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(_layout().index("[["), len(_layout())), st.text("0123456789.eE+-", min_size=1, max_size=3))
+def test_a_stray_number_reads_as_the_document_route(at, run):
+    # bytes a number can hold, dropped anywhere into a writer-layout
+    # document after its header (whose R and C the document route allocates)
+    text = _layout()[:at] + run + _layout()[at:]
+    got = _read_writer_layout(text.encode())
+    try:
+        want = _document_route(text)
+    except (json.JSONDecodeError, FileFormatError):
+        assert got is None
+    else:
+        assert got is None or got.tobytes() == want.tobytes()
 
 
 # Integer tokens the writer never prints: beyond int64, within the double
