@@ -73,9 +73,10 @@ class BlockForm:
     def rank(self) -> int:
         return self.basis_range.shape[1]
 
-    @property
+    @functools.cached_property
     def unitary(self) -> np.ndarray:
-        """The ambient unitary [basis_range | basis_perp]."""
+        """The ambient unitary [basis_range | basis_perp], formed once per form;
+        callers must not modify it."""
         return np.hstack([self.basis_range, self.basis_perp])
 
     def assemble(self, b11, b12, b21, b22) -> np.ndarray:
@@ -117,11 +118,18 @@ class BlockForm:
     def _inv_sqrts(self):
         return _corner_inv_sqrts(self._corner_svd)
 
+    @functools.cached_property
+    def _splits(self) -> dict:
+        return {}
+
     def corner_split(self, tol: Tolerances = DEFAULT_TOL):
         """Orthonormal bases ``(u_null, u_range, v_null, v_range)`` of
         N(C*), R(C) in range(P) and of N(C), R(C*) in range(P)-perp, from
-        one rank decision on the corner's singular values."""
-        return _corner_split(self._corner_svd, tol)
+        one rank decision on the corner's singular values, made once per
+        tolerance."""
+        if tol not in self._splits:
+            self._splits[tol] = _corner_split(self._corner_svd, tol)
+        return self._splits[tol]
 
 
 def _full_svd(m):
@@ -234,7 +242,7 @@ class _Factors:
         _require_square(self.p, "idempotent")
         return frobenius(self.p @ self.p - self.p)
 
-    @property
+    @functools.cached_property
     def idempotent(self) -> bool:
         """``idem_residual <= residual_tol * scale_of(P)``."""
         return within_scaled(self.idem_residual, self.tol.residual_tol, self.p)
@@ -247,8 +255,11 @@ class _Factors:
 
     @functools.cached_property
     def comp(self) -> "_Factors":
-        """The handle of I - P."""
-        return _Factors(np.eye(self.p.shape[0], dtype=np.complex128) - self.p, self.tol)
+        """The handle of I - P.  It takes P's idempotency residual and verdict:
+        (I - P)^2 - (I - P) = P^2 - P exactly."""
+        comp = _Factors(np.eye(self.p.shape[0], dtype=np.complex128) - self.p, self.tol)
+        comp.idem_residual, comp.idempotent = self.idem_residual, self.idempotent
+        return comp
 
     @functools.cached_property
     def sum_parts(self):
@@ -352,7 +363,8 @@ def haar_unitary(n: int, seed=0) -> np.ndarray:
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    phase = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
+    mag = np.abs(d)
+    phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
     return q * phase
 
 
@@ -399,11 +411,20 @@ def random_symmetry_on(basis, seed=0, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     ``tol.residual_tol``.
     """
     basis = as_matrix(basis)
+    _check_orthonormal(basis, tol)
+    return _random_symmetry(basis.shape[1], as_rng(seed))
+
+
+def _check_orthonormal(basis: np.ndarray, tol: Tolerances):
+    """``NotOrthonormal`` unless ``||basis* basis - I||_F <= residual_tol * max(1, k)``."""
     k = basis.shape[1]
     gram = basis.conj().T @ basis
     if frobenius(gram - np.eye(k)) > tol.residual_tol * max(1.0, k):
         raise NotOrthonormal("basis columns are not orthonormal")
-    rng = as_rng(seed)
+
+
+def _random_symmetry(k: int, rng: np.random.Generator) -> np.ndarray:
+    """The k x k draw of :func:`random_symmetry_on` from ``rng``."""
     q = haar_unitary(k, rng)
     signs = rng.integers(0, 2, k) * 2 - 1
     return (q * signs) @ q.conj().T

@@ -151,23 +151,32 @@ def doc_to_matrix(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise FileFormatError("matrix document must be a JSON object")
     try:
-        rows = int(doc["rows"])
-        cols = int(doc["cols"])
-        data = doc["data"]
-    except (KeyError, TypeError, ValueError) as e:
+        rows, cols, data = doc["rows"], doc["cols"], doc["data"]
+    except (KeyError, TypeError) as e:
         raise FileFormatError(f"malformed matrix document: {e}") from e
+    for name, value in (("rows", rows), ("cols", cols)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise FileFormatError(f"malformed matrix document: {name} must be an integer, got {value!r}")
     if rows < 0 or cols < 0:
         raise FileFormatError("matrix dimensions must be nonnegative")
+    if cols > np.iinfo(np.intp).max:
+        raise FileFormatError(f"matrix dimensions beyond the array limit: cols = {cols}")
     if not isinstance(data, list) or len(data) != rows:
         raise FileFormatError(f"expected {rows} rows, found {len(data) if isinstance(data, list) else 'non-list'}")
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    parts = out.view(np.float64).reshape(rows, cols, 2)
-    for i, row in enumerate(data):
+    # Only the rows before the first one that is not ``cols`` long are
+    # allocated, so the allocation never outgrows the document; that row's
+    # error is raised after the errors of the rows before it.
+    short = next((i for i, row in enumerate(data) if not isinstance(row, list) or len(row) != cols), rows)
+    out = np.zeros((short, cols), dtype=np.complex128)
+    parts = out.view(np.float64).reshape(short, cols, 2)
+    for i, row in enumerate(data[:short]):
         a = _numeric_row(row, cols)
         if a is None:
             _fill_row_checked(out, i, row, cols)
         else:
             parts[i] = a
+    if short < rows:
+        _fill_row_checked(out, short, data[short], cols)  # raises: the row is not ``cols`` long
     return out
 
 
@@ -265,7 +274,9 @@ def read_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except UnicodeDecodeError:
+            raise
+        except ValueError as e:  # a JSONDecodeError, or an integer beyond Python's 4300 digits
             raise FileFormatError(f"{path}: invalid JSON: {e}") from e
     return doc_to_matrix(doc)
 

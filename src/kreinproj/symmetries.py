@@ -31,10 +31,11 @@ from .errors import ConstraintViolated, InternalMismatch, NotSymmetryParam, Sing
 from .idempotents import (
     BlockForm,
     _checked_factors,
+    _check_orthonormal,
     _Factors,
     _kernel_projections,
     _per_handle,
-    random_symmetry_on,
+    _random_symmetry,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -178,31 +179,50 @@ def sample_params(
     For the intertwining family the shared sign is drawn uniformly.  Draws
     are independent (seeded per index), so ordering does not matter.
     """
+    split = bf.corner_split(tol)
+    return [_params(bf, family, split, draw) for draw in _draws(bf, family, count, seed, tol)]
+
+
+def _draws(bf: BlockForm, family: SymmetryFamily, count: int, seed, tol: Tolerances) -> list:
+    """The seeded draws behind :func:`sample_params`, one ``(eps, s1, s2)`` per
+    member: the intertwining family's shared sign, and the free symmetries on
+    N(C*) and on N(C) in the coordinates of their bases; None where the family
+    has none.  Each basis is checked orthonormal once, before the first draw."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    u_null, u_range, v_null, v_range = bf.corner_split(tol)
+    u_null, _, v_null, _ = bf.corner_split(tol)
+    free1 = family is not SymmetryFamily.J_POSITIVE
+    free2 = family is not SymmetryFamily.J_CONTRACTIVE
+    for basis, free in ((u_null, free1), (v_null, free2)):
+        if free:
+            _check_orthonormal(as_matrix(basis), tol)
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(count):
+        rng = np.random.default_rng(child)
+        eps = (1.0 if rng.integers(0, 2) else -1.0) if free1 and free2 else None
+        s1 = _random_symmetry(u_null.shape[1], rng) if free1 else None
+        s2 = _random_symmetry(v_null.shape[1], rng) if free2 else None
+        out.append((eps, s1, s2))
+    return out
+
+
+def _params(bf: BlockForm, family: SymmetryFamily, split, draw) -> SymmetryParams:
+    """The family parameters of one draw of :func:`_draws`, from the corner
+    bases ``split = bf.corner_split(tol)``."""
+    u_null, u_range, v_null, v_range = split
+    eps, s1, s2 = draw
     r = bf.rank
     c = bf.dim - r
-    children = np.random.SeedSequence(seed).spawn(count)
-    out = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        if family is SymmetryFamily.J_CONTRACTIVE:
-            s1 = random_symmetry_on(u_null, rng, tol)
-            j1 = u_null @ s1 @ u_null.conj().T - u_range @ u_range.conj().T
-            j2 = np.eye(c, dtype=np.complex128)
-        elif family is SymmetryFamily.J_POSITIVE:
-            s2 = random_symmetry_on(v_null, rng, tol)
-            j1 = np.eye(r, dtype=np.complex128)
-            j2 = v_null @ s2 @ v_null.conj().T - v_range @ v_range.conj().T
-        else:
-            eps = 1.0 if rng.integers(0, 2) else -1.0
-            s1 = random_symmetry_on(u_null, rng, tol)
-            s2 = random_symmetry_on(v_null, rng, tol)
-            j1 = u_null @ s1 @ u_null.conj().T + eps * u_range @ u_range.conj().T
-            j2 = v_null @ s2 @ v_null.conj().T - eps * v_range @ v_range.conj().T
-        out.append(SymmetryParams(on_range=j1, on_perp=j2))
-    return out
+    if family is SymmetryFamily.J_CONTRACTIVE:
+        j1 = u_null @ s1 @ u_null.conj().T - u_range @ u_range.conj().T
+        j2 = np.eye(c, dtype=np.complex128)
+    elif family is SymmetryFamily.J_POSITIVE:
+        j1 = np.eye(r, dtype=np.complex128)
+        j2 = v_null @ s2 @ v_null.conj().T - v_range @ v_range.conj().T
+    else:
+        j1 = u_null @ s1 @ u_null.conj().T + eps * u_range @ u_range.conj().T
+        j2 = v_null @ s2 @ v_null.conj().T - eps * v_range @ v_range.conj().T
+    return SymmetryParams(on_range=j1, on_perp=j2)
 
 
 def extremal_symmetry(p, kind: ExtremalKind, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

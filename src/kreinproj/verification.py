@@ -13,6 +13,7 @@ their inputs.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from typing import NamedTuple, Optional
 
@@ -48,14 +49,15 @@ from .reporting import (
 from .symmetries import (
     ExtremalKind,
     SymmetryFamily,
+    _draws,
     _extremal_symmetry,
     _extremal_symmetry_via_blocks,
     _extreme,
     _nonexistence_witnesses,
+    _params,
     _sign_formula_symmetry,
     assemble_symmetry,
     family_checks,
-    sample_params,
 )
 
 __all__ = [
@@ -223,29 +225,44 @@ def _symmetry_check(prefix, ref, j, budget) -> CheckResult:
 
 
 def _member_checks(prefix, ref, f: _Factors, j, family: SymmetryFamily) -> list:
-    """Certify ``j``, a member of ``family`` built from the block form of P:
-    ``<prefix>-symmetry`` at ``residual_tol``, then :func:`family_checks` at
-    its budgets, a PSD margin by :func:`_weyl_margin` against the family's PSD
-    model (rounding 4 eps ||model||_F), J - P* J P = W diag(0, (I + C* C)^(1/2)) W*
-    or J P = W [I; C*] Tinv [I, C] W*."""
-    p, tol, sp, bf = f.p, f.tol, f.sp, f.bf
+    """Certify ``j``, a member of ``family`` assembled in the ambient basis
+    from the block form of P: ``<prefix>-symmetry`` at ``residual_tol``, then
+    :func:`family_checks` at its budgets, a PSD margin by :func:`_weyl_margin`
+    against the family's PSD model (see :func:`_member_model`).  This is the
+    ambient route: it certifies each witness, the member ``kreinproj gen
+    symmetry-for`` writes, and probe sample ``sample-000``, the oracle the
+    block-route certificates of the later samples (:func:`_block_sample_checks`)
+    stand beside."""
+    p, tol, sp = f.p, f.tol, f.sp
     checks = [_symmetry_check(prefix, ref, j, tol.residual_tol)]
     if family is SymmetryFamily.J_PROJECTION:
         return checks + family_checks(prefix, ref, p, j, family, tol, sp)
     if family is SymmetryFamily.J_CONTRACTIVE:
         rel, name = j - p.conj().T @ j @ p, "dominates"
-        _, s, vh = bf._corner_svd
-        grow = s * (s / (1.0 + np.hypot(1.0, s)))  # sqrt(1 + s^2) - 1
-        model = bf.embed_perp(np.eye(bf.dim - bf.rank) + (vh[: s.size].conj().T * grow) @ vh[: s.size])
     else:
         rel, name = j @ p, "psd"
         herm = frobenius(rel - rel.conj().T)
         checks.append(residual_check(f"{prefix}-hermitian", ref, herm, tol.residual_tol * sp))
+    budget = tol.psd_tol * sp
+    margin = _weyl_margin(rel, *_member_model(f, family), budget)
+    return checks + [margin_check(f"{prefix}-{name}", ref, margin, budget)]
+
+
+@_per_handle
+def _member_model(f: _Factors, family: SymmetryFamily):
+    """``(model, low)``: the exact value of every member's relation in
+    ``family``, J - P* J P = W diag(0, (I + C* C)^(1/2)) W* or
+    J P = W [I; C*] Tinv [I, C] W*, and the floor -4 eps ||model||_F its
+    rounding leaves on its smallest eigenvalue."""
+    bf = f.bf
+    if family is SymmetryFamily.J_CONTRACTIVE:
+        _, s, vh = bf._corner_svd
+        grow = s * (s / (1.0 + np.hypot(1.0, s)))  # sqrt(1 + s^2) - 1
+        model = bf.embed_perp(np.eye(bf.dim - bf.rank) + (vh[: s.size].conj().T * grow) @ vh[: s.size])
+    else:
         b = bf.basis_range + bf.basis_perp @ bf.corner.conj().T
         model = b @ bf._inv_sqrts[0] @ b.conj().T
-    budget = tol.psd_tol * sp
-    margin = _weyl_margin(rel, model, -4 * np.finfo(float).eps * frobenius(model), budget)
-    return checks + [margin_check(f"{prefix}-{name}", ref, margin, budget)]
+    return model, -4 * np.finfo(float).eps * frobenius(model)
 
 
 @_per_handle
@@ -293,12 +310,18 @@ def extremality_probe(
     family's closed-form least and greatest elements.
 
     Each sampled J gets its member checks (``sample-NNN-symmetry`` and the
-    family's, see :func:`_member_checks`) and two margin checks,
-    lambda_min(J - J_min) and lambda_min(J_max - J), judged against psd_tol
-    as an absolute bound: a certified lower bound, exact eigenvalue when the
-    bound does not decide (see :func:`_weyl_margin`).  The extremes
-    themselves are checked for admissibility.  ``samples`` must be an
-    integer of at least 1 and ``seed`` an integer or None, else ``ValueError``.
+    family's) and two margin checks, lambda_min(J - J_min) and
+    lambda_min(J_max - J), judged against psd_tol as an absolute bound.
+    ``sample-000`` is assembled in the ambient basis and certified there (see
+    :func:`_member_checks`): each margin a certified lower bound, exact
+    eigenvalue when the bound does not decide (see :func:`_weyl_margin`).
+    Each later sample is certified in block coordinates from its free
+    symmetry alone, without assembling it (see :func:`_block_sample_checks`):
+    every residual an upper bound and every margin a lower bound on the value
+    of the assembled member; a sample whose bounds do not all pass takes the
+    ambient route, so every status is that route's.  The extremes themselves
+    are checked for admissibility.  ``samples`` must be an integer of at
+    least 1 and ``seed`` an integer or None, else ``ValueError``.
     """
     if family is SymmetryFamily.J_PROJECTION:
         raise ValueError("the intertwining family has no extreme elements to probe")
@@ -322,9 +345,10 @@ def _weyl_margin(d, model, low, budget) -> float:
     return bound if bound >= -budget else min_eig(d)
 
 
-def _extremality_probe(f: _Factors, family, samples, seed) -> Report:
-    """:func:`extremality_probe` from the factors of P.  The extremes' family
-    checks are their ``extremal-<kind>`` checks, renamed."""
+def _extremality_probe(f: _Factors, family, samples, seed, prefix="") -> Report:
+    """:func:`extremality_probe` from the factors of P, with every check name
+    led by ``prefix``.  The extremes' family checks are their
+    ``extremal-<kind>`` checks, renamed."""
     samples = _whole(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -336,24 +360,26 @@ def _extremality_probe(f: _Factors, family, samples, seed) -> Report:
     checks = []
     for label, kind in (("extreme-min", kind_min), ("extreme-max", kind_max)):
         cut = len(f"extremal-{kind.value}")
-        checks += [dataclasses.replace(c, name=label + c.name[cut:]) for c in _extreme_checks(f, kind)[1:]]
+        checks += [dataclasses.replace(c, name=prefix + label + c.name[cut:]) for c in _extreme_checks(f, kind)[1:]]
     ref = _FAMILY_REFS[family]
-    # The free part of a member acts on N(C*) in range(P) (contractive family)
-    # or N(C) in range(P)-perp (positive family), spanned by the k columns of
-    # ``null``, where the extremes carry -I and +I: J - J_min and J_max - J are
-    # embed(null block null*), with block free + I and I - free, respectively.
-    u_null, _, v_null, _ = bf.corner_split(tol)
-    contr = family is SymmetryFamily.J_CONTRACTIVE
-    null, embed = (u_null, bf.embed_range) if contr else (v_null, bf.embed_perp)
-    eye = np.eye(null.shape[1])
-    for i, params in enumerate(sample_params(bf, family, samples, seed, tol)):
-        j = assemble_symmetry(bf, family, params, tol)
-        checks += _member_checks(f"sample-{i:03d}", ref, f, j, family)
-        free = null.conj().T @ params[0 if contr else 1] @ null
-        for name, d, block in (("above-min", j - j_min, free + eye), ("below-max", j_max - j, eye - free)):
-            low = min(min_eig(block), 0.0) if block.shape[0] < d.shape[0] else min_eig(block)
-            margin = _weyl_margin(d, embed(null @ block @ null.conj().T), low, tol.psd_tol)
-            checks.append(margin_check(f"sample-{i:03d}-{name}", ref, margin, tol.psd_tol))
+    draws = _draws(bf, family, samples, seed, tol)
+    split = bf.corner_split(tol)
+    names = [f"{prefix}sample-{i:03d}" for i in range(samples)]
+    # sample-000 takes the ambient route, the oracle.  With no free part
+    # (k = 0) every draw gives its member again; otherwise each later sample
+    # is certified in block coordinates where the bounds decide.
+    first = _ambient_sample_checks(f, family, names[0], ref, _params(bf, family, split, draws[0]), j_min, j_max)
+    checks += first
+    free = [draw[1 if family is SymmetryFamily.J_CONTRACTIVE else 2] for draw in draws[1:]]
+    if free and not free[0].size:
+        cut = len(names[0])
+        for name in names[1:]:
+            checks += [dataclasses.replace(c, name=name + c.name[cut:]) for c in first]
+        free = []
+    for name, draw, terms in zip(names[1:], draws[1:], _free_terms(free)):
+        checks += _block_sample_checks(f, family, name, ref, terms) or _ambient_sample_checks(
+            f, family, name, ref, _params(bf, family, split, draw), j_min, j_max
+        )
     subject = {
         "dim": p.shape[0],
         "rank": bf.rank,
@@ -362,6 +388,326 @@ def _extremality_probe(f: _Factors, family, samples, seed) -> Report:
         "matrix_sha256": matrix_digest(p),
     }
     return Report(subject=subject, checks=checks, config=tol, seed=seed)
+
+
+def _ambient_sample_checks(f: _Factors, family, prefix, ref, params, j_min, j_max) -> list:
+    """A probe sample assembled in the ambient basis: its :func:`_member_checks`
+    and its margins above J_min and below J_max, each a Weyl bound against
+    the exact block model, or the exact eigenvalue when the bound does not
+    decide."""
+    bf, tol = f.bf, f.tol
+    # The free part of a member acts on N(C*) in range(P) (contractive family)
+    # or N(C) in range(P)-perp (positive family), spanned by the k columns of
+    # ``null``, where the extremes carry -I and +I: J - J_min and J_max - J are
+    # embed(null block null*), with block free + I and I - free, respectively.
+    u_null, _, v_null, _ = bf.corner_split(tol)
+    contr = family is SymmetryFamily.J_CONTRACTIVE
+    null, embed = (u_null, bf.embed_range) if contr else (v_null, bf.embed_perp)
+    eye = np.eye(null.shape[1])
+    j = assemble_symmetry(bf, family, params, tol)
+    checks = _member_checks(prefix, ref, f, j, family)
+    free = null.conj().T @ params[0 if contr else 1] @ null
+    for name, d, block in (("above-min", j - j_min, free + eye), ("below-max", j_max - j, eye - free)):
+        low = min(min_eig(block), 0.0) if block.shape[0] < d.shape[0] else min_eig(block)
+        margin = _weyl_margin(d, embed(null @ block @ null.conj().T), low, tol.psd_tol)
+        checks.append(margin_check(f"{prefix}-{name}", ref, margin, tol.psd_tol))
+    return checks
+
+
+# Block-route certificates of probe samples.  A member of the positive or
+# contractive family differs from the family's block-route least element J_b
+# only on the corner null space.  With ``null`` the k columns spanning it in
+# range(P)-perp (positive family) or range(P) (contractive family), ``basis``
+# the columns of W on that side and N = basis @ null (n x k), a sample with
+# free k x k symmetry S is
+#
+#     J = J_b + N (S + I) N* + Psi,    ||Psi||_F <= rho(S),
+#
+# where Psi collects the rounding of assembling J and J_b and the defects of
+# the computed bases.  So J P = J_b P + N (S + I) (N* P) with N* P = 0,
+# J - P* J P = J_b - P* J_b P when P* N = N, J - J_min = (J_b - J_min) +
+# N (S + I) N* and J_max - J = (J_max - J_bmax) + N (I - S) N*, each up to
+# Psi, and every check of the sample is bounded from S and from terms
+# computed once per family and handle.  The derivation of each bound is in
+# CHANGES.md.
+
+_U = np.finfo(float).eps / 2
+
+
+def _gamma(m: int) -> float:
+    """sqrt(2) gamma_(m+2) (Higham 2002, Lemma 3.5 and Sect. 3.5): the rounding
+    of a complex product chain whose inner lengths add up to at most m,
+    relative to the product of the moduli of its factors."""
+    t = (m + 2) * _U
+    return math.sqrt(2.0) * t / (1.0 - t)
+
+
+def _abs_norm2(a) -> float:
+    """An upper bound on || |a| ||_2 >= ||a||_2 by the Schur test: the square
+    root of the largest column sum times the largest row sum of |a|."""
+    if a.size == 0:
+        return 0.0
+    m = np.abs(a)
+    return math.sqrt(m.sum(axis=0).max() * m.sum(axis=1).max())
+
+
+@_per_handle
+def _unitary_residual(f: _Factors) -> float:
+    """||W* W - I||_F of the block form's basis W."""
+    w = f.bf.unitary
+    return frobenius(w.conj().T @ w - np.eye(w.shape[0], dtype=np.complex128))
+
+
+@_per_handle
+def _block_route_gap(f: _Factors, kind: ExtremalKind):
+    """The block-route construction of the extreme ``kind`` and its Frobenius
+    distance to the spectral one."""
+    j_b = _extremal_symmetry_via_blocks(f, kind)
+    return j_b, frobenius(j_b - _extremal_symmetry(f, kind))
+
+
+class _BlockModel(NamedTuple):
+    """The terms of :func:`_block_sample_checks` that do not depend on S, for
+    one family on one handle; each is an upper bound (a lower one for ``me``)
+    on the exact quantity, its own rounding included."""
+
+    e: float  # _gamma(3n): the rounding unit of n x n products and of every norm
+    ea: float  # _gamma(2n): that of assembling W B W*
+    em: float  # _gamma(2m): that of the products of the m x m side blocks
+    ek: float  # _gamma(2k + 2): that of forming null S null* and S S, and of eigvalsh on S
+    n: int
+    k: int
+    # the side parameter j = null S null* - R, R = rng rng*, of assemble_symmetry
+    nl2: float  # ||null||_F^2
+    nu2: float  # 1 + ||null* null - I||_F >= ||null||_2^2
+    gn: float  # ||null* null - I||_F
+    rf: float  # ||R||_F
+    rs: float  # ||R - R*||_F
+    zr: float  # ||null* R||_F
+    rr: float  # ||R R - R||_F
+    eta: float  # ||I - R - null null*||_F
+    cn: float  # ||C null||_F (positive) or ||null* C||_F (contractive)
+    c2: float  # ||C||_2
+    cf: float  # ||C||_F
+    cons_budget: float  # assemble_symmetry's budget on its corner constraint
+    # Psi: the assemblies, the blocks and N against the side factors
+    omega2: float  # || |W| ||_2^2
+    w2: float  # ||W||_2^2
+    mb: float  # ||B_b||_F, the block matrix of J_b
+    lam: float  # ||L(x)||_F <= lam ||x||_F for the blocks L(x) of J - J_b
+    blk: float  # the rounding of those blocks is at most e ||j||_F blk
+    en: float  # ||N - basis null||_F
+    dx: float  # ||X - N||_F, X the right factor of J - J_b (N on the left)
+    dy: float  # ||Y||_F, Y the left factor of its transposed part
+    # the relations of K = J_b + N (S + I) N*
+    nn2: float  # 1 + r2 >= ||N||_2^2
+    r1: float  # ||J_b N + N||_F
+    r2: float  # ||N* N - I||_F
+    q: float  # ||N* P||_F (positive) or ||P* N - N||_F (contractive)
+    mu: float  # ||J_bmax - J_b - 2 N N*||_F
+    gmin: float  # ||J_b - J_min||_F, the block-route gap of J_min
+    gmax: float  # ||J_bmax - J_max||_F
+    se: float  # J_min's symmetry residual, from its recorded check
+    he: float  # J_min's Hermitian residual of J P (positive family)
+    me: float  # J_min's recorded PSD or dominance margin, less its rounding
+    jbf: float  # ||J_b||_F
+    jmin_f: float  # ||J_min||_F
+    jmax_f: float  # ||J_max||_F
+    pf: float  # ||P||_F
+    p2: float  # ||P||_2
+
+
+@_per_handle
+def _block_model(f: _Factors, family: SymmetryFamily) -> Optional[_BlockModel]:
+    """The :class:`_BlockModel` of ``family`` on the handle; None when the
+    block route of an extreme cannot be built or a term is not finite, so
+    that every sample takes the ambient route."""
+    p, tol, bf = f.p, f.tol, f.bf
+    n = p.shape[0]
+    kind_min, kind_max = (k for k in ExtremalKind if k.family is family)
+    try:
+        j_b, gap_min = _block_route_gap(f, kind_min)
+        j_bmax, gap_max = _block_route_gap(f, kind_max)
+    except KreinProjError:
+        return None
+    j_min, j_max = _extremal_symmetry(f, kind_min), _extremal_symmetry(f, kind_max)
+    recorded = {c.name.rsplit("-", 1)[1]: c for c in _extreme_checks(f, kind_min)}
+    e = _gamma(3 * n)
+    up = 1.0 + e
+    tinv, sinv, corner_norm = bf._inv_sqrts
+    c = bf.corner
+    # the off-diagonal blocks of J_b, formed as assemble_symmetry forms them
+    tc, ct = tinv @ c, c.conj().T @ tinv
+    t_f, tc_f, ct_f, s_f = (frobenius(x) for x in (tinv, tc, ct, sinv))
+    omega = _abs_norm2(bf.unitary) * up
+    u_null, u_range, v_null, v_range = bf.corner_split(tol)
+    positive = family is SymmetryFamily.J_POSITIVE
+    basis, null, rng = (bf.basis_perp, v_null, v_range) if positive else (bf.basis_range, u_null, u_range)
+    m, k = null.shape
+    nl = frobenius(null)
+    if positive:
+        # J - J_b = W diag(0, (j + I) Sinv) W*
+        lam, blk = _abs_norm2(sinv) * up, s_f
+        x = basis @ (sinv.conj().T @ null)
+        dy = 0.0
+        cn = frobenius(c @ null)
+    else:
+        # J - J_b = W [[(j + I) Tinv, (j + I) Tinv C], [C* Tinv (j + I), 0]] W*
+        lam = (_abs_norm2(tinv) + _abs_norm2(tc) + _abs_norm2(ct)) * up
+        blk = t_f + 2 * frobenius(np.abs(tinv) @ np.abs(c)) * up + ct_f
+        x = basis @ (tinv.conj().T @ null) + bf.basis_perp @ (tc.conj().T @ null)
+        dy = frobenius(bf.basis_perp @ (ct @ null)) * up + e * omega * ct_f * nl
+        cn = frobenius(null.conj().T @ c)
+    gn = frobenius(null.conj().T @ null - np.eye(k)) * up + e * nl * nl
+    r = rng @ rng.conj().T  # as _params forms it
+    rf, cf = frobenius(r), frobenius(c)
+    big_n = basis @ null
+    nf = frobenius(big_n)
+    r2 = frobenius(big_n.conj().T @ big_n - np.eye(k)) * up + e * nf * nf
+    jbf, jef, pf = frobenius(j_b), frobenius(j_min), frobenius(p)
+    if positive:
+        q = frobenius(big_n.conj().T @ p) * up + e * nf * pf
+        he = recorded["hermitian"].residual * up + 2 * e * jef * pf
+        me = recorded["psd"].margin - 2 * e * jef * pf * up
+    else:
+        q = frobenius(p.conj().T @ big_n - big_n) * up + e * (pf + 1) * nf
+        he = 0.0
+        me = recorded["dominates"].margin - 2 * e * jef * (1 + pf * pf) * up
+    model = _BlockModel(
+        e=e, ea=_gamma(2 * n), em=_gamma(2 * m), ek=_gamma(2 * k + 2), n=n, k=k,
+        nl2=nl * nl,
+        nu2=1.0 + gn,
+        gn=gn,
+        rf=rf,
+        rs=frobenius(r - r.conj().T) * up,
+        zr=frobenius(null.conj().T @ r) * up + e * nl * rf,
+        rr=frobenius(r @ r - r) * up + e * rf * rf,
+        eta=(frobenius(np.eye(m) - r - null @ null.conj().T) + e * nl * nl) * up,
+        cn=cn * up + e * cf * nl,
+        c2=corner_norm * up,
+        cf=cf,
+        cons_budget=tol.residual_tol * max(1.0, corner_norm),
+        omega2=omega * omega,
+        w2=1.0 + _unitary_residual(f) * up + e * omega * omega,
+        mb=math.sqrt(t_f**2 + tc_f**2 + ct_f**2 + s_f**2) * up,
+        lam=lam,
+        blk=blk,
+        en=e * omega * nl,
+        dx=frobenius(x - big_n) * up + e * omega * nl * (lam + 1),
+        dy=dy,
+        nn2=1.0 + r2,
+        r1=frobenius(j_b @ big_n + big_n) * up + e * jbf * nf,
+        r2=r2,
+        q=q,
+        mu=(frobenius(j_bmax - j_b - 2 * (big_n @ big_n.conj().T)) * up
+            + e * (frobenius(j_bmax) + jbf + 2 * nf * nf)),
+        gmin=gap_min * up,
+        gmax=gap_max * up,
+        se=(recorded["symmetry"].residual + e * jef * jef) * up,
+        he=he,
+        me=me,
+        jbf=jbf,
+        jmin_f=jef,
+        jmax_f=frobenius(j_max),
+        pf=pf,
+        p2=f.sp * up,
+    )
+    return model if all(map(math.isfinite, model)) else None
+
+
+def _free_terms(free: list) -> list:
+    """Per k x k free symmetry S of ``free``: ``(||S + I||_F, ||S||_F,
+    ||S - S*||_F, ||S^2 - I||_F, lo, hi)``, lo and hi the extreme eigenvalues
+    of (S + S*)/2, computed for all of them at once."""
+    if not free:
+        return []
+    s = np.stack(free)
+    eye = np.eye(s.shape[1])
+    sh = s.conj().transpose(0, 2, 1)
+    w = np.linalg.eigvalsh(0.5 * (s + sh))
+    norms = [np.linalg.norm(a, axis=(1, 2)).tolist() for a in (s + eye, s, s - sh, s @ s - eye)]
+    return list(zip(*norms, w[:, 0].tolist(), w[:, -1].tolist()))
+
+
+def _block_sample_checks(f: _Factors, family, prefix, ref, terms) -> Optional[list]:
+    """The checks of the probe sample whose free symmetry S has the
+    :func:`_free_terms` ``terms``, certified in block coordinates: each
+    residual an upper bound and each margin a lower bound on the value the
+    ambient route would find for the assembled member, rounding included.
+    None when a bound does not pass its check, or when one of
+    ``assemble_symmetry``'s own checks of the sample's parameters might fail:
+    the sample then takes the ambient route, so no status differs from that
+    route's."""
+    bm = _block_model(f, family)
+    if bm is None:
+        return None
+    tol, e = f.tol, bm.e
+    up = 1.0 + e
+    sa, ss, skew, inv, lo, hi = terms
+    skew *= up
+    ek, em = bm.ek, bm.em
+    inv = inv * up + ek * ss * ss
+    # ||S + I||_2 from the Hermitian part's eigenvalues and the skew part
+    a2 = max(abs(1 + lo), abs(1 + hi)) + ek * ss + skew / 2
+
+    # assemble_symmetry's checks of the side parameter j = null S null* - R:
+    # ||j - j*||, ||j^2 - I|| and the corner constraint ||C (j + I)|| or ||(j + I) C||
+    ej = ek * (2 * bm.nl2 * ss + bm.rf)  # the rounding of forming j
+    jf = bm.nu2 * ss + bm.rf + ej  # >= ||j||_F
+    nu = math.sqrt(bm.nu2)
+    j_skew = bm.nu2 * skew + bm.rs + 2 * ej
+    j_square = (bm.nu2 * inv + bm.nu2 * ss * ss * bm.gn + nu * ss * (2 * bm.zr + bm.rs * nu)
+                + bm.rr + bm.eta + (2 * jf + ej) * ej + em * jf * jf)
+    j_cons = nu * a2 * bm.cn + bm.c2 * (bm.eta + ej) + em * jf * bm.cf
+    if up * max(j_skew, j_square) > tol.residual_tol or up * j_cons > bm.cons_budget:
+        return None
+
+    # ||Psi||_F <= rho: the rounding of the two outer products W B W*, then the
+    # blocks of J - J_b against L(null (S + I) null*), then N against the side
+    # factors X and Y of W L(null (S + I) null*) W* = N_exact (S + I) X* + Y (S + I) N_exact*
+    blocks = bm.lam * (bm.eta + ej) + em * jf * bm.blk
+    nn = math.sqrt(bm.nn2)
+    rho = (bm.ea * bm.omega2 * (2 * bm.mb + bm.lam * bm.nu2 * sa + blocks) + bm.w2 * blocks
+           + a2 * (nn * bm.dx + bm.en * (nn + bm.dx) + bm.dy * (nn + bm.en)))
+    j_f = bm.jbf + bm.nn2 * sa + rho  # >= ||J||_F
+
+    # J - J* and J^2 - I through K = J_b + N A N*, A = S + I, with J_b's
+    # relations from J_min's recorded checks and the block-route gap:
+    # K^2 - I = (J_b^2 - I) + N (S^2 - I) N* + R1 A N* + N A R1* + N A N* (J_b - J_b*)
+    #         + N A R2 A N*, R1 = J_b N + N, R2 = N* N - I
+    sym_b = bm.se + 2 * bm.gmin  # >= ||J_b - J_b*||_F
+    inv_b = bm.se + (2 + 2 * bm.se + bm.gmin) * bm.gmin  # >= ||J_b^2 - I||_F
+    k_2 = 1 + bm.se + bm.gmin + bm.nn2 * a2  # >= ||K||_2
+    herm = sym_b + bm.nn2 * skew + 2 * rho
+    square = (inv_b + bm.nn2 * inv + 2 * nn * a2 * bm.r1 + bm.nn2 * a2 * sym_b
+              + bm.nn2 * a2 * a2 * bm.r2 + (2 * k_2 + rho) * rho)
+    sym = up * (max(herm, square) + e * j_f * j_f)
+    checks = [residual_check(f"{prefix}-symmetry", ref, sym, tol.residual_tol)]
+    budget = tol.psd_tol * f.sp
+    if family is SymmetryFamily.J_POSITIVE:
+        # J P = J_b P + N A (N* P) + Psi P
+        herm_p = up * (bm.he + 2 * bm.gmin * bm.p2 + 2 * nn * a2 * bm.q + 2 * rho * bm.p2 + 2 * e * j_f * bm.pf)
+        checks.append(residual_check(f"{prefix}-hermitian", ref, herm_p, tol.residual_tol * f.sp))
+        rel = bm.me - bm.gmin * bm.p2 - nn * a2 * bm.q - rho * bm.p2 - 2 * e * j_f * bm.pf * up
+        checks.append(margin_check(f"{prefix}-psd", ref, rel, budget))
+    else:
+        # J - P* J P = (J_b - P* J_b P) - (Q A N* + N A Q* + Q A Q*) + Psi - P* Psi P, Q = P* N - N
+        grow = 1 + bm.p2 * bm.p2
+        rel = (bm.me - bm.gmin * grow - a2 * (2 * nn * bm.q + bm.q * bm.q) - rho * grow
+               - 2 * e * j_f * (1 + bm.pf * bm.pf) * up)
+        checks.append(margin_check(f"{prefix}-dominates", ref, rel, budget))
+
+    # lambda_min of N B N* for a Hermitian k x k B with lambda_min(B) >= x
+    def floor(x):
+        if x < 0:
+            return x * bm.nn2
+        return 0.0 if bm.k < bm.n else x * max(0.0, 2.0 - bm.nn2)
+
+    for name, low, gap in (("above-min", 1 + lo - ek * ss, bm.gmin + 2 * e * bm.jmin_f),
+                           ("below-max", 1 - hi - ek * ss, bm.gmax + bm.mu + 2 * e * bm.jmax_f)):
+        margin = floor(low) - gap - rho - 2 * e * j_f
+        checks.append(margin_check(f"{prefix}-{name}", ref, margin, tol.psd_tol))
+    return None if any(c.status == FAIL for c in checks) else checks
 
 
 # The check groups of full_report.  Each body takes the factors of P and the
@@ -399,10 +745,8 @@ def _run_group(name, ref, body, *args) -> list:
 
 
 def _block_form_checks(f: _Factors, run: _Run):
-    w = f.bf.unitary
     budget = f.tol.residual_tol * f.sp
-    eye = np.eye(f.p.shape[0], dtype=np.complex128)
-    yield residual_check("block-basis-unitary", "Eq. (1.1)", frobenius(w.conj().T @ w - eye), budget)
+    yield residual_check("block-basis-unitary", "Eq. (1.1)", _unitary_residual(f), budget)
     yield residual_check("block-form-round-trip", "Eq. (1.1)", frobenius(f.bf.reassemble() - f.p), budget)
 
 
@@ -436,10 +780,9 @@ def _negative_part_checks(f: _Factors, run: _Run):
 def _construction_checks(f: _Factors, kind: ExtremalKind):
     """One extreme's checks and its match with the block-route construction."""
     yield from _extreme_checks(f, kind)
-    via_blocks = _extremal_symmetry_via_blocks(f, kind)
     yield residual_check(
         f"extremal-{kind.value}-block-route", _KIND_REFS[kind],
-        frobenius(via_blocks - _extremal_symmetry(f, kind)), f.tol.residual_tol * f.sp,
+        _block_route_gap(f, kind)[1], f.tol.residual_tol * f.sp,
     )
 
 
@@ -474,8 +817,7 @@ def _sign_formula_group(f: _Factors, run: _Run):
 
 
 def _probe_checks(f: _Factors, run: _Run, family: SymmetryFamily):
-    probe = _extremality_probe(f, family, run.samples, run.seed)
-    return [dataclasses.replace(c, name=f"probe-{family.value}/{c.name}") for c in probe.checks]
+    return _extremality_probe(f, family, run.samples, run.seed, f"probe-{family.value}/").checks
 
 
 def _intertwining_checks(f: _Factors, run: _Run):

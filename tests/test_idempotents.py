@@ -33,7 +33,8 @@ def test_validate_idempotent_cases():
 
 def test_idempotency_residual_is_computed_once_per_handle(monkeypatch):
     # the idempotency check and the block form of one handle share one
-    # ||P^2 - P||, and a non-idempotent input reports that same value
+    # ||P^2 - P||, so does the handle of I - P, and a non-idempotent input
+    # reports that same value
     calls = []
 
     def counted(a):
@@ -43,6 +44,9 @@ def test_idempotency_residual_is_computed_once_per_handle(monkeypatch):
     monkeypatch.setattr(idempotents, "frobenius", counted)
     f = idempotents._checked_factors(random_idempotent(6, 2, 2.0, seed=3), Tolerances(), "not idempotent")
     assert f.bf.rank == 2 and f.idempotent
+    assert calls == [(6, 6)]
+    # the handle of I - P takes P's residual: (I - P)^2 - (I - P) = P^2 - P
+    assert f.comp.bf.rank == 4 and f.comp.idem_residual == f.idem_residual
     assert calls == [(6, 6)]
     calls.clear()
     bad = np.array([[1.0, 1.0], [0.0, 0.5]])

@@ -252,6 +252,21 @@ READER_CASES = {
     "rows-zero": ('{"rows": 0, "cols": 3, "data": []}', np.zeros((0, 3, 2))),
     "cols-zero": ('{"rows": 2, "cols": 0, "data": [[], []]}', np.zeros((2, 0, 2))),
     "cols-zero-nonempty-row": ('{"rows": 1, "cols": 0, "data": [[[0, 0]]]}', FileFormatError),
+    # R and C are JSON integers, checked against the rows before anything is allocated
+    "rows-float": ('{"rows": 1.9, "cols": 1, "data": [[[1, 0]]]}', FileFormatError,
+                   "malformed matrix document: rows must be an integer, got 1.9"),
+    "cols-string": ('{"rows": 1, "cols": "1", "data": [[[1, 0]]]}', FileFormatError,
+                    "malformed matrix document: cols must be an integer, got '1'"),
+    "rows-bool": ('{"rows": true, "cols": 1, "data": [[[1, 0]]]}', FileFormatError,
+                  "malformed matrix document: rows must be an integer, got True"),
+    "cols-exponent": ('{"rows": 1, "cols": 1E12, "data": [[[1, 0]]]}', FileFormatError,
+                      "malformed matrix document: cols must be an integer, got 1000000000000.0"),
+    "cols-beyond-the-rows": ('{"rows": 2, "cols": 1000000000000, "data": [[[1, 0]], [[1, 0]]]}',
+                             FileFormatError, "row 0 does not have 1000000000000 entries"),
+    "cols-beyond-a-later-row": ('{"rows": 2, "cols": 1, "data": [[[1, null]], [[1, 0], [2, 0]]]}',
+                                FileFormatError, "entry (0, 0) has non-numeric parts"),
+    "cols-beyond-the-array-limit": ('{"rows": 0, "cols": 1' + "0" * 30 + ', "data": []}', FileFormatError,
+                                    "matrix dimensions beyond the array limit: cols = 1" + "0" * 30),
     "layout": (_layout(), _LAYOUT_VALUES),
     "layout-without-final-newline": (_layout()[:-1], _LAYOUT_VALUES),
     "layout-plus-sign": (
@@ -324,8 +339,12 @@ READER_CASES = {
     "layout-number-before-the-space": (_second_row("[[0.25,0 ], [0, 3]]"), _LAYOUT_VALUES),
     "layout-rows-over": (_layout(nrows=3), FileFormatError, "expected 3 rows, found 2"),
     "layout-rows-under": (_layout(nrows=1), FileFormatError, "expected 1 rows, found 2"),
-    # beyond Python's limit on the digits of an int string: json raises it
-    "layout-rows-of-4301-digits": ('{"rows": ' + "1" * 4301 + ', "cols": 1, "data": [[[1, 0]]]}\n', ValueError),
+    # beyond Python's limit on the digits of an int string: json raises a
+    # ValueError, which the reader wraps
+    "layout-rows-of-4301-digits": (
+        '{"rows": ' + "1" * 4301 + ', "cols": 1, "data": [[[1, 0]]]}\n',
+        FileFormatError,
+    ),
     "layout-rows-beyond-the-file": (
         '{"rows": 99999999999, "cols": 99999999, "data": [[[1, 0]]]}\n',
         FileFormatError,
@@ -369,8 +388,8 @@ def test_reader_results_are_pinned(tmp_path, name):
             _document_route(text)
         with pytest.raises(expected) as got:
             read_matrix(path)
-        if isinstance(want.value, json.JSONDecodeError):
-            assert isinstance(got.value.__cause__, json.JSONDecodeError)
+        if isinstance(want.value, ValueError):  # json.loads failed: a JSONDecodeError or the digit limit
+            assert type(got.value.__cause__) is type(want.value)
             assert str(got.value) == f"{path}: invalid JSON: {want.value}"
         else:
             assert isinstance(want.value, expected) and str(got.value) == str(want.value)

@@ -386,33 +386,137 @@ def test_full_report_records_probe_groups_failed_for_non_integer_arguments(bad):
 _EPS = np.finfo(float).eps
 
 
+def _ambient_values(p, j, family, j_min, j_max):
+    """The values of a sample's checks for the assembled member ``j``, with
+    the rounding slack of computing each: ``{suffix: (value, slack)}``."""
+    from kreinproj.linalg import frobenius, min_eig
+
+    n = p.shape[0]
+    jf, pf = frobenius(j), frobenius(p)
+    out = {"symmetry": (max(frobenius(j - j.conj().T), frobenius(j @ j - np.eye(n))), 8 * n * _EPS * (jf * jf + 1))}
+    if family is SymmetryFamily.J_POSITIVE:
+        jp = j @ p
+        out["hermitian"] = (frobenius(jp - jp.conj().T), 8 * n * _EPS * jf * pf)
+        out["psd"] = (min_eig(jp), 8 * n * _EPS * jf * pf)
+    else:
+        d = j - p.conj().T @ j @ p
+        out["dominates"] = (min_eig(d), 8 * n * _EPS * jf * (1 + pf * pf))
+    for name, d in (("above-min", j - j_min), ("below-max", j_max - j)):
+        out[name] = (min_eig(d), 8 * _EPS * frobenius(d))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=wide_corner_idempotents(), seed=st.integers(0, 2**16))
 def test_probe_sample_margins_are_certified_lower_bounds(p, seed):
-    # each sample margin is at most the exact smallest eigenvalue of its
-    # Loewner difference (up to the rounding of that eigenvalue), and has
-    # the verdict the exact eigenvalue gives
+    # each recorded margin of a sample is at most the exact smallest
+    # eigenvalue of the assembled member's Loewner difference, and each
+    # recorded residual at least the member's ambient residual (each up to
+    # the rounding of computing that value), with the verdict the ambient
+    # value gives: sample-000 takes the ambient route, the later samples are
+    # certified in block coordinates where the bounds decide
     from kreinproj import KreinProjError, extremal_symmetry
-    from kreinproj.linalg import frobenius, min_eig
-    from kreinproj.reporting import margin_check
+    from kreinproj.reporting import margin_check, residual_check
 
     bf = block_form(p)
+    sp = max(1.0, np.linalg.norm(p, 2))
     for family in (SymmetryFamily.J_POSITIVE, SymmetryFamily.J_CONTRACTIVE):
         try:
-            report = extremality_probe(p, family, 2, seed)
+            report = extremality_probe(p, family, 4, seed)
         except KreinProjError:
             continue  # a construction failed its own checks; nothing to bound
         by_name = {c.name: c for c in report.checks}
         kind_min, kind_max = (k for k in ExtremalKind if k.family is family)
         j_min, j_max = extremal_symmetry(p, kind_min), extremal_symmetry(p, kind_max)
-        for i, params in enumerate(sample_params(bf, family, 2, seed)):
+        budgets = {"symmetry": DEFAULT_TOL.residual_tol, "hermitian": DEFAULT_TOL.residual_tol * sp,
+                   "psd": DEFAULT_TOL.psd_tol * sp, "dominates": DEFAULT_TOL.psd_tol * sp,
+                   "above-min": DEFAULT_TOL.psd_tol, "below-max": DEFAULT_TOL.psd_tol}
+        for i, params in enumerate(sample_params(bf, family, 4, seed)):
             j = assemble_symmetry(bf, family, params)
-            for name, d in ((f"sample-{i:03d}-above-min", j - j_min),
-                            (f"sample-{i:03d}-below-max", j_max - j)):
-                exact = min_eig(d)
+            for key, (value, slack) in _ambient_values(p, j, family, j_min, j_max).items():
+                name = f"sample-{i:03d}-{key}"
                 check = by_name[name]
-                assert check.margin <= exact + 8 * _EPS * frobenius(d), name
-                assert check.status == margin_check(name, "", exact, DEFAULT_TOL.psd_tol).status, name
+                if key in ("symmetry", "hermitian"):
+                    assert check.residual >= value - slack, name
+                    assert check.status == residual_check(name, "", value, budgets[key]).status, name
+                else:
+                    assert check.margin <= value + slack, name
+                    assert check.status == margin_check(name, "", value, budgets[key]).status, name
+
+
+def _counting_assemble(monkeypatch):
+    from kreinproj import BlockForm
+
+    calls = []
+    real = BlockForm.assemble
+
+    def counted(self, *blocks):
+        calls.append(self.dim)
+        return real(self, *blocks)
+
+    monkeypatch.setattr(BlockForm, "assemble", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r", [2, 5])  # a positive / contractive family with a free part, the other without
+def test_further_probe_samples_assemble_no_member(monkeypatch, r):
+    # samples after the first are certified from their k x k free symmetry
+    # (or, with k = 0, are the first sample's member again): a report with six
+    # samples assembles as many n x n members as one with two, and its
+    # further samples pass like the first
+    p = random_idempotent(7, r, 2.0, seed=5)
+    bf = block_form(p)
+    proj = SymmetryFamily.J_PROJECTION
+    j = assemble_symmetry(bf, proj, sample_params(bf, proj, 1, 1)[0])
+    calls = _counting_assemble(monkeypatch)
+    counts, reports = [], []
+    for samples in (2, 6):
+        calls.clear()
+        reports.append(full_report(p, j, samples=samples))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert reports[1].passed
+    probe = [c for c in reports[1].checks if "/sample-" in c.name]
+    assert len(probe) == 6 * (5 + 4)
+
+
+@pytest.mark.parametrize("moved", ["min", "max"])
+@pytest.mark.parametrize("r", [2, 5])  # the free part in the positive / contractive family
+def test_block_route_samples_fail_through_the_gap_of_a_moved_extreme(monkeypatch, r, moved):
+    # one spectral extreme moved by 1e-6 on N: J_min up or J_max down.  Then
+    # J - J_min or J_max - J has an eigenvalue near -1e-6 wherever S has the
+    # eigenvalue -1 or +1, which the block identity J = J_b + N (S + I) N*
+    # alone cannot see: the bounds carry the block-route gap, do not decide,
+    # and those samples fail on the ambient route
+    from kreinproj import extremal_symmetry, verification
+    from kreinproj.linalg import min_eig
+    from kreinproj.reporting import margin_check
+
+    p = random_idempotent(7, r, 2.0, seed=5)
+    bf = block_form(p)
+    u_null, _, v_null, _ = bf.corner_split()
+    family = SymmetryFamily.J_POSITIVE if r == 2 else SymmetryFamily.J_CONTRACTIVE
+    big_n = bf.basis_perp @ v_null if r == 2 else bf.basis_range @ u_null
+    assert big_n.shape[1] == 3
+    shift = 1e-6 * (big_n @ big_n.conj().T)
+    kind_min, kind_max = (k for k in ExtremalKind if k.family is family)
+    j_min, j_max = extremal_symmetry(p, kind_min), extremal_symmetry(p, kind_max)
+    if moved == "min":
+        j_min, kind, name = j_min + shift, kind_min, "above-min"
+    else:
+        j_max, kind, name = j_max - shift, kind_max, "below-max"
+    real = verification._extremal_symmetry
+    monkeypatch.setattr(verification, "_extremal_symmetry",
+                        lambda f, k: (j_min if k is kind_min else j_max) if k is kind else real(f, k))
+    by_name = {c.name: c for c in extremality_probe(p, family, 6, seed=0).checks}
+    failed = []
+    for i, params in enumerate(sample_params(bf, family, 6, 0)):
+        j = assemble_symmetry(bf, family, params)
+        d = j - j_min if moved == "min" else j_max - j
+        check = by_name[f"sample-{i:03d}-{name}"]
+        assert check.status == margin_check(name, "", min_eig(d), DEFAULT_TOL.psd_tol).status
+        failed += [i] if check.status == "fail" else []
+    assert any(failed) and by_name[f"sample-{max(failed):03d}-{name}"].margin < -5e-7
 
 
 def _rotated(j, angle, seed):
