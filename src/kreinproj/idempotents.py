@@ -73,10 +73,9 @@ class BlockForm:
     def rank(self) -> int:
         return self.basis_range.shape[1]
 
-    @functools.cached_property
+    @property
     def unitary(self) -> np.ndarray:
-        """The ambient unitary [basis_range | basis_perp], formed once per form;
-        callers must not modify it."""
+        """The ambient unitary [basis_range | basis_perp]."""
         return np.hstack([self.basis_range, self.basis_perp])
 
     def assemble(self, b11, b12, b21, b22) -> np.ndarray:
@@ -363,8 +362,7 @@ def haar_unitary(n: int, seed=0) -> np.ndarray:
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    mag = np.abs(d)
-    phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
+    phase = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
     return q * phase
 
 

@@ -428,8 +428,84 @@ def _ambient_sample_checks(f: _Factors, family, prefix, ref, params, j_min, j_ma
 # J - P* J P = J_b - P* J_b P when P* N = N, J - J_min = (J_b - J_min) +
 # N (S + I) N* and J_max - J = (J_max - J_bmax) + N (I - S) N*, each up to
 # Psi, and every check of the sample is bounded from S and from terms
-# computed once per family and handle.  The derivation of each bound is in
-# CHANGES.md.
+# computed once per family and handle.  The bounds, steps (1)-(7), follow;
+# the fields of _BlockModel cite the step that uses them.
+#
+# Rounding: u = eps/2 and e(m) = _gamma(m).  A complex product chain whose
+# inner lengths add up to m has |fl(AB) - AB| <= e(m) |A| |B| (Higham 2002,
+# Lemma 3.5), so ||fl(AB) - AB||_F <= e(m) || |A| ||_2 ||B||_F, with
+# || |A| ||_2 from the Schur test (_abs_norm2).  A product with +-I is exact;
+# each computed norm or difference takes a relative factor 1 + e(3n) (``up``);
+# eigvalsh is backward stable, its eigenvalues within e ||.||_F.  W is
+# [B_r | B_p], m the dimension of the side of ``null`` (n - r positive, r
+# contractive), ``rng`` the rest of that side and R = rng rng*, A = S + I,
+# j = fl(null S null* - R) the side parameter assemble_symmetry receives, and
+# nu^2 = 1 + ||null* null - I||_F >= ||null||_2^2.
+#
+# (1) assemble_symmetry's own checks of j.  j + I = null A null* + H + E_j
+#     with H = I - R - null null* (eta >= ||H||_F) and
+#     ||E_j||_F <= e(2k + 2) (2 ||null||_F^2 ||S||_F + ||R||_F), so
+#       ||j - j*||  <= nu^2 ||S - S*|| + ||R - R*|| + 2 ||E_j||,
+#       ||j^2 - I|| <= nu^2 ||S^2 - I|| + nu^2 ||S||^2 ||null* null - I||
+#                      + nu ||S|| (2 ||null* R|| + nu ||R - R*||) + ||R^2 - R||
+#                      + eta + (2 ||j|| + ||E_j||) ||E_j|| + e(2m) ||j||^2,
+#       ||C (j + I)|| (positive) or ||(j + I) C|| (contractive)
+#                   <= nu ||A||_2 ||C null|| (||null* C||) + ||C||_2 (eta + ||E_j||)
+#                      + e(2m) ||j||_F ||C||_F.
+#     When all three pass assemble_symmetry's budgets, the ambient route
+#     would not have raised on the sample.
+# (2) Psi.  The member's block matrix differs from J_b's, B_b, by
+#     L(j + I) + R_blk: L is the exact block map, diag(0, x Sinv) (positive)
+#     or [[x Tinv, x Tinv C], [C* Tinv x, 0]] (contractive), with
+#     ||L(x)||_F <= lam ||x||_F, lam the Schur bounds of those blocks, and
+#     ||R_blk||_F <= e(2m) ||j||_F blk, blk = ||Sinv||_F or
+#     ||Tinv||_F + 2 || |Tinv| |C| ||_F + ||C* Tinv||_F.  Exactly,
+#     W L(null A null*) W* = N_e A X* + Y A N_e* with N_e = basis null,
+#     X = B_p Sinv* null or B_r Tinv* null + B_p (Tinv C)* null, and Y = 0 or
+#     B_p C* Tinv null; d_X >= ||X - N||_F and d_Y >= ||Y||_F are measured,
+#     plus their rounding e omega ||.||_F ||null||_F, and
+#     e_N = e omega ||null||_F >= ||N - N_e||_F.  Each outer product
+#     fl(W B W*) errs by at most e(2n) omega^2 ||B||_F, omega >= || |W| ||_2.
+#     With beta = lam (eta + ||E_j||) + ||R_blk||,
+#       rho = e(2n) omega^2 (2 ||B_b||_F + lam nu^2 ||A||_F + beta) + ||W||_2^2 beta
+#             + ||A||_2 (||N||_2 d_X + e_N (||N||_2 + d_X) + d_Y (||N||_2 + e_N)),
+#     where ||W||_2^2 <= 1 + ||W* W - I||_F, ||N||_2^2 <= 1 + ||N* N - I||_F and
+#     ||A||_2 <= max |1 + lambda((S + S*)/2)| + ||S - S*|| / 2.  Also
+#     ||J||_F <= ||J_b||_F + ||N||_2^2 ||A||_F + rho.
+# (3) J_b's relations come from J_min's recorded checks by Weyl, each
+#     recorded value moved by its own rounding as in (7): s its symmetry
+#     residual, h its Hermitian residual and mar its PSD or dominance margin,
+#     with the block-route gap g_min = ||J_b - J_min||_F:
+#       ||J_b - J_b*|| <= s + 2 g_min,  ||J_b^2 - I|| <= s + (2 + 2 s + g_min) g_min,
+#       ||J_b||_2 <= 1 + s + g_min  (both residuals of J_min at most s give
+#       ||J_min||_2 <= 1 + s).
+# (4) -symmetry.  With R1 = J_b N + N and R2 = N* N - I, K = J_b + N A N* has
+#       K^2 - I = (J_b^2 - I) + N (S^2 - I) N* + R1 A N* + N A R1*
+#                 + N A N* (J_b - J_b*) + N A R2 A N*,
+#     and J = K + Psi, so the check records the larger of
+#     ||J_b - J_b*|| + ||N||_2^2 ||S - S*|| + 2 rho and that bound on
+#     ||K^2 - I|| plus (2 ||K||_2 + rho) rho.
+# (5) The relation.  Positive: J P = J_b P + N A (N* P) + Psi P, so
+#       -hermitian <= h + 2 g_min ||P||_2 + 2 ||N||_2 ||A||_2 ||N* P|| + 2 rho ||P||_2,
+#       -psd       >= mar - g_min ||P||_2 - ||N||_2 ||A||_2 ||N* P|| - rho ||P||_2.
+#     Contractive, with Q = P* N - N:
+#       J - P* J P = (J_b - P* J_b P) - (Q A N* + N A Q* + Q A Q*) + Psi - P* Psi P,
+#       -dominates >= mar - (g_min + rho) (1 + ||P||_2^2) - ||A||_2 (2 ||N||_2 ||Q|| + ||Q||^2).
+# (6) The margins.  J - J_min = (J_b - J_min) + N A N* + Psi and
+#     J_max - J = (J_max - J_bmax) + (J_bmax - J_b - 2 N N*) + N (I - S) N* - Psi.
+#     For a Hermitian k x k B with lambda_min(B) >= x, lambda_min(N B N*) is
+#     at least x ||N||_2^2 when x < 0, 0 when x >= 0 and k < n, and
+#     x (1 - ||R2||) when x >= 0 and k = n.  So, with that floor,
+#       -above-min >= floor(1 + lambda_min(S)) - g_min - rho,
+#       -below-max >= floor(1 - lambda_max(S)) - g_max - mu - rho,
+#     g_max = ||J_bmax - J_max||_F and mu = ||J_bmax - J_b - 2 N N*||_F.
+# (7) Each residual bound also adds, and each margin also subtracts, the
+#     rounding of the ambient route's own evaluation of that value, at most
+#     e(3n) ||J||_F^2 (-symmetry), 2 e(3n) ||J||_F ||P||_F (-hermitian, -psd),
+#     2 e(3n) ||J||_F (1 + ||P||_F^2) (-dominates) and
+#     2 e(3n) (||J||_F + ||J_ext||_F) (-above-min, -below-max), where a
+#     margin's factor 2 covers its eigvalsh.  So a bound that passes implies a
+#     passing ambient value, and no status can differ from the ambient route's.
 
 _U = np.finfo(float).eps / 2
 
@@ -461,60 +537,66 @@ def _unitary_residual(f: _Factors) -> float:
 @_per_handle
 def _block_route_gap(f: _Factors, kind: ExtremalKind):
     """The block-route construction of the extreme ``kind`` and its Frobenius
-    distance to the spectral one."""
+    distance to the spectral one.  The construction is kept only when the
+    kind's family has a free part (k > 0), the only case in which the later
+    probe samples read it (see :func:`_block_model`); None otherwise."""
     j_b = _extremal_symmetry_via_blocks(f, kind)
-    return j_b, frobenius(j_b - _extremal_symmetry(f, kind))
+    gap = frobenius(j_b - _extremal_symmetry(f, kind))
+    u_null, _, v_null, _ = f.bf.corner_split(f.tol)
+    null = u_null if kind.family is SymmetryFamily.J_CONTRACTIVE else v_null
+    return (j_b if null.shape[1] else None), gap
 
 
 class _BlockModel(NamedTuple):
     """The terms of :func:`_block_sample_checks` that do not depend on S, for
     one family on one handle; each is an upper bound (a lower one for ``me``)
-    on the exact quantity, its own rounding included."""
+    on the exact quantity, its own rounding included.  Each comment names the
+    step of the block-route derivation above that uses the term."""
 
-    e: float  # _gamma(3n): the rounding unit of n x n products and of every norm
-    ea: float  # _gamma(2n): that of assembling W B W*
-    em: float  # _gamma(2m): that of the products of the m x m side blocks
-    ek: float  # _gamma(2k + 2): that of forming null S null* and S S, and of eigvalsh on S
+    e: float  # e(3n): the rounding unit of n x n products and of every norm
+    ea: float  # e(2n): that of assembling W B W*, (2)
+    em: float  # e(2m): that of the products of the m x m side blocks, (1) (2)
+    ek: float  # e(2k + 2): that of forming null S null* and S S, and of eigvalsh on S, (1) (6)
     n: int
     k: int
     # the side parameter j = null S null* - R, R = rng rng*, of assemble_symmetry
-    nl2: float  # ||null||_F^2
-    nu2: float  # 1 + ||null* null - I||_F >= ||null||_2^2
-    gn: float  # ||null* null - I||_F
-    rf: float  # ||R||_F
-    rs: float  # ||R - R*||_F
-    zr: float  # ||null* R||_F
-    rr: float  # ||R R - R||_F
-    eta: float  # ||I - R - null null*||_F
-    cn: float  # ||C null||_F (positive) or ||null* C||_F (contractive)
-    c2: float  # ||C||_2
-    cf: float  # ||C||_F
-    cons_budget: float  # assemble_symmetry's budget on its corner constraint
+    nl2: float  # ||null||_F^2, (1)
+    nu2: float  # nu^2 = 1 + ||null* null - I||_F >= ||null||_2^2, (1) (2)
+    gn: float  # ||null* null - I||_F, (1)
+    rf: float  # ||R||_F, (1)
+    rs: float  # ||R - R*||_F, (1)
+    zr: float  # ||null* R||_F, (1)
+    rr: float  # ||R R - R||_F, (1)
+    eta: float  # ||I - R - null null*||_F, (1) (2)
+    cn: float  # ||C null||_F (positive) or ||null* C||_F (contractive), (1)
+    c2: float  # ||C||_2, (1)
+    cf: float  # ||C||_F, (1)
+    cons_budget: float  # assemble_symmetry's budget on its corner constraint, (1)
     # Psi: the assemblies, the blocks and N against the side factors
-    omega2: float  # || |W| ||_2^2
-    w2: float  # ||W||_2^2
-    mb: float  # ||B_b||_F, the block matrix of J_b
-    lam: float  # ||L(x)||_F <= lam ||x||_F for the blocks L(x) of J - J_b
-    blk: float  # the rounding of those blocks is at most e ||j||_F blk
-    en: float  # ||N - basis null||_F
-    dx: float  # ||X - N||_F, X the right factor of J - J_b (N on the left)
-    dy: float  # ||Y||_F, Y the left factor of its transposed part
+    omega2: float  # || |W| ||_2^2, (2)
+    w2: float  # ||W||_2^2, (2)
+    mb: float  # ||B_b||_F, the block matrix of J_b, (2)
+    lam: float  # ||L(x)||_F <= lam ||x||_F for the blocks L(x) of J - J_b, (2)
+    blk: float  # ||R_blk||_F <= em ||j||_F blk, (2)
+    en: float  # e_N >= ||N - basis null||_F, (2)
+    dx: float  # d_X >= ||X - N||_F, X the right factor of J - J_b (N on the left), (2)
+    dy: float  # d_Y >= ||Y||_F, Y the left factor of its transposed part, (2)
     # the relations of K = J_b + N (S + I) N*
-    nn2: float  # 1 + r2 >= ||N||_2^2
-    r1: float  # ||J_b N + N||_F
-    r2: float  # ||N* N - I||_F
-    q: float  # ||N* P||_F (positive) or ||P* N - N||_F (contractive)
-    mu: float  # ||J_bmax - J_b - 2 N N*||_F
-    gmin: float  # ||J_b - J_min||_F, the block-route gap of J_min
-    gmax: float  # ||J_bmax - J_max||_F
-    se: float  # J_min's symmetry residual, from its recorded check
-    he: float  # J_min's Hermitian residual of J P (positive family)
-    me: float  # J_min's recorded PSD or dominance margin, less its rounding
-    jbf: float  # ||J_b||_F
-    jmin_f: float  # ||J_min||_F
-    jmax_f: float  # ||J_max||_F
-    pf: float  # ||P||_F
-    p2: float  # ||P||_2
+    nn2: float  # 1 + r2 >= ||N||_2^2, (2) (4) (5) (6)
+    r1: float  # ||J_b N + N||_F, (4)
+    r2: float  # ||N* N - I||_F, (4) (6)
+    q: float  # ||N* P||_F (positive) or ||P* N - N||_F (contractive), (5)
+    mu: float  # ||J_bmax - J_b - 2 N N*||_F, (6)
+    gmin: float  # g_min = ||J_b - J_min||_F, the block-route gap of J_min, (3) (5) (6)
+    gmax: float  # g_max = ||J_bmax - J_max||_F, (6)
+    se: float  # s, J_min's symmetry residual, from its recorded check, (3)
+    he: float  # h, J_min's Hermitian residual of J P (positive family), (3) (5)
+    me: float  # mar, J_min's recorded PSD or dominance margin, less its rounding, (3) (5)
+    jbf: float  # ||J_b||_F, (2) (7)
+    jmin_f: float  # ||J_min||_F, (7)
+    jmax_f: float  # ||J_max||_F, (7)
+    pf: float  # ||P||_F, (7)
+    p2: float  # ||P||_2, (5)
 
 
 @_per_handle
@@ -650,7 +732,7 @@ def _block_sample_checks(f: _Factors, family, prefix, ref, terms) -> Optional[li
     # ||S + I||_2 from the Hermitian part's eigenvalues and the skew part
     a2 = max(abs(1 + lo), abs(1 + hi)) + ek * ss + skew / 2
 
-    # assemble_symmetry's checks of the side parameter j = null S null* - R:
+    # (1) assemble_symmetry's checks of the side parameter j = null S null* - R:
     # ||j - j*||, ||j^2 - I|| and the corner constraint ||C (j + I)|| or ||(j + I) C||
     ej = ek * (2 * bm.nl2 * ss + bm.rf)  # the rounding of forming j
     jf = bm.nu2 * ss + bm.rf + ej  # >= ||j||_F
@@ -662,7 +744,7 @@ def _block_sample_checks(f: _Factors, family, prefix, ref, terms) -> Optional[li
     if up * max(j_skew, j_square) > tol.residual_tol or up * j_cons > bm.cons_budget:
         return None
 
-    # ||Psi||_F <= rho: the rounding of the two outer products W B W*, then the
+    # (2) ||Psi||_F <= rho: the rounding of the two outer products W B W*, then the
     # blocks of J - J_b against L(null (S + I) null*), then N against the side
     # factors X and Y of W L(null (S + I) null*) W* = N_exact (S + I) X* + Y (S + I) N_exact*
     blocks = bm.lam * (bm.eta + ej) + em * jf * bm.blk
@@ -671,7 +753,7 @@ def _block_sample_checks(f: _Factors, family, prefix, ref, terms) -> Optional[li
            + a2 * (nn * bm.dx + bm.en * (nn + bm.dx) + bm.dy * (nn + bm.en)))
     j_f = bm.jbf + bm.nn2 * sa + rho  # >= ||J||_F
 
-    # J - J* and J^2 - I through K = J_b + N A N*, A = S + I, with J_b's
+    # (3), (4) J - J* and J^2 - I through K = J_b + N A N*, A = S + I, with J_b's
     # relations from J_min's recorded checks and the block-route gap:
     # K^2 - I = (J_b^2 - I) + N (S^2 - I) N* + R1 A N* + N A R1* + N A N* (J_b - J_b*)
     #         + N A R2 A N*, R1 = J_b N + N, R2 = N* N - I
@@ -685,19 +767,19 @@ def _block_sample_checks(f: _Factors, family, prefix, ref, terms) -> Optional[li
     checks = [residual_check(f"{prefix}-symmetry", ref, sym, tol.residual_tol)]
     budget = tol.psd_tol * f.sp
     if family is SymmetryFamily.J_POSITIVE:
-        # J P = J_b P + N A (N* P) + Psi P
+        # (5) J P = J_b P + N A (N* P) + Psi P
         herm_p = up * (bm.he + 2 * bm.gmin * bm.p2 + 2 * nn * a2 * bm.q + 2 * rho * bm.p2 + 2 * e * j_f * bm.pf)
         checks.append(residual_check(f"{prefix}-hermitian", ref, herm_p, tol.residual_tol * f.sp))
         rel = bm.me - bm.gmin * bm.p2 - nn * a2 * bm.q - rho * bm.p2 - 2 * e * j_f * bm.pf * up
         checks.append(margin_check(f"{prefix}-psd", ref, rel, budget))
     else:
-        # J - P* J P = (J_b - P* J_b P) - (Q A N* + N A Q* + Q A Q*) + Psi - P* Psi P, Q = P* N - N
+        # (5) J - P* J P = (J_b - P* J_b P) - (Q A N* + N A Q* + Q A Q*) + Psi - P* Psi P, Q = P* N - N
         grow = 1 + bm.p2 * bm.p2
         rel = (bm.me - bm.gmin * grow - a2 * (2 * nn * bm.q + bm.q * bm.q) - rho * grow
                - 2 * e * j_f * (1 + bm.pf * bm.pf) * up)
         checks.append(margin_check(f"{prefix}-dominates", ref, rel, budget))
 
-    # lambda_min of N B N* for a Hermitian k x k B with lambda_min(B) >= x
+    # (6) lambda_min of N B N* for a Hermitian k x k B with lambda_min(B) >= x
     def floor(x):
         if x < 0:
             return x * bm.nn2

@@ -1,20 +1,9 @@
-"""Shared generators for the test suite.
-
-``HYPOTHESIS_PROFILE=ci`` selects the ``ci`` profile, which prints the
-``@reproduce_failure`` blob of a failing property so that a failure seen
-only in CI can be replayed locally.
-"""
-
-import os
+"""Shared generators for the test suite."""
 
 import numpy as np
-from hypothesis import settings
 from hypothesis import strategies as st
 
 from kreinproj import haar_unitary, random_idempotent
-
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_hermitian(n, seed, spread=2.0):
