@@ -23,20 +23,21 @@ from .errors import (
     FileFormatError,
     InternalMismatch,
     KreinProjError,
+    NotIdempotent,
     NotJProjection,
     SingularBlock,
     SingularShift,
 )
-from .idempotents import _checked_factors, _Factors, random_idempotent
+from .idempotents import _Factors, random_idempotent
 from .linalg import Tolerances
 from .matrixio import read_matrix, write_matrix, write_report
 from .reporting import Report, matrix_digest
 from .symmetries import (
-    ExtremalKind, SymmetryFamily, _extremal_symmetry, _sign_formula_symmetry,
-    assemble_symmetry, sample_params,
+    ExtremalKind, SymmetryFamily, assemble_symmetry, extremal_symmetry, sample_params,
+    sign_formula_symmetry,
 )
 from .verification import (
-    _FAMILY_REFS, SIGN_FORMULA, _extremal_checks, _member_checks, full_report, split_checks,
+    _FAMILY_REFS, SIGN_FORMULA, _member_checks, extremal_checks, full_report, split_checks,
 )
 
 EXIT_PASS = 0
@@ -170,10 +171,12 @@ def _cmd_extremal(args) -> int:
     tol = _tol_from(args)
     sign = args.which == SIGN_FORMULA
     # one set of factors serves the construction and its certificate
-    what = "sign_formula_symmetry" if sign else "extremal_symmetry"
-    f = _checked_factors(p, tol, f"{what} requires an idempotent input")
-    j = _sign_formula_symmetry(f) if sign else _extremal_symmetry(f, ExtremalKind(args.which))
-    return _write_certified(args.out, j, _extremal_checks(f, args.which, j))
+    build = sign_formula_symmetry if sign else extremal_symmetry
+    f = _Factors(p, tol)
+    if not f.idempotent:
+        raise NotIdempotent(f"{build.__name__} requires an idempotent input")
+    j = build.on(f) if sign else build.on(f, ExtremalKind(args.which))
+    return _write_certified(args.out, j, extremal_checks.on(f, args.which, j))
 
 
 def _cmd_decompose(args) -> int:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DegenerateBlock, InternalMismatch, NotJProjection, SingularBlock
 from .idempotents import (
-    _checked_symmetry, _corner_inv_sqrts, _corner_null_projections, _corner_split, _Factors,
-    _full_svd, _per_handle,
+    _corner_inv_sqrts, _corner_null_projections, _corner_split, _Factors, _full_svd, _on_handle,
+    _per_handle,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -102,7 +102,8 @@ def negative_part_projection_formula(b, tol: Tolerances = DEFAULT_TOL) -> np.nda
     return out
 
 
-def extract_params(p, j, tol: Tolerances = DEFAULT_TOL):
+@_on_handle(symmetry=(NotJProjection, "J is not a symmetry"))
+def extract_params(f: _Factors, j):
     """Recover the block parameters of a symmetry J with J P J = P*.
 
     Reads the diagonal blocks of J in block-form coordinates and normalizes
@@ -111,13 +112,6 @@ def extract_params(p, j, tol: Tolerances = DEFAULT_TOL):
     outside the admissible family raise ``NotJProjection``, numerically
     singular diagonal blocks raise ``SingularBlock``.
     """
-    f = _Factors(as_matrix(p), tol)
-    j = _checked_symmetry(j, f, NotJProjection, "J is not a symmetry")
-    return _extract_params(f, j)
-
-
-def _extract_params(f: _Factors, j):
-    """:func:`extract_params` for a symmetry ``j``, from the factors of P."""
     p, bf, tol = f.p, f.bf, f.tol
     jpj_res = frobenius(j @ p @ j - p.conj().T)
     if not within_scaled(jpj_res, tol.residual_tol, p):
@@ -155,7 +149,8 @@ class SplitResult:
     kind: SplitKind
 
 
-def contractive_expansive_split(p, j, tol: Tolerances = DEFAULT_TOL) -> SplitResult:
+@_on_handle(symmetry=(NotJProjection, "J is not a symmetry"))
+def contractive_expansive_split(f: _Factors, j) -> SplitResult:
     """Factor a J-intertwined projection as a commuting product of a
     J-contractive and a J-expansive projection.
 
@@ -166,14 +161,7 @@ def contractive_expansive_split(p, j, tol: Tolerances = DEFAULT_TOL) -> SplitRes
 
     so that P = E1 E2 = E2 E1 = E1 + E2 - I.
     """
-    f = _Factors(as_matrix(p), tol)
-    j = _checked_symmetry(j, f, NotJProjection, "J is not a symmetry")
-    return _contractive_expansive_split(f, j)
-
-
-def _contractive_expansive_split(f: _Factors, j) -> SplitResult:
-    """:func:`contractive_expansive_split` for a symmetry ``j``, from the factors of P."""
-    _, j2 = _extract_params(f, j)
+    _, j2 = extract_params.on(f, j)
     bf = f.bf
     r = bf.rank
     c = bf.dim - r
@@ -184,23 +172,16 @@ def _contractive_expansive_split(f: _Factors, j) -> SplitResult:
     return SplitResult(e1=e1, e2=e2, kind=SplitKind.CONTRACTIVE_EXPANSIVE)
 
 
-def positive_negative_split(p, j, tol: Tolerances = DEFAULT_TOL) -> SplitResult:
+@_on_handle(symmetry=(NotJProjection, "J is not a symmetry"))
+def positive_negative_split(f: _Factors, j) -> SplitResult:
     """Split a J-intertwined projection as P = Q + R with Q J-positive and
     R J-negative, Q R = R Q = 0 and Q R* = R* Q = 0.
 
     Obtained from the contractive/expansive splitting of I - P by taking
     complements.
     """
-    f = _Factors(as_matrix(p), tol)
-    j = _checked_symmetry(j, f, NotJProjection, "J is not a symmetry")
-    return _positive_negative_split(f, j)
-
-
-def _positive_negative_split(f: _Factors, j) -> SplitResult:
-    """:func:`positive_negative_split` for a symmetry ``j``: the complements of
-    the contractive/expansive split of I - P."""
     eye = np.eye(f.p.shape[0], dtype=np.complex128)
-    inner = _contractive_expansive_split(f.comp, j)
+    inner = contractive_expansive_split.on(f.comp, j)
     return SplitResult(
         e1=eye - inner.e1, e2=eye - inner.e2, kind=SplitKind.POSITIVE_NEGATIVE
     )
@@ -288,14 +269,16 @@ def _unitary_polar(m, tol: Tolerances, what: str) -> np.ndarray:
     return u @ vh
 
 
+@_on_handle()
 @_per_handle
-def _intertwine(f: _Factors):
-    """The unitaries carrying the corner of P to the corner of I - P.
+def intertwining_unitaries(f: _Factors):
+    """Unitaries (u1, v1) with corner(I-P) = u1 @ corner(P)* @ v1.
 
-    The basis-change unitary between the two block representations of
-    I - P has invertible off-diagonal blocks; their unitary polar factors
-    u1 and v1 satisfy ``corner(I-P) = u1 @ corner(P)* @ v1``.  Returns
-    ``(u1, v1, residual)``.
+    Returns ``(u1, v1, residual)`` where u1 maps range(P)-perp coordinates
+    to range(I-P) coordinates and v1 maps range(I-P)-perp coordinates to
+    range(P) coordinates: the unitary polar factors of the off-diagonal
+    blocks of the basis change between the two block forms of I - P.  Raises
+    ``DegenerateBlock`` if one is numerically rank deficient (a rank misclassification).
     """
     bf_p, bf_q, tol = f.bf, f.comp.bf, f.tol
     r = bf_p.rank
@@ -315,38 +298,24 @@ def _intertwine(f: _Factors):
     return u1, v1, residual
 
 
-def intertwining_unitaries(p, tol: Tolerances = DEFAULT_TOL):
-    """Unitaries (u1, v1) with corner(I-P) = u1 @ corner(P)* @ v1.
-
-    Returns ``(u1, v1, residual)`` where u1 maps range(P)-perp coordinates
-    to range(I-P) coordinates and v1 maps range(I-P)-perp coordinates to
-    range(P) coordinates.  Raises ``DegenerateBlock`` if an intertwiner
-    block is numerically rank deficient (a rank misclassification).
-    """
-    return _intertwine(_Factors(as_matrix(p), tol))
-
-
 def _antidiagonal(top_right, bottom_left) -> np.ndarray:
     """The square block matrix [[0, top_right], [bottom_left, 0]]."""
     (k, c), (m, r) = top_right.shape, bottom_left.shape
     return np.block([[np.zeros((k, r)), top_right], [bottom_left, np.zeros((m, c))]])
 
 
-def adjoint_similarity(p, tol: Tolerances = DEFAULT_TOL):
+@_on_handle()
+def adjoint_similarity(f: _Factors):
     """An ambient unitary U with U* P* U = P, plus the achieved residual."""
-    return _adjoint_similarity(_Factors(as_matrix(p), tol))
-
-
-def _adjoint_similarity(f: _Factors):
-    """:func:`adjoint_similarity` from the factors of P."""
     p = f.p
-    u1, v1, _ = _intertwine(f)
+    u1, v1, _ = intertwining_unitaries.on(f)
     u = f.comp.bf.unitary @ _antidiagonal(-u1, v1.conj().T) @ f.bf.unitary.conj().T
     residual = frobenius(u.conj().T @ p.conj().T @ u - p)
     return u, residual
 
 
-def complement_sum_equivalence(p, tol: Tolerances = DEFAULT_TOL):
+@_on_handle()
+def complement_sum_equivalence(f: _Factors):
     """Unitary equivalence between the padded sums of P and of I - P.
 
     Builds a unitary U with
@@ -356,12 +325,7 @@ def complement_sum_equivalence(p, tol: Tolerances = DEFAULT_TOL):
     and returns ``(U, residual)``.  That the two padded sums share their
     spectrum is certified by the report check ``complement-sum-spectra``.
     """
-    return _complement_sum_equivalence(_Factors(as_matrix(p), tol))
-
-
-def _complement_sum_equivalence(f: _Factors):
-    """:func:`complement_sum_equivalence` from the factors of P."""
-    u1, v1, _ = _intertwine(f)
+    u1, v1, _ = intertwining_unitaries.on(f)
     u = f.bf.unitary @ _antidiagonal(v1, u1.conj().T) @ f.comp.bf.unitary.conj().T
     lhs, rhs = _padded_sums(f)
     return u, frobenius(u.conj().T @ lhs @ u - rhs)
@@ -377,7 +341,8 @@ def _padded_sums(f: _Factors):
     return lhs, rhs
 
 
-def spectral_projection_identities(p, tol: Tolerances = DEFAULT_TOL) -> Report:
+@_on_handle()
+def spectral_projection_identities(f: _Factors) -> Report:
     """Identities tying the spectral projections of A = P + P* to those of 2I - A.
 
     Emits one residual check per identity: the positive projection of
@@ -386,11 +351,13 @@ def spectral_projection_identities(p, tol: Tolerances = DEFAULT_TOL) -> Report:
     projection of 2I - A equals the positive projection of A, and the
     kernel of 2I - A is the gap between the kernels of P - P* and P + P*.
     """
-    return _spectral_projection_identities(_Factors(as_matrix(p), tol))
+    checks = _projection_identity_checks(f)
+    subject = {"dim": f.p.shape[0], "rank": f.bf.rank, "matrix_sha256": matrix_digest(f.p)}
+    return Report(subject=subject, checks=checks, config=f.tol, seed=None)
 
 
-def _spectral_projection_identities(f: _Factors) -> Report:
-    """:func:`spectral_projection_identities` from the factors of P."""
+def _projection_identity_checks(f: _Factors) -> list:
+    """The checks of :func:`spectral_projection_identities`."""
     p, tol = f.p, f.tol
     a = p + p.conj().T
     eye = np.eye(p.shape[0], dtype=np.complex128)
@@ -402,7 +369,7 @@ def _spectral_projection_identities(f: _Factors) -> Report:
     )
 
     budget = tol.residual_tol * f.sum_scale
-    checks = [
+    return [
         residual_check(
             "complement-positive-projection",
             "Theorem 12(i)",
@@ -434,9 +401,3 @@ def _spectral_projection_identities(f: _Factors) -> Report:
             budget,
         ),
     ]
-    subject = {
-        "dim": p.shape[0],
-        "rank": f.bf.rank,
-        "matrix_sha256": matrix_digest(p),
-    }
-    return Report(subject=subject, checks=checks, config=tol, seed=None)

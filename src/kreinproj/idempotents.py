@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 
 import numpy as np
 
@@ -194,20 +195,6 @@ def block_form(p, tol: Tolerances = DEFAULT_TOL) -> BlockForm:
     return _Factors(as_matrix(p), tol).bf
 
 
-def _block_form(p: np.ndarray, tol: Tolerances) -> BlockForm:
-    """:func:`block_form` of a checked idempotent."""
-    n = p.shape[0]
-    if n == 0:
-        z = np.zeros((0, 0), dtype=np.complex128)
-        return BlockForm(z, z, z)
-    u, s, _ = np.linalg.svd(p)
-    r = int(np.sum(rank_mask(s, tol)))
-    basis_range = _canonical_phases(u[:, :r])
-    basis_perp = _canonical_phases(u[:, r:])
-    corner = basis_range.conj().T @ p @ basis_perp
-    return BlockForm(basis_range=basis_range, basis_perp=basis_perp, corner=corner)
-
-
 class _Factors:
     """The one internal handle of a square matrix ``p`` under ``tol``: each
     factorization of ``p`` computed at most once, on first use, and ``comp``,
@@ -217,7 +204,7 @@ class _Factors:
     Anything derived from the factors that more than one check group reads
     (the extremes, the intertwiners, the padded sums) is kept on the handle
     by :func:`_per_handle`.  A report builds one handle and hands it to every
-    check group; a public function builds its own, which dies with the call.
+    check group; a public function (:func:`_on_handle`) builds its own.
     """
 
     def __init__(self, p: np.ndarray, tol: Tolerances):
@@ -250,7 +237,16 @@ class _Factors:
     def bf(self) -> BlockForm:
         if not self.idempotent:
             raise NotIdempotent(f"||P^2 - P|| = {self.idem_residual:.3e} exceeds tolerance")
-        return _block_form(self.p, self.tol)
+        p, n = self.p, self.p.shape[0]
+        if n == 0:
+            z = np.zeros((0, 0), dtype=np.complex128)
+            return BlockForm(z, z, z)
+        u, s, _ = np.linalg.svd(p)
+        r = int(np.sum(rank_mask(s, self.tol)))
+        basis_range = _canonical_phases(u[:, :r])
+        basis_perp = _canonical_phases(u[:, r:])
+        corner = basis_range.conj().T @ p @ basis_perp
+        return BlockForm(basis_range=basis_range, basis_perp=basis_perp, corner=corner)
 
     @functools.cached_property
     def comp(self) -> "_Factors":
@@ -308,24 +304,44 @@ def _per_handle(fn):
     return once
 
 
-def _checked_factors(p, tol: Tolerances, message: str) -> _Factors:
-    """The handle of ``p``; ``NotIdempotent(message)`` when ``p`` fails
-    :func:`validate_idempotent`."""
-    f = _Factors(as_matrix(p), tol)
-    if not f.idempotent:
-        raise NotIdempotent(message)
-    return f
+def _on_handle(idempotent=None, symmetry=None):
+    """Make a body ``fn(f, *args)`` on the handle ``f`` of P the public
+    ``fn(p, *args, tol=DEFAULT_TOL)``, which builds the handle of ``p`` and
+    takes a parameter ``j`` as a matrix; the body stays ``fn.on``, and its
+    keyword-only parameters stay internal.  A message ``idempotent`` is raised
+    as ``NotIdempotent`` when P is not idempotent.  With ``symmetry = (error,
+    message)``, ``j`` must have the shape of P, else ``DimensionMismatch``, and
+    be a symmetry, else ``error(message)``."""
 
+    def decorate(body):
+        signature = inspect.signature(body)
+        arg = functools.partial(inspect.Parameter, kind=inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        params = [q for q in list(signature.parameters.values())[1:] if q.kind is q.POSITIONAL_OR_KEYWORD]
+        params.append(arg("tol", default=DEFAULT_TOL, annotation="Tolerances"))
+        names = [q.name for q in params]
+        defaults = {q.name: q.default for q in params if q.default is not q.empty}
 
-def _checked_symmetry(j, f: _Factors, error: type, message: str) -> np.ndarray:
-    """``j`` as a matrix; ``DimensionMismatch`` when its shape is not that of
-    the handle's P, ``error(message)`` when it is not a symmetry."""
-    j = as_matrix(j)
-    if j.shape != f.p.shape:
-        raise DimensionMismatch(f"J has shape {j.shape} but P has shape {f.p.shape}")
-    if not is_symmetry(j, f.tol):
-        raise error(message)
-    return j
+        @functools.wraps(body)
+        def fn(p, *args, **kwargs):
+            values = {**defaults, **dict(zip(names, args)), **kwargs}
+            if len(args) > len(names) or kwargs.keys() - names[len(args):] or len(values) < len(names):
+                raise TypeError(f"{body.__name__}() takes the arguments p, {', '.join(names)}")
+            f = _Factors(as_matrix(p), values.pop("tol"))
+            if idempotent is not None and not f.idempotent:
+                raise NotIdempotent(idempotent)
+            if "j" in values:
+                j = values["j"] = as_matrix(values["j"])
+                if symmetry is not None and j.shape != f.p.shape:
+                    raise DimensionMismatch(f"J has shape {j.shape} but P has shape {f.p.shape}")
+                if symmetry is not None and not is_symmetry(j, f.tol):
+                    raise symmetry[0](symmetry[1])
+            return body(f, *(values[name] for name in names[:-1]))
+
+        fn.__signature__ = signature.replace(parameters=[arg("p"), *params])
+        fn.on = body
+        return fn
+
+    return decorate
 
 
 def _corner_null_projections(f: _Factors):
@@ -335,7 +351,8 @@ def _corner_null_projections(f: _Factors):
     return bf.embed_range(u_null @ u_null.conj().T), bf.embed_perp(v_null @ v_null.conj().T)
 
 
-def kernel_projections(p, tol: Tolerances = DEFAULT_TOL):
+@_on_handle()
+def kernel_projections(f: _Factors):
     """Orthogonal projections onto N(P+P*) and N(P-P*) for an idempotent P.
 
     Each projection is computed two ways, spectrally in the ambient basis
@@ -343,11 +360,6 @@ def kernel_projections(p, tol: Tolerances = DEFAULT_TOL):
     raises ``InternalMismatch`` (a rank misclassification), otherwise the
     spectral pair is returned.
     """
-    return _kernel_projections(_Factors(as_matrix(p), tol))
-
-
-def _kernel_projections(f: _Factors):
-    """:func:`kernel_projections` from the factors of P."""
     for kernel, gap in zip(("N(P+P*)", "N(P-P*)"), f.kernel_route_gaps):
         if not within_scaled(gap, f.tol.residual_tol, f.p):
             raise InternalMismatch(f"{kernel} projections disagree between spectral and block routes")

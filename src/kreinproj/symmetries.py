@@ -17,6 +17,7 @@ in block-form coordinates.  The positive and contractive families have
 closed-form least and greatest elements in the Loewner order, built here
 from spectral projections of P + P*; the intertwining family has neither
 unless P is an orthogonal projection, which the witness pair exhibits.
+This module only constructs; ``verification`` certifies what it builds.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import numpy as np
 from .errors import ConstraintViolated, InternalMismatch, NotSymmetryParam, SingularShift
 from .idempotents import (
     BlockForm,
-    _checked_factors,
     _check_orthonormal,
     _Factors,
-    _kernel_projections,
+    _on_handle,
     _per_handle,
     _random_symmetry,
+    kernel_projections,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -47,7 +48,6 @@ from .linalg import (
     min_eig,
     within_scaled,
 )
-from .reporting import margin_check, residual_check
 
 __all__ = [
     "SymmetryFamily",
@@ -55,7 +55,6 @@ __all__ = [
     "SymmetryParams",
     "DominanceVerdict",
     "assemble_symmetry",
-    "family_checks",
     "sample_params",
     "extremal_symmetry",
     "extremal_symmetry_via_blocks",
@@ -98,23 +97,6 @@ class SymmetryParams(NamedTuple):
 
     on_range: np.ndarray
     on_perp: np.ndarray
-
-
-def family_checks(prefix, ref, p, j, family, tol, sp) -> list:
-    """Checks that a symmetry ``j`` satisfies its family's defining relation
-    with the idempotent ``p``, where ``sp = scale_of(p)``: ``<prefix>-intertwines``,
-    ``-hermitian`` and ``-psd``, or ``-dominates``."""
-    if family is SymmetryFamily.J_PROJECTION:
-        res = frobenius(j @ p @ j - p.conj().T)
-        return [residual_check(f"{prefix}-intertwines", ref, res, tol.residual_tol * sp)]
-    if family is SymmetryFamily.J_POSITIVE:
-        jp = j @ p
-        return [
-            residual_check(f"{prefix}-hermitian", ref, frobenius(jp - jp.conj().T), tol.residual_tol * sp),
-            margin_check(f"{prefix}-psd", ref, min_eig(jp), tol.psd_tol * sp),
-        ]
-    margin = min_eig(j - p.conj().T @ j @ p)
-    return [margin_check(f"{prefix}-dominates", ref, margin, tol.psd_tol * sp)]
 
 
 def assemble_symmetry(
@@ -225,7 +207,9 @@ def _params(bf: BlockForm, family: SymmetryFamily, split, draw) -> SymmetryParam
     return SymmetryParams(on_range=j1, on_perp=j2)
 
 
-def extremal_symmetry(p, kind: ExtremalKind, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+@_on_handle(idempotent="extremal_symmetry requires an idempotent input")
+@_per_handle
+def extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
     """Closed-form Loewner extreme of the positive or contractive family.
 
     With A = P + P* the four extremes are
@@ -241,13 +225,6 @@ def extremal_symmetry(p, kind: ExtremalKind, tol: Tolerances = DEFAULT_TOL) -> n
     family) or ``extremal-<kind>-dominates`` (contractive family), see
     :func:`kreinproj.verification.extremal_checks`.
     """
-    f = _checked_factors(p, tol, "extremal_symmetry requires an idempotent input")
-    return _extremal_symmetry(f, kind)
-
-
-@_per_handle
-def _extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
-    """:func:`extremal_symmetry` from the factors of a checked idempotent."""
     j = _extreme(f, kind)
     if not is_symmetry(j, f.tol):
         raise InternalMismatch(f"extremal {kind.value} is not a symmetry")
@@ -257,7 +234,7 @@ def _extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
 def _extreme(f: _Factors, kind: ExtremalKind) -> np.ndarray:
     """The formula of :func:`extremal_symmetry` for ``kind``, from the spectral
     projections of P + P* and, for contr-max, the projection onto N(P - P*)."""
-    ker_diff = _kernel_projections(f)[1] if kind is ExtremalKind.CONTR_MAX else None
+    ker_diff = kernel_projections.on(f)[1] if kind is ExtremalKind.CONTR_MAX else None
     parts = f.sum_parts
     pos = kind.family is SymmetryFamily.J_POSITIVE
     j = 2 * (parts.proj_positive if pos else parts.proj_negative)
@@ -267,20 +244,14 @@ def _extreme(f: _Factors, kind: ExtremalKind) -> np.ndarray:
     return j
 
 
-def extremal_symmetry_via_blocks(
-    p, kind: ExtremalKind, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+@_on_handle()
+def extremal_symmetry_via_blocks(f: _Factors, kind: ExtremalKind) -> np.ndarray:
     """Same extremes assembled through the block-form parameterization.
 
     Independent code path used as a cross-check oracle against
     :func:`extremal_symmetry`: the extreme parameters are signs of the
     corner's null-space projections.
     """
-    return _extremal_symmetry_via_blocks(_Factors(as_matrix(p), tol), kind)
-
-
-def _extremal_symmetry_via_blocks(f: _Factors, kind: ExtremalKind) -> np.ndarray:
-    """:func:`extremal_symmetry_via_blocks` from the factors of P."""
     bf = f.bf
     r = bf.rank
     c = bf.dim - r
@@ -299,7 +270,8 @@ def _extremal_symmetry_via_blocks(f: _Factors, kind: ExtremalKind) -> np.ndarray
     return assemble_symmetry(bf, kind.family, params, f.tol)
 
 
-def sign_formula_symmetry(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+@_on_handle(idempotent="sign_formula_symmetry requires an idempotent input")
+def sign_formula_symmetry(f: _Factors) -> np.ndarray:
     """The positive family's greatest element via the matrix sign function:
 
         (P + P* - I) |P + P* - I|^(-1) + 2 proj(N(P + P*))
@@ -312,12 +284,6 @@ def sign_formula_symmetry(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     checks ``sign-formula-matches-pos-max`` and ``sign-formula-kernel-action``,
     see :func:`kreinproj.verification.extremal_checks`.
     """
-    f = _checked_factors(p, tol, "sign_formula_symmetry requires an idempotent input")
-    return _sign_formula_symmetry(f)
-
-
-def _sign_formula_symmetry(f: _Factors) -> np.ndarray:
-    """:func:`sign_formula_symmetry` from the factors of a checked idempotent."""
     p, tol = f.p, f.tol
     shift = p + p.conj().T - np.eye(p.shape[0])
     sgn, min_abs = hermitian_sign(shift, tol)
@@ -342,7 +308,8 @@ class DominanceVerdict:
     max_eig: float
 
 
-def nonexistence_witnesses(p, tol: Tolerances = DEFAULT_TOL):
+@_on_handle()
+def nonexistence_witnesses(f: _Factors):
     """The sign-pattern witness pair of the intertwining family.
 
     Returns ``(j_a, j_b, verdict)`` where the witnesses are the family
@@ -352,11 +319,6 @@ def nonexistence_witnesses(p, tol: Tolerances = DEFAULT_TOL):
     the family is bounded by I and -I instead.  The report certifies each
     witness by ``witness-{a,b}-symmetry`` and ``witness-{a,b}-intertwines``.
     """
-    return _nonexistence_witnesses(_Factors(as_matrix(p), tol))
-
-
-def _nonexistence_witnesses(f: _Factors):
-    """:func:`nonexistence_witnesses` from the factors of P."""
     bf, tol = f.bf, f.tol
     r = bf.rank
     c = bf.dim - r

@@ -5,9 +5,9 @@ idempotent P.  ``extremality_probe`` samples admissible family members and
 measures their Loewner margins against the closed-form extremes.
 ``full_report`` runs every check this package knows about over one input
 pair and returns a report whose failures are check results, never
-exceptions.  ``extremal_checks`` and ``split_checks`` are the slices of it
-that certify one construction; the constructions themselves check only
-their inputs.
+exceptions.  ``family_checks``, ``extremal_checks`` and ``split_checks``
+are the slices of it that certify one construction; the constructions in
+``symmetries`` and ``decompositions`` check only their inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import decompositions as dec
 from .errors import KreinProjError, NotSymmetry, SingularShift
-from .idempotents import _checked_factors, _checked_symmetry, _Factors, _per_handle
+from .idempotents import _Factors, _on_handle, _per_handle
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -50,14 +50,13 @@ from .symmetries import (
     ExtremalKind,
     SymmetryFamily,
     _draws,
-    _extremal_symmetry,
-    _extremal_symmetry_via_blocks,
     _extreme,
-    _nonexistence_witnesses,
     _params,
-    _sign_formula_symmetry,
     assemble_symmetry,
-    family_checks,
+    extremal_symmetry,
+    extremal_symmetry_via_blocks,
+    nonexistence_witnesses,
+    sign_formula_symmetry,
 )
 
 __all__ = [
@@ -66,6 +65,7 @@ __all__ = [
     "contractive_positive_equivalence",
     "extremal_checks",
     "extremality_probe",
+    "family_checks",
     "full_report",
     "split_checks",
 ]
@@ -88,20 +88,14 @@ class ProjectionFlags(NamedTuple):
     j_expansive: bool
 
 
-def classify(p, j, tol: Tolerances = DEFAULT_TOL) -> ProjectionFlags:
+@_on_handle(idempotent="classify requires an idempotent P",
+            symmetry=(NotSymmetry, "classify requires a symmetry J"))
+def classify(f: _Factors, j) -> ProjectionFlags:
     """Test all five relations between an idempotent and a symmetry.
 
     Positivity and negativity require J P to be Hermitian within tolerance;
     the PSD test alone is not enough.
     """
-    f = _checked_factors(p, tol, "classify requires an idempotent P")
-    return _classify(f, _checked_symmetry(j, f, NotSymmetry, "classify requires a symmetry J"))
-
-
-def _classify(f: _Factors, j) -> ProjectionFlags:
-    """:func:`classify` of a checked pair, from the factors of P: the budgets
-    of :func:`family_checks` for J and -J and of :func:`loewner_geq` both
-    ways, with one ``eigvalsh`` each of J P and J - P* J P read at both ends."""
     p, tol, sp = f.p, f.tol, f.sp
     jp = j @ p
     hermitian = frobenius(jp - jp.conj().T) <= tol.residual_tol * sp
@@ -117,23 +111,16 @@ def _classify(f: _Factors, j) -> ProjectionFlags:
     )
 
 
-def contractive_positive_equivalence(p, j, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+@_on_handle(idempotent="biconditional check requires an idempotent P",
+            symmetry=(NotSymmetry, "biconditional check requires a symmetry J"))
+def contractive_positive_equivalence(f: _Factors, j, *, contractive=None) -> CheckResult:
     """Check the biconditional: P* J P <= J holds iff J (I - P) >= 0.
 
     The two sides are evaluated independently; the check passes when their
     verdicts agree (including the case where both fail).  On disagreement
-    the residual records the larger violation.
+    the residual records the larger violation.  A caller that has the verdict
+    on P* J P <= J from :func:`classify` passes it as ``contractive``.
     """
-    f = _checked_factors(p, tol, "biconditional check requires an idempotent P")
-    j = _checked_symmetry(j, f, NotSymmetry, "biconditional check requires a symmetry J")
-    return _contractive_positive_equivalence(f, j)
-
-
-def _contractive_positive_equivalence(f: _Factors, j, contractive=None) -> CheckResult:
-    """:func:`contractive_positive_equivalence` of a checked pair, from the
-    factors of P.  ``contractive`` is the verdict on P* J P <= J when the
-    caller has it from :func:`_classify`; its margin is then computed only
-    if the two verdicts disagree."""
     p, tol, sp = f.p, f.tol, f.sp
     c_margin = None
     if contractive is None:
@@ -189,7 +176,25 @@ def _sign_formula_checks(jsf, pos_max, ker, budget) -> list:
 SIGN_FORMULA = "sign-formula"
 
 
-def extremal_checks(p, which: str, j, tol: Tolerances = DEFAULT_TOL) -> list:
+def family_checks(prefix, ref, p, j, family, tol, sp, margin=min_eig) -> list:
+    """Checks that a symmetry ``j`` satisfies its family's defining relation with
+    the idempotent ``p``, where ``sp = scale_of(p)``: ``<prefix>-intertwines``, ``-hermitian``
+    and ``-psd``, or ``-dominates``, with the margin ``margin(J P)`` or ``margin(J - P* J P)``."""
+    if family is SymmetryFamily.J_PROJECTION:
+        res = frobenius(j @ p @ j - p.conj().T)
+        return [residual_check(f"{prefix}-intertwines", ref, res, tol.residual_tol * sp)]
+    if family is SymmetryFamily.J_POSITIVE:
+        jp = j @ p
+        return [
+            residual_check(f"{prefix}-hermitian", ref, frobenius(jp - jp.conj().T), tol.residual_tol * sp),
+            margin_check(f"{prefix}-psd", ref, margin(jp), tol.psd_tol * sp),
+        ]
+    rel = j - p.conj().T @ j @ p
+    return [margin_check(f"{prefix}-dominates", ref, margin(rel), tol.psd_tol * sp)]
+
+
+@_on_handle()
+def extremal_checks(f: _Factors, which: str, j) -> list:
     """The checks of :func:`full_report` that certify ``j`` as the extreme
     symmetry ``which`` (an :class:`ExtremalKind` value or ``"sign-formula"``)
     of the idempotent ``p``.
@@ -199,11 +204,6 @@ def extremal_checks(p, which: str, j, tol: Tolerances = DEFAULT_TOL) -> list:
     ``sign-formula``, plus its match with pos-max and its kernel action,
     both built from one ``spectral_parts(P + P*)``.
     """
-    return _extremal_checks(_Factors(as_matrix(p), tol), which, as_matrix(j))
-
-
-def _extremal_checks(f: _Factors, which, j) -> list:
-    """:func:`extremal_checks` from the factors of P."""
     p, tol, sp = f.p, f.tol, f.sp
     if which == SIGN_FORMULA:
         kind, prefix, ref = ExtremalKind.POS_MAX, SIGN_FORMULA, "Remark"
@@ -233,19 +233,11 @@ def _member_checks(prefix, ref, f: _Factors, j, family: SymmetryFamily) -> list:
     symmetry-for`` writes, and probe sample ``sample-000``, the oracle the
     block-route certificates of the later samples (:func:`_block_sample_checks`)
     stand beside."""
-    p, tol, sp = f.p, f.tol, f.sp
-    checks = [_symmetry_check(prefix, ref, j, tol.residual_tol)]
-    if family is SymmetryFamily.J_PROJECTION:
-        return checks + family_checks(prefix, ref, p, j, family, tol, sp)
-    if family is SymmetryFamily.J_CONTRACTIVE:
-        rel, name = j - p.conj().T @ j @ p, "dominates"
-    else:
-        rel, name = j @ p, "psd"
-        herm = frobenius(rel - rel.conj().T)
-        checks.append(residual_check(f"{prefix}-hermitian", ref, herm, tol.residual_tol * sp))
-    budget = tol.psd_tol * sp
-    margin = _weyl_margin(rel, *_member_model(f, family), budget)
-    return checks + [margin_check(f"{prefix}-{name}", ref, margin, budget)]
+    def margin(rel):
+        return _weyl_margin(rel, *_member_model(f, family), f.tol.psd_tol * f.sp)
+
+    checks = [_symmetry_check(prefix, ref, j, f.tol.residual_tol)]
+    return checks + family_checks(prefix, ref, f.p, j, family, f.tol, f.sp, margin)
 
 
 @_per_handle
@@ -268,7 +260,7 @@ def _member_model(f: _Factors, family: SymmetryFamily):
 @_per_handle
 def _extreme_checks(f: _Factors, kind: ExtremalKind) -> list:
     """:func:`extremal_checks` of the extreme ``kind`` of P."""
-    return _extremal_checks(f, kind.value, _extremal_symmetry(f, kind))
+    return extremal_checks.on(f, kind.value, extremal_symmetry.on(f, kind))
 
 
 _SPLIT_REFS = {
@@ -299,13 +291,8 @@ def _split_checks(split, f: _Factors, j, prefix) -> list:
     return checks
 
 
-def extremality_probe(
-    p,
-    family: SymmetryFamily,
-    samples: int,
-    seed=0,
-    tol: Tolerances = DEFAULT_TOL,
-) -> Report:
+@_on_handle()
+def extremality_probe(f: _Factors, family: SymmetryFamily, samples: int, seed=0) -> Report:
     """Sample admissible symmetries and measure their margins against the
     family's closed-form least and greatest elements.
 
@@ -325,15 +312,16 @@ def extremality_probe(
     """
     if family is SymmetryFamily.J_PROJECTION:
         raise ValueError("the intertwining family has no extreme elements to probe")
-    return _extremality_probe(_Factors(as_matrix(p), tol), family, samples, seed)
-
-
-def _whole(value, what):
-    """``value`` as an int, else ``ValueError``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    samples, seed = _probe_args(samples, seed)
+    checks = _probe_checks(f, family, samples, seed)
+    subject = {
+        "dim": f.p.shape[0],
+        "rank": f.bf.rank,
+        "family": family.value,
+        "samples": samples,
+        "matrix_sha256": matrix_digest(f.p),
+    }
+    return Report(subject=subject, checks=checks, config=f.tol, seed=seed)
 
 
 def _weyl_margin(d, model, low, budget) -> float:
@@ -345,18 +333,27 @@ def _weyl_margin(d, model, low, budget) -> float:
     return bound if bound >= -budget else min_eig(d)
 
 
-def _extremality_probe(f: _Factors, family, samples, seed, prefix="") -> Report:
-    """:func:`extremality_probe` from the factors of P, with every check name
-    led by ``prefix``.  The extremes' family checks are their
-    ``extremal-<kind>`` checks, renamed."""
-    samples = _whole(samples, "samples")
+def _probe_args(samples, seed):
+    """``(samples, seed)`` as ints, else ``ValueError`` (see :func:`extremality_probe`)."""
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise ValueError(f"samples must be an integer, got {samples!r}") from None
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if seed is not None:
-        seed = _whole(seed, "seed")
-    p, tol, bf = f.p, f.tol, f.bf
+    try:
+        return samples, seed if seed is None else operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+
+
+def _probe_checks(f: _Factors, family, samples, seed, prefix="") -> list:
+    """The checks of :func:`extremality_probe` for ``samples`` and ``seed``
+    from :func:`_probe_args`, with every check name led by ``prefix``.  The
+    extremes' family checks are their ``extremal-<kind>`` checks, renamed."""
+    tol, bf = f.tol, f.bf
     kind_min, kind_max = (k for k in ExtremalKind if k.family is family)
-    j_min, j_max = _extremal_symmetry(f, kind_min), _extremal_symmetry(f, kind_max)
+    j_min, j_max = extremal_symmetry.on(f, kind_min), extremal_symmetry.on(f, kind_max)
     checks = []
     for label, kind in (("extreme-min", kind_min), ("extreme-max", kind_max)):
         cut = len(f"extremal-{kind.value}")
@@ -380,14 +377,7 @@ def _extremality_probe(f: _Factors, family, samples, seed, prefix="") -> Report:
         checks += _block_sample_checks(f, family, name, ref, terms) or _ambient_sample_checks(
             f, family, name, ref, _params(bf, family, split, draw), j_min, j_max
         )
-    subject = {
-        "dim": p.shape[0],
-        "rank": bf.rank,
-        "family": family.value,
-        "samples": samples,
-        "matrix_sha256": matrix_digest(p),
-    }
-    return Report(subject=subject, checks=checks, config=tol, seed=seed)
+    return checks
 
 
 def _ambient_sample_checks(f: _Factors, family, prefix, ref, params, j_min, j_max) -> list:
@@ -540,8 +530,8 @@ def _block_route_gap(f: _Factors, kind: ExtremalKind):
     distance to the spectral one.  The construction is kept only when the
     kind's family has a free part (k > 0), the only case in which the later
     probe samples read it (see :func:`_block_model`); None otherwise."""
-    j_b = _extremal_symmetry_via_blocks(f, kind)
-    gap = frobenius(j_b - _extremal_symmetry(f, kind))
+    j_b = extremal_symmetry_via_blocks.on(f, kind)
+    gap = frobenius(j_b - extremal_symmetry.on(f, kind))
     u_null, _, v_null, _ = f.bf.corner_split(f.tol)
     null = u_null if kind.family is SymmetryFamily.J_CONTRACTIVE else v_null
     return (j_b if null.shape[1] else None), gap
@@ -612,7 +602,7 @@ def _block_model(f: _Factors, family: SymmetryFamily) -> Optional[_BlockModel]:
         j_bmax, gap_max = _block_route_gap(f, kind_max)
     except KreinProjError:
         return None
-    j_min, j_max = _extremal_symmetry(f, kind_min), _extremal_symmetry(f, kind_max)
+    j_min, j_max = extremal_symmetry.on(f, kind_min), extremal_symmetry.on(f, kind_max)
     recorded = {c.name.rsplit("-", 1)[1]: c for c in _extreme_checks(f, kind_min)}
     e = _gamma(3 * n)
     up = 1.0 + e
@@ -873,7 +863,7 @@ def _extremal_construction_checks(f: _Factors, run: _Run):
     identity web tying them to the spectral projections of P + P*."""
     for kind in ExtremalKind:
         yield from _run_group(f"extremal-{kind.value}", _KIND_REFS[kind], _construction_checks, f, kind)
-    extremes = [f.kept(_extremal_symmetry, kind) for kind in ExtremalKind]
+    extremes = [f.kept(extremal_symmetry.on, kind) for kind in ExtremalKind]
     if any(jk is None for jk in extremes):
         return
     j_pos_min, j_pos_max, j_contr_min, _ = extremes
@@ -893,31 +883,31 @@ def _extremal_construction_checks(f: _Factors, run: _Run):
 def _sign_formula_group(f: _Factors, run: _Run):
     """The sign-function route to pos-max, against pos-max where the
     extremal group built it."""
-    jsf = _sign_formula_symmetry(f)
-    pos_max = f.kept(_extremal_symmetry, ExtremalKind.POS_MAX)
+    jsf = sign_formula_symmetry.on(f)
+    pos_max = f.kept(extremal_symmetry.on, ExtremalKind.POS_MAX)
     return _sign_formula_checks(jsf, pos_max, f.sum_parts.proj_kernel, f.tol.residual_tol * f.sp)
 
 
-def _probe_checks(f: _Factors, run: _Run, family: SymmetryFamily):
-    return _extremality_probe(f, family, run.samples, run.seed, f"probe-{family.value}/").checks
+def _probe_group(f: _Factors, run: _Run, family: SymmetryFamily):
+    return _probe_checks(f, family, *_probe_args(run.samples, run.seed), f"probe-{family.value}/")
 
 
 def _intertwining_checks(f: _Factors, run: _Run):
     budget = f.tol.residual_tol * f.sp
-    yield residual_check("intertwining-residual", "Proposition 9", dec._intertwine(f)[2], budget)
+    yield residual_check("intertwining-residual", "Proposition 9", dec.intertwining_unitaries.on(f)[2], budget)
     sv_p, sv_q = f.bf._corner_svd[1], f.comp.bf._corner_svd[1]
     sv_gap = float(np.max(np.abs(sv_p - sv_q))) if sv_p.size else 0.0
     yield residual_check("corner-singular-values", "Proposition 9", sv_gap, budget)
 
 
 def _adjoint_similarity_checks(f: _Factors, run: _Run):
-    residual = dec._adjoint_similarity(f)[1]
+    residual = dec.adjoint_similarity.on(f)[1]
     yield residual_check("adjoint-similarity-residual", "Corollary 10(i)", residual, f.tol.residual_tol * f.sp)
 
 
 def _complement_sum_checks(f: _Factors, run: _Run):
     budget = f.tol.residual_tol * f.sp
-    residual = dec._complement_sum_equivalence(f)[1]
+    residual = dec.complement_sum_equivalence.on(f)[1]
     yield residual_check("complement-sum-residual", "Corollary 10(iii)", residual, budget)
     lhs, rhs = dec._padded_sums(f)
     spec_gap = (
@@ -930,19 +920,19 @@ def _complement_sum_checks(f: _Factors, run: _Run):
 
 
 def _classification(f: _Factors, run: _Run):
-    run.subject["classification"] = dict(_classify(f, run.j)._asdict())
+    run.subject["classification"] = dict(classify.on(f, run.j)._asdict())
     return ()
 
 
 def _biconditional(f: _Factors, run: _Run):
     # the verdict on P* J P <= J that the j-checks group recorded, if it ran
     contractive = run.subject.get("classification", {}).get("j_contractive")
-    return [_contractive_positive_equivalence(f, run.j, contractive)]
+    return [contractive_positive_equivalence.on(f, run.j, contractive=contractive)]
 
 
 def _witness_checks(f: _Factors, run: _Run):
     p, tol = f.p, f.tol
-    j_a, j_b, verdict = _nonexistence_witnesses(f)
+    j_a, j_b, verdict = nonexistence_witnesses.on(f)
     for name, wit in (("witness-a", j_a), ("witness-b", j_b)):
         yield from _member_checks(name, "Theorem 8(ii)", f, wit, SymmetryFamily.J_PROJECTION)
     if f.bf.corner_split(tol)[1].shape[1]:
@@ -975,9 +965,9 @@ _GROUPS = [
     ("negative-part-formula", "Lemma 1", _negative_part_checks),
     ("extremal-constructions", "Lemma 4 / Theorems 7, 8(i)", _extremal_construction_checks),
     ("sign-formula", "Remark", _sign_formula_group),
-    ("probe-positive", _FAMILY_REFS[_POS], lambda f, run: _probe_checks(f, run, _POS)),
-    ("probe-contractive", _FAMILY_REFS[_CONTR], lambda f, run: _probe_checks(f, run, _CONTR)),
-    ("projection-identities", "Theorem 12", lambda f, run: dec._spectral_projection_identities(f).checks),
+    ("probe-positive", _FAMILY_REFS[_POS], lambda f, run: _probe_group(f, run, _POS)),
+    ("probe-contractive", _FAMILY_REFS[_CONTR], lambda f, run: _probe_group(f, run, _CONTR)),
+    ("projection-identities", "Theorem 12", lambda f, run: dec._projection_identity_checks(f)),
     ("intertwining", "Proposition 9", _intertwining_checks),
     ("adjoint-similarity", "Corollary 10(i)", _adjoint_similarity_checks),
     ("complement-sum", "Corollary 10(iii)", _complement_sum_checks),
@@ -987,9 +977,9 @@ _J_GROUPS = [
     ("j-checks", "§1", _classification),
     ("biconditional", "Lemma 11", _biconditional),
     ("contractive-expansive-split", _SPLIT_REFS[dec.SplitKind.CONTRACTIVE_EXPANSIVE],
-     lambda f, run: _split_checks(dec._contractive_expansive_split(f, run.j), f, run.j, "split-ce-")),
+     lambda f, run: _split_checks(dec.contractive_expansive_split.on(f, run.j), f, run.j, "split-ce-")),
     ("positive-negative-split", _SPLIT_REFS[dec.SplitKind.POSITIVE_NEGATIVE],
-     lambda f, run: _split_checks(dec._positive_negative_split(f, run.j), f, run.j, "split-pn-")),
+     lambda f, run: _split_checks(dec.positive_negative_split.on(f, run.j), f, run.j, "split-pn-")),
     ("witness-pair", "Theorem 8(ii)", _witness_checks),
 ]
 

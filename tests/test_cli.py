@@ -1,14 +1,20 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import glob
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinproj.cli import main
 from kreinproj.matrixio import read_matrix, write_matrix
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "matrix_golden")
 
 SQRT2 = math.sqrt(2.0)
 P2 = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -357,3 +363,50 @@ def test_verify_rejects_a_negative_seed_before_reading(tmp_path, capsys):
     # the command refuses the seed as a usage error first
     assert main(["verify", str(tmp_path / "absent.json"), "--seed=-1"]) == 2
     assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
+
+
+def test_empty_idempotent_verify_and_decompose_write_json(tmp_path, capsys):
+    # a 0 x 0 idempotent passes vacuously: its empty relations record margin
+    # 0.0, so the report file is finite JSON
+    empty = os.path.join(GOLDEN_DIR, "empty-0x0.json")
+    out = tmp_path / "r.json"
+    assert main(["verify", empty, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"]
+    prefix = str(tmp_path / "d-")
+    for kind, names in (("contr-exp", ("e1", "e2")), ("pos-neg", ("q", "r"))):
+        assert main(["decompose", empty, empty, "--kind", kind, "-o", prefix]) == 0
+        for name in (*names, "report"):
+            with open(f"{prefix}{name}.json", encoding="utf-8") as fh:
+                json.load(fh)
+    capsys.readouterr()
+
+
+_GOLDENS = sorted(glob.glob(os.path.join(GOLDEN_DIR, "*.json")))
+_EXIT_CODES = {0, 1, 2, 3, 4, 5}  # README's exit table
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["delete", "insert", "replace"]), st.integers(0, 10**6), st.binary(min_size=1, max_size=1)),
+    min_size=1, max_size=3,
+)
+
+
+def _mangled(data: bytes, edits) -> bytes:
+    for kind, at, byte in edits:
+        at %= len(data) + 1
+        if kind == "insert":
+            data = data[:at] + byte + data[at:]
+        elif at < len(data):
+            data = data[:at] + (byte if kind == "replace" else b"") + data[at + 1:]
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(golden=st.sampled_from(_GOLDENS), edits=_EDITS)
+def test_cli_never_raises_on_a_mangled_file(tmp_path_factory, golden, edits):
+    # up to three bytes of a golden matrix file deleted, inserted or replaced:
+    # extremal and verify each return a documented exit code, and raise nothing
+    tmp = tmp_path_factory.mktemp("mangled")
+    path = tmp / "p.json"
+    with open(golden, "rb") as fh:
+        path.write_bytes(_mangled(fh.read(), edits))
+    assert main(["extremal", str(path), "--which", "contr-max", "-o", str(tmp / "j.json")]) in _EXIT_CODES
+    assert main(["verify", str(path), "--samples", "2", "--out", str(tmp / "r.json")]) in _EXIT_CODES

@@ -42,7 +42,7 @@ def test_idempotency_residual_is_computed_once_per_handle(monkeypatch):
         return np.linalg.norm(a)
 
     monkeypatch.setattr(idempotents, "frobenius", counted)
-    f = idempotents._checked_factors(random_idempotent(6, 2, 2.0, seed=3), Tolerances(), "not idempotent")
+    f = idempotents._Factors(random_idempotent(6, 2, 2.0, seed=3), Tolerances())
     assert f.bf.rank == 2 and f.idempotent
     assert calls == [(6, 6)]
     # the handle of I - P takes P's residual: (I - P)^2 - (I - P) = P^2 - P

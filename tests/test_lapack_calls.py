@@ -20,6 +20,9 @@ margins are certified by Weyl bounds, whose only eigenproblem is on a
 corner null space.
 ``test_full_report_factors_each_corner_once`` pins the corner SVDs: the
 corners of P and of I - P are each factored once per report.
+``HANDLE_BOUNDS`` holds one bound per public function that builds the
+handle of its idempotent (``idempotents._on_handle`` and ``split_checks``),
+so that a handle that factors more than its function reads shows up.
 """
 
 import numpy as np
@@ -36,6 +39,25 @@ BOUNDS = {
     "extremal_sign_formula": 4,
 }
 NORM2_BOUND = 3
+HANDLE_BOUNDS = {
+    "kernel_projections": 4,
+    "extremal_symmetry": 1,
+    "extremal_symmetry_via_blocks": 2,
+    "sign_formula_symmetry": 2,
+    "nonexistence_witnesses": 4,
+    "extract_params": 4,
+    "contractive_expansive_split": 4,
+    "positive_negative_split": 4,
+    "intertwining_unitaries": 4,
+    "adjoint_similarity": 4,
+    "complement_sum_equivalence": 4,
+    "spectral_projection_identities": 8,
+    "classify": 3,
+    "contractive_positive_equivalence": 3,
+    "extremal_checks": 2,
+    "extremality_probe": 7,
+    "split_checks": 3,
+}
 SQUARE_BOUNDS = {"svd": 2, "eigh": 5, "eigvalsh": 15}
 
 
@@ -89,6 +111,40 @@ def test_lapack_calls_at_most_bound(lapack_calls, entry, seed, tmp_path):
     lapack_calls["n"] = 0
     call()
     assert lapack_calls["n"] <= BOUNDS[entry]
+
+
+def _handle_calls(seed):
+    """One call of each function of ``HANDLE_BOUNDS`` on the input of
+    :func:`_entry_points`, its arguments built beforehand."""
+    rng = np.random.default_rng([seed, 4])
+    p = kp.random_idempotent(8, 4, 2.0, rng)
+    bf = kp.block_form(p)
+    proj = kp.SymmetryFamily.J_PROJECTION
+    j = kp.assemble_symmetry(bf, proj, kp.sample_params(bf, proj, 1, seed)[0])
+    split = kp.contractive_expansive_split(p, j)
+    pos_max = kp.extremal_symmetry(p, kp.ExtremalKind.POS_MAX)
+    kind, contr = kp.ExtremalKind.CONTR_MAX, kp.SymmetryFamily.J_CONTRACTIVE
+    calls = {name: (p,) for name in HANDLE_BOUNDS}
+    calls.update({name: (p, j) for name in (
+        "extract_params", "contractive_expansive_split", "positive_negative_split", "classify",
+        "contractive_positive_equivalence")})
+    calls.update({
+        "extremal_symmetry": (p, kp.ExtremalKind.POS_MAX),
+        "extremal_symmetry_via_blocks": (p, kind),
+        "extremal_checks": (p, "pos-max", pos_max),
+        "extremality_probe": (p, contr, 3),
+        "split_checks": (split, p, j),
+    })
+    return {name: (lambda fn=getattr(kp, name), args=args: fn(*args)) for name, args in calls.items()}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(HANDLE_BOUNDS))
+def test_lapack_calls_of_each_handle_function_at_most_bound(lapack_calls, name, seed):
+    call = _handle_calls(seed)[name]
+    lapack_calls["n"] = 0
+    call()
+    assert lapack_calls["n"] <= HANDLE_BOUNDS[name]
 
 
 @pytest.mark.parametrize("seed", [1, 2])

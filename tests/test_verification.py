@@ -191,6 +191,40 @@ def test_full_report_degenerate_dimensions():
         assert report.counts["fail"] == 0
 
 
+def test_full_report_hashes_p_once(monkeypatch):
+    # the probe groups and projection-identities read bodies that return
+    # checks only, so the report's own subject holds the one digest of P;
+    # the other digest is that of J
+    from kreinproj import decompositions, verification
+    from kreinproj.reporting import matrix_digest
+
+    p = random_idempotent(8, 3, 2.0, seed=4)
+    bf = block_form(p)
+    fam = SymmetryFamily.J_PROJECTION
+    j = assemble_symmetry(bf, fam, sample_params(bf, fam, 1, 2)[0])
+    hashed = []
+
+    def counted(m):
+        hashed.append("P" if np.array_equal(m, p) else "other")
+        return matrix_digest(m)
+
+    for module in (verification, decompositions):
+        monkeypatch.setattr(module, "matrix_digest", counted)
+    report = full_report(p, j, samples=3, seed=0)
+    assert "classification" in report.subject
+    assert hashed == ["P", "other"]
+
+
+def test_full_report_of_an_empty_idempotent_records_finite_margins():
+    # min_eig of an empty relation is +inf; its check records 0.0, so the
+    # report renders as JSON
+    report = full_report(np.zeros((0, 0)), np.zeros((0, 0)), samples=3, seed=0)
+    assert report.passed
+    assert all(math.isfinite(c.margin) for c in report.checks)
+    assert any(c.name.endswith("-psd") for c in report.checks)
+    render_report(report)
+
+
 def test_report_determinism():
     p = random_idempotent(7, 3, 2.0, seed=11)
     a = render_report(full_report(p, None, samples=8, seed=5))
@@ -308,8 +342,7 @@ def test_standalone_functions_match_full_report(label, p, j):
         split_checks,
     )
     from kreinproj.linalg import scale_of
-    from kreinproj.symmetries import family_checks
-    from kreinproj.verification import INDEFINITE_MARGIN
+    from kreinproj.verification import INDEFINITE_MARGIN, family_checks
 
     samples = 3
     report = full_report(p, j, samples=samples, seed=0)
@@ -488,7 +521,7 @@ def test_block_route_samples_fail_through_the_gap_of_a_moved_extreme(monkeypatch
     # eigenvalue -1 or +1, which the block identity J = J_b + N (S + I) N*
     # alone cannot see: the bounds carry the block-route gap, do not decide,
     # and those samples fail on the ambient route
-    from kreinproj import extremal_symmetry, verification
+    from kreinproj import extremal_symmetry
     from kreinproj.linalg import min_eig
     from kreinproj.reporting import margin_check
 
@@ -505,8 +538,8 @@ def test_block_route_samples_fail_through_the_gap_of_a_moved_extreme(monkeypatch
         j_min, kind, name = j_min + shift, kind_min, "above-min"
     else:
         j_max, kind, name = j_max - shift, kind_max, "below-max"
-    real = verification._extremal_symmetry
-    monkeypatch.setattr(verification, "_extremal_symmetry",
+    real = extremal_symmetry.on
+    monkeypatch.setattr(extremal_symmetry, "on",
                         lambda f, k: (j_min if k is kind_min else j_max) if k is kind else real(f, k))
     by_name = {c.name: c for c in extremality_probe(p, family, 6, seed=0).checks}
     failed = []
@@ -577,8 +610,7 @@ def test_member_checks_pass_only_family_members(p, seed, log_angle):
     from kreinproj import KreinProjError
     from kreinproj.idempotents import _Factors
     from kreinproj.linalg import frobenius, min_eig
-    from kreinproj.symmetries import family_checks
-    from kreinproj.verification import _member_checks
+    from kreinproj.verification import _member_checks, family_checks
 
     f = _Factors(p, DEFAULT_TOL)
     for family in (SymmetryFamily.J_POSITIVE, SymmetryFamily.J_CONTRACTIVE):
