@@ -163,7 +163,7 @@ def _cmd_gen(args) -> int:
     f = _Factors(read_matrix(args.for_path), tol)
     family = SymmetryFamily(args.family)
     m = assemble_symmetry(f.bf, family, sample_params(f.bf, family, 1, args.seed, tol)[0], tol)
-    return _write_certified(args.out, m, _member_checks("member", _FAMILY_REFS[family], f, m, family))
+    return _write_certified(args.out, m, _member_checks(["member"], _FAMILY_REFS[family], f, m[None], family))
 
 
 def _cmd_extremal(args) -> int:

@@ -80,13 +80,15 @@ class BlockForm:
         return np.hstack([self.basis_range, self.basis_perp])
 
     def assemble(self, b11, b12, b21, b22) -> np.ndarray:
-        """Map a 2x2 block matrix in these coordinates back to the ambient basis."""
+        """Map a 2x2 block matrix in these coordinates back to the ambient
+        basis.  Blocks with leading axes give the stack of their matrices."""
         n, r = self.dim, self.rank
-        out = np.zeros((n, n), dtype=np.complex128)
-        out[:r, :r] = b11
-        out[:r, r:] = b12
-        out[r:, :r] = b21
-        out[r:, r:] = b22
+        lead = np.broadcast_shapes(*(np.shape(b)[:-2] for b in (b11, b12, b21, b22)))
+        out = np.zeros((*lead, n, n), dtype=np.complex128)
+        out[..., :r, :r] = b11
+        out[..., :r, r:] = b12
+        out[..., r:, :r] = b21
+        out[..., r:, r:] = b22
         w = self.unitary
         return w @ out @ w.conj().T
 
@@ -309,9 +311,9 @@ def _on_handle(idempotent=None, symmetry=None):
     ``fn(p, *args, tol=DEFAULT_TOL)``, which builds the handle of ``p`` and
     takes a parameter ``j`` as a matrix; the body stays ``fn.on``, and its
     keyword-only parameters stay internal.  A message ``idempotent`` is raised
-    as ``NotIdempotent`` when P is not idempotent.  With ``symmetry = (error,
-    message)``, ``j`` must have the shape of P, else ``DimensionMismatch``, and
-    be a symmetry, else ``error(message)``."""
+    as ``NotIdempotent`` when P is not idempotent.  A ``j`` must have the shape
+    of P, else ``DimensionMismatch``; with ``symmetry = (error, message)`` it
+    must also be a symmetry, else ``error(message)``."""
 
     def decorate(body):
         signature = inspect.signature(body)
@@ -331,7 +333,7 @@ def _on_handle(idempotent=None, symmetry=None):
                 raise NotIdempotent(idempotent)
             if "j" in values:
                 j = values["j"] = as_matrix(values["j"])
-                if symmetry is not None and j.shape != f.p.shape:
+                if j.shape != f.p.shape:
                     raise DimensionMismatch(f"J has shape {j.shape} but P has shape {f.p.shape}")
                 if symmetry is not None and not is_symmetry(j, f.tol):
                     raise symmetry[0](symmetry[1])
@@ -392,6 +394,8 @@ def random_idempotent(n: int, r: int, corner_scale: float = 2.0, seed=0) -> np.n
     """
     if not 0 <= r <= n:
         raise BadRank(f"rank {r} not in [0, {n}]")
+    if not np.isfinite(corner_scale):
+        raise BadRank(f"corner_scale must be finite, got {corner_scale}")
     if corner_scale < 0:
         raise BadRank(f"corner_scale must be nonnegative, got {corner_scale}")
     rng = as_rng(seed)

@@ -112,8 +112,16 @@ def assemble_symmetry(
     ``probe-<family>/sample-NNN-symmetry`` and its family's checks, a
     witness by ``witness-{a,b}-symmetry`` and ``-intertwines``, and a
     block-route extreme by ``extremal-<kind>-block-route``; ``kreinproj gen
-    symmetry-for`` certifies the member it writes the same way.
+    symmetry-for`` certifies the member it writes the same way.  The probe
+    builds the samples of a family together: each sample's parameters pass
+    these checks, and one stacked assembly builds them all.
     """
+    return _assemble(bf, *_checked_params(bf, family, params, tol))
+
+
+def _checked_params(bf: BlockForm, family: SymmetryFamily, params, tol: Tolerances):
+    """``params`` as the matrices ``(j1, j2)``, after the input checks of
+    :func:`assemble_symmetry`."""
     j1, j2 = (as_matrix(x) for x in params)
     r = bf.rank
     c = bf.dim - bf.rank
@@ -126,7 +134,7 @@ def assemble_symmetry(
         raise NotSymmetryParam("family parameters must be symmetries")
 
     corner = bf.corner
-    tinv, sinv, corner_norm = bf._inv_sqrts
+    corner_norm = bf._inv_sqrts[2]
     if family is SymmetryFamily.J_POSITIVE:
         if frobenius(j1 - np.eye(r)) > tol.residual_tol * max(1.0, r):
             raise ConstraintViolated("positive family fixes the range-side parameter to I")
@@ -141,7 +149,14 @@ def assemble_symmetry(
         raise ConstraintViolated(
             f"parameters violate the corner constraint: {frobenius(constraint):.3e}"
         )
+    return j1, j2
 
+
+def _assemble(bf: BlockForm, j1, j2) -> np.ndarray:
+    """The member with the block parameters ``j1`` and ``j2`` in the ambient
+    basis, unchecked; stacked parameters give the stack of their members."""
+    corner = bf.corner
+    tinv, sinv, _ = bf._inv_sqrts
     return bf.assemble(
         j1 @ tinv,
         j1 @ tinv @ corner,

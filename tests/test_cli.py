@@ -59,6 +59,14 @@ def test_gen_usage_errors(tmp_path):
     assert main(["no-such-command"]) == 2
 
 
+def test_gen_idempotent_rejects_a_non_finite_corner_scale(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["gen", "idempotent", "--dim", "4", "--rank", "2", "--corner-scale", "nan",
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: corner_scale must be finite, got nan\n"
+    assert not out.exists()
+
+
 def test_gen_symmetry_for_takes_the_tolerance_flags(tmp_path):
     # The corner's singular value 1e-7 counts toward its rank by default, so
     # the contractive family is fixed to -I on range(P).  At --tol-rank 1e-6

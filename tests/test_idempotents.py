@@ -1,5 +1,7 @@
 """Block form, kernel projections and the random generators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +212,20 @@ def test_random_idempotent_contract():
         random_idempotent(3, 4, 1.0, seed=0)
     with pytest.raises(BadRank):
         random_idempotent(3, -1, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+def test_random_idempotent_rejects_a_non_finite_corner_scale(scale):
+    # refused with the value named before any draw: no warning, no LAPACK
+    # error, and the caller's generator untouched
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadRank) as info:
+            random_idempotent(4, 2, scale, rng)
+    assert str(info.value) == f"corner_scale must be finite, got {scale}"
+    assert rng.bit_generator.state == state
 
 
 def test_random_idempotent_deterministic():

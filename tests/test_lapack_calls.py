@@ -14,16 +14,20 @@ verdicts compute a spectral norm only when they depend on it.
 ``test_full_report_factors_each_matrix_once`` pins the n x n
 factorizations of one report: P and I - P are each put in block form once,
 and P + P*, i(P - P*), 2I - P - P*, the anchored block of the corner and
-the sign-formula shift are each diagonalized once.  Its n x n ``eigvalsh``
-count does not grow with ``samples``: a probe sample's member checks and
-margins are certified by Weyl bounds, whose only eigenproblem is on a
-corner null space.
+the sign-formula shift are each diagonalized once.  A stack of n x n
+matrices counts one call per member.  Its n x n ``eigvalsh`` count does not
+grow with ``samples``: the probe samples of a family are certified as one
+stack, each margin by a Weyl bound whose only eigenproblem is on a corner
+null space, and an exact n x n eigenvalue only where the bound does not
+decide.
 ``test_full_report_factors_each_corner_once`` pins the corner SVDs: the
 corners of P and of I - P are each factored once per report.
 ``HANDLE_BOUNDS`` holds one bound per public function that builds the
 handle of its idempotent (``idempotents._on_handle`` and ``split_checks``),
 so that a handle that factors more than its function reads shows up.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -166,8 +170,9 @@ def test_full_report_factors_each_matrix_once(lapack_calls, samples):
     report = kp.full_report(p, j, samples=samples)
     assert "classification" in report.subject
     for name, bound in SQUARE_BOUNDS.items():
-        square = [s for fn, s in lapack_calls["shapes"] if fn == name and s == (8, 8)]
-        assert len(square) <= bound, name
+        # a stack of n x n matrices counts one call per member
+        square = sum(math.prod(s[:-2]) for fn, s in lapack_calls["shapes"] if fn == name and s[-2:] == (8, 8))
+        assert square <= bound, name
 
 
 def test_full_report_factors_each_corner_once(lapack_calls):

@@ -26,7 +26,6 @@ WRONG_SHAPE = np.eye(3)
 RESIDUAL = (NotIdempotent, "||P^2 - P|| = 2.383e+01 exceeds tolerance")
 SHAPE = (DimensionMismatch, "J has shape (3, 3) but P has shape (2, 2)")
 NOT_J_PROJECTION = (NotJProjection, "J is not a symmetry")
-MATMUL = (ValueError, None)  # numpy's own message
 
 # name: (parameters, errors for a non-idempotent P, a non-symmetric J and a
 # J of another shape); a parameter is a name or a (name, default) pair, and
@@ -52,9 +51,9 @@ CONTRACT = {
     "contractive_positive_equivalence": (
         ["p", "j", "tol"], (NotIdempotent, "biconditional check requires an idempotent P"),
         (NotSymmetry, "biconditional check requires a symmetry J"), SHAPE),
-    "extremal_checks": (["p", "which", "j", "tol"], None, None, MATMUL),
+    "extremal_checks": (["p", "which", "j", "tol"], None, None, SHAPE),
     "extremality_probe": (["p", "family", "samples", ("seed", 0), "tol"], RESIDUAL, None, None),
-    "split_checks": (["split", "p", "j", "tol", ("prefix", "")], None, None, MATMUL),
+    "split_checks": (["split", "p", "j", "tol", ("prefix", "")], None, None, SHAPE),
 }
 
 

@@ -446,8 +446,8 @@ def test_probe_sample_margins_are_certified_lower_bounds(p, seed):
     # eigenvalue of the assembled member's Loewner difference, and each
     # recorded residual at least the member's ambient residual (each up to
     # the rounding of computing that value), with the verdict the ambient
-    # value gives: sample-000 takes the ambient route, the later samples are
-    # certified in block coordinates where the bounds decide
+    # value gives: every sample is assembled and certified in the ambient
+    # basis
     from kreinproj import KreinProjError, extremal_symmetry
     from kreinproj.reporting import margin_check, residual_check
 
@@ -492,11 +492,11 @@ def _counting_assemble(monkeypatch):
 
 
 @pytest.mark.parametrize("r", [2, 5])  # a positive / contractive family with a free part, the other without
-def test_further_probe_samples_assemble_no_member(monkeypatch, r):
-    # samples after the first are certified from their k x k free symmetry
-    # (or, with k = 0, are the first sample's member again): a report with six
-    # samples assembles as many n x n members as one with two, and its
-    # further samples pass like the first
+def test_further_probe_samples_add_no_assemble_call(monkeypatch, r):
+    # the samples of a family are assembled by one BlockForm.assemble call on
+    # their stacked blocks (or, with k = 0, are the first sample's member
+    # again): a report with six samples makes as many assemble calls as one
+    # with two, and its further samples pass like the first
     p = random_idempotent(7, r, 2.0, seed=5)
     bf = block_form(p)
     proj = SymmetryFamily.J_PROJECTION
@@ -515,12 +515,12 @@ def test_further_probe_samples_assemble_no_member(monkeypatch, r):
 
 @pytest.mark.parametrize("moved", ["min", "max"])
 @pytest.mark.parametrize("r", [2, 5])  # the free part in the positive / contractive family
-def test_block_route_samples_fail_through_the_gap_of_a_moved_extreme(monkeypatch, r, moved):
+def test_probe_samples_fail_through_the_gap_of_a_moved_extreme(monkeypatch, r, moved):
     # one spectral extreme moved by 1e-6 on N: J_min up or J_max down.  Then
     # J - J_min or J_max - J has an eigenvalue near -1e-6 wherever S has the
-    # eigenvalue -1 or +1, which the block identity J = J_b + N (S + I) N*
-    # alone cannot see: the bounds carry the block-route gap, do not decide,
-    # and those samples fail on the ambient route
+    # eigenvalue -1 or +1, which the exact block model of that difference
+    # alone cannot see: the Weyl bound carries the 1e-6 gap, does not decide,
+    # and those samples fail on their exact eigenvalue
     from kreinproj import extremal_symmetry
     from kreinproj.linalg import min_eig
     from kreinproj.reporting import margin_check
@@ -552,6 +552,89 @@ def test_block_route_samples_fail_through_the_gap_of_a_moved_extreme(monkeypatch
     assert any(failed) and by_name[f"sample-{max(failed):03d}-{name}"].margin < -5e-7
 
 
+def _bits(checks) -> list:
+    """Each check's name, status and values, the values as exact hex floats."""
+    return [(c.name, c.status, *(float(v).hex() for v in (c.residual, c.margin, c.tolerance))) for c in checks]
+
+
+def _sample_bits(report, i) -> list:
+    return _bits(c for c in report.checks if c.name.startswith(f"sample-{i:03d}-"))
+
+
+@pytest.mark.parametrize("n, r", [(7, 2), (7, 5), (12, 4)])
+def test_probe_sample_checks_do_not_depend_on_samples_or_stack_size(monkeypatch, n, r):
+    # draws are seeded per index and each member is certified as if alone:
+    # sample-003 records the same checks, bit for bit, in a probe of four
+    # samples, of six, and of six with one member per stack
+    from kreinproj import verification
+
+    p = random_idempotent(n, r, 2.0, seed=n + r)
+    for family in (SymmetryFamily.J_POSITIVE, SymmetryFamily.J_CONTRACTIVE):
+        want = _sample_bits(extremality_probe(p, family, 4, 3), 3)
+        assert len(want) in (4, 5)
+        assert _sample_bits(extremality_probe(p, family, 6, 3), 3) == want
+        with monkeypatch.context() as m:
+            m.setattr(verification, "_STACK_BYTES", 16 * n * n)
+            assert _sample_bits(extremality_probe(p, family, 6, 3), 3) == want
+
+
+def _values_alone(f, family, j, free, j_min, j_max) -> list:
+    """The values of a probe sample's checks, in their order, computed on its
+    n x n member ``j`` alone, one matrix at a time: the reference the stacked
+    route must match bit for bit."""
+    from kreinproj.linalg import frobenius, min_eig
+    from kreinproj.verification import _member_model
+
+    def weyl(d, model, low, budget):
+        bound = low - frobenius(d - model)
+        return bound if bound >= -budget else min_eig(d)
+
+    p, tol, bf = f.p, f.tol, f.bf
+    model, low = _member_model(f, family)
+    values = [max(frobenius(j - j.conj().T), frobenius(j @ j - np.eye(p.shape[0])))]
+    if family is SymmetryFamily.J_POSITIVE:
+        jp = j @ p
+        values += [frobenius(jp - jp.conj().T), weyl(jp, model, low, tol.psd_tol * f.sp)]
+    else:
+        values.append(weyl(j - p.conj().T @ j @ p, model, low, tol.psd_tol * f.sp))
+    u_null, _, v_null, _ = bf.corner_split(tol)
+    contr = family is SymmetryFamily.J_CONTRACTIVE
+    null, embed = (u_null, bf.embed_range) if contr else (v_null, bf.embed_perp)
+    eye = np.eye(null.shape[1])
+    for d, block in ((j - j_min, free + eye), (j_max - j, eye - free)):
+        low = min(min_eig(block), 0.0) if block.shape[0] < d.shape[0] else min_eig(block)
+        values.append(weyl(d, embed(null @ block @ null.conj().T), low, tol.psd_tol))
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("n, r", [(7, 2), (7, 5), (12, 4)])
+def test_probe_sample_checks_are_those_of_its_member_alone(n, r):
+    # each sample's checks are bitwise those of a one-member stack holding
+    # its member, assembled alone by assemble_symmetry, and their values are
+    # those of the member's n x n checks computed one matrix at a time
+    from kreinproj import extremal_symmetry
+    from kreinproj.idempotents import _Factors
+    from kreinproj.verification import _FAMILY_REFS, _member_checks
+
+    p = random_idempotent(n, r, 2.0, seed=n + r)
+    f = _Factors(p, DEFAULT_TOL)
+    u_null, _, v_null, _ = f.bf.corner_split()
+    for family in (SymmetryFamily.J_POSITIVE, SymmetryFamily.J_CONTRACTIVE):
+        report = extremality_probe(p, family, 4, 3)
+        extremes = [extremal_symmetry(p, k) for k in ExtremalKind if k.family is family]
+        contr = family is SymmetryFamily.J_CONTRACTIVE
+        null = u_null if contr else v_null
+        for i, params in enumerate(sample_params(f.bf, family, 4, 3)):
+            j = assemble_symmetry(f.bf, family, params)
+            free = null.conj().T @ params[0 if contr else 1] @ null
+            alone = _member_checks([f"sample-{i:03d}"], _FAMILY_REFS[family], f, j[np.newaxis], family,
+                                   (*extremes, free[np.newaxis]))
+            assert _bits(alone) == _sample_bits(report, i)
+            recorded = [(c.residual if c.name.endswith(("-symmetry", "-hermitian")) else c.margin).hex()
+                        for c in alone]
+            assert recorded == _values_alone(f, family, j, free, *extremes)
+
+
 def _rotated(j, angle, seed):
     """U J U* for the unitary U = exp(i angle H) of a random Hermitian H of
     unit norm: a symmetry again, generally off J's family."""
@@ -568,8 +651,9 @@ _RECTANGULAR = random_idempotent(7, 2, 2.0, seed=5)  # corner 2 x 5: dim N(C) = 
 
 def test_member_checks_fail_a_member_rotated_off_its_family(monkeypatch, tmp_path, capsys):
     # BlockForm.assemble hands out a symmetry rotated off the family in place
-    # of the first sampled member: the report's member checks fail it, and
-    # gen symmetry-for writes nothing
+    # of the first sampled member, in the probe's stack of members and as the
+    # one member gen symmetry-for builds: the report's member checks fail it,
+    # and gen symmetry-for writes nothing
     from kreinproj import BlockForm, is_symmetry
     from kreinproj.cli import main
     from kreinproj.matrixio import write_matrix
@@ -588,7 +672,8 @@ def test_member_checks_fail_a_member_rotated_off_its_family(monkeypatch, tmp_pat
 
         def swap(self, *blocks, j=j, off=off):
             out = real(self, *blocks)
-            return off if np.array_equal(out, j) else out
+            out[np.all(out == j, axis=(-2, -1))] = off
+            return out
 
         with monkeypatch.context() as m:
             m.setattr(BlockForm, "assemble", swap)
@@ -619,7 +704,7 @@ def test_member_checks_pass_only_family_members(p, seed, log_angle):
         except KreinProjError:
             continue
         for candidate in (j, _rotated(j, 10.0 ** log_angle, seed)):
-            member = {c.name: c for c in _member_checks("m", "", f, candidate, family)}
+            member = {c.name: c for c in _member_checks(["m"], "", f, candidate[np.newaxis], family)}
             rel = candidate @ p if family is SymmetryFamily.J_POSITIVE else candidate - p.conj().T @ candidate @ p
             for check in family_checks("m", "", p, candidate, family, DEFAULT_TOL, f.sp):
                 if member[check.name].status == "pass":
