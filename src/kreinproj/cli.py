@@ -33,8 +33,7 @@ from .linalg import Tolerances
 from .matrixio import read_matrix, write_matrix, write_report
 from .reporting import Report, matrix_digest
 from .symmetries import (
-    ExtremalKind, SymmetryFamily, assemble_symmetry, extremal_symmetry, sample_params,
-    sign_formula_symmetry,
+    ExtremalKind, SymmetryFamily, _assemble, extremal_symmetry, sample_params, sign_formula_symmetry,
 )
 from .verification import (
     _FAMILY_REFS, SIGN_FORMULA, _member_checks, extremal_checks, full_report, split_checks,
@@ -162,7 +161,7 @@ def _cmd_gen(args) -> int:
     # one set of factors serves the construction and its certificate
     f = _Factors(read_matrix(args.for_path), tol)
     family = SymmetryFamily(args.family)
-    m = assemble_symmetry(f.bf, family, sample_params(f.bf, family, 1, args.seed, tol)[0], tol)
+    m = _assemble(f.bf, *sample_params(f.bf, family, 1, args.seed, tol)[0])
     return _write_certified(args.out, m, _member_checks(["member"], _FAMILY_REFS[family], f, m[None], family))
 
 

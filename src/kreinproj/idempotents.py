@@ -214,11 +214,6 @@ class _Factors:
         self.tol = tol
         self._memo = {}
 
-    def kept(self, fn, *args):
-        """What ``fn(self, *args)`` returned on this handle, for a
-        :func:`_per_handle` function ``fn``; None when no call has returned."""
-        return self._memo.get((fn, *args))
-
     @functools.cached_property
     def sp(self) -> float:
         """``scale_of(P)``."""

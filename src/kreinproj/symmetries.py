@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstraintViolated, InternalMismatch, NotSymmetryParam, SingularShift
+from .errors import ConstraintViolated, NotSymmetryParam, SingularShift
 from .idempotents import (
     BlockForm,
     _check_orthonormal,
@@ -107,21 +107,17 @@ def assemble_symmetry(
     ``params`` is a ``SymmetryParams`` pair (or any 2-tuple).  Parameters
     must be symmetries on the right subspaces and satisfy the family
     constraint, else ``NotSymmetryParam`` / ``ConstraintViolated``.  The
-    result is returned in the ambient basis, unchecked.  The report
-    certifies each member it builds: a probe sample by
+    result is returned in the ambient basis, unchecked.  These checks are
+    for a caller's parameters: the members the library builds from
+    parameters it draws or constructs itself (the probe samples, the witness
+    pair, the block-route extremes and the member ``kreinproj gen
+    symmetry-for`` writes) skip them, and the report's checks on each member
+    certify it instead: a probe sample by
     ``probe-<family>/sample-NNN-symmetry`` and its family's checks, a
-    witness by ``witness-{a,b}-symmetry`` and ``-intertwines``, and a
-    block-route extreme by ``extremal-<kind>-block-route``; ``kreinproj gen
-    symmetry-for`` certifies the member it writes the same way.  The probe
-    builds the samples of a family together: each sample's parameters pass
-    these checks, and one stacked assembly builds them all.
+    witness by ``witness-{a,b}-symmetry`` and ``-intertwines``, a block-route
+    extreme by ``extremal-<kind>-block-route``, and the written member by
+    ``member-symmetry`` and its family's checks.
     """
-    return _assemble(bf, *_checked_params(bf, family, params, tol))
-
-
-def _checked_params(bf: BlockForm, family: SymmetryFamily, params, tol: Tolerances):
-    """``params`` as the matrices ``(j1, j2)``, after the input checks of
-    :func:`assemble_symmetry`."""
     j1, j2 = (as_matrix(x) for x in params)
     r = bf.rank
     c = bf.dim - bf.rank
@@ -149,7 +145,7 @@ def _checked_params(bf: BlockForm, family: SymmetryFamily, params, tol: Toleranc
         raise ConstraintViolated(
             f"parameters violate the corner constraint: {frobenius(constraint):.3e}"
         )
-    return j1, j2
+    return _assemble(bf, j1, j2)
 
 
 def _assemble(bf: BlockForm, j1, j2) -> np.ndarray:
@@ -234,21 +230,13 @@ def extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
         contr-min = 2 proj(A-) - I + 2 proj(N(A))
         contr-max = 2 proj(A-) - I + 2 proj(N(P - P*))
 
-    computed in the ambient basis from spectral projections.  The result is
-    checked to be a symmetry; its family's defining relation is certified by
-    the report checks ``extremal-<kind>-hermitian`` and ``-psd`` (positive
-    family) or ``extremal-<kind>-dominates`` (contractive family), see
+    computed in the ambient basis from spectral projections, unchecked.  The
+    report certifies the result: ``extremal-<kind>-symmetry`` that it is a
+    symmetry, and ``extremal-<kind>-hermitian`` and ``-psd`` (positive
+    family) or ``extremal-<kind>-dominates`` (contractive family) its
+    family's defining relation, see
     :func:`kreinproj.verification.extremal_checks`.
     """
-    j = _extreme(f, kind)
-    if not is_symmetry(j, f.tol):
-        raise InternalMismatch(f"extremal {kind.value} is not a symmetry")
-    return j
-
-
-def _extreme(f: _Factors, kind: ExtremalKind) -> np.ndarray:
-    """The formula of :func:`extremal_symmetry` for ``kind``, from the spectral
-    projections of P + P* and, for contr-max, the projection onto N(P - P*)."""
     ker_diff = kernel_projections.on(f)[1] if kind is ExtremalKind.CONTR_MAX else None
     parts = f.sum_parts
     pos = kind.family is SymmetryFamily.J_POSITIVE
@@ -265,7 +253,10 @@ def extremal_symmetry_via_blocks(f: _Factors, kind: ExtremalKind) -> np.ndarray:
 
     Independent code path used as a cross-check oracle against
     :func:`extremal_symmetry`: the extreme parameters are signs of the
-    corner's null-space projections.
+    corner's null-space projections.  The member is assembled from them
+    without the parameter checks of :func:`assemble_symmetry`; the report
+    certifies it by its match with the spectral route,
+    ``extremal-<kind>-block-route``.
     """
     bf = f.bf
     r = bf.rank
@@ -282,7 +273,7 @@ def extremal_symmetry_via_blocks(f: _Factors, kind: ExtremalKind) -> np.ndarray:
         params = (-i_r, i_c)
     else:
         params = (2 * (u_null @ u_null.conj().T) - i_r, i_c)
-    return assemble_symmetry(bf, kind.family, params, f.tol)
+    return _assemble(bf, *params)
 
 
 @_on_handle(idempotent="sign_formula_symmetry requires an idempotent input")
@@ -331,16 +322,18 @@ def nonexistence_witnesses(f: _Factors):
     members with parameters (-I, +I) and (+I, -I).  Whenever the corner
     block is nonzero their difference is indefinite, which rules out a
     greatest (or least) element of the family; for orthogonal projections
-    the family is bounded by I and -I instead.  The report certifies each
-    witness by ``witness-{a,b}-symmetry`` and ``witness-{a,b}-intertwines``.
+    the family is bounded by I and -I instead.  The witnesses are assembled
+    without the parameter checks of :func:`assemble_symmetry`; the report
+    certifies each by ``witness-{a,b}-symmetry`` and
+    ``witness-{a,b}-intertwines``.
     """
     bf, tol = f.bf, f.tol
     r = bf.rank
     c = bf.dim - r
     i_r = np.eye(r, dtype=np.complex128)
     i_c = np.eye(c, dtype=np.complex128)
-    j_a = assemble_symmetry(bf, SymmetryFamily.J_PROJECTION, (-i_r, i_c), tol)
-    j_b = assemble_symmetry(bf, SymmetryFamily.J_PROJECTION, (i_r, -i_c), tol)
+    j_a = _assemble(bf, -i_r, i_c)
+    j_b = _assemble(bf, i_r, -i_c)
     d = j_a - j_b
     if d.shape[0] == 0:
         return j_a, j_b, DominanceVerdict("psd", 0.0, 0.0)

@@ -50,9 +50,7 @@ from .symmetries import (
     ExtremalKind,
     SymmetryFamily,
     _assemble,
-    _checked_params,
     _draws,
-    _extreme,
     _params,
     extremal_symmetry,
     extremal_symmetry_via_blocks,
@@ -169,14 +167,15 @@ _KIND_REFS = {
 }
 
 
-def _sign_formula_checks(jsf, pos_max, ker, budget) -> list:
-    """The sign-function route against pos-max (when built) and its action on
+def _sign_formula_checks(f: _Factors, jsf) -> list:
+    """The sign-function route ``jsf`` against pos-max and its action on
     N(P+P*): sign(P+P*-I) = J - 2 proj(N) acts there as -I iff J acts as +I."""
-    out = []
-    if pos_max is not None:
-        out.append(residual_check("sign-formula-matches-pos-max", "Remark", frobenius(jsf - pos_max), budget))
-    out.append(residual_check("sign-formula-kernel-action", "Remark", frobenius(jsf @ ker - ker), budget))
-    return out
+    pos_max, ker = extremal_symmetry.on(f, ExtremalKind.POS_MAX), f.sum_parts.proj_kernel
+    budget = f.tol.residual_tol * f.sp
+    return [
+        residual_check("sign-formula-matches-pos-max", "Remark", frobenius(jsf - pos_max), budget),
+        residual_check("sign-formula-kernel-action", "Remark", frobenius(jsf @ ker - ker), budget),
+    ]
 
 
 SIGN_FORMULA = "sign-formula"
@@ -235,26 +234,26 @@ def _symmetry_residuals(js) -> list:
 @_on_handle()
 def extremal_checks(f: _Factors, which: str, j) -> list:
     """The checks of :func:`full_report` that certify ``j`` as the extreme
-    symmetry ``which`` (an :class:`ExtremalKind` value or ``"sign-formula"``)
-    of the idempotent ``p``.
+    symmetry ``which`` (an :class:`ExtremalKind` or its value, or
+    ``"sign-formula"``) of the idempotent ``p``.
 
-    Each kind gets ``extremal-<kind>-symmetry`` and its family's checks.  The
-    sign-function route gets the same as pos-max under the prefix
-    ``sign-formula``, plus its match with pos-max and its kernel action,
-    both built from one ``spectral_parts(P + P*)``.
+    Each kind gets ``extremal-<kind>-symmetry``, at ``residual_tol`` since a
+    symmetry has norm 1, and its family's checks.  The sign-function route
+    gets the same as pos-max under the prefix ``sign-formula``, plus its
+    match with pos-max and its kernel action, both built from one
+    ``spectral_parts(P + P*)``.
     """
     p, tol, sp = f.p, f.tol, f.sp
     if which == SIGN_FORMULA:
         kind, prefix, ref = ExtremalKind.POS_MAX, SIGN_FORMULA, "Remark"
     else:
         kind = ExtremalKind(which)
-        prefix, ref = f"extremal-{which}", _KIND_REFS[kind]
+        prefix, ref = f"extremal-{kind.value}", _KIND_REFS[kind]
     sym = _symmetry_residuals(j[np.newaxis])[0]
-    checks = [residual_check(f"{prefix}-symmetry", ref, sym, tol.residual_tol * sp)]
+    checks = [residual_check(f"{prefix}-symmetry", ref, sym, tol.residual_tol)]
     checks += family_checks(prefix, ref, p, j, kind.family, tol, sp)
     if which == SIGN_FORMULA:
-        pos_max = _extreme(f, kind)
-        checks += _sign_formula_checks(j, pos_max, f.sum_parts.proj_kernel, tol.residual_tol * sp)
+        checks += _sign_formula_checks(f, j)
     return checks
 
 
@@ -429,19 +428,19 @@ def _probe_checks(f: _Factors, family, samples, seed, prefix="") -> list:
         cut = len(f"extremal-{kind.value}")
         checks += [dataclasses.replace(c, name=prefix + label + c.name[cut:]) for c in _extreme_checks(f, kind)[1:]]
     ref = _FAMILY_REFS[family]
-    draws = _draws(bf, family, samples, seed, tol)
     split = bf.corner_split(tol)
     contr = family is SymmetryFamily.J_CONTRACTIVE
     null = split[0 if contr else 2]
     names = [f"{prefix}sample-{i:03d}" for i in range(samples)]
     # With no free part (k = 0) every draw gives the same member: it is
-    # certified once and its checks repeated for the later samples.
+    # drawn and certified once and its checks repeated for the later samples.
     distinct = samples if null.shape[1] else 1
+    draws = _draws(bf, family, distinct, seed, tol)
     stack = max(1, _STACK_BYTES // (np.dtype(np.complex128).itemsize * max(1, bf.dim) ** 2))
     members = []
     for start in range(0, distinct, stack):
         stop = min(start + stack, distinct)
-        params = [_checked_params(bf, family, _params(bf, family, split, draw), tol) for draw in draws[start:stop]]
+        params = [_params(bf, family, split, draw) for draw in draws[start:stop]]
         j1, j2 = (np.stack(side) for side in zip(*params))
         free = null.conj().T @ (j1 if contr else j2) @ null
         members += _member_checks(names[start:stop], ref, f, _assemble(bf, j1, j2), family, (j_min, j_max, free))
@@ -527,14 +526,12 @@ def _construction_checks(f: _Factors, kind: ExtremalKind):
 
 
 def _extremal_construction_checks(f: _Factors, run: _Run):
-    """Both constructions of each extreme, then, when all four were built, the
-    identity web tying them to the spectral projections of P + P*."""
+    """Both constructions of each extreme, then the identity web tying
+    pos-min, pos-max and contr-min to the spectral projections of P + P*."""
     for kind in ExtremalKind:
         yield from _run_group(f"extremal-{kind.value}", _KIND_REFS[kind], _construction_checks, f, kind)
-    extremes = [f.kept(extremal_symmetry.on, kind) for kind in ExtremalKind]
-    if any(jk is None for jk in extremes):
-        return
-    j_pos_min, j_pos_max, j_contr_min, _ = extremes
+    j_pos_min, j_pos_max, j_contr_min = (
+        extremal_symmetry.on(f, kind) for kind in (ExtremalKind.POS_MIN, ExtremalKind.POS_MAX, ExtremalKind.CONTR_MIN))
     parts, budget = f.sum_parts, f.tol.residual_tol * f.sp
     web = [
         ("identity-web-pos-min", "Lemma 4", j_pos_min,
@@ -546,14 +543,6 @@ def _extremal_construction_checks(f: _Factors, run: _Run):
     ]
     for name, ref, lhs, rhs in web:
         yield residual_check(name, ref, frobenius(lhs - rhs), budget)
-
-
-def _sign_formula_group(f: _Factors, run: _Run):
-    """The sign-function route to pos-max, against pos-max where the
-    extremal group built it."""
-    jsf = sign_formula_symmetry.on(f)
-    pos_max = f.kept(extremal_symmetry.on, ExtremalKind.POS_MAX)
-    return _sign_formula_checks(jsf, pos_max, f.sum_parts.proj_kernel, f.tol.residual_tol * f.sp)
 
 
 def _probe_group(f: _Factors, run: _Run, family: SymmetryFamily):
@@ -632,7 +621,7 @@ _GROUPS = [
     ("kernel-routes", "Lemma 6", _kernel_route_checks),
     ("negative-part-formula", "Lemma 1", _negative_part_checks),
     ("extremal-constructions", "Lemma 4 / Theorems 7, 8(i)", _extremal_construction_checks),
-    ("sign-formula", "Remark", _sign_formula_group),
+    ("sign-formula", "Remark", lambda f, run: _sign_formula_checks(f, sign_formula_symmetry.on(f))),
     ("probe-positive", _FAMILY_REFS[_POS], lambda f, run: _probe_group(f, run, _POS)),
     ("probe-contractive", _FAMILY_REFS[_CONTR], lambda f, run: _probe_group(f, run, _CONTR)),
     ("projection-identities", "Theorem 12", lambda f, run: dec._projection_identity_checks(f)),

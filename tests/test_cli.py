@@ -67,12 +67,13 @@ def test_gen_idempotent_rejects_a_non_finite_corner_scale(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_gen_symmetry_for_takes_the_tolerance_flags(tmp_path):
+def test_gen_symmetry_for_takes_the_tolerance_flags(tmp_path, capsys):
     # The corner's singular value 1e-7 counts toward its rank by default, so
     # the contractive family is fixed to -I on range(P).  At --tol-rank 1e-6
     # its direction is null and gets a random sign (+1 at seed 0), which
-    # breaks the corner constraint by 2e-7: beyond the default residual
-    # budget, within --tol-res 1e-6.
+    # breaks the corner constraint by 2e-7, and the member is off a symmetry
+    # by 2.8e-7: beyond the default residual budget, so its member check
+    # fails and nothing is written; within --tol-res 1e-6.
     from kreinproj import SymmetryFamily, Tolerances, assemble_symmetry, block_form, sample_params
 
     p = np.zeros((4, 4))
@@ -84,7 +85,10 @@ def test_gen_symmetry_for_takes_the_tolerance_flags(tmp_path):
             "--seed", "0", "-o"]
     assert main(base + [str(tmp_path / "d.json")]) == 0
     assert main(base + [str(tmp_path / "t.json"), "--tol-rank", "1e-6", "--tol-res", "1e-6"]) == 0
-    assert main(base + [str(tmp_path / "u.json"), "--tol-rank", "1e-6"]) == 2
+    capsys.readouterr()
+    assert main(base + [str(tmp_path / "u.json"), "--tol-rank", "1e-6"]) == 1
+    assert "FAIL member-symmetry " in capsys.readouterr().out
+    assert not (tmp_path / "u.json").exists()
     tol = Tolerances(rank_tol=1e-6, residual_tol=1e-6)
     bf = block_form(p, tol)
     family = SymmetryFamily.J_CONTRACTIVE

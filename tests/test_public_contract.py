@@ -124,6 +124,6 @@ def test_on_is_the_body_on_a_handle():
     f = _Factors(P.astype(complex), kp.DEFAULT_TOL)
     np.testing.assert_array_equal(
         kp.extremal_symmetry.on(f, kp.ExtremalKind.POS_MAX), kp.extremal_symmetry(P, kp.ExtremalKind.POS_MAX))
-    assert kp.extremal_symmetry.on(f, kp.ExtremalKind.POS_MAX) is f.kept(kp.extremal_symmetry.on, kp.ExtremalKind.POS_MAX)
+    assert kp.extremal_symmetry.on(f, kp.ExtremalKind.POS_MAX) is kp.extremal_symmetry.on(f, kp.ExtremalKind.POS_MAX)
     # keyword arguments bind by name, as the signature says
     assert kp.extremality_probe(P, kp.SymmetryFamily.J_POSITIVE, samples=2, seed=1).subject["samples"] == 2

@@ -10,8 +10,14 @@ purpose: their verdicts are expected to change as accuracy fixes land.
 Regenerate the file (only when a change to the reports is intended) with
 
     PYTHONPATH=src python tests/test_report_corpus.py
+
+and write every corpus report in full (every field, floats at 17 digits,
+one entry per label), for a byte comparison of two checkouts on one host, with
+
+    PYTHONPATH=src python tests/test_report_corpus.py --values OUT.json
 """
 
+import argparse
 import json
 import math
 import os
@@ -20,6 +26,7 @@ import numpy as np
 
 from conftest import idempotent_cases
 from kreinproj import SymmetryFamily, assemble_symmetry, block_form, full_report, sample_params
+from kreinproj.matrixio import render_report
 
 CORPUS_PATH = os.path.join(os.path.dirname(__file__), "data", "report_corpus.json")
 SAMPLES = 3
@@ -55,10 +62,14 @@ def corpus_inputs():
     return out
 
 
+def full_reports() -> dict:
+    return {label: full_report(p, j, samples=SAMPLES) for label, p, j in corpus_inputs()}
+
+
 def corpus_reports() -> dict:
     return {
-        label: [[c.name, c.paper_ref, c.status] for c in full_report(p, j, samples=SAMPLES).checks]
-        for label, p, j in corpus_inputs()
+        label: [[c.name, c.paper_ref, c.status] for c in report.checks]
+        for label, report in full_reports().items()
     }
 
 
@@ -71,12 +82,23 @@ def test_reports_match_golden_corpus():
         assert current[label] == checks, label
 
 
+def _write(path, entries: dict):
+    """Write ``{label: JSON text}`` as one JSON object, one entry per label."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + ",\n".join(f"{json.dumps(label)}: {text}" for label, text in entries.items()) + "\n}\n")
+    print(f"wrote {path}")
+
+
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(CORPUS_PATH), exist_ok=True)
-    with open(CORPUS_PATH, "w", encoding="utf-8") as fh:
-        cases = [
-            json.dumps(label) + ": [\n" + ",\n".join(json.dumps(c) for c in checks) + "\n]"
+    parser = argparse.ArgumentParser(description="Regenerate the report corpus, or write its reports in full.")
+    parser.add_argument("--values", metavar="OUT.json",
+                        help="write every corpus report in full to OUT.json; the corpus is left as it is")
+    args = parser.parse_args()
+    if args.values:
+        _write(args.values, {label: render_report(report).rstrip() for label, report in full_reports().items()})
+    else:
+        os.makedirs(os.path.dirname(CORPUS_PATH), exist_ok=True)
+        _write(CORPUS_PATH, {
+            label: "[\n" + ",\n".join(json.dumps(c) for c in checks) + "\n]"
             for label, checks in corpus_reports().items()
-        ]
-        fh.write("{\n" + ",\n".join(cases) + "\n}\n")
-    print(f"wrote {CORPUS_PATH}")
+        })

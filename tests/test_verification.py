@@ -711,3 +711,114 @@ def test_member_checks_pass_only_family_members(p, seed, log_angle):
                     assert check.status == "pass", check.name
             name = "m-psd" if family is SymmetryFamily.J_POSITIVE else "m-dominates"
             assert member[name].margin <= min_eig(rel) + 8 * _EPS * frobenius(rel), name
+
+
+def _parameter_checks(monkeypatch) -> list:
+    """The shape of each parameter that assemble_symmetry's input check tests
+    as a symmetry, in call order."""
+    from kreinproj import symmetries
+
+    calls, real = [], symmetries.is_symmetry
+    monkeypatch.setattr(symmetries, "is_symmetry", lambda j, tol: calls.append(j.shape) or real(j, tol))
+    return calls
+
+
+def test_parameter_checks_run_only_on_the_callers_parameters(monkeypatch):
+    # the members and extremes a report builds from parameters it draws or
+    # constructs are certified by the report's checks; the parameter checks
+    # run only where extract_params rebuilds the caller's J, from P and from I - P
+    proj = SymmetryFamily.J_PROJECTION
+    bf = block_form(_RECTANGULAR)
+    j = assemble_symmetry(bf, proj, sample_params(bf, proj, 1, 1)[0])
+    calls = _parameter_checks(monkeypatch)
+    assert full_report(_RECTANGULAR, j, samples=5).passed
+    assert calls == [(2, 2), (5, 5), (5, 5), (2, 2)]
+    calls.clear()
+    assert full_report(_RECTANGULAR, samples=5).passed
+    assert calls == []
+
+
+def _contr_max_off_a_symmetry(monkeypatch):
+    """Make contr-max = 2 proj(A-) - I + 2 K, K the projection onto N(P - P*),
+    off a symmetry by about 1e-8: K scaled by 1 + d gives J^2 - I = 4 d (1 + d) K."""
+    from types import SimpleNamespace
+
+    from kreinproj import symmetries
+
+    real = symmetries.kernel_projections.on
+    off = SimpleNamespace(on=lambda f: (real(f)[0], real(f)[1] * (1.0 + 2.5e-9)))
+    monkeypatch.setattr(symmetries, "kernel_projections", off)
+
+
+def test_an_extreme_off_a_symmetry_fails_its_symmetry_check(monkeypatch):
+    # the extreme is built unchecked and certified by the report: its
+    # symmetry check fails at residual_tol, and its family's checks, its
+    # block-route gap and the probe samples against it are still there
+    _contr_max_off_a_symmetry(monkeypatch)
+    checks = full_report(_RECTANGULAR, samples=2).checks
+    by_name = {c.name: c for c in checks}
+    sym = by_name["extremal-contr-max-symmetry"]
+    assert sym.status == "fail" and sym.tolerance == DEFAULT_TOL.residual_tol
+    assert 1e-8 < sym.residual < 2e-8
+    assert "extremal-contr-max" not in by_name
+    assert {"extremal-contr-max-dominates", "extremal-contr-max-block-route",
+            "probe-contractive/sample-001-below-max", "identity-web-contr-min"} <= by_name.keys()
+    assert [c.name for c in checks if c.status == "fail"] == [
+        "extremal-contr-max-symmetry", "extremal-contr-max-block-route"]
+
+
+def test_extremal_writes_nothing_for_an_extreme_off_a_symmetry(monkeypatch, tmp_path, capsys):
+    from kreinproj.cli import main
+    from kreinproj.matrixio import write_matrix
+
+    _contr_max_off_a_symmetry(monkeypatch)
+    p_path, out = tmp_path / "P.json", tmp_path / "J.json"
+    write_matrix(p_path, _RECTANGULAR)
+    capsys.readouterr()
+    assert main(["extremal", str(p_path), "--which", "contr-max", "-o", str(out)]) == 1
+    assert "FAIL extremal-contr-max-symmetry " in capsys.readouterr().out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", [k.value for k in ExtremalKind] + ["sign-formula"])
+def test_extremal_symmetry_check_is_judged_at_residual_tol(which):
+    # a symmetry has norm 1 whatever ||P||, so ||P|| stays out of its budget;
+    # the family checks keep theirs
+    from kreinproj import extremal_checks, extremal_symmetry, sign_formula_symmetry
+    from kreinproj.linalg import scale_of
+
+    p = np.array([[1.0, 100.0], [0.0, 0.0]])
+    j = sign_formula_symmetry(p) if which == "sign-formula" else extremal_symmetry(p, ExtremalKind(which))
+    sym, *family = extremal_checks(p, which, j)
+    assert sym.name == f"{which if which == 'sign-formula' else 'extremal-' + which}-symmetry"
+    assert sym.status == "pass" and sym.tolerance == DEFAULT_TOL.residual_tol
+    assert family[0].tolerance == DEFAULT_TOL.residual_tol * scale_of(p) > 100 * DEFAULT_TOL.residual_tol
+
+
+@pytest.mark.parametrize("kind", list(ExtremalKind))
+def test_extremal_checks_take_a_kind_or_its_value(kind):
+    from kreinproj import extremal_checks, extremal_symmetry
+
+    j = extremal_symmetry(_RECTANGULAR, kind)
+    checks = extremal_checks(_RECTANGULAR, kind, j)
+    assert checks == extremal_checks(_RECTANGULAR, kind.value, j)
+    assert checks[0].name == f"extremal-{kind.value}-symmetry"
+
+
+def test_a_probe_with_no_free_part_draws_one_member(monkeypatch):
+    # a square invertible corner leaves both families one member (k = 0):
+    # each probe draws it once, whatever the number of samples, and draw 0
+    # is the same
+    from kreinproj import symmetries
+
+    p = random_idempotent(6, 3, 2.0, seed=1)
+    assert block_form(p).corner_split()[0].shape[1] == 0
+    calls, real = [], symmetries._random_symmetry
+    monkeypatch.setattr(symmetries, "_random_symmetry", lambda k, rng: calls.append(k) or real(k, rng))
+    first = []
+    for samples in (1, 6):
+        calls.clear()
+        checks = full_report(p, samples=samples).checks
+        assert calls == [0, 0]
+        first.append([c for c in checks if "/sample-000" in c.name])
+    assert first[0] == first[1] and len(first[0]) == 5 + 4
