@@ -4,9 +4,12 @@ Matrices travel as JSON documents with complex entries stored as
 ``[re, im]`` pairs.  Floats are rendered at 17 significant digits, which
 round-trips every IEEE double exactly except -0.0 (written ``-0``, which JSON
 reads back as the integer 0), and rendering is fully deterministic so
-identical inputs produce byte-identical files.  Matrix files are streamed
-row by row, in both directions: ``write_matrix`` formats one row per
-``%``-call and never holds the whole text, and ``read_matrix`` reads a file
+identical inputs produce byte-identical files.  ``write_matrix`` writes the
+bytes of ``render_json(matrix_to_doc(m)) + "\\n"``, every number exactly
+``'%.17g'``, but renders a block of entries at a time with numpy (see
+``_render_words``): the block is bounded by ``_BLOCK_BYTES``, so the writer
+never holds the whole text, and only the rare number near a rounding tie
+goes through ``'%.17g'`` itself.  ``read_matrix`` reads a file
 in the writer's exact layout (its final newline optional, so ``json.dump``
 of a ``matrix_to_doc`` document qualifies) one row at a time from its bytes,
 each row's numbers parsed by ``json.loads`` as one flat list.  Any other document, or a
@@ -91,18 +94,212 @@ def matrix_to_doc(m) -> dict:
     return {"rows": rows, "cols": cols, "data": np.stack([m.real, m.imag], -1).tolist()}
 
 
-def _matrix_chunks(m: np.ndarray):
-    """The text of ``render_json(matrix_to_doc(m)) + "\\n"``, one row per chunk.
+# The writer's number renderer.  Every finite double x becomes the text of
+# ``format(x, ".17g")``, NUL-padded to 24 bytes in three little-endian
+# uint64 words, computed for a whole block of doubles at once:
+#
+# - digits: |x| = m 2^e (``np.frexp``) lies in the decade
+#   [10^k, 10^(k+1)), found by ``np.log10`` and corrected once against
+#   _DECADE.  Then y = |x| 10^(16-k) = m 5^q 2^(e+q), q = 16 - k, lies in
+#   [10^16, 10^17).  m 5^q is formed as a double-double: 5^q is _POW5_HI +
+#   _POW5_LO, and m times _POW5_HI is made exact by Dekker's product with
+#   Veltkamp's split.  The relative error is below 2^-104, so y is known to
+#   within 1e-14.  Scaling by 2^(e+q) is exact, the high part is an integer,
+#   and D = round(y) is the 17-digit significand (D = 10^17 carries into
+#   k + 1).  A y whose fraction lies within _TIE_BAND of 1/2, which covers
+#   every exact tie, and an |x| whose decade the one correction did not
+#   settle, go through ``format`` instead;
+# - layout: CPython's "g" rules.  Fixed notation for -5 < k < 17 (the point
+#   after digit k, or "0.000" before the digits when k < 0), else
+#   ``d.ddde-XX`` with at least two exponent digits; trailing zeros of the
+#   fraction and a bare point are dropped, and -0.0 is "-0".  Digits become
+#   bytes eight to a word by multiply-and-shift steps, and the point, the
+#   prefix and the exponent come from tables indexed by k.
+#
+# _matrix_chunks places the words of a block, with the brackets and
+# separators between them, in one uint64 array and deletes the NUL bytes.
+_K_MIN, _K_MAX = -324, 308  # the decades of the nonzero finite doubles
+_TIE_BAND = 2.0**-20
+_VELTKAMP = 134217729.0  # 2^27 + 1
+_U = np.uint64
+_LE = np.dtype("<u8")  # words as bytes: byte 0 is the low byte on every platform
+_ONES = _U(0x0101010101010101)
+_ASCII_ZEROS = _U(0x3030303030303030)
+# Rendered bytes per block of pairs (64 per [re, im] pair): this bounds the
+# memory of a write, whatever the size of the matrix.
+_BLOCK_BYTES = 1 << 18
 
-    ``%.17g`` and ``format(x, ".17g")`` share one CPython routine, so the
-    bytes are the same as the document route's.
+
+def _word(s: bytes) -> int:
+    return int.from_bytes(s.ljust(8, b"\0"), "little")
+
+
+def _exact_tables():
+    """_DECADE[k - _K_MIN], the smallest double >= 10^k, for k up to
+    _K_MAX + 1 (inf there), and 5^(16-k) as hi + lo doubles for each
+    decade.  Python's ``int / int`` rounds correctly, so each entry is the
+    rounding of an exact fraction."""
+    decade, hi, lo = [], [], []
+    for k in range(_K_MIN, _K_MAX + 2):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        f = num / den if k <= _K_MAX else math.inf
+        if math.isfinite(f):
+            a, b = f.as_integer_ratio()
+            if a * den < num * b:
+                f = math.nextafter(f, math.inf)
+        decade.append(f)
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (5 ** (16 - k), 1) if k <= 16 else (1, 5 ** (k - 16))
+        h = num / den
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    return np.array(decade), np.array(hi), np.array(lo)
+
+
+def _layout_tables():
+    """Per decade k: the index of the digit before the point (-1 when the
+    point is in the prefix); the prefix word and its length in bits, for
+    +x and -x (row 2(k - _K_MIN) + sign); the exponent word, placed at
+    byte 19 of the three words."""
+    decades = range(_K_MIN, _K_MAX + 1)
+    point, prefix, shift, exponent = [], [], [], []
+    for k in decades:
+        fixed = -5 < k < 17
+        point.append(k if fixed and k >= 0 else -1 if fixed else 0)
+        pre = b"0." + b"0" * (-k - 1) if fixed and k < 0 else b""
+        prefix += [_word(pre), _word(b"-" + pre)]
+        shift += [8 * len(pre), 8 * len(pre) + 8]
+        exponent.append(0 if fixed else _word(b"e%+03d" % k) << 24)
+    return (np.array(point), np.array(prefix, _U), np.array(shift, _U),
+            np.array(exponent, _U))
+
+
+def _byte_masks():
+    """Row c: the three words with bytes 0..c-1 set, for c = 0..18, and
+    with only byte c set to ".", for c = 0..17."""
+    low = np.array([np.frombuffer(b"\xff" * c + b"\0" * (24 - c), _LE) for c in range(19)])
+    dot = np.array([np.frombuffer(b"\0" * c + b"." + b"\0" * (23 - c), _LE) for c in range(18)])
+    return low, dot
+
+
+_DECADE, _POW5_HI, _POW5_LO = _exact_tables()
+_POW5_HH = _VELTKAMP * _POW5_HI - (_VELTKAMP * _POW5_HI - _POW5_HI)
+_POW5_HL = _POW5_HI - _POW5_HH
+_POINT, _PREFIX, _PREFIX_BITS, _EXPONENT = _layout_tables()
+_LOW, _DOT = _byte_masks()
+
+
+def _eight_digits(v):
+    """The decimal digits of each ``v < 10^8``, one per byte, most
+    significant first: two 4-digit halves in 32-bit lanes, then 2-digit
+    quarters in 16-bit lanes, then digits, each split a multiply-and-shift
+    that no lane overflows."""
+    a = v // _U(10000)
+    x = a | ((v - a * _U(10000)) << _U(32))
+    h = ((x * _U(5243)) >> _U(19)) & _U(0x0000007F0000007F)  # n // 100 for n < 10^4
+    y = h | ((x - h * _U(100)) << _U(16))
+    t = ((y * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)  # n // 10 for n < 100
+    return t | ((y - t * _U(10)) << _U(8))
+
+
+def _significant(z):
+    """Per byte of ``z``, 1 if that byte or a later one is nonzero; the
+    bytes hold digits below 16."""
+    f = (z | (z >> _U(1)) | (z >> _U(2)) | (z >> _U(3))) & _ONES
+    f |= f >> _U(8)
+    f |= f >> _U(16)
+    return f | (f >> _U(32))
+
+
+def _render_words(x, out):
+    """Write ``format(v, ".17g")`` of each double of ``x``, NUL-padded to
+    24 bytes, into the rows of the ``(len(x), 3)`` uint64 array ``out``."""
+    neg = np.signbit(x)
+    ax = np.abs(x)
+    zero = ax == 0
+    ax[zero] = 1.0
+    i = np.floor(np.log10(ax)).astype(np.int64) - _K_MIN
+    i += ax >= _DECADE[i + 1]
+    i -= ax < _DECADE[i]
+    unsettled = (ax < _DECADE[i]) | (ax >= _DECADE[i + 1])
+    ax[unsettled] = 1.0
+    i[unsettled] = -_K_MIN
+    # y = m 5^q 2^(e+q) as hi + lo, hi an integer
+    m, e = np.frexp(ax)
+    p = m * _POW5_HI[i]
+    mh = _VELTKAMP * m - (_VELTKAMP * m - m)
+    ml = m - mh
+    hh, hl = _POW5_HH[i], _POW5_HL[i]
+    lo = (((mh * hh - p) + mh * hl + ml * hh) + ml * hl) + m * _POW5_LO[i]
+    s = (e + (16 - _K_MIN) - i).astype(np.int32)
+    lo = np.ldexp(lo, s)
+    r = np.rint(lo)
+    d = np.ldexp(p, s).astype(np.int64) + r.astype(np.int64)
+    fallback = np.flatnonzero(unsettled | (np.abs(lo - r) >= 0.5 - _TIE_BAND))
+    carry = d == 10**17
+    d[carry] = 10**16
+    i += carry
+    d[zero] = 0
+    i[zero] = -_K_MIN
+    # the 17 digits as bytes 0..16 of three words
+    q = d // 10
+    top = q // 100_000_000
+    z = (_eight_digits(top.view(_U)), _eight_digits((q - top * 100_000_000).view(_U)),
+         (d - q * 10).view(_U))
+    # digits printed: up to the last nonzero one, and all before the point
+    f2 = z[2] != 0
+    f1 = _significant(z[1]) | f2 * _ONES
+    f0 = _significant(z[0]) | ((z[1] != 0) | f2) * _ONES
+    point = _POINT[i]
+    nonzero = ((f0 * _ONES) >> _U(56)) + ((f1 * _ONES) >> _U(56)) + f2  # bytes summed in the top byte
+    kept = np.maximum(nonzero.astype(np.int64), point + 1)
+    dot = (point >= 0) & (kept > point + 1)
+    digits = [(z[w] | _ASCII_ZEROS) & _LOW[kept, w] for w in range(3)]
+    # the digits after the point move up one byte, and the point fills the gap
+    shifted = [digits[0] << _U(8)] + [(digits[w] << _U(8)) | (digits[w - 1] >> _U(56)) for w in (1, 2)]
+    body = [(digits[w] & _LOW[point + 1, w]) | (shifted[w] & ~_LOW[point + 2, w]) | (_DOT[point + 1, w] * dot)
+            for w in range(3)]
+    # the sign and prefix go in front, the exponent after
+    j = 2 * i + neg
+    bits = _PREFIX_BITS[j]
+    out[:, 0] = _PREFIX[j] | (body[0] << bits)
+    out[:, 1] = (body[1] << bits) | ((body[0] >> (_U(63) - bits)) >> _U(1))
+    out[:, 2] = (body[2] << bits) | ((body[1] >> (_U(63) - bits)) >> _U(1)) | _EXPONENT[i]
+    for at in fallback.tolist():
+        out[at] = np.frombuffer(_render_float(float(x[at])).encode("ascii").ljust(24, b"\0"), _LE)
+
+
+# The words after each number: ", " after re, and after im "], [" within a
+# row, "]], [[" at the end of a row and "]]" at the end of the matrix.
+_AFTER_RE = _U(_word(b", "))
+_AFTER_IM = np.array([_word(b"], ["), _word(b"]], [["), _word(b"]]")], _U)
+
+
+def _matrix_chunks(m: np.ndarray):
+    """The text of ``render_json(matrix_to_doc(m)) + "\\n"``, in chunks.
+
+    A block of at most ``_BLOCK_BYTES // 64`` pairs is rendered at a time,
+    each pair as eight words: re, ", ", im and what follows the pair.
     """
     rows, cols = m.shape
-    parts = np.ascontiguousarray(m).view(np.float64).reshape(rows, 2 * cols)
-    template = "[" + ", ".join(["[%.17g, %.17g]"] * cols) + "]"
-    yield f'{{"rows": {rows}, "cols": {cols}, "data": ['
-    for i in range(rows):
-        yield (", " if i else "") + template % tuple(parts[i].tolist())
+    head = f'{{"rows": {rows}, "cols": {cols}, "data": ['
+    if not (rows and cols):
+        yield head + ", ".join(["[]"] * rows) + "]}\n"
+        return
+    yield head + "[["
+    parts = np.ascontiguousarray(m).view(np.float64).reshape(-1)
+    pairs = rows * cols
+    step = max(1, _BLOCK_BYTES // 64)
+    for start in range(0, pairs, step):
+        stop = min(start + step, pairs)
+        block = np.empty((stop - start, 2, 4), _LE)
+        _render_words(parts[2 * start:2 * stop], block.reshape(-1, 4)[:, :3])
+        block[:, 0, 3] = _AFTER_RE
+        block[:, 1, 3] = _AFTER_IM[(np.arange(start, stop) % cols == cols - 1).astype(np.intp)]
+        if stop == pairs:
+            block[-1, 1, 3] = _AFTER_IM[2]
+        yield block.tobytes().translate(None, b"\0").decode("ascii")
     yield "]}\n"
 
 

@@ -41,11 +41,11 @@ from .idempotents import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _eig_range,
     as_matrix,
     frobenius,
     hermitian_sign,
     is_symmetry,
-    min_eig,
     within_scaled,
 )
 
@@ -337,7 +337,7 @@ def nonexistence_witnesses(f: _Factors):
     d = j_a - j_b
     if d.shape[0] == 0:
         return j_a, j_b, DominanceVerdict("psd", 0.0, 0.0)
-    lo, hi = min_eig(d), -min_eig(-d)
+    lo, hi = _eig_range(d)
     if within_scaled(-lo, tol.psd_tol, d):
         kind = "psd"
     elif within_scaled(hi, tol.psd_tol, d):

@@ -37,7 +37,7 @@ from kreinproj import cli
 from kreinproj.matrixio import write_matrix
 
 BOUNDS = {
-    "full_report": 33,
+    "full_report": 32,
     "extremal_contr_max": 4,
     "assemble_symmetry": 0,
     "extremal_sign_formula": 4,
@@ -48,7 +48,7 @@ HANDLE_BOUNDS = {
     "extremal_symmetry": 1,
     "extremal_symmetry_via_blocks": 2,
     "sign_formula_symmetry": 2,
-    "nonexistence_witnesses": 4,
+    "nonexistence_witnesses": 3,
     "extract_params": 4,
     "contractive_expansive_split": 4,
     "positive_negative_split": 4,
@@ -62,7 +62,7 @@ HANDLE_BOUNDS = {
     "extremality_probe": 7,
     "split_checks": 3,
 }
-SQUARE_BOUNDS = {"svd": 2, "eigh": 5, "eigvalsh": 15}
+SQUARE_BOUNDS = {"svd": 2, "eigh": 5, "eigvalsh": 14}
 
 
 @pytest.fixture

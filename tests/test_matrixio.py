@@ -5,21 +5,35 @@ produces for the matrices of :func:`golden_matrices`.  Regenerate them (only
 when a change to the file format is intended) with
 
     PYTHONPATH=src python tests/test_matrixio.py
+
+and compare the writer's rendering with ``'%.17g'`` on N doubles drawn as
+random 64-bit patterns, plus a deterministic grid of every binary exponent
+and every power of ten, with
+
+    PYTHONPATH=src python tests/test_matrixio.py --sweep N
+
+which exits 1 at the first mismatch.
 """
 
+import argparse
 import json
 import math
 import os
+import re
+import struct
+import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreinproj import FileFormatError, Tolerances, random_idempotent
+from kreinproj import FileFormatError, Tolerances, matrixio, random_idempotent
 from kreinproj.matrixio import (
     _fill_row_checked,
+    _matrix_chunks,
     _read_writer_layout,
     doc_to_matrix,
     matrix_to_doc,
@@ -145,7 +159,12 @@ def test_write_matrix_matches_golden_bytes(tmp_path, name):
     assert (render_json(matrix_to_doc(m)) + "\n").encode("utf-8") == expected
 
 
-_ANY_DOUBLE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL)
+def _double(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+_BIT_PATTERN = st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite)
+_ANY_DOUBLE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL) | _BIT_PATTERN
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,6 +185,84 @@ def test_streamed_rows_match_the_entrywise_routes(rows, cols, data):
     for i, row in enumerate(doc["data"]):
         _fill_row_checked(want, i, row, cols)
     assert got.tobytes() == want.tobytes()
+
+
+def _document_text(m) -> str:
+    return render_json(matrix_to_doc(m)) + "\n"
+
+
+def _written_text(path, m) -> str:
+    write_matrix(path, m)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+# Exact 17-digit ties, which round to even: 2^-25 = 2.98023223876953125e-08
+# and 3 * 2^-25 = 8.94069671630859375e-08.
+TIES = {2.0**-25: "2.9802322387695312e-08", 3 * 2.0**-25: "8.9406967163085938e-08"}
+MIN_NORMAL = 2.2250738585072014e-308
+
+
+def edge_doubles() -> list:
+    """Ties, the fixed/exponent switch and its neighbours, every power of
+    ten from 1e-323 to 1e308, and the subnormal/normal boundary."""
+    switch = [v for b in (1e-5, 1e-4, 1e16, 1e17) for v in (math.nextafter(b, 0), b, math.nextafter(b, math.inf))]
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    boundary = [5e-324, math.nextafter(MIN_NORMAL, 0), MIN_NORMAL, math.nextafter(MIN_NORMAL, 1)]
+    return list(TIES) + switch + powers + boundary
+
+
+def test_writer_renders_edge_doubles_as_the_document_route(tmp_path):
+    values = edge_doubles()
+    m = _from_parts(values + [-v for v in values], (len(values), 1))
+    text = _written_text(tmp_path / "m.json", m)
+    assert text == _document_text(m)
+    tokens = set(re.findall(r"[-+.0-9e]+", text[text.index("[["):]))
+    assert {*TIES.values(), *("-" + t for t in TIES.values())} <= tokens
+    assert {"1.0000000000000001e-05", "0.0001", "10000000000000000", "1e+17", "2.2250738585072014e-308"} <= tokens
+
+
+def test_ties_take_the_fallback(tmp_path, monkeypatch):
+    # the fast path hands every double within a band of a rounding tie to
+    # Python's own formatting, so that path decides the ties
+    seen = []
+
+    def recording(x):
+        seen.append(x)
+        return format(x, ".17g")
+
+    monkeypatch.setattr(matrixio, "_render_float", recording)
+    m = _from_parts([0.1, 2.0**-25, -3 * 2.0**-25, 0.5], (1, 2))
+    assert _written_text(tmp_path / "m.json", m) == (
+        '{"rows": 1, "cols": 2, "data": [[[0.10000000000000001, 2.9802322387695312e-08],'
+        ' [-8.9406967163085938e-08, 0.5]]]}\n'
+    )
+    assert seen == [2.0**-25, -3 * 2.0**-25]
+
+
+def test_blocks_split_rows_as_one_pass_does(monkeypatch):
+    # three pairs per block: blocks begin and end inside rows and at their ends
+    monkeypatch.setattr(matrixio, "_BLOCK_BYTES", 3 * 64)
+    x = np.random.default_rng(5).integers(0, 2**64, 100, dtype=np.uint64).view(np.float64)
+    m = _from_parts(x[np.isfinite(x)][:70], (5, 7))
+    chunks = list(_matrix_chunks(m))
+    assert len(chunks) == 2 + 12  # head, ceil(35 / 3) blocks, trailer
+    assert "".join(chunks) == _document_text(m)
+
+
+def test_write_memory_is_bounded_by_the_block_budget(tmp_path):
+    # A block of B bytes renders B / 32 doubles, and about twenty arrays of
+    # 8 bytes a double are alive at once, so a write peaks near 10 B: 10 * 64
+    # bytes a pair, about 40 MB, if the 256 x 256 matrix were one block.
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "m.json", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * matrixio._BLOCK_BYTES < 5 * 64 * m.size
 
 
 def test_negative_zero_reads_back_as_positive_zero(tmp_path):
@@ -457,7 +554,59 @@ def test_layout_reader_matches_the_document_route(rows, cols, data):
         assert read_matrix(path).tobytes() == want.tobytes()
 
 
+def exponent_grid() -> list:
+    """Several significands at every binary exponent, subnormals included,
+    and every power of ten with its two neighbours; both signs."""
+    grid = []
+    for e in range(-1074, 1024):
+        for mant in (1.0, 1.0 + 2.0**-52, 1.25, 1.5, 1.9999999999999998):
+            v = math.ldexp(mant, e)
+            if math.isfinite(v) and v:
+                grid.append(v)
+    for k in range(-323, 309):
+        v = float(f"1e{k}")
+        grid += [math.nextafter(v, 0), v, math.nextafter(v, math.inf)]
+    grid = [v for v in grid if math.isfinite(v)] + edge_doubles()
+    return grid + [-v for v in grid]
+
+
+def sweep(count: int, block: int = 1 << 16) -> int:
+    """Compare the writer with ``'%.17g'`` on the exponent grid and on
+    ``count`` random 64-bit patterns, the non-finite ones skipped; 1 at the
+    first mismatch."""
+    rng = np.random.default_rng(0)
+    grid = np.array(exponent_grid())
+    done = 0
+    while done < len(grid) + count:
+        if done < len(grid):
+            x = grid[done:done + block]
+        else:
+            x = rng.integers(0, 2**64, min(block, len(grid) + count - done), dtype=np.uint64).view(np.float64)
+        done += len(x)
+        x = x[np.isfinite(x)]
+        x = np.append(x, 0.0) if len(x) % 2 else x
+        m = x.view(np.complex128).reshape(-1, 1)
+        if "".join(_matrix_chunks(m)) != _document_text(m):
+            for v in x.tolist():
+                one = np.array([[complex(v, 0.0)]])
+                got = "".join(_matrix_chunks(one))
+                if got != _document_text(one):
+                    print(f"mismatch for {v!r} ({struct.pack('<d', v).hex()}): writer {got!r}, "
+                          f"'%.17g' {'%.17g' % v!r}")
+                    return 1
+            print(f"mismatch in the layout of a block of {len(x)} doubles")
+            return 1
+    print(f"{len(grid)} grid doubles and {count} random bit patterns: the writer matches '%.17g'")
+    return 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Regenerate the golden matrix files, or sweep the writer.")
+    parser.add_argument("--sweep", metavar="N", type=int,
+                        help="compare the writer with '%%.17g' on N random doubles and a grid; the goldens are left as they are")
+    args = parser.parse_args()
+    if args.sweep is not None:
+        sys.exit(sweep(args.sweep))
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name, m in golden_matrices().items():
         write_matrix(os.path.join(GOLDEN_DIR, f"{name}.json"), m)
