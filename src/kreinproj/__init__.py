@@ -15,7 +15,6 @@ from .errors import (
     DegenerateBlock,
     DimensionMismatch,
     FileFormatError,
-    InternalMismatch,
     KreinProjError,
     NonFinite,
     NotHermitian,
@@ -69,9 +68,6 @@ from .decompositions import (
     intertwining_unitaries,
     negative_part_projection_formula,
     positive_negative_split,
-    spectral_projection_identities,
-    split_classification_margins,
-    split_identity_residuals,
 )
 from .reporting import CheckResult, Report
 from .verification import (
@@ -81,7 +77,10 @@ from .verification import (
     extremal_checks,
     extremality_probe,
     full_report,
+    spectral_projection_identities,
     split_checks,
+    split_classification_margins,
+    split_identity_residuals,
 )
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Four subcommands: ``gen`` writes random test inputs (a family member once
 its member checks pass), ``extremal`` writes a closed-form extreme symmetry
 for an idempotent once the report's checks on it pass, ``decompose`` splits
 a projection against a symmetry, and ``verify`` runs the full check suite
-and writes a machine-readable report.
+and writes a machine-readable report.  Each subcommand builds by one route,
+and every check it runs is one of ``verification``'s.
 
 Exit codes: 0 pass, 1 check failure, 2 usage or bad input, 3 I/O failure,
 4 singular shift, 5 not an admissible projection/symmetry pair.
@@ -21,7 +22,6 @@ from . import decompositions as dec
 from .errors import (
     DegenerateBlock,
     FileFormatError,
-    InternalMismatch,
     KreinProjError,
     NotIdempotent,
     NotJProjection,
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
     except (NotJProjection, SingularBlock) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_J_PROJECTION
-    except (InternalMismatch, DegenerateBlock) as e:
+    except DegenerateBlock as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
     except (KreinProjError, ValueError) as e:

@@ -4,9 +4,9 @@ an idempotent to its adjoint and complement.
 Includes the closed-form projection onto the negative spectral subspace of
 an anchored block matrix, recovery of family parameters from a given
 symmetry, the contractive/expansive and positive/negative splittings of a
-projection, intertwining unitaries between the block forms of P and I - P,
-and the identities tying the spectral projections of P + P* to those of
-2I - P - P*.
+projection, and intertwining unitaries between the block forms of P and
+I - P.  This module only constructs, each object by one route;
+``verification`` certifies what it builds.
 """
 
 from __future__ import annotations
@@ -16,30 +16,22 @@ import enum
 
 import numpy as np
 
-from .errors import DegenerateBlock, InternalMismatch, NotJProjection, SingularBlock
-from .idempotents import (
-    _corner_inv_sqrts, _corner_null_projections, _corner_split, _Factors, _full_svd, _on_handle,
-    _per_handle,
-)
+from .errors import DegenerateBlock, NotJProjection, SingularBlock
+from .idempotents import _corner_inv_sqrts, _corner_split, _Factors, _full_svd, _on_handle, _per_handle
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
     frobenius,
     hermitian_sign,
-    min_eig,
     rank_mask,
-    spectral_parts,
     within_scaled,
 )
-from .reporting import Report, matrix_digest, residual_check
 from .symmetries import SymmetryFamily, assemble_symmetry
 
 __all__ = [
     "SplitKind",
     "SplitResult",
-    "split_identity_residuals",
-    "split_classification_margins",
     "negative_part_projection_formula",
     "extract_params",
     "contractive_expansive_split",
@@ -47,7 +39,6 @@ __all__ = [
     "intertwining_unitaries",
     "adjoint_similarity",
     "complement_sum_equivalence",
-    "spectral_projection_identities",
 ]
 
 
@@ -88,18 +79,12 @@ def anchored_block(b) -> np.ndarray:
 def negative_part_projection_formula(b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Projection onto the negative subspace of [[I, B], [B*, 0]], closed form.
 
-    The result is cross-checked against the eigendecomposition of the block
-    matrix itself; disagreement raises ``InternalMismatch``.
+    Built from one SVD of ``B``, unchecked.  The report certifies the closed
+    form on the corner of P against the eigendecomposition of the anchored
+    block itself: ``negative-part-closed-form``.
     """
     b = as_matrix(b)
-    out = _negative_part_formula(b, _full_svd(b), tol)
-    s = anchored_block(b)
-    oracle = spectral_parts(s, tol).proj_negative
-    if not within_scaled(frobenius(out - oracle), tol.residual_tol, s):
-        raise InternalMismatch(
-            "closed-form negative projection disagrees with the spectral route"
-        )
-    return out
+    return _negative_part_formula(b, _full_svd(b), tol)
 
 
 @_on_handle(symmetry=(NotJProjection, "J is not a symmetry"))
@@ -142,7 +127,8 @@ class SplitKind(enum.Enum):
 @dataclasses.dataclass(frozen=True)
 class SplitResult:
     """A pair of projections splitting P, with the identities they satisfy
-    determined by ``kind`` (see :func:`split_identity_residuals`)."""
+    determined by ``kind`` (see
+    :func:`kreinproj.verification.split_identity_residuals`)."""
 
     e1: np.ndarray
     e2: np.ndarray
@@ -187,73 +173,6 @@ def positive_negative_split(f: _Factors, j) -> SplitResult:
     )
 
 
-def split_identity_residuals(split: SplitResult, p) -> dict:
-    """Frobenius residuals of the five algebraic identities of a split.
-
-    Contractive/expansive: P = E1 E2 = E2 E1 = E1 + E2 - I together with
-    E1 E2* = E2* E1 = E1 + E2* - I.  Positive/negative: P = Q + R with all
-    four products Q R, R Q, Q R*, R* Q vanishing.  Idempotency residuals of
-    both factors are always included.
-    """
-    p = as_matrix(p)
-    e1, e2 = split.e1, split.e2
-    eye = np.eye(p.shape[0], dtype=np.complex128)
-    out = {
-        "e1-idempotent": frobenius(e1 @ e1 - e1),
-        "e2-idempotent": frobenius(e2 @ e2 - e2),
-    }
-    if split.kind is SplitKind.CONTRACTIVE_EXPANSIVE:
-        adj = e2.conj().T
-        cross = e1 + adj - eye
-        out.update(
-            {
-                "product-12": frobenius(e1 @ e2 - p),
-                "product-21": frobenius(e2 @ e1 - p),
-                "sum": frobenius(e1 + e2 - eye - p),
-                "adjoint-product-12": frobenius(e1 @ adj - cross),
-                "adjoint-product-21": frobenius(adj @ e1 - cross),
-            }
-        )
-    else:
-        q, r = e1, e2
-        radj = r.conj().T
-        out.update(
-            {
-                "sum": frobenius(q + r - p),
-                "product-qr": frobenius(q @ r),
-                "product-rq": frobenius(r @ q),
-                "adjoint-product-qr": frobenius(q @ radj),
-                "adjoint-product-rq": frobenius(radj @ q),
-            }
-        )
-    return out
-
-
-def split_classification_margins(split: SplitResult, j) -> dict:
-    """Margins and Hermitian residuals certifying each factor's class.
-
-    Margins are smallest eigenvalues of the matrix that must be PSD; a
-    nonnegative (or slightly negative, within tolerance) value certifies
-    the classification.
-    """
-
-    j = as_matrix(j)
-    e1, e2 = split.e1, split.e2
-    if split.kind is SplitKind.CONTRACTIVE_EXPANSIVE:
-        return {
-            "e1-contractive-margin": min_eig(j - e1.conj().T @ j @ e1),
-            "e2-expansive-margin": min_eig(e2.conj().T @ j @ e2 - j),
-        }
-    jq = j @ e1
-    jr = j @ e2
-    return {
-        "q-positive-hermitian-residual": frobenius(jq - jq.conj().T),
-        "q-positive-margin": min_eig(jq),
-        "r-negative-hermitian-residual": frobenius(jr - jr.conj().T),
-        "r-negative-margin": min_eig(-jr),
-    }
-
-
 def _unitary_polar(m, tol: Tolerances, what: str) -> np.ndarray:
     """Unitary polar factor of a square matrix expected to be invertible."""
     m = as_matrix(m)
@@ -278,15 +197,13 @@ def intertwining_unitaries(f: _Factors):
     to range(I-P) coordinates and v1 maps range(I-P)-perp coordinates to
     range(P) coordinates: the unitary polar factors of the off-diagonal
     blocks of the basis change between the two block forms of I - P.  Raises
-    ``DegenerateBlock`` if one is numerically rank deficient (a rank misclassification).
+    ``DegenerateBlock`` if one is not square (rank(P) + rank(I - P) is not n)
+    or is numerically rank deficient: a rank misclassification.  The report
+    certifies the residual: ``intertwining-residual``.
     """
     bf_p, bf_q, tol = f.bf, f.comp.bf, f.tol
     r = bf_p.rank
     qr = bf_q.rank
-    if r + qr != bf_p.dim:
-        raise InternalMismatch(
-            f"rank(P) + rank(I-P) = {r + qr} does not match dimension {bf_p.dim}"
-        )
     u_tilde = bf_q.unitary.conj().T @ bf_p.unitary
     u21 = u_tilde[qr:, :r]
     u12 = u_tilde[:qr, r:]
@@ -339,65 +256,3 @@ def _padded_sums(f: _Factors):
     lhs = p + p.conj().T + 2 * (eye - bf_p.basis_range @ bf_p.basis_range.conj().T)
     rhs = 2 * eye - p - p.conj().T + 2 * (eye - bf_q.basis_range @ bf_q.basis_range.conj().T)
     return lhs, rhs
-
-
-@_on_handle()
-def spectral_projection_identities(f: _Factors) -> Report:
-    """Identities tying the spectral projections of A = P + P* to those of 2I - A.
-
-    Emits one residual check per identity: the positive projection of
-    2I - A equals the negative-plus-kernel projections of A, the corner
-    null spaces of P and I - P match crosswise, the negative-plus-kernel
-    projection of 2I - A equals the positive projection of A, and the
-    kernel of 2I - A is the gap between the kernels of P - P* and P + P*.
-    """
-    checks = _projection_identity_checks(f)
-    subject = {"dim": f.p.shape[0], "rank": f.bf.rank, "matrix_sha256": matrix_digest(f.p)}
-    return Report(subject=subject, checks=checks, config=f.tol, seed=None)
-
-
-def _projection_identity_checks(f: _Factors) -> list:
-    """The checks of :func:`spectral_projection_identities`."""
-    p, tol = f.p, f.tol
-    a = p + p.conj().T
-    eye = np.eye(p.shape[0], dtype=np.complex128)
-    parts_a = f.sum_parts
-    parts_c = spectral_parts(2 * eye - a, tol)
-    ker_diff = f.ker_diff
-    (null_p_range, null_p_perp), (null_q_range, null_q_perp) = (
-        _corner_null_projections(g) for g in (f, f.comp)
-    )
-
-    budget = tol.residual_tol * f.sum_scale
-    return [
-        residual_check(
-            "complement-positive-projection",
-            "Theorem 12(i)",
-            frobenius(parts_c.proj_positive - (parts_a.proj_negative + parts_a.proj_kernel)),
-            budget,
-        ),
-        residual_check(
-            "corner-null-match-range-side",
-            "Theorem 12(ii)",
-            frobenius(null_p_range - null_q_perp),
-            budget,
-        ),
-        residual_check(
-            "corner-null-match-perp-side",
-            "Theorem 12(ii)",
-            frobenius(null_p_perp - null_q_range),
-            budget,
-        ),
-        residual_check(
-            "complement-negative-projection",
-            "Theorem 12(iii)",
-            frobenius(parts_c.proj_negative + parts_c.proj_kernel - parts_a.proj_positive),
-            budget,
-        ),
-        residual_check(
-            "complement-kernel-difference",
-            "Eq. (2.29)",
-            frobenius(parts_c.proj_kernel - (ker_diff - parts_a.proj_kernel)),
-            budget,
-        ),
-    ]

@@ -61,12 +61,5 @@ class DegenerateBlock(KreinProjError):
     """Raised when an intertwiner block expected to be invertible is rank deficient."""
 
 
-class InternalMismatch(KreinProjError):
-    """Raised when two independent computations of the same object disagree.
-
-    Signals a tolerance or rank misclassification rather than bad user input.
-    """
-
-
 class FileFormatError(KreinProjError):
     """Raised when a matrix or report file does not match the expected schema."""

@@ -19,7 +19,7 @@ import inspect
 
 import numpy as np
 
-from .errors import BadRank, DimensionMismatch, InternalMismatch, NotIdempotent, NotOrthonormal
+from .errors import BadRank, DimensionMismatch, NotIdempotent, NotOrthonormal
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -230,10 +230,14 @@ class _Factors:
         """``idem_residual <= residual_tol * scale_of(P)``."""
         return within_scaled(self.idem_residual, self.tol.residual_tol, self.p)
 
-    @functools.cached_property
-    def bf(self) -> BlockForm:
+    def require_idempotent(self):
+        """``NotIdempotent``, naming the residual, unless P is idempotent."""
         if not self.idempotent:
             raise NotIdempotent(f"||P^2 - P|| = {self.idem_residual:.3e} exceeds tolerance")
+
+    @functools.cached_property
+    def bf(self) -> BlockForm:
+        self.require_idempotent()
         p, n = self.p, self.p.shape[0]
         if n == 0:
             z = np.zeros((0, 0), dtype=np.complex128)
@@ -268,22 +272,6 @@ class _Factors:
         """The projection onto N(P - P*)."""
         # i(P - P*) is Hermitian with the same null space as P - P*.
         return spectral_parts(1j * (self.p - self.p.conj().T), self.tol).proj_kernel
-
-    @functools.cached_property
-    def kernel_route_gaps(self):
-        """Frobenius distances ``(sum_gap, diff_gap)`` between the two routes
-        to the projections onto N(P+P*) and N(P-P*): spectral decompositions in
-        the ambient basis, and the corner's null spaces lifted through the basis."""
-        # The block form first, so that a non-idempotent input fails before any
-        # eigendecomposition; then N(P - P*), whose spectral parts are freed
-        # before those of P + P* are built and kept on the handle; the corner
-        # null projections last, so that they are not alive during either.
-        self.bf
-        ker_diff = self.ker_diff
-        ker_sum = self.sum_parts.proj_kernel
-        block_diff, block_sum = _corner_null_projections(self)
-        block_diff += block_sum  # N(C*) in range(P) plus N(C) in range(P)-perp
-        return frobenius(ker_sum - block_sum), frobenius(ker_diff - block_diff)
 
 
 def _per_handle(fn):
@@ -341,25 +329,17 @@ def _on_handle(idempotent=None, symmetry=None):
     return decorate
 
 
-def _corner_null_projections(f: _Factors):
-    """The ambient projections onto N(C*) in range(P) and N(C) in range(P)-perp."""
-    bf = f.bf
-    u_null, _, v_null, _ = bf.corner_split(f.tol)
-    return bf.embed_range(u_null @ u_null.conj().T), bf.embed_perp(v_null @ v_null.conj().T)
-
-
 @_on_handle()
 def kernel_projections(f: _Factors):
-    """Orthogonal projections onto N(P+P*) and N(P-P*) for an idempotent P.
+    """Orthogonal projections onto N(P+P*) and N(P-P*) for an idempotent P,
+    from the spectral decompositions of P + P* and i(P - P*) in the ambient
+    basis.
 
-    Each projection is computed two ways, spectrally in the ambient basis
-    and from the corner block's null spaces; disagreement beyond tolerance
-    raises ``InternalMismatch`` (a rank misclassification), otherwise the
-    spectral pair is returned.
+    Raises ``NotIdempotent`` when P is not idempotent.  The report certifies
+    both against the corner block's null spaces: ``kernel-sum-route-agreement``
+    and ``kernel-diff-route-agreement``.
     """
-    for kernel, gap in zip(("N(P+P*)", "N(P-P*)"), f.kernel_route_gaps):
-        if not within_scaled(gap, f.tol.residual_tol, f.p):
-            raise InternalMismatch(f"{kernel} projections disagree between spectral and block routes")
+    f.require_idempotent()
     return f.sum_parts.proj_kernel, f.ker_diff
 
 

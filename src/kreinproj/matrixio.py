@@ -277,17 +277,17 @@ _AFTER_IM = np.array([_word(b"], ["), _word(b"]], [["), _word(b"]]")], _U)
 
 
 def _matrix_chunks(m: np.ndarray):
-    """The text of ``render_json(matrix_to_doc(m)) + "\\n"``, in chunks.
+    """The ASCII bytes of ``render_json(matrix_to_doc(m)) + "\\n"``, in chunks.
 
     A block of at most ``_BLOCK_BYTES // 64`` pairs is rendered at a time,
     each pair as eight words: re, ", ", im and what follows the pair.
     """
     rows, cols = m.shape
-    head = f'{{"rows": {rows}, "cols": {cols}, "data": ['
+    head = b'{"rows": %d, "cols": %d, "data": [' % (rows, cols)
     if not (rows and cols):
-        yield head + ", ".join(["[]"] * rows) + "]}\n"
+        yield head + b", ".join([b"[]"] * rows) + b"]}\n"
         return
-    yield head + "[["
+    yield head + b"[["
     parts = np.ascontiguousarray(m).view(np.float64).reshape(-1)
     pairs = rows * cols
     step = max(1, _BLOCK_BYTES // 64)
@@ -299,8 +299,8 @@ def _matrix_chunks(m: np.ndarray):
         block[:, 1, 3] = _AFTER_IM[(np.arange(start, stop) % cols == cols - 1).astype(np.intp)]
         if stop == pairs:
             block[-1, 1, 3] = _AFTER_IM[2]
-        yield block.tobytes().translate(None, b"\0").decode("ascii")
-    yield "]}\n"
+        yield block.tobytes().translate(None, b"\0")
+    yield b"]}\n"
 
 
 def _numeric_row(row, cols: int):
@@ -377,14 +377,16 @@ def doc_to_matrix(doc) -> np.ndarray:
     return out
 
 
-def _atomic_write_text(path: str, chunks):
+def _atomic_write(path: str, chunks):
+    """Write the byte ``chunks`` to ``path`` through a temporary file in its
+    directory, so that ``path`` holds either its old content or all of them."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     # Mode 0o666 less the umask, as ``open(path, "w")`` gives; ``mkstemp``
     # would make the file 0o600.
     tmp = os.path.join(directory, f".kreinproj-{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -396,7 +398,7 @@ def _atomic_write_text(path: str, chunks):
 
 
 def write_matrix(path, m):
-    _atomic_write_text(str(path), _matrix_chunks(_checked_matrix(m)))
+    _atomic_write(str(path), _matrix_chunks(_checked_matrix(m)))
 
 
 # The writer's layout of an R x C matrix, R and C at least 1: this header,
@@ -501,4 +503,4 @@ def render_report(report: Report) -> str:
 
 
 def write_report(path, report: Report):
-    _atomic_write_text(str(path), [render_report(report)])
+    _atomic_write(str(path), [render_report(report).encode("utf-8")])

@@ -36,7 +36,6 @@ from .idempotents import (
     _on_handle,
     _per_handle,
     _random_symmetry,
-    kernel_projections,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -237,7 +236,7 @@ def extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
     family's defining relation, see
     :func:`kreinproj.verification.extremal_checks`.
     """
-    ker_diff = kernel_projections.on(f)[1] if kind is ExtremalKind.CONTR_MAX else None
+    ker_diff = f.ker_diff if kind is ExtremalKind.CONTR_MAX else None
     parts = f.sum_parts
     pos = kind.family is SymmetryFamily.J_POSITIVE
     j = 2 * (parts.proj_positive if pos else parts.proj_negative)

@@ -6,8 +6,11 @@ measures their Loewner margins against the closed-form extremes.
 ``full_report`` runs every check this package knows about over one input
 pair and returns a report whose failures are check results, never
 exceptions.  ``family_checks``, ``extremal_checks`` and ``split_checks``
-are the slices of it that certify one construction; the constructions in
-``symmetries`` and ``decompositions`` check only their inputs.
+are the slices of it that certify one construction, and
+``spectral_projection_identities`` the one that certifies Theorem 12's
+identities.  The constructions in ``idempotents``, ``symmetries`` and
+``decompositions`` check only their inputs and build each object by one
+route; every comparison of two routes is made here.
 """
 
 from __future__ import annotations
@@ -66,7 +69,10 @@ __all__ = [
     "extremality_probe",
     "family_checks",
     "full_report",
+    "spectral_projection_identities",
     "split_checks",
+    "split_classification_margins",
+    "split_identity_residuals",
 ]
 
 # Residual recorded when a check could not be computed at all.
@@ -323,6 +329,73 @@ def _extreme_checks(f: _Factors, kind: ExtremalKind) -> list:
     return extremal_checks.on(f, kind.value, extremal_symmetry.on(f, kind))
 
 
+def split_identity_residuals(split: dec.SplitResult, p) -> dict:
+    """Frobenius residuals of the five algebraic identities of a split.
+
+    Contractive/expansive: P = E1 E2 = E2 E1 = E1 + E2 - I together with
+    E1 E2* = E2* E1 = E1 + E2* - I.  Positive/negative: P = Q + R with all
+    four products Q R, R Q, Q R*, R* Q vanishing.  Idempotency residuals of
+    both factors are always included.
+    """
+    p = as_matrix(p)
+    e1, e2 = split.e1, split.e2
+    eye = np.eye(p.shape[0], dtype=np.complex128)
+    out = {
+        "e1-idempotent": frobenius(e1 @ e1 - e1),
+        "e2-idempotent": frobenius(e2 @ e2 - e2),
+    }
+    if split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE:
+        adj = e2.conj().T
+        cross = e1 + adj - eye
+        out.update(
+            {
+                "product-12": frobenius(e1 @ e2 - p),
+                "product-21": frobenius(e2 @ e1 - p),
+                "sum": frobenius(e1 + e2 - eye - p),
+                "adjoint-product-12": frobenius(e1 @ adj - cross),
+                "adjoint-product-21": frobenius(adj @ e1 - cross),
+            }
+        )
+    else:
+        q, r = e1, e2
+        radj = r.conj().T
+        out.update(
+            {
+                "sum": frobenius(q + r - p),
+                "product-qr": frobenius(q @ r),
+                "product-rq": frobenius(r @ q),
+                "adjoint-product-qr": frobenius(q @ radj),
+                "adjoint-product-rq": frobenius(radj @ q),
+            }
+        )
+    return out
+
+
+def split_classification_margins(split: dec.SplitResult, j) -> dict:
+    """Margins and Hermitian residuals certifying each factor's class.
+
+    Margins are smallest eigenvalues of the matrix that must be PSD; a
+    nonnegative (or slightly negative, within tolerance) value certifies
+    the classification.
+    """
+
+    j = as_matrix(j)
+    e1, e2 = split.e1, split.e2
+    if split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE:
+        return {
+            "e1-contractive-margin": min_eig(j - e1.conj().T @ j @ e1),
+            "e2-expansive-margin": min_eig(e2.conj().T @ j @ e2 - j),
+        }
+    jq = j @ e1
+    jr = j @ e2
+    return {
+        "q-positive-hermitian-residual": frobenius(jq - jq.conj().T),
+        "q-positive-margin": min_eig(jq),
+        "r-negative-hermitian-residual": frobenius(jr - jr.conj().T),
+        "r-negative-margin": min_eig(-jr),
+    }
+
+
 _SPLIT_REFS = {
     dec.SplitKind.CONTRACTIVE_EXPANSIVE: "Corollary 14",
     dec.SplitKind.POSITIVE_NEGATIVE: "Lemma 13",
@@ -345,9 +418,9 @@ def _split_checks(split, f: _Factors, j, prefix) -> list:
     ref = _SPLIT_REFS[split.kind]
     checks = [
         residual_check(f"{prefix}{key}", ref, val, tol.residual_tol * sp)
-        for key, val in dec.split_identity_residuals(split, p).items()
+        for key, val in split_identity_residuals(split, p).items()
     ]
-    for key, val in dec.split_classification_margins(split, j).items():
+    for key, val in split_classification_margins(split, j).items():
         if key.endswith("residual"):
             checks.append(residual_check(f"{prefix}{key}", ref, val, tol.residual_tol * sp))
         else:
@@ -491,8 +564,25 @@ def _block_form_checks(f: _Factors, run: _Run):
     yield residual_check("block-form-round-trip", "Eq. (1.1)", frobenius(f.bf.reassemble() - f.p), budget)
 
 
+def _corner_null_projections(f: _Factors):
+    """The ambient projections onto N(C*) in range(P) and N(C) in range(P)-perp."""
+    bf = f.bf
+    u_null, _, v_null, _ = bf.corner_split(f.tol)
+    return bf.embed_range(u_null @ u_null.conj().T), bf.embed_perp(v_null @ v_null.conj().T)
+
+
 def _kernel_route_checks(f: _Factors, run: _Run):
-    sum_gap, diff_gap = f.kernel_route_gaps
+    """The two routes to the projections onto N(P+P*) and N(P-P*): spectral
+    decompositions in the ambient basis, and the corner's null spaces lifted
+    through the basis."""
+    # N(P - P*) first, whose spectral parts are freed before those of P + P*
+    # are built and kept on the handle; the corner null projections last, so
+    # that they are not alive during either.
+    ker_diff = f.ker_diff
+    ker_sum = f.sum_parts.proj_kernel
+    block_diff, block_sum = _corner_null_projections(f)
+    block_diff += block_sum  # N(C*) in range(P) plus N(C) in range(P)-perp
+    sum_gap, diff_gap = frobenius(ker_sum - block_sum), frobenius(ker_diff - block_diff)
     budget = f.tol.residual_tol * f.sp
     yield residual_check("kernel-sum-route-agreement", "Lemma 6(i)", sum_gap, budget)
     yield residual_check("kernel-diff-route-agreement", "Lemma 6(ii)", diff_gap, budget)
@@ -547,6 +637,68 @@ def _extremal_construction_checks(f: _Factors, run: _Run):
 
 def _probe_group(f: _Factors, run: _Run, family: SymmetryFamily):
     return _probe_checks(f, family, *_probe_args(run.samples, run.seed), f"probe-{family.value}/")
+
+
+@_on_handle()
+def spectral_projection_identities(f: _Factors) -> Report:
+    """Identities tying the spectral projections of A = P + P* to those of 2I - A.
+
+    Emits one residual check per identity: the positive projection of
+    2I - A equals the negative-plus-kernel projections of A, the corner
+    null spaces of P and I - P match crosswise, the negative-plus-kernel
+    projection of 2I - A equals the positive projection of A, and the
+    kernel of 2I - A is the gap between the kernels of P - P* and P + P*.
+    """
+    checks = _projection_identity_checks(f)
+    subject = {"dim": f.p.shape[0], "rank": f.bf.rank, "matrix_sha256": matrix_digest(f.p)}
+    return Report(subject=subject, checks=checks, config=f.tol, seed=None)
+
+
+def _projection_identity_checks(f: _Factors) -> list:
+    """The checks of :func:`spectral_projection_identities`."""
+    p, tol = f.p, f.tol
+    a = p + p.conj().T
+    eye = np.eye(p.shape[0], dtype=np.complex128)
+    parts_a = f.sum_parts
+    parts_c = spectral_parts(2 * eye - a, tol)
+    ker_diff = f.ker_diff
+    (null_p_range, null_p_perp), (null_q_range, null_q_perp) = (
+        _corner_null_projections(g) for g in (f, f.comp)
+    )
+
+    budget = tol.residual_tol * f.sum_scale
+    return [
+        residual_check(
+            "complement-positive-projection",
+            "Theorem 12(i)",
+            frobenius(parts_c.proj_positive - (parts_a.proj_negative + parts_a.proj_kernel)),
+            budget,
+        ),
+        residual_check(
+            "corner-null-match-range-side",
+            "Theorem 12(ii)",
+            frobenius(null_p_range - null_q_perp),
+            budget,
+        ),
+        residual_check(
+            "corner-null-match-perp-side",
+            "Theorem 12(ii)",
+            frobenius(null_p_perp - null_q_range),
+            budget,
+        ),
+        residual_check(
+            "complement-negative-projection",
+            "Theorem 12(iii)",
+            frobenius(parts_c.proj_negative + parts_c.proj_kernel - parts_a.proj_positive),
+            budget,
+        ),
+        residual_check(
+            "complement-kernel-difference",
+            "Eq. (2.29)",
+            frobenius(parts_c.proj_kernel - (ker_diff - parts_a.proj_kernel)),
+            budget,
+        ),
+    ]
 
 
 def _intertwining_checks(f: _Factors, run: _Run):
@@ -624,7 +776,7 @@ _GROUPS = [
     ("sign-formula", "Remark", lambda f, run: _sign_formula_checks(f, sign_formula_symmetry.on(f))),
     ("probe-positive", _FAMILY_REFS[_POS], lambda f, run: _probe_group(f, run, _POS)),
     ("probe-contractive", _FAMILY_REFS[_CONTR], lambda f, run: _probe_group(f, run, _CONTR)),
-    ("projection-identities", "Theorem 12", lambda f, run: dec._projection_identity_checks(f)),
+    ("projection-identities", "Theorem 12", lambda f, run: _projection_identity_checks(f)),
     ("intertwining", "Proposition 9", _intertwining_checks),
     ("adjoint-similarity", "Corollary 10(i)", _adjoint_similarity_checks),
     ("complement-sum", "Corollary 10(iii)", _complement_sum_checks),

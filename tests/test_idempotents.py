@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import projector_onto, random_complex, structured_idempotent
 from kreinproj import (
+    DEFAULT_TOL,
     BadRank,
     NotIdempotent,
     NotOrthonormal,
@@ -22,6 +23,7 @@ from kreinproj import (
     validate_idempotent,
 )
 from kreinproj import idempotents
+from kreinproj.linalg import scale_of
 
 P2 = np.array([[1.0, 1.0], [0.0, 0.0]])
 P3 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
@@ -193,12 +195,21 @@ def test_rank_complement_identity():
 
 
 def test_kernel_route_agreement_random():
-    # both routes agree for every generated idempotent (n <= 20)
+    # the spectral projections agree with the corner's null spaces lifted
+    # through the block form, at the report's budget, for every generated
+    # idempotent (n <= 20)
     for seed in range(20):
         n = 2 + seed % 19
         r = seed % (n + 1)
         p = random_idempotent(n, r, 2.0, seed=100 + seed)
-        kernel_projections(p)  # raises InternalMismatch on disagreement
+        ker_sum, ker_diff = kernel_projections(p)
+        bf = block_form(p)
+        u_null, _, v_null, _ = bf.corner_split(DEFAULT_TOL)
+        block_sum = bf.embed_perp(v_null @ v_null.conj().T)
+        block_diff = bf.embed_range(u_null @ u_null.conj().T) + block_sum
+        budget = DEFAULT_TOL.residual_tol * scale_of(p)
+        assert np.linalg.norm(ker_sum - block_sum) <= budget
+        assert np.linalg.norm(ker_diff - block_diff) <= budget
 
 
 def test_random_idempotent_contract():

@@ -5,6 +5,7 @@ Counts calls of ``numpy.linalg.svd``, ``eigh``, ``eigvalsh`` and
 input shape the benchmark's ``linalg.entry_calls.*`` metrics use;
 ``extremal_sign_formula`` runs ``kreinproj extremal --which sign-formula``
 through ``cli.main``: the construction plus its certificate.
+``negative_part_projection_formula`` runs on the corner of that input.
 ``assemble_symmetry`` is counted on a block form that has already
 assembled one member, so it reuses that form's corner factors.  The
 bounds are the counts of the current code: a change may lower them, and
@@ -38,13 +39,14 @@ from kreinproj.matrixio import write_matrix
 
 BOUNDS = {
     "full_report": 32,
-    "extremal_contr_max": 4,
+    "extremal_contr_max": 2,
     "assemble_symmetry": 0,
     "extremal_sign_formula": 4,
+    "negative_part_projection_formula": 1,
 }
 NORM2_BOUND = 3
 HANDLE_BOUNDS = {
-    "kernel_projections": 4,
+    "kernel_projections": 2,
     "extremal_symmetry": 1,
     "extremal_symmetry_via_blocks": 2,
     "sign_formula_symmetry": 2,
@@ -101,6 +103,7 @@ def _entry_points(seed, tmp_path):
         "extremal_contr_max": lambda: kp.extremal_symmetry(p, kp.ExtremalKind.CONTR_MAX),
         "assemble_symmetry": lambda: kp.assemble_symmetry(bf, contr, params),
         "extremal_sign_formula": lambda: _cli_passes(sign_argv),
+        "negative_part_projection_formula": lambda: kp.negative_part_projection_formula(bf.corner),
     }
 
 

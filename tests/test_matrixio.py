@@ -247,7 +247,7 @@ def test_blocks_split_rows_as_one_pass_does(monkeypatch):
     m = _from_parts(x[np.isfinite(x)][:70], (5, 7))
     chunks = list(_matrix_chunks(m))
     assert len(chunks) == 2 + 12  # head, ceil(35 / 3) blocks, trailer
-    assert "".join(chunks) == _document_text(m)
+    assert b"".join(chunks) == _document_text(m).encode("ascii")
 
 
 def test_write_memory_is_bounded_by_the_block_budget(tmp_path):
@@ -586,10 +586,10 @@ def sweep(count: int, block: int = 1 << 16) -> int:
         x = x[np.isfinite(x)]
         x = np.append(x, 0.0) if len(x) % 2 else x
         m = x.view(np.complex128).reshape(-1, 1)
-        if "".join(_matrix_chunks(m)) != _document_text(m):
+        if b"".join(_matrix_chunks(m)) != _document_text(m).encode("ascii"):
             for v in x.tolist():
                 one = np.array([[complex(v, 0.0)]])
-                got = "".join(_matrix_chunks(one))
+                got = b"".join(_matrix_chunks(one)).decode("ascii")
                 if got != _document_text(one):
                     print(f"mismatch for {v!r} ({struct.pack('<d', v).hex()}): writer {got!r}, "
                           f"'%.17g' {'%.17g' % v!r}")

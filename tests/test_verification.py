@@ -195,7 +195,7 @@ def test_full_report_hashes_p_once(monkeypatch):
     # the probe groups and projection-identities read bodies that return
     # checks only, so the report's own subject holds the one digest of P;
     # the other digest is that of J
-    from kreinproj import decompositions, verification
+    from kreinproj import verification
     from kreinproj.reporting import matrix_digest
 
     p = random_idempotent(8, 3, 2.0, seed=4)
@@ -208,8 +208,7 @@ def test_full_report_hashes_p_once(monkeypatch):
         hashed.append("P" if np.array_equal(m, p) else "other")
         return matrix_digest(m)
 
-    for module in (verification, decompositions):
-        monkeypatch.setattr(module, "matrix_digest", counted)
+    monkeypatch.setattr(verification, "matrix_digest", counted)
     report = full_report(p, j, samples=3, seed=0)
     assert "classification" in report.subject
     assert hashed == ["P", "other"]
@@ -741,19 +740,22 @@ def test_parameter_checks_run_only_on_the_callers_parameters(monkeypatch):
 def _contr_max_off_a_symmetry(monkeypatch):
     """Make contr-max = 2 proj(A-) - I + 2 K, K the projection onto N(P - P*),
     off a symmetry by about 1e-8: K scaled by 1 + d gives J^2 - I = 4 d (1 + d) K."""
-    from types import SimpleNamespace
+    import functools
 
-    from kreinproj import symmetries
+    from kreinproj.idempotents import _Factors
 
-    real = symmetries.kernel_projections.on
-    off = SimpleNamespace(on=lambda f: (real(f)[0], real(f)[1] * (1.0 + 2.5e-9)))
-    monkeypatch.setattr(symmetries, "kernel_projections", off)
+    real = _Factors.ker_diff.func
+    off = functools.cached_property(lambda f: real(f) * (1.0 + 2.5e-9))
+    off.__set_name__(_Factors, "ker_diff")
+    monkeypatch.setattr(_Factors, "ker_diff", off)
 
 
 def test_an_extreme_off_a_symmetry_fails_its_symmetry_check(monkeypatch):
     # the extreme is built unchecked and certified by the report: its
     # symmetry check fails at residual_tol, and its family's checks, its
-    # block-route gap and the probe samples against it are still there
+    # block-route gap and the probe samples against it are still there; the
+    # two other checks that read the scaled projection onto N(P - P*) fail
+    # with it
     _contr_max_off_a_symmetry(monkeypatch)
     checks = full_report(_RECTANGULAR, samples=2).checks
     by_name = {c.name: c for c in checks}
@@ -764,7 +766,8 @@ def test_an_extreme_off_a_symmetry_fails_its_symmetry_check(monkeypatch):
     assert {"extremal-contr-max-dominates", "extremal-contr-max-block-route",
             "probe-contractive/sample-001-below-max", "identity-web-contr-min"} <= by_name.keys()
     assert [c.name for c in checks if c.status == "fail"] == [
-        "extremal-contr-max-symmetry", "extremal-contr-max-block-route"]
+        "kernel-diff-route-agreement", "extremal-contr-max-symmetry", "extremal-contr-max-block-route",
+        "complement-kernel-difference"]
 
 
 def test_extremal_writes_nothing_for_an_extreme_off_a_symmetry(monkeypatch, tmp_path, capsys):
@@ -822,3 +825,26 @@ def test_a_probe_with_no_free_part_draws_one_member(monkeypatch):
         assert calls == [0, 0]
         first.append([c for c in checks if "/sample-000" in c.name])
     assert first[0] == first[1] and len(first[0]) == 5 + 4
+
+
+@pytest.mark.parametrize("sigma", [1e-5, 1e-6])
+def test_a_small_corner_value_fails_checks_not_constructions(sigma):
+    # P = [[I, diag(1, sigma)], [0, 0]]: at these sigma the two routes to
+    # N(P + P*) disagree.  The report fails on the checks that compare them,
+    # and the contr-max extreme and the contractive probe, which read the
+    # spectral route, run to their own checks instead of ending in an error
+    from kreinproj import errors
+
+    p = np.zeros((4, 4))
+    p[:2, :2] = np.eye(2)
+    p[:2, 2:] = np.diag([1.0, sigma])
+    report = full_report(p, samples=2)
+    assert not report.passed
+    failed = {c.name: c for c in report.failures()}
+    assert "kernel-sum-route-agreement" in failed
+    library_errors = [name for name, cls in vars(errors).items()
+                      if isinstance(cls, type) and issubclass(cls, errors.KreinProjError)]
+    assert not [c.note for c in failed.values() if any(e in c.note for e in library_errors)]
+    names = {c.name for c in report.checks}
+    assert {"extremal-contr-max-symmetry", "extremal-contr-max-dominates", "extremal-contr-max-block-route"} <= names
+    assert any(name.startswith("probe-contractive/sample-000-") for name in names)
