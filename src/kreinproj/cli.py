@@ -20,7 +20,6 @@ import sys
 
 from . import decompositions as dec
 from .errors import (
-    DegenerateBlock,
     FileFormatError,
     KreinProjError,
     NotIdempotent,
@@ -277,9 +276,6 @@ def main(argv=None) -> int:
     except (NotJProjection, SingularBlock) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_J_PROJECTION
-    except DegenerateBlock as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CHECK_FAILURE
     except (KreinProjError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

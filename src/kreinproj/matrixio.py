@@ -9,15 +9,26 @@ bytes of ``render_json(matrix_to_doc(m)) + "\\n"``, every number exactly
 ``'%.17g'``, but renders a block of entries at a time with numpy (see
 ``_render_words``): the block is bounded by ``_BLOCK_BYTES``, so the writer
 never holds the whole text, and only the rare number near a rounding tie
-goes through ``'%.17g'`` itself.  ``read_matrix`` reads a file
-in the writer's exact layout (its final newline optional, so ``json.dump``
-of a ``matrix_to_doc`` document qualifies) one row at a time from its bytes,
-each row's numbers parsed by ``json.loads`` as one flat list.  Any other document, or a
-row that fails the layout checks or holds a non-finite number, takes the
-general route: text-mode UTF-8 with universal newlines, ``json.load``, then
+goes through ``'%.17g'`` itself.
+
+``read_matrix`` has two routes.  A file in the writer's exact layout (its
+final newline optional, so ``json.dump`` of a ``matrix_to_doc`` document
+qualifies) is read and parsed by numpy a block of rows at a time, about
+``_READ_BLOCK_BYTES`` of the file each (see ``_block_values``), so a read
+holds the matrix and one block of the file.  Every separator is checked,
+and every number against JSON's grammar: an optional ``-``, an integer
+part that is 0 or does not start with 0, an optional fraction and an
+optional exponent.  Numbers of at most 17 significant digits and 24 bytes
+with an exponent of at most three digits are converted by the parser,
+correctly rounded; the rest, and the rare number whose rounding lies
+within ``_TIE_BAND`` of a tie, go through ``float`` once they match the
+grammar.  Any other document, or a file with a byte out of place or a
+number JSON would not read as a finite double, takes the general route:
+text-mode UTF-8 with universal newlines, ``json.load``, then
 ``doc_to_matrix``, which converts one row per ``np.array`` call and raises
-the reader's errors.  Both routes give the same doubles; ``-0`` reads as
-+0.0 on both.  Writes go through a temporary file plus rename.
+the reader's errors.  Both routes give the same doubles.  A JSON integer is
+an int to ``json``, so ``-0`` reads as +0.0 on both, while ``-0.0`` reads
+as -0.0.  Writes go through a temporary file plus rename.
 """
 
 from __future__ import annotations
@@ -119,6 +130,10 @@ def matrix_to_doc(m) -> dict:
 # _matrix_chunks places the words of a block, with the brackets and
 # separators between them, in one uint64 array and deletes the NUL bytes.
 _K_MIN, _K_MAX = -324, 308  # the decades of the nonzero finite doubles
+# The powers 5^q of the table: 5^(16-k) for the writer's decades k, and
+# down to 5^(_K_MIN-1) for the reader, below which no 17-digit number is a
+# normal double.
+_Q_MIN, _Q_MAX = _K_MIN - 1, 16 - _K_MIN
 _TIE_BAND = 2.0**-20
 _VELTKAMP = 134217729.0  # 2^27 + 1
 _U = np.uint64
@@ -128,6 +143,9 @@ _ASCII_ZEROS = _U(0x3030303030303030)
 # Rendered bytes per block of pairs (64 per [re, im] pair): this bounds the
 # memory of a write, whatever the size of the matrix.
 _BLOCK_BYTES = 1 << 18
+# File bytes per block of rows a read parses at a time, give or take a row:
+# a block's numbers take about ten times its size while they are parsed.
+_READ_BLOCK_BYTES = _BLOCK_BYTES // 2
 
 
 def _word(s: bytes) -> int:
@@ -136,9 +154,9 @@ def _word(s: bytes) -> int:
 
 def _exact_tables():
     """_DECADE[k - _K_MIN], the smallest double >= 10^k, for k up to
-    _K_MAX + 1 (inf there), and 5^(16-k) as hi + lo doubles for each
-    decade.  Python's ``int / int`` rounds correctly, so each entry is the
-    rounding of an exact fraction."""
+    _K_MAX + 1 (inf there), and 5^q as hi + lo doubles at q - _Q_MIN.
+    Python's ``int / int`` rounds correctly, so each entry is the rounding
+    of an exact fraction."""
     decade, hi, lo = [], [], []
     for k in range(_K_MIN, _K_MAX + 2):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
@@ -148,8 +166,8 @@ def _exact_tables():
             if a * den < num * b:
                 f = math.nextafter(f, math.inf)
         decade.append(f)
-    for k in range(_K_MIN, _K_MAX + 1):
-        num, den = (5 ** (16 - k), 1) if k <= 16 else (1, 5 ** (k - 16))
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        num, den = (5**q, 1) if q >= 0 else (1, 5**-q)
         h = num / den
         a, b = h.as_integer_ratio()
         hi.append(h)
@@ -190,6 +208,17 @@ _POINT, _PREFIX, _PREFIX_BITS, _EXPONENT = _layout_tables()
 _LOW, _DOT = _byte_masks()
 
 
+def _times_pow5(a, j):
+    """``a`` times 5^q, q = j + _Q_MIN, as hi + lo: Dekker's product of
+    ``a`` and the table's high part, exact by Veltkamp's splits, plus ``a``
+    times the low part, so within 2^-104 of the product."""
+    hi = a * _POW5_HI[j]
+    ah = _VELTKAMP * a - (_VELTKAMP * a - a)
+    al = a - ah
+    hh, hl = _POW5_HH[j], _POW5_HL[j]
+    return hi, (((ah * hh - hi) + ah * hl + al * hh) + al * hl) + a * _POW5_LO[j]
+
+
 def _eight_digits(v):
     """The decimal digits of each ``v < 10^8``, one per byte, most
     significant first: two 4-digit halves in 32-bit lanes, then 2-digit
@@ -227,11 +256,8 @@ def _render_words(x, out):
     i[unsettled] = -_K_MIN
     # y = m 5^q 2^(e+q) as hi + lo, hi an integer
     m, e = np.frexp(ax)
-    p = m * _POW5_HI[i]
-    mh = _VELTKAMP * m - (_VELTKAMP * m - m)
-    ml = m - mh
-    hh, hl = _POW5_HH[i], _POW5_HL[i]
-    lo = (((mh * hh - p) + mh * hl + ml * hh) + ml * hl) + m * _POW5_LO[i]
+    j = (16 - _K_MIN - _Q_MIN) - i  # 5^(16-k) at k - _K_MIN = i
+    p, lo = _times_pow5(m, j)
     s = (e + (16 - _K_MIN) - i).astype(np.int32)
     lo = np.ldexp(lo, s)
     r = np.rint(lo)
@@ -410,63 +436,278 @@ def write_matrix(path, m):
 _HEADER = re.compile(rb'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17}), "data": \[')
 _ROW_JOIN = b"]], [["
 _TRAILER = b"]]]}"
-# The bytes a JSON number can hold.
-_NUMBER_BYTES = b"0123456789.eE+-"
+# JSON's number grammar, which ``float`` is only given tokens that match.
+_JSON_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
+# The reader's number parser: the renderer run backwards, on the numbers of
+# a block of rows at once.  Each number is gathered as the three
+# little-endian words that end with its last byte, the bytes before it
+# cleared, and then:
+#
+# - exponent: the lowest "e" or "E" of the last word starts it, then an
+#   optional sign and one to three digits;
+# - mantissa: shifted up past the exponent, it ends at the last byte.  An
+#   optional "-", then digits, the first not a 0 followed by a digit, with
+#   at most one "." that has digits on both sides.  The bytes below the "."
+#   move up one byte, which closes the digits up, and multiply-and-shift
+#   steps turn eight digits a word into D;
+# - value: D 10^q, correctly rounded.  For D < 2^53 and |q| <= 22 both are
+#   exact doubles, so one multiply or divide rounds correctly (Clinger).
+#   Otherwise D 5^q is formed as a double-double hi + lo from the table's
+#   5^q with Dekker's product, within 2^-100 of its value, so hi is its
+#   rounding; 2^q then adds to hi's exponent bits.
+#
+# ``float`` decides instead, once _JSON_NUMBER matches the number, where
+# that is not certain: a lo within _TIE_BAND ulp of half an ulp, a hi that
+# is a power of two (the ulp below it is half), a result that is not a
+# normal double, more than 17 significant digits (D >= 10^17) or 24 bytes,
+# and any number that fails the checks above, such as "1e5000" or "1_0".
+# A JSON integer (no "." or "e") that is zero reads as +0.0, as ``json``
+# makes it the int 0, while "-0.0" reads as -0.0.
+_PAD = 24  # zero bytes before a block: every number has three words
+_TAIL = np.array([np.frombuffer(b"\0" * (_PAD - c) + b"\xff" * c, _LE) for c in range(_PAD + 1)]).T
+_LOW7 = _U(0x7F7F7F7F7F7F7F7F)
+_HIGH = ~_LOW7
+_OVER_NINE = _U(0x7676767676767676)  # adding it sets the high bit of each byte above 9
+_POW10 = np.array([float(10**q) for q in range(23)])
 
 
-def _read_writer_layout(data: bytes):
-    """The matrix ``data`` holds when it is in the writer's exact layout with
-    every number finite, else None.
+def _zero_bytes(x):
+    """The high bit of each zero byte of ``x``, and no other bit."""
+    y = x & _LOW7
+    y += _LOW7
+    y |= x
+    y |= _LOW7
+    return np.invert(y, out=y)
 
-    Rows are found by their joins and parsed one at a time, without
-    building the nested document: a row is accepted when deleting its
-    number bytes leaves exactly the pair skeleton ``[[, ], ..., [, ]]`` and
-    no number sits in the row's ``[[`` or in a join ``], [`` between pairs,
-    and its numbers then go through ``json.loads`` as one flat list, so
-    JSON's own number grammar decides each token.  The values are those of
-    ``doc_to_matrix(json.loads(data))``.
+
+def _separators(cols: int):
+    """What follows each of the 2C numbers of a row: its word, its byte
+    mask, its length and the offset of its ",".  ", " after re, "], ["
+    after im, and "]], [[" after the row's last im."""
+    after = [b", ", b"], ["] * cols
+    after[-1] = _ROW_JOIN
+    size = [len(s) for s in after]
+    return (np.array([_word(s) for s in after], _U), np.array([(1 << 8 * c) - 1 for c in size], _U),
+            np.array(size), np.array([s.index(b",") for s in after]))
+
+
+def _number_words(b: np.ndarray, separators):
+    """The numbers of the bytes ``b`` when they are whole rows of the
+    writer's layout, from the first row's "[[" to the last row's "]]":
+    their starts, their lengths, and their last 24 bytes as three words a
+    row, the bytes before each number cleared.  None when ``b`` is not."""
+    # Each number but the last is followed by one ",", and every byte
+    # between the numbers is checked against the layout.
+    commas = np.flatnonzero(b == 44)
+    size, count, period = len(b), len(commas) + 1, len(separators[0])
+    rows = count // period
+    if count != rows * period or b[0] != 91 or b[1] != 91:
+        return None
+    after, mask, gap, comma = separators
+    # a row of the block a line: each number ends where its "," less the
+    # ","'s offset is, and the next starts after what follows it
+    ends = np.empty(count, np.intp)
+    ends[:-1] = commas
+    ends[-1] = size - 2 + comma[-1]
+    ends = ends.reshape(rows, period)
+    ends -= comma
+    starts = np.empty_like(ends)
+    starts.reshape(-1)[0] = 2
+    starts.reshape(-1)[1:] = (ends + gap).reshape(-1)[:-1]
+    length = (ends - starts).reshape(-1)
+    if length.min() < 1:
+        return None
+    buf = np.zeros(_PAD + size + 8, np.uint8)
+    buf[_PAD:_PAD + size] = b
+    # each number's 24 bytes and the 8 after it, a row each (32-byte
+    # strings gather faster than unaligned words)
+    w = np.ndarray((size + 1,), "S32", buf, strides=(1,))[ends.reshape(-1)].view(_LE).reshape(-1, 4)
+    del buf
+    seen = w[:, 3].reshape(rows, period) & mask
+    wrong = seen != after
+    wrong[-1, -1] = seen[-1, -1] != _word(b"]]")  # zeros follow the block
+    if wrong.any():
+        return None
+    return starts.reshape(-1), length, w[:, :3].T & np.take(_TAIL, np.minimum(length, _PAD), axis=1)
+
+
+def _decimals(b: np.ndarray, starts, length, w):
+    """Each number's D and q, whether it is negative and not the JSON
+    integer 0, and whether it passed every check.  Arrays are dropped as
+    soon as they are used: a block's temporaries are most of a read's
+    memory."""
+    # the exponent, from the lowest "e" of the last word
+    e = _zero_bytes((w[2] | _U(0x2020202020202020)) ^ _U(0x6565656565656565))
+    e &= -e
+    exponent = ~((e >> _U(7)) - _U(1))  # its bytes
+    xlen = ((exponent & _ONES) * _ONES) >> _U(56)
+    sign = (w[2] >> (_U(72) - (xlen << _U(3)))) & _U(0xFF)  # the byte after the "e"
+    xdigits = (exponent << _U(8)) << (((sign == 43) | (sign == 45)).astype(_U) << _U(3))
+    xneg = sign == 45
+    del e, exponent, sign
+    ok = (xlen == 0) | ((xdigits != 0) & ((xdigits & _U(0xFFFFFFFFFF)) == 0))
+    # the mantissa, shifted up to end at the last byte (numpy shifts a
+    # word by 64 or more to 0)
+    up = xlen << _U(3)
+    m = w << up
+    m[1:] |= w[:-1] >> (_U(64) - up)
+    del up
+    neg = b[starts] == 45  # "-"
+    lead = b[starts + neg]
+    # a digit first, and not a 0 followed by a digit
+    ok &= (length <= _PAD) & (lead - 48 < 10) & ~((lead == 48) & (b[starts + neg + 1] - 48 < 10))
+    del lead
+    # the bytes at and below the highest ".", as 1 in each byte
+    dot = _zero_bytes(m ^ _U(0x2E2E2E2E2E2E2E2E)) >> _U(7)
+    dot |= dot >> _U(8)
+    dot |= dot >> _U(16)
+    dot |= dot >> _U(32)
+    dot[1] |= (dot[2] != 0) * _ONES
+    dot[0] |= (dot[1] != 0) * _ONES
+    below = (((dot[0] + dot[1] + dot[2]) * _ONES) >> _U(56)).view(np.int64)  # its index + 1, or 0
+    point = below != 0
+    ok &= below != _PAD  # a "." at the end
+    shifted = m << _U(8)
+    shifted[1:] |= m[:-1] >> _U(56)
+    dot *= _U(0xFF)
+    shifted ^= m
+    shifted &= dot
+    m ^= shifted
+    del dot, shifted
+    # the digits as 0 to 9 a byte, the exponent's in a fourth word
+    z = np.empty((4, len(length)), _U)
+    np.bitwise_xor(m, _ASCII_ZEROS, out=z[:3])
+    del m
+    z[:3] &= np.take(_TAIL, np.minimum(length - xlen.view(np.int64) - neg - point, _PAD), axis=1)
+    z[3] = (w[2] ^ _ASCII_ZEROS) & xdigits
+    over = z + _OVER_NINE
+    over |= z
+    over &= _HIGH
+    ok &= ~over.any(axis=0)
+    del over
+    # eight digits a word: pairs, then fours, then eights
+    for factor, shift, keep in ((2561, 8, 0x00FF00FF00FF00FF), (6553601, 16, 0x0000FFFF0000FFFF),
+                                (42949672960001, 32, 0xFFFFFFFF)):
+        z *= _U(factor)
+        z >>= _U(shift)
+        z &= _U(keep)
+    ok &= z[0] < 10
+    d = ((z[0] * _U(10**16) + z[1] * _U(10**8) + z[2]) & _U(2**57 - 1)).view(np.int64)
+    x = z[3].view(np.int64)
+    q = x - 2 * x * xneg - (_PAD - below) * point
+    neg &= (d != 0) | (xlen != 0) | point  # the JSON integer 0 or -0 is +0.0
+    return d, q, neg, ok
+
+
+def _rounded(d, q):
+    """The bits of D 10^q, correctly rounded, and whether that is certain."""
+    # D 5^q as hi + lo
+    i = np.clip(q, _Q_MIN, _Q_MAX) - _Q_MIN
+    df = d.astype(np.float64)
+    hi, lo = _times_pow5(df, i)
+    lo += (d - df.astype(np.int64)).astype(np.float64) * _POW5_HI[i]  # D - df is exact
+    top = hi + lo
+    lo -= top - hi
+    bits = top.view(np.int64)
+    scale = bits >> 52
+    ulp = ((scale - 52) << 52).view(np.float64)
+    scale += q
+    certain = (
+        (q == i + _Q_MIN) & (np.abs(lo) < (0.5 - _TIE_BAND) * ulp) & ((bits & (2**52 - 1)) != 0)
+        & (scale >= 1) & (scale <= 2046)
+    )
+    bits += q << 52
+    # D 10^q with both exact
+    exact = np.flatnonzero((d < 2**53) & ((np.abs(q) <= 22) | (d == 0)))
+    qe, de = np.clip(q[exact], -22, 22), df[exact]  # any q when D = 0
+    bits[exact] = (de * _POW10[np.maximum(qe, 0)] / _POW10[np.maximum(-qe, 0)]).view(np.int64)
+    certain[exact] = True
+    return bits, certain
+
+
+def _block_values(b: np.ndarray, separators):
+    """The doubles of the numbers in the bytes ``b``, whole rows of the
+    writer's layout, or None when ``b`` is not that or holds a number that
+    ``json`` would not read as a finite double."""
+    numbers = _number_words(b, separators)
+    if numbers is None:
+        return None
+    starts, length, w = numbers
+    d, q, neg, ok = _decimals(b, starts, length, w)
+    del numbers, w
+    bits, certain = _rounded(d, q)
+    bits |= neg.astype(np.int64) << 63
+    values = bits.view(np.float64)
+    for k in np.flatnonzero(~(ok & certain)).tolist():
+        v = _read_float(b[starts[k]:starts[k] + length[k]].tobytes())
+        if v is None:
+            return None
+        values[k] = v
+    return values
+
+
+def _read_float(token: bytes):
+    """The double ``json.loads`` and ``doc_to_matrix`` make of the number
+    ``token``, or None when it is not a JSON number or not finite."""
+    if _JSON_NUMBER.fullmatch(token) is None:
+        return None
+    v = float(token)
+    if not math.isfinite(v):
+        return None
+    return v if token.strip(b"-0123456789") else v + 0.0  # an integer -0 is 0
+
+
+def _read_writer_layout(fh):
+    """The matrix the binary file ``fh`` holds when it is in the writer's
+    exact layout with every number a JSON number that reads as a finite
+    double, else None.
+
+    The file is read about ``_READ_BLOCK_BYTES`` at a time, and the rows
+    each read completes are parsed as one block by ``_block_values``, which
+    checks every byte against the layout and the JSON number grammar, so a
+    read holds no more of the file than a block.  The values are those of
+    ``doc_to_matrix(json.loads(fh.read()))``.
     """
+    if not fh.seekable():  # a pipe: its size, which bounds R C, is unknown
+        return None
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    data = fh.read(_READ_BLOCK_BYTES)
     head = _HEADER.match(data)
-    end = len(data) - data.endswith(b"\n")
-    if head is None or not data.endswith(_TRAILER, 0, end):
+    if head is None:
         return None
     rows, cols = int(head[1]), int(head[2])
-    if 8 * rows * cols > len(data):  # a row of C pairs takes at least 8C bytes
+    if 8 * rows * cols > size:  # a row of C pairs takes at least 8C bytes
         return None
-    skeleton = b"[" + b", ".join([b"[, ]"] * cols) + b"]"
+    separators = _separators(cols)
     out = np.empty((rows, cols), dtype=np.complex128)
-    parts = out.view(np.float64)
-    start, end = head.end(), end - len(_TRAILER) + 2  # the last row ends in the trailer's "]]"
-    for i in range(rows):
-        if i + 1 < rows:
-            stop = data.find(_ROW_JOIN, start, end)
-            if stop < 0:
+    parts = out.view(np.float64).reshape(-1)
+    done, data = 0, data[head.end():]
+    while True:
+        more = fh.read(_READ_BLOCK_BYTES)
+        if more:
+            stop = data.rfind(_ROW_JOIN) + 2  # after the last whole row's "]]"
+        else:  # the last rows end in the trailer's "]]"
+            end = len(data) - data.endswith(b"\n")
+            if not data.endswith(_TRAILER, 0, end):
                 return None
-            stop += 2
-        else:
-            stop = end
-        row = data[start:stop]
-        # Once the skeleton matches, the row's "[[" and its C - 1 joins
-        # "], [" between pairs pin every number to its slot: a digit inside
-        # one of them would be glued to its neighbour when the brackets go.
-        if (
-            row.translate(None, _NUMBER_BYTES) != skeleton
-            or not row.startswith(b"[[")
-            or row.count(b"], [") != cols - 1
-        ):
-            return None
-        try:
-            # ASCII, as the skeleton matched; json.loads of bytes decodes slower
-            parts[i] = json.loads((b"[" + row.translate(None, b"[]") + b"]").decode("ascii"))
-        except (ValueError, TypeError, OverflowError):
-            return None
-        start = stop + 2
-    return out if np.isfinite(parts).all() else None
+            stop = end - len(_TRAILER) + 2
+        if stop >= 2:
+            values = _block_values(np.frombuffer(data, np.uint8, stop), separators)
+            if values is None or done + len(values) > len(parts):
+                return None
+            parts[done:done + len(values)] = values
+            done += len(values)
+            data = data[stop + 2:]
+        if not more:
+            return out if done == len(parts) else None
+        data += more
 
 
 def read_matrix(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        out = _read_writer_layout(fh.read())
+        out = _read_writer_layout(fh)
     if out is not None:
         return out
     # the general route reads the file again rather than holding its bytes

@@ -6,16 +6,20 @@ when a change to the file format is intended) with
 
     PYTHONPATH=src python tests/test_matrixio.py
 
-and compare the writer's rendering with ``'%.17g'`` on N doubles drawn as
-random 64-bit patterns, plus a deterministic grid of every binary exponent
-and every power of ten, with
+and check both directions of the file format on N doubles drawn as random
+64-bit patterns, plus a deterministic grid of every binary exponent and
+every power of ten, with
 
     PYTHONPATH=src python tests/test_matrixio.py --sweep N
 
-which exits 1 at the first mismatch.
+which exits 1 at the first mismatch: the writer must render every number as
+``'%.17g'`` does, and reading the written file must give back every double
+bit for bit (-0.0 as +0.0), the same doubles as ``json.loads`` plus
+``doc_to_matrix``, without leaving the vectorized reader.
 """
 
 import argparse
+import io
 import json
 import math
 import os
@@ -34,6 +38,7 @@ from kreinproj import FileFormatError, Tolerances, matrixio, random_idempotent
 from kreinproj.matrixio import (
     _fill_row_checked,
     _matrix_chunks,
+    _read_float,
     _read_writer_layout,
     doc_to_matrix,
     matrix_to_doc,
@@ -50,6 +55,11 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "matrix_golden")
 # Doubles whose 17-digit rendering is easy to get wrong: signed zero, the
 # smallest subnormal, huge and exactly-integral values, non-terminating binary.
 SPECIAL = [-0.0, 5e-324, 1e300, 1.0, 1e16, 1e17, 0.1, 1.0 / 3.0]
+
+
+def _fast_route(data: bytes):
+    """The vectorized reader's matrix of the file bytes ``data``, or None."""
+    return _read_writer_layout(io.BytesIO(data))
 
 
 def _from_parts(parts, shape):
@@ -157,6 +167,12 @@ def test_write_matrix_matches_golden_bytes(tmp_path, name):
     assert path.read_bytes() == expected
     # the document route renders the same text, so the two cannot drift apart
     assert (render_json(matrix_to_doc(m)) + "\n").encode("utf-8") == expected
+    # and both read routes give json's doubles, the vectorized one for every
+    # file with a number in it
+    want = doc_to_matrix(json.loads(expected)).tobytes()
+    fast = _fast_route(expected)
+    assert (fast is None) == (m.size == 0)
+    assert read_matrix(path).tobytes() == want and (fast is None or fast.tobytes() == want)
 
 
 def _double(bits: int) -> float:
@@ -387,6 +403,16 @@ READER_CASES = {
     "layout-dot-before-exponent": (
         _token("1.e5"), FileFormatError, _INVALID_JSON + "Expecting ',' delimiter: line 1 column 57 (char 56)"
     ),
+    "layout-bare-exponent": (
+        _token("1e"), FileFormatError, _INVALID_JSON + "Expecting ',' delimiter: line 1 column 57 (char 56)"
+    ),
+    "layout-double-minus": (
+        _token("--1"), FileFormatError, _INVALID_JSON + "Expecting value: line 1 column 56 (char 55)"
+    ),
+    # ``float`` reads "1_0" as 10, JSON does not
+    "layout-underscore": (
+        _token("1_0"), FileFormatError, _INVALID_JSON + "Expecting ',' delimiter: line 1 column 57 (char 56)"
+    ),
     "layout-nan": (_token("NaN"), FileFormatError, "entry (1, 0) is not finite"),
     "layout-infinity": (_token("Infinity"), FileFormatError, "entry (1, 0) is not finite"),
     "layout-exponent-overflow": (_token("1e999"), FileFormatError, "entry (1, 0) is not finite"),
@@ -480,7 +506,7 @@ def test_reader_results_are_pinned(tmp_path, name):
     path = tmp_path / "m.json"
     path.write_bytes(text.encode("utf-8"))
     if isinstance(expected, type):
-        assert _read_writer_layout(path.read_bytes()) is None
+        assert _fast_route(path.read_bytes()) is None
         with pytest.raises(Exception) as want:
             _document_route(text)
         with pytest.raises(expected) as got:
@@ -500,6 +526,21 @@ def test_reader_results_are_pinned(tmp_path, name):
         assert got.view(np.float64).reshape(want.shape).tobytes() == want.tobytes()
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_reads_through_the_general_route():
+    # a pipe has no size to bound the header's R and C by before it is read,
+    # and the general route reads it once, whole
+    data = _golden_bytes("special-3x5")
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as fh:
+        fh.write(data)
+    try:
+        got = read_matrix(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert got.tobytes() == doc_to_matrix(json.loads(data)).tobytes()
+
+
 def test_undecodable_bytes_raise_the_general_routes_error(tmp_path):
     path = tmp_path / "m.json"
     path.write_bytes(b'{"rows": 1, "cols": 1, "data": [[[1\xff, 0]]]}\n')
@@ -513,7 +554,7 @@ def test_a_stray_number_reads_as_the_document_route(at, run):
     # bytes a number can hold, dropped anywhere into a writer-layout
     # document after its header (whose R and C the document route allocates)
     text = _layout()[:at] + run + _layout()[at:]
-    got = _read_writer_layout(text.encode())
+    got = _fast_route(text.encode())
     try:
         want = _document_route(text)
     except (json.JSONDecodeError, FileFormatError):
@@ -540,7 +581,7 @@ def test_layout_reader_matches_the_document_route(rows, cols, data):
     body = ", ".join("[" + ", ".join(next(pairs) for _ in range(cols)) + "]" for _ in range(rows))
     text = f'{{"rows": {rows}, "cols": {cols}, "data": [{body}]}}\n'
     want = doc_to_matrix(json.loads(text))
-    got = _read_writer_layout(text.encode())
+    got = _fast_route(text.encode())
     assert got is not None and got.tobytes() == want.tobytes()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
@@ -552,6 +593,129 @@ def test_layout_reader_matches_the_document_route(rows, cols, data):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         assert read_matrix(path).tobytes() == want.tobytes()
+
+
+def _one_row(tokens) -> str:
+    """A writer-layout document whose one row holds ``tokens`` as its parts."""
+    pairs = ", ".join(f"[{tokens[k]}, {tokens[k + 1]}]" for k in range(0, len(tokens), 2))
+    return f'{{"rows": 1, "cols": {len(tokens) // 2}, "data": [[{pairs}]]}}\n'
+
+
+def _reads_as_the_document_route(tokens):
+    """The vectorized reader accepts the row of ``tokens`` and gives the
+    document route's doubles, bit for bit."""
+    text = _one_row(tokens + ["0"] * (len(tokens) % 2))
+    got = _fast_route(text.encode())
+    assert got is not None
+    assert got.tobytes() == _document_route(text).tobytes()
+
+
+# Numbers JSON reads as finite doubles: integers, including -0 (the int 0)
+# and ones above 2^53, the repr forms ``json.dump`` writes, other spellings,
+# and the ends of the double range.
+VALID_TOKENS = [
+    "0", "-0", "-0.0", "0.0", "0e5", "-0e-5",
+    "9007199254740993", "-9007199254740995", "12345678901234567", "99999999999999999",
+    "1.0", "1e-05", "1.5e+300", "1e+16", "0.0001",
+    "1E5", "1e5", "1.50", "1e-5", "1E+07", "10e-1", "0.00012345678901234567",
+    "5e-324", "4.9406564584124654e-324", "2.2250738585072014e-308", "2.2250738585072011e-308",
+    "1.7976931348623157e+308", "-1.7976931348623157e+308", "1e0005", "1" + "0" * 30,
+]
+
+
+@pytest.mark.parametrize("token", VALID_TOKENS)
+def test_numbers_read_as_the_document_route(token):
+    tokens = [token, "-" + token.lstrip("-")]
+    _reads_as_the_document_route(tokens)
+    # the fallback alone, which the vectorized reader does not send them all to
+    want = _document_route(_one_row(tokens)).view(np.float64)
+    assert np.array([_read_float(t.encode()) for t in tokens]).tobytes() == want.tobytes()
+
+
+def test_powers_of_ten_and_their_neighbours_read_as_the_document_route():
+    doubles = [v for k in range(-323, 309) for b in [float(f"1e{k}")]
+               for v in (math.nextafter(b, 0), b, math.nextafter(b, math.inf)) if math.isfinite(v)]
+    tokens = [f"1e{k}" for k in range(-323, 309)] + [f for v in doubles for f in ("%.17g" % v, repr(v))]
+    _reads_as_the_document_route(tokens + ["-" + t for t in tokens])
+
+
+def test_uncertain_numbers_take_the_fallback(monkeypatch):
+    # the vectorized reader hands float() each number whose rounding it
+    # cannot be sure of, and each one it does not parse itself
+    seen = []
+
+    def recording(token):
+        seen.append(token)
+        return _read_float(token)
+
+    monkeypatch.setattr(matrixio, "_read_float", recording)
+    hard = [
+        "9007199254740995",  # 2^53 + 3, a tie
+        "-18014398509481990",  # -(2^54 + 6), a tie
+        "7.8886090522101181e-31",  # 2^-100: the ulp below a power of two is half
+        "5e-324",  # subnormal
+        "123456789012345678",  # 18 significant digits
+        "0.0000000000000000000000001",  # 27 bytes
+        "1e0005",  # a four-digit exponent
+    ]
+    _reads_as_the_document_route(["0.10000000000000001", hard[0], "0.5", *hard[1:], "-2.5e-05"])
+    assert seen == [t.encode() for t in hard]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(1, 3), st.data(),
+    st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 10**6),
+)
+def test_a_mutated_file_reads_as_the_document_route(rows, cols, data, kind, at):
+    # one byte of a written file replaced by a number or separator byte,
+    # a ".", "e" or "-" inserted, or one byte deleted: the reader gives the
+    # document route's doubles, or its error class and message
+    parts = data.draw(st.lists(_ANY_DOUBLE, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    text = _document_text(_from_parts(parts, (rows, cols)))
+    at %= len(text)
+    if kind == "replace":
+        text = text[:at] + data.draw(st.sampled_from("0123456789.eE+-, []")) + text[at + 1:]
+    elif kind == "insert":
+        text = text[:at] + data.draw(st.sampled_from(".e-")) + text[at:]
+    else:
+        text = text[:at] + text[at + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            want = _document_route(text)
+        except (ValueError, FileFormatError) as e:
+            with pytest.raises(FileFormatError) as got:
+                read_matrix(path)
+            if isinstance(e, FileFormatError):
+                assert str(got.value) == str(e)
+            else:  # json.loads failed
+                assert type(got.value.__cause__) is type(e)
+                assert str(got.value) == f"{path}: invalid JSON: {e}"
+        else:
+            assert read_matrix(path).tobytes() == want.tobytes()
+
+
+def test_read_memory_is_bounded_by_the_block_budget(tmp_path):
+    # A read holds the matrix, a block of the file and about ten bytes a
+    # byte of the block while it parses it: some 30 MB for this 3 MB file
+    # in one block.
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    path = tmp_path / "m.json"
+    write_matrix(path, m)
+    size = os.path.getsize(path)
+    tracemalloc.start()
+    try:
+        got = read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == m.tobytes()
+    assert peak < m.nbytes + 32 * matrixio._READ_BLOCK_BYTES
+    assert 32 * matrixio._READ_BLOCK_BYTES < 2 * size
 
 
 def exponent_grid() -> list:
@@ -570,40 +734,70 @@ def exponent_grid() -> list:
     return grid + [-v for v in grid]
 
 
+def _first_reader_mismatch(x, m, path) -> str:
+    """How reading back the written file ``path`` of ``m``, the doubles
+    ``x``, goes wrong, or "" when it does not."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    fast = _fast_route(data)
+    if fast is None:
+        return "the vectorized reader declined the file"
+    got = read_matrix(path).view(np.float64).reshape(-1)
+    document = doc_to_matrix(json.loads(data)).view(np.float64).reshape(-1)
+    for name, want in (("the document route", document), ("the double written", x + 0.0)):
+        bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        if len(bad):
+            k = bad[0]
+            return (f"read {got[k]!r} where {name} is {want[k]!r}, for {x[k]!r} "
+                    f"({struct.pack('<d', x[k]).hex()}), written {'%.17g' % x[k]!r}")
+    return ""
+
+
 def sweep(count: int, block: int = 1 << 16) -> int:
-    """Compare the writer with ``'%.17g'`` on the exponent grid and on
-    ``count`` random 64-bit patterns, the non-finite ones skipped; 1 at the
-    first mismatch."""
+    """On the exponent grid and ``count`` random 64-bit patterns, the
+    non-finite ones skipped: compare the writer with ``'%.17g'``, and the
+    reader with the doubles written (-0.0 reads as +0.0) and with the
+    document route; 1 at the first mismatch."""
     rng = np.random.default_rng(0)
     grid = np.array(exponent_grid())
     done = 0
-    while done < len(grid) + count:
-        if done < len(grid):
-            x = grid[done:done + block]
-        else:
-            x = rng.integers(0, 2**64, min(block, len(grid) + count - done), dtype=np.uint64).view(np.float64)
-        done += len(x)
-        x = x[np.isfinite(x)]
-        x = np.append(x, 0.0) if len(x) % 2 else x
-        m = x.view(np.complex128).reshape(-1, 1)
-        if b"".join(_matrix_chunks(m)) != _document_text(m).encode("ascii"):
-            for v in x.tolist():
-                one = np.array([[complex(v, 0.0)]])
-                got = b"".join(_matrix_chunks(one)).decode("ascii")
-                if got != _document_text(one):
-                    print(f"mismatch for {v!r} ({struct.pack('<d', v).hex()}): writer {got!r}, "
-                          f"'%.17g' {'%.17g' % v!r}")
-                    return 1
-            print(f"mismatch in the layout of a block of {len(x)} doubles")
-            return 1
-    print(f"{len(grid)} grid doubles and {count} random bit patterns: the writer matches '%.17g'")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        while done < len(grid) + count:
+            if done < len(grid):
+                x = grid[done:done + block]
+            else:
+                x = rng.integers(0, 2**64, min(block, len(grid) + count - done), dtype=np.uint64).view(np.float64)
+            done += len(x)
+            x = x[np.isfinite(x)]
+            x = np.append(x, np.zeros(-len(x) % 16))
+            m = x.view(np.complex128).reshape(-1, 8)
+            if b"".join(_matrix_chunks(m)) != _document_text(m).encode("ascii"):
+                for v in x.tolist():
+                    one = np.array([[complex(v, 0.0)]])
+                    got = b"".join(_matrix_chunks(one)).decode("ascii")
+                    if got != _document_text(one):
+                        print(f"mismatch for {v!r} ({struct.pack('<d', v).hex()}): writer {got!r}, "
+                              f"'%.17g' {'%.17g' % v!r}")
+                        return 1
+                print(f"mismatch in the layout of a block of {len(x)} doubles")
+                return 1
+            write_matrix(path, m)
+            mismatch = _first_reader_mismatch(x, m, path)
+            if mismatch:
+                print(f"reader mismatch: {mismatch}")
+                return 1
+    print(f"{len(grid)} grid doubles and {count} random bit patterns: the writer matches '%.17g', "
+          "and the reader gives back every double written and the document route's doubles")
     return 0
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Regenerate the golden matrix files, or sweep the writer.")
+    parser = argparse.ArgumentParser(
+        description="Regenerate the golden matrix files, or sweep the writer and the reader.")
     parser.add_argument("--sweep", metavar="N", type=int,
-                        help="compare the writer with '%%.17g' on N random doubles and a grid; the goldens are left as they are")
+                        help="on N random doubles and a grid, compare the writer with '%%.17g' and the reader "
+                             "with the doubles written and with json.loads; the goldens are left as they are")
     args = parser.parse_args()
     if args.sweep is not None:
         sys.exit(sweep(args.sweep))
