@@ -22,7 +22,6 @@ from . import decompositions as dec
 from .errors import (
     FileFormatError,
     KreinProjError,
-    NotIdempotent,
     NotJProjection,
     SingularBlock,
     SingularShift,
@@ -35,7 +34,7 @@ from .symmetries import (
     ExtremalKind, SymmetryFamily, _assemble, extremal_symmetry, sample_params, sign_formula_symmetry,
 )
 from .verification import (
-    _FAMILY_REFS, SIGN_FORMULA, _member_checks, extremal_checks, full_report, split_checks,
+    _FAMILY_REFS, SIGN_FORMULA, _member_checks, _split_checks, extremal_checks, full_report,
 )
 
 EXIT_PASS = 0
@@ -170,9 +169,7 @@ def _cmd_extremal(args) -> int:
     sign = args.which == SIGN_FORMULA
     # one set of factors serves the construction and its certificate
     build = sign_formula_symmetry if sign else extremal_symmetry
-    f = _Factors(p, tol)
-    if not f.idempotent:
-        raise NotIdempotent(f"{build.__name__} requires an idempotent input")
+    f, _ = build.handle(p, tol)
     j = build.on(f) if sign else build.on(f, ExtremalKind(args.which))
     return _write_certified(args.out, j, extremal_checks.on(f, args.which, j))
 
@@ -181,12 +178,13 @@ def _cmd_decompose(args) -> int:
     p = read_matrix(args.p_path)
     j = read_matrix(args.j_path)
     tol = _tol_from(args)
-    if args.kind == "contr-exp":
-        split = dec.contractive_expansive_split(p, j, tol)
-        names = ("e1", "e2")
-    else:
-        split = dec.positive_negative_split(p, j, tol)
-        names = ("q", "r")
+    build, names = {
+        "contr-exp": (dec.contractive_expansive_split, ("e1", "e2")),
+        "pos-neg": (dec.positive_negative_split, ("q", "r")),
+    }[args.kind]
+    # one handle of P serves the split and its checks
+    f, j = build.handle(p, tol, j)
+    split = build.on(f, j)
     prefix = args.out
     paths = [f"{prefix}{name}.json" for name in names]
     write_matrix(paths[0], split.e1)
@@ -199,7 +197,7 @@ def _cmd_decompose(args) -> int:
             "matrix_sha256": matrix_digest(p),
             "symmetry_sha256": matrix_digest(j),
         },
-        checks=split_checks(split, p, j, tol),
+        checks=_split_checks(split, f, j, ""),
         config=tol,
         seed=None,
     )

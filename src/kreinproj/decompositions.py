@@ -23,8 +23,8 @@ from .linalg import (
     Tolerances,
     as_matrix,
     frobenius,
-    hermitian_sign,
     rank_mask,
+    spectral_parts,
     within_scaled,
 )
 from .symmetries import SymmetryFamily, assemble_symmetry
@@ -105,13 +105,13 @@ def extract_params(f: _Factors, j):
     j22 = bf.basis_perp.conj().T @ j @ bf.basis_perp
     params = []
     for name, blockm in (("range", j11), ("perp", j22)):
-        sgn, min_abs = hermitian_sign(blockm, tol)
-        if within_scaled(min_abs, tol.rank_tol, blockm):
+        parts = spectral_parts(blockm, tol)
+        if parts.min_abs <= tol.rank_tol * parts.scale:
             raise SingularBlock(
                 f"diagonal {name} block is numerically singular "
-                f"(min |eig| = {min_abs:.3e})"
+                f"(min |eig| = {parts.min_abs:.3e})"
             )
-        params.append(sgn)
+        params.append(parts.sign)
     j1, j2 = params
     rebuilt = assemble_symmetry(bf, SymmetryFamily.J_PROJECTION, (j1, j2), tol)
     if not within_scaled(frobenius(rebuilt - j), tol.residual_tol, j):

@@ -263,11 +263,6 @@ class _Factors:
         return spectral_parts(self.p + self.p.conj().T, self.tol)
 
     @functools.cached_property
-    def sum_scale(self) -> float:
-        """``scale_of(P + P*)``."""
-        return scale_of(self.p + self.p.conj().T)
-
-    @functools.cached_property
     def ker_diff(self) -> np.ndarray:
         """The projection onto N(P - P*)."""
         # i(P - P*) is Hermitian with the same null space as P - P*.
@@ -289,14 +284,32 @@ def _per_handle(fn):
     return once
 
 
+def _handle(p, tol: Tolerances, j=None, *, idempotent=None, symmetry=None):
+    """``(f, j)``: the handle ``f`` of ``p`` under ``tol`` and a given ``j`` as
+    a matrix, after the input checks of :func:`_on_handle`.  A message
+    ``idempotent`` is raised as ``NotIdempotent`` when P is not idempotent.  A
+    ``j`` must have the shape of P, else ``DimensionMismatch``; with
+    ``symmetry = (error, message)`` it must also be a symmetry, else
+    ``error(message)``."""
+    f = _Factors(as_matrix(p), tol)
+    if idempotent is not None and not f.idempotent:
+        raise NotIdempotent(idempotent)
+    if j is not None:
+        j = as_matrix(j)
+        if j.shape != f.p.shape:
+            raise DimensionMismatch(f"J has shape {j.shape} but P has shape {f.p.shape}")
+        if symmetry is not None and not is_symmetry(j, f.tol):
+            raise symmetry[0](symmetry[1])
+    return f, j
+
+
 def _on_handle(idempotent=None, symmetry=None):
     """Make a body ``fn(f, *args)`` on the handle ``f`` of P the public
     ``fn(p, *args, tol=DEFAULT_TOL)``, which builds the handle of ``p`` and
-    takes a parameter ``j`` as a matrix; the body stays ``fn.on``, and its
-    keyword-only parameters stay internal.  A message ``idempotent`` is raised
-    as ``NotIdempotent`` when P is not idempotent.  A ``j`` must have the shape
-    of P, else ``DimensionMismatch``; with ``symmetry = (error, message)`` it
-    must also be a symmetry, else ``error(message)``."""
+    takes a parameter ``j`` as a matrix, both by :func:`_handle` with these
+    ``idempotent`` and ``symmetry``; the body stays ``fn.on``, those checks
+    ``fn.handle(p, tol, j=None)``, and the body's keyword-only parameters stay
+    internal."""
 
     def decorate(body):
         signature = inspect.signature(body)
@@ -305,25 +318,21 @@ def _on_handle(idempotent=None, symmetry=None):
         params.append(arg("tol", default=DEFAULT_TOL, annotation="Tolerances"))
         names = [q.name for q in params]
         defaults = {q.name: q.default for q in params if q.default is not q.empty}
+        handle = functools.partial(_handle, idempotent=idempotent, symmetry=symmetry)
 
         @functools.wraps(body)
         def fn(p, *args, **kwargs):
             values = {**defaults, **dict(zip(names, args)), **kwargs}
             if len(args) > len(names) or kwargs.keys() - names[len(args):] or len(values) < len(names):
                 raise TypeError(f"{body.__name__}() takes the arguments p, {', '.join(names)}")
-            f = _Factors(as_matrix(p), values.pop("tol"))
-            if idempotent is not None and not f.idempotent:
-                raise NotIdempotent(idempotent)
+            f, j = handle(p, values.pop("tol"), values.get("j"))
             if "j" in values:
-                j = values["j"] = as_matrix(values["j"])
-                if j.shape != f.p.shape:
-                    raise DimensionMismatch(f"J has shape {j.shape} but P has shape {f.p.shape}")
-                if symmetry is not None and not is_symmetry(j, f.tol):
-                    raise symmetry[0](symmetry[1])
+                values["j"] = j
             return body(f, *(values[name] for name in names[:-1]))
 
         fn.__signature__ = signature.replace(parameters=[arg("p"), *params])
         fn.on = body
+        fn.handle = handle
         return fn
 
     return decorate

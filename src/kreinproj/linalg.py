@@ -7,15 +7,17 @@ Loewner-order comparison, and the symmetry (self-adjoint involution) test.
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 Every tolerance is relative to ``scale = max(1, spectral norm)`` of the
-matrix being tested.  The spectral norm costs an SVD, so a verdict against
-such a tolerance goes through :func:`within_scaled`, which brackets the
-scale between 1 and the Frobenius norm and computes the spectral norm only
-when the verdict depends on it; every verdict is the same as with the norm.
+matrix being tested.  A Hermitian matrix whose spectrum is computed anyway
+takes its scale from its largest eigenvalue magnitude (:class:`SpectralParts`,
+:func:`loewner_geq`).  Any other verdict goes through :func:`within_scaled`,
+which brackets the scale between 1 and the Frobenius norm and runs the SVD
+of the spectral norm only when the verdict depends on it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -36,7 +38,6 @@ __all__ = [
     "polar",
     "loewner_geq",
     "is_symmetry",
-    "hermitian_sign",
     "min_eig",
     "rank_mask",
 ]
@@ -106,11 +107,6 @@ def scale_of(a) -> float:
 _FROBENIUS_SLACK = 1.0 + 1e-8
 
 
-def _scale_ceiling(a) -> float:
-    """An upper bound on ``scale_of(a)`` that needs no SVD."""
-    return max(1.0, _FROBENIUS_SLACK * frobenius(a))
-
-
 def within_scaled(value, coef, a) -> bool:
     """Exactly ``value <= coef * scale_of(a)``, for ``coef >= 0``.
 
@@ -120,7 +116,7 @@ def within_scaled(value, coef, a) -> bool:
     """
     if value <= coef:
         return True
-    if value > coef * _scale_ceiling(a):
+    if value > coef * max(1.0, _FROBENIUS_SLACK * frobenius(a)):
         return False
     return value <= coef * scale_of(a)
 
@@ -166,60 +162,57 @@ def _eig_range(a):
     return float(w[0]), float(w[-1])
 
 
+def _range_scale(lo, hi) -> float:
+    """The tolerance scale ``max(1, |lo|, |hi|)`` of ``(lo, hi) = _eig_range(a)``."""
+    return max(1.0, abs(lo), abs(hi)) if lo <= hi else 1.0
+
+
 def rank_mask(s, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Which of the descending, nonempty singular values ``s`` count toward
     the rank: those above ``rank_tol * max(1, s[0])``."""
     return s > tol.rank_tol * max(1.0, s[0])
 
 
-@dataclasses.dataclass(frozen=True)
 class SpectralParts:
     """Positive/negative parts of a Hermitian matrix with the three
-    orthogonal projections onto their ranges and onto the kernel.
+    orthogonal projections onto their ranges and onto the kernel, from its
+    eigenpairs ``(w, q)`` (see :func:`hermitian_eig`).
 
+    Eigenvalues inside ``[-rank_tol * scale, rank_tol * scale]`` are assigned
+    to the kernel, where ``scale = max(1, max |w|)`` is the tolerance scale of
+    the matrix; ``min_abs`` is the smallest ``|w|`` (+inf when empty).  Each
+    part, each projection and ``sign = q sign(w) q*`` is built the first time
+    it is read and kept; callers must not modify them.
     ``positive_part - negative_part`` reconstructs the input and
     ``proj_positive + proj_negative + proj_kernel`` is the identity.
     """
 
-    positive_part: np.ndarray
-    negative_part: np.ndarray
-    proj_positive: np.ndarray
-    proj_negative: np.ndarray
-    proj_kernel: np.ndarray
+    def __init__(self, w, q, tol: Tolerances = DEFAULT_TOL):
+        self.w, self.q = w, q
+        self.scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
+        self.min_abs = float(np.min(np.abs(w), initial=np.inf))
+        cutoff = tol.rank_tol * self.scale
+        self._pos, self._neg = w > cutoff, w < -cutoff
+
+    def _sum(self, mask, weights=None) -> np.ndarray:
+        """The sum of ``weight * q_i q_i*`` (weight 1 when None) over the
+        eigenvectors ``q_i`` in ``mask``."""
+        v = self.q[:, mask]
+        return (v if weights is None else v * weights) @ v.conj().T
+
+    positive_part = functools.cached_property(lambda self: self._sum(self._pos, self.w[self._pos]))
+    negative_part = functools.cached_property(lambda self: self._sum(self._neg, -self.w[self._neg]))
+    proj_positive = functools.cached_property(lambda self: self._sum(self._pos))
+    proj_negative = functools.cached_property(lambda self: self._sum(self._neg))
+    proj_kernel = functools.cached_property(lambda self: self._sum(~(self._pos | self._neg)))
+    sign = functools.cached_property(lambda self: self._sum(slice(None), np.sign(self.w)))
 
 
 def spectral_parts(a, tol: Tolerances = DEFAULT_TOL) -> SpectralParts:
     """Split a Hermitian matrix into positive part, negative part and the
-    projections onto their ranges and onto the null space.
-
-    Eigenvalues inside ``[-rank_tol * scale, rank_tol * scale]`` are
-    assigned to the kernel bucket.  The scale is computed only when some
-    eigenvalue lies where it could move that bucket's edge.
-    """
-    a = as_matrix(a)
-    w, q = hermitian_eig(a, tol)
-    # the cutoff rank_tol * scale lies in [rank_tol, edge]
-    cutoff = tol.rank_tol
-    edge = tol.rank_tol * _scale_ceiling(a)
-    absw = np.abs(w)
-    if np.any((absw > cutoff) & (absw <= edge)):
-        cutoff = tol.rank_tol * scale_of(a)
-    pos = w > cutoff
-    neg = w < -cutoff
-    ker = ~(pos | neg)
-
-    def proj(mask):
-        v = q[:, mask]
-        return v @ v.conj().T
-
-    qp, qn = q[:, pos], q[:, neg]
-    return SpectralParts(
-        positive_part=(qp * w[pos]) @ qp.conj().T,
-        negative_part=(qn * (-w[neg])) @ qn.conj().T,
-        proj_positive=proj(pos),
-        proj_negative=proj(neg),
-        proj_kernel=proj(ker),
-    )
+    projections onto their ranges and onto the null space, from one
+    :func:`hermitian_eig` (see :class:`SpectralParts`)."""
+    return SpectralParts(*hermitian_eig(a, tol), tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -263,8 +256,8 @@ def loewner_geq(a, b, tol: Tolerances = DEFAULT_TOL):
     the difference.
     """
     d = _loewner_diff(a, b, tol)
-    margin = min_eig(d)
-    return within_scaled(-margin, tol.psd_tol, d), margin
+    margin, top = _eig_range(d)
+    return -margin <= tol.psd_tol * _range_scale(margin, top), margin
 
 
 def _loewner_diff(a, b, tol: Tolerances):
@@ -294,14 +287,3 @@ def is_symmetry(j, tol: Tolerances = DEFAULT_TOL) -> bool:
         and within_scaled(frobenius(j @ j - np.eye(n)), res, j)
     )
 
-
-def hermitian_sign(a, tol: Tolerances = DEFAULT_TOL):
-    """Sign function of a Hermitian matrix plus its smallest eigenvalue magnitude.
-
-    Returns ``(sign, min_abs_eig)`` where ``sign = q sign(w) q*``.  The
-    caller decides whether ``min_abs_eig`` is acceptably far from zero;
-    eigenvalues that are exactly zero contribute a zero block.
-    """
-    w, q = hermitian_eig(a, tol)
-    min_abs = float(np.min(np.abs(w))) if w.size else float("inf")
-    return (q * np.sign(w)) @ q.conj().T, min_abs

@@ -41,11 +41,11 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     _eig_range,
+    _range_scale,
     as_matrix,
     frobenius,
-    hermitian_sign,
     is_symmetry,
-    within_scaled,
+    spectral_parts,
 )
 
 __all__ = [
@@ -290,13 +290,12 @@ def sign_formula_symmetry(f: _Factors) -> np.ndarray:
     see :func:`kreinproj.verification.extremal_checks`.
     """
     p, tol = f.p, f.tol
-    shift = p + p.conj().T - np.eye(p.shape[0])
-    sgn, min_abs = hermitian_sign(shift, tol)
-    if within_scaled(min_abs, tol.rank_tol, shift):
+    shift = spectral_parts(p + p.conj().T - np.eye(p.shape[0]), tol)
+    if shift.min_abs <= tol.rank_tol * shift.scale:
         raise SingularShift(
-            f"P + P* - I is numerically singular: min |eig| = {min_abs:.3e}"
+            f"P + P* - I is numerically singular: min |eig| = {shift.min_abs:.3e}"
         )
-    return sgn + 2 * f.sum_parts.proj_kernel
+    return shift.sign + 2 * f.sum_parts.proj_kernel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -337,9 +336,10 @@ def nonexistence_witnesses(f: _Factors):
     if d.shape[0] == 0:
         return j_a, j_b, DominanceVerdict("psd", 0.0, 0.0)
     lo, hi = _eig_range(d)
-    if within_scaled(-lo, tol.psd_tol, d):
+    budget = tol.psd_tol * _range_scale(lo, hi)
+    if -lo <= budget:
         kind = "psd"
-    elif within_scaled(hi, tol.psd_tol, d):
+    elif hi <= budget:
         kind = "nsd"
     else:
         kind = "indefinite"

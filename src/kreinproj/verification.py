@@ -23,20 +23,21 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import decompositions as dec
-from .errors import DimensionMismatch, KreinProjError, NotSymmetry, SingularShift
-from .idempotents import _Factors, _on_handle, _per_handle
+from .errors import KreinProjError, NotSymmetry, SingularShift
+from .idempotents import _Factors, _handle, _on_handle, _per_handle
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    SpectralParts,
     _eig_range,
     _loewner_diff,
+    _range_scale,
     _require_square,
     as_matrix,
     frobenius,
     is_symmetry,
     loewner_geq,
     min_eig,
-    scale_of,
     spectral_parts,
     within_scaled,
 )
@@ -110,14 +111,14 @@ def classify(f: _Factors, j) -> ProjectionFlags:
     jp = j @ p
     hermitian = frobenius(jp - jp.conj().T) <= tol.residual_tol * sp
     jp_min, jp_max = _eig_range(jp)
-    d = _loewner_diff(j, p.conj().T @ j @ p, tol)
-    d_min, d_max = _eig_range(d)
+    d_min, d_max = _eig_range(_loewner_diff(j, p.conj().T @ j @ p, tol))
+    d_budget = tol.psd_tol * _range_scale(d_min, d_max)
     return ProjectionFlags(
         j_projection=frobenius(jp @ j - p.conj().T) <= tol.residual_tol * sp,
         j_positive=hermitian and jp_min >= -tol.psd_tol * sp,
         j_negative=hermitian and -jp_max >= -tol.psd_tol * sp,
-        j_contractive=within_scaled(-d_min, tol.psd_tol, d),
-        j_expansive=within_scaled(d_max, tol.psd_tol, -d),
+        j_contractive=-d_min <= d_budget,
+        j_expansive=d_max <= d_budget,
     )
 
 
@@ -406,10 +407,7 @@ def split_checks(split, p, j, tol: Tolerances = DEFAULT_TOL, prefix: str = "") -
     """Identity residuals and classification margins certifying a split of
     ``p`` against ``j``, named ``<prefix><key>``, at budgets scaled by ``scale_of(p)``.
     A ``j`` of another shape than ``p`` raises ``DimensionMismatch``."""
-    f, j = _Factors(as_matrix(p), tol), as_matrix(j)
-    if j.shape != f.p.shape:
-        raise DimensionMismatch(f"J has shape {j.shape} but P has shape {f.p.shape}")
-    return _split_checks(split, f, j, prefix)
+    return _split_checks(split, *_handle(p, tol, j), prefix)
 
 
 def _split_checks(split, f: _Factors, j, prefix) -> list:
@@ -592,19 +590,18 @@ def _negative_part_checks(f: _Factors, run: _Run):
     """The closed-form negative projection against its spectral oracle."""
     tol, bf = f.tol, f.bf
     corner, (u, sv, vh) = bf.corner, bf._corner_svd
-    s_mat = dec.anchored_block(corner)
     formula = dec._negative_part_formula(corner, (u, sv, vh), tol)
-    oracle = spectral_parts(s_mat, tol).proj_negative
+    oracle = spectral_parts(dec.anchored_block(corner), tol)
     yield residual_check(
         "negative-part-closed-form", "Lemma 1",
-        frobenius(formula - oracle), tol.residual_tol * scale_of(s_mat),
+        frobenius(formula - oracle.proj_negative), tol.residual_tol * oracle.scale,
     )
     halved = dec._negative_part_formula(corner / 2, (u, sv / 2, vh), tol)
     w = bf.unitary
     sum_neg_blocks = w.conj().T @ f.sum_parts.proj_negative @ w
     yield residual_check(
         "negative-part-halved-corner", "Lemma 1",
-        frobenius(halved - sum_neg_blocks), tol.residual_tol * f.sum_scale,
+        frobenius(halved - sum_neg_blocks), tol.residual_tol * f.sum_parts.scale,
     )
 
 
@@ -654,19 +651,22 @@ def spectral_projection_identities(f: _Factors) -> Report:
     return Report(subject=subject, checks=checks, config=f.tol, seed=None)
 
 
+def _complement_parts(f: _Factors) -> SpectralParts:
+    """The spectral parts of 2I - P - P*, from the eigenpairs ``(w, q)`` of
+    P + P*: the eigenvalues 2 - w on the same eigenvectors."""
+    a = f.sum_parts
+    return SpectralParts(2.0 - a.w, a.q, f.tol)
+
+
 def _projection_identity_checks(f: _Factors) -> list:
     """The checks of :func:`spectral_projection_identities`."""
-    p, tol = f.p, f.tol
-    a = p + p.conj().T
-    eye = np.eye(p.shape[0], dtype=np.complex128)
-    parts_a = f.sum_parts
-    parts_c = spectral_parts(2 * eye - a, tol)
+    parts_a, parts_c = f.sum_parts, _complement_parts(f)
     ker_diff = f.ker_diff
     (null_p_range, null_p_perp), (null_q_range, null_q_perp) = (
         _corner_null_projections(g) for g in (f, f.comp)
     )
 
-    budget = tol.residual_tol * f.sum_scale
+    budget = f.tol.residual_tol * parts_a.scale
     return [
         residual_check(
             "complement-positive-projection",

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,6 +195,26 @@ def test_decompose_rejects_a_symmetry_of_another_shape(tmp_path, capsys):
     assert main(["decompose", str(p_path), str(j_path), "--kind", "contr-exp",
                  "-o", str(tmp_path / "x-")]) == 2
     assert "J has shape (2, 2) but P has shape (4, 4)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, handles", [("contr-exp", 1), ("pos-neg", 2)])
+def test_decompose_builds_one_handle_for_p(tmp_path, monkeypatch, kind, handles):
+    # the split and its checks share the handle of P; pos-neg also builds
+    # the handle of I - P, through it
+    import kreinproj as kp
+    from kreinproj.idempotents import _Factors
+
+    p = kp.random_idempotent(8, 4, 2.0, seed=3)
+    fam = kp.SymmetryFamily.J_PROJECTION
+    bf = kp.block_form(p)
+    p_path, j_path = tmp_path / "P.json", tmp_path / "J.json"
+    write_matrix(p_path, p)
+    write_matrix(j_path, kp.assemble_symmetry(bf, fam, kp.sample_params(bf, fam, 1, 3)[0]))
+    built = []
+    init = _Factors.__init__
+    monkeypatch.setattr(_Factors, "__init__", lambda self, *args: built.append(init(self, *args)))
+    assert main(["decompose", str(p_path), str(j_path), "--kind", kind, "-o", str(tmp_path / "x-")]) == 0
+    assert len(built) == handles
 
 
 def test_verify_pass_and_report(tmp_path, capsys):

@@ -289,3 +289,23 @@ def test_projection_identities_random():
     assert report.passed
     for check in report.checks:
         assert check.residual <= 1e-9
+
+
+COMPLEMENT_CASES = [p for p, _, _ in idempotent_cases(24, seed=7)] + [
+    np.zeros((4, 4)), np.eye(4), np.diag([1.0, 1.0, 0.0, 0.0])]
+
+
+@pytest.mark.parametrize("p", COMPLEMENT_CASES)
+def test_complement_parts_from_the_sum_eigenpairs_match_their_own_decomposition(p):
+    # 2I - P - P* has the eigenvectors of P + P* and the eigenvalues 2 - w
+    from kreinproj.idempotents import _Factors
+    from kreinproj.linalg import DEFAULT_TOL, as_matrix
+    from kreinproj.verification import _complement_parts
+
+    n = p.shape[0]
+    derived = _complement_parts(_Factors(as_matrix(p), DEFAULT_TOL))
+    oracle = spectral_parts(2 * np.eye(n) - p - p.conj().T)
+    assert abs(derived.scale - oracle.scale) <= 8 * n * np.finfo(float).eps * oracle.scale
+    budget = DEFAULT_TOL.residual_tol * oracle.scale
+    for name in ("positive_part", "negative_part", "proj_positive", "proj_negative", "proj_kernel"):
+        assert np.linalg.norm(getattr(derived, name) - getattr(oracle, name)) <= budget, name

@@ -279,15 +279,34 @@ def test_within_scaled_is_exact(kind, shape, seed, k, coef, where):
 def test_spectral_parts_band_eigenvalue_follows_the_scaled_cutoff():
     # With ||a|| = 1e4 the cutoff is rank_tol * 1e4 = 1e-6: an eigenvalue
     # 5e-7 lies above rank_tol (the scale-1 cutoff) but in the kernel, and
-    # 5e-6 stays positive.  Both lie where only the spectral norm decides.
+    # 5e-6 stays positive.  Each field is built on first read, here in
+    # reverse order, and is bitwise the one rebuilt from the eigenpairs.
     q = haar_unitary(4, 11)
     for small, in_kernel in ((5e-7, True), (5e-6, False)):
         a = (q * np.array([1e4, small, 0.0, -1.0])) @ q.conj().T
         w, v = hermitian_eig(a)
-        cutoff = Tolerances().rank_tol * scale_of(a)
-        ker = ~((w > cutoff) | (w < -cutoff))
+        cutoff = Tolerances().rank_tol * max(1.0, np.max(np.abs(w)))
+        pos, neg = w > cutoff, w < -cutoff
+        ker = ~(pos | neg)
         assert bool(ker[1]) is in_kernel
         parts = spectral_parts(a)
-        vk, vp = v[:, ker], v[:, w > cutoff]
-        np.testing.assert_array_equal(parts.proj_kernel, vk @ vk.conj().T)
-        np.testing.assert_array_equal(parts.proj_positive, vp @ vp.conj().T)
+        fields = ["positive_part", "negative_part", "proj_positive", "proj_negative", "proj_kernel"]
+        got = {name: getattr(parts, name) for name in reversed(fields)}
+        vk, vp, vn = v[:, ker], v[:, pos], v[:, neg]
+        np.testing.assert_array_equal(got["proj_kernel"], vk @ vk.conj().T)
+        np.testing.assert_array_equal(got["proj_positive"], vp @ vp.conj().T)
+        np.testing.assert_array_equal(got["proj_negative"], vn @ vn.conj().T)
+        np.testing.assert_array_equal(got["positive_part"], (vp * w[pos]) @ vp.conj().T)
+        np.testing.assert_array_equal(got["negative_part"], (vn * -w[neg]) @ vn.conj().T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["random", "zero", "empty"]), st.integers(1, 12), st.integers(0, 10**6),
+       st.integers(-8, 8))
+def test_spectral_parts_scale_is_the_spectral_norm(kind, n, seed, k):
+    # the largest eigenvalue magnitude of a Hermitian matrix is its spectral norm
+    a = {"random": random_hermitian(n, seed), "zero": np.zeros((n, n)), "empty": np.zeros((0, 0))}[kind]
+    a = a * 10.0**k
+    norm = np.linalg.norm(a, 2) if a.size else 0.0
+    scale = spectral_parts(a).scale
+    assert abs(scale - max(1.0, norm)) <= 8 * max(1, a.shape[0]) * np.finfo(float).eps * norm
