@@ -99,7 +99,7 @@ def extract_params(f: _Factors, j):
     """
     p, bf, tol = f.p, f.bf, f.tol
     jpj_res = frobenius(j @ p @ j - p.conj().T)
-    if not within_scaled(jpj_res, tol.residual_tol, p):
+    if jpj_res > tol.residual_tol * f.sp:
         raise NotJProjection(f"J P J differs from P* by {jpj_res:.3e}")
     j11 = bf.basis_range.conj().T @ j @ bf.basis_range
     j22 = bf.basis_perp.conj().T @ j @ bf.basis_perp

@@ -24,13 +24,12 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     _require_square,
+    _within,
     as_matrix,
     frobenius,
     is_symmetry,
     rank_mask,
-    scale_of,
     spectral_parts,
-    within_scaled,
 )
 
 __all__ = [
@@ -215,9 +214,18 @@ class _Factors:
         self._memo = {}
 
     @functools.cached_property
+    def _svd(self):
+        """``(s, basis_range, basis_perp)`` from the one SVD of P: its singular
+        values, read by ``sp``, and its left singular vectors split at the
+        rank of P, with column phases canonicalized, read by ``bf``."""
+        u, s, _ = np.linalg.svd(self.p)
+        r = int(np.sum(rank_mask(s, self.tol)))
+        return s, _canonical_phases(u[:, :r]), _canonical_phases(u[:, r:])
+
+    @functools.cached_property
     def sp(self) -> float:
-        """``scale_of(P)``."""
-        return scale_of(self.p)
+        """The tolerance scale ``max(1, ||P||_2)``, from the SVD of P."""
+        return max(1.0, float(self._svd[0][0])) if self.p.size else 1.0
 
     @functools.cached_property
     def idem_residual(self) -> float:
@@ -227,8 +235,9 @@ class _Factors:
 
     @functools.cached_property
     def idempotent(self) -> bool:
-        """``idem_residual <= residual_tol * scale_of(P)``."""
-        return within_scaled(self.idem_residual, self.tol.residual_tol, self.p)
+        """``idem_residual <= residual_tol * sp``; ``sp`` is read only when the
+        bracket of :func:`~kreinproj.linalg.within_scaled` does not decide."""
+        return _within(self.idem_residual, self.tol.residual_tol, self.p, lambda: self.sp)
 
     def require_idempotent(self):
         """``NotIdempotent``, naming the residual, unless P is idempotent."""
@@ -242,10 +251,7 @@ class _Factors:
         if n == 0:
             z = np.zeros((0, 0), dtype=np.complex128)
             return BlockForm(z, z, z)
-        u, s, _ = np.linalg.svd(p)
-        r = int(np.sum(rank_mask(s, self.tol)))
-        basis_range = _canonical_phases(u[:, :r])
-        basis_perp = _canonical_phases(u[:, r:])
+        _, basis_range, basis_perp = self._svd
         corner = basis_range.conj().T @ p @ basis_perp
         return BlockForm(basis_range=basis_range, basis_perp=basis_perp, corner=corner)
 
@@ -259,14 +265,9 @@ class _Factors:
 
     @functools.cached_property
     def sum_parts(self):
-        """``spectral_parts(P + P*)``."""
+        """``spectral_parts(P + P*)``, read by the sign-function route and
+        the spectral oracles of ``verification``."""
         return spectral_parts(self.p + self.p.conj().T, self.tol)
-
-    @functools.cached_property
-    def ker_diff(self) -> np.ndarray:
-        """The projection onto N(P - P*)."""
-        # i(P - P*) is Hermitian with the same null space as P - P*.
-        return spectral_parts(1j * (self.p - self.p.conj().T), self.tol).proj_kernel
 
 
 def _per_handle(fn):
@@ -338,18 +339,26 @@ def _on_handle(idempotent=None, symmetry=None):
     return decorate
 
 
+@_per_handle
+def _corner_null_projections(f: _Factors):
+    """The ambient projections onto N(C*) in range(P) and N(C) in range(P)-perp."""
+    bf = f.bf
+    u_null, _, v_null, _ = bf.corner_split(f.tol)
+    return bf.embed_range(u_null @ u_null.conj().T), bf.embed_perp(v_null @ v_null.conj().T)
+
+
 @_on_handle()
 def kernel_projections(f: _Factors):
-    """Orthogonal projections onto N(P+P*) and N(P-P*) for an idempotent P,
-    from the spectral decompositions of P + P* and i(P - P*) in the ambient
-    basis.
+    """Orthogonal projections onto N(P+P*) and N(P-P*) for an idempotent P:
+    by Lemma 6, N(C) in range(P)-perp and that plus N(C*) in range(P), from
+    the corner's one rank decision ``bf.corner_split(tol)``.
 
     Raises ``NotIdempotent`` when P is not idempotent.  The report certifies
-    both against the corner block's null spaces: ``kernel-sum-route-agreement``
-    and ``kernel-diff-route-agreement``.
+    both against the spectral decompositions of P + P* and i(P - P*):
+    ``kernel-sum-route-agreement`` and ``kernel-diff-route-agreement``.
     """
-    f.require_idempotent()
-    return f.sum_parts.proj_kernel, f.ker_diff
+    on_range, on_perp = _corner_null_projections(f)
+    return on_perp, on_range + on_perp
 
 
 def haar_unitary(n: int, seed=0) -> np.ndarray:

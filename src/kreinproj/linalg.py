@@ -114,11 +114,16 @@ def within_scaled(value, coef, a) -> bool:
     known without the spectral norm unless ``value`` falls between
     ``coef`` and ``coef * max(1, ||a||_F)``; only then is the SVD run.
     """
+    return _within(value, coef, a, lambda: scale_of(a))
+
+
+def _within(value, coef, a, scale) -> bool:
+    """:func:`within_scaled` with the scale ``scale()``, called only when needed."""
     if value <= coef:
         return True
     if value > coef * max(1.0, _FROBENIUS_SLACK * frobenius(a)):
         return False
-    return value <= coef * scale_of(a)
+    return value <= coef * scale()
 
 
 def _require_square(a, what="matrix"):

@@ -15,9 +15,10 @@ With Tinv = (I + C C*)^(-1/2) and Sinv = (I + C* C)^(-1/2), every member is
 
 in block-form coordinates.  The positive and contractive families have
 closed-form least and greatest elements in the Loewner order, built here
-from spectral projections of P + P*; the intertwining family has neither
-unless P is an orthogonal projection, which the witness pair exhibits.
-This module only constructs; ``verification`` certifies what it builds.
+as the members with sign parameters on the corner's null spaces; the
+intertwining family has neither unless P is an orthogonal projection,
+which the witness pair exhibits.  This module only constructs;
+``verification`` certifies what it builds.
 """
 
 from __future__ import annotations
@@ -108,14 +109,14 @@ def assemble_symmetry(
     constraint, else ``NotSymmetryParam`` / ``ConstraintViolated``.  The
     result is returned in the ambient basis, unchecked.  These checks are
     for a caller's parameters: the members the library builds from
-    parameters it draws or constructs itself (the probe samples, the witness
-    pair, the block-route extremes and the member ``kreinproj gen
+    parameters it draws or constructs itself (the probe samples, the
+    extremes, the witness pair and the member ``kreinproj gen
     symmetry-for`` writes) skip them, and the report's checks on each member
     certify it instead: a probe sample by
-    ``probe-<family>/sample-NNN-symmetry`` and its family's checks, a
-    witness by ``witness-{a,b}-symmetry`` and ``-intertwines``, a block-route
-    extreme by ``extremal-<kind>-block-route``, and the written member by
-    ``member-symmetry`` and its family's checks.
+    ``probe-<family>/sample-NNN-symmetry`` and its family's checks, an
+    extreme by ``extremal-<kind>-symmetry`` and its family's checks, a
+    witness by ``witness-{a,b}-symmetry`` and ``-intertwines``, and the
+    written member by ``member-symmetry`` and its family's checks.
     """
     j1, j2 = (as_matrix(x) for x in params)
     r = bf.rank
@@ -222,57 +223,41 @@ def _params(bf: BlockForm, family: SymmetryFamily, split, draw) -> SymmetryParam
 def extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
     """Closed-form Loewner extreme of the positive or contractive family.
 
-    With A = P + P* the four extremes are
-
-        pos-min   = 2 proj(A+) - I
-        pos-max   = 2 proj(A+) - I + 2 proj(N(A))
-        contr-min = 2 proj(A-) - I + 2 proj(N(A))
-        contr-max = 2 proj(A-) - I + 2 proj(N(P - P*))
-
-    computed in the ambient basis from spectral projections, unchecked.  The
-    report certifies the result: ``extremal-<kind>-symmetry`` that it is a
-    symmetry, and ``extremal-<kind>-hermitian`` and ``-psd`` (positive
-    family) or ``extremal-<kind>-dominates`` (contractive family) its
-    family's defining relation, see
-    :func:`kreinproj.verification.extremal_checks`.
+    The extremes are the family members whose block parameters are signs
+    of the projections K onto N(C*) in range(P) and L onto N(C) in
+    range(P)-perp: pos-min (I, -I), pos-max (I, 2L - I), contr-min (-I, I)
+    and contr-max (2K - I, I).  They are assembled through the block form,
+    unchecked, from the one rank decision ``bf.corner_split(tol)`` that the
+    sampled members read too.  The report certifies the result:
+    ``extremal-<kind>-symmetry`` that it is a symmetry,
+    ``extremal-<kind>-hermitian`` and ``-psd`` (positive family) or
+    ``extremal-<kind>-dominates`` (contractive family) its family's defining
+    relation (see :func:`kreinproj.verification.extremal_checks`), and
+    ``extremal-<kind>-block-route`` its match with the spectral projections
+    of P + P*.
     """
-    ker_diff = f.ker_diff if kind is ExtremalKind.CONTR_MAX else None
-    parts = f.sum_parts
-    pos = kind.family is SymmetryFamily.J_POSITIVE
-    j = 2 * (parts.proj_positive if pos else parts.proj_negative)
-    j[np.diag_indices_from(j)] -= 1.0
-    if kind is not ExtremalKind.POS_MIN:
-        j += 2 * (ker_diff if kind is ExtremalKind.CONTR_MAX else parts.proj_kernel)
-    return j
+    return _assemble(f.bf, *_extreme_params(f.bf, kind, f.tol))
+
+
+def _extreme_params(bf: BlockForm, kind: ExtremalKind, tol: Tolerances):
+    """The block parameters of the extreme ``kind`` (see :func:`extremal_symmetry`)."""
+    i_r, i_c = (np.eye(k, dtype=np.complex128) for k in (bf.rank, bf.dim - bf.rank))
+    # on N(C*) in range(P) and on N(C) in range(P)-perp
+    u_null, _, v_null, _ = bf.corner_split(tol)
+    if kind is ExtremalKind.POS_MIN:
+        return i_r, -i_c
+    if kind is ExtremalKind.POS_MAX:
+        return i_r, 2 * (v_null @ v_null.conj().T) - i_c
+    if kind is ExtremalKind.CONTR_MIN:
+        return -i_r, i_c
+    return 2 * (u_null @ u_null.conj().T) - i_r, i_c
 
 
 @_on_handle()
 def extremal_symmetry_via_blocks(f: _Factors, kind: ExtremalKind) -> np.ndarray:
-    """Same extremes assembled through the block-form parameterization.
-
-    Independent code path used as a cross-check oracle against
-    :func:`extremal_symmetry`: the extreme parameters are signs of the
-    corner's null-space projections.  The member is assembled from them
-    without the parameter checks of :func:`assemble_symmetry`; the report
-    certifies it by its match with the spectral route,
-    ``extremal-<kind>-block-route``.
-    """
-    bf = f.bf
-    r = bf.rank
-    c = bf.dim - r
-    i_r = np.eye(r, dtype=np.complex128)
-    i_c = np.eye(c, dtype=np.complex128)
-    # on N(C*) in range(P) and on N(C) in range(P)-perp
-    u_null, _, v_null, _ = bf.corner_split(f.tol)
-    if kind is ExtremalKind.POS_MIN:
-        params = (i_r, -i_c)
-    elif kind is ExtremalKind.POS_MAX:
-        params = (i_r, 2 * (v_null @ v_null.conj().T) - i_c)
-    elif kind is ExtremalKind.CONTR_MIN:
-        params = (-i_r, i_c)
-    else:
-        params = (2 * (u_null @ u_null.conj().T) - i_r, i_c)
-    return _assemble(bf, *params)
+    """:func:`extremal_symmetry`, which builds the extremes through the block
+    form; a P that is not idempotent raises ``NotIdempotent`` naming its residual."""
+    return extremal_symmetry.on(f, kind)
 
 
 @_on_handle(idempotent="sign_formula_symmetry requires an idempotent input")
@@ -284,7 +269,7 @@ def sign_formula_symmetry(f: _Factors) -> np.ndarray:
     Requires the shift P + P* - I to be numerically invertible, else
     ``SingularShift`` (for exactly idempotent P the shift always dominates
     the identity in modulus, so this only triggers on loose rank cutoffs or
-    corrupted inputs).  Agreement with the spectral route and the kernel
+    corrupted inputs).  Agreement with the spectral pos-max and the kernel
     identity sign(shift) @ proj(N) = -proj(N) are certified by the report
     checks ``sign-formula-matches-pos-max`` and ``sign-formula-kernel-action``,
     see :func:`kreinproj.verification.extremal_checks`.
@@ -317,7 +302,8 @@ def nonexistence_witnesses(f: _Factors):
     """The sign-pattern witness pair of the intertwining family.
 
     Returns ``(j_a, j_b, verdict)`` where the witnesses are the family
-    members with parameters (-I, +I) and (+I, -I).  Whenever the corner
+    members with parameters (-I, +I) and (+I, -I): the contr-min and pos-min
+    extremes, each assembled once per handle.  Whenever the corner
     block is nonzero their difference is indefinite, which rules out a
     greatest (or least) element of the family; for orthogonal projections
     the family is bounded by I and -I instead.  The witnesses are assembled
@@ -325,18 +311,13 @@ def nonexistence_witnesses(f: _Factors):
     certifies each by ``witness-{a,b}-symmetry`` and
     ``witness-{a,b}-intertwines``.
     """
-    bf, tol = f.bf, f.tol
-    r = bf.rank
-    c = bf.dim - r
-    i_r = np.eye(r, dtype=np.complex128)
-    i_c = np.eye(c, dtype=np.complex128)
-    j_a = _assemble(bf, -i_r, i_c)
-    j_b = _assemble(bf, i_r, -i_c)
+    j_a = extremal_symmetry.on(f, ExtremalKind.CONTR_MIN)
+    j_b = extremal_symmetry.on(f, ExtremalKind.POS_MIN)
     d = j_a - j_b
     if d.shape[0] == 0:
         return j_a, j_b, DominanceVerdict("psd", 0.0, 0.0)
     lo, hi = _eig_range(d)
-    budget = tol.psd_tol * _range_scale(lo, hi)
+    budget = f.tol.psd_tol * _range_scale(lo, hi)
     if -lo <= budget:
         kind = "psd"
     elif hi <= budget:

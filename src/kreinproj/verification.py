@@ -10,7 +10,10 @@ are the slices of it that certify one construction, and
 ``spectral_projection_identities`` the one that certifies Theorem 12's
 identities.  The constructions in ``idempotents``, ``symmetries`` and
 ``decompositions`` check only their inputs and build each object by one
-route; every comparison of two routes is made here.
+route; every comparison of two routes is made here.  The extremes and the
+kernel projections are built from the block form of P and its one rank
+decision on the corner; their oracles here are the spectral projections
+of P + P* and i(P - P*), and the sign-function route to pos-max.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import decompositions as dec
 from .errors import KreinProjError, NotSymmetry, SingularShift
-from .idempotents import _Factors, _handle, _on_handle, _per_handle
+from .idempotents import _corner_null_projections, _Factors, _handle, _on_handle, _per_handle, kernel_projections
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -57,7 +60,6 @@ from .symmetries import (
     _draws,
     _params,
     extremal_symmetry,
-    extremal_symmetry_via_blocks,
     nonexistence_witnesses,
     sign_formula_symmetry,
 )
@@ -174,10 +176,39 @@ _KIND_REFS = {
 }
 
 
+@_per_handle
+def _ker_diff(f: _Factors) -> np.ndarray:
+    """The spectral oracle of the projection onto N(P - P*)."""
+    # i(P - P*) is Hermitian with the same null space as P - P*.
+    return spectral_parts(1j * (f.p - f.p.conj().T), f.tol).proj_kernel
+
+
+@_per_handle
+def _spectral_extreme(f: _Factors, kind: ExtremalKind) -> np.ndarray:
+    """The spectral oracle of the extreme ``kind``: with A = P + P*,
+
+        pos-min   = 2 proj(A+) - I
+        pos-max   = 2 proj(A+) - I + 2 proj(N(A))
+        contr-min = 2 proj(A-) - I + 2 proj(N(A))
+        contr-max = 2 proj(A-) - I + 2 proj(N(P - P*))
+
+    in the ambient basis, against which ``extremal-<kind>-block-route``, the
+    identity web and ``sign-formula-matches-pos-max`` compare."""
+    ker_diff = _ker_diff(f) if kind is ExtremalKind.CONTR_MAX else None
+    parts = f.sum_parts
+    pos = kind.family is SymmetryFamily.J_POSITIVE
+    j = 2 * (parts.proj_positive if pos else parts.proj_negative)
+    j[np.diag_indices_from(j)] -= 1.0
+    if kind is not ExtremalKind.POS_MIN:
+        j += 2 * (ker_diff if kind is ExtremalKind.CONTR_MAX else parts.proj_kernel)
+    return j
+
+
 def _sign_formula_checks(f: _Factors, jsf) -> list:
-    """The sign-function route ``jsf`` against pos-max and its action on
-    N(P+P*): sign(P+P*-I) = J - 2 proj(N) acts there as -I iff J acts as +I."""
-    pos_max, ker = extremal_symmetry.on(f, ExtremalKind.POS_MAX), f.sum_parts.proj_kernel
+    """The sign-function route ``jsf`` against the spectral pos-max and its
+    action on N(P+P*): sign(P+P*-I) = J - 2 proj(N) acts there as -I iff J
+    acts as +I."""
+    pos_max, ker = _spectral_extreme(f, ExtremalKind.POS_MAX), f.sum_parts.proj_kernel
     budget = f.tol.residual_tol * f.sp
     return [
         residual_check("sign-formula-matches-pos-max", "Remark", frobenius(jsf - pos_max), budget),
@@ -190,7 +221,7 @@ SIGN_FORMULA = "sign-formula"
 
 def family_checks(prefix, ref, p, j, family, tol, sp, margin=min_eig) -> list:
     """Checks that a symmetry ``j`` satisfies its family's defining relation with
-    the idempotent ``p``, where ``sp = scale_of(p)``: ``<prefix>-intertwines``, ``-hermitian``
+    the idempotent ``p``, where ``sp = max(1, ||P||_2)``: ``<prefix>-intertwines``, ``-hermitian``
     and ``-psd``, or ``-dominates``, with the margin ``margin(J P)`` or ``margin(J - P* J P)``."""
     stack = np.asarray(j)[np.newaxis]
     return _family_checks([prefix], ref, p, stack, family, tol, sp, lambda rel: [margin(rel[0])])[0]
@@ -247,8 +278,8 @@ def extremal_checks(f: _Factors, which: str, j) -> list:
     Each kind gets ``extremal-<kind>-symmetry``, at ``residual_tol`` since a
     symmetry has norm 1, and its family's checks.  The sign-function route
     gets the same as pos-max under the prefix ``sign-formula``, plus its
-    match with pos-max and its kernel action, both built from one
-    ``spectral_parts(P + P*)``.
+    match with the spectral pos-max and its kernel action, both built from
+    one ``spectral_parts(P + P*)``.
     """
     p, tol, sp = f.p, f.tol, f.sp
     if which == SIGN_FORMULA:
@@ -405,7 +436,7 @@ _SPLIT_REFS = {
 
 def split_checks(split, p, j, tol: Tolerances = DEFAULT_TOL, prefix: str = "") -> list:
     """Identity residuals and classification margins certifying a split of
-    ``p`` against ``j``, named ``<prefix><key>``, at budgets scaled by ``scale_of(p)``.
+    ``p`` against ``j``, named ``<prefix><key>``, at budgets scaled by ``max(1, ||P||_2)``.
     A ``j`` of another shape than ``p`` raises ``DimensionMismatch``."""
     return _split_checks(split, *_handle(p, tol, j), prefix)
 
@@ -562,24 +593,14 @@ def _block_form_checks(f: _Factors, run: _Run):
     yield residual_check("block-form-round-trip", "Eq. (1.1)", frobenius(f.bf.reassemble() - f.p), budget)
 
 
-def _corner_null_projections(f: _Factors):
-    """The ambient projections onto N(C*) in range(P) and N(C) in range(P)-perp."""
-    bf = f.bf
-    u_null, _, v_null, _ = bf.corner_split(f.tol)
-    return bf.embed_range(u_null @ u_null.conj().T), bf.embed_perp(v_null @ v_null.conj().T)
-
-
 def _kernel_route_checks(f: _Factors, run: _Run):
-    """The two routes to the projections onto N(P+P*) and N(P-P*): spectral
-    decompositions in the ambient basis, and the corner's null spaces lifted
-    through the basis."""
+    """:func:`kernel_projections`, the corner's null spaces lifted through
+    the basis, against their spectral oracles in the ambient basis."""
     # N(P - P*) first, whose spectral parts are freed before those of P + P*
-    # are built and kept on the handle; the corner null projections last, so
-    # that they are not alive during either.
-    ker_diff = f.ker_diff
+    # are built and kept on the handle.
+    ker_diff = _ker_diff(f)
     ker_sum = f.sum_parts.proj_kernel
-    block_diff, block_sum = _corner_null_projections(f)
-    block_diff += block_sum  # N(C*) in range(P) plus N(C) in range(P)-perp
+    block_sum, block_diff = kernel_projections.on(f)
     sum_gap, diff_gap = frobenius(ker_sum - block_sum), frobenius(ker_diff - block_diff)
     budget = f.tol.residual_tol * f.sp
     yield residual_check("kernel-sum-route-agreement", "Lemma 6(i)", sum_gap, budget)
@@ -606,19 +627,20 @@ def _negative_part_checks(f: _Factors, run: _Run):
 
 
 def _construction_checks(f: _Factors, kind: ExtremalKind):
-    """One extreme's checks and its match with the block-route construction."""
+    """One extreme's checks and its match with its spectral oracle."""
     yield from _extreme_checks(f, kind)
-    gap = frobenius(extremal_symmetry_via_blocks.on(f, kind) - extremal_symmetry.on(f, kind))
+    gap = frobenius(extremal_symmetry.on(f, kind) - _spectral_extreme(f, kind))
     yield residual_check(f"extremal-{kind.value}-block-route", _KIND_REFS[kind], gap, f.tol.residual_tol * f.sp)
 
 
 def _extremal_construction_checks(f: _Factors, run: _Run):
-    """Both constructions of each extreme, then the identity web tying
-    pos-min, pos-max and contr-min to the spectral projections of P + P*."""
+    """Each extreme and its match with its spectral oracle, then the identity
+    web tying the oracles of pos-min, pos-max and contr-min to the spectral
+    projections of P + P*."""
     for kind in ExtremalKind:
         yield from _run_group(f"extremal-{kind.value}", _KIND_REFS[kind], _construction_checks, f, kind)
     j_pos_min, j_pos_max, j_contr_min = (
-        extremal_symmetry.on(f, kind) for kind in (ExtremalKind.POS_MIN, ExtremalKind.POS_MAX, ExtremalKind.CONTR_MIN))
+        _spectral_extreme(f, kind) for kind in (ExtremalKind.POS_MIN, ExtremalKind.POS_MAX, ExtremalKind.CONTR_MIN))
     parts, budget = f.sum_parts, f.tol.residual_tol * f.sp
     web = [
         ("identity-web-pos-min", "Lemma 4", j_pos_min,
@@ -661,44 +683,23 @@ def _complement_parts(f: _Factors) -> SpectralParts:
 def _projection_identity_checks(f: _Factors) -> list:
     """The checks of :func:`spectral_projection_identities`."""
     parts_a, parts_c = f.sum_parts, _complement_parts(f)
-    ker_diff = f.ker_diff
+    ker_diff = _ker_diff(f)
     (null_p_range, null_p_perp), (null_q_range, null_q_perp) = (
         _corner_null_projections(g) for g in (f, f.comp)
     )
 
     budget = f.tol.residual_tol * parts_a.scale
-    return [
-        residual_check(
-            "complement-positive-projection",
-            "Theorem 12(i)",
-            frobenius(parts_c.proj_positive - (parts_a.proj_negative + parts_a.proj_kernel)),
-            budget,
-        ),
-        residual_check(
-            "corner-null-match-range-side",
-            "Theorem 12(ii)",
-            frobenius(null_p_range - null_q_perp),
-            budget,
-        ),
-        residual_check(
-            "corner-null-match-perp-side",
-            "Theorem 12(ii)",
-            frobenius(null_p_perp - null_q_range),
-            budget,
-        ),
-        residual_check(
-            "complement-negative-projection",
-            "Theorem 12(iii)",
-            frobenius(parts_c.proj_negative + parts_c.proj_kernel - parts_a.proj_positive),
-            budget,
-        ),
-        residual_check(
-            "complement-kernel-difference",
-            "Eq. (2.29)",
-            frobenius(parts_c.proj_kernel - (ker_diff - parts_a.proj_kernel)),
-            budget,
-        ),
+    gaps = [
+        ("complement-positive-projection", "Theorem 12(i)",
+         frobenius(parts_c.proj_positive - (parts_a.proj_negative + parts_a.proj_kernel))),
+        ("corner-null-match-range-side", "Theorem 12(ii)", frobenius(null_p_range - null_q_perp)),
+        ("corner-null-match-perp-side", "Theorem 12(ii)", frobenius(null_p_perp - null_q_range)),
+        ("complement-negative-projection", "Theorem 12(iii)",
+         frobenius(parts_c.proj_negative + parts_c.proj_kernel - parts_a.proj_positive)),
+        ("complement-kernel-difference", "Eq. (2.29)",
+         frobenius(parts_c.proj_kernel - (ker_diff - parts_a.proj_kernel))),
     ]
+    return [residual_check(name, ref, gap, budget) for name, ref, gap in gaps]
 
 
 def _intertwining_checks(f: _Factors, run: _Run):

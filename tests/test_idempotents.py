@@ -23,7 +23,8 @@ from kreinproj import (
     validate_idempotent,
 )
 from kreinproj import idempotents
-from kreinproj.linalg import scale_of
+from kreinproj.idempotents import _Factors
+from kreinproj.linalg import spectral_parts
 
 P2 = np.array([[1.0, 1.0], [0.0, 0.0]])
 P3 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
@@ -195,19 +196,17 @@ def test_rank_complement_identity():
 
 
 def test_kernel_route_agreement_random():
-    # the spectral projections agree with the corner's null spaces lifted
-    # through the block form, at the report's budget, for every generated
-    # idempotent (n <= 20)
+    # the corner's null spaces lifted through the block form agree with the
+    # kernels of the spectral decompositions of P + P* and i(P - P*), at the
+    # report's budget, for every generated idempotent (n <= 20)
     for seed in range(20):
         n = 2 + seed % 19
         r = seed % (n + 1)
         p = random_idempotent(n, r, 2.0, seed=100 + seed)
-        ker_sum, ker_diff = kernel_projections(p)
-        bf = block_form(p)
-        u_null, _, v_null, _ = bf.corner_split(DEFAULT_TOL)
-        block_sum = bf.embed_perp(v_null @ v_null.conj().T)
-        block_diff = bf.embed_range(u_null @ u_null.conj().T) + block_sum
-        budget = DEFAULT_TOL.residual_tol * scale_of(p)
+        block_sum, block_diff = kernel_projections(p)
+        ker_sum = spectral_parts(p + p.conj().T).proj_kernel
+        ker_diff = spectral_parts(1j * (p - p.conj().T)).proj_kernel
+        budget = DEFAULT_TOL.residual_tol * _Factors(p, DEFAULT_TOL).sp
         assert np.linalg.norm(ker_sum - block_sum) <= budget
         assert np.linalg.norm(ker_diff - block_diff) <= budget
 

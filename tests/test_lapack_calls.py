@@ -3,8 +3,13 @@
 Counts calls of ``numpy.linalg.svd``, ``eigh``, ``eigvalsh`` and
 ``norm(..., 2)`` (an SVD) made by one call of each entry point, on the same
 input shape the benchmark's ``linalg.entry_calls.*`` metrics use;
-``extremal_sign_formula`` runs ``kreinproj extremal --which sign-formula``
-through ``cli.main``: the construction plus its certificate.
+``cli_extremal_<kind>`` (``extremal_sign_formula`` for the sign-function
+route) runs ``kreinproj extremal --which <kind>`` through ``cli.main`` and
+``cli_gen_symmetry_for`` runs ``kreinproj gen symmetry-for``: the
+construction plus its certificate.  An extreme reads the SVD of P and of
+its corner, and its certificate one ``eigvalsh``; the sign-function route
+diagonalizes P + P* - I and P + P* instead, and takes ||P|| from the SVD
+of P.  ``extremal_contr_max`` is the library call alone.
 ``negative_part_projection_formula`` runs on the corner of that input.
 ``assemble_symmetry`` is counted on a block form that has already
 assembled one member, so it reuses that form's corner factors.  The
@@ -12,12 +17,14 @@ bounds are the counts of the current code: a change may lower them, and
 should lower the bound with them, but never raise them.  ``NORM2_BOUND``
 caps the ``norm(..., 2)`` calls within ``full_report``'s count: a Hermitian
 matrix that is diagonalized takes its tolerance scale from its eigenvalues,
-and any other verdict computes a spectral norm only when it depends on it.
+the handle of P takes ||P|| from the SVD its block form reads, and any
+other verdict computes a spectral norm only when it depends on it.
 ``test_full_report_factors_each_matrix_once`` pins the n x n
 factorizations of one report: P and I - P are each put in block form once,
-and P + P*, i(P - P*), the anchored block of the corner and the
-sign-formula shift are each diagonalized once; 2I - P - P* is not
-diagonalized, its spectral parts are read from the eigenpairs of P + P*.  A stack of n x n
+by one SVD each, which also gives ||P||, and P + P*, i(P - P*), the
+anchored block of the corner and the sign-formula shift are each
+diagonalized once; 2I - P - P* is not diagonalized, its spectral parts are
+read from the eigenpairs of P + P*.  A stack of n x n
 matrices counts one call per member.  Its n x n ``eigvalsh`` count does not
 grow with ``samples``: the probe samples of a family are certified as one
 stack, each margin by a Weyl bound whose only eigenproblem is on a corner
@@ -40,16 +47,21 @@ from kreinproj import cli
 from kreinproj.matrixio import write_matrix
 
 BOUNDS = {
-    "full_report": 29,
+    "full_report": 28,
     "extremal_contr_max": 2,
     "assemble_symmetry": 0,
     "extremal_sign_formula": 4,
+    "cli_extremal_pos_min": 3,
+    "cli_extremal_pos_max": 3,
+    "cli_extremal_contr_min": 3,
+    "cli_extremal_contr_max": 3,
+    "cli_gen_symmetry_for": 2,
     "negative_part_projection_formula": 1,
 }
-NORM2_BOUND = 1
+NORM2_BOUND = 0
 HANDLE_BOUNDS = {
     "kernel_projections": 2,
-    "extremal_symmetry": 1,
+    "extremal_symmetry": 2,
     "extremal_symmetry_via_blocks": 2,
     "sign_formula_symmetry": 2,
     "nonexistence_witnesses": 3,
@@ -63,7 +75,7 @@ HANDLE_BOUNDS = {
     "classify": 3,
     "contractive_positive_equivalence": 3,
     "extremal_checks": 2,
-    "extremality_probe": 7,
+    "extremality_probe": 4,
     "split_checks": 3,
 }
 SQUARE_BOUNDS = {"svd": 2, "eigh": 4, "eigvalsh": 14}
@@ -97,14 +109,20 @@ def _entry_points(seed, tmp_path):
     proj, contr = kp.SymmetryFamily.J_PROJECTION, kp.SymmetryFamily.J_CONTRACTIVE
     j = kp.assemble_symmetry(bf, proj, kp.sample_params(bf, proj, 1, seed)[0])
     params = kp.sample_params(bf, contr, 1, seed + 1)[0]
-    p_path = str(tmp_path / "p.json")
+    p_path, out = str(tmp_path / "p.json"), str(tmp_path / "j.json")
     write_matrix(p_path, p)
-    sign_argv = ["extremal", p_path, "--which", "sign-formula", "-o", str(tmp_path / "j.json")]
+
+    def extremal(kind):
+        return lambda: _cli_passes(["extremal", p_path, "--which", kind, "-o", out])
+
+    gen_argv = ["gen", "symmetry-for", "--for", p_path, "--family", "contractive", "-o", out]
     return {
         "full_report": lambda: kp.full_report(p, j, samples=1),
         "extremal_contr_max": lambda: kp.extremal_symmetry(p, kp.ExtremalKind.CONTR_MAX),
         "assemble_symmetry": lambda: kp.assemble_symmetry(bf, contr, params),
-        "extremal_sign_formula": lambda: _cli_passes(sign_argv),
+        "extremal_sign_formula": extremal("sign-formula"),
+        **{f"cli_extremal_{kind.value.replace('-', '_')}": extremal(kind.value) for kind in kp.ExtremalKind},
+        "cli_gen_symmetry_for": lambda: _cli_passes(gen_argv),
         "negative_part_projection_formula": lambda: kp.negative_part_projection_formula(bf.corner),
     }
 

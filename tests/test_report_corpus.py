@@ -15,12 +15,26 @@ and write every corpus report in full (every field, floats at 17 digits,
 one entry per label), for a byte comparison of two checkouts on one host, with
 
     PYTHONPATH=src python tests/test_report_corpus.py --values OUT.json
+
+``--batch-seeds 1-10,101-110`` adds the benchmark's report-batch cases of
+those seeds (``bench/workloads.report_cases``, reported as the benchmark
+does, at ``samples=5``) to the values, labelled ``batch-<seed>/<case>``.
+Two values files, say of a change and of its parent, are compared with
+
+    PYTHONPATH=src python tests/test_report_corpus.py --compare A.json B.json
+
+which prints, per check name with the sample index dropped, how many
+checks went fail -> pass and pass -> fail from A to B and how many changed
+their residual, margin or tolerance, and exits 1 when any went pass -> fail.
 """
 
 import argparse
+import collections
 import json
 import math
 import os
+import re
+import sys
 
 import numpy as np
 
@@ -82,6 +96,91 @@ def test_reports_match_golden_corpus():
         assert current[label] == checks, label
 
 
+def batch_reports(seeds) -> dict:
+    """The benchmark's report-batch reports of each seed, by ``batch-<seed>/<case>``."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    import workloads
+
+    return {
+        f"batch-{seed}/{label}": full_report(p, j, samples=workloads.SAMPLES)
+        for seed in seeds
+        for label, p, j in workloads.report_cases(np.random.SeedSequence([seed, 0]), workloads.BATCH)
+    }
+
+
+def _seeds(text) -> list:
+    """``"1-10,101-110"`` as the seeds 1 to 10 and 101 to 110."""
+    out = []
+    for part in text.split(","):
+        low, _, high = part.partition("-")
+        out += range(int(low), int(high or low) + 1)
+    return out
+
+
+_FIELDS = ("residual", "margin", "tolerance")
+
+
+def compare(path_a, path_b) -> int:
+    """Print the verdict and value changes from the values file ``path_a`` to
+    ``path_b`` (see the module docstring); 1 when a check went pass -> fail."""
+    with open(path_a, encoding="utf-8") as fh:
+        a = json.load(fh)
+    with open(path_b, encoding="utf-8") as fh:
+        b = json.load(fh)
+    counts = collections.defaultdict(collections.Counter)
+    totals = collections.Counter()
+    for label in a.keys() | b.keys():
+        if label not in a or label not in b:
+            totals[f"report only in {'B' if label in b else 'A'}"] += 1
+            continue
+        old, new = ({c["name"]: c for c in doc["checks"]} for doc in (a[label], b[label]))
+        totals["failing reports A"] += any(c["status"] == "fail" for c in old.values())
+        totals["failing reports B"] += any(c["status"] == "fail" for c in new.values())
+        for name in old.keys() | new.keys():
+            row = counts[re.sub(r"sample-\d+", "sample-NNN", name)]
+            if name not in old or name not in new:
+                row[f"only in {'B' if name in new else 'A'}"] += 1
+                continue
+            x, y = old[name], new[name]
+            totals["failing checks A"] += x["status"] == "fail"
+            totals["failing checks B"] += y["status"] == "fail"
+            if x["status"] != y["status"]:
+                row[f"{x['status']}->{y['status']}"] += 1
+            for field in _FIELDS:
+                row[f"{field} changed"] += x[field] != y[field]
+            if x["tolerance"] != y["tolerance"]:
+                drift = abs(y["tolerance"] - x["tolerance"]) / max(abs(x["tolerance"]), 1e-300)
+                totals["max relative tolerance change"] = max(totals["max relative tolerance change"], drift)
+    columns = sorted({key for row in counts.values() for key, value in row.items() if value})
+    print("\t".join(["check", *columns]))
+    for name in sorted(counts):
+        if any(counts[name][key] for key in columns):
+            print("\t".join([name, *(str(counts[name][key]) for key in columns)]))
+    flips = collections.Counter()
+    for row in counts.values():
+        flips.update({key: value for key, value in row.items() if "->" in key})
+    for key, value in sorted({**totals, **flips}.items()):
+        print(f"{key}: {value:g}")
+    return 1 if flips["pass->fail"] else 0
+
+
+def test_seeds_and_compare(tmp_path, capsys):
+    assert _seeds("1-3,7") == [1, 2, 3, 7]
+
+    def values(path, statuses, residual=0.5):
+        checks = [{"name": f"probe/sample-{i:03d}-psd", "residual": residual, "margin": 0.0,
+                   "tolerance": 1.0, "status": status} for i, status in enumerate(statuses)]
+        path.write_text(json.dumps({"case": {"checks": checks}}))
+        return str(path)
+
+    a = values(tmp_path / "a.json", ["fail", "pass"])
+    assert compare(a, values(tmp_path / "b.json", ["pass", "pass"], 0.25)) == 0
+    out = capsys.readouterr().out
+    assert "probe/sample-NNN-psd\t1\t2\n" in out and "fail->pass: 1" in out
+    assert compare(a, values(tmp_path / "c.json", ["fail", "fail"])) == 1
+    assert "pass->fail: 1" in capsys.readouterr().out
+
+
 def _write(path, entries: dict):
     """Write ``{label: JSON text}`` as one JSON object, one entry per label."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -93,9 +192,19 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Regenerate the report corpus, or write its reports in full.")
     parser.add_argument("--values", metavar="OUT.json",
                         help="write every corpus report in full to OUT.json; the corpus is left as it is")
+    parser.add_argument("--batch-seeds", metavar="SEEDS", type=_seeds, default=[],
+                        help="with --values, also the benchmark's report-batch reports of these seeds, "
+                             "e.g. 1-10,101-110")
+    parser.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
+                        help="compare two --values files check by check; exit 1 on any pass -> fail")
     args = parser.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
     if args.values:
-        _write(args.values, {label: render_report(report).rstrip() for label, report in full_reports().items()})
+        reports = full_reports()
+        if args.batch_seeds:
+            reports.update(batch_reports(args.batch_seeds))
+        _write(args.values, {label: render_report(report).rstrip() for label, report in reports.items()})
     else:
         os.makedirs(os.path.dirname(CORPUS_PATH), exist_ok=True)
         _write(CORPUS_PATH, {

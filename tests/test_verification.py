@@ -3,6 +3,7 @@ and the all-in-one report."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -340,7 +341,7 @@ def test_standalone_functions_match_full_report(label, p, j):
         spectral_projection_identities,
         split_checks,
     )
-    from kreinproj.linalg import scale_of
+    from kreinproj.idempotents import _Factors
     from kreinproj.verification import INDEFINITE_MARGIN, family_checks
 
     samples = 3
@@ -361,7 +362,7 @@ def test_standalone_functions_match_full_report(label, p, j):
     j_a, j_b, verdict = nonexistence_witnesses(p)
     for name, wit in (("witness-a", j_a), ("witness-b", j_b)):
         expected += [(c.name, c) for c in family_checks(
-            name, "Theorem 8(ii)", p, wit, SymmetryFamily.J_PROJECTION, DEFAULT_TOL, scale_of(p))]
+            name, "Theorem 8(ii)", p, wit, SymmetryFamily.J_PROJECTION, DEFAULT_TOL, _Factors(p, DEFAULT_TOL).sp)]
     for name, c in expected:
         assert name in by_name, (label, name)
         assert by_name[name] == dataclasses.replace(c, name=name), (label, name)
@@ -737,27 +738,33 @@ def test_parameter_checks_run_only_on_the_callers_parameters(monkeypatch):
     assert calls == []
 
 
+_TALL = random_idempotent(7, 5, 2.0, seed=5)  # corner 5 x 2: dim N(C*) = 3
+
+
 def _contr_max_off_a_symmetry(monkeypatch):
-    """Make contr-max = 2 proj(A-) - I + 2 K, K the projection onto N(P - P*),
-    off a symmetry by about 1e-8: K scaled by 1 + d gives J^2 - I = 4 d (1 + d) K."""
-    import functools
+    """Make contr-max's range-side parameter 2 K - I, K the projection onto
+    N(C*), off a symmetry by about 1e-8: K scaled by 1 + d gives
+    J^2 - I = 4 d (1 + d) W K W*, W the basis of range(P)."""
+    from kreinproj import symmetries
 
-    from kreinproj.idempotents import _Factors
+    real = symmetries._extreme_params
 
-    real = _Factors.ker_diff.func
-    off = functools.cached_property(lambda f: real(f) * (1.0 + 2.5e-9))
-    off.__set_name__(_Factors, "ker_diff")
-    monkeypatch.setattr(_Factors, "ker_diff", off)
+    def off(bf, kind, tol):
+        j1, j2 = real(bf, kind, tol)
+        if kind is ExtremalKind.CONTR_MAX:
+            j1 = (j1 + np.eye(bf.rank)) * (1.0 + 2.5e-9) - np.eye(bf.rank)
+        return j1, j2
+
+    monkeypatch.setattr(symmetries, "_extreme_params", off)
 
 
 def test_an_extreme_off_a_symmetry_fails_its_symmetry_check(monkeypatch):
-    # the extreme is built unchecked and certified by the report: its
-    # symmetry check fails at residual_tol, and its family's checks, its
-    # block-route gap and the probe samples against it are still there; the
-    # two other checks that read the scaled projection onto N(P - P*) fail
-    # with it
+    # the extreme is built unchecked from the block form and certified by
+    # the report: its symmetry check fails at residual_tol, and so does its
+    # gap to the spectral oracle, while its family's checks and the probe
+    # samples against it are still there
     _contr_max_off_a_symmetry(monkeypatch)
-    checks = full_report(_RECTANGULAR, samples=2).checks
+    checks = full_report(_TALL, samples=2).checks
     by_name = {c.name: c for c in checks}
     sym = by_name["extremal-contr-max-symmetry"]
     assert sym.status == "fail" and sym.tolerance == DEFAULT_TOL.residual_tol
@@ -766,8 +773,7 @@ def test_an_extreme_off_a_symmetry_fails_its_symmetry_check(monkeypatch):
     assert {"extremal-contr-max-dominates", "extremal-contr-max-block-route",
             "probe-contractive/sample-001-below-max", "identity-web-contr-min"} <= by_name.keys()
     assert [c.name for c in checks if c.status == "fail"] == [
-        "kernel-diff-route-agreement", "extremal-contr-max-symmetry", "extremal-contr-max-block-route",
-        "complement-kernel-difference"]
+        "extremal-contr-max-symmetry", "extremal-contr-max-block-route"]
 
 
 def test_extremal_writes_nothing_for_an_extreme_off_a_symmetry(monkeypatch, tmp_path, capsys):
@@ -776,7 +782,7 @@ def test_extremal_writes_nothing_for_an_extreme_off_a_symmetry(monkeypatch, tmp_
 
     _contr_max_off_a_symmetry(monkeypatch)
     p_path, out = tmp_path / "P.json", tmp_path / "J.json"
-    write_matrix(p_path, _RECTANGULAR)
+    write_matrix(p_path, _TALL)
     capsys.readouterr()
     assert main(["extremal", str(p_path), "--which", "contr-max", "-o", str(out)]) == 1
     assert "FAIL extremal-contr-max-symmetry " in capsys.readouterr().out
@@ -788,14 +794,15 @@ def test_extremal_symmetry_check_is_judged_at_residual_tol(which):
     # a symmetry has norm 1 whatever ||P||, so ||P|| stays out of its budget;
     # the family checks keep theirs
     from kreinproj import extremal_checks, extremal_symmetry, sign_formula_symmetry
-    from kreinproj.linalg import scale_of
+    from kreinproj.idempotents import _Factors
 
     p = np.array([[1.0, 100.0], [0.0, 0.0]])
     j = sign_formula_symmetry(p) if which == "sign-formula" else extremal_symmetry(p, ExtremalKind(which))
     sym, *family = extremal_checks(p, which, j)
     assert sym.name == f"{which if which == 'sign-formula' else 'extremal-' + which}-symmetry"
     assert sym.status == "pass" and sym.tolerance == DEFAULT_TOL.residual_tol
-    assert family[0].tolerance == DEFAULT_TOL.residual_tol * scale_of(p) > 100 * DEFAULT_TOL.residual_tol
+    sp = _Factors(p, DEFAULT_TOL).sp
+    assert family[0].tolerance == DEFAULT_TOL.residual_tol * sp > 100 * DEFAULT_TOL.residual_tol
 
 
 @pytest.mark.parametrize("kind", list(ExtremalKind))
@@ -831,8 +838,8 @@ def test_a_probe_with_no_free_part_draws_one_member(monkeypatch):
 def test_a_small_corner_value_fails_checks_not_constructions(sigma):
     # P = [[I, diag(1, sigma)], [0, 0]]: at these sigma the two routes to
     # N(P + P*) disagree.  The report fails on the checks that compare them,
-    # and the contr-max extreme and the contractive probe, which read the
-    # spectral route, run to their own checks instead of ending in an error
+    # and the contr-max extreme and the contractive probe run to their own
+    # checks instead of ending in an error
     from kreinproj import errors
 
     p = np.zeros((4, 4))
@@ -848,3 +855,22 @@ def test_a_small_corner_value_fails_checks_not_constructions(sigma):
     names = {c.name for c in report.checks}
     assert {"extremal-contr-max-symmetry", "extremal-contr-max-dominates", "extremal-contr-max-block-route"} <= names
     assert any(name.startswith("probe-contractive/sample-000-") for name in names)
+
+
+@pytest.mark.parametrize("sigma", [2e-5, 1e-5, 1e-6, 1e-8])
+def test_a_small_corner_value_passes_the_extremes_and_probe_checks(sigma):
+    # P = [[I, diag(1, sigma)], [0, 0]]: P + P* has the eigenvalue about
+    # -sigma^2 / 2, inside the spectral kernel cutoff, while the corner rank
+    # decision keeps sigma.  The extremes and the probe samples both read the
+    # corner's decision, so the extremes' own checks and every probe check
+    # pass; the comparisons with the spectral routes are not asserted here
+    p = np.zeros((4, 4))
+    p[:2, :2] = np.eye(2)
+    p[:2, 2:] = np.diag([1.0, sigma])
+    checks = full_report(p, samples=5).checks
+    kinds = "|".join(k.value for k in ExtremalKind)
+    certified = [c for c in checks
+                 if re.fullmatch(rf"extremal-({kinds})-(symmetry|hermitian|psd|dominates)", c.name)
+                 or c.name.startswith("probe-")]
+    assert len(certified) > 5 * 2 * 4
+    assert [c.name for c in certified if c.status != "pass"] == []
