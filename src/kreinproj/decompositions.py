@@ -196,10 +196,14 @@ def intertwining_unitaries(f: _Factors):
     Returns ``(u1, v1, residual)`` where u1 maps range(P)-perp coordinates
     to range(I-P) coordinates and v1 maps range(I-P)-perp coordinates to
     range(P) coordinates: the unitary polar factors of the off-diagonal
-    blocks of the basis change between the two block forms of I - P.  Raises
-    ``DegenerateBlock`` if one is not square (rank(P) + rank(I - P) is not n)
-    or is numerically rank deficient: a rank misclassification.  The report
-    certifies the residual: ``intertwining-residual``.
+    blocks of the basis change between the block forms of P and I - P.  The
+    form of I - P is derived from P's (see ``idempotents._complement_form``),
+    so those blocks are Tinv and Sinv and both intertwiners are I up to
+    rounding: Proposition 9 in canonical coordinates, corner(I - P) = C*.
+    The blocks are square by construction; ``DegenerateBlock`` is raised
+    when one is numerically rank deficient, which a corner singular value
+    beyond about 1 / rank_tol brings about.  The report certifies the
+    residual: ``intertwining-residual``.
     """
     bf_p, bf_q, tol = f.bf, f.comp.bf, f.tol
     r = bf_p.rank

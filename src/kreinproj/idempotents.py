@@ -89,7 +89,11 @@ class BlockForm:
         out[..., r:, :r] = b21
         out[..., r:, r:] = b22
         w = self.unitary
-        return w @ out @ w.conj().T
+        # freeing the block matrix before the second product keeps one
+        # n x n array fewer alive at the peak
+        wout = w @ out
+        del out
+        return wout @ w.conj().T
 
     def embed_range(self, m) -> np.ndarray:
         """Lift an r x r matrix on range(P) to the ambient space (zero elsewhere)."""
@@ -258,9 +262,15 @@ class _Factors:
     @functools.cached_property
     def comp(self) -> "_Factors":
         """The handle of I - P.  It takes P's idempotency residual and verdict:
-        (I - P)^2 - (I - P) = P^2 - P exactly."""
+        (I - P)^2 - (I - P) = P^2 - P exactly.  When P is idempotent it also
+        takes P's scale, as ||I - P|| = ||P|| for P not 0 or I and both scales
+        are 1 at those two ends, and its block form comes from P's factors
+        (see :func:`_complement_form`), so I - P is not factored; only its
+        corner gets its own SVD."""
         comp = _Factors(np.eye(self.p.shape[0], dtype=np.complex128) - self.p, self.tol)
         comp.idem_residual, comp.idempotent = self.idem_residual, self.idempotent
+        if self.idempotent:
+            comp.sp, comp.bf = self.sp, _complement_form(self.bf, comp.p)
         return comp
 
     @functools.cached_property
@@ -268,6 +278,28 @@ class _Factors:
         """``spectral_parts(P + P*)``, read by the sign-function route and
         the spectral oracles of ``verification``."""
         return spectral_parts(self.p + self.p.conj().T, self.tol)
+
+
+def _complement_form(bf: BlockForm, q: np.ndarray) -> BlockForm:
+    """The block form of ``q = I - P`` from the block form ``bf`` of P.
+
+    In the coordinates W = [basis_range | basis_perp] of P, I - P is
+    [[0, -C], [0, I]], so range(I - P) has the orthonormal basis
+    [[-C], [I]] Sinv and its orthocomplement [[I], [C*]] Tinv (Proposition 9,
+    Theorem 12(ii)).  C Sinv = Tinv C = U diag(sigma / sqrt(1 + sigma^2)) V*
+    is formed from the corner's SVD, so every coefficient is at most 1; the
+    route (basis_perp - basis_range C) Sinv would carry a rounding error of
+    about eps ||C|| into the directions of the small singular values.  The
+    corner is read off the ambient ``q``; it is C* in exact arithmetic.
+    """
+    u, s, vh = bf._corner_svd
+    tinv, sinv, _ = bf._inv_sqrts
+    k = s.size
+    c_sinv = (u[:, :k] * (s / np.hypot(1.0, s))) @ vh[:k]
+    basis_range = bf.basis_perp @ sinv - bf.basis_range @ c_sinv
+    basis_perp = bf.basis_range @ tinv + bf.basis_perp @ c_sinv.conj().T
+    corner = basis_range.conj().T @ q @ basis_perp
+    return BlockForm(basis_range=basis_range, basis_perp=basis_perp, corner=corner)
 
 
 def _per_handle(fn):

@@ -13,7 +13,13 @@ identities.  The constructions in ``idempotents``, ``symmetries`` and
 route; every comparison of two routes is made here.  The extremes and the
 kernel projections are built from the block form of P and its one rank
 decision on the corner; their oracles here are the spectral projections
-of P + P* and i(P - P*), and the sign-function route to pos-max.
+of P + P* and i(P - P*), and the sign-function route to pos-max.  Every
+family member the library builds (the extremes, the probe samples, the
+witness pair and the member ``kreinproj gen symmetry-for`` writes) has one
+certifier, :func:`_member_checks`, whose Loewner margins are Weyl bounds
+against the family's exact model.  The block form of I - P is derived from
+P's, and its corner, factored on its own, is compared with P's by the
+intertwining, corner-singular-value and corner-null-match checks.
 """
 
 from __future__ import annotations
@@ -279,7 +285,12 @@ def extremal_checks(f: _Factors, which: str, j) -> list:
     symmetry has norm 1, and its family's checks.  The sign-function route
     gets the same as pos-max under the prefix ``sign-formula``, plus its
     match with the spectral pos-max and its kernel action, both built from
-    one ``spectral_parts(P + P*)``.
+    one ``spectral_parts(P + P*)``.  For an idempotent P these are the
+    :func:`_member_checks` of a family member: the ``-psd`` or
+    ``-dominates`` margin is Weyl's lower bound against the family's exact
+    model, and the exact eigenvalue only where that bound does not pass.
+    A P that is not idempotent has no block form, and its margins are the
+    exact eigenvalues.
     """
     p, tol, sp = f.p, f.tol, f.sp
     if which == SIGN_FORMULA:
@@ -287,9 +298,12 @@ def extremal_checks(f: _Factors, which: str, j) -> list:
     else:
         kind = ExtremalKind(which)
         prefix, ref = f"extremal-{kind.value}", _KIND_REFS[kind]
-    sym = _symmetry_residuals(j[np.newaxis])[0]
-    checks = [residual_check(f"{prefix}-symmetry", ref, sym, tol.residual_tol)]
-    checks += family_checks(prefix, ref, p, j, kind.family, tol, sp)
+    if f.idempotent:
+        checks = _member_checks([prefix], ref, f, j[np.newaxis], kind.family)
+    else:
+        sym = _symmetry_residuals(j[np.newaxis])[0]
+        checks = [residual_check(f"{prefix}-symmetry", ref, sym, tol.residual_tol)]
+        checks += family_checks(prefix, ref, p, j, kind.family, tol, sp)
     if which == SIGN_FORMULA:
         checks += _sign_formula_checks(f, j)
     return checks
@@ -306,8 +320,9 @@ def _member_checks(prefixes, ref, f: _Factors, js, family: SymmetryFamily, probe
     ``-above-min`` and ``-below-max``, by :func:`_weyl_margins` against its
     exact block model.  Products and eigenvalues run on the whole stack and
     norms member by member, so every value is bitwise the one its member gets
-    in a stack of its own.  This certifies every probe sample, the witness
-    pair and the member ``kreinproj gen symmetry-for`` writes."""
+    in a stack of its own.  This certifies every probe sample, the
+    extremes of an idempotent (:func:`extremal_checks`), the witness pair
+    and the member ``kreinproj gen symmetry-for`` writes."""
     tol, sp = f.tol, f.sp
 
     def margins(rel):
@@ -832,8 +847,9 @@ def full_report(
     at least 1, or a ``seed`` that is neither None nor a nonnegative
     integer, fails the two probe groups.
 
-    The report builds one handle each for P and I - P: each is factored
-    once, and what several check groups read (the extremes, the
+    The report builds one handle each for P and I - P: P is factored once,
+    the block form of I - P is derived from P's factors with only its corner
+    factored, and what several check groups read (the extremes, the
     intertwiners, the padded sums) is computed once per report.  Each
     public function called on its own factors its own input.
     """

@@ -48,14 +48,19 @@ def structured_idempotent(n, r, corner, seed):
 
 
 @st.composite
-def wide_corner_idempotents(draw):
+def wide_corner_idempotents(draw, low=-8, high=4, rank_tol=None):
     """An idempotent whose r x (n-r) corner has log-uniform singular values in
-    [1e-8, 1e4], with r in {0, 1, n-1, n} or anywhere: a rectangular corner
-    leaves a null space on its longer side, where the probe samples differ."""
+    [10^low, 10^high], with r in {0, 1, n-1, n} or anywhere: a rectangular
+    corner leaves a null space on its longer side, where the probe samples
+    differ.  With a ``rank_tol``, the smallest of two or more singular
+    values is sometimes drawn within 10x of the rank cutoff
+    ``rank_tol * max(1, sigma_max)`` instead."""
     n = draw(st.integers(2, 7))
     r = draw(st.sampled_from([0, 1, n - 1, n, draw(st.integers(0, n))]))
     q = min(r, n - r)
-    sigma = 10.0 ** np.array(draw(st.lists(st.floats(-8, 4), min_size=q, max_size=q)))
+    sigma = 10.0 ** np.array(draw(st.lists(st.floats(low, high), min_size=q, max_size=q)))
+    if rank_tol is not None and q > 1 and draw(st.booleans()):
+        sigma[np.argmin(sigma)] = rank_tol * max(1.0, sigma.max()) * 10.0 ** draw(st.floats(-1, 1))
     seed = draw(st.integers(0, 2**16))
     u, v = haar_unitary(r, seed), haar_unitary(n - r, seed + 1)
     return structured_idempotent(n, r, (u[:, :q] * sigma) @ v[:, :q].conj().T, seed + 2)

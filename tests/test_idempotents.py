@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import projector_onto, random_complex, structured_idempotent
+from conftest import projector_onto, random_complex, structured_idempotent, wide_corner_idempotents
 from kreinproj import (
     DEFAULT_TOL,
     BadRank,
@@ -273,3 +273,67 @@ def test_random_symmetry_on_subspace_basis():
     j = random_symmetry_on(basis, seed=5)
     assert j.shape == (3, 3)
     assert is_symmetry(j)
+
+
+def test_assemble_frees_the_block_matrix_before_the_second_product():
+    # W B W* holds at most four n x n arrays at once: W, W B, W* and the
+    # result; the block matrix B is freed once W B is formed
+    import tracemalloc
+
+    n = 48
+    bf = block_form(random_idempotent(n, 12, 2.0, seed=3))
+    r, c = bf.rank, n - bf.rank
+    blocks = (np.eye(r), bf.corner, np.zeros((c, r)), np.eye(c))
+    tracemalloc.start()
+    try:
+        bf.assemble(*blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * n * n * np.dtype(np.complex128).itemsize
+
+
+_EPS = np.finfo(float).eps
+
+
+def _off_block_form(m, r) -> float:
+    """How far ``m`` is from [[I_r, *], [0, 0]]: the sum of the Frobenius
+    norms of its three other blocks' deviations.  Each enters the corner of
+    the other form with a coefficient of norm at most 1."""
+    from kreinproj.linalg import frobenius
+
+    return frobenius(m[:r, :r] - np.eye(r)) + frobenius(m[r:, :r]) + frobenius(m[r:, r:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=wide_corner_idempotents(-12, 6, DEFAULT_TOL.rank_tol))
+def test_the_complement_form_derived_from_p_is_a_block_form_of_i_minus_p(p):
+    # Corner singular values in [1e-12, 1e6], some next to the rank cutoff;
+    # P is built in closed form, so no norm cap hides the large ones.
+    # W' = W R, with R the unitary [[-C Sinv, Tinv], [Sinv, C* Tinv]] built
+    # from the corner's SVD with every coefficient at most 1.  Forming W R
+    # and R itself each add at most about n^2 eps to the unitarity residual
+    # of W, so W' is unitary within ||W* W - I|| + 4 n (n + 1) eps.  In W'
+    # coordinates I - P is R* (W* (I - P) W) R: its blocks deviate from
+    # [[I, C*], [0, 0]] by at most those of W* P W from [[I, C], [0, 0]] plus
+    # the same rounding relative to ||P||_F + ||I - P||_F, the rounding of
+    # forming either product.  The report runs to its end on every such P.
+    from kreinproj import full_report
+    from kreinproj.linalg import frobenius
+
+    n = p.shape[0]
+    f = _Factors(p, DEFAULT_TOL)
+    bf, comp = f.bf, f.comp.bf
+    q = np.eye(n) - p
+    w, w_comp = bf.unitary, comp.unitary
+    rounding = 4 * n * (n + 1) * _EPS
+    unitary_p = frobenius(w.conj().T @ w - np.eye(n))
+    assert frobenius(w_comp.conj().T @ w_comp - np.eye(n)) <= unitary_p + rounding
+    r, c = bf.rank, n - bf.rank
+    assert (comp.rank, comp.corner.shape) == (c, (c, r))
+    off_p, off_q = _off_block_form(w.conj().T @ p @ w, r), _off_block_form(w_comp.conj().T @ q @ w_comp, c)
+    budget = off_p + (unitary_p + rounding) * (frobenius(p) + frobenius(q))
+    assert off_q <= budget
+    assert frobenius(comp.corner - bf.corner.conj().T) <= budget
+    names = [check.name for check in full_report(p, None, samples=2).checks]
+    assert names[0] == "idempotent" and "complement-sum-spectra" in names

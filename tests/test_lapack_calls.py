@@ -7,9 +7,11 @@ input shape the benchmark's ``linalg.entry_calls.*`` metrics use;
 route) runs ``kreinproj extremal --which <kind>`` through ``cli.main`` and
 ``cli_gen_symmetry_for`` runs ``kreinproj gen symmetry-for``: the
 construction plus its certificate.  An extreme reads the SVD of P and of
-its corner, and its certificate one ``eigvalsh``; the sign-function route
-diagonalizes P + P* - I and P + P* instead, and takes ||P|| from the SVD
-of P.  ``extremal_contr_max`` is the library call alone.
+its corner, and its certificate judges its margin by Weyl's bound against
+the family's model, built from that corner SVD, so it makes no
+``eigvalsh`` of its own; the sign-function route diagonalizes P + P* - I
+and P + P* instead, takes ||P|| from the SVD of P, and its certificate
+reads the corner SVD.  ``extremal_contr_max`` is the library call alone.
 ``negative_part_projection_formula`` runs on the corner of that input.
 ``assemble_symmetry`` is counted on a block form that has already
 assembled one member, so it reuses that form's corner factors.  The
@@ -20,21 +22,23 @@ matrix that is diagonalized takes its tolerance scale from its eigenvalues,
 the handle of P takes ||P|| from the SVD its block form reads, and any
 other verdict computes a spectral norm only when it depends on it.
 ``test_full_report_factors_each_matrix_once`` pins the n x n
-factorizations of one report: P and I - P are each put in block form once,
-by one SVD each, which also gives ||P||, and P + P*, i(P - P*), the
-anchored block of the corner and the sign-formula shift are each
-diagonalized once; 2I - P - P* is not diagonalized, its spectral parts are
-read from the eigenpairs of P + P*.  A stack of n x n
+factorizations of one report: P is put in block form by one SVD, which
+also gives ||P||; I - P is not factored, its block form comes from P's
+bases and P's corner SVD, and only its corner gets its own SVD; and
+P + P*, i(P - P*), the anchored block of the corner and the sign-formula
+shift are each diagonalized once; 2I - P - P* is not diagonalized, its
+spectral parts are read from the eigenpairs of P + P*.  A stack of n x n
 matrices counts one call per member.  Its n x n ``eigvalsh`` count does not
-grow with ``samples``: the probe samples of a family are certified as one
-stack, each margin by a Weyl bound whose only eigenproblem is on a corner
-null space, and an exact n x n eigenvalue only where the bound does not
-decide.
+grow with ``samples``: the probe samples of a family and the extremes are
+certified by Weyl bounds whose only eigenproblem is on a corner null
+space, and an exact n x n eigenvalue only where the bound does not decide.
 ``test_full_report_factors_each_corner_once`` pins the corner SVDs: the
 corners of P and of I - P are each factored once per report.
 ``HANDLE_BOUNDS`` holds one bound per public function that builds the
 handle of its idempotent (``idempotents._on_handle`` and ``split_checks``),
-so that a handle that factors more than its function reads shows up.
+so that a handle that factors more than its function reads shows up;
+``positive_negative_split`` works on I - P, whose block form is derived
+from P's, so it factors P and P's corner before I - P's corner.
 """
 
 import math
@@ -47,14 +51,14 @@ from kreinproj import cli
 from kreinproj.matrixio import write_matrix
 
 BOUNDS = {
-    "full_report": 28,
+    "full_report": 23,
     "extremal_contr_max": 2,
     "assemble_symmetry": 0,
     "extremal_sign_formula": 4,
-    "cli_extremal_pos_min": 3,
-    "cli_extremal_pos_max": 3,
-    "cli_extremal_contr_min": 3,
-    "cli_extremal_contr_max": 3,
+    "cli_extremal_pos_min": 2,
+    "cli_extremal_pos_max": 2,
+    "cli_extremal_contr_min": 2,
+    "cli_extremal_contr_max": 2,
     "cli_gen_symmetry_for": 2,
     "negative_part_projection_formula": 1,
 }
@@ -67,18 +71,18 @@ HANDLE_BOUNDS = {
     "nonexistence_witnesses": 3,
     "extract_params": 4,
     "contractive_expansive_split": 4,
-    "positive_negative_split": 4,
+    "positive_negative_split": 5,
     "intertwining_unitaries": 4,
     "adjoint_similarity": 4,
     "complement_sum_equivalence": 4,
-    "spectral_projection_identities": 6,
+    "spectral_projection_identities": 5,
     "classify": 3,
     "contractive_positive_equivalence": 3,
     "extremal_checks": 2,
-    "extremality_probe": 4,
+    "extremality_probe": 2,
     "split_checks": 3,
 }
-SQUARE_BOUNDS = {"svd": 2, "eigh": 4, "eigvalsh": 14}
+SQUARE_BOUNDS = {"svd": 1, "eigh": 4, "eigvalsh": 10}
 
 
 @pytest.fixture

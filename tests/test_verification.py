@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import wide_corner_idempotents
+from conftest import idempotent_cases, wide_corner_idempotents
 
 from kreinproj import (
     ExtremalKind,
@@ -874,3 +874,61 @@ def test_a_small_corner_value_passes_the_extremes_and_probe_checks(sigma):
                  or c.name.startswith("probe-")]
     assert len(certified) > 5 * 2 * 4
     assert [c.name for c in certified if c.status != "pass"] == []
+
+
+def _wide_corner_cases():
+    """Idempotents whose corner has singular values 1e4, 3 and 1e-2, or a
+    single value 1e-6 next to a kernel, under random rotations."""
+    from conftest import structured_idempotent
+    from kreinproj import haar_unitary
+
+    out = []
+    for seed in range(4):
+        rng = np.random.default_rng([seed, 12])
+        corner = haar_unitary(3, rng) @ np.diag([1e4, 3.0, 1e-2]) @ haar_unitary(4, rng)[:3]
+        out.append(structured_idempotent(7, 3, corner, seed))
+        out.append(structured_idempotent(5, 2, np.diag([1.0, 1e-6]) @ haar_unitary(3, rng)[:2], seed))
+    return out
+
+
+def test_extreme_margins_are_weyl_bounds_with_the_exact_verdict():
+    # each extreme's -psd or -dominates margin is Weyl's bound against the
+    # family's model where that bound passes, else the exact eigenvalue: at
+    # most the exact smallest eigenvalue of its relation, up to the rounding
+    # of that eigenvalue (eigvalsh is backward stable, 8 eps ||rel||_F), and
+    # judged as the exact value is
+    from kreinproj import extremal_checks, extremal_symmetry
+    from kreinproj.idempotents import _Factors
+    from kreinproj.linalg import frobenius
+    from kreinproj.verification import family_checks
+
+    cases = [p for p, _, _ in idempotent_cases(30, seed=3)] + _wide_corner_cases()
+    for i, p in enumerate(cases):
+        sp = _Factors(p, DEFAULT_TOL).sp
+        for kind in ExtremalKind:
+            j = extremal_symmetry(p, kind)
+            prefix = f"extremal-{kind.value}"
+            weyl = {c.name: c for c in extremal_checks(p, kind.value, j)}
+            pos = kind.family is SymmetryFamily.J_POSITIVE
+            rel = j @ p if pos else j - p.conj().T @ j @ p
+            for exact in family_checks(prefix, "", p, j, kind.family, DEFAULT_TOL, sp):
+                check = weyl[exact.name]
+                assert check.status == exact.status, (i, exact.name)
+                if exact.name.endswith(("-psd", "-dominates")):
+                    assert check.margin <= exact.margin + 8 * _EPS * frobenius(rel), (i, exact.name)
+
+
+@pytest.mark.parametrize("which", [k.value for k in ExtremalKind] + ["sign-formula"])
+def test_extremal_checks_of_a_non_idempotent_p_take_exact_margins(which):
+    # a P that is not idempotent has no block form and so no model: its
+    # margins are the exact eigenvalues, and the checks are returned, not raised
+    from kreinproj import extremal_checks
+    from kreinproj.linalg import min_eig
+
+    p = np.array([[1.0, 1.0], [0.0, 0.5]])
+    j = np.diag([1.0, -1.0])
+    margins = {c.name.rsplit("-", 1)[1]: c.margin for c in extremal_checks(p, which, j)}
+    if which.startswith("contr"):
+        assert margins["dominates"] == min_eig(j - p.conj().T @ j @ p)
+    else:
+        assert margins["psd"] == min_eig(j @ p)
