@@ -16,14 +16,13 @@ import enum
 
 import numpy as np
 
-from .errors import DegenerateBlock, NotJProjection, SingularBlock
+from .errors import NotJProjection, SingularBlock
 from .idempotents import _corner_inv_sqrts, _corner_split, _Factors, _full_svd, _on_handle, _per_handle
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
     frobenius,
-    rank_mask,
     spectral_parts,
     within_scaled,
 )
@@ -88,17 +87,18 @@ def negative_part_projection_formula(b, tol: Tolerances = DEFAULT_TOL) -> np.nda
 
 
 @_on_handle(symmetry=(NotJProjection, "J is not a symmetry"))
-def extract_params(f: _Factors, j):
+def extract_params(f: _Factors, j, *, admitted=False):
     """Recover the block parameters of a symmetry J with J P J = P*.
 
     Reads the diagonal blocks of J in block-form coordinates and normalizes
     each through the matrix sign function (block J11 becomes
     ``J11 (J11^2)^(-1/2)``).  The pair is verified by reassembly; inputs
     outside the admissible family raise ``NotJProjection``, numerically
-    singular diagonal blocks raise ``SingularBlock``.
+    singular diagonal blocks raise ``SingularBlock``.  A report, which has
+    checked J P J = P* (``j-intertwines-adjoint``), passes ``admitted=True``.
     """
     p, bf, tol = f.p, f.bf, f.tol
-    jpj_res = frobenius(j @ p @ j - p.conj().T)
+    jpj_res = 0.0 if admitted else frobenius(j @ p @ j - p.conj().T)
     if jpj_res > tol.residual_tol * f.sp:
         raise NotJProjection(f"J P J differs from P* by {jpj_res:.3e}")
     j11 = bf.basis_range.conj().T @ j @ bf.basis_range
@@ -135,8 +135,14 @@ class SplitResult:
     kind: SplitKind
 
 
+def _halves(param):
+    """The spectral projections ``(I + param)/2`` and ``(I - param)/2`` of a symmetry."""
+    eye = np.eye(param.shape[0], dtype=np.complex128)
+    return (eye + param) / 2, (eye - param) / 2
+
+
 @_on_handle(symmetry=(NotJProjection, "J is not a symmetry"))
-def contractive_expansive_split(f: _Factors, j) -> SplitResult:
+def contractive_expansive_split(f: _Factors, j, *, params=None) -> SplitResult:
     """Factor a J-intertwined projection as a commuting product of a
     J-contractive and a J-expansive projection.
 
@@ -145,92 +151,57 @@ def contractive_expansive_split(f: _Factors, j) -> SplitResult:
         E1 = [[I, C (I + J2)/2], [0, (I - J2)/2]]
         E2 = [[I, C (I - J2)/2], [0, (I + J2)/2]]
 
-    so that P = E1 E2 = E2 E1 = E1 + E2 - I.
+    so that P = E1 E2 = E2 E1 = E1 + E2 - I.  A report passes its
+    ``(J1, J2)`` as ``params``.
     """
-    _, j2 = extract_params.on(f, j)
-    bf = f.bf
-    r = bf.rank
-    c = bf.dim - r
-    i_c = np.eye(c, dtype=np.complex128)
-    zeros_cr = np.zeros((c, r), dtype=np.complex128)
-    e1 = bf.assemble(np.eye(r), bf.corner @ (i_c + j2) / 2, zeros_cr, (i_c - j2) / 2)
-    e2 = bf.assemble(np.eye(r), bf.corner @ (i_c - j2) / 2, zeros_cr, (i_c + j2) / 2)
+    _, j2 = extract_params.on(f, j) if params is None else params
+    bf, (plus, minus) = f.bf, _halves(j2)
+    e1 = bf.assemble(np.eye(bf.rank), bf.corner @ plus, 0, minus)
+    e2 = bf.assemble(np.eye(bf.rank), bf.corner @ minus, 0, plus)
     return SplitResult(e1=e1, e2=e2, kind=SplitKind.CONTRACTIVE_EXPANSIVE)
 
 
 @_on_handle(symmetry=(NotJProjection, "J is not a symmetry"))
-def positive_negative_split(f: _Factors, j) -> SplitResult:
+def positive_negative_split(f: _Factors, j, *, params=None) -> SplitResult:
     """Split a J-intertwined projection as P = Q + R with Q J-positive and
     R J-negative, Q R = R Q = 0 and Q R* = R* Q = 0.
 
-    Obtained from the contractive/expansive splitting of I - P by taking
-    complements.
+    Q and R are the complements of the contractive/expansive factors of
+    I - P.  In the block form of I - P derived from P's, J's diagonal blocks
+    are J2 Sinv and J1 Tinv, so I - P's parameters are (J2, J1): with C' the
+    corner of I - P, Q = [[0, -C' K], [0, K]] for K = (I + J1)/2, and R the
+    same for K = (I - J1)/2.  A report passes its ``(J1, J2)`` as ``params``.
     """
-    eye = np.eye(f.p.shape[0], dtype=np.complex128)
-    inner = contractive_expansive_split.on(f.comp, j)
-    return SplitResult(
-        e1=eye - inner.e1, e2=eye - inner.e2, kind=SplitKind.POSITIVE_NEGATIVE
-    )
-
-
-def _unitary_polar(m, tol: Tolerances, what: str) -> np.ndarray:
-    """Unitary polar factor of a square matrix expected to be invertible."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DegenerateBlock(f"{what} is not square: {m.shape}")
-    if m.shape[0] == 0:
-        return m.copy()
-    u, s, vh = np.linalg.svd(m)
-    if not rank_mask(s, tol)[-1]:
-        raise DegenerateBlock(
-            f"{what} is numerically rank deficient (sigma_min = {s[-1]:.3e})"
-        )
-    return u @ vh
+    j1, _ = extract_params.on(f, j) if params is None else params
+    bf, (plus, minus) = f.comp.bf, _halves(j1)
+    q = bf.assemble(0, -bf.corner @ plus, 0, plus)
+    r = bf.assemble(0, -bf.corner @ minus, 0, minus)
+    return SplitResult(e1=q, e2=r, kind=SplitKind.POSITIVE_NEGATIVE)
 
 
 @_on_handle()
-@_per_handle
 def intertwining_unitaries(f: _Factors):
     """Unitaries (u1, v1) with corner(I-P) = u1 @ corner(P)* @ v1.
 
     Returns ``(u1, v1, residual)`` where u1 maps range(P)-perp coordinates
     to range(I-P) coordinates and v1 maps range(I-P)-perp coordinates to
-    range(P) coordinates: the unitary polar factors of the off-diagonal
-    blocks of the basis change between the block forms of P and I - P.  The
-    form of I - P is derived from P's (see ``idempotents._complement_form``),
-    so those blocks are Tinv and Sinv and both intertwiners are I up to
-    rounding: Proposition 9 in canonical coordinates, corner(I - P) = C*.
-    The blocks are square by construction; ``DegenerateBlock`` is raised
-    when one is numerically rank deficient, which a corner singular value
-    beyond about 1 / rank_tol brings about.  The report certifies the
-    residual: ``intertwining-residual``.
+    range(P) coordinates.  The form of I - P is derived from P's (see
+    ``idempotents._complement_form``), in whose coordinates Proposition 9
+    reads corner(I - P) = C*, so both intertwiners are the identity.  The
+    residual ``||corner(I - P) - C*||_F`` compares the corner read off the
+    ambient I - P with C*; the report certifies it: ``intertwining-residual``.
     """
-    bf_p, bf_q, tol = f.bf, f.comp.bf, f.tol
-    r = bf_p.rank
-    qr = bf_q.rank
-    u_tilde = bf_q.unitary.conj().T @ bf_p.unitary
-    u21 = u_tilde[qr:, :r]
-    u12 = u_tilde[:qr, r:]
-    u = _unitary_polar(u21, tol, "lower-left intertwiner block")
-    v = _unitary_polar(u12, tol, "upper-right intertwiner block")
-    u1 = v
-    v1 = u.conj().T
-    residual = frobenius(bf_q.corner - u1 @ bf_p.corner.conj().T @ v1)
-    return u1, v1, residual
-
-
-def _antidiagonal(top_right, bottom_left) -> np.ndarray:
-    """The square block matrix [[0, top_right], [bottom_left, 0]]."""
-    (k, c), (m, r) = top_right.shape, bottom_left.shape
-    return np.block([[np.zeros((k, r)), top_right], [bottom_left, np.zeros((m, c))]])
+    bf_p, bf_q = f.bf, f.comp.bf
+    residual = frobenius(bf_q.corner - bf_p.corner.conj().T)
+    return np.eye(bf_q.rank, dtype=np.complex128), np.eye(bf_p.rank, dtype=np.complex128), residual
 
 
 @_on_handle()
 def adjoint_similarity(f: _Factors):
-    """An ambient unitary U with U* P* U = P, plus the achieved residual."""
-    p = f.p
-    u1, v1, _ = intertwining_unitaries.on(f)
-    u = f.comp.bf.unitary @ _antidiagonal(-u1, v1.conj().T) @ f.bf.unitary.conj().T
+    """An ambient unitary U with U* P* U = P, plus the achieved residual:
+    U = W' [[0, -I], [I, 0]] W*, W and W' the bases of P and I - P."""
+    p, bf_p, bf_q = f.p, f.bf, f.comp.bf
+    u = bf_q.basis_perp @ bf_p.basis_range.conj().T - bf_q.basis_range @ bf_p.basis_perp.conj().T
     residual = frobenius(u.conj().T @ p.conj().T @ u - p)
     return u, residual
 
@@ -243,11 +214,12 @@ def complement_sum_equivalence(f: _Factors):
 
         U* (P + P* + 2 (I - proj R(P))) U = 2I - P - P* + 2 (I - proj R(I-P))
 
-    and returns ``(U, residual)``.  That the two padded sums share their
-    spectrum is certified by the report check ``complement-sum-spectra``.
+    and returns ``(U, residual)``, U = W [[0, I], [I, 0]] W'* for the bases W
+    of P and W' of I - P.  That the two padded sums share their spectrum is
+    certified by the report check ``complement-sum-spectra``.
     """
-    u1, v1, _ = intertwining_unitaries.on(f)
-    u = f.bf.unitary @ _antidiagonal(v1, u1.conj().T) @ f.comp.bf.unitary.conj().T
+    bf_p, bf_q = f.bf, f.comp.bf
+    u = bf_p.basis_perp @ bf_q.basis_range.conj().T + bf_p.basis_range @ bf_q.basis_perp.conj().T
     lhs, rhs = _padded_sums(f)
     return u, frobenius(u.conj().T @ lhs @ u - rhs)
 

@@ -58,7 +58,8 @@ class SingularBlock(KreinProjError):
 
 
 class DegenerateBlock(KreinProjError):
-    """Raised when an intertwiner block expected to be invertible is rank deficient."""
+    """No longer raised: the intertwiners are the identity and no intertwiner
+    block is factored.  Kept so that code catching it still imports."""
 
 
 class FileFormatError(KreinProjError):

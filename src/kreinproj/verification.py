@@ -17,17 +17,19 @@ of P + P* and i(P - P*), and the sign-function route to pos-max.  Every
 family member the library builds (the extremes, the probe samples, the
 witness pair and the member ``kreinproj gen symmetry-for`` writes) has one
 certifier, :func:`_member_checks`, whose Loewner margins are Weyl bounds
-against the family's exact model.  The block form of I - P is derived from
-P's, and its corner, factored on its own, is compared with P's by the
+against the family's exact model, and so are the split margins.  The block
+form of I - P is derived from P's, so the intertwiners are the identity,
+and its corner, factored on its own, is compared with P's by the
 intertwining, corner-singular-value and corner-null-match checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -361,13 +363,23 @@ def _member_model(f: _Factors, family: SymmetryFamily):
     rounding leaves on its smallest eigenvalue."""
     bf = f.bf
     if family is SymmetryFamily.J_CONTRACTIVE:
-        _, s, vh = bf._corner_svd
-        grow = s * (s / (1.0 + np.hypot(1.0, s)))  # sqrt(1 + s^2) - 1
-        model = bf.embed_perp(np.eye(bf.dim - bf.rank) + (vh[: s.size].conj().T * grow) @ vh[: s.size])
+        model = bf.embed_perp(_perp_root(bf))
     else:
         b = bf.basis_range + bf.basis_perp @ bf.corner.conj().T
         model = b @ bf._inv_sqrts[0] @ b.conj().T
-    return model, -4 * np.finfo(float).eps * frobenius(model)
+    return model, _model_floor(model)
+
+
+def _perp_root(bf) -> np.ndarray:
+    """S = (I + C* C)^(1/2) on range(P)-perp, from the corner's SVD."""
+    _, s, vh = bf._corner_svd
+    grow = s * (s / (1.0 + np.hypot(1.0, s)))  # sqrt(1 + s^2) - 1
+    return np.eye(bf.dim - bf.rank) + (vh[: s.size].conj().T * grow) @ vh[: s.size]
+
+
+def _model_floor(model) -> float:
+    """-4 eps ||model||_F, the floor rounding leaves on a PSD model's least eigenvalue."""
+    return -4 * np.finfo(float).eps * frobenius(model)
 
 
 @_per_handle
@@ -421,25 +433,28 @@ def split_identity_residuals(split: dec.SplitResult, p) -> dict:
 def split_classification_margins(split: dec.SplitResult, j) -> dict:
     """Margins and Hermitian residuals certifying each factor's class.
 
-    Margins are smallest eigenvalues of the matrix that must be PSD; a
-    nonnegative (or slightly negative, within tolerance) value certifies
-    the classification.
+    Each margin is the exact smallest eigenvalue of the Hermitian part of
+    the matrix that must be PSD, by ``eigvalsh``; a nonnegative (or slightly
+    negative, within tolerance) value certifies the classification.  The
+    margins of :func:`split_checks` are Weyl bounds instead.
     """
+    return {key: val if key.endswith("residual") else min_eig(val) for key, val in _split_relations(split, j).items()}
 
+
+def _split_relations(split: dec.SplitResult, j) -> dict:
+    """The keys of :func:`split_classification_margins`: each Hermitian
+    residual, and the matrix each margin is taken of, J - E1* J E1 and
+    E2* J E2 - J, or J Q and -J R."""
     j = as_matrix(j)
     e1, e2 = split.e1, split.e2
     if split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE:
-        return {
-            "e1-contractive-margin": min_eig(j - e1.conj().T @ j @ e1),
-            "e2-expansive-margin": min_eig(e2.conj().T @ j @ e2 - j),
-        }
-    jq = j @ e1
-    jr = j @ e2
+        return {"e1-contractive-margin": j - e1.conj().T @ j @ e1, "e2-expansive-margin": e2.conj().T @ j @ e2 - j}
+    jq, jr = j @ e1, j @ e2
     return {
         "q-positive-hermitian-residual": frobenius(jq - jq.conj().T),
-        "q-positive-margin": min_eig(jq),
+        "q-positive-margin": jq,
         "r-negative-hermitian-residual": frobenius(jr - jr.conj().T),
-        "r-negative-margin": min_eig(-jr),
+        "r-negative-margin": -jr,
     }
 
 
@@ -452,7 +467,15 @@ _SPLIT_REFS = {
 def split_checks(split, p, j, tol: Tolerances = DEFAULT_TOL, prefix: str = "") -> list:
     """Identity residuals and classification margins certifying a split of
     ``p`` against ``j``, named ``<prefix><key>``, at budgets scaled by ``max(1, ||P||_2)``.
-    A ``j`` of another shape than ``p`` raises ``DimensionMismatch``."""
+    A ``j`` of another shape than ``p`` raises ``DimensionMismatch``.
+
+    For an idempotent P each margin is Weyl's lower bound against an exact
+    PSD model, the exact eigenvalue only where that bound does not pass (see
+    :func:`_weyl_margins`).  With S = (I + C* C)^(1/2), J - E1* J E1 =
+    S (I + J2)/2 and E2* J E2 - J = S (I - J2)/2 on range(P)-perp, and J Q
+    and -J R are the same forms on I - P's, with J1; the model is K S K, each
+    K = (I +- J2)/2 read off the split's perp blocks and Hermitianized.  If P
+    is not idempotent the margins are the exact ones."""
     return _split_checks(split, *_handle(p, tol, j), prefix)
 
 
@@ -464,7 +487,22 @@ def _split_checks(split, f: _Factors, j, prefix) -> list:
         residual_check(f"{prefix}{key}", ref, val, tol.residual_tol * sp)
         for key, val in split_identity_residuals(split, p).items()
     ]
-    for key, val in split_classification_margins(split, j).items():
+    relations = _split_relations(split, j)
+    keys = [key for key in relations if not key.endswith("residual")]
+    if f.idempotent:
+        # K is E2's then E1's perp block on P's form, Q's then R's on I - P's
+        ce = split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE
+        bf = f.bf if ce else f.comp.bf
+        basis, root = bf.basis_perp, _perp_root(bf)
+        for key, e in zip(keys, (split.e2, split.e1) if ce else (split.e1, split.e2)):
+            k = basis.conj().T @ e @ basis
+            k = 0.5 * (k + k.conj().T)
+            model = bf.embed_perp(k @ root @ k)
+            margins = _weyl_margins(relations[key][np.newaxis], model, [_model_floor(model)], tol.psd_tol * sp)
+            relations[key] = margins[0]
+    else:
+        relations.update((key, min_eig(relations[key])) for key in keys)
+    for key, val in relations.items():
         if key.endswith("residual"):
             checks.append(residual_check(f"{prefix}{key}", ref, val, tol.residual_tol * sp))
         else:
@@ -578,6 +616,7 @@ class _Run(NamedTuple):
     samples: int
     seed: Optional[int]
     subject: dict
+    params: Optional[Callable] = None  # J's block parameters, extracted once
 
 
 def _failed(name, ref, exc) -> CheckResult:
@@ -802,9 +841,11 @@ _J_GROUPS = [
     ("j-checks", "§1", _classification),
     ("biconditional", "Lemma 11", _biconditional),
     ("contractive-expansive-split", _SPLIT_REFS[dec.SplitKind.CONTRACTIVE_EXPANSIVE],
-     lambda f, run: _split_checks(dec.contractive_expansive_split.on(f, run.j), f, run.j, "split-ce-")),
+     lambda f, run: _split_checks(dec.contractive_expansive_split.on(f, run.j, params=run.params()), f, run.j,
+                                  "split-ce-")),
     ("positive-negative-split", _SPLIT_REFS[dec.SplitKind.POSITIVE_NEGATIVE],
-     lambda f, run: _split_checks(dec.positive_negative_split.on(f, run.j), f, run.j, "split-pn-")),
+     lambda f, run: _split_checks(dec.positive_negative_split.on(f, run.j, params=run.params()), f, run.j,
+                                  "split-pn-")),
     ("witness-pair", "Theorem 8(ii)", _witness_checks),
 ]
 
@@ -849,9 +890,9 @@ def full_report(
 
     The report builds one handle each for P and I - P: P is factored once,
     the block form of I - P is derived from P's factors with only its corner
-    factored, and what several check groups read (the extremes, the
-    intertwiners, the padded sums) is computed once per report.  Each
-    public function called on its own factors its own input.
+    factored, and what several check groups read (the extremes, the padded
+    sums, J's block parameters) is computed once per report.  Each public
+    function called on its own factors its own input.
     """
     checks = []
     subject = {}
@@ -883,8 +924,9 @@ def full_report(
             checks.append(skipped_check(name, ref, skip_reason))
         return report
     checks.append(residual_check("j-intertwines-adjoint", "§1", jpj_res, tol.residual_tol * f.sp))
-    # the checks of _admitted_symmetry are those of the public wrappers
-    run = run._replace(j=j)
+    # the checks of _admitted_symmetry are those of the public wrappers and of
+    # extract_params; a failed extraction is not kept and fails each split group
+    run = run._replace(j=j, params=functools.cache(lambda: dec.extract_params.on(f, j, admitted=True)))
     for name, ref, body in _J_GROUPS:
         checks += _run_group(name, ref, body, f, run)
     return report

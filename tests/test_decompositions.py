@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import idempotent_cases, projector_onto, random_complex
+from conftest import idempotent_cases, projector_onto, random_complex, wide_corner_idempotents
 from kreinproj import (
     DimensionMismatch,
     NotJProjection,
@@ -30,6 +32,7 @@ from kreinproj import (
     split_identity_residuals,
 )
 from kreinproj.decompositions import anchored_block
+from kreinproj.linalg import DEFAULT_TOL, frobenius
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -309,3 +312,25 @@ def test_complement_parts_from_the_sum_eigenpairs_match_their_own_decomposition(
     budget = DEFAULT_TOL.residual_tol * oracle.scale
     for name in ("positive_part", "negative_part", "proj_positive", "proj_negative", "proj_kernel"):
         assert np.linalg.norm(getattr(derived, name) - getattr(oracle, name)) <= budget, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=wide_corner_idempotents(), seed=st.integers(0, 2**16))
+def test_complement_parameters_are_the_swapped_parameters(p, seed):
+    # in the block form of I - P derived from P's, J's diagonal blocks are
+    # J2 Sinv and J1 Tinv, so I - P's parameters, extracted on their own,
+    # are (J2, J1), which positive_negative_split reads off P's
+    from kreinproj import KreinProjError, SymmetryFamily, assemble_symmetry, sample_params
+    from kreinproj.idempotents import _Factors
+
+    f = _Factors(p, DEFAULT_TOL)
+    proj = SymmetryFamily.J_PROJECTION
+    try:
+        j = assemble_symmetry(f.bf, proj, sample_params(f.bf, proj, 1, seed)[0])
+    except KreinProjError:
+        return  # a corner value at the rank cutoff: the draw is rejected
+    j1, j2 = extract_params.on(f, j)
+    k1, k2 = extract_params.on(f.comp, j)
+    budget = DEFAULT_TOL.residual_tol * f.sp
+    assert frobenius(k1 - j2) <= budget
+    assert frobenius(k2 - j1) <= budget

@@ -31,14 +31,22 @@ spectral parts are read from the eigenpairs of P + P*.  A stack of n x n
 matrices counts one call per member.  Its n x n ``eigvalsh`` count does not
 grow with ``samples``: the probe samples of a family and the extremes are
 certified by Weyl bounds whose only eigenproblem is on a corner null
-space, and an exact n x n eigenvalue only where the bound does not decide.
+space, and an exact n x n eigenvalue only where the bound does not decide;
+the four split margins are Weyl bounds too, against models built from the
+corner SVDs, so they take no ``eigvalsh`` where their bounds decide.
 ``test_full_report_factors_each_corner_once`` pins the corner SVDs: the
 corners of P and of I - P are each factored once per report.
 ``HANDLE_BOUNDS`` holds one bound per public function that builds the
 handle of its idempotent (``idempotents._on_handle`` and ``split_checks``),
-so that a handle that factors more than its function reads shows up;
-``positive_negative_split`` works on I - P, whose block form is derived
-from P's, so it factors P and P's corner before I - P's corner.
+so that a handle that factors more than its function reads shows up.
+Both splits extract J's parameters on P (the SVD of P, the two diagonal
+blocks and the corner SVD of the checked rebuild); ``positive_negative_split``
+reads I - P's parameters off them and builds on I - P's derived form, whose
+corner it does not factor.  The intertwiners are the identity, so
+``intertwining_unitaries``, ``adjoint_similarity`` and
+``complement_sum_equivalence`` factor only P and its corner, which I - P's
+form is derived from; ``split_checks`` of a contractive/expansive split
+factors P and its corner, whose SVD gives the margins' model.
 """
 
 import math
@@ -51,7 +59,7 @@ from kreinproj import cli
 from kreinproj.matrixio import write_matrix
 
 BOUNDS = {
-    "full_report": 23,
+    "full_report": 15,
     "extremal_contr_max": 2,
     "assemble_symmetry": 0,
     "extremal_sign_formula": 4,
@@ -71,18 +79,18 @@ HANDLE_BOUNDS = {
     "nonexistence_witnesses": 3,
     "extract_params": 4,
     "contractive_expansive_split": 4,
-    "positive_negative_split": 5,
-    "intertwining_unitaries": 4,
-    "adjoint_similarity": 4,
-    "complement_sum_equivalence": 4,
+    "positive_negative_split": 4,
+    "intertwining_unitaries": 2,
+    "adjoint_similarity": 2,
+    "complement_sum_equivalence": 2,
     "spectral_projection_identities": 5,
     "classify": 3,
     "contractive_positive_equivalence": 3,
     "extremal_checks": 2,
     "extremality_probe": 2,
-    "split_checks": 3,
+    "split_checks": 2,
 }
-SQUARE_BOUNDS = {"svd": 1, "eigh": 4, "eigvalsh": 10}
+SQUARE_BOUNDS = {"svd": 1, "eigh": 4, "eigvalsh": 6}
 
 
 @pytest.fixture

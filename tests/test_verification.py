@@ -726,13 +726,14 @@ def _parameter_checks(monkeypatch) -> list:
 def test_parameter_checks_run_only_on_the_callers_parameters(monkeypatch):
     # the members and extremes a report builds from parameters it draws or
     # constructs are certified by the report's checks; the parameter checks
-    # run only where extract_params rebuilds the caller's J, from P and from I - P
+    # run only where extract_params rebuilds the caller's J, once, from P: I - P's
+    # parameters are (J2, J1), read off P's
     proj = SymmetryFamily.J_PROJECTION
     bf = block_form(_RECTANGULAR)
     j = assemble_symmetry(bf, proj, sample_params(bf, proj, 1, 1)[0])
     calls = _parameter_checks(monkeypatch)
     assert full_report(_RECTANGULAR, j, samples=5).passed
-    assert calls == [(2, 2), (5, 5), (5, 5), (2, 2)]
+    assert calls == [(2, 2), (5, 5)]
     calls.clear()
     assert full_report(_RECTANGULAR, samples=5).passed
     assert calls == []
@@ -932,3 +933,86 @@ def test_extremal_checks_of_a_non_idempotent_p_take_exact_margins(which):
         assert margins["dominates"] == min_eig(j - p.conj().T @ j @ p)
     else:
         assert margins["psd"] == min_eig(j @ p)
+
+
+def _projection_member_or_none(p, seed):
+    """A projection-family member for P, or None where the draw's own
+    parameter checks reject it (a corner value at the rank cutoff)."""
+    from kreinproj import KreinProjError
+
+    bf, proj = block_form(p), SymmetryFamily.J_PROJECTION
+    try:
+        return assemble_symmetry(bf, proj, sample_params(bf, proj, 1, seed)[0])
+    except KreinProjError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=wide_corner_idempotents(), seed=st.integers(0, 2**16), log_angle=st.floats(-14, -2))
+def test_split_margin_statuses_are_those_of_the_exact_margins(p, seed, log_angle):
+    # a split margin is a Weyl bound, used only where it passes, so its status
+    # is the one the exact eigenvalue gets at the same budget: for the
+    # report's splits against J, and for those splits against J rotated off
+    # the family, where the models no longer match
+    from kreinproj import (KreinProjError, contractive_expansive_split, positive_negative_split, split_checks,
+                           split_classification_margins)
+    from kreinproj.reporting import margin_check
+
+    j = _projection_member_or_none(p, seed)
+    if j is None:
+        return
+    report = {c.name: c for c in full_report(p, j, samples=1).checks}
+    rotated = _rotated(j, 10.0 ** log_angle, seed)
+    for construction, prefix, group in ((contractive_expansive_split, "split-ce-", "contractive-expansive-split"),
+                                        (positive_negative_split, "split-pn-", "positive-negative-split")):
+        try:
+            split = construction(p, j)
+        except KreinProjError as e:
+            assert report[group].status == "fail" and report[group].note.startswith(type(e).__name__)
+            continue
+        off_family = {c.name: c for c in split_checks(split, p, rotated, prefix=prefix)}
+        for candidate, checks in ((j, report), (rotated, off_family)):
+            for key, exact in split_classification_margins(split, candidate).items():
+                if key.endswith("margin"):
+                    check = checks[prefix + key]
+                    assert check.status == margin_check(key, "", exact, check.tolerance).status, key
+
+
+def test_a_failed_extraction_fails_both_split_groups_the_same_way():
+    # at rank_tol = 0.8 the diagonal blocks of J are numerically singular:
+    # the one extraction a report makes raises, and each split group fails on it
+    report = full_report(P2, HADAMARD, tol=dataclasses.replace(DEFAULT_TOL, rank_tol=0.8), samples=1)
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["j-intertwines-adjoint"].status == "pass"
+    for group in ("contractive-expansive-split", "positive-negative-split"):
+        assert by_name[group].status == "fail"
+        assert by_name[group].note.startswith("SingularBlock: diagonal range block")
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=wide_corner_idempotents())
+def test_intertwining_group_makes_no_svd(p):
+    # the intertwiners are the identity and the corners they compare are
+    # factored by earlier groups, so the group itself factors nothing
+    from kreinproj import verification
+
+    svds, real_svd = [], np.linalg.svd
+    groups = list(verification._GROUPS)
+    i = [name for name, _, _ in groups].index("intertwining")
+    name, ref, body = groups[i]
+
+    def counted(f, run):
+        np.linalg.svd = lambda *a, **k: svds.append(np.shape(a[0])) or real_svd(*a, **k)
+        try:
+            return list(body(f, run))
+        finally:
+            np.linalg.svd = real_svd
+
+    groups[i] = (name, ref, counted)
+    verification._GROUPS, real_groups = groups, verification._GROUPS
+    try:
+        report = full_report(p, samples=1)
+    finally:
+        verification._GROUPS = real_groups
+    assert any(c.name == "intertwining-residual" for c in report.checks)
+    assert svds == []
