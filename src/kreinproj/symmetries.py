@@ -226,21 +226,29 @@ def extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
     The extremes are the family members whose block parameters are signs
     of the projections K onto N(C*) in range(P) and L onto N(C) in
     range(P)-perp: pos-min (I, -I), pos-max (I, 2L - I), contr-min (-I, I)
-    and contr-max (2K - I, I).  They are assembled through the block form,
-    unchecked, from the one rank decision ``bf.corner_split(tol)`` that the
-    sampled members read too.  The report certifies the result:
+    and contr-max (2K - I, I).  Each distinct one is assembled once per
+    handle, unchecked, through the block form, from the one rank decision
+    ``bf.corner_split(tol)`` that the sampled members read too: contr-min is
+    -pos-min, and a greatest element with L = 0 or K = 0 is its family's
+    least, the same array.  The report certifies each distinct one once:
     ``extremal-<kind>-symmetry`` that it is a symmetry,
     ``extremal-<kind>-hermitian`` and ``-psd`` (positive family) or
     ``extremal-<kind>-dominates`` (contractive family) its family's defining
     relation (see :func:`kreinproj.verification.extremal_checks`), and
-    ``extremal-<kind>-block-route`` its match with the spectral projections
-    of P + P*.
+    ``extremal-<kind>-block-route`` each kind's match with the spectral
+    projections of P + P*.
     """
+    null = f.bf.corner_split(f.tol)[0 if kind.family is SymmetryFamily.J_CONTRACTIVE else 2]
+    least = next(k for k in ExtremalKind if k.family is kind.family)
+    if kind is not least and not null.shape[1]:
+        return extremal_symmetry.on(f, least)
+    if kind is ExtremalKind.CONTR_MIN:  # the assembly is linear in the parameters
+        return -extremal_symmetry.on(f, ExtremalKind.POS_MIN)
     return _assemble(f.bf, *_extreme_params(f.bf, kind, f.tol))
 
 
 def _extreme_params(bf: BlockForm, kind: ExtremalKind, tol: Tolerances):
-    """The block parameters of the extreme ``kind`` (see :func:`extremal_symmetry`)."""
+    """The block parameters of the extreme ``kind``, not contr-min (see :func:`extremal_symmetry`)."""
     i_r, i_c = (np.eye(k, dtype=np.complex128) for k in (bf.rank, bf.dim - bf.rank))
     # on N(C*) in range(P) and on N(C) in range(P)-perp
     u_null, _, v_null, _ = bf.corner_split(tol)
@@ -248,8 +256,6 @@ def _extreme_params(bf: BlockForm, kind: ExtremalKind, tol: Tolerances):
         return i_r, -i_c
     if kind is ExtremalKind.POS_MAX:
         return i_r, 2 * (v_null @ v_null.conj().T) - i_c
-    if kind is ExtremalKind.CONTR_MIN:
-        return -i_r, i_c
     return 2 * (u_null @ u_null.conj().T) - i_r, i_c
 
 
@@ -303,13 +309,13 @@ def nonexistence_witnesses(f: _Factors):
 
     Returns ``(j_a, j_b, verdict)`` where the witnesses are the family
     members with parameters (-I, +I) and (+I, -I): the contr-min and pos-min
-    extremes, each assembled once per handle.  Whenever the corner
-    block is nonzero their difference is indefinite, which rules out a
-    greatest (or least) element of the family; for orthogonal projections
-    the family is bounded by I and -I instead.  The witnesses are assembled
-    without the parameter checks of :func:`assemble_symmetry`; the report
-    certifies each by ``witness-{a,b}-symmetry`` and
-    ``witness-{a,b}-intertwines``.
+    extremes, pos-min assembled once per handle and contr-min its negation.
+    Whenever the corner block is nonzero their difference is indefinite,
+    which rules out a greatest (or least) element of the family; for
+    orthogonal projections the family is bounded by I and -I instead.  The
+    witnesses are built without the parameter checks of
+    :func:`assemble_symmetry`; the report certifies each by
+    ``witness-{a,b}-symmetry`` and ``witness-{a,b}-intertwines``.
     """
     j_a = extremal_symmetry.on(f, ExtremalKind.CONTR_MIN)
     j_b = extremal_symmetry.on(f, ExtremalKind.POS_MIN)

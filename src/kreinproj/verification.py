@@ -13,11 +13,11 @@ identities.  The constructions in ``idempotents``, ``symmetries`` and
 route; every comparison of two routes is made here.  The extremes and the
 kernel projections are built from the block form of P and its one rank
 decision on the corner; their oracles here are the spectral projections
-of P + P* and i(P - P*), and the sign-function route to pos-max.  Every
-family member the library builds (the extremes, the probe samples, the
-witness pair and the member ``kreinproj gen symmetry-for`` writes) has one
-certifier, :func:`_member_checks`, whose Loewner margins are Weyl bounds
-against the family's exact model, and so are the split margins.  The block
+of P + P* and i(P - P*), and the sign-function route to pos-max.  Each
+distinct family member the library builds (the extremes, the probe samples,
+the witness pair, the member ``gen symmetry-for`` writes) is certified once,
+by :func:`_member_checks`, whose Loewner margins are Weyl bounds against
+the family's exact model, as are the split margins.  The block
 form of I - P is derived from P's, so the intertwiners are the identity,
 and its corner, factored on its own, is compared with P's by the
 intertwining, corner-singular-value and corner-null-match checks.
@@ -322,9 +322,9 @@ def _member_checks(prefixes, ref, f: _Factors, js, family: SymmetryFamily, probe
     ``-above-min`` and ``-below-max``, by :func:`_weyl_margins` against its
     exact block model.  Products and eigenvalues run on the whole stack and
     norms member by member, so every value is bitwise the one its member gets
-    in a stack of its own.  This certifies every probe sample, the
-    extremes of an idempotent (:func:`extremal_checks`), the witness pair
-    and the member ``kreinproj gen symmetry-for`` writes."""
+    in a stack of its own.  This certifies the probe samples, the extremes
+    of an idempotent (:func:`extremal_checks`) and the member ``gen
+    symmetry-for`` writes; :func:`_witness_checks` records the values it gives."""
     tol, sp = f.tol, f.sp
 
     def margins(rel):
@@ -363,18 +363,19 @@ def _member_model(f: _Factors, family: SymmetryFamily):
     rounding leaves on its smallest eigenvalue."""
     bf = f.bf
     if family is SymmetryFamily.J_CONTRACTIVE:
-        model = bf.embed_perp(_perp_root(bf))
+        model = bf.embed_perp(_corner_root(bf))
     else:
         b = bf.basis_range + bf.basis_perp @ bf.corner.conj().T
         model = b @ bf._inv_sqrts[0] @ b.conj().T
     return model, _model_floor(model)
 
 
-def _perp_root(bf) -> np.ndarray:
-    """S = (I + C* C)^(1/2) on range(P)-perp, from the corner's SVD."""
-    _, s, vh = bf._corner_svd
+def _corner_root(bf, perp=True) -> np.ndarray:
+    """S = (I + C* C)^(1/2) on range(P)-perp, or T = (I + C C*)^(1/2) on range(P), from the corner's SVD."""
+    u, s, vh = bf._corner_svd
     grow = s * (s / (1.0 + np.hypot(1.0, s)))  # sqrt(1 + s^2) - 1
-    return np.eye(bf.dim - bf.rank) + (vh[: s.size].conj().T * grow) @ vh[: s.size]
+    v = vh[: s.size].conj().T if perp else u[:, : s.size]
+    return np.eye(v.shape[0]) + (v * grow) @ v.conj().T
 
 
 def _model_floor(model) -> float:
@@ -384,8 +385,17 @@ def _model_floor(model) -> float:
 
 @_per_handle
 def _extreme_checks(f: _Factors, kind: ExtremalKind) -> list:
-    """:func:`extremal_checks` of the extreme ``kind`` of P."""
-    return extremal_checks.on(f, kind.value, extremal_symmetry.on(f, kind))
+    """:func:`extremal_checks` of the extreme ``kind``, or, if it is its family's least one, that one's renamed."""
+    j, least = extremal_symmetry.on(f, kind), next(k for k in ExtremalKind if k.family is kind.family)
+    if kind is not least and j is extremal_symmetry.on(f, least):
+        return _renamed(_extreme_checks(f, least), f"extremal-{least.value}", f"extremal-{kind.value}",
+                        _KIND_REFS[kind])
+    return extremal_checks.on(f, kind.value, j)
+
+
+def _renamed(checks, old: str, new: str, ref=None) -> list:
+    """``checks`` with each name's leading ``old`` made ``new``, and cited by ``ref`` if given."""
+    return [dataclasses.replace(c, name=new + c.name[len(old):], paper_ref=ref or c.paper_ref) for c in checks]
 
 
 def split_identity_residuals(split: dec.SplitResult, p) -> dict:
@@ -473,9 +483,10 @@ def split_checks(split, p, j, tol: Tolerances = DEFAULT_TOL, prefix: str = "") -
     PSD model, the exact eigenvalue only where that bound does not pass (see
     :func:`_weyl_margins`).  With S = (I + C* C)^(1/2), J - E1* J E1 =
     S (I + J2)/2 and E2* J E2 - J = S (I - J2)/2 on range(P)-perp, and J Q
-    and -J R are the same forms on I - P's, with J1; the model is K S K, each
-    K = (I +- J2)/2 read off the split's perp blocks and Hermitianized.  If P
-    is not idempotent the margins are the exact ones."""
+    and -J R are the same forms on I - P's, with J1 and T = (I + C C*)^(1/2);
+    the model is K S K or K T K, from P's corner SVD, each K = (I +- J2)/2
+    read off the split's perp blocks and Hermitianized.  If P is not
+    idempotent the margins are the exact ones."""
     return _split_checks(split, *_handle(p, tol, j), prefix)
 
 
@@ -490,10 +501,10 @@ def _split_checks(split, f: _Factors, j, prefix) -> list:
     relations = _split_relations(split, j)
     keys = [key for key in relations if not key.endswith("residual")]
     if f.idempotent:
-        # K is E2's then E1's perp block on P's form, Q's then R's on I - P's
+        # K is E2's then E1's perp block on P's form, Q's then R's on I - P's (corner C*, root T)
         ce = split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE
         bf = f.bf if ce else f.comp.bf
-        basis, root = bf.basis_perp, _perp_root(bf)
+        basis, root = bf.basis_perp, _corner_root(f.bf, perp=ce)
         for key, e in zip(keys, (split.e2, split.e1) if ce else (split.e1, split.e2)):
             k = basis.conj().T @ e @ basis
             k = 0.5 * (k + k.conj().T)
@@ -523,10 +534,10 @@ def extremality_probe(f: _Factors, family: SymmetryFamily, samples: int, seed=0)
     eigenvalue when the bound does not decide (see :func:`_weyl_margins`).
     The samples are assembled and certified in stacks, and each check
     records the value its sample gets when certified alone.  A family whose
-    corner null space is empty has one member, and its later samples repeat
-    ``sample-000``'s checks.  The extremes themselves are checked for
-    admissibility.  ``samples`` must be an integer of at least 1 and
-    ``seed`` an integer or None, else ``ValueError``.
+    corner null space is empty has one member, its least element: each
+    sample records its checks and margins of exactly 0.  The extremes are
+    checked for admissibility.  ``samples`` must be an integer of at least
+    1 and ``seed`` a nonnegative integer or None, else ``ValueError``.
     """
     if family is SymmetryFamily.J_PROJECTION:
         raise ValueError("the intertwining family has no extreme elements to probe")
@@ -566,42 +577,43 @@ def _probe_args(samples, seed):
     if samples < 1:
         raise ValueError("samples must be at least 1")
     try:
-        return samples, seed if seed is None else operator.index(seed)
+        seed = seed if seed is None else operator.index(seed)
     except TypeError:
         raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return samples, seed
 
 
 def _probe_checks(f: _Factors, family, samples, seed, prefix="") -> list:
     """The checks of :func:`extremality_probe` for ``samples`` and ``seed``
     from :func:`_probe_args`, with every check name led by ``prefix``.  The
-    extremes' family checks are their ``extremal-<kind>`` checks, renamed."""
+    extremes' family checks, and a one-member family's samples', are
+    ``extremal-<kind>`` checks renamed; those samples' margins are 0."""
     tol, bf = f.tol, f.bf
     kind_min, kind_max = (k for k in ExtremalKind if k.family is family)
-    j_min, j_max = extremal_symmetry.on(f, kind_min), extremal_symmetry.on(f, kind_max)
     checks = []
     for label, kind in (("extreme-min", kind_min), ("extreme-max", kind_max)):
-        cut = len(f"extremal-{kind.value}")
-        checks += [dataclasses.replace(c, name=prefix + label + c.name[cut:]) for c in _extreme_checks(f, kind)[1:]]
+        checks += _renamed(_extreme_checks(f, kind)[1:], f"extremal-{kind.value}", prefix + label)
     ref = _FAMILY_REFS[family]
+    names = [f"{prefix}sample-{i:03d}" for i in range(samples)]
     split = bf.corner_split(tol)
     contr = family is SymmetryFamily.J_CONTRACTIVE
     null = split[0 if contr else 2]
-    names = [f"{prefix}sample-{i:03d}" for i in range(samples)]
-    # With no free part (k = 0) every draw gives the same member: it is
-    # drawn and certified once and its checks repeated for the later samples.
-    distinct = samples if null.shape[1] else 1
-    draws = _draws(bf, family, distinct, seed, tol)
+    if not null.shape[1]:
+        member = _renamed(_extreme_checks(f, kind_min), f"extremal-{kind_min.value}", "", ref)
+        member += [margin_check(f"-{name}", ref, 0.0, tol.psd_tol) for name in ("above-min", "below-max")]
+        return checks + [c for name in names for c in _renamed(member, "", name)]
+    j_min, j_max = extremal_symmetry.on(f, kind_min), extremal_symmetry.on(f, kind_max)
+    draws = _draws(bf, family, samples, seed, tol)
     stack = max(1, _STACK_BYTES // (np.dtype(np.complex128).itemsize * max(1, bf.dim) ** 2))
-    members = []
-    for start in range(0, distinct, stack):
-        stop = min(start + stack, distinct)
+    for start in range(0, samples, stack):
+        stop = min(start + stack, samples)
         params = [_params(bf, family, split, draw) for draw in draws[start:stop]]
         j1, j2 = (np.stack(side) for side in zip(*params))
         free = null.conj().T @ (j1 if contr else j2) @ null
-        members += _member_checks(names[start:stop], ref, f, _assemble(bf, j1, j2), family, (j_min, j_max, free))
-    cut = len(names[0])
-    members += [dataclasses.replace(c, name=name + c.name[cut:]) for name in names[distinct:] for c in members]
-    return checks + members
+        checks += _member_checks(names[start:stop], ref, f, _assemble(bf, j1, j2), family, (j_min, j_max, free))
+    return checks
 
 
 # The check groups of full_report.  Each body takes the factors of P and the
@@ -797,8 +809,10 @@ def _biconditional(f: _Factors, run: _Run):
 def _witness_checks(f: _Factors, run: _Run):
     p, tol = f.p, f.tol
     j_a, j_b, verdict = nonexistence_witnesses.on(f)
-    yield from _member_checks(["witness-a", "witness-b"], "Theorem 8(ii)", f, np.stack([j_a, j_b]),
-                              SymmetryFamily.J_PROJECTION)
+    inter = frobenius(j_b @ p @ j_b - p.conj().T)  # witnesses (-J, J): (-J) P (-J) = J P J
+    for name, kind in (("witness-a", ExtremalKind.CONTR_MIN), ("witness-b", ExtremalKind.POS_MIN)):
+        yield residual_check(f"{name}-symmetry", "Theorem 8(ii)", _extreme_checks(f, kind)[0].residual, tol.residual_tol)
+        yield residual_check(f"{name}-intertwines", "Theorem 8(ii)", inter, tol.residual_tol * f.sp)
     if f.bf.corner_split(tol)[1].shape[1]:
         # nonzero corner: no greatest element, witnessed by a gap with
         # eigenvalues of both signs

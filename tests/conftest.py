@@ -48,15 +48,17 @@ def structured_idempotent(n, r, corner, seed):
 
 
 @st.composite
-def wide_corner_idempotents(draw, low=-8, high=4, rank_tol=None):
+def wide_corner_idempotents(draw, low=-8, high=4, rank_tol=None, half=False):
     """An idempotent whose r x (n-r) corner has log-uniform singular values in
-    [10^low, 10^high], with r in {0, 1, n-1, n} or anywhere: a rectangular
-    corner leaves a null space on its longer side, where the probe samples
-    differ.  With a ``rank_tol``, the smallest of two or more singular
-    values is sometimes drawn within 10x of the rank cutoff
-    ``rank_tol * max(1, sigma_max)`` instead."""
+    [10^low, 10^high], with r in {0, 1, n-1, n} (and n // 2 with ``half``)
+    or anywhere: a rectangular corner leaves a null space on its longer
+    side, where the probe samples differ, and a square one none.  With a
+    ``rank_tol``, the smallest of two or more singular values is sometimes
+    drawn within 10x of the rank cutoff ``rank_tol * max(1, sigma_max)``
+    instead."""
     n = draw(st.integers(2, 7))
-    r = draw(st.sampled_from([0, 1, n - 1, n, draw(st.integers(0, n))]))
+    ranks = [0, 1, n - 1, n] + ([n // 2] if half else [])
+    r = draw(st.sampled_from([*ranks, draw(st.integers(0, n))]))
     q = min(r, n - r)
     sigma = 10.0 ** np.array(draw(st.lists(st.floats(low, high), min_size=q, max_size=q)))
     if rank_tol is not None and q > 1 and draw(st.booleans()):

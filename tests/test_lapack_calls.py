@@ -46,7 +46,17 @@ corner it does not factor.  The intertwiners are the identity, so
 ``intertwining_unitaries``, ``adjoint_similarity`` and
 ``complement_sum_equivalence`` factor only P and its corner, which I - P's
 form is derived from; ``split_checks`` of a contractive/expansive split
-factors P and its corner, whose SVD gives the margins' model.
+factors P and its corner, whose SVD gives the margins' model, and so does
+that of a positive/negative split (``split_checks_pn``): the model's root on
+I - P's perp, T = (I + C C*)^(1/2), comes from P's corner SVD too.
+``ASSEMBLE_BOUNDS`` caps, by rank, the ``BlockForm.assemble`` calls and the
+members they assemble in one ``full_report(samples=5)`` at n = 8 without a
+J, under the same rule.  At rank 4 the corner is square and invertible, so
+each family has one member, its least element: the report assembles P's
+block-form round trip and pos-min, contr-min is pos-min negated, each
+greatest element is its family's least, and the probes assemble nothing.
+At rank 2, N(C) has dimension 4, so pos-max and the five positive probe
+samples (one stacked call) are assembled too.
 """
 
 import math
@@ -89,8 +99,11 @@ HANDLE_BOUNDS = {
     "extremal_checks": 2,
     "extremality_probe": 2,
     "split_checks": 2,
+    "split_checks_pn": 2,
 }
 SQUARE_BOUNDS = {"svd": 1, "eigh": 4, "eigvalsh": 6}
+# (calls, members) of BlockForm.assemble in one full_report(samples=5) at n = 8, by rank
+ASSEMBLE_BOUNDS = {4: (2, 2), 2: (4, 8)}
 
 
 @pytest.fixture
@@ -173,8 +186,10 @@ def _handle_calls(seed):
         "extremal_checks": (p, "pos-max", pos_max),
         "extremality_probe": (p, contr, 3),
         "split_checks": (split, p, j),
+        "split_checks_pn": (kp.positive_negative_split(p, j), p, j),
     })
-    return {name: (lambda fn=getattr(kp, name), args=args: fn(*args)) for name, args in calls.items()}
+    fns = {name: getattr(kp, "split_checks" if name == "split_checks_pn" else name) for name in calls}
+    return {name: (lambda fn=fns[name], args=args: fn(*args)) for name, args in calls.items()}
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -217,3 +232,22 @@ def test_full_report_factors_each_corner_once(lapack_calls):
     kp.full_report(p, samples=1)
     corners = [s for fn, s in lapack_calls["shapes"] if fn == "svd" and s in ((3, 5), (5, 3))]
     assert len(corners) <= 2
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("rank", sorted(ASSEMBLE_BOUNDS))
+def test_member_assemblies_in_full_report_at_most_bound(monkeypatch, rank, seed):
+    # a stack of n x n members counts one call and one member per member
+    p = kp.random_idempotent(8, rank, 2.0, np.random.default_rng([seed, 4]))
+    members, real = [], kp.BlockForm.assemble
+
+    def counted(self, *blocks):
+        out = real(self, *blocks)
+        members.append(math.prod(out.shape[:-2]))
+        return out
+
+    monkeypatch.setattr(kp.BlockForm, "assemble", counted)
+    kp.full_report(p, samples=5)
+    calls_bound, members_bound = ASSEMBLE_BOUNDS[rank]
+    assert len(members) <= calls_bound
+    assert sum(members) <= members_bound

@@ -447,11 +447,13 @@ def test_probe_sample_margins_are_certified_lower_bounds(p, seed):
     # recorded residual at least the member's ambient residual (each up to
     # the rounding of computing that value), with the verdict the ambient
     # value gives: every sample is assembled and certified in the ambient
-    # basis
+    # basis, and a family with no free part has one member, its least
+    # element
     from kreinproj import KreinProjError, extremal_symmetry
     from kreinproj.reporting import margin_check, residual_check
 
     bf = block_form(p)
+    u_null, _, v_null, _ = bf.corner_split()
     sp = max(1.0, np.linalg.norm(p, 2))
     for family in (SymmetryFamily.J_POSITIVE, SymmetryFamily.J_CONTRACTIVE):
         try:
@@ -464,8 +466,9 @@ def test_probe_sample_margins_are_certified_lower_bounds(p, seed):
         budgets = {"symmetry": DEFAULT_TOL.residual_tol, "hermitian": DEFAULT_TOL.residual_tol * sp,
                    "psd": DEFAULT_TOL.psd_tol * sp, "dominates": DEFAULT_TOL.psd_tol * sp,
                    "above-min": DEFAULT_TOL.psd_tol, "below-max": DEFAULT_TOL.psd_tol}
+        free = (u_null if family is SymmetryFamily.J_CONTRACTIVE else v_null).shape[1]
         for i, params in enumerate(sample_params(bf, family, 4, seed)):
-            j = assemble_symmetry(bf, family, params)
+            j = assemble_symmetry(bf, family, params) if free else j_min
             for key, (value, slack) in _ambient_values(p, j, family, j_min, j_max).items():
                 name = f"sample-{i:03d}-{key}"
                 check = by_name[name]
@@ -610,8 +613,9 @@ def _values_alone(f, family, j, free, j_min, j_max) -> list:
 @pytest.mark.parametrize("n, r", [(7, 2), (7, 5), (12, 4)])
 def test_probe_sample_checks_are_those_of_its_member_alone(n, r):
     # each sample's checks are bitwise those of a one-member stack holding
-    # its member, assembled alone by assemble_symmetry, and their values are
-    # those of the member's n x n checks computed one matrix at a time
+    # its member, assembled alone by assemble_symmetry (the least element
+    # where the family has no free part), and their values are those of the
+    # member's n x n checks computed one matrix at a time
     from kreinproj import extremal_symmetry
     from kreinproj.idempotents import _Factors
     from kreinproj.verification import _FAMILY_REFS, _member_checks
@@ -625,7 +629,7 @@ def test_probe_sample_checks_are_those_of_its_member_alone(n, r):
         contr = family is SymmetryFamily.J_CONTRACTIVE
         null = u_null if contr else v_null
         for i, params in enumerate(sample_params(f.bf, family, 4, 3)):
-            j = assemble_symmetry(f.bf, family, params)
+            j = assemble_symmetry(f.bf, family, params) if null.shape[1] else extremes[0]
             free = null.conj().T @ params[0 if contr else 1] @ null
             alone = _member_checks([f"sample-{i:03d}"], _FAMILY_REFS[family], f, j[np.newaxis], family,
                                    (*extremes, free[np.newaxis]))
@@ -647,27 +651,30 @@ def _rotated(j, angle, seed):
 
 
 _RECTANGULAR = random_idempotent(7, 2, 2.0, seed=5)  # corner 2 x 5: dim N(C) = 3
+_TALL = random_idempotent(7, 5, 2.0, seed=5)  # corner 5 x 2: dim N(C*) = 3
 
 
 def test_member_checks_fail_a_member_rotated_off_its_family(monkeypatch, tmp_path, capsys):
     # BlockForm.assemble hands out a symmetry rotated off the family in place
     # of the first sampled member, in the probe's stack of members and as the
     # one member gen symmetry-for builds: the report's member checks fail it,
-    # and gen symmetry-for writes nothing
+    # and gen symmetry-for writes nothing.  Each family is probed on a P
+    # where it has a free part, so that its samples are assembled.
     from kreinproj import BlockForm, is_symmetry
     from kreinproj.cli import main
     from kreinproj.matrixio import write_matrix
 
-    p_path = tmp_path / "P.json"
-    write_matrix(p_path, _RECTANGULAR)
-    bf = block_form(_RECTANGULAR)
     real = BlockForm.assemble
-    for family, relation in ((SymmetryFamily.J_POSITIVE, "psd"), (SymmetryFamily.J_CONTRACTIVE, "dominates")):
+    for family, relation, p in ((SymmetryFamily.J_POSITIVE, "psd", _RECTANGULAR),
+                                (SymmetryFamily.J_CONTRACTIVE, "dominates", _TALL)):
+        p_path = tmp_path / "P.json"
+        write_matrix(p_path, p)
+        bf = block_form(p)
         j = assemble_symmetry(bf, family, sample_params(bf, family, 1, 0)[0])
         off = _rotated(j, 1e-3, 0)
         assert is_symmetry(off)
         prefix = f"probe-{family.value}/sample-000"
-        by_name = {c.name: c for c in full_report(_RECTANGULAR, samples=1).checks}
+        by_name = {c.name: c for c in full_report(p, samples=1).checks}
         assert by_name[f"{prefix}-{relation}"].status == "pass"
 
         def swap(self, *blocks, j=j, off=off):
@@ -677,7 +684,7 @@ def test_member_checks_fail_a_member_rotated_off_its_family(monkeypatch, tmp_pat
 
         with monkeypatch.context() as m:
             m.setattr(BlockForm, "assemble", swap)
-            by_name = {c.name: c for c in full_report(_RECTANGULAR, samples=1).checks}
+            by_name = {c.name: c for c in full_report(p, samples=1).checks}
             out = tmp_path / f"{family.value}.json"
             code = main(["gen", "symmetry-for", "--for", str(p_path), "--family", family.value,
                          "-o", str(out)])
@@ -713,6 +720,50 @@ def test_member_checks_pass_only_family_members(p, seed, log_angle):
             assert member[name].margin <= min_eig(rel) + 8 * _EPS * frobenius(rel), name
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(p=wide_corner_idempotents(half=True), seed=st.integers(0, 2**16))
+def test_each_distinct_extreme_is_built_and_certified_once(p, seed):
+    # contr-min is pos-min negated, bit for bit; the report's checks of each
+    # extreme are what the public extremal_checks gives for it, and a
+    # greatest element whose corner null space is empty is the least one;
+    # a probe of such a family records the least element's values and
+    # margins of exactly 0 to the extremes; and the witness checks are those
+    # of the stacked pair's member checks
+    from kreinproj import extremal_checks, extremal_symmetry, nonexistence_witnesses
+    from kreinproj.idempotents import _Factors
+    from kreinproj.verification import _member_checks
+
+    pos_min = extremal_symmetry(p, ExtremalKind.POS_MIN)
+    assert extremal_symmetry(p, ExtremalKind.CONTR_MIN).tobytes() == (-pos_min).tobytes()
+    j = _projection_member_or_none(p, seed)
+    report = full_report(p, j, samples=3, seed=seed)
+    by_name = {c.name: c for c in report.checks}
+    for kind in ExtremalKind:
+        public = extremal_checks(p, kind, extremal_symmetry(p, kind))
+        assert [by_name.get(c.name) for c in public] == public, kind
+    u_null, _, v_null, _ = block_form(p).corner_split()
+    for family, null in ((SymmetryFamily.J_POSITIVE, v_null), (SymmetryFamily.J_CONTRACTIVE, u_null)):
+        if null.shape[1]:
+            continue
+        kind_min, kind_max = (k for k in ExtremalKind if k.family is family)
+        least = extremal_symmetry(p, kind_min)
+        assert extremal_symmetry(p, kind_max).tobytes() == least.tobytes()
+        values = [(c.name.split("-")[-1], c.status, c.residual, c.margin, c.tolerance)
+                  for c in extremal_checks(p, kind_min, least)]
+        for i in range(3):
+            sample = [c for c in report.checks if c.name.startswith(f"probe-{family.value}/sample-{i:03d}-")]
+            assert [(c.name.split("-")[-1], c.status, c.residual, c.margin, c.tolerance)
+                    for c in sample[:-2]] == values
+            assert [(c.name.rsplit("-", 2)[-2:], c.margin, c.status) for c in sample[-2:]] == [
+                (["above", "min"], 0.0, "pass"), (["below", "max"], 0.0, "pass")]
+    if "j-intertwines-adjoint" in by_name:
+        j_a, j_b, _ = nonexistence_witnesses(p)
+        stacked = _member_checks(["witness-a", "witness-b"], "Theorem 8(ii)", _Factors(p, DEFAULT_TOL),
+                                 np.stack([j_a, j_b]), SymmetryFamily.J_PROJECTION)
+        assert [c for c in report.checks if c.name.startswith(("witness-a-", "witness-b-"))] == stacked
+
+
 def _parameter_checks(monkeypatch) -> list:
     """The shape of each parameter that assemble_symmetry's input check tests
     as a symmetry, in call order."""
@@ -737,10 +788,6 @@ def test_parameter_checks_run_only_on_the_callers_parameters(monkeypatch):
     calls.clear()
     assert full_report(_RECTANGULAR, samples=5).passed
     assert calls == []
-
-
-_TALL = random_idempotent(7, 5, 2.0, seed=5)  # corner 5 x 2: dim N(C*) = 3
-
 
 def _contr_max_off_a_symmetry(monkeypatch):
     """Make contr-max's range-side parameter 2 K - I, K the projection onto
@@ -816,10 +863,10 @@ def test_extremal_checks_take_a_kind_or_its_value(kind):
     assert checks[0].name == f"extremal-{kind.value}-symmetry"
 
 
-def test_a_probe_with_no_free_part_draws_one_member(monkeypatch):
-    # a square invertible corner leaves both families one member (k = 0):
-    # each probe draws it once, whatever the number of samples, and draw 0
-    # is the same
+def test_a_probe_with_no_free_part_draws_nothing(monkeypatch):
+    # a square invertible corner leaves both families one member (k = 0),
+    # the least element: no probe draws, whatever the number of samples,
+    # and sample-000 is the same
     from kreinproj import symmetries
 
     p = random_idempotent(6, 3, 2.0, seed=1)
@@ -830,7 +877,7 @@ def test_a_probe_with_no_free_part_draws_one_member(monkeypatch):
     for samples in (1, 6):
         calls.clear()
         checks = full_report(p, samples=samples).checks
-        assert calls == [0, 0]
+        assert calls == []
         first.append([c for c in checks if "/sample-000" in c.name])
     assert first[0] == first[1] and len(first[0]) == 5 + 4
 
