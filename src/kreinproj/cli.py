@@ -27,7 +27,7 @@ from .errors import (
     SingularShift,
 )
 from .idempotents import _Factors, random_idempotent
-from .linalg import Tolerances
+from .linalg import DEFAULT_TOL, Tolerances
 from .matrixio import read_matrix, write_matrix, write_report
 from .reporting import Report, matrix_digest
 from .symmetries import (
@@ -46,11 +46,11 @@ EXIT_NOT_J_PROJECTION = 5
 
 
 def _add_tol_flags(sub):
-    sub.add_argument("--tol-rank", type=float, default=1e-10, metavar="T",
+    sub.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_tol, metavar="T",
                      help="rank cutoff, relative to max(1, spectral norm)")
-    sub.add_argument("--tol-psd", type=float, default=1e-9, metavar="T",
+    sub.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.psd_tol, metavar="T",
                      help="slack for positive semidefiniteness verdicts")
-    sub.add_argument("--tol-res", type=float, default=1e-9, metavar="T",
+    sub.add_argument("--tol-res", type=float, default=DEFAULT_TOL.residual_tol, metavar="T",
                      help="Frobenius residual budget for identity checks")
 
 

@@ -86,19 +86,26 @@ def negative_part_projection_formula(b, tol: Tolerances = DEFAULT_TOL) -> np.nda
     return _negative_part_formula(b, _full_svd(b), tol)
 
 
+@_per_handle
+def _intertwining_gap(f: _Factors, j) -> float:
+    """``||J P J - P*||_F``, read by ``j-intertwines-adjoint``, ``classify`` and :func:`extract_params`."""
+    return frobenius(j @ f.p @ j - f.p.conj().T)
+
+
 @_on_handle(symmetry=(NotJProjection, "J is not a symmetry"))
-def extract_params(f: _Factors, j, *, admitted=False):
+@_per_handle
+def extract_params(f: _Factors, j):
     """Recover the block parameters of a symmetry J with J P J = P*.
 
     Reads the diagonal blocks of J in block-form coordinates and normalizes
     each through the matrix sign function (block J11 becomes
     ``J11 (J11^2)^(-1/2)``).  The pair is verified by reassembly; inputs
     outside the admissible family raise ``NotJProjection``, numerically
-    singular diagonal blocks raise ``SingularBlock``.  A report, which has
-    checked J P J = P* (``j-intertwines-adjoint``), passes ``admitted=True``.
+    singular diagonal blocks raise ``SingularBlock``.  Both splits of a
+    report read one extraction, kept on the handle of P.
     """
-    p, bf, tol = f.p, f.bf, f.tol
-    jpj_res = 0.0 if admitted else frobenius(j @ p @ j - p.conj().T)
+    bf, tol = f.bf, f.tol
+    jpj_res = _intertwining_gap(f, j)
     if jpj_res > tol.residual_tol * f.sp:
         raise NotJProjection(f"J P J differs from P* by {jpj_res:.3e}")
     j11 = bf.basis_range.conj().T @ j @ bf.basis_range
@@ -142,7 +149,7 @@ def _halves(param):
 
 
 @_on_handle(symmetry=(NotJProjection, "J is not a symmetry"))
-def contractive_expansive_split(f: _Factors, j, *, params=None) -> SplitResult:
+def contractive_expansive_split(f: _Factors, j) -> SplitResult:
     """Factor a J-intertwined projection as a commuting product of a
     J-contractive and a J-expansive projection.
 
@@ -151,10 +158,9 @@ def contractive_expansive_split(f: _Factors, j, *, params=None) -> SplitResult:
         E1 = [[I, C (I + J2)/2], [0, (I - J2)/2]]
         E2 = [[I, C (I - J2)/2], [0, (I + J2)/2]]
 
-    so that P = E1 E2 = E2 E1 = E1 + E2 - I.  A report passes its
-    ``(J1, J2)`` as ``params``.
+    so that P = E1 E2 = E2 E1 = E1 + E2 - I.
     """
-    _, j2 = extract_params.on(f, j) if params is None else params
+    _, j2 = extract_params.on(f, j)
     bf, (plus, minus) = f.bf, _halves(j2)
     e1 = bf.assemble(np.eye(bf.rank), bf.corner @ plus, 0, minus)
     e2 = bf.assemble(np.eye(bf.rank), bf.corner @ minus, 0, plus)
@@ -162,7 +168,7 @@ def contractive_expansive_split(f: _Factors, j, *, params=None) -> SplitResult:
 
 
 @_on_handle(symmetry=(NotJProjection, "J is not a symmetry"))
-def positive_negative_split(f: _Factors, j, *, params=None) -> SplitResult:
+def positive_negative_split(f: _Factors, j) -> SplitResult:
     """Split a J-intertwined projection as P = Q + R with Q J-positive and
     R J-negative, Q R = R Q = 0 and Q R* = R* Q = 0.
 
@@ -170,10 +176,10 @@ def positive_negative_split(f: _Factors, j, *, params=None) -> SplitResult:
     I - P.  In the block form of I - P derived from P's, J's diagonal blocks
     are J2 Sinv and J1 Tinv, so I - P's parameters are (J2, J1): with C' the
     corner of I - P, Q = [[0, -C' K], [0, K]] for K = (I + J1)/2, and R the
-    same for K = (I - J1)/2.  A report passes its ``(J1, J2)`` as ``params``.
+    same for K = (I - J1)/2.
     """
-    j1, _ = extract_params.on(f, j) if params is None else params
-    bf, (plus, minus) = f.comp.bf, _halves(j1)
+    j1, _ = extract_params.on(f, j)
+    bf, (plus, minus) = f.comp_bf, _halves(j1)
     q = bf.assemble(0, -bf.corner @ plus, 0, plus)
     r = bf.assemble(0, -bf.corner @ minus, 0, minus)
     return SplitResult(e1=q, e2=r, kind=SplitKind.POSITIVE_NEGATIVE)
@@ -191,7 +197,7 @@ def intertwining_unitaries(f: _Factors):
     residual ``||corner(I - P) - C*||_F`` compares the corner read off the
     ambient I - P with C*; the report certifies it: ``intertwining-residual``.
     """
-    bf_p, bf_q = f.bf, f.comp.bf
+    bf_p, bf_q = f.bf, f.comp_bf
     residual = frobenius(bf_q.corner - bf_p.corner.conj().T)
     return np.eye(bf_q.rank, dtype=np.complex128), np.eye(bf_p.rank, dtype=np.complex128), residual
 
@@ -200,7 +206,7 @@ def intertwining_unitaries(f: _Factors):
 def adjoint_similarity(f: _Factors):
     """An ambient unitary U with U* P* U = P, plus the achieved residual:
     U = W' [[0, -I], [I, 0]] W*, W and W' the bases of P and I - P."""
-    p, bf_p, bf_q = f.p, f.bf, f.comp.bf
+    p, bf_p, bf_q = f.p, f.bf, f.comp_bf
     u = bf_q.basis_perp @ bf_p.basis_range.conj().T - bf_q.basis_range @ bf_p.basis_perp.conj().T
     residual = frobenius(u.conj().T @ p.conj().T @ u - p)
     return u, residual
@@ -218,7 +224,7 @@ def complement_sum_equivalence(f: _Factors):
     of P and W' of I - P.  That the two padded sums share their spectrum is
     certified by the report check ``complement-sum-spectra``.
     """
-    bf_p, bf_q = f.bf, f.comp.bf
+    bf_p, bf_q = f.bf, f.comp_bf
     u = bf_p.basis_perp @ bf_q.basis_range.conj().T + bf_p.basis_range @ bf_q.basis_perp.conj().T
     lhs, rhs = _padded_sums(f)
     return u, frobenius(u.conj().T @ lhs @ u - rhs)
@@ -227,7 +233,7 @@ def complement_sum_equivalence(f: _Factors):
 @_per_handle
 def _padded_sums(f: _Factors):
     """``P + P* + 2 (I - proj R(P))`` and ``2I - P - P* + 2 (I - proj R(I-P))``."""
-    p, bf_p, bf_q = f.p, f.bf, f.comp.bf
+    p, bf_p, bf_q = f.p, f.bf, f.comp_bf
     eye = np.eye(p.shape[0], dtype=np.complex128)
     lhs = p + p.conj().T + 2 * (eye - bf_p.basis_range @ bf_p.basis_range.conj().T)
     rhs = 2 * eye - p - p.conj().T + 2 * (eye - bf_q.basis_range @ bf_q.basis_range.conj().T)

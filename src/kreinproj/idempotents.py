@@ -202,14 +202,15 @@ def block_form(p, tol: Tolerances = DEFAULT_TOL) -> BlockForm:
 
 class _Factors:
     """The one internal handle of a square matrix ``p`` under ``tol``: each
-    factorization of ``p`` computed at most once, on first use, and ``comp``,
-    the handle of I - P.  ``bf`` raises ``NotIdempotent`` when ``p`` is not
+    factorization of ``p`` computed at most once, on first use, and ``comp_bf``,
+    the block form of I - P.  ``bf`` raises ``NotIdempotent`` when ``p`` is not
     idempotent.
 
     Anything derived from the factors that more than one check group reads
-    (the extremes, the intertwiners, the padded sums) is kept on the handle
-    by :func:`_per_handle`.  A report builds one handle and hands it to every
-    check group; a public function (:func:`_on_handle`) builds its own.
+    (the extremes, the padded sums, and J's parameters, ||J P J - P*|| and
+    the range of J - P* J P) is kept on the handle by :func:`_per_handle`.  A
+    report builds one handle and hands it to every check group; a public
+    function (:func:`_on_handle`) builds its own.
     """
 
     def __init__(self, p: np.ndarray, tol: Tolerances):
@@ -260,18 +261,10 @@ class _Factors:
         return BlockForm(basis_range=basis_range, basis_perp=basis_perp, corner=corner)
 
     @functools.cached_property
-    def comp(self) -> "_Factors":
-        """The handle of I - P.  It takes P's idempotency residual and verdict:
-        (I - P)^2 - (I - P) = P^2 - P exactly.  When P is idempotent it also
-        takes P's scale, as ||I - P|| = ||P|| for P not 0 or I and both scales
-        are 1 at those two ends, and its block form comes from P's factors
-        (see :func:`_complement_form`), so I - P is not factored; only its
-        corner gets its own SVD."""
-        comp = _Factors(np.eye(self.p.shape[0], dtype=np.complex128) - self.p, self.tol)
-        comp.idem_residual, comp.idempotent = self.idem_residual, self.idempotent
-        if self.idempotent:
-            comp.sp, comp.bf = self.sp, _complement_form(self.bf, comp.p)
-        return comp
+    def comp_bf(self) -> BlockForm:
+        """The block form of I - P from P's factors, by :func:`_complement_form`;
+        ``NotIdempotent`` when P is not: (I - P)^2 - (I - P) = P^2 - P."""
+        return _complement_form(self.bf, np.eye(self.p.shape[0], dtype=np.complex128) - self.p)
 
     @functools.cached_property
     def sum_parts(self):
@@ -304,15 +297,17 @@ def _complement_form(bf: BlockForm, q: np.ndarray) -> BlockForm:
 
 def _per_handle(fn):
     """Compute ``fn(f, *args)`` once per handle ``f`` and keep the result on
-    it.  An exception is not kept, so a failing call fails again, the same
-    way, wherever it is made."""
+    it.  An ndarray argument, which must not be modified, is keyed by its
+    identity and kept beside the result, so its id is not reused while the
+    entry lives.  An exception is not kept, so a failing call fails again,
+    the same way, wherever it is made."""
 
     @functools.wraps(fn)
     def once(f: _Factors, *args):
-        key = (once, *args)
+        key = (once, *((np.ndarray, id(a)) if isinstance(a, np.ndarray) else a for a in args))
         if key not in f._memo:
-            f._memo[key] = fn(f, *args)
-        return f._memo[key]
+            f._memo[key] = fn(f, *args), args
+        return f._memo[key][0]
 
     return once
 
@@ -341,13 +336,12 @@ def _on_handle(idempotent=None, symmetry=None):
     ``fn(p, *args, tol=DEFAULT_TOL)``, which builds the handle of ``p`` and
     takes a parameter ``j`` as a matrix, both by :func:`_handle` with these
     ``idempotent`` and ``symmetry``; the body stays ``fn.on``, those checks
-    ``fn.handle(p, tol, j=None)``, and the body's keyword-only parameters stay
-    internal."""
+    ``fn.handle(p, tol, j=None)``."""
 
     def decorate(body):
         signature = inspect.signature(body)
         arg = functools.partial(inspect.Parameter, kind=inspect.Parameter.POSITIONAL_OR_KEYWORD)
-        params = [q for q in list(signature.parameters.values())[1:] if q.kind is q.POSITIONAL_OR_KEYWORD]
+        params = list(signature.parameters.values())[1:]
         params.append(arg("tol", default=DEFAULT_TOL, annotation="Tolerances"))
         names = [q.name for q in params]
         defaults = {q.name: q.default for q in params if q.default is not q.empty}
@@ -371,12 +365,17 @@ def _on_handle(idempotent=None, symmetry=None):
     return decorate
 
 
+def _null_projections(bf: BlockForm, tol: Tolerances):
+    """The ambient projections onto N(C*) in range(P) and N(C) in range(P)-perp
+    for the block form ``bf`` of P, from its rank decision ``bf.corner_split(tol)``."""
+    u_null, _, v_null, _ = bf.corner_split(tol)
+    return bf.embed_range(u_null @ u_null.conj().T), bf.embed_perp(v_null @ v_null.conj().T)
+
+
 @_per_handle
 def _corner_null_projections(f: _Factors):
-    """The ambient projections onto N(C*) in range(P) and N(C) in range(P)-perp."""
-    bf = f.bf
-    u_null, _, v_null, _ = bf.corner_split(f.tol)
-    return bf.embed_range(u_null @ u_null.conj().T), bf.embed_perp(v_null @ v_null.conj().T)
+    """:func:`_null_projections` of P's block form."""
+    return _null_projections(f.bf, f.tol)
 
 
 @_on_handle()

@@ -17,25 +17,28 @@ of P + P* and i(P - P*), and the sign-function route to pos-max.  Each
 distinct family member the library builds (the extremes, the probe samples,
 the witness pair, the member ``gen symmetry-for`` writes) is certified once,
 by :func:`_member_checks`, whose Loewner margins are Weyl bounds against
-the family's exact model, as are the split margins.  The block
-form of I - P is derived from P's, so the intertwiners are the identity,
-and its corner, factored on its own, is compared with P's by the
-intertwining, corner-singular-value and corner-null-match checks.
+the family's exact model, as are the split margins.  The block form of
+I - P is derived from P's, on P's handle, so the intertwiners are the
+identity, and its corner, factored on its own, is compared with P's by the
+intertwining, corner-singular-value and corner-null-match checks.  J's
+values (its parameters, ||J P J - P*||, the spectrum of J - P* J P) are
+kept on P's handle too, so a report computes each once.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import operator
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import decompositions as dec
 from .errors import KreinProjError, NotSymmetry, SingularShift
-from .idempotents import _corner_null_projections, _Factors, _handle, _on_handle, _per_handle, kernel_projections
+from .idempotents import (
+    _corner_null_projections, _Factors, _handle, _null_projections, _on_handle, _per_handle, kernel_projections,
+)
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -47,7 +50,6 @@ from .linalg import (
     as_matrix,
     frobenius,
     is_symmetry,
-    loewner_geq,
     min_eig,
     spectral_parts,
     within_scaled,
@@ -121,10 +123,10 @@ def classify(f: _Factors, j) -> ProjectionFlags:
     jp = j @ p
     hermitian = frobenius(jp - jp.conj().T) <= tol.residual_tol * sp
     jp_min, jp_max = _eig_range(jp)
-    d_min, d_max = _eig_range(_loewner_diff(j, p.conj().T @ j @ p, tol))
+    d_min, d_max = _contraction_range(f, j)
     d_budget = tol.psd_tol * _range_scale(d_min, d_max)
     return ProjectionFlags(
-        j_projection=frobenius(jp @ j - p.conj().T) <= tol.residual_tol * sp,
+        j_projection=dec._intertwining_gap(f, j) <= tol.residual_tol * sp,
         j_positive=hermitian and jp_min >= -tol.psd_tol * sp,
         j_negative=hermitian and -jp_max >= -tol.psd_tol * sp,
         j_contractive=-d_min <= d_budget,
@@ -132,20 +134,25 @@ def classify(f: _Factors, j) -> ProjectionFlags:
     )
 
 
+@_per_handle
+def _contraction_range(f: _Factors, j):
+    """``(lambda_min, lambda_max)`` of J - P* J P, read by ``classify`` and the biconditional."""
+    return _eig_range(_loewner_diff(j, f.p.conj().T @ j @ f.p, f.tol))
+
+
 @_on_handle(idempotent="biconditional check requires an idempotent P",
             symmetry=(NotSymmetry, "biconditional check requires a symmetry J"))
-def contractive_positive_equivalence(f: _Factors, j, *, contractive=None) -> CheckResult:
+def contractive_positive_equivalence(f: _Factors, j) -> CheckResult:
     """Check the biconditional: P* J P <= J holds iff J (I - P) >= 0.
 
     The two sides are evaluated independently; the check passes when their
     verdicts agree (including the case where both fail).  On disagreement
-    the residual records the larger violation.  A caller that has the verdict
-    on P* J P <= J from :func:`classify` passes it as ``contractive``.
+    the residual records the failing side's violation.  The spectrum of
+    J - P* J P is the one :func:`classify` reads, taken once per handle and J.
     """
     p, tol, sp = f.p, f.tol, f.sp
-    c_margin = None
-    if contractive is None:
-        contractive, c_margin = loewner_geq(j, p.conj().T @ j @ p, tol)
+    c_margin, top = _contraction_range(f, j)
+    contractive = -c_margin <= tol.psd_tol * _range_scale(c_margin, top)
 
     comp = j @ (np.eye(p.shape[0]) - p)
     herm_res = frobenius(comp - comp.conj().T)
@@ -153,17 +160,10 @@ def contractive_positive_equivalence(f: _Factors, j, *, contractive=None) -> Che
     positive = herm_res <= tol.residual_tol * sp and within_scaled(-p_margin, tol.psd_tol, comp)
 
     if contractive == positive:
-        residual = 0.0
-        note = "both hold" if contractive else "both fail"
+        residual, note = 0.0, "both hold" if contractive else "both fail"
     else:
-        violations = []
-        if not contractive:
-            if c_margin is None:
-                c_margin = loewner_geq(j, p.conj().T @ j @ p, tol)[1]
-            violations.append(max(0.0, -c_margin))
-        if not positive:
-            violations.append(max(herm_res, max(0.0, -p_margin)))
-        residual = max(violations)
+        # exactly one verdict fails, and the residual records its violation
+        residual = max(herm_res, max(0.0, -p_margin)) if contractive else max(0.0, -c_margin)
         note = "verdicts disagree"
     return residual_check(
         "contractive-iff-complement-positive", "Lemma 11", residual, 0.0, note=note
@@ -227,12 +227,12 @@ def _sign_formula_checks(f: _Factors, jsf) -> list:
 SIGN_FORMULA = "sign-formula"
 
 
-def family_checks(prefix, ref, p, j, family, tol, sp, margin=min_eig) -> list:
+def family_checks(prefix, ref, p, j, family, tol, sp) -> list:
     """Checks that a symmetry ``j`` satisfies its family's defining relation with
     the idempotent ``p``, where ``sp = max(1, ||P||_2)``: ``<prefix>-intertwines``, ``-hermitian``
-    and ``-psd``, or ``-dominates``, with the margin ``margin(J P)`` or ``margin(J - P* J P)``."""
+    and ``-psd``, or ``-dominates``, with the margin ``min_eig(J P)`` or ``min_eig(J - P* J P)``."""
     stack = np.asarray(j)[np.newaxis]
-    return _family_checks([prefix], ref, p, stack, family, tol, sp, lambda rel: [margin(rel[0])])[0]
+    return _family_checks([prefix], ref, p, stack, family, tol, sp, lambda rel: [min_eig(rel[0])])[0]
 
 
 def _family_checks(prefixes, ref, p, js, family, tol, sp, margins) -> list:
@@ -503,7 +503,7 @@ def _split_checks(split, f: _Factors, j, prefix) -> list:
     if f.idempotent:
         # K is E2's then E1's perp block on P's form, Q's then R's on I - P's (corner C*, root T)
         ce = split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE
-        bf = f.bf if ce else f.comp.bf
+        bf = f.bf if ce else f.comp_bf
         basis, root = bf.basis_perp, _corner_root(f.bf, perp=ce)
         for key, e in zip(keys, (split.e2, split.e1) if ce else (split.e1, split.e2)):
             k = basis.conj().T @ e @ basis
@@ -628,7 +628,6 @@ class _Run(NamedTuple):
     samples: int
     seed: Optional[int]
     subject: dict
-    params: Optional[Callable] = None  # J's block parameters, extracted once
 
 
 def _failed(name, ref, exc) -> CheckResult:
@@ -750,9 +749,8 @@ def _projection_identity_checks(f: _Factors) -> list:
     """The checks of :func:`spectral_projection_identities`."""
     parts_a, parts_c = f.sum_parts, _complement_parts(f)
     ker_diff = _ker_diff(f)
-    (null_p_range, null_p_perp), (null_q_range, null_q_perp) = (
-        _corner_null_projections(g) for g in (f, f.comp)
-    )
+    null_p_range, null_p_perp = _corner_null_projections(f)
+    null_q_range, null_q_perp = _null_projections(f.comp_bf, f.tol)
 
     budget = f.tol.residual_tol * parts_a.scale
     gaps = [
@@ -771,7 +769,7 @@ def _projection_identity_checks(f: _Factors) -> list:
 def _intertwining_checks(f: _Factors, run: _Run):
     budget = f.tol.residual_tol * f.sp
     yield residual_check("intertwining-residual", "Proposition 9", dec.intertwining_unitaries.on(f)[2], budget)
-    sv_p, sv_q = f.bf._corner_svd[1], f.comp.bf._corner_svd[1]
+    sv_p, sv_q = f.bf._corner_svd[1], f.comp_bf._corner_svd[1]
     sv_gap = float(np.max(np.abs(sv_p - sv_q))) if sv_p.size else 0.0
     yield residual_check("corner-singular-values", "Proposition 9", sv_gap, budget)
 
@@ -801,9 +799,7 @@ def _classification(f: _Factors, run: _Run):
 
 
 def _biconditional(f: _Factors, run: _Run):
-    # the verdict on P* J P <= J that the j-checks group recorded, if it ran
-    contractive = run.subject.get("classification", {}).get("j_contractive")
-    return [contractive_positive_equivalence.on(f, run.j, contractive=contractive)]
+    return [contractive_positive_equivalence.on(f, run.j)]
 
 
 def _witness_checks(f: _Factors, run: _Run):
@@ -855,33 +851,30 @@ _J_GROUPS = [
     ("j-checks", "§1", _classification),
     ("biconditional", "Lemma 11", _biconditional),
     ("contractive-expansive-split", _SPLIT_REFS[dec.SplitKind.CONTRACTIVE_EXPANSIVE],
-     lambda f, run: _split_checks(dec.contractive_expansive_split.on(f, run.j, params=run.params()), f, run.j,
-                                  "split-ce-")),
+     lambda f, run: _split_checks(dec.contractive_expansive_split.on(f, run.j), f, run.j, "split-ce-")),
     ("positive-negative-split", _SPLIT_REFS[dec.SplitKind.POSITIVE_NEGATIVE],
-     lambda f, run: _split_checks(dec.positive_negative_split.on(f, run.j, params=run.params()), f, run.j,
-                                  "split-pn-")),
+     lambda f, run: _split_checks(dec.positive_negative_split.on(f, run.j), f, run.j, "split-pn-")),
     ("witness-pair", "Theorem 8(ii)", _witness_checks),
 ]
 
 
 def _admitted_symmetry(f: _Factors, j, subject: dict):
-    """``(J, ||J P J - P*||, None)`` for a symmetry J that intertwines P and
-    P*, else ``(None, None, reason)``: the reason the J groups are skipped."""
+    """``(J, None)`` for a symmetry J that intertwines P and P*, else
+    ``(None, reason)``: the reason the J groups are skipped."""
     if j is None:
-        return None, None, "no symmetry supplied"
+        return None, "no symmetry supplied"
     try:
         subject["symmetry_sha256"] = matrix_digest(j)
         j = np.asarray(j, dtype=np.complex128)
     except (TypeError, ValueError) as e:
-        return None, None, f"J is not a matrix ({type(e).__name__}: {e})"
+        return None, f"J is not a matrix ({type(e).__name__}: {e})"
     if j.shape != f.p.shape:
-        return None, None, "symmetry dimension does not match"
+        return None, "symmetry dimension does not match"
     if not np.all(np.isfinite(j)) or not is_symmetry(j, f.tol):
-        return None, None, "J is not a symmetry"
-    jpj_res = frobenius(j @ f.p @ j - f.p.conj().T)
-    if jpj_res > f.tol.residual_tol * f.sp:
-        return None, None, "JPJ != P*"
-    return j, jpj_res, None
+        return None, "J is not a symmetry"
+    if dec._intertwining_gap(f, j) > f.tol.residual_tol * f.sp:
+        return None, "JPJ != P*"
+    return j, None
 
 
 def full_report(
@@ -902,11 +895,12 @@ def full_report(
     at least 1, or a ``seed`` that is neither None nor a nonnegative
     integer, fails the two probe groups.
 
-    The report builds one handle each for P and I - P: P is factored once,
-    the block form of I - P is derived from P's factors with only its corner
-    factored, and what several check groups read (the extremes, the padded
-    sums, J's block parameters) is computed once per report.  Each public
-    function called on its own factors its own input.
+    The report builds one handle, of P: P is factored once, the block form
+    of I - P is derived from P's factors with only its corner factored, and
+    what several check groups read (the extremes, the padded sums, and J's
+    parameters, ||J P J - P*|| and the spectrum of J - P* J P) is computed
+    once per report and kept on the handle.  Each public function called on
+    its own builds its own handle.
     """
     checks = []
     subject = {}
@@ -932,15 +926,15 @@ def full_report(
     for name, ref, body in _GROUPS:
         checks += _run_group(name, ref, body, f, run)
 
-    j, jpj_res, skip_reason = _admitted_symmetry(f, j, subject)
+    j, skip_reason = _admitted_symmetry(f, j, subject)
     if skip_reason is not None:
         for name, ref, _ in _J_GROUPS:
             checks.append(skipped_check(name, ref, skip_reason))
         return report
-    checks.append(residual_check("j-intertwines-adjoint", "§1", jpj_res, tol.residual_tol * f.sp))
-    # the checks of _admitted_symmetry are those of the public wrappers and of
-    # extract_params; a failed extraction is not kept and fails each split group
-    run = run._replace(j=j, params=functools.cache(lambda: dec.extract_params.on(f, j, admitted=True)))
+    checks.append(residual_check("j-intertwines-adjoint", "§1", dec._intertwining_gap(f, j), tol.residual_tol * f.sp))
+    # the checks of _admitted_symmetry are those of the public wrappers; a
+    # failed extraction is not kept on the handle and fails each split group
+    run = run._replace(j=j)
     for name, ref, body in _J_GROUPS:
         checks += _run_group(name, ref, body, f, run)
     return report

@@ -99,6 +99,28 @@ def test_gen_symmetry_for_takes_the_tolerance_flags(tmp_path, capsys):
     assert np.abs(got - read_matrix(tmp_path / "d.json")).max() > 1.0
 
 
+def test_every_subcommand_defaults_to_the_default_tolerances():
+    # the --tol-* defaults are read from DEFAULT_TOL, the policy's one home
+    import argparse
+
+    from kreinproj.cli import build_parser
+    from kreinproj.linalg import DEFAULT_TOL
+
+    parser = build_parser()
+    argvs = [
+        ["gen", "idempotent", "-o", "x"],
+        ["extremal", "P", "--which", "pos-min", "-o", "x"],
+        ["decompose", "P", "J", "--kind", "pos-neg", "-o", "x"],
+        ["verify", "P"],
+    ]
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(argv[0] for argv in argvs) == sorted(subs.choices)
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        assert (args.tol_rank, args.tol_psd, args.tol_res) == (
+            DEFAULT_TOL.rank_tol, DEFAULT_TOL.psd_tol, DEFAULT_TOL.residual_tol), argv[0]
+
+
 def test_integer_beyond_double_range_is_an_io_error(tmp_path, capsys):
     p_path = tmp_path / "P.json"
     p_path.write_text('{"rows": 1, "cols": 1, "data": [[[1' + "0" * 400 + ', 0]]]}')
@@ -197,10 +219,10 @@ def test_decompose_rejects_a_symmetry_of_another_shape(tmp_path, capsys):
     assert "J has shape (2, 2) but P has shape (4, 4)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, handles", [("contr-exp", 1), ("pos-neg", 2)])
-def test_decompose_builds_one_handle_for_p(tmp_path, monkeypatch, kind, handles):
-    # the split and its checks share the handle of P; pos-neg also builds
-    # the handle of I - P, through it
+@pytest.mark.parametrize("kind", ["contr-exp", "pos-neg"])
+def test_decompose_builds_one_handle_for_p(tmp_path, monkeypatch, kind):
+    # the split and its checks share the handle of P; pos-neg reads the
+    # block form of I - P off it, with no handle of its own
     import kreinproj as kp
     from kreinproj.idempotents import _Factors
 
@@ -214,7 +236,7 @@ def test_decompose_builds_one_handle_for_p(tmp_path, monkeypatch, kind, handles)
     init = _Factors.__init__
     monkeypatch.setattr(_Factors, "__init__", lambda self, *args: built.append(init(self, *args)))
     assert main(["decompose", str(p_path), str(j_path), "--kind", kind, "-o", str(tmp_path / "x-")]) == 0
-    assert len(built) == handles
+    assert len(built) == 1
 
 
 def test_verify_pass_and_report(tmp_path, capsys):

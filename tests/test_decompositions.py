@@ -330,7 +330,10 @@ def test_complement_parameters_are_the_swapped_parameters(p, seed):
     except KreinProjError:
         return  # a corner value at the rank cutoff: the draw is rejected
     j1, j2 = extract_params.on(f, j)
-    k1, k2 = extract_params.on(f.comp, j)
+    # a handle of I - P whose block form is the one derived from P's
+    comp = _Factors(np.eye(p.shape[0]) - p, DEFAULT_TOL)
+    comp.bf = f.comp_bf
+    k1, k2 = extract_params.on(comp, j)
     budget = DEFAULT_TOL.residual_tol * f.sp
     assert frobenius(k1 - j2) <= budget
     assert frobenius(k2 - j1) <= budget

@@ -36,10 +36,38 @@ def test_validate_idempotent_cases():
     assert not validate_idempotent(np.array([[1.0, 1.0], [0.0, 0.5]]))
 
 
+def test_per_handle_keys_an_array_argument_by_its_identity():
+    # the same array object runs the body once, an equal copy runs it again,
+    # the array is kept beside the result, and a raising body is not kept
+    calls, fail = [], [False]
+
+    @idempotents._per_handle
+    def body(f, a):
+        calls.append(a)
+        if fail[0]:
+            raise ValueError("failed")
+        return float(a.sum())
+
+    f = _Factors(np.eye(2), DEFAULT_TOL)
+    a = np.arange(3.0)
+    assert body(f, a) == body(f, a) == 3.0
+    assert len(calls) == 1
+    assert body(f, a.copy()) == 3.0
+    assert len(calls) == 2
+    assert any(args[0] is a for _, args in f._memo.values())
+    b, fail[0] = np.ones(2), True
+    for _ in range(2):
+        with pytest.raises(ValueError, match="failed"):
+            body(f, b)
+    fail[0] = False
+    assert body(f, b) == 2.0
+    assert len(calls) == 5
+
+
 def test_idempotency_residual_is_computed_once_per_handle(monkeypatch):
     # the idempotency check and the block form of one handle share one
-    # ||P^2 - P||, so does the handle of I - P, and a non-idempotent input
-    # reports that same value
+    # ||P^2 - P||, building the block form of I - P computes no second one,
+    # and a non-idempotent input reports that same value
     calls = []
 
     def counted(a):
@@ -50,8 +78,8 @@ def test_idempotency_residual_is_computed_once_per_handle(monkeypatch):
     f = idempotents._Factors(random_idempotent(6, 2, 2.0, seed=3), Tolerances())
     assert f.bf.rank == 2 and f.idempotent
     assert calls == [(6, 6)]
-    # the handle of I - P takes P's residual: (I - P)^2 - (I - P) = P^2 - P
-    assert f.comp.bf.rank == 4 and f.comp.idem_residual == f.idem_residual
+    # the block form of I - P rests on P's verdict: (I - P)^2 - (I - P) = P^2 - P
+    assert f.comp_bf.rank == 4
     assert calls == [(6, 6)]
     calls.clear()
     bad = np.array([[1.0, 1.0], [0.0, 0.5]])
@@ -323,7 +351,7 @@ def test_the_complement_form_derived_from_p_is_a_block_form_of_i_minus_p(p):
 
     n = p.shape[0]
     f = _Factors(p, DEFAULT_TOL)
-    bf, comp = f.bf, f.comp.bf
+    bf, comp = f.bf, f.comp_bf
     q = np.eye(n) - p
     w, w_comp = bf.unitary, comp.unitary
     rounding = 4 * n * (n + 1) * _EPS

@@ -108,8 +108,8 @@ def test_tol_reaches_the_handle_by_position_and_by_keyword(name):
 
 
 def test_arguments_outside_the_signature_are_refused():
-    # a keyword-only parameter of the body, one argument too many, and one
-    # parameter given twice
+    # a keyword argument outside the signature, one argument too many, and
+    # one parameter given twice
     with pytest.raises(TypeError):
         kp.contractive_positive_equivalence(P, J, contractive=True)
     with pytest.raises(TypeError):

@@ -215,6 +215,36 @@ def test_full_report_hashes_p_once(monkeypatch):
     assert hashed == ["P", "other"]
 
 
+def test_full_report_computes_each_value_of_j_once(monkeypatch):
+    # J's parameters, ||J P J - P*|| and the spectrum of J - P* J P live on
+    # the report's handle of P: read by the gate, classify, the biconditional
+    # and both splits, each body runs once
+    import collections
+
+    from kreinproj import decompositions as dec
+    from kreinproj import verification
+
+    runs = collections.Counter()
+    memoized = {"params": dec.extract_params.on, "gap": dec._intertwining_gap,
+                "range": verification._contraction_range}
+    for name, once in memoized.items():
+        # the body is swapped inside the memo, so a run the memo saves is not counted
+        (cell,) = [c for c in once.__closure__ if c.cell_contents is once.__wrapped__]
+
+        def counted(*args, name=name, body=once.__wrapped__):
+            runs[name] += 1
+            return body(*args)
+
+        monkeypatch.setattr(cell, "cell_contents", counted)
+    p = random_idempotent(8, 3, 2.0, seed=4)
+    bf = block_form(p)
+    fam = SymmetryFamily.J_PROJECTION
+    j = assemble_symmetry(bf, fam, sample_params(bf, fam, 1, 2)[0])
+    report = full_report(p, j, samples=1)
+    assert report.passed and report.counts["skipped"] == 0
+    assert runs == {"params": 1, "gap": 1, "range": 1}
+
+
 def test_full_report_of_an_empty_idempotent_records_finite_margins():
     # min_eig of an empty relation is +inf; its check records 0.0, so the
     # report renders as JSON
