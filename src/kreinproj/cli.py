@@ -7,8 +7,8 @@ a projection against a symmetry, and ``verify`` runs the full check suite
 and writes a machine-readable report.  Each subcommand builds by one route,
 and every check it runs is one of ``verification``'s.
 
-Exit codes: 0 pass, 1 check failure, 2 usage or bad input, 3 I/O failure,
-4 singular shift, 5 not an admissible projection/symmetry pair.
+Exit codes: 0 pass, 1 check failure, 2 usage or bad input (a P that is not
+idempotent too), 3 I/O failure, 4 singular shift, 5 a J not admissible for P.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     SingularBlock,
     SingularShift,
 )
-from .idempotents import _Factors, random_idempotent
+from .idempotents import _handle, random_idempotent
 from .linalg import DEFAULT_TOL, Tolerances
 from .matrixio import read_matrix, write_matrix, write_report
 from .reporting import Report, matrix_digest
@@ -157,7 +157,7 @@ def _cmd_gen(args) -> int:
         raise UsageError("gen symmetry-for requires --for and --family")
     tol = _tol_from(args)
     # one set of factors serves the construction and its certificate
-    f = _Factors(read_matrix(args.for_path), tol)
+    f, _ = _handle(read_matrix(args.for_path), tol)
     family = SymmetryFamily(args.family)
     m = _assemble(f.bf, *sample_params(f.bf, family, 1, args.seed, tol)[0])
     return _write_certified(args.out, m, _member_checks(["member"], _FAMILY_REFS[family], f, m[None], family))
@@ -166,11 +166,9 @@ def _cmd_gen(args) -> int:
 def _cmd_extremal(args) -> int:
     p = read_matrix(args.p_path)
     tol = _tol_from(args)
-    sign = args.which == SIGN_FORMULA
     # one set of factors serves the construction and its certificate
-    build = sign_formula_symmetry if sign else extremal_symmetry
-    f, _ = build.handle(p, tol)
-    j = build.on(f) if sign else build.on(f, ExtremalKind(args.which))
+    f, _ = _handle(p, tol)
+    j = sign_formula_symmetry.on(f) if args.which == SIGN_FORMULA else extremal_symmetry.on(f, args.which)
     return _write_certified(args.out, j, extremal_checks.on(f, args.which, j))
 
 

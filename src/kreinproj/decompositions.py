@@ -92,7 +92,7 @@ def _intertwining_gap(f: _Factors, j) -> float:
     return frobenius(j @ f.p @ j - f.p.conj().T)
 
 
-@_on_handle(symmetry=(NotJProjection, "J is not a symmetry"))
+@_on_handle(symmetry=NotJProjection)
 @_per_handle
 def extract_params(f: _Factors, j):
     """Recover the block parameters of a symmetry J with J P J = P*.
@@ -127,6 +127,8 @@ def extract_params(f: _Factors, j):
 
 
 class SplitKind(enum.Enum):
+    """Which pair of identities a split satisfies, taken by value as ``SymmetryFamily`` is."""
+
     CONTRACTIVE_EXPANSIVE = "contractive-expansive"
     POSITIVE_NEGATIVE = "positive-negative"
 
@@ -135,11 +137,16 @@ class SplitKind(enum.Enum):
 class SplitResult:
     """A pair of projections splitting P, with the identities they satisfy
     determined by ``kind`` (see
-    :func:`kreinproj.verification.split_identity_residuals`)."""
+    :func:`kreinproj.verification.split_identity_residuals`), its factors
+    taken as matrices."""
 
     e1: np.ndarray
     e2: np.ndarray
     kind: SplitKind
+
+    def __post_init__(self):
+        for name, value in (("e1", as_matrix(self.e1)), ("e2", as_matrix(self.e2)), ("kind", SplitKind(self.kind))):
+            object.__setattr__(self, name, value)
 
 
 def _halves(param):
@@ -148,7 +155,7 @@ def _halves(param):
     return (eye + param) / 2, (eye - param) / 2
 
 
-@_on_handle(symmetry=(NotJProjection, "J is not a symmetry"))
+@_on_handle(symmetry=NotJProjection)
 def contractive_expansive_split(f: _Factors, j) -> SplitResult:
     """Factor a J-intertwined projection as a commuting product of a
     J-contractive and a J-expansive projection.
@@ -167,7 +174,7 @@ def contractive_expansive_split(f: _Factors, j) -> SplitResult:
     return SplitResult(e1=e1, e2=e2, kind=SplitKind.CONTRACTIVE_EXPANSIVE)
 
 
-@_on_handle(symmetry=(NotJProjection, "J is not a symmetry"))
+@_on_handle(symmetry=NotJProjection)
 def positive_negative_split(f: _Factors, j) -> SplitResult:
     """Split a J-intertwined projection as P = Q + R with Q J-positive and
     R J-negative, Q R = R Q = 0 and Q R* = R* Q = 0.

@@ -190,16 +190,6 @@ def _canonical_phases(u: np.ndarray) -> np.ndarray:
     return u / phase[None, :]
 
 
-def block_form(p, tol: Tolerances = DEFAULT_TOL) -> BlockForm:
-    """Canonical block form of an idempotent over range(P) + range(P)-perp.
-
-    The bases come from a rank-revealing SVD of P with column phases
-    canonicalized, so the form is deterministic in the input.  Raises
-    ``NotIdempotent`` when the input fails :func:`validate_idempotent`.
-    """
-    return _Factors(as_matrix(p), tol).bf
-
-
 class _Factors:
     """The one internal handle of a square matrix ``p`` under ``tol``: each
     factorization of ``p`` computed at most once, on first use, and ``comp_bf``,
@@ -312,57 +302,65 @@ def _per_handle(fn):
     return once
 
 
-def _handle(p, tol: Tolerances, j=None, *, idempotent=None, symmetry=None):
+def _handle(p, tol: Tolerances, j=None, *, symmetry=None):
     """``(f, j)``: the handle ``f`` of ``p`` under ``tol`` and a given ``j`` as
-    a matrix, after the input checks of :func:`_on_handle`.  A message
-    ``idempotent`` is raised as ``NotIdempotent`` when P is not idempotent.  A
-    ``j`` must have the shape of P, else ``DimensionMismatch``; with
-    ``symmetry = (error, message)`` it must also be a symmetry, else
-    ``error(message)``."""
+    a matrix, once admitted.  P comes first: one that is not idempotent raises
+    ``NotIdempotent`` naming its residual.  Then ``j`` must have P's shape,
+    else ``DimensionMismatch``, and with an error class ``symmetry`` it must
+    be a symmetry, else ``symmetry("J is not a symmetry")``."""
     f = _Factors(as_matrix(p), tol)
-    if idempotent is not None and not f.idempotent:
-        raise NotIdempotent(idempotent)
+    f.require_idempotent()
     if j is not None:
         j = as_matrix(j)
         if j.shape != f.p.shape:
             raise DimensionMismatch(f"J has shape {j.shape} but P has shape {f.p.shape}")
         if symmetry is not None and not is_symmetry(j, f.tol):
-            raise symmetry[0](symmetry[1])
+            raise symmetry("J is not a symmetry")
     return f, j
 
 
-def _on_handle(idempotent=None, symmetry=None):
+def _on_handle(symmetry=None):
     """Make a body ``fn(f, *args)`` on the handle ``f`` of P the public
-    ``fn(p, *args, tol=DEFAULT_TOL)``, which builds the handle of ``p`` and
-    takes a parameter ``j`` as a matrix, both by :func:`_handle` with these
-    ``idempotent`` and ``symmetry``; the body stays ``fn.on``, those checks
-    ``fn.handle(p, tol, j=None)``."""
+    ``fn(p, *args, tol=DEFAULT_TOL)``, whose arguments bind as its signature
+    says and which admits ``p`` and a parameter ``j`` by :func:`_handle` with
+    this ``symmetry``; the body stays ``fn.on``, the admission ``fn.handle(p,
+    tol, j=None)``."""
 
     def decorate(body):
         signature = inspect.signature(body)
         arg = functools.partial(inspect.Parameter, kind=inspect.Parameter.POSITIONAL_OR_KEYWORD)
         params = list(signature.parameters.values())[1:]
-        params.append(arg("tol", default=DEFAULT_TOL, annotation="Tolerances"))
-        names = [q.name for q in params]
-        defaults = {q.name: q.default for q in params if q.default is not q.empty}
-        handle = functools.partial(_handle, idempotent=idempotent, symmetry=symmetry)
+        signature = signature.replace(
+            parameters=[arg("p"), *params, arg("tol", default=DEFAULT_TOL, annotation="Tolerances")])
+        handle = functools.partial(_handle, symmetry=symmetry)
 
         @functools.wraps(body)
-        def fn(p, *args, **kwargs):
-            values = {**defaults, **dict(zip(names, args)), **kwargs}
-            if len(args) > len(names) or kwargs.keys() - names[len(args):] or len(values) < len(names):
-                raise TypeError(f"{body.__name__}() takes the arguments p, {', '.join(names)}")
-            f, j = handle(p, values.pop("tol"), values.get("j"))
+        def fn(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            values = bound.arguments
+            f, j = handle(values.pop("p"), values.pop("tol"), values.get("j"))
             if "j" in values:
                 values["j"] = j
-            return body(f, *(values[name] for name in names[:-1]))
+            return body(f, *values.values())
 
-        fn.__signature__ = signature.replace(parameters=[arg("p"), *params])
+        fn.__signature__ = signature
         fn.on = body
         fn.handle = handle
         return fn
 
     return decorate
+
+
+@_on_handle()
+def block_form(f: _Factors) -> BlockForm:
+    """Canonical block form of an idempotent over range(P) + range(P)-perp.
+
+    The bases come from a rank-revealing SVD of P with column phases
+    canonicalized, so the form is deterministic in the input.  Raises
+    ``NotIdempotent`` when the input fails :func:`validate_idempotent`.
+    """
+    return f.bf
 
 
 def _null_projections(bf: BlockForm, tol: Tolerances):

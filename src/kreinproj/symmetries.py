@@ -64,7 +64,8 @@ __all__ = [
 
 
 class SymmetryFamily(enum.Enum):
-    """Which defining relation ties J to the idempotent."""
+    """Which defining relation ties J to the idempotent.  A function taking
+    one also takes its value, and refuses an unknown value with ``ValueError``."""
 
     J_PROJECTION = "projection"
     J_POSITIVE = "positive"
@@ -72,7 +73,8 @@ class SymmetryFamily(enum.Enum):
 
 
 class ExtremalKind(enum.Enum):
-    """The four closed-form Loewner extremes."""
+    """The four closed-form Loewner extremes, taken by value as
+    :class:`SymmetryFamily` is."""
 
     POS_MIN = "pos-min"
     POS_MAX = "pos-max"
@@ -118,6 +120,7 @@ def assemble_symmetry(
     witness by ``witness-{a,b}-symmetry`` and ``-intertwines``, and the
     written member by ``member-symmetry`` and its family's checks.
     """
+    family = SymmetryFamily(family)
     j1, j2 = (as_matrix(x) for x in params)
     r = bf.rank
     c = bf.dim - bf.rank
@@ -172,6 +175,7 @@ def sample_params(
     For the intertwining family the shared sign is drawn uniformly.  Draws
     are independent (seeded per index), so ordering does not matter.
     """
+    family = SymmetryFamily(family)
     split = bf.corner_split(tol)
     return [_params(bf, family, split, draw) for draw in _draws(bf, family, count, seed, tol)]
 
@@ -218,7 +222,7 @@ def _params(bf: BlockForm, family: SymmetryFamily, split, draw) -> SymmetryParam
     return SymmetryParams(on_range=j1, on_perp=j2)
 
 
-@_on_handle(idempotent="extremal_symmetry requires an idempotent input")
+@_on_handle()
 @_per_handle
 def extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
     """Closed-form Loewner extreme of the positive or contractive family.
@@ -238,6 +242,7 @@ def extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
     ``extremal-<kind>-block-route`` each kind's match with the spectral
     projections of P + P*.
     """
+    kind = ExtremalKind(kind)
     null = f.bf.corner_split(f.tol)[0 if kind.family is SymmetryFamily.J_CONTRACTIVE else 2]
     least = next(k for k in ExtremalKind if k.family is kind.family)
     if kind is not least and not null.shape[1]:
@@ -259,14 +264,10 @@ def _extreme_params(bf: BlockForm, kind: ExtremalKind, tol: Tolerances):
     return 2 * (u_null @ u_null.conj().T) - i_r, i_c
 
 
+extremal_symmetry_via_blocks = extremal_symmetry  # the block route is the one route to each extreme
+
+
 @_on_handle()
-def extremal_symmetry_via_blocks(f: _Factors, kind: ExtremalKind) -> np.ndarray:
-    """:func:`extremal_symmetry`, which builds the extremes through the block
-    form; a P that is not idempotent raises ``NotIdempotent`` naming its residual."""
-    return extremal_symmetry.on(f, kind)
-
-
-@_on_handle(idempotent="sign_formula_symmetry requires an idempotent input")
 def sign_formula_symmetry(f: _Factors) -> np.ndarray:
     """The positive family's greatest element via the matrix sign function:
 

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import decompositions as dec
-from .errors import KreinProjError, NotSymmetry, SingularShift
+from .errors import DimensionMismatch, KreinProjError, NotSymmetry, SingularShift
 from .idempotents import (
     _corner_null_projections, _Factors, _handle, _null_projections, _on_handle, _per_handle, kernel_projections,
 )
@@ -111,8 +111,7 @@ class ProjectionFlags(NamedTuple):
     j_expansive: bool
 
 
-@_on_handle(idempotent="classify requires an idempotent P",
-            symmetry=(NotSymmetry, "classify requires a symmetry J"))
+@_on_handle(symmetry=NotSymmetry)
 def classify(f: _Factors, j) -> ProjectionFlags:
     """Test all five relations between an idempotent and a symmetry.
 
@@ -140,8 +139,7 @@ def _contraction_range(f: _Factors, j):
     return _eig_range(_loewner_diff(j, f.p.conj().T @ j @ f.p, f.tol))
 
 
-@_on_handle(idempotent="biconditional check requires an idempotent P",
-            symmetry=(NotSymmetry, "biconditional check requires a symmetry J"))
+@_on_handle(symmetry=NotSymmetry)
 def contractive_positive_equivalence(f: _Factors, j) -> CheckResult:
     """Check the biconditional: P* J P <= J holds iff J (I - P) >= 0.
 
@@ -232,7 +230,7 @@ def family_checks(prefix, ref, p, j, family, tol, sp) -> list:
     the idempotent ``p``, where ``sp = max(1, ||P||_2)``: ``<prefix>-intertwines``, ``-hermitian``
     and ``-psd``, or ``-dominates``, with the margin ``min_eig(J P)`` or ``min_eig(J - P* J P)``."""
     stack = np.asarray(j)[np.newaxis]
-    return _family_checks([prefix], ref, p, stack, family, tol, sp, lambda rel: [min_eig(rel[0])])[0]
+    return _family_checks([prefix], ref, p, stack, SymmetryFamily(family), tol, sp, lambda rel: [min_eig(rel[0])])[0]
 
 
 def _family_checks(prefixes, ref, p, js, family, tol, sp, margins) -> list:
@@ -287,28 +285,16 @@ def extremal_checks(f: _Factors, which: str, j) -> list:
     symmetry has norm 1, and its family's checks.  The sign-function route
     gets the same as pos-max under the prefix ``sign-formula``, plus its
     match with the spectral pos-max and its kernel action, both built from
-    one ``spectral_parts(P + P*)``.  For an idempotent P these are the
-    :func:`_member_checks` of a family member: the ``-psd`` or
-    ``-dominates`` margin is Weyl's lower bound against the family's exact
-    model, and the exact eigenvalue only where that bound does not pass.
-    A P that is not idempotent has no block form, and its margins are the
-    exact eigenvalues.
+    one ``spectral_parts(P + P*)``.  These are the :func:`_member_checks`
+    of a family member: the ``-psd`` or ``-dominates`` margin is Weyl's
+    lower bound against the family's exact model, and the exact eigenvalue
+    only where that bound does not pass.  Like every function on P, it
+    raises ``NotIdempotent`` for a P that is not idempotent.
     """
-    p, tol, sp = f.p, f.tol, f.sp
     if which == SIGN_FORMULA:
-        kind, prefix, ref = ExtremalKind.POS_MAX, SIGN_FORMULA, "Remark"
-    else:
-        kind = ExtremalKind(which)
-        prefix, ref = f"extremal-{kind.value}", _KIND_REFS[kind]
-    if f.idempotent:
-        checks = _member_checks([prefix], ref, f, j[np.newaxis], kind.family)
-    else:
-        sym = _symmetry_residuals(j[np.newaxis])[0]
-        checks = [residual_check(f"{prefix}-symmetry", ref, sym, tol.residual_tol)]
-        checks += family_checks(prefix, ref, p, j, kind.family, tol, sp)
-    if which == SIGN_FORMULA:
-        checks += _sign_formula_checks(f, j)
-    return checks
+        return _member_checks([SIGN_FORMULA], "Remark", f, j[np.newaxis], _POS) + _sign_formula_checks(f, j)
+    kind = ExtremalKind(which)
+    return _member_checks([f"extremal-{kind.value}"], _KIND_REFS[kind], f, j[np.newaxis], kind.family)
 
 
 def _member_checks(prefixes, ref, f: _Factors, js, family: SymmetryFamily, probe=None) -> list:
@@ -404,10 +390,11 @@ def split_identity_residuals(split: dec.SplitResult, p) -> dict:
     Contractive/expansive: P = E1 E2 = E2 E1 = E1 + E2 - I together with
     E1 E2* = E2* E1 = E1 + E2* - I.  Positive/negative: P = Q + R with all
     four products Q R, R Q, Q R*, R* Q vanishing.  Idempotency residuals of
-    both factors are always included.
+    both factors are always included.  Factors of another shape than a
+    square ``p`` raise ``DimensionMismatch``.
     """
     p = as_matrix(p)
-    e1, e2 = split.e1, split.e2
+    e1, e2 = _split_factors(split, p, "P")
     eye = np.eye(p.shape[0], dtype=np.complex128)
     out = {
         "e1-idempotent": frobenius(e1 @ e1 - e1),
@@ -446,7 +433,8 @@ def split_classification_margins(split: dec.SplitResult, j) -> dict:
     Each margin is the exact smallest eigenvalue of the Hermitian part of
     the matrix that must be PSD, by ``eigvalsh``; a nonnegative (or slightly
     negative, within tolerance) value certifies the classification.  The
-    margins of :func:`split_checks` are Weyl bounds instead.
+    margins of :func:`split_checks` are Weyl bounds instead.  Factors of
+    another shape than a square ``j`` raise ``DimensionMismatch``.
     """
     return {key: val if key.endswith("residual") else min_eig(val) for key, val in _split_relations(split, j).items()}
 
@@ -456,7 +444,7 @@ def _split_relations(split: dec.SplitResult, j) -> dict:
     residual, and the matrix each margin is taken of, J - E1* J E1 and
     E2* J E2 - J, or J Q and -J R."""
     j = as_matrix(j)
-    e1, e2 = split.e1, split.e2
+    e1, e2 = _split_factors(split, j, "J")
     if split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE:
         return {"e1-contractive-margin": j - e1.conj().T @ j @ e1, "e2-expansive-margin": e2.conj().T @ j @ e2 - j}
     jq, jr = j @ e1, j @ e2
@@ -468,6 +456,15 @@ def _split_relations(split: dec.SplitResult, j) -> dict:
     }
 
 
+def _split_factors(split: dec.SplitResult, m, what: str):
+    """``(e1, e2)`` of ``split``, once ``m`` is square and both have its shape, else ``DimensionMismatch``."""
+    _require_square(m, what)
+    for e in (split.e1, split.e2):
+        if e.shape != m.shape:
+            raise DimensionMismatch(f"split factor has shape {e.shape} but {what} has shape {m.shape}")
+    return split.e1, split.e2
+
+
 _SPLIT_REFS = {
     dec.SplitKind.CONTRACTIVE_EXPANSIVE: "Corollary 14",
     dec.SplitKind.POSITIVE_NEGATIVE: "Lemma 13",
@@ -477,16 +474,17 @@ _SPLIT_REFS = {
 def split_checks(split, p, j, tol: Tolerances = DEFAULT_TOL, prefix: str = "") -> list:
     """Identity residuals and classification margins certifying a split of
     ``p`` against ``j``, named ``<prefix><key>``, at budgets scaled by ``max(1, ||P||_2)``.
-    A ``j`` of another shape than ``p`` raises ``DimensionMismatch``.
+    P and ``j`` are admitted as by every function on P: a P that is not
+    idempotent raises ``NotIdempotent``, then a ``j`` of another shape, or
+    split factors of another shape, ``DimensionMismatch``.
 
-    For an idempotent P each margin is Weyl's lower bound against an exact
-    PSD model, the exact eigenvalue only where that bound does not pass (see
+    Each margin is Weyl's lower bound against an exact PSD model, the exact
+    eigenvalue only where that bound does not pass (see
     :func:`_weyl_margins`).  With S = (I + C* C)^(1/2), J - E1* J E1 =
     S (I + J2)/2 and E2* J E2 - J = S (I - J2)/2 on range(P)-perp, and J Q
     and -J R are the same forms on I - P's, with J1 and T = (I + C C*)^(1/2);
     the model is K S K or K T K, from P's corner SVD, each K = (I +- J2)/2
-    read off the split's perp blocks and Hermitianized.  If P is not
-    idempotent the margins are the exact ones."""
+    read off the split's perp blocks and Hermitianized."""
     return _split_checks(split, *_handle(p, tol, j), prefix)
 
 
@@ -500,19 +498,16 @@ def _split_checks(split, f: _Factors, j, prefix) -> list:
     ]
     relations = _split_relations(split, j)
     keys = [key for key in relations if not key.endswith("residual")]
-    if f.idempotent:
-        # K is E2's then E1's perp block on P's form, Q's then R's on I - P's (corner C*, root T)
-        ce = split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE
-        bf = f.bf if ce else f.comp_bf
-        basis, root = bf.basis_perp, _corner_root(f.bf, perp=ce)
-        for key, e in zip(keys, (split.e2, split.e1) if ce else (split.e1, split.e2)):
-            k = basis.conj().T @ e @ basis
-            k = 0.5 * (k + k.conj().T)
-            model = bf.embed_perp(k @ root @ k)
-            margins = _weyl_margins(relations[key][np.newaxis], model, [_model_floor(model)], tol.psd_tol * sp)
-            relations[key] = margins[0]
-    else:
-        relations.update((key, min_eig(relations[key])) for key in keys)
+    # K is E2's then E1's perp block on P's form, Q's then R's on I - P's (corner C*, root T)
+    ce = split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE
+    bf = f.bf if ce else f.comp_bf
+    basis, root = bf.basis_perp, _corner_root(f.bf, perp=ce)
+    for key, e in zip(keys, (split.e2, split.e1) if ce else (split.e1, split.e2)):
+        k = basis.conj().T @ e @ basis
+        k = 0.5 * (k + k.conj().T)
+        model = bf.embed_perp(k @ root @ k)
+        margins = _weyl_margins(relations[key][np.newaxis], model, [_model_floor(model)], tol.psd_tol * sp)
+        relations[key] = margins[0]
     for key, val in relations.items():
         if key.endswith("residual"):
             checks.append(residual_check(f"{prefix}{key}", ref, val, tol.residual_tol * sp))
@@ -539,6 +534,7 @@ def extremality_probe(f: _Factors, family: SymmetryFamily, samples: int, seed=0)
     checked for admissibility.  ``samples`` must be an integer of at least
     1 and ``seed`` a nonnegative integer or None, else ``ValueError``.
     """
+    family = SymmetryFamily(family)
     if family is SymmetryFamily.J_PROJECTION:
         raise ValueError("the intertwining family has no extreme elements to probe")
     samples, seed = _probe_args(samples, seed)

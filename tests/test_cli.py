@@ -166,11 +166,14 @@ def test_extremal_singular_shift_exit(tmp_path):
     assert code == 4
 
 
-def test_extremal_non_idempotent_is_usage(tmp_path):
+@pytest.mark.parametrize("which", ["pos-max", "sign-formula"])
+def test_extremal_non_idempotent_is_usage(tmp_path, capsys, which):
     p_path = tmp_path / "bad.json"
     write_matrix(p_path, np.array([[1.0, 1.0], [0.0, 0.5]]))
-    assert main(["extremal", str(p_path), "--which", "pos-max",
+    assert main(["extremal", str(p_path), "--which", which,
                  "-o", str(tmp_path / "J.json")]) == 2
+    assert capsys.readouterr().err == "error: ||P^2 - P|| = 5.590e-01 exceeds tolerance\n"
+    assert not (tmp_path / "J.json").exists()
 
 
 def test_decompose_contractive_expansive(tmp_path):
@@ -217,6 +220,25 @@ def test_decompose_rejects_a_symmetry_of_another_shape(tmp_path, capsys):
     assert main(["decompose", str(p_path), str(j_path), "--kind", "contr-exp",
                  "-o", str(tmp_path / "x-")]) == 2
     assert "J has shape (2, 2) but P has shape (4, 4)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["contr-exp", "pos-neg"])
+def test_decompose_refuses_a_non_idempotent_p_before_looking_at_j(tmp_path, capsys, kind):
+    # J is not a symmetry either, which would exit 5 had it been checked first
+    p_path, j_path = tmp_path / "P.json", tmp_path / "J.json"
+    write_matrix(p_path, np.array([[1.0, 1.0], [0.0, 0.5]]))
+    write_matrix(j_path, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert main(["decompose", str(p_path), str(j_path), "--kind", kind, "-o", str(tmp_path / "x-")]) == 2
+    assert capsys.readouterr().err == "error: ||P^2 - P|| = 5.590e-01 exceeds tolerance\n"
+    assert not list(tmp_path.glob("x-*"))
+
+
+def test_gen_symmetry_for_refuses_a_non_idempotent_p(tmp_path, capsys):
+    p_path = tmp_path / "P.json"
+    write_matrix(p_path, np.array([[1.0, 1.0], [0.0, 0.5]]))
+    assert main(["gen", "symmetry-for", "--for", str(p_path), "--family", "positive",
+                 "-o", str(tmp_path / "J.json")]) == 2
+    assert capsys.readouterr().err == "error: ||P^2 - P|| = 5.590e-01 exceeds tolerance\n"
 
 
 @pytest.mark.parametrize("kind", ["contr-exp", "pos-neg"])

@@ -73,3 +73,31 @@ def test_no_unused_imports(module):
     tree = _tree(module)
     unused = {name for _, name in _imports(tree)} - _used(tree) - _reexported(module)
     assert not unused
+
+
+def _callers(module, callee) -> set:
+    """``module.scope`` for each function or class of ``module`` (dotted, as
+    nested) whose body calls ``callee``, by name or as an attribute."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee:
+                    out.add(".".join([module, *scope]))
+            visit(child, scope)
+
+    visit(_tree(module), [])
+    return out
+
+
+def test_the_handle_is_built_only_where_p_is_admitted():
+    # every function on P builds its handle through idempotents._handle, which
+    # admits P; validate_idempotent asks the admission question, and
+    # full_report records its answer as the idempotent gate
+    built = set().union(*(_callers(module, "_Factors") for module in MODULES))
+    assert built == {"idempotents._handle", "idempotents.validate_idempotent", "verification.full_report"}

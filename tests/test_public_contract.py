@@ -1,10 +1,14 @@
 """The public contract of the functions that take an idempotent P and build
-its handle: ``idempotents._on_handle`` makes sixteen of them from a body on
-the handle, and ``split_checks`` is written by hand.
+its handle: ``idempotents._on_handle`` makes seventeen of them from sixteen
+bodies on the handle (``extremal_symmetry_via_blocks`` is another name of
+``extremal_symmetry``), and ``split_checks`` is written by hand.
 
 Each keeps its parameters (names, order, kinds and defaults, with ``tol``
 positional), a docstring, and the error it raises for an idempotent that is
-not one, for a J that is not a symmetry and for a J of another shape.
+not one, for a J that is not a symmetry and for a J of another shape.  Each
+admits P first, by ``idempotents._handle``: a P that is not idempotent is
+refused with its residual whatever J is.  Enum arguments are also taken by
+value, and a split's factors must have the shape of P and J.
 """
 
 import inspect
@@ -26,17 +30,17 @@ WRONG_SHAPE = np.eye(3)
 RESIDUAL = (NotIdempotent, "||P^2 - P|| = 2.383e+01 exceeds tolerance")
 SHAPE = (DimensionMismatch, "J has shape (3, 3) but P has shape (2, 2)")
 NOT_J_PROJECTION = (NotJProjection, "J is not a symmetry")
+NOT_SYMMETRIC = (NotSymmetry, "J is not a symmetry")
 
 # name: (parameters, errors for a non-idempotent P, a non-symmetric J and a
 # J of another shape); a parameter is a name or a (name, default) pair, and
 # None is no error
 CONTRACT = {
     "kernel_projections": (["p", "tol"], RESIDUAL, None, None),
-    "extremal_symmetry": (
-        ["p", "kind", "tol"], (NotIdempotent, "extremal_symmetry requires an idempotent input"), None, None),
+    "block_form": (["p", "tol"], RESIDUAL, None, None),
+    "extremal_symmetry": (["p", "kind", "tol"], RESIDUAL, None, None),
     "extremal_symmetry_via_blocks": (["p", "kind", "tol"], RESIDUAL, None, None),
-    "sign_formula_symmetry": (
-        ["p", "tol"], (NotIdempotent, "sign_formula_symmetry requires an idempotent input"), None, None),
+    "sign_formula_symmetry": (["p", "tol"], RESIDUAL, None, None),
     "nonexistence_witnesses": (["p", "tol"], RESIDUAL, None, None),
     "extract_params": (["p", "j", "tol"], RESIDUAL, NOT_J_PROJECTION, SHAPE),
     "contractive_expansive_split": (["p", "j", "tol"], RESIDUAL, NOT_J_PROJECTION, SHAPE),
@@ -45,15 +49,19 @@ CONTRACT = {
     "adjoint_similarity": (["p", "tol"], RESIDUAL, None, None),
     "complement_sum_equivalence": (["p", "tol"], RESIDUAL, None, None),
     "spectral_projection_identities": (["p", "tol"], RESIDUAL, None, None),
-    "classify": (
-        ["p", "j", "tol"], (NotIdempotent, "classify requires an idempotent P"),
-        (NotSymmetry, "classify requires a symmetry J"), SHAPE),
-    "contractive_positive_equivalence": (
-        ["p", "j", "tol"], (NotIdempotent, "biconditional check requires an idempotent P"),
-        (NotSymmetry, "biconditional check requires a symmetry J"), SHAPE),
-    "extremal_checks": (["p", "which", "j", "tol"], None, None, SHAPE),
+    "classify": (["p", "j", "tol"], RESIDUAL, NOT_SYMMETRIC, SHAPE),
+    "contractive_positive_equivalence": (["p", "j", "tol"], RESIDUAL, NOT_SYMMETRIC, SHAPE),
+    "extremal_checks": (["p", "which", "j", "tol"], RESIDUAL, None, SHAPE),
     "extremality_probe": (["p", "family", "samples", ("seed", 0), "tol"], RESIDUAL, None, None),
-    "split_checks": (["split", "p", "j", "tol", ("prefix", "")], None, None, SHAPE),
+    "split_checks": (["split", "p", "j", "tol", ("prefix", "")], RESIDUAL, None, SHAPE),
+}
+
+# The other public functions whose parameters start with p, or with split
+# and p: none of them admits P, and each says why
+NO_ADMISSION = {
+    "validate_idempotent": "answers whether P is idempotent",
+    "full_report": "records a P that is not idempotent as its failed idempotent gate",
+    "split_identity_residuals": "measures a split's identities against any P of its shape",
 }
 
 
@@ -94,7 +102,28 @@ def test_errors(name, case):
         assert str(info.value) == error[1]
 
 
-@pytest.mark.parametrize("name", sorted(set(CONTRACT) - {"extremal_checks", "split_checks"}))
+def test_every_function_on_p_is_in_the_contract():
+    on_p = set()
+    for name in dir(kp):
+        fn = getattr(kp, name)
+        if name.startswith("_") or inspect.isclass(fn) or not callable(fn):
+            continue
+        params = list(inspect.signature(fn).parameters)
+        if params[:1] == ["p"] or params[:2] == ["split", "p"]:
+            on_p.add(name)
+    assert on_p == set(CONTRACT) | set(NO_ADMISSION)
+    assert not set(CONTRACT) & set(NO_ADMISSION)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_p_is_admitted_before_j(name):
+    # a J of another shape that is not a symmetry either is never looked at
+    with pytest.raises(NotIdempotent) as info:
+        getattr(kp, name)(*_args(name, NOT_IDEMPOTENT, np.ones((3, 3))))
+    assert str(info.value) == RESIDUAL[1]
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
 def test_tol_reaches_the_handle_by_position_and_by_keyword(name):
     # at residual_tol = 0 an orthogonal projection off by 1e-12 is not
     # idempotent, while J = diag(1, -1) is still exactly a symmetry
@@ -127,3 +156,61 @@ def test_on_is_the_body_on_a_handle():
     assert kp.extremal_symmetry.on(f, kp.ExtremalKind.POS_MAX) is kp.extremal_symmetry.on(f, kp.ExtremalKind.POS_MAX)
     # keyword arguments bind by name, as the signature says
     assert kp.extremality_probe(P, kp.SymmetryFamily.J_POSITIVE, samples=2, seed=1).subject["samples"] == 2
+
+
+def test_enum_arguments_are_taken_by_value():
+    bf, eye = kp.block_form(P), np.eye(1)
+    for family in kp.SymmetryFamily:
+        for by_value, by_member in zip(kp.sample_params(bf, family.value, 2, 1), kp.sample_params(bf, family, 2, 1)):
+            np.testing.assert_array_equal(by_value.on_range, by_member.on_range)
+            np.testing.assert_array_equal(by_value.on_perp, by_member.on_perp)
+    # (-I, I) meets the intertwining constraint, but the positive family fixes J1 = I
+    with pytest.raises(kp.ConstraintViolated):
+        kp.assemble_symmetry(bf, "positive", (-eye, eye))
+    np.testing.assert_array_equal(kp.assemble_symmetry(bf, "positive", (eye, -eye)),
+                                  kp.assemble_symmetry(bf, kp.SymmetryFamily.J_POSITIVE, (eye, -eye)))
+    for kind in kp.ExtremalKind:
+        np.testing.assert_array_equal(kp.extremal_symmetry(P, kind.value), kp.extremal_symmetry(P, kind))
+    for family in (kp.SymmetryFamily.J_POSITIVE, kp.SymmetryFamily.J_CONTRACTIVE):
+        assert kp.extremality_probe(P, family.value, 2) == kp.extremality_probe(P, family, 2)
+    split = kp.SplitResult(np.eye(2), P, "contractive-expansive")
+    assert split.kind is kp.SplitKind.CONTRACTIVE_EXPANSIVE
+    assert kp.split_identity_residuals(split, P) == kp.split_identity_residuals(
+        kp.SplitResult(np.eye(2), P, kp.SplitKind.CONTRACTIVE_EXPANSIVE), P)
+
+
+def test_unknown_enum_values_are_refused():
+    bf, eye = kp.block_form(P), np.eye(1)
+    calls = [
+        lambda: kp.sample_params(bf, "nope", 1),
+        lambda: kp.assemble_symmetry(bf, "nope", (eye, eye)),
+        lambda: kp.extremal_symmetry(P, "nope"),
+        lambda: kp.extremality_probe(P, "nope", 2),
+        lambda: kp.extremal_checks(P, "nope", J),
+        lambda: kp.SplitResult(np.eye(2), np.eye(2), "nope"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_a_split_takes_its_factors_as_matrices():
+    split = kp.SplitResult([[1, 0], [0, 1]], [1, 0], "positive-negative")
+    assert split.e1.dtype == np.complex128 and split.e2.shape == (2, 1)
+    with pytest.raises(kp.NonFinite):
+        kp.SplitResult(np.full((2, 2), np.nan), np.eye(2), "positive-negative")
+
+
+@pytest.mark.parametrize("kind", list(kp.SplitKind))
+def test_split_factors_of_another_shape_are_refused(kind):
+    split = kp.SplitResult(np.eye(3), np.eye(3), kind)
+    calls = [
+        (lambda: kp.split_checks(split, P, J), "split factor has shape (3, 3) but P has shape (2, 2)"),
+        (lambda: kp.split_identity_residuals(split, P), "split factor has shape (3, 3) but P has shape (2, 2)"),
+        (lambda: kp.split_classification_margins(split, J), "split factor has shape (3, 3) but J has shape (2, 2)"),
+        (lambda: kp.split_identity_residuals(split, np.ones((3, 2))), "P must be square, got shape (3, 2)"),
+    ]
+    for call, message in calls:
+        with pytest.raises(DimensionMismatch) as info:
+            call()
+        assert str(info.value) == message

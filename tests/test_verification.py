@@ -997,19 +997,16 @@ def test_extreme_margins_are_weyl_bounds_with_the_exact_verdict():
 
 
 @pytest.mark.parametrize("which", [k.value for k in ExtremalKind] + ["sign-formula"])
-def test_extremal_checks_of_a_non_idempotent_p_take_exact_margins(which):
-    # a P that is not idempotent has no block form and so no model: its
-    # margins are the exact eigenvalues, and the checks are returned, not raised
-    from kreinproj import extremal_checks
-    from kreinproj.linalg import min_eig
+def test_extremal_checks_refuse_a_non_idempotent_p(which):
+    # a P that is not idempotent has no block form and so no model: like every
+    # function on P, the certifier refuses it, naming its residual, before it
+    # looks at J (here of another shape)
+    from kreinproj import NotIdempotent, extremal_checks
 
     p = np.array([[1.0, 1.0], [0.0, 0.5]])
-    j = np.diag([1.0, -1.0])
-    margins = {c.name.rsplit("-", 1)[1]: c.margin for c in extremal_checks(p, which, j)}
-    if which.startswith("contr"):
-        assert margins["dominates"] == min_eig(j - p.conj().T @ j @ p)
-    else:
-        assert margins["psd"] == min_eig(j @ p)
+    with pytest.raises(NotIdempotent) as info:
+        extremal_checks(p, which, np.eye(3))
+    assert str(info.value) == "||P^2 - P|| = 5.590e-01 exceeds tolerance"
 
 
 def _projection_member_or_none(p, seed):
