@@ -155,11 +155,10 @@ def _cmd_gen(args) -> int:
         return _write_certified(args.out, m, [])
     if args.for_path is None or args.family is None:
         raise UsageError("gen symmetry-for requires --for and --family")
-    tol = _tol_from(args)
     # one set of factors serves the construction and its certificate
-    f, _ = _handle(read_matrix(args.for_path), tol)
+    f, _ = _handle(read_matrix(args.for_path), _tol_from(args))
     family = SymmetryFamily(args.family)
-    m = _assemble(f.bf, *sample_params(f.bf, family, 1, args.seed, tol)[0])
+    m = _assemble(f.bf, *sample_params(f.bf, family, 1, args.seed)[0])
     return _write_certified(args.out, m, _member_checks(["member"], _FAMILY_REFS[family], f, m[None], family))
 
 
@@ -195,7 +194,7 @@ def _cmd_decompose(args) -> int:
             "matrix_sha256": matrix_digest(p),
             "symmetry_sha256": matrix_digest(j),
         },
-        checks=_split_checks(split, f, j, ""),
+        checks=_split_checks(split, f, j),
         config=tol,
         seed=None,
     )

@@ -113,14 +113,14 @@ def extract_params(f: _Factors, j):
     params = []
     for name, blockm in (("range", j11), ("perp", j22)):
         parts = spectral_parts(blockm, tol)
-        if parts.min_abs <= tol.rank_tol * parts.scale:
+        if parts.singular:
             raise SingularBlock(
                 f"diagonal {name} block is numerically singular "
                 f"(min |eig| = {parts.min_abs:.3e})"
             )
         params.append(parts.sign)
     j1, j2 = params
-    rebuilt = assemble_symmetry(bf, SymmetryFamily.J_PROJECTION, (j1, j2), tol)
+    rebuilt = assemble_symmetry(bf, SymmetryFamily.J_PROJECTION, (j1, j2))
     if not within_scaled(frobenius(rebuilt - j), tol.residual_tol, j):
         raise NotJProjection("J is not in the admissible block-parameterized family")
     return j1, j2
@@ -133,12 +133,12 @@ class SplitKind(enum.Enum):
     POSITIVE_NEGATIVE = "positive-negative"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SplitResult:
     """A pair of projections splitting P, with the identities they satisfy
     determined by ``kind`` (see
     :func:`kreinproj.verification.split_identity_residuals`), its factors
-    taken as matrices."""
+    taken as matrices.  Splits compare by identity."""
 
     e1: np.ndarray
     e2: np.ndarray

@@ -28,7 +28,7 @@ from .linalg import (
     as_matrix,
     frobenius,
     is_symmetry,
-    rank_mask,
+    rank_of,
     spectral_parts,
 )
 
@@ -51,19 +51,23 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class BlockForm:
     """Adapted orthonormal bases of range(P) and its orthocomplement, plus
     the corner block of the idempotent in those coordinates.
 
     ``basis_range`` is n x r, ``basis_perp`` is n x (n-r), and stacking them
     gives a unitary.  ``corner`` is the r x (n-r) block coupling the two
-    subspaces; all other blocks of P in this basis are I and 0.
+    subspaces; all other blocks of P in this basis are I and 0.  ``tol``,
+    the tolerances P's form was built under, decides the corner's rank once
+    (:meth:`corner_split`); ``dataclasses.replace(bf, tol=t)`` decides anew.
+    Forms compare by identity.
     """
 
     basis_range: np.ndarray
     basis_perp: np.ndarray
     corner: np.ndarray
+    tol: Tolerances = DEFAULT_TOL
 
     @property
     def dim(self) -> int:
@@ -124,17 +128,14 @@ class BlockForm:
         return _corner_inv_sqrts(self._corner_svd)
 
     @functools.cached_property
-    def _splits(self) -> dict:
-        return {}
+    def _split(self):
+        return _corner_split(self._corner_svd, self.tol)
 
-    def corner_split(self, tol: Tolerances = DEFAULT_TOL):
+    def corner_split(self):
         """Orthonormal bases ``(u_null, u_range, v_null, v_range)`` of
         N(C*), R(C) in range(P) and of N(C), R(C*) in range(P)-perp, from
-        one rank decision on the corner's singular values, made once per
-        tolerance."""
-        if tol not in self._splits:
-            self._splits[tol] = _corner_split(self._corner_svd, tol)
-        return self._splits[tol]
+        the one rank decision on the corner's singular values, under ``tol``."""
+        return self._split
 
 
 def _full_svd(m):
@@ -148,7 +149,7 @@ def _full_svd(m):
 def _corner_split(svd, tol: Tolerances):
     """:meth:`BlockForm.corner_split` from the full SVD ``(u, s, vh)`` of a corner."""
     u, s, vh = svd
-    k = int(np.sum(rank_mask(s, tol))) if s.size else 0
+    k = rank_of(s, tol)
     v = vh.conj().T
     return u[:, k:], u[:, :k], v[:, k:], v[:, :k]
 
@@ -214,7 +215,7 @@ class _Factors:
         values, read by ``sp``, and its left singular vectors split at the
         rank of P, with column phases canonicalized, read by ``bf``."""
         u, s, _ = np.linalg.svd(self.p)
-        r = int(np.sum(rank_mask(s, self.tol)))
+        r = rank_of(s, self.tol)
         return s, _canonical_phases(u[:, :r]), _canonical_phases(u[:, r:])
 
     @functools.cached_property
@@ -245,10 +246,10 @@ class _Factors:
         p, n = self.p, self.p.shape[0]
         if n == 0:
             z = np.zeros((0, 0), dtype=np.complex128)
-            return BlockForm(z, z, z)
+            return BlockForm(z, z, z, self.tol)
         _, basis_range, basis_perp = self._svd
         corner = basis_range.conj().T @ p @ basis_perp
-        return BlockForm(basis_range=basis_range, basis_perp=basis_perp, corner=corner)
+        return BlockForm(basis_range=basis_range, basis_perp=basis_perp, corner=corner, tol=self.tol)
 
     @functools.cached_property
     def comp_bf(self) -> BlockForm:
@@ -282,7 +283,7 @@ def _complement_form(bf: BlockForm, q: np.ndarray) -> BlockForm:
     basis_range = bf.basis_perp @ sinv - bf.basis_range @ c_sinv
     basis_perp = bf.basis_range @ tinv + bf.basis_perp @ c_sinv.conj().T
     corner = basis_range.conj().T @ q @ basis_perp
-    return BlockForm(basis_range=basis_range, basis_perp=basis_perp, corner=corner)
+    return BlockForm(basis_range=basis_range, basis_perp=basis_perp, corner=corner, tol=bf.tol)
 
 
 def _per_handle(fn):
@@ -363,24 +364,24 @@ def block_form(f: _Factors) -> BlockForm:
     return f.bf
 
 
-def _null_projections(bf: BlockForm, tol: Tolerances):
+def _null_projections(bf: BlockForm):
     """The ambient projections onto N(C*) in range(P) and N(C) in range(P)-perp
-    for the block form ``bf`` of P, from its rank decision ``bf.corner_split(tol)``."""
-    u_null, _, v_null, _ = bf.corner_split(tol)
+    for the block form ``bf`` of P, from its rank decision ``bf.corner_split()``."""
+    u_null, _, v_null, _ = bf.corner_split()
     return bf.embed_range(u_null @ u_null.conj().T), bf.embed_perp(v_null @ v_null.conj().T)
 
 
 @_per_handle
 def _corner_null_projections(f: _Factors):
     """:func:`_null_projections` of P's block form."""
-    return _null_projections(f.bf, f.tol)
+    return _null_projections(f.bf)
 
 
 @_on_handle()
 def kernel_projections(f: _Factors):
     """Orthogonal projections onto N(P+P*) and N(P-P*) for an idempotent P:
     by Lemma 6, N(C) in range(P)-perp and that plus N(C*) in range(P), from
-    the corner's one rank decision ``bf.corner_split(tol)``.
+    the corner's one rank decision ``bf.corner_split()``.
 
     Raises ``NotIdempotent`` when P is not idempotent.  The report certifies
     both against the spectral decompositions of P + P* and i(P - P*):
@@ -443,20 +444,14 @@ def random_symmetry_on(basis, seed=0, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
 
     The result is k x k in the coordinates of the k columns: conjugate a
     random plus/minus-1 diagonal by a Haar unitary.  Raises
-    ``NotOrthonormal`` when the columns are not orthonormal within
-    ``tol.residual_tol``.
+    ``NotOrthonormal`` when ``||basis* basis - I||_F`` exceeds
+    ``tol.residual_tol * max(1, k)``.
     """
     basis = as_matrix(basis)
-    _check_orthonormal(basis, tol)
-    return _random_symmetry(basis.shape[1], as_rng(seed))
-
-
-def _check_orthonormal(basis: np.ndarray, tol: Tolerances):
-    """``NotOrthonormal`` unless ``||basis* basis - I||_F <= residual_tol * max(1, k)``."""
     k = basis.shape[1]
-    gram = basis.conj().T @ basis
-    if frobenius(gram - np.eye(k)) > tol.residual_tol * max(1.0, k):
+    if frobenius(basis.conj().T @ basis - np.eye(k)) > tol.residual_tol * max(1.0, k):
         raise NotOrthonormal("basis columns are not orthonormal")
+    return _random_symmetry(k, as_rng(seed))
 
 
 def _random_symmetry(k: int, rng: np.random.Generator) -> np.ndarray:

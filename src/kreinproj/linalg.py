@@ -39,7 +39,7 @@ __all__ = [
     "loewner_geq",
     "is_symmetry",
     "min_eig",
-    "rank_mask",
+    "rank_of",
 ]
 
 
@@ -172,10 +172,10 @@ def _range_scale(lo, hi) -> float:
     return max(1.0, abs(lo), abs(hi)) if lo <= hi else 1.0
 
 
-def rank_mask(s, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Which of the descending, nonempty singular values ``s`` count toward
-    the rank: those above ``rank_tol * max(1, s[0])``."""
-    return s > tol.rank_tol * max(1.0, s[0])
+def rank_of(s, tol: Tolerances = DEFAULT_TOL) -> int:
+    """The numerical rank of the descending singular values ``s``: how many
+    lie above ``rank_tol * max(1, s[0])``; 0 when ``s`` is empty."""
+    return int(np.count_nonzero(s > tol.rank_tol * max(1.0, s[0]))) if s.size else 0
 
 
 class SpectralParts:
@@ -185,11 +185,12 @@ class SpectralParts:
 
     Eigenvalues inside ``[-rank_tol * scale, rank_tol * scale]`` are assigned
     to the kernel, where ``scale = max(1, max |w|)`` is the tolerance scale of
-    the matrix; ``min_abs`` is the smallest ``|w|`` (+inf when empty).  Each
-    part, each projection and ``sign = q sign(w) q*`` is built the first time
-    it is read and kept; callers must not modify them.
-    ``positive_part - negative_part`` reconstructs the input and
-    ``proj_positive + proj_negative + proj_kernel`` is the identity.
+    the matrix; ``min_abs`` is the smallest ``|w|`` (+inf when empty) and
+    ``singular`` whether it is in the kernel.  Each part, each projection
+    and ``sign = q sign(w) q*`` is built the first time it is read and kept;
+    callers must not modify them.  ``positive_part - negative_part``
+    reconstructs the input and ``proj_positive + proj_negative +
+    proj_kernel`` is the identity.
     """
 
     def __init__(self, w, q, tol: Tolerances = DEFAULT_TOL):
@@ -197,6 +198,7 @@ class SpectralParts:
         self.scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
         self.min_abs = float(np.min(np.abs(w), initial=np.inf))
         cutoff = tol.rank_tol * self.scale
+        self.singular = self.min_abs <= cutoff
         self._pos, self._neg = w > cutoff, w < -cutoff
 
     def _sum(self, mask, weights=None) -> np.ndarray:
@@ -248,9 +250,8 @@ def polar(t, tol: Tolerances = DEFAULT_TOL) -> PolarParts:
         )
     u, s, vh = np.linalg.svd(t, full_matrices=False)
     modulus = (vh.conj().T * s) @ vh
-    keep = rank_mask(s, tol)
-    isometry = u[:, keep] @ vh[keep, :]
-    return PolarParts(isometry=isometry, modulus=modulus)
+    k = rank_of(s, tol)
+    return PolarParts(isometry=u[:, :k] @ vh[:k], modulus=modulus)
 
 
 def loewner_geq(a, b, tol: Tolerances = DEFAULT_TOL):

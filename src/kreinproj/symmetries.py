@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -32,15 +33,12 @@ import numpy as np
 from .errors import ConstraintViolated, NotSymmetryParam, SingularShift
 from .idempotents import (
     BlockForm,
-    _check_orthonormal,
     _Factors,
     _on_handle,
     _per_handle,
     _random_symmetry,
 )
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
     _eig_range,
     _range_scale,
     as_matrix,
@@ -101,18 +99,16 @@ class SymmetryParams(NamedTuple):
     on_perp: np.ndarray
 
 
-def assemble_symmetry(
-    bf: BlockForm, family: SymmetryFamily, params, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def assemble_symmetry(bf: BlockForm, family: SymmetryFamily, params) -> np.ndarray:
     """Build the family member determined by the given block parameters.
 
     ``params`` is a ``SymmetryParams`` pair (or any 2-tuple).  Parameters
     must be symmetries on the right subspaces and satisfy the family
-    constraint, else ``NotSymmetryParam`` / ``ConstraintViolated``.  The
-    result is returned in the ambient basis, unchecked.  These checks are
-    for a caller's parameters: the members the library builds from
-    parameters it draws or constructs itself (the probe samples, the
-    extremes, the witness pair and the member ``kreinproj gen
+    constraint, within the form's ``bf.tol``, else ``NotSymmetryParam`` /
+    ``ConstraintViolated``.  The result is returned in the ambient basis,
+    unchecked.  These checks are for a caller's parameters: the members the
+    library builds from parameters it draws or constructs itself (the probe
+    samples, the extremes, the witness pair and the member ``kreinproj gen
     symmetry-for`` writes) skip them, and the report's checks on each member
     certify it instead: a probe sample by
     ``probe-<family>/sample-NNN-symmetry`` and its family's checks, an
@@ -120,7 +116,7 @@ def assemble_symmetry(
     witness by ``witness-{a,b}-symmetry`` and ``-intertwines``, and the
     written member by ``member-symmetry`` and its family's checks.
     """
-    family = SymmetryFamily(family)
+    family, tol = SymmetryFamily(family), bf.tol
     j1, j2 = (as_matrix(x) for x in params)
     r = bf.rank
     c = bf.dim - bf.rank
@@ -164,35 +160,40 @@ def _assemble(bf: BlockForm, j1, j2) -> np.ndarray:
     )
 
 
-def sample_params(
-    bf: BlockForm, family: SymmetryFamily, count: int, seed=0, tol: Tolerances = DEFAULT_TOL
-) -> list:
-    """Draw admissible family parameters, deterministic in the seed.
+def sample_params(bf: BlockForm, family: SymmetryFamily, count: int, seed=0) -> list:
+    """Draw ``count`` admissible family parameters, deterministic in the seed.
 
     The admissible sets are block diagonal with respect to the corner's
-    null-space splittings: the free part is a random symmetry on the null
-    space, the forced part is a sign times the identity on its complement.
-    For the intertwining family the shared sign is drawn uniformly.  Draws
-    are independent (seeded per index), so ordering does not matter.
+    null-space splittings ``bf.corner_split()``: the free part is a random
+    symmetry on the null space, the forced part is a sign times the identity
+    on its complement.  For the intertwining family the shared sign is drawn
+    uniformly.  Draws are independent (seeded per index), so ordering does
+    not matter.  ``count`` is an integer of at least 1, else ``ValueError``.
     """
-    family = SymmetryFamily(family)
-    split = bf.corner_split(tol)
-    return [_params(bf, family, split, draw) for draw in _draws(bf, family, count, seed, tol)]
+    family, count = SymmetryFamily(family), _count(count, "count")
+    split = bf.corner_split()
+    return [_params(bf, family, split, draw) for draw in _draws(bf, family, count, seed)]
 
 
-def _draws(bf: BlockForm, family: SymmetryFamily, count: int, seed, tol: Tolerances) -> list:
+def _count(count, name) -> int:
+    """``count`` as an int, else ``ValueError``; it must be at least 1."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {count!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return count
+
+
+def _draws(bf: BlockForm, family: SymmetryFamily, count: int, seed) -> list:
     """The seeded draws behind :func:`sample_params`, one ``(eps, s1, s2)`` per
     member: the intertwining family's shared sign, and the free symmetries on
     N(C*) and on N(C) in the coordinates of their bases; None where the family
-    has none.  Each basis is checked orthonormal once, before the first draw."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    u_null, _, v_null, _ = bf.corner_split(tol)
+    has none."""
+    u_null, _, v_null, _ = bf.corner_split()
     free1 = family is not SymmetryFamily.J_POSITIVE
     free2 = family is not SymmetryFamily.J_CONTRACTIVE
-    for basis, free in ((u_null, free1), (v_null, free2)):
-        if free:
-            _check_orthonormal(as_matrix(basis), tol)
     out = []
     for child in np.random.SeedSequence(seed).spawn(count):
         rng = np.random.default_rng(child)
@@ -205,7 +206,7 @@ def _draws(bf: BlockForm, family: SymmetryFamily, count: int, seed, tol: Toleran
 
 def _params(bf: BlockForm, family: SymmetryFamily, split, draw) -> SymmetryParams:
     """The family parameters of one draw of :func:`_draws`, from the corner
-    bases ``split = bf.corner_split(tol)``."""
+    bases ``split = bf.corner_split()``."""
     u_null, u_range, v_null, v_range = split
     eps, s1, s2 = draw
     r = bf.rank
@@ -231,8 +232,8 @@ def extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
     of the projections K onto N(C*) in range(P) and L onto N(C) in
     range(P)-perp: pos-min (I, -I), pos-max (I, 2L - I), contr-min (-I, I)
     and contr-max (2K - I, I).  Each distinct one is assembled once per
-    handle, unchecked, through the block form, from the one rank decision
-    ``bf.corner_split(tol)`` that the sampled members read too: contr-min is
+    handle, unchecked, through ``block_form(p, tol)`` and its one rank
+    decision ``corner_split()``, which its samples read too: contr-min is
     -pos-min, and a greatest element with L = 0 or K = 0 is its family's
     least, the same array.  The report certifies each distinct one once:
     ``extremal-<kind>-symmetry`` that it is a symmetry,
@@ -243,20 +244,20 @@ def extremal_symmetry(f: _Factors, kind: ExtremalKind) -> np.ndarray:
     projections of P + P*.
     """
     kind = ExtremalKind(kind)
-    null = f.bf.corner_split(f.tol)[0 if kind.family is SymmetryFamily.J_CONTRACTIVE else 2]
+    null = f.bf.corner_split()[0 if kind.family is SymmetryFamily.J_CONTRACTIVE else 2]
     least = next(k for k in ExtremalKind if k.family is kind.family)
     if kind is not least and not null.shape[1]:
         return extremal_symmetry.on(f, least)
     if kind is ExtremalKind.CONTR_MIN:  # the assembly is linear in the parameters
         return -extremal_symmetry.on(f, ExtremalKind.POS_MIN)
-    return _assemble(f.bf, *_extreme_params(f.bf, kind, f.tol))
+    return _assemble(f.bf, *_extreme_params(f.bf, kind))
 
 
-def _extreme_params(bf: BlockForm, kind: ExtremalKind, tol: Tolerances):
+def _extreme_params(bf: BlockForm, kind: ExtremalKind):
     """The block parameters of the extreme ``kind``, not contr-min (see :func:`extremal_symmetry`)."""
     i_r, i_c = (np.eye(k, dtype=np.complex128) for k in (bf.rank, bf.dim - bf.rank))
     # on N(C*) in range(P) and on N(C) in range(P)-perp
-    u_null, _, v_null, _ = bf.corner_split(tol)
+    u_null, _, v_null, _ = bf.corner_split()
     if kind is ExtremalKind.POS_MIN:
         return i_r, -i_c
     if kind is ExtremalKind.POS_MAX:
@@ -281,9 +282,9 @@ def sign_formula_symmetry(f: _Factors) -> np.ndarray:
     checks ``sign-formula-matches-pos-max`` and ``sign-formula-kernel-action``,
     see :func:`kreinproj.verification.extremal_checks`.
     """
-    p, tol = f.p, f.tol
-    shift = spectral_parts(p + p.conj().T - np.eye(p.shape[0]), tol)
-    if shift.min_abs <= tol.rank_tol * shift.scale:
+    p = f.p
+    shift = spectral_parts(p + p.conj().T - np.eye(p.shape[0]), f.tol)
+    if shift.singular:
         raise SingularShift(
             f"P + P* - I is numerically singular: min |eig| = {shift.min_abs:.3e}"
         )

@@ -10,10 +10,11 @@ are the slices of it that certify one construction, and
 ``spectral_projection_identities`` the one that certifies Theorem 12's
 identities.  The constructions in ``idempotents``, ``symmetries`` and
 ``decompositions`` check only their inputs and build each object by one
-route; every comparison of two routes is made here.  The extremes and the
-kernel projections are built from the block form of P and its one rank
-decision on the corner; their oracles here are the spectral projections
-of P + P* and i(P - P*), and the sign-function route to pos-max.  Each
+route; every comparison of two routes is made here.  The extremes, the
+probe samples and the kernel projections are built from the block form of
+P and its one rank decision on the corner, under the tolerances the form
+carries; their oracles here are the spectral projections of P + P* and
+i(P - P*), and the sign-function route to pos-max.  Each
 distinct family member the library builds (the extremes, the probe samples,
 the witness pair, the member ``gen symmetry-for`` writes) is certified once,
 by :func:`_member_checks`, whose Loewner margins are Weyl bounds against
@@ -67,6 +68,7 @@ from .symmetries import (
     ExtremalKind,
     SymmetryFamily,
     _assemble,
+    _count,
     _draws,
     _params,
     extremal_symmetry,
@@ -327,7 +329,7 @@ def _member_checks(prefixes, ref, f: _Factors, js, family: SymmetryFamily, probe
         # J_max - J are basis null block null* basis*, with ``basis`` the columns
         # of W on that side and block free + I and I - free, respectively.
         j_min, j_max, free = probe
-        u_null, _, v_null, _ = f.bf.corner_split(tol)
+        u_null, _, v_null, _ = f.bf.corner_split()
         contr = family is SymmetryFamily.J_CONTRACTIVE
         null, basis = (u_null, f.bf.basis_range) if contr else (v_null, f.bf.basis_perp)
         eye = np.eye(null.shape[1])
@@ -471,9 +473,9 @@ _SPLIT_REFS = {
 }
 
 
-def split_checks(split, p, j, tol: Tolerances = DEFAULT_TOL, prefix: str = "") -> list:
+def split_checks(split, p, j, tol: Tolerances = DEFAULT_TOL) -> list:
     """Identity residuals and classification margins certifying a split of
-    ``p`` against ``j``, named ``<prefix><key>``, at budgets scaled by ``max(1, ||P||_2)``.
+    ``p`` against ``j``, at budgets scaled by ``max(1, ||P||_2)``.
     P and ``j`` are admitted as by every function on P: a P that is not
     idempotent raises ``NotIdempotent``, then a ``j`` of another shape, or
     split factors of another shape, ``DimensionMismatch``.
@@ -485,11 +487,11 @@ def split_checks(split, p, j, tol: Tolerances = DEFAULT_TOL, prefix: str = "") -
     and -J R are the same forms on I - P's, with J1 and T = (I + C C*)^(1/2);
     the model is K S K or K T K, from P's corner SVD, each K = (I +- J2)/2
     read off the split's perp blocks and Hermitianized."""
-    return _split_checks(split, *_handle(p, tol, j), prefix)
+    return _split_checks(split, *_handle(p, tol, j))
 
 
-def _split_checks(split, f: _Factors, j, prefix) -> list:
-    """:func:`split_checks` from the factors of P."""
+def _split_checks(split, f: _Factors, j, prefix="") -> list:
+    """:func:`split_checks` from the factors of P, each check named ``<prefix><key>``."""
     p, tol, sp = f.p, f.tol, f.sp
     ref = _SPLIT_REFS[split.kind]
     checks = [
@@ -566,12 +568,7 @@ def _weyl_margins(ds, models, lows, budget) -> list:
 
 def _probe_args(samples, seed):
     """``(samples, seed)`` as ints, else ``ValueError`` (see :func:`extremality_probe`)."""
-    try:
-        samples = operator.index(samples)
-    except TypeError:
-        raise ValueError(f"samples must be an integer, got {samples!r}") from None
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    samples = _count(samples, "samples")
     try:
         seed = seed if seed is None else operator.index(seed)
     except TypeError:
@@ -593,7 +590,7 @@ def _probe_checks(f: _Factors, family, samples, seed, prefix="") -> list:
         checks += _renamed(_extreme_checks(f, kind)[1:], f"extremal-{kind.value}", prefix + label)
     ref = _FAMILY_REFS[family]
     names = [f"{prefix}sample-{i:03d}" for i in range(samples)]
-    split = bf.corner_split(tol)
+    split = bf.corner_split()
     contr = family is SymmetryFamily.J_CONTRACTIVE
     null = split[0 if contr else 2]
     if not null.shape[1]:
@@ -601,7 +598,7 @@ def _probe_checks(f: _Factors, family, samples, seed, prefix="") -> list:
         member += [margin_check(f"-{name}", ref, 0.0, tol.psd_tol) for name in ("above-min", "below-max")]
         return checks + [c for name in names for c in _renamed(member, "", name)]
     j_min, j_max = extremal_symmetry.on(f, kind_min), extremal_symmetry.on(f, kind_max)
-    draws = _draws(bf, family, samples, seed, tol)
+    draws = _draws(bf, family, samples, seed)
     stack = max(1, _STACK_BYTES // (np.dtype(np.complex128).itemsize * max(1, bf.dim) ** 2))
     for start in range(0, samples, stack):
         stop = min(start + stack, samples)
@@ -746,7 +743,7 @@ def _projection_identity_checks(f: _Factors) -> list:
     parts_a, parts_c = f.sum_parts, _complement_parts(f)
     ker_diff = _ker_diff(f)
     null_p_range, null_p_perp = _corner_null_projections(f)
-    null_q_range, null_q_perp = _null_projections(f.comp_bf, f.tol)
+    null_q_range, null_q_perp = _null_projections(f.comp_bf)
 
     budget = f.tol.residual_tol * parts_a.scale
     gaps = [
@@ -805,7 +802,7 @@ def _witness_checks(f: _Factors, run: _Run):
     for name, kind in (("witness-a", ExtremalKind.CONTR_MIN), ("witness-b", ExtremalKind.POS_MIN)):
         yield residual_check(f"{name}-symmetry", "Theorem 8(ii)", _extreme_checks(f, kind)[0].residual, tol.residual_tol)
         yield residual_check(f"{name}-intertwines", "Theorem 8(ii)", inter, tol.residual_tol * f.sp)
-    if f.bf.corner_split(tol)[1].shape[1]:
+    if f.bf.corner_split()[1].shape[1]:
         # nonzero corner: no greatest element, witnessed by a gap with
         # eigenvalues of both signs
         gap = min(verdict.max_eig, -verdict.min_eig) - INDEFINITE_MARGIN

@@ -93,7 +93,7 @@ def test_gen_symmetry_for_takes_the_tolerance_flags(tmp_path, capsys):
     tol = Tolerances(rank_tol=1e-6, residual_tol=1e-6)
     bf = block_form(p, tol)
     family = SymmetryFamily.J_CONTRACTIVE
-    want = assemble_symmetry(bf, family, sample_params(bf, family, 1, 0, tol)[0], tol)
+    want = assemble_symmetry(bf, family, sample_params(bf, family, 1, 0)[0])
     got = read_matrix(tmp_path / "t.json")
     assert got.tobytes() == want.tobytes()
     assert np.abs(got - read_matrix(tmp_path / "d.json")).max() > 1.0

@@ -1,5 +1,6 @@
 """Block form, kernel projections and the random generators."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -172,10 +173,17 @@ def test_corner_split_bases(case):
 
 def test_corner_split_rank_follows_tolerance():
     # corner singular values 1 and 1e-7: kept at the default cutoff, dropped
-    # into both null spaces at rank_tol = 1e-6
-    bf = block_form(structured_idempotent(4, 2, np.diag([1.0, 1e-7]), 3))
+    # into both null spaces at rank_tol = 1e-6, whether the form is built
+    # under that tolerance or a built form is replaced with it
+    p = structured_idempotent(4, 2, np.diag([1.0, 1e-7]), 3)
+    loose = Tolerances(rank_tol=1e-6)
+    bf = block_form(p)
+    assert bf.tol is DEFAULT_TOL
     assert [b.shape[1] for b in bf.corner_split()] == [0, 2, 0, 2]
-    assert [b.shape[1] for b in bf.corner_split(Tolerances(rank_tol=1e-6))] == [1, 1, 1, 1]
+    for other in (block_form(p, loose), dataclasses.replace(bf, tol=loose)):
+        assert other.tol is loose
+        assert [b.shape[1] for b in other.corner_split()] == [1, 1, 1, 1]
+    assert [b.shape[1] for b in bf.corner_split()] == [0, 2, 0, 2]
 
 
 def test_kernel_projections_orthogonal():

@@ -5,6 +5,11 @@ The modules that construct (``idempotents``, ``symmetries`` and
 certifying what they build is the job of ``verification`` alone.  And no
 module imports a name it never uses, except the names ``__init__`` imports
 from it to re-export.
+
+Each rank decision is made once, by the object that holds the
+factorization: a block form decides its corner's rank under the tolerances
+it carries, so no function takes a tolerance beside a form, and the rank
+cutoff is read in ``linalg`` alone.
 """
 
 import ast
@@ -75,9 +80,9 @@ def test_no_unused_imports(module):
     assert not unused
 
 
-def _callers(module, callee) -> set:
+def _scoped(module, match) -> set:
     """``module.scope`` for each function or class of ``module`` (dotted, as
-    nested) whose body calls ``callee``, by name or as an attribute."""
+    nested) whose body holds a node for which ``match`` is true."""
     out = set()
 
     def visit(node, scope):
@@ -85,14 +90,32 @@ def _callers(module, callee) -> set:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee:
-                    out.add(".".join([module, *scope]))
+            if match(child):
+                out.add(".".join([module, *scope]))
             visit(child, scope)
 
     visit(_tree(module), [])
     return out
+
+
+def _calls(callee, with_arguments=False):
+    """A ``match`` for :func:`_scoped`: a call of ``callee``, by name or as an
+    attribute, with at least one argument when ``with_arguments``."""
+
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        named = (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee
+        return named and (not with_arguments or bool(node.args or node.keywords))
+
+    return match
+
+
+def _callers(module, callee) -> set:
+    """``module.scope`` for each function or class of ``module`` whose body
+    calls ``callee``."""
+    return _scoped(module, _calls(callee))
 
 
 def test_the_handle_is_built_only_where_p_is_admitted():
@@ -101,3 +124,29 @@ def test_the_handle_is_built_only_where_p_is_admitted():
     # full_report records its answer as the idempotent gate
     built = set().union(*(_callers(module, "_Factors") for module in MODULES))
     assert built == {"idempotents._handle", "idempotents.validate_idempotent", "verification.full_report"}
+
+
+def test_the_corner_split_is_read_without_a_tolerance():
+    # a form's corner_split() reads the one decision made under its own tol
+    assert not set().union(*(_scoped(module, _calls("corner_split", True)) for module in MODULES))
+
+
+def test_no_function_takes_a_tolerance_beside_a_block_form():
+    both = set()
+    for module in MODULES:
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+                if {"bf", "tol"} <= names:
+                    both.add(f"{module}.{node.name}")
+    assert not both
+
+
+def test_the_rank_cutoff_is_read_only_in_linalg():
+    # apart from the CLI's --tol-rank default and the report's config record
+    def reads(node):
+        return isinstance(node, ast.Attribute) and node.attr == "rank_tol" and isinstance(node.ctx, ast.Load)
+
+    readers = set().union(*(_scoped(module, reads) for module in MODULES if module != "linalg"))
+    assert readers == {"cli._add_tol_flags", "matrixio._config_to_doc"}

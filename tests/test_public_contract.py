@@ -53,7 +53,7 @@ CONTRACT = {
     "contractive_positive_equivalence": (["p", "j", "tol"], RESIDUAL, NOT_SYMMETRIC, SHAPE),
     "extremal_checks": (["p", "which", "j", "tol"], RESIDUAL, None, SHAPE),
     "extremality_probe": (["p", "family", "samples", ("seed", 0), "tol"], RESIDUAL, None, None),
-    "split_checks": (["split", "p", "j", "tol", ("prefix", "")], RESIDUAL, None, SHAPE),
+    "split_checks": (["split", "p", "j", "tol"], RESIDUAL, None, SHAPE),
 }
 
 # The other public functions whose parameters start with p, or with split
@@ -192,6 +192,31 @@ def test_unknown_enum_values_are_refused():
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+def test_forms_and_splits_compare_by_identity():
+    # their fields are arrays, so == by field would have no truth value
+    bf, again = kp.block_form(P), kp.block_form(P)
+    split = kp.SplitResult(np.eye(2), np.eye(2), "positive-negative")
+    same = kp.SplitResult(np.eye(2), np.eye(2), "positive-negative")
+    for a, b in ((bf, again), (split, same)):
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.0, "2", None, np.float64(1.0)])
+def test_a_draw_count_is_an_integer_of_at_least_one(count):
+    # sample_params and extremality_probe refuse the same counts the same way
+    with pytest.raises(ValueError, match="count must be"):
+        kp.sample_params(kp.block_form(P), "positive", count)
+    with pytest.raises(ValueError, match="samples must be"):
+        kp.extremality_probe(P, "positive", count)
+
+
+def test_a_draw_count_may_be_any_integer_type():
+    draws = [kp.sample_params(kp.block_form(P), "projection", n, 3) for n in (2, np.int64(2))]
+    for a, b in zip(*draws):
+        np.testing.assert_array_equal(a.on_perp, b.on_perp)
 
 
 def test_a_split_takes_its_factors_as_matrices():

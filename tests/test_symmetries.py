@@ -1,5 +1,6 @@
 """Family assembly, admissible-parameter sampling, and the extreme symmetries."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -103,7 +104,7 @@ def test_sample_params_rank_decision_follows_tol():
     for params in sample_params(bf, family, 20, seed=4):
         np.testing.assert_allclose(params.on_range, -np.eye(2), atol=1e-13)
     signs = set()
-    for params in sample_params(bf, family, 20, seed=4, tol=Tolerances(rank_tol=1e-6)):
+    for params in sample_params(dataclasses.replace(bf, tol=Tolerances(rank_tol=1e-6)), family, 20, seed=4):
         j1 = params.on_range
         np.testing.assert_allclose([j1[0, 0], j1[0, 1], j1[1, 0]], [-1.0, 0.0, 0.0], atol=1e-13)
         signs.add(round(float(j1[1, 1].real)))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import idempotent_cases, wide_corner_idempotents
+from conftest import idempotent_cases, structured_idempotent, wide_corner_idempotents
 
 from kreinproj import (
     ExtremalKind,
@@ -29,7 +29,7 @@ from kreinproj import (
     random_symmetry_on,
     sample_params,
 )
-from kreinproj.linalg import DEFAULT_TOL
+from kreinproj.linalg import DEFAULT_TOL, Tolerances
 from kreinproj.matrixio import render_report
 
 SQRT2 = math.sqrt(2.0)
@@ -316,7 +316,6 @@ def test_full_report_passes_across_a_wide_corner_spectrum():
     # Corner singular values 1e4, 3 and 1e-2 under random rotations.  Taking
     # (I + C C*)^(-1/2) from an eigendecomposition of I + C C* lost the small
     # eigenvalues next to 1e8 and made assemble_symmetry raise.
-    from conftest import structured_idempotent
     from kreinproj import haar_unitary
 
     for seed in range(10):
@@ -334,7 +333,6 @@ def test_full_report_passes_across_a_wide_corner_spectrum():
 def _shared_path_cases():
     """(label, P, J) over the corner regimes: random, rank 0, rank n, an
     orthogonal projection and a corner with singular values 1e4, 3, 1e-2."""
-    from conftest import structured_idempotent
     from kreinproj import haar_unitary
 
     rng = np.random.default_rng(19)
@@ -384,8 +382,9 @@ def test_standalone_functions_match_full_report(label, p, j):
                            (SymmetryFamily.J_CONTRACTIVE, "probe-contractive/")):
         expected += [(prefix + c.name, c) for c in extremality_probe(p, family, samples).checks]
     expected += [(c.name, c) for c in spectral_projection_identities(p).checks]
-    expected += [(c.name, c) for c in split_checks(contractive_expansive_split(p, j), p, j, prefix="split-ce-")]
-    expected += [(c.name, c) for c in split_checks(positive_negative_split(p, j), p, j, prefix="split-pn-")]
+    for split, prefix in ((contractive_expansive_split(p, j), "split-ce-"),
+                          (positive_negative_split(p, j), "split-pn-")):
+        expected += [(prefix + c.name, c) for c in split_checks(split, p, j)]
     for kind in ExtremalKind:
         expected += [(c.name, c) for c in extremal_checks(p, kind.value, extremal_symmetry(p, kind))]
     expected.append(("contractive-iff-complement-positive", contractive_positive_equivalence(p, j)))
@@ -630,7 +629,7 @@ def _values_alone(f, family, j, free, j_min, j_max) -> list:
         values += [frobenius(jp - jp.conj().T), weyl(jp, model, low, tol.psd_tol * f.sp)]
     else:
         values.append(weyl(j - p.conj().T @ j @ p, model, low, tol.psd_tol * f.sp))
-    u_null, _, v_null, _ = bf.corner_split(tol)
+    u_null, _, v_null, _ = bf.corner_split()
     contr = family is SymmetryFamily.J_CONTRACTIVE
     null, embed = (u_null, bf.embed_range) if contr else (v_null, bf.embed_perp)
     eye = np.eye(null.shape[1])
@@ -667,6 +666,72 @@ def test_probe_sample_checks_are_those_of_its_member_alone(n, r):
             recorded = [(c.residual if c.name.endswith(("-symmetry", "-hermitian")) else c.margin).hex()
                         for c in alone]
             assert recorded == _values_alone(f, family, j, free, *extremes)
+
+
+def _draws_under(p, tol, samples, seed) -> dict:
+    """For each family with extremes, the free dimension of ``block_form(p,
+    tol)`` and the free signs of its draws, once each draw, assembled from
+    that form, is checked to get bitwise the checks that
+    ``extremality_probe(p, family, samples, seed, tol)`` records for it,
+    against the extremes ``extremal_symmetry(p, kind, tol)``."""
+    from kreinproj import extremal_symmetry
+    from kreinproj.idempotents import _Factors
+    from kreinproj.symmetries import _assemble
+    from kreinproj.verification import _FAMILY_REFS, _member_checks
+
+    bf, f = block_form(p, tol), _Factors(p, tol)
+    assert bf.tol is tol
+    u_null, _, v_null, _ = bf.corner_split()
+    out = {}
+    for family in (SymmetryFamily.J_POSITIVE, SymmetryFamily.J_CONTRACTIVE):
+        report = extremality_probe(p, family, samples, seed, tol)
+        extremes = [extremal_symmetry(p, k, tol) for k in ExtremalKind if k.family is family]
+        contr = family is SymmetryFamily.J_CONTRACTIVE
+        null = u_null if contr else v_null
+        assert (np.linalg.norm(extremes[1] - extremes[0], 2) > 1.0) == bool(null.shape[1])
+        if not null.shape[1]:
+            continue
+        signs = []
+        for i, params in enumerate(sample_params(bf, family, samples, seed)):
+            free = null.conj().T @ params[0 if contr else 1] @ null
+            alone = _member_checks([f"sample-{i:03d}"], _FAMILY_REFS[family], f,
+                                   _assemble(bf, *params)[np.newaxis], family, (*extremes, free[np.newaxis]))
+            assert _bits(alone) == _sample_bits(report, i)
+            signs.append(round(float(np.trace(free).real)))
+        out[family] = null.shape[1], signs
+    return out
+
+
+def test_a_form_draws_under_the_tolerance_it_was_built_under():
+    # corner singular values 1 and 1e-7: under tol the 1e-7 direction is in
+    # N(C*) and N(C), so each greatest element differs from its least and
+    # the draws of block_form(p, tol) have a free sign there, the members
+    # that the probe under tol certifies
+    p = structured_idempotent(4, 2, np.diag([1.0, 1e-7]), 3)
+    tol = Tolerances(rank_tol=1e-6, residual_tol=1e-6)
+    draws = _draws_under(p, tol, 8, 4)
+    assert set(draws) == {SymmetryFamily.J_POSITIVE, SymmetryFamily.J_CONTRACTIVE}
+    for dim, signs in draws.values():
+        assert dim == 1 and set(signs) == {-1, 1}
+    assert _draws_under(p, DEFAULT_TOL, 8, 4) == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_rank_tol=st.floats(-9, -4), log_ratio=st.floats(-0.5, 0.5), seed=st.integers(0, 2**16))
+def test_a_form_draws_near_its_rank_cutoff(log_rank_tol, log_ratio, seed):
+    # a corner singular value within half a decade of the cutoff, on either
+    # side: the form, its draws, its extremes and the probe decide alike
+    rank_tol = 10.0 ** log_rank_tol
+    sigma = rank_tol * 10.0 ** log_ratio
+    p = structured_idempotent(5, 2, np.array([[1.0, 0.0, 0.0], [0.0, sigma, 0.0]]), seed)
+    draws = _draws_under(p, Tolerances(rank_tol=rank_tol), 6, seed)
+    # N(C) always holds the third column, and both null spaces hold sigma's
+    # direction when sigma is below the cutoff (the computed sigma is off
+    # by about 1e-16 absolute, so the test leaves the cutoff's edge alone)
+    if abs(log_ratio) > 0.01:
+        below = int(sigma < rank_tol)
+        assert draws.get(SymmetryFamily.J_CONTRACTIVE, (0,))[0] == below
+        assert draws[SymmetryFamily.J_POSITIVE][0] == 1 + below
 
 
 def _rotated(j, angle, seed):
@@ -827,8 +892,8 @@ def _contr_max_off_a_symmetry(monkeypatch):
 
     real = symmetries._extreme_params
 
-    def off(bf, kind, tol):
-        j1, j2 = real(bf, kind, tol)
+    def off(bf, kind):
+        j1, j2 = real(bf, kind)
         if kind is ExtremalKind.CONTR_MAX:
             j1 = (j1 + np.eye(bf.rank)) * (1.0 + 2.5e-9) - np.eye(bf.rank)
         return j1, j2
@@ -957,7 +1022,6 @@ def test_a_small_corner_value_passes_the_extremes_and_probe_checks(sigma):
 def _wide_corner_cases():
     """Idempotents whose corner has singular values 1e4, 3 and 1e-2, or a
     single value 1e-6 next to a kernel, under random rotations."""
-    from conftest import structured_idempotent
     from kreinproj import haar_unitary
 
     out = []
@@ -1044,7 +1108,7 @@ def test_split_margin_statuses_are_those_of_the_exact_margins(p, seed, log_angle
         except KreinProjError as e:
             assert report[group].status == "fail" and report[group].note.startswith(type(e).__name__)
             continue
-        off_family = {c.name: c for c in split_checks(split, p, rotated, prefix=prefix)}
+        off_family = {prefix + c.name: c for c in split_checks(split, p, rotated)}
         for candidate, checks in ((j, report), (rotated, off_family)):
             for key, exact in split_classification_margins(split, candidate).items():
                 if key.endswith("margin"):
