@@ -12,7 +12,6 @@ identity numerically.
 from .errors import (
     BadRank,
     ConstraintViolated,
-    DegenerateBlock,
     DimensionMismatch,
     FileFormatError,
     KreinProjError,
@@ -28,13 +27,11 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    PolarParts,
     SpectralParts,
     Tolerances,
     hermitian_eig,
     is_symmetry,
     loewner_geq,
-    polar,
     spectral_parts,
 )
 from .idempotents import (

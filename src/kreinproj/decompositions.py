@@ -17,7 +17,7 @@ import enum
 import numpy as np
 
 from .errors import NotJProjection, SingularBlock
-from .idempotents import _corner_inv_sqrts, _corner_split, _Factors, _full_svd, _on_handle, _per_handle
+from .idempotents import CornerFunctions, _corner_split, _Factors, _full_svd, _on_handle, _per_handle
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-def _negative_part_formula(b, svd, tol: Tolerances) -> np.ndarray:
+def _negative_part_formula(svd, tol: Tolerances) -> np.ndarray:
     """Closed-form projection onto the negative subspace of [[I, B], [B*, 0]],
     from the full SVD ``svd = (u, s, vh)`` of ``B``.
 
@@ -50,17 +50,23 @@ def _negative_part_formula(b, svd, tol: Tolerances) -> np.ndarray:
 
         [[(I - Tinv) / 2,  -Tinv B              ],
          [-B* Tinv,        V (I + Tinv) V* / 2  ]].
+
+    T is the T of the corner 2B, whose SVD is B's with the singular values
+    doubled, so Tinv and Tinv B = (Tinv 2B) / 2 come from
+    :class:`~kreinproj.idempotents.CornerFunctions` of that SVD; the rank
+    decision for V is made on B's own singular values.
     """
-    m, k = b.shape
-    tinv, _, _ = _corner_inv_sqrts(svd, 2.0)
+    u, s, vh = svd
+    m, k = u.shape[0], vh.shape[0]
+    fns = CornerFunctions((u, 2 * s, vh))
     # B* = V S U*, so its partial isometry is V_range U_range*
     _, u_range, _, v_range = _corner_split(svd, tol)
     v = v_range @ u_range.conj().T
     out = np.zeros((m + k, m + k), dtype=np.complex128)
-    out[:m, :m] = 0.5 * (np.eye(m) - tinv)
-    out[:m, m:] = -tinv @ b
-    out[m:, :m] = -b.conj().T @ tinv
-    out[m:, m:] = 0.5 * (v @ (np.eye(m) + tinv) @ v.conj().T)
+    out[:m, :m] = 0.5 * (np.eye(m) - fns.tinv)
+    out[:m, m:] = -fns.tinv_c / 2
+    out[m:, :m] = out[:m, m:].conj().T
+    out[m:, m:] = 0.5 * (v @ (np.eye(m) + fns.tinv) @ v.conj().T)
     return out
 
 
@@ -82,8 +88,7 @@ def negative_part_projection_formula(b, tol: Tolerances = DEFAULT_TOL) -> np.nda
     form on the corner of P against the eigendecomposition of the anchored
     block itself: ``negative-part-closed-form``.
     """
-    b = as_matrix(b)
-    return _negative_part_formula(b, _full_svd(b), tol)
+    return _negative_part_formula(_full_svd(as_matrix(b)), tol)
 
 
 @_per_handle

@@ -57,10 +57,5 @@ class SingularBlock(KreinProjError):
     """Raised when a diagonal block that must be invertible is numerically singular."""
 
 
-class DegenerateBlock(KreinProjError):
-    """No longer raised: the intertwiners are the identity and no intertwiner
-    block is factored.  Kept so that code catching it still imports."""
-
-
 class FileFormatError(KreinProjError):
     """Raised when a matrix or report file does not match the expected schema."""

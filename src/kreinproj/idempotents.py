@@ -124,8 +124,9 @@ class BlockForm:
         return _full_svd(self.corner)
 
     @functools.cached_property
-    def _inv_sqrts(self):
-        return _corner_inv_sqrts(self._corner_svd)
+    def _fns(self) -> CornerFunctions:
+        """Every function of C the package reads, from the one SVD of C."""
+        return CornerFunctions(self._corner_svd)
 
     @functools.cached_property
     def _split(self):
@@ -154,25 +155,40 @@ def _corner_split(svd, tol: Tolerances):
     return u[:, k:], u[:, :k], v[:, k:], v[:, :k]
 
 
-def _corner_inv_sqrts(svd, k: float = 1.0):
-    """``(I + k^2 C C*)^(-1/2)``, ``(I + k^2 C* C)^(-1/2)`` and ``||C||``
-    from the full SVD ``(u, s, vh)`` of the corner ``C``.
+class CornerFunctions:
+    """The functions of a corner C that the package reads, from its full SVD
+    ``(u, s, vh)``: with T = (I + C C*)^(1/2) on range(P) and
+    S = (I + C* C)^(1/2) on its orthocomplement, ``tinv`` and ``sinv`` their
+    inverses, ``tinv_c`` = T^(-1) C = C S^(-1), ``t``, ``s`` and ``norm`` =
+    ||C||_2.  Each matrix is formed the first time it is read and kept;
+    callers must not modify them.
 
-    Each singular value enters as ``(1 + (k sigma)^2)^(-1/2)``, which keeps
-    full relative accuracy for every sigma; forming ``I + C C*`` first would
-    lose the small eigenvalues next to a large one.
+    Each is built from the singular values alone: with h = sqrt(1 + sigma^2),
+    T^(-1) C = U diag(sigma / h) V*, T = I + U diag(h - 1) U* and
+    T^(-1) = I + U diag(1/h - 1) U*, S and S^(-1) the same on V, where
+    h - 1 = sigma^2 / (1 + h) and 1/h - 1 = -(h - 1)/h keep full relative
+    accuracy for every sigma.  Forming I + C C* first would lose the small
+    eigenvalues next to a large one, and a product T^(-1) @ C would carry
+    T^(-1)'s rounding, about eps, times sigma into a block of norm below 1.
     """
-    u, s, vh = svd
-    m, c, q = u.shape[0], vh.shape[0], s.size
-    if q == 0:
-        return np.eye(m, dtype=np.complex128), np.eye(c, dtype=np.complex128), 0.0
-    shrink = (1.0 + (k * s) ** 2) ** -0.5 - 1.0
-    u, vh = u[:, :q], vh[:q]
-    return (
-        np.eye(m) + (u * shrink) @ u.conj().T,
-        np.eye(c) + (vh.conj().T * shrink) @ vh,
-        float(s[0]),
-    )
+
+    def __init__(self, svd):
+        u, s, vh = svd
+        self._u, self._v = u[:, : s.size], vh[: s.size].conj().T
+        h = np.hypot(1.0, s)
+        self._grow, self._ratio = s * (s / (1.0 + h)), s / h
+        self._shrink = -self._grow / h
+        self.norm = float(s[0]) if s.size else 0.0
+
+    @staticmethod
+    def _lift(basis, diag) -> np.ndarray:
+        return np.eye(basis.shape[0]) + (basis * diag) @ basis.conj().T
+
+    tinv = functools.cached_property(lambda self: self._lift(self._u, self._shrink))
+    sinv = functools.cached_property(lambda self: self._lift(self._v, self._shrink))
+    tinv_c = functools.cached_property(lambda self: (self._u * self._ratio) @ self._v.conj().T)
+    t = functools.cached_property(lambda self: self._lift(self._u, self._grow))
+    s = functools.cached_property(lambda self: self._lift(self._v, self._grow))
 
 
 def validate_idempotent(p, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -270,18 +286,15 @@ def _complement_form(bf: BlockForm, q: np.ndarray) -> BlockForm:
     In the coordinates W = [basis_range | basis_perp] of P, I - P is
     [[0, -C], [0, I]], so range(I - P) has the orthonormal basis
     [[-C], [I]] Sinv and its orthocomplement [[I], [C*]] Tinv (Proposition 9,
-    Theorem 12(ii)).  C Sinv = Tinv C = U diag(sigma / sqrt(1 + sigma^2)) V*
-    is formed from the corner's SVD, so every coefficient is at most 1; the
+    Theorem 12(ii)).  C Sinv = Tinv C is the form's ``tinv_c`` (see
+    :class:`CornerFunctions`), so every coefficient is at most 1; the
     route (basis_perp - basis_range C) Sinv would carry a rounding error of
     about eps ||C|| into the directions of the small singular values.  The
     corner is read off the ambient ``q``; it is C* in exact arithmetic.
     """
-    u, s, vh = bf._corner_svd
-    tinv, sinv, _ = bf._inv_sqrts
-    k = s.size
-    c_sinv = (u[:, :k] * (s / np.hypot(1.0, s))) @ vh[:k]
-    basis_range = bf.basis_perp @ sinv - bf.basis_range @ c_sinv
-    basis_perp = bf.basis_range @ tinv + bf.basis_perp @ c_sinv.conj().T
+    fns = bf._fns
+    basis_range = bf.basis_perp @ fns.sinv - bf.basis_range @ fns.tinv_c
+    basis_perp = bf.basis_range @ fns.tinv + bf.basis_perp @ fns.tinv_c.conj().T
     corner = basis_range.conj().T @ q @ basis_perp
     return BlockForm(basis_range=basis_range, basis_perp=basis_perp, corner=corner, tol=bf.tol)
 

@@ -2,8 +2,8 @@
 
 Everything downstream is built on the operations here: Hermitian
 eigendecomposition, splitting a Hermitian matrix into its positive and
-negative parts, the scaled singular value cutoff, polar decomposition,
-Loewner-order comparison, and the symmetry (self-adjoint involution) test.
+negative parts, the scaled singular value cutoff, Loewner-order
+comparison, and the symmetry (self-adjoint involution) test.
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 Every tolerance is relative to ``scale = max(1, spectral norm)`` of the
@@ -27,7 +27,6 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "SpectralParts",
-    "PolarParts",
     "as_matrix",
     "frobenius",
     "spectral_norm",
@@ -35,7 +34,6 @@ __all__ = [
     "within_scaled",
     "hermitian_eig",
     "spectral_parts",
-    "polar",
     "loewner_geq",
     "is_symmetry",
     "min_eig",
@@ -220,38 +218,6 @@ def spectral_parts(a, tol: Tolerances = DEFAULT_TOL) -> SpectralParts:
     projections onto their ranges and onto the null space, from one
     :func:`hermitian_eig` (see :class:`SpectralParts`)."""
     return SpectralParts(*hermitian_eig(a, tol), tol)
-
-
-@dataclasses.dataclass(frozen=True)
-class PolarParts:
-    """Polar factors ``t = isometry @ modulus``.
-
-    ``isometry`` is the partial isometry whose kernel equals the kernel of
-    ``t``; ``modulus`` is the Hermitian PSD square root of ``t* t``.
-    """
-
-    isometry: np.ndarray
-    modulus: np.ndarray
-
-
-def polar(t, tol: Tolerances = DEFAULT_TOL) -> PolarParts:
-    """Polar decomposition ``t = v |t|`` with the kernel-matching partial isometry.
-
-    The isometry is assembled from the compact SVD restricted to singular
-    values above ``rank_tol * scale``, which pins down the unique partial
-    isometry with ``N(v) = N(t)``.  Rectangular inputs are allowed.
-    """
-    t = as_matrix(t)
-    m, n = t.shape
-    if m == 0 or n == 0:
-        return PolarParts(
-            isometry=np.zeros((m, n), dtype=np.complex128),
-            modulus=np.zeros((n, n), dtype=np.complex128),
-        )
-    u, s, vh = np.linalg.svd(t, full_matrices=False)
-    modulus = (vh.conj().T * s) @ vh
-    k = rank_of(s, tol)
-    return PolarParts(isometry=u[:, :k] @ vh[:k], modulus=modulus)
 
 
 def loewner_geq(a, b, tol: Tolerances = DEFAULT_TOL):

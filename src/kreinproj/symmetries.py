@@ -13,7 +13,9 @@ With Tinv = (I + C C*)^(-1/2) and Sinv = (I + C* C)^(-1/2), every member is
     J = [[J1 Tinv,     J1 Tinv C ],
          [C* Tinv J1,  J2 Sinv   ]]
 
-in block-form coordinates.  The positive and contractive families have
+in block-form coordinates, each function of C read off the block form,
+which forms Tinv, Sinv and Tinv C from the corner's singular values once
+(``idempotents.CornerFunctions``).  The positive and contractive families have
 closed-form least and greatest elements in the Loewner order, built here
 as the members with sign parameters on the corner's null spaces; the
 intertwining family has neither unless P is an orthogonal projection,
@@ -129,7 +131,6 @@ def assemble_symmetry(bf: BlockForm, family: SymmetryFamily, params) -> np.ndarr
         raise NotSymmetryParam("family parameters must be symmetries")
 
     corner = bf.corner
-    corner_norm = bf._inv_sqrts[2]
     if family is SymmetryFamily.J_POSITIVE:
         if frobenius(j1 - np.eye(r)) > tol.residual_tol * max(1.0, r):
             raise ConstraintViolated("positive family fixes the range-side parameter to I")
@@ -140,7 +141,7 @@ def assemble_symmetry(bf: BlockForm, family: SymmetryFamily, params) -> np.ndarr
         constraint = j1 @ corner + corner
     else:
         constraint = j1 @ corner + corner @ j2
-    if frobenius(constraint) > tol.residual_tol * max(1.0, corner_norm):
+    if frobenius(constraint) > tol.residual_tol * max(1.0, bf._fns.norm):
         raise ConstraintViolated(
             f"parameters violate the corner constraint: {frobenius(constraint):.3e}"
         )
@@ -149,15 +150,11 @@ def assemble_symmetry(bf: BlockForm, family: SymmetryFamily, params) -> np.ndarr
 
 def _assemble(bf: BlockForm, j1, j2) -> np.ndarray:
     """The member with the block parameters ``j1`` and ``j2`` in the ambient
-    basis, unchecked; stacked parameters give the stack of their members."""
-    corner = bf.corner
-    tinv, sinv, _ = bf._inv_sqrts
-    return bf.assemble(
-        j1 @ tinv,
-        j1 @ tinv @ corner,
-        corner.conj().T @ tinv @ j1,
-        j2 @ sinv,
-    )
+    basis, unchecked; stacked parameters give the stack of their members.
+    Both off-diagonal blocks read the form's one T^(-1) C (see
+    :class:`~kreinproj.idempotents.CornerFunctions`)."""
+    fns = bf._fns
+    return bf.assemble(j1 @ fns.tinv, j1 @ fns.tinv_c, fns.tinv_c.conj().T @ j1, j2 @ fns.sinv)
 
 
 def sample_params(bf: BlockForm, family: SymmetryFamily, count: int, seed=0) -> list:
@@ -168,9 +165,10 @@ def sample_params(bf: BlockForm, family: SymmetryFamily, count: int, seed=0) -> 
     symmetry on the null space, the forced part is a sign times the identity
     on its complement.  For the intertwining family the shared sign is drawn
     uniformly.  Draws are independent (seeded per index), so ordering does
-    not matter.  ``count`` is an integer of at least 1, else ``ValueError``.
+    not matter.  ``count`` is an integer of at least 1 and ``seed`` a
+    nonnegative integer or None, else ``ValueError``.
     """
-    family, count = SymmetryFamily(family), _count(count, "count")
+    family, count, seed = SymmetryFamily(family), _count(count, "count"), _seed(seed)
     split = bf.corner_split()
     return [_params(bf, family, split, draw) for draw in _draws(bf, family, count, seed)]
 
@@ -184,6 +182,17 @@ def _count(count, name) -> int:
     if count < 1:
         raise ValueError(f"{name} must be at least 1")
     return count
+
+
+def _seed(seed):
+    """``seed`` as an int, or None; else ``ValueError``: it must be nonnegative."""
+    try:
+        seed = seed if seed is None else operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _draws(bf: BlockForm, family: SymmetryFamily, count: int, seed) -> list:

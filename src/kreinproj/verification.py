@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -71,6 +70,7 @@ from .symmetries import (
     _count,
     _draws,
     _params,
+    _seed,
     extremal_symmetry,
     nonexistence_witnesses,
     sign_formula_symmetry,
@@ -351,19 +351,11 @@ def _member_model(f: _Factors, family: SymmetryFamily):
     rounding leaves on its smallest eigenvalue."""
     bf = f.bf
     if family is SymmetryFamily.J_CONTRACTIVE:
-        model = bf.embed_perp(_corner_root(bf))
+        model = bf.embed_perp(bf._fns.s)
     else:
         b = bf.basis_range + bf.basis_perp @ bf.corner.conj().T
-        model = b @ bf._inv_sqrts[0] @ b.conj().T
+        model = b @ bf._fns.tinv @ b.conj().T
     return model, _model_floor(model)
-
-
-def _corner_root(bf, perp=True) -> np.ndarray:
-    """S = (I + C* C)^(1/2) on range(P)-perp, or T = (I + C C*)^(1/2) on range(P), from the corner's SVD."""
-    u, s, vh = bf._corner_svd
-    grow = s * (s / (1.0 + np.hypot(1.0, s)))  # sqrt(1 + s^2) - 1
-    v = vh[: s.size].conj().T if perp else u[:, : s.size]
-    return np.eye(v.shape[0]) + (v * grow) @ v.conj().T
 
 
 def _model_floor(model) -> float:
@@ -503,7 +495,7 @@ def _split_checks(split, f: _Factors, j, prefix="") -> list:
     # K is E2's then E1's perp block on P's form, Q's then R's on I - P's (corner C*, root T)
     ce = split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE
     bf = f.bf if ce else f.comp_bf
-    basis, root = bf.basis_perp, _corner_root(f.bf, perp=ce)
+    basis, root = bf.basis_perp, f.bf._fns.s if ce else f.bf._fns.t
     for key, e in zip(keys, (split.e2, split.e1) if ce else (split.e1, split.e2)):
         k = basis.conj().T @ e @ basis
         k = 0.5 * (k + k.conj().T)
@@ -539,7 +531,7 @@ def extremality_probe(f: _Factors, family: SymmetryFamily, samples: int, seed=0)
     family = SymmetryFamily(family)
     if family is SymmetryFamily.J_PROJECTION:
         raise ValueError("the intertwining family has no extreme elements to probe")
-    samples, seed = _probe_args(samples, seed)
+    samples, seed = _count(samples, "samples"), _seed(seed)
     checks = _probe_checks(f, family, samples, seed)
     subject = {
         "dim": f.p.shape[0],
@@ -566,21 +558,9 @@ def _weyl_margins(ds, models, lows, budget) -> list:
     return margins
 
 
-def _probe_args(samples, seed):
-    """``(samples, seed)`` as ints, else ``ValueError`` (see :func:`extremality_probe`)."""
-    samples = _count(samples, "samples")
-    try:
-        seed = seed if seed is None else operator.index(seed)
-    except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
-    if seed is not None and seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    return samples, seed
-
-
 def _probe_checks(f: _Factors, family, samples, seed, prefix="") -> list:
     """The checks of :func:`extremality_probe` for ``samples`` and ``seed``
-    from :func:`_probe_args`, with every check name led by ``prefix``.  The
+    as it admits them, with every check name led by ``prefix``.  The
     extremes' family checks, and a one-member family's samples', are
     ``extremal-<kind>`` checks renamed; those samples' margins are 0."""
     tol, bf = f.tol, f.bf
@@ -668,14 +648,14 @@ def _kernel_route_checks(f: _Factors, run: _Run):
 def _negative_part_checks(f: _Factors, run: _Run):
     """The closed-form negative projection against its spectral oracle."""
     tol, bf = f.tol, f.bf
-    corner, (u, sv, vh) = bf.corner, bf._corner_svd
-    formula = dec._negative_part_formula(corner, (u, sv, vh), tol)
-    oracle = spectral_parts(dec.anchored_block(corner), tol)
+    formula = dec._negative_part_formula(bf._corner_svd, tol)
+    oracle = spectral_parts(dec.anchored_block(bf.corner), tol)
     yield residual_check(
         "negative-part-closed-form", "Lemma 1",
         frobenius(formula - oracle.proj_negative), tol.residual_tol * oracle.scale,
     )
-    halved = dec._negative_part_formula(corner / 2, (u, sv / 2, vh), tol)
+    u, sv, vh = bf._corner_svd
+    halved = dec._negative_part_formula((u, sv / 2, vh), tol)
     w = bf.unitary
     sum_neg_blocks = w.conj().T @ f.sum_parts.proj_negative @ w
     yield residual_check(
@@ -713,7 +693,7 @@ def _extremal_construction_checks(f: _Factors, run: _Run):
 
 
 def _probe_group(f: _Factors, run: _Run, family: SymmetryFamily):
-    return _probe_checks(f, family, *_probe_args(run.samples, run.seed), f"probe-{family.value}/")
+    return _probe_checks(f, family, _count(run.samples, "samples"), _seed(run.seed), f"probe-{family.value}/")
 
 
 @_on_handle()

@@ -30,7 +30,6 @@ from kreinproj import (
     loewner_geq,
     negative_part_projection_formula,
     nonexistence_witnesses,
-    polar,
     positive_negative_split,
     random_idempotent,
     random_symmetry_on,
@@ -236,15 +235,6 @@ def test_worked_examples():
         parts = spectral_parts(np.array([[2.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(parts.proj_negative, neg_proj, atol=atol)
         np.testing.assert_allclose(parts.proj_kernel, 0, atol=atol)
-
-        # polar factors of [[1,1],[0,0]] through the Gram square root
-        t = P2
-        wg, qg = np.linalg.eigh(t.conj().T @ t)
-        modulus_oracle = (qg * np.sqrt(np.maximum(wg, 0))) @ qg.conj().T
-        np.testing.assert_allclose(modulus_oracle, np.ones((2, 2)) / SQRT2, atol=atol)
-        pp = polar(t)
-        np.testing.assert_allclose(pp.modulus, modulus_oracle, atol=atol)
-        np.testing.assert_allclose(pp.isometry, P2 / SQRT2, atol=atol)
 
         # Loewner margin of ([[2,1],[1,0]], 0)
         ok, margin = loewner_geq(np.array([[2.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2)))

@@ -145,6 +145,20 @@ def test_extremal_orthogonal_pos_max_is_identity(tmp_path):
     np.testing.assert_allclose(read_matrix(out), np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("which", ["pos-min", "contr-max"])
+def test_extremal_at_a_large_corner_value_writes_a_certified_symmetry(tmp_path, which):
+    # P = [[I, diag(1, 1e8)], [0, 0]]: the extreme's off-diagonal blocks are
+    # read from the corner's singular values, so it passes its symmetry check
+    p = np.zeros((4, 4))
+    p[:2, :2] = np.eye(2)
+    p[:2, 2:] = np.diag([1.0, 1e8])
+    p_path, out = tmp_path / "P.json", tmp_path / "J.json"
+    write_matrix(p_path, p)
+    assert main(["extremal", str(p_path), "--which", which, "-o", str(out)]) == 0
+    j = read_matrix(out)
+    assert np.linalg.norm(j @ j - np.eye(4)) <= 1e-9
+
+
 def test_extremal_sign_formula_cross_path(tmp_path):
     p_path = tmp_path / "P.json"
     assert main(["gen", "idempotent", "--dim", "6", "--rank", "3", "--seed", "5",

@@ -106,7 +106,7 @@ def test_negative_formula_halved_corner_rescale():
 
         bf = block_form(p)
         u, s, vh = bf._corner_svd
-        halved = _negative_part_formula(bf.corner / 2, (u, s / 2, vh), Tolerances())
+        halved = _negative_part_formula((u, s / 2, vh), Tolerances())
         w = bf.unitary
         ambient = spectral_parts(p + p.conj().T).proj_negative
         np.testing.assert_allclose(halved, w.conj().T @ ambient @ w, atol=1e-10)

@@ -9,7 +9,9 @@ from it to re-export.
 Each rank decision is made once, by the object that holds the
 factorization: a block form decides its corner's rank under the tolerances
 it carries, so no function takes a tolerance beside a form, and the rank
-cutoff is read in ``linalg`` alone.
+cutoff is read in ``linalg`` alone.  Likewise every function of the corner C
+(T, S, their inverses, T^(-1) C and ||C||) comes from one helper on the
+corner's SVD, and no module forms T^(-1) C as a product.
 """
 
 import ast
@@ -150,3 +152,38 @@ def test_the_rank_cutoff_is_read_only_in_linalg():
 
     readers = set().union(*(_scoped(module, reads) for module in MODULES if module != "linalg"))
     assert readers == {"cli._add_tol_flags", "matrixio._config_to_doc"}
+
+
+def _operands(node):
+    """The operands of a chain of ``@`` products, left to right."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return _operands(node.left) + _operands(node.right)
+    return [node]
+
+
+def _reads(node) -> set:
+    """The names and attributes an expression reads."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)} - {None}
+
+
+def test_every_function_of_the_corner_comes_from_one_helper():
+    # sqrt(1 + sigma^2) is formed in idempotents.CornerFunctions alone, and
+    # the helpers it replaced are gone
+    callers = set().union(*(_callers(module, "hypot") for module in MODULES))
+    assert callers == {"idempotents.CornerFunctions.__init__"}
+    defined = {node.name for module in MODULES for node in ast.walk(_tree(module))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_corner_inv_sqrts", "_corner_root"}
+
+
+def test_no_product_forms_tinv_times_the_corner():
+    # T^(-1) C is read from the corner's singular values, never formed as a
+    # product of T^(-1) with C
+    products = set()
+    for module in MODULES:
+        for node in ast.walk(_tree(module)):
+            matmul = isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            reads = [_reads(operand) for operand in _operands(node)] if matmul else []
+            if any("tinv" in a for a in reads) and any("corner" in a for a in reads):
+                products.add(f"{module}:{node.lineno}")
+    assert not products

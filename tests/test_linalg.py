@@ -1,4 +1,4 @@
-"""Kernels: eigendecomposition, spectral parts, projections, polar, Loewner order."""
+"""Kernels: eigendecomposition, spectral parts, projections, Loewner order."""
 
 import math
 
@@ -17,7 +17,6 @@ from kreinproj import (
     hermitian_eig,
     is_symmetry,
     loewner_geq,
-    polar,
     spectral_parts,
 )
 from kreinproj.linalg import scale_of, within_scaled
@@ -124,53 +123,6 @@ def test_spectral_parts_invariants(seed, n):
     assert np.linalg.norm(parts.proj_negative @ parts.proj_kernel) <= budget
 
 
-def test_polar_identity_and_shift():
-    parts = polar(np.eye(3))
-    np.testing.assert_allclose(parts.isometry, np.eye(3), atol=1e-14)
-    np.testing.assert_allclose(parts.modulus, np.eye(3), atol=1e-14)
-    parts = polar(np.array([[0.0, 2.0], [0.0, 0.0]]))
-    np.testing.assert_allclose(parts.isometry, [[0, 1], [0, 0]], atol=1e-14)
-    np.testing.assert_allclose(parts.modulus, np.diag([0.0, 2.0]), atol=1e-14)
-
-
-def test_polar_rank_one_derived():
-    # oracle: (t* t)^(1/2) by eigendecomposition, then v = t @ pinv(modulus)
-    t = np.array([[1.0, 1.0], [0.0, 0.0]])
-    gram = t.conj().T @ t
-    w, q = np.linalg.eigh(gram)
-    modulus_oracle = (q * np.sqrt(np.maximum(w, 0.0))) @ q.conj().T
-    np.testing.assert_allclose(modulus_oracle, np.ones((2, 2)) / SQRT2, atol=1e-12)
-    v_oracle = t @ np.linalg.pinv(modulus_oracle)
-    parts = polar(t)
-    np.testing.assert_allclose(parts.modulus, modulus_oracle, atol=1e-12)
-    np.testing.assert_allclose(parts.isometry, v_oracle, atol=1e-12)
-    np.testing.assert_allclose(parts.isometry, np.array([[1.0, 1.0], [0.0, 0.0]]) / SQRT2, atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 8), st.booleans())
-def test_polar_invariants(seed, m, n, deficient):
-    t = random_complex((m, n), seed, magnitude=2.0)
-    if deficient and min(m, n) > 1:
-        # force rank deficiency
-        t[:, -1] = t[:, 0] if n > 1 else t[:, -1]
-        t[-1, :] = 0.0 if m > 1 else t[-1, :]
-    parts = polar(t)
-    budget = 1e-9 * max(1.0, np.linalg.norm(t, 2))
-
-    def range_projector(m):
-        # oracle: eigenvectors of m m* whose eigenvalue sigma^2 is not negligible
-        w, q = np.linalg.eigh(m @ m.conj().T)
-        cols = q[:, w > 1e-10 * max(1.0, w[-1])]
-        return cols @ cols.conj().T
-
-    assert np.linalg.norm(parts.isometry @ parts.modulus - t) <= budget
-    vstar_v = parts.isometry.conj().T @ parts.isometry
-    assert np.linalg.norm(vstar_v - range_projector(t.conj().T)) <= budget
-    v_vstar = parts.isometry @ parts.isometry.conj().T
-    assert np.linalg.norm(v_vstar - range_projector(t)) <= budget
-
-
 def test_loewner_cases():
     ok, margin = loewner_geq(np.eye(2), np.zeros((2, 2)))
     assert ok and margin == pytest.approx(1.0)
@@ -236,7 +188,6 @@ def test_empty_matrices_are_legal():
     assert w.shape == (0,) and q.shape == (0, 0)
     parts = spectral_parts(e)
     assert parts.proj_kernel.shape == (0, 0)
-    assert polar(e).isometry.shape == (0, 0)
     ok, margin = loewner_geq(e, e)
     assert ok and margin == math.inf
     assert is_symmetry(e)

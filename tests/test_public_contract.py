@@ -213,6 +213,21 @@ def test_a_draw_count_is_an_integer_of_at_least_one(count):
         kp.extremality_probe(P, "positive", count)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.0, "2", [1, 2], np.float64(1.0)])
+def test_a_draw_seed_is_none_or_a_nonnegative_integer(seed):
+    # sample_params and extremality_probe refuse the same seeds the same way
+    with pytest.raises(ValueError, match="seed must be"):
+        kp.sample_params(kp.block_form(P), "positive", 1, seed)
+    with pytest.raises(ValueError, match="seed must be"):
+        kp.extremality_probe(P, "positive", 1, seed)
+
+
+def test_retired_names_are_gone():
+    # nothing in the package read them: polar's last caller went with the
+    # factored intertwiners, and DegenerateBlock was no longer raised
+    assert not {"polar", "PolarParts", "DegenerateBlock"} & set(dir(kp))
+
+
 def test_a_draw_count_may_be_any_integer_type():
     draws = [kp.sample_params(kp.block_form(P), "projection", n, 3) for n in (2, np.int64(2))]
     for a, b in zip(*draws):

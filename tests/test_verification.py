@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -1017,6 +1017,43 @@ def test_a_small_corner_value_passes_the_extremes_and_probe_checks(sigma):
                  or c.name.startswith("probe-")]
     assert len(certified) > 5 * 2 * 4
     assert [c.name for c in certified if c.status != "pass"] == []
+
+
+@pytest.mark.parametrize("sigma", [1e3, 1e6, 1e7, 1e8])
+def test_a_large_corner_value_passes_the_report(sigma):
+    # P = [[I, diag(1, sigma)], [0, 0]]: both off-diagonal blocks of every
+    # member read T^(-1) C = U diag(sigma / sqrt(1 + sigma^2)) V*, whose
+    # entries are below 1, so the members stay symmetries to rounding however
+    # large sigma is; T^(-1) @ C would carry T^(-1)'s rounding times sigma
+    p = np.zeros((4, 4))
+    p[:2, :2] = np.eye(2)
+    p[:2, 2:] = np.diag([1.0, sigma])
+    report = full_report(p, samples=5)
+    assert [c.name for c in report.failures()] == []
+
+
+def _dropped_sigma(p) -> float:
+    """The largest corner singular value of ``p`` that its block form's rank decision drops, else 0."""
+    from kreinproj.linalg import rank_of
+
+    s = np.linalg.svd(block_form(p).corner, compute_uv=False)
+    return float(s[rank_of(s):].max(initial=0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=wide_corner_idempotents(high=8), seed=st.integers(0, 2**16))
+@example(p=structured_idempotent(2, 1, [[1e7]], 1), seed=0)
+@example(p=structured_idempotent(8, 3, np.diag([1e7, 3.0, 0.1]) @ np.eye(3, 5), 2), seed=0)
+def test_members_are_symmetries_for_corner_values_up_to_1e8(p, seed):
+    # a P stored to rounding fails its idempotent gate from about sigma =
+    # 1e7; every P that passes it gets members that are symmetries.  A
+    # singular value the corner's rank decision drops (at 1e-10 sigma_max)
+    # leaves each member off by about 2 sqrt(2) of it, a separate defect of
+    # the rank cutoff's units, so those draws are left out
+    report = full_report(p, samples=2, seed=seed)
+    assume(report.checks[0].name == "idempotent" and report.checks[0].status == "pass")
+    assume(_dropped_sigma(p) <= DEFAULT_TOL.residual_tol / 4)
+    assert [c.name for c in report.checks if c.name.endswith("-symmetry") and c.status != "pass"] == []
 
 
 def _wide_corner_cases():
