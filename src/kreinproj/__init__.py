@@ -44,7 +44,6 @@ from .idempotents import (
     validate_idempotent,
 )
 from .symmetries import (
-    DominanceVerdict,
     ExtremalKind,
     SymmetryFamily,
     SymmetryParams,

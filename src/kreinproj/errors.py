@@ -22,7 +22,7 @@ class NotHermitian(KreinProjError):
 
 
 class NotIdempotent(KreinProjError):
-    """Raised when a matrix required to satisfy P*P = P is not, beyond tolerance."""
+    """Raised when a matrix required to be idempotent (P @ P = P) is not, beyond tolerance."""
 
 
 class NotSymmetry(KreinProjError):

@@ -38,6 +38,7 @@ __all__ = [
     "is_symmetry",
     "min_eig",
     "rank_of",
+    "rank_cutoff",
 ]
 
 
@@ -172,8 +173,13 @@ def _range_scale(lo, hi) -> float:
 
 def rank_of(s, tol: Tolerances = DEFAULT_TOL) -> int:
     """The numerical rank of the descending singular values ``s``: how many
-    lie above ``rank_tol * max(1, s[0])``; 0 when ``s`` is empty."""
-    return int(np.count_nonzero(s > tol.rank_tol * max(1.0, s[0]))) if s.size else 0
+    lie above :func:`rank_cutoff`; 0 when ``s`` is empty."""
+    return int(np.count_nonzero(s > rank_cutoff(s, tol)))
+
+
+def rank_cutoff(s, tol: Tolerances = DEFAULT_TOL) -> float:
+    """``rank_tol * max(1, s[0])``: the descending singular values ``s`` at or below it are zero."""
+    return tol.rank_tol * max([1.0, *s[:1]])
 
 
 class SpectralParts:

@@ -19,13 +19,12 @@ which forms Tinv, Sinv and Tinv C from the corner's singular values once
 closed-form least and greatest elements in the Loewner order, built here
 as the members with sign parameters on the corner's null spaces; the
 intertwining family has neither unless P is an orthogonal projection,
-which the witness pair exhibits.  This module only constructs;
-``verification`` certifies what it builds.
+which the witness pair exhibits (:func:`nonexistence_witnesses`).  This
+module only constructs; ``verification`` certifies what it builds.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import operator
 from typing import NamedTuple
@@ -40,20 +39,12 @@ from .idempotents import (
     _per_handle,
     _random_symmetry,
 )
-from .linalg import (
-    _eig_range,
-    _range_scale,
-    as_matrix,
-    frobenius,
-    is_symmetry,
-    spectral_parts,
-)
+from .linalg import as_matrix, frobenius, is_symmetry, spectral_parts
 
 __all__ = [
     "SymmetryFamily",
     "ExtremalKind",
     "SymmetryParams",
-    "DominanceVerdict",
     "assemble_symmetry",
     "sample_params",
     "extremal_symmetry",
@@ -115,7 +106,7 @@ def assemble_symmetry(bf: BlockForm, family: SymmetryFamily, params) -> np.ndarr
     certify it instead: a probe sample by
     ``probe-<family>/sample-NNN-symmetry`` and its family's checks, an
     extreme by ``extremal-<kind>-symmetry`` and its family's checks, a
-    witness by ``witness-{a,b}-symmetry`` and ``-intertwines``, and the
+    witness pair by the checks :func:`nonexistence_witnesses` names, and the
     written member by ``member-symmetry`` and its family's checks.
     """
     family, tol = SymmetryFamily(family), bf.tol
@@ -300,45 +291,19 @@ def sign_formula_symmetry(f: _Factors) -> np.ndarray:
     return shift.sign + 2 * f.sum_parts.proj_kernel
 
 
-@dataclasses.dataclass(frozen=True)
-class DominanceVerdict:
-    """Loewner comparison of the two witness symmetries.
-
-    ``classification`` is one of ``"psd"``, ``"nsd"``, ``"indefinite"``
-    for the difference ``first - second``; the extreme eigenvalues are the
-    margins behind the verdict.
-    """
-
-    classification: str
-    min_eig: float
-    max_eig: float
-
-
 @_on_handle()
 def nonexistence_witnesses(f: _Factors):
-    """The sign-pattern witness pair of the intertwining family.
-
-    Returns ``(j_a, j_b, verdict)`` where the witnesses are the family
-    members with parameters (-I, +I) and (+I, -I): the contr-min and pos-min
-    extremes, pos-min assembled once per handle and contr-min its negation.
-    Whenever the corner block is nonzero their difference is indefinite,
-    which rules out a greatest (or least) element of the family; for
-    orthogonal projections the family is bounded by I and -I instead.  The
+    """The sign-pattern witness pair ``(j_a, j_b)`` of the intertwining family
+    (Theorem 8(ii)): the members with parameters (-I, +I) and (+I, -I), the
+    contr-min and pos-min extremes, pos-min assembled once per handle and
+    contr-min its negation.  They show that the family has a greatest element
+    only when P = P*: a greatest G would satisfy G >= j_b and G >= j_a = -j_b,
+    so G >= 0, and a positive symmetry is I, which intertwines P and P* only
+    when P = P* (and, with the signs reversed, a least one only then).  The
     witnesses are built without the parameter checks of
-    :func:`assemble_symmetry`; the report certifies each by
-    ``witness-{a,b}-symmetry`` and ``witness-{a,b}-intertwines``.
+    :func:`assemble_symmetry`; the report certifies each step of that
+    argument by ``witness-b-symmetry`` and ``-intertwines``,
+    ``witness-a-negates-b``, and ``witness-not-hermitian`` or, for a zero
+    corner, ``witness-bound-identity-admissible`` and ``-dominates``.
     """
-    j_a = extremal_symmetry.on(f, ExtremalKind.CONTR_MIN)
-    j_b = extremal_symmetry.on(f, ExtremalKind.POS_MIN)
-    d = j_a - j_b
-    if d.shape[0] == 0:
-        return j_a, j_b, DominanceVerdict("psd", 0.0, 0.0)
-    lo, hi = _eig_range(d)
-    budget = f.tol.psd_tol * _range_scale(lo, hi)
-    if -lo <= budget:
-        kind = "psd"
-    elif hi <= budget:
-        kind = "nsd"
-    else:
-        kind = "indefinite"
-    return j_a, j_b, DominanceVerdict(kind, lo, hi)
+    return extremal_symmetry.on(f, ExtremalKind.CONTR_MIN), extremal_symmetry.on(f, ExtremalKind.POS_MIN)

@@ -202,9 +202,9 @@ def test_witness_dichotomy():
             if np.linalg.norm(block_form(p).corner, 2) < 0.1:
                 continue
             made += 1
-            _, _, verdict = nonexistence_witnesses(p)
-            assert verdict.classification == "indefinite"
-            assert verdict.max_eig >= 1e-6 and verdict.min_eig <= -1e-6
+            # j_a = -j_b, so j_a - j_b = -2 j_b is indefinite: -2 on range(P), +2 off it
+            j_a, j_b = nonexistence_witnesses(p)
+            np.testing.assert_allclose(np.linalg.eigvalsh(j_a - j_b), [-2.0] * r + [2.0] * (n - r), atol=1e-9)
         # orthogonal projections: the identity is admissible and dominates
         # every sampled intertwining member
         for i in range(20):
@@ -318,15 +318,15 @@ def test_worked_examples():
         )
 
         # witness pair for corner 1: hand arithmetic on 2x2 matrices
-        j_a, j_b, verdict = nonexistence_witnesses(P2)
+        j_a, j_b = nonexistence_witnesses(P2)
         np.testing.assert_allclose(j_a, -HADAMARD, atol=atol)
         np.testing.assert_allclose(j_b, HADAMARD, atol=atol)
         np.testing.assert_allclose(
             j_a - j_b, -SQRT2 * np.array([[1.0, 1.0], [1.0, -1.0]]), atol=atol
         )
-        assert abs(verdict.min_eig + 2) <= atol and abs(verdict.max_eig - 2) <= atol
-        _, _, verdict3 = nonexistence_witnesses(P3)
-        assert verdict3.min_eig <= -0.5 and verdict3.max_eig >= 0.5
+        np.testing.assert_allclose(np.linalg.eigvalsh(j_a - j_b), [-2.0, 2.0], atol=atol)
+        j_a3, j_b3 = nonexistence_witnesses(P3)
+        np.testing.assert_allclose(np.linalg.eigvalsh(j_a3 - j_b3), [-2.0, -2.0, 2.0], atol=atol)
 
         # closed-form negative projection, scalar blocks
         lam = (1 - SQRT5) / 2

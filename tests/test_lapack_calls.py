@@ -34,6 +34,11 @@ certified by Weyl bounds whose only eigenproblem is on a corner null
 space, and an exact n x n eigenvalue only where the bound does not decide;
 the four split margins are Weyl bounds too, against models built from the
 corner SVDs, so they take no ``eigvalsh`` where their bounds decide.
+Of its five n x n ``eigvalsh``, two are ``complement-sum-spectra``'s and one
+each ``classify``'s J P, the spectrum of J - P* J P and the biconditional's
+J (I - P); the witness pair (Theorem 8(ii)) takes none, and
+``test_the_witness_group_makes_no_lapack_call`` pins that its checks read
+only values the handle holds once pos-min is built.
 ``test_full_report_factors_each_corner_once`` pins the corner SVDs: the
 corners of P and of I - P are each factored once per report.
 ``HANDLE_BOUNDS`` holds one bound per public function that builds the
@@ -69,7 +74,7 @@ from kreinproj import cli
 from kreinproj.matrixio import write_matrix
 
 BOUNDS = {
-    "full_report": 15,
+    "full_report": 14,
     "extremal_contr_max": 2,
     "assemble_symmetry": 0,
     "extremal_sign_formula": 4,
@@ -86,7 +91,7 @@ HANDLE_BOUNDS = {
     "extremal_symmetry": 2,
     "extremal_symmetry_via_blocks": 2,
     "sign_formula_symmetry": 2,
-    "nonexistence_witnesses": 3,
+    "nonexistence_witnesses": 2,
     "extract_params": 4,
     "contractive_expansive_split": 4,
     "positive_negative_split": 4,
@@ -101,7 +106,7 @@ HANDLE_BOUNDS = {
     "split_checks": 2,
     "split_checks_pn": 2,
 }
-SQUARE_BOUNDS = {"svd": 1, "eigh": 4, "eigvalsh": 6}
+SQUARE_BOUNDS = {"svd": 1, "eigh": 4, "eigvalsh": 5}
 # (calls, members) of BlockForm.assemble in one full_report(samples=5) at n = 8, by rank
 ASSEMBLE_BOUNDS = {4: (2, 2), 2: (4, 8)}
 
@@ -223,6 +228,21 @@ def test_full_report_factors_each_matrix_once(lapack_calls, samples):
         # a stack of n x n matrices counts one call per member
         square = sum(math.prod(s[:-2]) for fn, s in lapack_calls["shapes"] if fn == name and s[-2:] == (8, 8))
         assert square <= bound, name
+
+
+@pytest.mark.parametrize("rank, scale", [(0, 2.0), (3, 2.0), (4, 0.0), (8, 2.0)])
+def test_the_witness_group_makes_no_lapack_call(lapack_calls, rank, scale):
+    # pos-min's symmetry residual, ||P - P*|| and the corner's rank cutoff
+    from kreinproj.idempotents import _handle
+    from kreinproj.verification import _witness_checks
+
+    f, _ = _handle(kp.random_idempotent(8, rank, scale, np.random.default_rng([1, 4])), kp.DEFAULT_TOL)
+    kp.extremal_symmetry.on(f, kp.ExtremalKind.POS_MIN)
+    lapack_calls["n"] = 0
+    checks = list(_witness_checks(f, None))
+    assert lapack_calls["n"] == 0
+    assert len(checks) == (4 if 0 < rank < 8 and scale else 5)
+    assert all(c.status == "pass" for c in checks)
 
 
 def test_full_report_factors_each_corner_once(lapack_calls):

@@ -87,6 +87,14 @@ def test_parameters_and_docstring(name):
     assert fn.__doc__ and fn.__doc__.strip()
 
 
+def test_the_witness_pair_is_returned_without_a_verdict():
+    # Theorem 8(ii) is certified by the report's witness checks; the function
+    # returns the pair alone, and the Loewner verdict it returned is gone
+    j_a, j_b = kp.nonexistence_witnesses(P)
+    assert j_a.tobytes() == (-j_b).tobytes()
+    assert not hasattr(kp, "DominanceVerdict")
+
+
 @pytest.mark.parametrize("case", ["not-idempotent", "not-symmetry", "wrong-shape"])
 @pytest.mark.parametrize("name", sorted(CONTRACT))
 def test_errors(name, case):

@@ -24,8 +24,10 @@ Two values files, say of a change and of its parent, are compared with
     PYTHONPATH=src python tests/test_report_corpus.py --compare A.json B.json
 
 which prints, per check name with the sample index dropped, how many
-checks went fail -> pass and pass -> fail from A to B and how many changed
-their residual, margin or tolerance, and exits 1 when any went pass -> fail.
+checks went fail -> pass and pass -> fail from A to B, how many changed
+their residual, margin or tolerance, and how many are found on one side only,
+by their status there (``only in B (fail)``); it exits 1 when any check found
+on both sides went pass -> fail, or any report went from passing to failing.
 """
 
 import argparse
@@ -122,7 +124,8 @@ _FIELDS = ("residual", "margin", "tolerance")
 
 def compare(path_a, path_b) -> int:
     """Print the verdict and value changes from the values file ``path_a`` to
-    ``path_b`` (see the module docstring); 1 when a check went pass -> fail."""
+    ``path_b`` (see the module docstring); 1 when a check or a report went
+    pass -> fail."""
     with open(path_a, encoding="utf-8") as fh:
         a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
@@ -134,12 +137,15 @@ def compare(path_a, path_b) -> int:
             totals[f"report only in {'B' if label in b else 'A'}"] += 1
             continue
         old, new = ({c["name"]: c for c in doc["checks"]} for doc in (a[label], b[label]))
-        totals["failing reports A"] += any(c["status"] == "fail" for c in old.values())
-        totals["failing reports B"] += any(c["status"] == "fail" for c in new.values())
+        fail_a, fail_b = (any(c["status"] == "fail" for c in doc.values()) for doc in (old, new))
+        totals["failing reports A"] += fail_a
+        totals["failing reports B"] += fail_b
+        totals["reports pass->fail"] += fail_b and not fail_a
         for name in old.keys() | new.keys():
             row = counts[re.sub(r"sample-\d+", "sample-NNN", name)]
             if name not in old or name not in new:
-                row[f"only in {'B' if name in new else 'A'}"] += 1
+                side, c = ("B", new[name]) if name in new else ("A", old[name])
+                row[f"only in {side} ({c['status']})"] += 1
                 continue
             x, y = old[name], new[name]
             totals["failing checks A"] += x["status"] == "fail"
@@ -161,15 +167,17 @@ def compare(path_a, path_b) -> int:
         flips.update({key: value for key, value in row.items() if "->" in key})
     for key, value in sorted({**totals, **flips}.items()):
         print(f"{key}: {value:g}")
-    return 1 if flips["pass->fail"] else 0
+    return 1 if flips["pass->fail"] or totals["reports pass->fail"] else 0
 
 
 def test_seeds_and_compare(tmp_path, capsys):
     assert _seeds("1-3,7") == [1, 2, 3, 7]
 
-    def values(path, statuses, residual=0.5):
+    def values(path, statuses, residual=0.5, extra=()):
         checks = [{"name": f"probe/sample-{i:03d}-psd", "residual": residual, "margin": 0.0,
                    "tolerance": 1.0, "status": status} for i, status in enumerate(statuses)]
+        checks += [{"name": name, "residual": 0.0, "margin": 0.0, "tolerance": 0.0, "status": status}
+                   for name, status in extra]
         path.write_text(json.dumps({"case": {"checks": checks}}))
         return str(path)
 
@@ -179,6 +187,21 @@ def test_seeds_and_compare(tmp_path, capsys):
     assert "probe/sample-NNN-psd\t1\t2\n" in out and "fail->pass: 1" in out
     assert compare(a, values(tmp_path / "c.json", ["fail", "fail"])) == 1
     assert "pass->fail: 1" in capsys.readouterr().out
+    # a check on one side only is counted by its status; a new failing check
+    # that makes a passing report fail exits 1, as the report went pass -> fail
+    passing = values(tmp_path / "d.json", ["pass"])
+    assert compare(passing, values(tmp_path / "e.json", ["pass"], extra=[("new", "pass")])) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("check\tonly in B (pass)\n") and "reports pass->fail: 0" in out
+    assert compare(passing, values(tmp_path / "f.json", ["pass"], extra=[("new", "fail")])) == 1
+    out = capsys.readouterr().out
+    assert "new\t1\n" in out and "only in B (fail)" in out and "reports pass->fail: 1" in out
+    assert compare(values(tmp_path / "g.json", ["pass"], extra=[("old", "fail")]), passing) == 0
+    assert "only in A (fail)" in capsys.readouterr().out
+    # identical files print the bare header and nothing found on one side only
+    assert compare(a, a) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("check\n") and "only in" not in out
 
 
 def _write(path, entries: dict):

@@ -270,25 +270,24 @@ def test_sign_formula_singular_shift():
 
 
 def test_witnesses_rank_one_oblique():
-    j_a, j_b, verdict = nonexistence_witnesses(P2)
+    j_a, j_b = nonexistence_witnesses(P2)
     np.testing.assert_allclose(j_a, -HADAMARD, atol=1e-12)
     np.testing.assert_allclose(j_b, HADAMARD, atol=1e-12)
     np.testing.assert_allclose(j_a - j_b, -SQRT2 * np.array([[1, 1], [1, -1.0]]), atol=1e-12)
-    assert verdict.classification == "indefinite"
-    assert verdict.min_eig == pytest.approx(-2.0, abs=1e-12)
-    assert verdict.max_eig == pytest.approx(2.0, abs=1e-12)
+    np.testing.assert_allclose(np.linalg.eigvalsh(j_a - j_b), [-2.0, 2.0], atol=1e-12)
 
 
 def test_witnesses_three_by_three():
-    j_a, j_b, verdict = nonexistence_witnesses(P3)
+    # j_a = -j_b, so j_a - j_b = -2 j_b: -2 on range(P)'s dimension, +2 on the rest
+    j_a, j_b = nonexistence_witnesses(P3)
     for wit in (j_a, j_b):
         np.testing.assert_allclose(wit @ P3 @ wit, P3.conj().T, atol=1e-12)
-    assert verdict.classification == "indefinite"
-    assert verdict.min_eig <= -0.5 and verdict.max_eig >= 0.5
+    assert j_a.tobytes() == (-j_b).tobytes()
+    np.testing.assert_allclose(np.linalg.eigvalsh(j_a - j_b), [-2.0, -2.0, 2.0], atol=1e-12)
 
 
 def test_witnesses_orthogonal():
-    j_a, j_b, _ = nonexistence_witnesses(np.diag([1.0, 0.0]))
+    j_a, j_b = nonexistence_witnesses(np.diag([1.0, 0.0]))
     np.testing.assert_allclose(j_a, np.diag([-1.0, 1.0]), atol=1e-13)
     np.testing.assert_allclose(j_b, np.diag([1.0, -1.0]), atol=1e-13)
 
@@ -298,7 +297,7 @@ def test_no_sampled_member_dominates_both_witnesses():
         p = random_idempotent(7, 3, 2.0, seed=30 + idx)
         bf = block_form(p)
         assert np.linalg.norm(bf.corner) > 1e-6
-        j_a, j_b, _ = nonexistence_witnesses(p)
+        j_a, j_b = nonexistence_witnesses(p)
         for params in sample_params(bf, SymmetryFamily.J_PROJECTION, 50, seed=idx):
             j = assemble_symmetry(bf, SymmetryFamily.J_PROJECTION, params)
             lo_a = np.linalg.eigvalsh(0.5 * ((j - j_a) + (j - j_a).conj().T))[0]

@@ -4,6 +4,7 @@ and the all-in-one report."""
 import dataclasses
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -132,18 +133,72 @@ def test_full_report_orthogonal_identity():
     # for an orthogonal projection the witness pair is bounded by the identity
     assert "witness-bound-identity-admissible" in names
     assert "witness-bound-identity-dominates" in names
-    assert "witness-gap-indefinite" not in names
+    assert "witness-not-hermitian" not in names
     assert report.subject["classification"]["j_projection"] is True
 
 
 def test_full_report_without_symmetry():
+    # the witness pair reads no J, so a report without one certifies it too
     report = full_report(P2, None, samples=5, seed=0)
     assert report.passed
     skipped = {c.name for c in report.checks if c.status == "skipped"}
-    assert "contractive-expansive-split" in skipped
-    assert "witness-pair" in skipped
+    assert skipped == {"j-checks", "biconditional", "contractive-expansive-split", "positive-negative-split"}
     notes = {c.note for c in report.checks if c.status == "skipped"}
     assert notes == {"no symmetry supplied"}
+    witness = [c.name for c in report.checks if c.name.startswith("witness-")]
+    assert witness == ["witness-b-symmetry", "witness-b-intertwines", "witness-a-negates-b", "witness-not-hermitian"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=wide_corner_idempotents())
+def test_every_report_without_a_j_certifies_theorem_8ii(p):
+    # the witness group reads no J, so every report carries it; it passes
+    # wherever the corner's rank decision drops no singular value a member
+    # would feel (see test_members_are_symmetries_for_corner_values_up_to_1e8)
+    report = full_report(p, samples=1)
+    assume(report.checks[0].status == "pass" and _dropped_sigma(p) <= DEFAULT_TOL.residual_tol / 4)
+    witness = [c for c in report.checks if c.name.startswith("witness-")]
+    branch = (["witness-not-hermitian"] if block_form(p).corner_split()[1].shape[1]
+              else ["witness-bound-identity-admissible", "witness-bound-identity-dominates"])
+    assert [c.name for c in witness] == ["witness-b-symmetry", "witness-b-intertwines", "witness-a-negates-b", *branch]
+    assert all(c.status == "pass" for c in witness), witness
+
+
+def _witness_checks_of(monkeypatch, p, mutant) -> dict:
+    """The witness checks of ``full_report(p)`` by name, its pair
+    ``(j_a, j_b)`` replaced by ``mutant(j_a, j_b)``."""
+    from kreinproj import verification
+
+    real = verification.nonexistence_witnesses
+    monkeypatch.setattr(verification, "nonexistence_witnesses", types.SimpleNamespace(
+        on=lambda f: mutant(*real.on(f))))
+    return {c.name: c for c in full_report(p, samples=1).checks if c.name.startswith("witness-")}
+
+
+def test_a_pair_that_is_not_negated_fails_its_check(monkeypatch):
+    checks = _witness_checks_of(monkeypatch, P2, lambda j_a, j_b: (j_b, j_b))
+    assert checks["witness-a-negates-b"].status == "fail"
+
+
+def test_a_witness_that_is_not_a_member_fails_its_check(monkeypatch):
+    checks = _witness_checks_of(monkeypatch, P2, lambda j_a, j_b: (j_a, np.eye(2)))
+    assert checks["witness-b-intertwines"].status == "fail"
+
+
+def test_the_nonzero_corner_branch_fails_on_a_hermitian_p(monkeypatch):
+    # a mutant split that keeps one zero singular value of an orthogonal
+    # projection's corner: P = P*, so no margin over the cutoff is left
+    from kreinproj import BlockForm
+
+    def keeps_one(bf):
+        u, _, vh = bf._corner_svd
+        v = vh.conj().T
+        return u[:, 1:], u[:, :1], v[:, 1:], v[:, :1]
+
+    monkeypatch.setattr(BlockForm, "corner_split", keeps_one)
+    checks = {c.name: c for c in full_report(np.diag([1.0, 1.0, 0.0, 0.0]), samples=1).checks}
+    assert checks["witness-not-hermitian"].status == "fail"
+    assert "witness-bound-identity-dominates" not in checks
 
 
 def test_full_report_mismatched_symmetry_skips():
@@ -279,17 +334,17 @@ def test_full_report_non_finite_symmetry_skips_j_groups():
     report = full_report(P2, np.array([[np.nan, 0.0], [0.0, 1.0]]), samples=2, seed=0)
     assert report.passed
     skipped = [c for c in report.checks if c.status == "skipped"]
-    assert [c.note for c in skipped] == ["J is not a symmetry"] * 5
+    assert [c.note for c in skipped] == ["J is not a symmetry"] * 4
 
 
 @pytest.mark.parametrize("bad_j", ["x", [[1.0, 0.0], [0.0]], object()], ids=["string", "ragged", "object"])
 def test_full_report_skips_j_groups_for_a_symmetry_that_is_not_a_matrix(bad_j):
     report = full_report(P2, bad_j, samples=2, seed=0)
     without_j = full_report(P2, None, samples=2, seed=0)
-    j_groups = without_j.checks[-5:]
-    assert report.checks[:-5] == without_j.checks[:-5]
-    assert [c.name for c in report.checks[-5:]] == [c.name for c in j_groups]
-    for c in report.checks[-5:]:
+    j_groups = without_j.checks[-4:]
+    assert report.checks[:-4] == without_j.checks[:-4]
+    assert [c.name for c in report.checks[-4:]] == [c.name for c in j_groups]
+    for c in report.checks[-4:]:
         assert c.status == "skipped" and c.note.startswith("J is not a matrix ("), c.note
 
 
@@ -370,7 +425,8 @@ def test_standalone_functions_match_full_report(label, p, j):
         split_checks,
     )
     from kreinproj.idempotents import _Factors
-    from kreinproj.verification import INDEFINITE_MARGIN, family_checks
+    from kreinproj.linalg import frobenius, rank_cutoff
+    from kreinproj.verification import family_checks
 
     samples = 3
     report = full_report(p, j, samples=samples, seed=0)
@@ -388,16 +444,16 @@ def test_standalone_functions_match_full_report(label, p, j):
     for kind in ExtremalKind:
         expected += [(c.name, c) for c in extremal_checks(p, kind.value, extremal_symmetry(p, kind))]
     expected.append(("contractive-iff-complement-positive", contractive_positive_equivalence(p, j)))
-    j_a, j_b, verdict = nonexistence_witnesses(p)
-    for name, wit in (("witness-a", j_a), ("witness-b", j_b)):
-        expected += [(c.name, c) for c in family_checks(
-            name, "Theorem 8(ii)", p, wit, SymmetryFamily.J_PROJECTION, DEFAULT_TOL, _Factors(p, DEFAULT_TOL).sp)]
+    j_a, j_b = nonexistence_witnesses(p)
+    expected += [(c.name, c) for c in family_checks(
+        "witness-b", "Theorem 8(ii)", p, j_b, SymmetryFamily.J_PROJECTION, DEFAULT_TOL, _Factors(p, DEFAULT_TOL).sp)]
     for name, c in expected:
         assert name in by_name, (label, name)
         assert by_name[name] == dataclasses.replace(c, name=name), (label, name)
-    if "witness-gap-indefinite" in by_name:
-        gap = min(verdict.max_eig, -verdict.min_eig) - INDEFINITE_MARGIN
-        assert by_name["witness-gap-indefinite"].margin == gap, label
+    assert by_name["witness-a-negates-b"].residual == frobenius(j_a + j_b) == 0.0, label
+    if "witness-not-hermitian" in by_name:
+        cutoff = rank_cutoff(block_form(p)._corner_svd[1])
+        assert by_name["witness-not-hermitian"].margin == frobenius(p - p.conj().T) - cutoff, label
 
     # the report keeps two of the sign-function route's checks
     sign = {c.name: c for c in extremal_checks(p, "sign-formula", sign_formula_symmetry(p))}
@@ -823,8 +879,8 @@ def test_each_distinct_extreme_is_built_and_certified_once(p, seed):
     # extreme are what the public extremal_checks gives for it, and a
     # greatest element whose corner null space is empty is the least one;
     # a probe of such a family records the least element's values and
-    # margins of exactly 0 to the extremes; and the witness checks are those
-    # of the stacked pair's member checks
+    # margins of exactly 0 to the extremes; and witness-b's checks are its
+    # member checks, with or without a J
     from kreinproj import extremal_checks, extremal_symmetry, nonexistence_witnesses
     from kreinproj.idempotents import _Factors
     from kreinproj.verification import _member_checks
@@ -852,11 +908,10 @@ def test_each_distinct_extreme_is_built_and_certified_once(p, seed):
                     for c in sample[:-2]] == values
             assert [(c.name.rsplit("-", 2)[-2:], c.margin, c.status) for c in sample[-2:]] == [
                 (["above", "min"], 0.0, "pass"), (["below", "max"], 0.0, "pass")]
-    if "j-intertwines-adjoint" in by_name:
-        j_a, j_b, _ = nonexistence_witnesses(p)
-        stacked = _member_checks(["witness-a", "witness-b"], "Theorem 8(ii)", _Factors(p, DEFAULT_TOL),
-                                 np.stack([j_a, j_b]), SymmetryFamily.J_PROJECTION)
-        assert [c for c in report.checks if c.name.startswith(("witness-a-", "witness-b-"))] == stacked
+    j_b = nonexistence_witnesses(p)[1]
+    member = _member_checks(["witness-b"], "Theorem 8(ii)", _Factors(p, DEFAULT_TOL), j_b[np.newaxis],
+                            SymmetryFamily.J_PROJECTION)
+    assert [c for c in report.checks if c.name.startswith("witness-b-")] == member
 
 
 def _parameter_checks(monkeypatch) -> list:
