@@ -159,9 +159,10 @@ class CornerFunctions:
     """The functions of a corner C that the package reads, from its full SVD
     ``(u, s, vh)``: with T = (I + C C*)^(1/2) on range(P) and
     S = (I + C* C)^(1/2) on its orthocomplement, ``tinv`` and ``sinv`` their
-    inverses, ``tinv_c`` = T^(-1) C = C S^(-1), ``t``, ``s`` and ``norm`` =
-    ||C||_2.  Each matrix is formed the first time it is read and kept;
-    callers must not modify them.
+    inverses, ``tinv_c`` = T^(-1) C = C S^(-1), ``t``, ``s``, ``norm`` =
+    ||C||_2 and ``root_norm`` = ||T||_2 = ||S||_2 = sqrt(1 + ||C||_2^2).
+    Each matrix is formed the first time it is read and kept; callers must
+    not modify them.
 
     Each is built from the singular values alone: with h = sqrt(1 + sigma^2),
     T^(-1) C = U diag(sigma / h) V*, T = I + U diag(h - 1) U* and
@@ -179,6 +180,7 @@ class CornerFunctions:
         self._grow, self._ratio = s * (s / (1.0 + h)), s / h
         self._shrink = -self._grow / h
         self.norm = float(s[0]) if s.size else 0.0
+        self.root_norm = float(h[0]) if s.size else 1.0
 
     @staticmethod
     def _lift(basis, diag) -> np.ndarray:
@@ -215,7 +217,8 @@ class _Factors:
 
     Anything derived from the factors that more than one check group reads
     (the extremes, the padded sums, and J's parameters, ||J P J - P*|| and
-    the range of J - P* J P) is kept on the handle by :func:`_per_handle`.  A
+    J's relations J P, J - P* J P and J (I - P) with their certified bounds)
+    is kept on the handle by :func:`_per_handle`.  A
     report builds one handle and hands it to every check group; a public
     function (:func:`_on_handle`) builds its own.
     """

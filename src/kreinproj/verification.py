@@ -24,13 +24,21 @@ argument, from values the report already holds.  The block form of
 I - P is derived from P's, on P's handle, so the intertwiners are the
 identity, and its corner, factored on its own, is compared with P's by the
 intertwining, corner-singular-value and corner-null-match checks.  J's
-values (its parameters, ||J P J - P*||, the spectrum of J - P* J P) are
-kept on P's handle too, so a report computes each once.
+values (its parameters, ||J P J - P*|| and its relations J P, J - P* J P
+and J (I - P)) are kept on P's handle too, so a report computes each once.
+A report reads J's five relations and the biconditional off certified
+bounds on those relations, against the block models J1 and J2 make of
+them (:func:`_bounded`), and bounds the spectral gap of Corollary 10(iii)
+by Ostrowski's and Weyl's theorems from the residual it already holds;
+either takes an exact eigenvalue only where its bound does not decide.
+The public :func:`classify` and :func:`contractive_positive_equivalence`
+read the exact eigenvalues.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -42,10 +50,12 @@ from .idempotents import (
     _corner_null_projections, _Factors, _handle, _null_projections, _on_handle, _per_handle, kernel_projections,
 )
 from .linalg import (
+    _FROBENIUS_SLACK,
     DEFAULT_TOL,
     Tolerances,
     SpectralParts,
     _eig_range,
+    _within,
     _loewner_diff,
     _range_scale,
     _require_square,
@@ -101,6 +111,11 @@ _ERROR_RESIDUAL = 1e300
 # that the memory a probe takes does not grow with its number of samples.
 _STACK_BYTES = 1 << 20
 
+_EPS = float(np.finfo(float).eps)
+
+# The interval that holds a value nothing is known of.
+_ANY = (-math.inf, math.inf)
+
 
 class ProjectionFlags(NamedTuple):
     """Which of the five defining relations hold for the pair (P, J)."""
@@ -117,27 +132,29 @@ def classify(f: _Factors, j) -> ProjectionFlags:
     """Test all five relations between an idempotent and a symmetry.
 
     Positivity and negativity require J P to be Hermitian within tolerance;
-    the PSD test alone is not enough.
+    the PSD test alone is not enough.  Each PSD verdict reads the exact
+    extreme eigenvalues of its relation; ``full_report`` reaches the same
+    verdicts through certified bounds (see :func:`_bounded`).
     """
-    p, tol, sp = f.p, f.tol, f.sp
-    jp = j @ p
-    hermitian = frobenius(jp - jp.conj().T) <= tol.residual_tol * sp
-    jp_min, jp_max = _eig_range(jp)
-    d_min, d_max = _contraction_range(f, j)
-    d_budget = tol.psd_tol * _range_scale(d_min, d_max)
+    return _flags(f, j, _ScaledByP(j @ f.p), _Relation(_contraction(f, j)))
+
+
+def _flags(f: _Factors, j, jp: _Relation, d: _Relation) -> ProjectionFlags:
+    """:func:`classify` from the relations J P and J - P* J P."""
+    tol = f.tol
+    hermitian = _within(frobenius(jp.a - jp.a.conj().T), tol.residual_tol, f.p, lambda: f.sp)
     return ProjectionFlags(
-        j_projection=dec._intertwining_gap(f, j) <= tol.residual_tol * sp,
-        j_positive=hermitian and jp_min >= -tol.psd_tol * sp,
-        j_negative=hermitian and -jp_max >= -tol.psd_tol * sp,
-        j_contractive=-d_min <= d_budget,
-        j_expansive=d_max <= d_budget,
+        j_projection=_within(dec._intertwining_gap(f, j), tol.residual_tol, f.p, lambda: f.sp),
+        j_positive=hermitian and jp.least(f)[0],
+        j_negative=hermitian and jp.greatest(f)[0],
+        j_contractive=d.least(f)[0],
+        j_expansive=d.greatest(f)[0],
     )
 
 
-@_per_handle
-def _contraction_range(f: _Factors, j):
-    """``(lambda_min, lambda_max)`` of J - P* J P, read by ``classify`` and the biconditional."""
-    return _eig_range(_loewner_diff(j, f.p.conj().T @ j @ f.p, f.tol))
+def _contraction(f: _Factors, j):
+    """J - P* J P, whose PSD margin decides J-contractivity."""
+    return _loewner_diff(j, f.p.conj().T @ j @ f.p, f.tol)
 
 
 @_on_handle(symmetry=NotSymmetry)
@@ -146,17 +163,24 @@ def contractive_positive_equivalence(f: _Factors, j) -> CheckResult:
 
     The two sides are evaluated independently; the check passes when their
     verdicts agree (including the case where both fail).  On disagreement
-    the residual records the failing side's violation.  The spectrum of
-    J - P* J P is the one :func:`classify` reads, taken once per handle and J.
+    the residual records the failing side's violation.  Each side reads the
+    exact least eigenvalue of its relation; ``full_report`` reaches the
+    same verdicts through certified bounds (see :func:`_bounded`).
     """
-    p, tol, sp = f.p, f.tol, f.sp
-    c_margin, top = _contraction_range(f, j)
-    contractive = -c_margin <= tol.psd_tol * _range_scale(c_margin, top)
+    eye = np.eye(f.p.shape[0])
+    return _equivalence(f, _Relation(_contraction(f, j)), _ScaledByNorm(j @ (eye - f.p)))
 
-    comp = j @ (np.eye(p.shape[0]) - p)
-    herm_res = frobenius(comp - comp.conj().T)
-    p_margin = min_eig(comp)
-    positive = herm_res <= tol.residual_tol * sp and within_scaled(-p_margin, tol.psd_tol, comp)
+
+def _equivalence(f: _Factors, d: _Relation, comp: _Relation) -> CheckResult:
+    """:func:`contractive_positive_equivalence` from the relations J - P* J P
+    and J (I - P).  Each margin is the value its verdict was settled at (see
+    :func:`_settle`), so where the verdicts disagree the residual is the
+    violation of the bound that settled the failing one."""
+    tol = f.tol
+    contractive, c_margin = d.least(f)
+    herm_res = frobenius(comp.a - comp.a.conj().T)
+    complement_psd, p_margin = comp.least(f)
+    positive = _within(herm_res, tol.residual_tol, f.p, lambda: f.sp) and complement_psd
 
     if contractive == positive:
         residual, note = 0.0, "both hold" if contractive else "both fail"
@@ -167,6 +191,151 @@ def contractive_positive_equivalence(f: _Factors, j) -> CheckResult:
     return residual_check(
         "contractive-iff-complement-positive", "Lemma 11", residual, 0.0, note=note
     )
+
+
+class _Relation:
+    """A relation ``a`` whose Hermitian part must be PSD or NSD at ``psd_tol``
+    times a tolerance scale, here the range scale max(1, |lambda_min|,
+    |lambda_max|) of :func:`~kreinproj.linalg._range_scale`.
+
+    ``lo`` and ``hi`` are certified intervals ``(low, high)`` holding
+    lambda_min and lambda_max, unbounded when nothing is known; ``exact`` is
+    the pair from one ``eigvalsh``, taken when first read.  The public
+    :func:`classify` and :func:`contractive_positive_equivalence` leave the
+    intervals unbounded, so they read ``exact``; the report bounds them by
+    block models (:func:`_bounded`) and reads ``exact`` only where a bound
+    does not decide.  A relation keeps no reference to the handle
+    ``f`` of P, which each verdict takes, so keeping it on the handle makes
+    no reference cycle."""
+
+    def __init__(self, a, lo=_ANY, hi=_ANY):
+        self.a, self.lo, self.hi = a, lo, hi
+
+    @functools.cached_property
+    def exact(self):
+        return _eig_range(self.a)
+
+    def scales(self, f: _Factors):
+        """``(low, high)`` holding the tolerance scale: at least max(1,
+        -lambda_min, lambda_max), at most max(1, ||a||_F), like both
+        max(1, ||herm(a)||_2) and max(1, ||a||_2)."""
+        return max(1.0, -self.lo[1], self.hi[0]), max(1.0, _FROBENIUS_SLACK * frobenius(self.a))
+
+    def within(self, f: _Factors, x) -> bool:
+        """The exact verdict ``x <= psd_tol * scale``."""
+        return x <= f.tol.psd_tol * _range_scale(*self.exact)
+
+    def least(self, f: _Factors):
+        """``(lambda_min >= -psd_tol * scale, margin)``, by :func:`_settle`
+        on -lambda_min."""
+        holds, x = _settle((-self.lo[1], -self.lo[0]), self, f, lambda: -self.exact[0])
+        return holds, -x
+
+    def greatest(self, f: _Factors):
+        """``(lambda_max <= psd_tol * scale, lambda_max)``, by :func:`_settle`."""
+        return _settle(self.hi, self, f, lambda: self.exact[1])
+
+
+class _ScaledByNorm(_Relation):
+    """A :class:`_Relation` judged at max(1, ||a||_2), as :func:`within_scaled` judges."""
+
+    def within(self, f: _Factors, x) -> bool:
+        return within_scaled(x, f.tol.psd_tol, self.a)
+
+
+class _ScaledByP(_Relation):
+    """A :class:`_Relation` judged at P's scale ``f.sp``."""
+
+    def scales(self, f: _Factors):
+        return f.sp, f.sp
+
+    def within(self, f: _Factors, x) -> bool:
+        return _within(x, f.tol.psd_tol, f.p, lambda: f.sp)
+
+
+def _settle(bounds, rel: _Relation, f: _Factors, exact):
+    """``(rel.within(f, x), x)`` for a value x in the interval ``bounds``:
+    where one bound of x decides whatever the scale is in ``rel.scales(f)``,
+    the verdict and that bound; else the verdict and value of x = ``exact()``.
+    An unbounded x goes to ``exact()`` without reading the scale."""
+    low, high = bounds
+    if bounds != _ANY:
+        coef = f.tol.psd_tol
+        s_low, s_high = rel.scales(f)
+        if high <= coef * s_low:
+            return True, high
+        if low > coef * s_high:
+            return False, low
+    x = exact()
+    return rel.within(f, x), x
+
+
+def _bounded(rel, f: _Factors, j, a, side: SymmetryFamily) -> _Relation:
+    """``rel(a)`` for one of J's relations, bounded by its block model.
+
+    In W coordinates J P = b J1 Tinv b* with b = [I; C*], the positive
+    family's model with J1 inserted, whose nonzero eigenvalues are those of
+    J1 T (``side`` positive); and J (I - P) = J - P* J P = diag(0, J2 S), the
+    contractive family's model times J2 (``side`` contractive).  J1 commutes
+    with T and J2 with S, so each spectrum is a signed sqrt(1 + sigma^2) or 0,
+    and which signs occur is J1's or J2's inertia (see :func:`_model_bounds`).
+    Where J's parameters cannot be extracted it is unbounded: the exact
+    route."""
+    try:
+        j1, j2 = dec.extract_params.on(f, j)
+    except KreinProjError:
+        return rel(a)
+    bf = f.bf
+    if side is _POS:
+        param, lift = j1, lambda y: bf.basis_range @ y + bf.basis_perp @ (bf.corner.conj().T @ y)
+    else:
+        param, lift = j2, lambda y: bf.basis_perp @ y
+    return rel(a, *_model_bounds(a, _member_model(f, side)[0], bf._fns.root_norm, param, lift))
+
+
+@_per_handle
+def _contraction_relation(f: _Factors, j) -> _Relation:
+    """J - P* J P, bounded, which both ``classify``'s verdicts and the
+    biconditional read; J P and J (I - P) are each read by one check group."""
+    return _bounded(_Relation, f, j, _contraction(f, j), _CONTR)
+
+
+def _model_bounds(a, model, top, param, lift):
+    """``(lo, hi)``: certified intervals holding lambda_min and lambda_max of
+    herm(a), where ``a`` equals ``param`` inserted into the PSD family
+    ``model``, whose spectrum lies in [0, ``top``] and reaches ``top`` when
+    ``param`` is not empty; ``lift`` maps a vector on ``param``'s side to
+    the ambient space as b or basis_perp does.
+
+    With ``param`` = +I the model itself stands for ``a``, and with -I its
+    negative: by Weyl each eigenvalue of herm(a) lies within
+    ||a -+ model||_F of the model's, which lie within the model's rounding
+    floor (:func:`_model_floor`) of the exact ones.  With both signs, a
+    vector y that ``param`` negates (or keeps) lifts to x with
+    x* a x / x* x <= -1 (or >= 1) in exact arithmetic, and that Rayleigh
+    quotient, computed, bounds lambda_min from above (lambda_max from below)
+    within its rounding, 8 (n + 1) eps ||a||_F."""
+    k = param.shape[0]
+    negatives = round((k - float(np.trace(param).real)) / 2)
+    if 0 < negatives < k:
+        rounding = 8 * (a.shape[0] + 1) * _EPS * frobenius(a)
+        least, greatest = (_rayleigh(a, lift, param, sign) for sign in (-1.0, 1.0))
+        return (-math.inf, least + rounding), (greatest - rounding, math.inf)
+    top = top if k else 0.0
+    sign = -1.0 if negatives else 1.0
+    r = frobenius(a - sign * model) - _model_floor(model)
+    if sign > 0:
+        return (-r, top + r), (top - r, top + r)
+    return (-top - r, -top + r), (-top - r, r)
+
+
+def _rayleigh(a, lift, param, sign) -> float:
+    """The Rayleigh quotient of herm(a) at the lift of the column of the
+    projection (I + sign param)/2 of greatest norm, a vector ``param`` maps to
+    ``sign`` times itself."""
+    half = 0.5 * (np.eye(param.shape[0]) + sign * param)
+    x = lift(half[:, int(np.argmax(half.diagonal().real))])
+    return float(np.vdot(x, a @ x).real / np.vdot(x, x).real)
 
 
 _FAMILY_REFS = {
@@ -359,7 +528,7 @@ def _member_model(f: _Factors, family: SymmetryFamily):
 
 def _model_floor(model) -> float:
     """-4 eps ||model||_F, the floor rounding leaves on a PSD model's least eigenvalue."""
-    return -4 * np.finfo(float).eps * frobenius(model)
+    return -4 * _EPS * frobenius(model)
 
 
 @_per_handle
@@ -752,26 +921,36 @@ def _adjoint_similarity_checks(f: _Factors, run: _Run):
 
 
 def _complement_sum_checks(f: _Factors, run: _Run):
+    """Corollary 10(iii): U carries the padded sum ``lhs`` of P to ``rhs``, that
+    of I - P, and the two share their spectrum.  By Ostrowski's theorem
+    |lambda_i(U* lhs U) - lambda_i(lhs)| <= ||U* U - I||_2 |lambda_i(lhs)|, and
+    by Weyl |lambda_i(U* lhs U) - lambda_i(rhs)| <= ||U* lhs U - rhs||_2, so
+    ``complement-sum-spectra`` records the residual plus ||U* U - I||_F ||lhs||_F,
+    each product's rounding taken at 4 eps times its norm (as
+    :func:`_model_floor` does), and the exact largest gap between the sorted
+    spectra only where that bound exceeds the budget."""
     budget = f.tol.residual_tol * f.sp
-    residual = dec.complement_sum_equivalence.on(f)[1]
+    u, residual = dec.complement_sum_equivalence.on(f)
     yield residual_check("complement-sum-residual", "Corollary 10(iii)", residual, budget)
     lhs, rhs = dec._padded_sums(f)
-    spec_gap = (
-        float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (lhs + lhs.conj().T))
-                            - np.linalg.eigvalsh(0.5 * (rhs + rhs.conj().T)))))
-        if f.p.shape[0]
-        else 0.0
-    )
+    uu = u.conj().T @ u
+    unitarity = frobenius(uu - np.eye(uu.shape[0]))
+    spec_gap = residual + (unitarity + 4 * _EPS * (1.0 + frobenius(uu))) * frobenius(lhs)
+    if not spec_gap <= budget:
+        spec_gap = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (lhs + lhs.conj().T))
+                                       - np.linalg.eigvalsh(0.5 * (rhs + rhs.conj().T)))))
     yield residual_check("complement-sum-spectra", "Corollary 10(iii)", spec_gap, budget)
 
 
 def _classification(f: _Factors, run: _Run):
-    run.subject["classification"] = dict(classify.on(f, run.j)._asdict())
+    jp = _bounded(_ScaledByP, f, run.j, run.j @ f.p, _POS)
+    run.subject["classification"] = dict(_flags(f, run.j, jp, _contraction_relation(f, run.j))._asdict())
     return ()
 
 
 def _biconditional(f: _Factors, run: _Run):
-    return [contractive_positive_equivalence.on(f, run.j)]
+    comp = _bounded(_ScaledByNorm, f, run.j, run.j @ (np.eye(f.p.shape[0]) - f.p), _CONTR)
+    return [_equivalence(f, _contraction_relation(f, run.j), comp)]
 
 
 def _witness_checks(f: _Factors, run: _Run):
@@ -865,8 +1044,8 @@ def full_report(
     The report builds one handle, of P: P is factored once, the block form
     of I - P is derived from P's factors with only its corner factored, and
     what several check groups read (the extremes, the padded sums, and J's
-    parameters, ||J P J - P*|| and the spectrum of J - P* J P) is computed
-    once per report and kept on the handle.  Each public function called on
+    parameters, ||J P J - P*|| and J's relations with their certified
+    bounds) is computed once per report and kept on the handle.  Each public function called on
     its own builds its own handle.
     """
     checks = []

@@ -271,9 +271,9 @@ def test_full_report_hashes_p_once(monkeypatch):
 
 
 def test_full_report_computes_each_value_of_j_once(monkeypatch):
-    # J's parameters, ||J P J - P*|| and the spectrum of J - P* J P live on
-    # the report's handle of P: read by the gate, classify, the biconditional
-    # and both splits, each body runs once
+    # J's parameters, ||J P J - P*|| and J - P* J P with its certified bounds
+    # live on the report's handle of P: read by the gate, classify, the
+    # biconditional and both splits, each body runs once
     import collections
 
     from kreinproj import decompositions as dec
@@ -281,7 +281,7 @@ def test_full_report_computes_each_value_of_j_once(monkeypatch):
 
     runs = collections.Counter()
     memoized = {"params": dec.extract_params.on, "gap": dec._intertwining_gap,
-                "range": verification._contraction_range}
+                "contraction": verification._contraction_relation}
     for name, once in memoized.items():
         # the body is swapped inside the memo, so a run the memo saves is not counted
         (cell,) = [c for c in once.__closure__ if c.cell_contents is once.__wrapped__]
@@ -297,7 +297,200 @@ def test_full_report_computes_each_value_of_j_once(monkeypatch):
     j = assemble_symmetry(bf, fam, sample_params(bf, fam, 1, 2)[0])
     report = full_report(p, j, samples=1)
     assert report.passed and report.counts["skipped"] == 0
-    assert runs == {"params": 1, "gap": 1, "range": 1}
+    assert runs == {"params": 1, "gap": 1, "contraction": 1}
+
+
+# idempotent_cases at the edge ranks 0, 1, n - 1 and n
+_EDGE_RANK_CASES = [p for p, n, r in idempotent_cases(80, seed=7) if r in (0, 1, n - 1, n)]
+_MEMBERS = [*SymmetryFamily, *ExtremalKind]
+
+
+def _report_member(p, which, sign, seed):
+    """``sign`` times a member of the family ``which`` drawn by ``seed``, or
+    the extreme ``which``, of ``p``; None where it cannot be built."""
+    from kreinproj import KreinProjError, extremal_symmetry
+
+    try:
+        if isinstance(which, ExtremalKind):
+            return sign * extremal_symmetry(p, which)
+        bf = block_form(p)
+        return sign * assemble_symmetry(bf, which, sample_params(bf, which, 1, seed)[0])
+    except KreinProjError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.one_of(wide_corner_idempotents(half=True), st.sampled_from(_EDGE_RANK_CASES)),
+       which=st.sampled_from(_MEMBERS), sign=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2**16))
+def test_report_verdicts_on_j_agree_with_the_exact_route(p, which, sign, seed):
+    # the report reads J's relations off certified bounds on block models and
+    # Rayleigh quotients; the public functions read the exact eigenvalues.
+    # The members of each family, each extreme and their negatives cover
+    # every inertia of (J1, J2): J-positive, -negative, -contractive,
+    # -expansive and none
+    j = _report_member(p, which, sign, seed)
+    assume(j is not None)
+    report = full_report(p, j, samples=1)
+    assume("classification" in report.subject)
+    assert report.subject["classification"] == classify(p, j)._asdict()
+    (check,) = [c for c in report.checks if c.name == "contractive-iff-complement-positive"]
+    assert check.status == contractive_positive_equivalence(p, j).status
+
+
+def test_a_bound_settles_a_verdict_only_whatever_the_scale():
+    # x <= coef * scale for x in [low, high] and scale in [1, 3]: settled true
+    # by high at the least scale, false by low at the greatest, that bound
+    # recorded; anything else, and an unbounded x, goes to the exact value
+    from kreinproj.verification import _ANY, _settle
+
+    f = types.SimpleNamespace(tol=Tolerances(psd_tol=1.0))
+    rel = types.SimpleNamespace(scales=lambda f: (1.0, 3.0), within=lambda f, x: x <= 2.0)
+
+    def settle(bounds):
+        return _settle(bounds, rel, f, lambda: 1.5)
+
+    assert settle((0.5, 1.0)) == (True, 1.0)
+    assert settle((3.5, 4.0)) == (False, 3.5)
+    assert settle((0.5, 2.0)) == settle((2.0, 3.0)) == (True, 1.5)
+    rel.scales = lambda f: pytest.fail("the scale of an unbounded value is read")
+    assert settle(_ANY) == (True, 1.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.one_of(wide_corner_idempotents(half=True), st.sampled_from(_EDGE_RANK_CASES)),
+       which=st.sampled_from(_MEMBERS), sign=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2**16))
+def test_relation_bounds_hold_the_exact_extreme_eigenvalues(p, which, sign, seed):
+    # each certified interval holds its exact eigenvalue, and the scale
+    # interval both tolerance scales, up to eigvalsh's rounding
+    from kreinproj import verification
+    from kreinproj.idempotents import _handle
+    from kreinproj.linalg import _eig_range, frobenius, scale_of
+
+    j = _report_member(p, which, sign, seed)
+    assume(j is not None)
+    f, _ = _handle(p, DEFAULT_TOL)
+    j, skipped = verification._admitted_symmetry(f, j, {})
+    assume(skipped is None)
+    relations = [verification._bounded(verification._ScaledByP, f, j, j @ p, SymmetryFamily.J_POSITIVE),
+                 verification._contraction_relation(f, j),
+                 verification._bounded(verification._ScaledByNorm, f, j, j @ (np.eye(p.shape[0]) - p),
+                                       SymmetryFamily.J_CONTRACTIVE)]
+    for rel in relations:
+        lo, hi = _eig_range(rel.a)
+        slack = 8 * p.shape[0] * _EPS * frobenius(rel.a)
+        assert rel.lo[0] - slack <= lo <= rel.lo[1] + slack
+        assert rel.hi[0] - slack <= hi <= rel.hi[1] + slack
+        s_low, s_high = rel.scales(f)
+        for scale in (max(1.0, abs(lo), abs(hi)), scale_of(rel.a)):
+            assert s_low - slack <= scale <= s_high + slack
+
+
+@pytest.mark.parametrize("which", _MEMBERS, ids=lambda w: w.value)
+@pytest.mark.parametrize("undecided", ["widened-bounds", "no-parameters"])
+def test_a_relation_bound_that_does_not_decide_takes_the_exact_eigenvalue(monkeypatch, which, undecided):
+    # bounds widened past every budget, or none at all where J's parameters
+    # cannot be extracted, leave each verdict to the exact range of its
+    # relation: one eigvalsh each of J P, J - P* J P and J (I - P), with the
+    # verdicts and the biconditional of the exact route
+    from kreinproj import SingularBlock, verification
+    from kreinproj import decompositions as dec
+
+    p = random_idempotent(7, 3, 2.0, seed=5)
+    j = _report_member(p, which, 1.0, 3)
+    real_bounds, real_range, ranges = verification._model_bounds, verification._eig_range, []
+
+    def widened(*args):
+        lo, hi = real_bounds(*args)
+        return (lo[0] - 1e6, lo[1] + 1e6), (hi[0] - 1e6, hi[1] + 1e6)
+
+    def unextracted(f, j):
+        raise SingularBlock("diagonal range block is numerically singular")
+
+    if undecided == "widened-bounds":
+        monkeypatch.setattr(verification, "_model_bounds", widened)
+    else:
+        monkeypatch.setattr(dec.extract_params, "on", unextracted)
+    monkeypatch.setattr(verification, "_eig_range", lambda a: ranges.append(a) or real_range(a))
+    report = full_report(p, j, samples=1)
+    assert len(ranges) == 3
+    monkeypatch.undo()
+    assert report.subject["classification"] == classify(p, j)._asdict()
+    (check,) = [c for c in report.checks if c.name == "contractive-iff-complement-positive"]
+    assert check == contractive_positive_equivalence(p, j)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_relations_of_a_parameter_with_both_signs_take_no_exact_eigenvalue(monkeypatch, rank):
+    # at rank 3 of 7 some drawn members have a J2 with both signs, at rank 4 a
+    # J1: their relations are bounded by Rayleigh quotients at lifted
+    # eigenvectors of the parameter, and every verdict is decided there
+    from kreinproj import decompositions as dec
+    from kreinproj import verification
+
+    p = random_idempotent(7, rank, 2.0, seed=5)
+    bf = block_form(p)
+    real_range, ranges, mixed = verification._eig_range, [], 0
+    monkeypatch.setattr(verification, "_eig_range", lambda a: ranges.append(a) or real_range(a))
+    for seed in range(6):
+        j = assemble_symmetry(bf, "projection", sample_params(bf, "projection", 1, seed)[0])
+        param = dec.extract_params(p, j)[0 if rank == 4 else 1]
+        mixed += abs(np.trace(param).real) < param.shape[0] - 1
+        report = full_report(p, j, samples=1)
+        assert report.passed and not ranges, seed
+    assert mixed >= 2
+
+
+def test_padded_sum_spectra_take_the_exact_gap_where_the_bound_does_not_decide(monkeypatch):
+    # the recorded bound is at least the exact largest gap between the sorted
+    # spectra; a U far from unitary leaves the bound above the budget, and
+    # the check records that exact gap
+    from kreinproj import decompositions as dec
+    from kreinproj.idempotents import _Factors
+
+    p = random_idempotent(7, 3, 2.0, seed=5)
+    lhs, rhs = dec._padded_sums(_Factors(p, DEFAULT_TOL))
+    herm = [0.5 * (m + m.conj().T) for m in (lhs, rhs)]
+    exact = float(np.max(np.abs(np.linalg.eigvalsh(herm[0]) - np.linalg.eigvalsh(herm[1]))))
+
+    def spectra():
+        (check,) = [c for c in full_report(p, samples=1).checks if c.name == "complement-sum-spectra"]
+        return check
+
+    bound = spectra()
+    assert bound.status == "pass" and bound.residual >= exact
+    real = dec.complement_sum_equivalence.on
+    monkeypatch.setattr(dec.complement_sum_equivalence, "on", lambda f: (2 * real(f)[0], real(f)[1]))
+    assert spectra().residual == exact
+
+
+def test_a_report_frees_its_handle_without_the_cycle_collector(monkeypatch):
+    # the handle of P holds every factorization of a report, and what is kept
+    # on it (J's relations among them) holds no reference back to it, so it is
+    # freed when the report returns; through a cycle it would wait for the
+    # cycle collector, which numpy's allocations hardly trigger, and a batch
+    # of reports would pile up their matrices
+    import gc
+    import weakref
+
+    from kreinproj import verification
+
+    handles = []
+
+    class Recorded(verification._Factors):
+        def __init__(self, *args):
+            super().__init__(*args)
+            handles.append(weakref.ref(self))
+
+    monkeypatch.setattr(verification, "_Factors", Recorded)
+    p = random_idempotent(7, 3, 2.0, seed=5)
+    j = _report_member(p, SymmetryFamily.J_PROJECTION, 1.0, 3)
+    gc.disable()
+    try:
+        report = full_report(p, j, samples=1)
+        assert "classification" in report.subject
+        assert len(handles) == 1 and handles[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_full_report_of_an_empty_idempotent_records_finite_margins():
