@@ -217,8 +217,8 @@ class _Factors:
 
     Anything derived from the factors that more than one check group reads
     (the extremes, the padded sums, and J's parameters, ||J P J - P*|| and
-    J's relations J P, J - P* J P and J (I - P) with their certified bounds)
-    is kept on the handle by :func:`_per_handle`.  A
+    J - P* J P with its certified bounds) is kept on the handle by
+    :func:`_per_handle`.  A
     report builds one handle and hands it to every check group; a public
     function (:func:`_on_handle`) builds its own.
     """

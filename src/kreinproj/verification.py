@@ -24,8 +24,8 @@ argument, from values the report already holds.  The block form of
 I - P is derived from P's, on P's handle, so the intertwiners are the
 identity, and its corner, factored on its own, is compared with P's by the
 intertwining, corner-singular-value and corner-null-match checks.  J's
-values (its parameters, ||J P J - P*|| and its relations J P, J - P* J P
-and J (I - P)) are kept on P's handle too, so a report computes each once.
+values (its parameters, ||J P J - P*|| and J - P* J P with its bounds)
+are kept on P's handle too, so a report computes each once.
 A report reads J's five relations and the biconditional off certified
 bounds on those relations, against the block models J1 and J2 make of
 them (:func:`_bounded`), and bounds the spectral gap of Corollary 10(iii)
@@ -1044,8 +1044,8 @@ def full_report(
     The report builds one handle, of P: P is factored once, the block form
     of I - P is derived from P's factors with only its corner factored, and
     what several check groups read (the extremes, the padded sums, and J's
-    parameters, ||J P J - P*|| and J's relations with their certified
-    bounds) is computed once per report and kept on the handle.  Each public function called on
+    parameters, ||J P J - P*|| and J - P* J P with its certified bounds)
+    is computed once per report and kept on the handle.  Each public function called on
     its own builds its own handle.
     """
     checks = []
