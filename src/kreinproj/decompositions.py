@@ -170,12 +170,18 @@ def contractive_expansive_split(f: _Factors, j) -> SplitResult:
         E1 = [[I, C (I + J2)/2], [0, (I - J2)/2]]
         E2 = [[I, C (I - J2)/2], [0, (I + J2)/2]]
 
-    so that P = E1 E2 = E2 E1 = E1 + E2 - I.
+    so that P = E1 E2 = E2 E1 = E1 + E2 - I.  In the ambient basis, with
+    W_r and W_p the bases of range(P) and its orthocomplement and K+- =
+    (I +- J2)/2, E1 = W_r W_r* + (W_r C K+ + W_p K-) W_p* and E2 the same
+    with K+ and K- swapped: the identity and zero blocks are not multiplied,
+    and W_r W_r* is formed once for both.
     """
     _, j2 = extract_params.on(f, j)
     bf, (plus, minus) = f.bf, _halves(j2)
-    e1 = bf.assemble(np.eye(bf.rank), bf.corner @ plus, 0, minus)
-    e2 = bf.assemble(np.eye(bf.rank), bf.corner @ minus, 0, plus)
+    w_r, w_p = bf.basis_range, bf.basis_perp
+    on_range = w_r @ w_r.conj().T
+    e1, e2 = (on_range + (w_r @ (bf.corner @ k) + w_p @ other) @ w_p.conj().T
+              for k, other in ((plus, minus), (minus, plus)))
     return SplitResult(e1=e1, e2=e2, kind=SplitKind.CONTRACTIVE_EXPANSIVE)
 
 
@@ -188,12 +194,15 @@ def positive_negative_split(f: _Factors, j) -> SplitResult:
     I - P.  In the block form of I - P derived from P's, J's diagonal blocks
     are J2 Sinv and J1 Tinv, so I - P's parameters are (J2, J1): with C' the
     corner of I - P, Q = [[0, -C' K], [0, K]] for K = (I + J1)/2, and R the
-    same for K = (I - J1)/2.
+    same for K = (I - J1)/2.  In the ambient basis, with W'_r and W'_p the
+    bases of I - P's form, each is (W'_p - W'_r C') K W'_p*: the zero blocks
+    are not multiplied, and W'_p - W'_r C' is formed once for both.
     """
     j1, _ = extract_params.on(f, j)
     bf, (plus, minus) = f.comp_bf, _halves(j1)
-    q = bf.assemble(0, -bf.corner @ plus, 0, plus)
-    r = bf.assemble(0, -bf.corner @ minus, 0, minus)
+    w_p = bf.basis_perp
+    lead = w_p - bf.basis_range @ bf.corner
+    q, r = ((lead @ k) @ w_p.conj().T for k in (plus, minus))
     return SplitResult(e1=q, e2=r, kind=SplitKind.POSITIVE_NEGATIVE)
 
 

@@ -108,11 +108,12 @@ class BlockForm:
         return self.basis_perp @ as_matrix(m) @ self.basis_perp.conj().T
 
     def reassemble(self) -> np.ndarray:
-        """Reconstruct the idempotent this form was derived from."""
-        r, c = self.rank, self.dim - self.rank
-        return self.assemble(
-            np.eye(r), self.corner, np.zeros((c, r)), np.zeros((c, c))
-        )
+        """Reconstruct the idempotent this form was derived from:
+        W [[I, C], [0, 0]] W* = W_r (W_r* + C W_p*), with W_r and W_p the
+        bases of range(P) and its orthocomplement, so that the zero and
+        identity blocks are not multiplied."""
+        w_r = self.basis_range
+        return w_r @ (w_r.conj().T + self.corner @ self.basis_perp.conj().T)
 
     # Factors of the corner, computed once per form because every family
     # member, extreme and check built on it reuses them; callers must not
@@ -382,9 +383,12 @@ def block_form(f: _Factors) -> BlockForm:
 
 def _null_projections(bf: BlockForm):
     """The ambient projections onto N(C*) in range(P) and N(C) in range(P)-perp
-    for the block form ``bf`` of P, from its rank decision ``bf.corner_split()``."""
+    for the block form ``bf`` of P, from its rank decision ``bf.corner_split()``:
+    X X* for the k lifted null-space columns X = W_r U0 and W_p V0, at n r k +
+    n k n flops each, exactly zero when k = 0."""
     u_null, _, v_null, _ = bf.corner_split()
-    return bf.embed_range(u_null @ u_null.conj().T), bf.embed_perp(v_null @ v_null.conj().T)
+    lifted = (bf.basis_range @ u_null, bf.basis_perp @ v_null)
+    return tuple(x @ x.conj().T for x in lifted)
 
 
 @_per_handle

@@ -204,6 +204,7 @@ class SpectralParts:
         cutoff = tol.rank_tol * self.scale
         self.singular = self.min_abs <= cutoff
         self._pos, self._neg = w > cutoff, w < -cutoff
+        self._ker = ~(self._pos | self._neg)
 
     def _sum(self, mask, weights=None) -> np.ndarray:
         """The sum of ``weight * q_i q_i*`` (weight 1 when None) over the
@@ -215,8 +216,18 @@ class SpectralParts:
     negative_part = functools.cached_property(lambda self: self._sum(self._neg, -self.w[self._neg]))
     proj_positive = functools.cached_property(lambda self: self._sum(self._pos))
     proj_negative = functools.cached_property(lambda self: self._sum(self._neg))
-    proj_kernel = functools.cached_property(lambda self: self._sum(~(self._pos | self._neg)))
+    proj_kernel = functools.cached_property(lambda self: self._sum(self._ker))
     sign = functools.cached_property(lambda self: self._sum(slice(None), np.sign(self.w)))
+
+    @property
+    def negative_vectors(self) -> np.ndarray:
+        """The eigenvectors Q- of the negative part, proj_negative = Q- Q-*; a new array."""
+        return self.q[:, self._neg]
+
+    @property
+    def kernel_vectors(self) -> np.ndarray:
+        """The eigenvectors Q_N of the kernel, proj_kernel = Q_N Q_N*; a new array."""
+        return self.q[:, self._ker]
 
 
 def spectral_parts(a, tol: Tolerances = DEFAULT_TOL) -> SpectralParts:

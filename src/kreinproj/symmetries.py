@@ -39,7 +39,7 @@ from .idempotents import (
     _per_handle,
     _random_symmetry,
 )
-from .linalg import as_matrix, frobenius, is_symmetry, spectral_parts
+from .linalg import SpectralParts, as_matrix, frobenius, is_symmetry
 
 __all__ = [
     "SymmetryFamily",
@@ -274,21 +274,28 @@ def sign_formula_symmetry(f: _Factors) -> np.ndarray:
 
         (P + P* - I) |P + P* - I|^(-1) + 2 proj(N(P + P*))
 
-    Requires the shift P + P* - I to be numerically invertible, else
-    ``SingularShift`` (for exactly idempotent P the shift always dominates
-    the identity in modulus, so this only triggers on loose rank cutoffs or
-    corrupted inputs).  Agreement with the spectral pos-max and the kernel
-    identity sign(shift) @ proj(N) = -proj(N) are certified by the report
-    checks ``sign-formula-matches-pos-max`` and ``sign-formula-kernel-action``,
-    see :func:`kreinproj.verification.extremal_checks`.
+    The shift P + P* - I has the eigenvectors of P + P* with the
+    eigenvalues w - 1, so its spectral parts are read from the one
+    eigendecomposition of P + P* on the handle, which the kernel
+    projection reads too; the shift is not diagonalized on its own.
+    Requires the shift to be numerically invertible at its own scale
+    max(1, max |w - 1|), else ``SingularShift`` (for exactly idempotent P
+    the shift always dominates the identity in modulus, so this only
+    triggers on loose rank cutoffs or corrupted inputs).  Agreement with the
+    spectral pos-max and the kernel identity sign(shift) @ proj(N) =
+    -proj(N) are certified by the report checks
+    ``sign-formula-matches-pos-max`` and ``sign-formula-kernel-action``, see
+    :func:`kreinproj.verification.extremal_checks`; both compare sums over
+    the eigenvectors of P + P*, and the independent route to pos-max is the
+    block form's (``extremal-pos-max-block-route``).
     """
-    p = f.p
-    shift = spectral_parts(p + p.conj().T - np.eye(p.shape[0]), f.tol)
+    a = f.sum_parts
+    shift = SpectralParts(a.w - 1.0, a.q, f.tol)
     if shift.singular:
         raise SingularShift(
             f"P + P* - I is numerically singular: min |eig| = {shift.min_abs:.3e}"
         )
-    return shift.sign + 2 * f.sum_parts.proj_kernel
+    return shift.sign + 2 * a.proj_kernel
 
 
 @_on_handle()

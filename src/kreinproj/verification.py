@@ -383,12 +383,17 @@ def _spectral_extreme(f: _Factors, kind: ExtremalKind) -> np.ndarray:
 def _sign_formula_checks(f: _Factors, jsf) -> list:
     """The sign-function route ``jsf`` against the spectral pos-max and its
     action on N(P+P*): sign(P+P*-I) = J - 2 proj(N) acts there as -I iff J
-    acts as +I."""
-    pos_max, ker = _spectral_extreme(f, ExtremalKind.POS_MAX), f.sum_parts.proj_kernel
+    acts as +I.  The action is ||(J Q_N - Q_N) Q_N*||_F, taken at the rank of
+    the kernel eigenvectors Q_N of P + P*, with proj(N) = Q_N Q_N*: exactly 0
+    for an empty kernel.  Both routes read the eigenvectors of P + P*, so the
+    match compares two sums over one set of eigenvectors; it fails where an
+    eigenvalue of P + P* lies in (cutoff, 1], where the shift's sign is -1
+    and pos-max's +1."""
+    pos_max, ker = _spectral_extreme(f, ExtremalKind.POS_MAX), f.sum_parts.kernel_vectors
     budget = f.tol.residual_tol * f.sp
     return [
         residual_check("sign-formula-matches-pos-max", "Remark", frobenius(jsf - pos_max), budget),
-        residual_check("sign-formula-kernel-action", "Remark", frobenius(jsf @ ker - ker), budget),
+        residual_check("sign-formula-kernel-action", "Remark", frobenius((jsf @ ker - ker) @ ker.conj().T), budget),
     ]
 
 
@@ -467,7 +472,7 @@ def extremal_checks(f: _Factors, which: str, j) -> list:
     return _member_checks([f"extremal-{kind.value}"], _KIND_REFS[kind], f, j[np.newaxis], kind.family)
 
 
-def _member_checks(prefixes, ref, f: _Factors, js, family: SymmetryFamily, probe=None) -> list:
+def _member_checks(prefixes, ref, f: _Factors, js, family: SymmetryFamily, probe=None, symmetry=None) -> list:
     """Certify each member of the stack ``js`` of ``family``, assembled in the
     ambient basis from the block form of P, under its prefix:
     ``<prefix>-symmetry`` at ``residual_tol``, then :func:`family_checks` at
@@ -476,11 +481,14 @@ def _member_checks(prefixes, ref, f: _Factors, js, family: SymmetryFamily, probe
     ``probe = (j_min, j_max, free)``, ``free`` the stack of the samples' side
     parameters restricted to the corner null space, and each sample also gets
     ``-above-min`` and ``-below-max``, by :func:`_weyl_margins` against its
-    exact block model.  Products and eigenvalues run on the whole stack and
-    norms member by member, so every value is bitwise the one its member gets
-    in a stack of its own.  This certifies the probe samples, the extremes
-    of an idempotent (:func:`extremal_checks`) and the member ``gen
-    symmetry-for`` writes; :func:`_witness_checks` reads pos-min's symmetry residual."""
+    exact block model.  A given ``symmetry`` holds the members' symmetry
+    residuals, read off members they are bitwise those of.  Products and
+    eigenvalues run on the whole stack and norms member by member, so every
+    value is bitwise the one its member gets in a stack of its own.  This
+    certifies the probe samples, the extremes of an idempotent
+    (:func:`extremal_checks`) and the member ``gen symmetry-for`` writes;
+    :func:`_witness_checks` and contr-min's checks read pos-min's symmetry
+    residual."""
     tol, sp = f.tol, f.sp
 
     def margins(rel):
@@ -488,8 +496,9 @@ def _member_checks(prefixes, ref, f: _Factors, js, family: SymmetryFamily, probe
         return _weyl_margins(rel, model, [low] * len(rel), tol.psd_tol * sp)
 
     relations = _family_checks(prefixes, ref, f.p, js, family, tol, sp, margins)
+    symmetry = _symmetry_residuals(js) if symmetry is None else symmetry
     out = [[residual_check(f"{x}-symmetry", ref, s, tol.residual_tol), *rel]
-           for x, s, rel in zip(prefixes, _symmetry_residuals(js), relations)]
+           for x, s, rel in zip(prefixes, symmetry, relations)]
     if probe is not None:
         # The free part of a member acts on N(C*) in range(P) (contractive
         # family) or N(C) in range(P)-perp (positive family), spanned by the k
@@ -533,11 +542,19 @@ def _model_floor(model) -> float:
 
 @_per_handle
 def _extreme_checks(f: _Factors, kind: ExtremalKind) -> list:
-    """:func:`extremal_checks` of the extreme ``kind``, or, if it is its family's least one, that one's renamed."""
+    """:func:`extremal_checks` of the extreme ``kind``, or, if it is its
+    family's least one, that one's renamed.  Contr-min is built as -pos-min
+    (see :func:`extremal_symmetry`), so it takes pos-min's symmetry
+    residual, as ``witness-b-symmetry`` does: (-J)^2 = J^2 and
+    -J - (-J)* = -(J - J*) bitwise."""
     j, least = extremal_symmetry.on(f, kind), next(k for k in ExtremalKind if k.family is kind.family)
     if kind is not least and j is extremal_symmetry.on(f, least):
         return _renamed(_extreme_checks(f, least), f"extremal-{least.value}", f"extremal-{kind.value}",
                         _KIND_REFS[kind])
+    if kind is ExtremalKind.CONTR_MIN:
+        symmetry = [_extreme_checks(f, ExtremalKind.POS_MIN)[0].residual]
+        return _member_checks([f"extremal-{kind.value}"], _KIND_REFS[kind], f, j[np.newaxis], kind.family,
+                              symmetry=symmetry)
     return extremal_checks.on(f, kind.value, j)
 
 
@@ -824,8 +841,9 @@ def _negative_part_checks(f: _Factors, run: _Run):
     )
     u, sv, vh = bf._corner_svd
     halved = dec._negative_part_formula((u, sv / 2, vh), tol)
-    w = bf.unitary
-    sum_neg_blocks = w.conj().T @ f.sum_parts.proj_negative @ w
+    # W* proj(A-) W through the factor W* Q- of proj(A-) = Q- Q-*
+    x = bf.unitary.conj().T @ f.sum_parts.negative_vectors
+    sum_neg_blocks = x @ x.conj().T
     yield residual_check(
         "negative-part-halved-corner", "Lemma 1",
         frobenius(halved - sum_neg_blocks), tol.residual_tol * f.sum_parts.scale,

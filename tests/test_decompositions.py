@@ -193,6 +193,70 @@ def test_split_identities_random():
                     assert value >= -1e-9, name
 
 
+def _wide_split_pair(seed):
+    """A wide-corner idempotent and an intertwining symmetry for it, in closed
+    form: n in [2, 7], r = n // 2 or uniform in [0, n], the corner's singular
+    values log-uniform in [1e-8, 1e4], and J the reflection
+    [[e c, e s], [e s, -e c]] (c = 1/sqrt(1 + sigma^2), s = sigma c) with its
+    own sign e on each coupled singular pair and a free sign elsewhere."""
+    from kreinproj import haar_unitary
+
+    rng = np.random.default_rng([seed, 29])
+    n = int(rng.integers(2, 8))
+    r = int(rng.choice([n // 2, int(rng.integers(0, n + 1))]))
+    k = min(r, n - r)
+    sigma = 10.0 ** rng.uniform(-8, 4, k)
+    w, u, v = haar_unitary(n, rng), haar_unitary(r, rng), haar_unitary(n - r, rng)
+    core = np.zeros((n, n), dtype=complex)
+    core[:r, :r] = np.eye(r)
+    core[:r, r:] = (u[:, :k] * sigma) @ v[:, :k].conj().T
+    c = 1.0 / np.sqrt(1.0 + sigma**2)
+    e = rng.choice([-1.0, 1.0], k)
+    jb = np.zeros((n, n), dtype=complex)
+    jb[:r, :r] = (u * np.concatenate([e * c, rng.choice([-1.0, 1.0], r - k)])) @ u.conj().T
+    jb[:r, r:] = (u[:, :k] * (e * sigma * c)) @ v[:, :k].conj().T
+    jb[r:, :r] = jb[:r, r:].conj().T
+    jb[r:, r:] = (v * np.concatenate([-e * c, rng.choice([-1.0, 1.0], n - r - k)])) @ v.conj().T
+    return w @ core @ w.conj().T, w @ jb @ w.conj().T
+
+
+def _failing_split_checks(p, j) -> set:
+    from kreinproj import split_checks
+
+    return {prefix + c.name
+            for construction, prefix in ((contractive_expansive_split, "split-ce-"),
+                                         (positive_negative_split, "split-pn-"))
+            for c in split_checks(construction(p, j), p, j) if c.status != "pass"}
+
+
+# The inputs of _wide_split_pair whose split checks fail, and which: a known
+# defect at sigma_max of 4e3 and above, where ||E2* E1 - (E1 + E2* - I)||_F
+# and ||R* Q||_F exceed residual_tol * ||P||_2 (see CHANGES.md).
+_WIDE_SPLIT_FAILURES = {
+    47: {"split-pn-adjoint-product-rq"},
+    171: {"split-ce-adjoint-product-21", "split-pn-adjoint-product-rq"},
+    184: {"split-ce-adjoint-product-21", "split-pn-adjoint-product-rq"},
+    204: {"split-ce-adjoint-product-21"},
+}
+
+
+def test_splits_across_a_wide_corner_spectrum_fail_only_the_known_checks():
+    # every other split-ce-* and split-pn-* check passes on 400 seeded inputs,
+    # so a route that loses accuracy at a wide corner shows up here
+    failing = {}
+    for seed in range(400):
+        bad = _failing_split_checks(*_wide_split_pair(seed))
+        if bad:
+            failing[seed] = bad
+    assert failing == _WIDE_SPLIT_FAILURES
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: R* Q exceeds its budget at sigma_max of 4e3 and above")
+def test_the_positive_negative_split_of_a_wide_corner_passes_its_adjoint_product():
+    p, j = _wide_split_pair(47)
+    assert "split-pn-adjoint-product-rq" not in _failing_split_checks(p, j)
+
+
 def test_split_route_consistency():
     # complements of the positive/negative split of I - P recover the
     # contractive/expansive split of P

@@ -247,6 +247,24 @@ def test_kernel_route_agreement_random():
         assert np.linalg.norm(ker_diff - block_diff) <= budget
 
 
+@pytest.mark.parametrize("n", [2, 5, 8])
+@pytest.mark.parametrize("which_rank", ["0", "1", "n-1", "n", "n/2"])
+@pytest.mark.parametrize("scale", [0.0, 2.0])
+def test_null_projections_at_their_rank_match_the_embedded_route(n, which_rank, scale):
+    # X X* with X the lifted null-space columns is the lift of U0 U0* (V0 V0*)
+    # through the basis, within rounding, and exactly zero when the null
+    # space is empty (a square invertible corner, or an empty side)
+    r = {"0": 0, "1": 1, "n-1": n - 1, "n": n, "n/2": n // 2}[which_rank]
+    bf = block_form(random_idempotent(n, r, scale, seed=[n, r, int(scale)]))
+    u_null, _, v_null, _ = bf.corner_split()
+    embedded = (bf.embed_range(u_null @ u_null.conj().T), bf.embed_perp(v_null @ v_null.conj().T))
+    for got, want, null in zip(idempotents._null_projections(bf), embedded, (u_null, v_null)):
+        assert got.shape == (n, n)
+        assert np.linalg.norm(got - want) <= 8 * n * np.finfo(float).eps * max(1.0, np.linalg.norm(want))
+        if not null.shape[1]:
+            assert not np.any(got)
+
+
 def test_random_idempotent_contract():
     p = random_idempotent(4, 2, 1.0, seed=7)
     assert np.linalg.norm(p @ p - p) <= 1e-12

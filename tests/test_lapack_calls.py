@@ -9,9 +9,10 @@ route) runs ``kreinproj extremal --which <kind>`` through ``cli.main`` and
 construction plus its certificate.  An extreme reads the SVD of P and of
 its corner, and its certificate judges its margin by Weyl's bound against
 the family's model, built from that corner SVD, so it makes no
-``eigvalsh`` of its own; the sign-function route diagonalizes P + P* - I
-and P + P* instead, takes ||P|| from the SVD of P, and its certificate
-reads the corner SVD.  ``extremal_contr_max`` is the library call alone.
+``eigvalsh`` of its own; the sign-function route diagonalizes P + P*
+instead, reads the spectral parts of the shift P + P* - I off its
+eigenpairs, takes ||P|| from the SVD of P, and its certificate reads the
+corner SVD.  ``extremal_contr_max`` is the library call alone.
 ``negative_part_projection_formula`` runs on the corner of that input.
 ``assemble_symmetry`` is counted on a block form that has already
 assembled one member, so it reuses that form's corner factors.  The
@@ -25,9 +26,10 @@ other verdict computes a spectral norm only when it depends on it.
 factorizations of one report: P is put in block form by one SVD, which
 also gives ||P||; I - P is not factored, its block form comes from P's
 bases and P's corner SVD, and only its corner gets its own SVD; and
-P + P*, i(P - P*), the anchored block of the corner and the sign-formula
-shift are each diagonalized once; 2I - P - P* is not diagonalized, its
-spectral parts are read from the eigenpairs of P + P*.  A stack of n x n
+P + P*, i(P - P*) and the anchored block of the corner are each
+diagonalized once; neither 2I - P - P* nor the sign-formula shift
+P + P* - I is diagonalized, their spectral parts are read from the
+eigenpairs of P + P*.  A stack of n x n
 matrices counts one call per member.  A report makes no n x n ``eigvalsh``
 where its certified bounds decide, whatever ``samples`` is: the probe
 samples of a family and the extremes are certified by Weyl bounds whose only
@@ -39,7 +41,7 @@ quotients, on the inertia of the parameters the splits extract anyway; and
 from the residual the report already computes.  An exact n x n eigenvalue
 is taken only where a bound does not decide, so
 ``test_full_report_call_counts_are_pinned`` pins the counts of a report
-where every bound decides: 9 with a J and 7 without at n = 8, rank 4, and 9
+where every bound decides: 8 with a J and 6 without at n = 8, rank 4, and 8
 at n = 128, rank 64, with a projection-family J, the shape of the
 benchmark's verify-large inputs.  The witness pair (Theorem 8(ii)) takes no
 call, and ``test_the_witness_group_makes_no_lapack_call`` pins that its
@@ -59,17 +61,30 @@ form is derived from; ``split_checks`` of a contractive/expansive split
 factors P and its corner, whose SVD gives the margins' model, and so does
 that of a positive/negative split (``split_checks_pn``): the model's root on
 I - P's perp, T = (I + C C*)^(1/2), comes from P's corner SVD too.
+``test_full_report_ambient_products_are_pinned`` counts the flops of the
+ambient products beside the LAPACK calls: it loads a copy of the package in
+which every ``a @ b`` is rewritten, by an ``ast.NodeTransformer``, into a
+call that adds up m k n, and pins their sum over one ``full_report(p, j,
+samples=5)`` at n = 128, rank 64, with a projection-family J, in units of
+n^3 (``PRODUCT_NCUBES``), under the same rule as the bounds.
 ``ASSEMBLE_BOUNDS`` caps, by rank, the ``BlockForm.assemble`` calls and the
 members they assemble in one ``full_report(samples=5)`` at n = 8 without a
 J, under the same rule.  At rank 4 the corner is square and invertible, so
-each family has one member, its least element: the report assembles P's
-block-form round trip and pos-min, contr-min is pos-min negated, each
-greatest element is its family's least, and the probes assemble nothing.
-At rank 2, N(C) has dimension 4, so pos-max and the five positive probe
-samples (one stacked call) are assembled too.
+each family has one member, its least element: the report assembles
+pos-min, contr-min is pos-min negated, each greatest element is its
+family's least, and the probes assemble nothing; P's block-form round trip
+multiplies out its zero and identity blocks without ``assemble``.  At rank
+2, N(C) has dimension 4, so pos-max and the five positive probe samples
+(one stacked call) are assembled too.
 """
 
+import ast
+import importlib.abc
+import importlib.machinery
+import importlib.util
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -79,10 +94,10 @@ from kreinproj import cli
 from kreinproj.matrixio import write_matrix
 
 BOUNDS = {
-    "full_report": 9,
+    "full_report": 8,
     "extremal_contr_max": 2,
     "assemble_symmetry": 0,
-    "extremal_sign_formula": 4,
+    "extremal_sign_formula": 3,
     "cli_extremal_pos_min": 2,
     "cli_extremal_pos_max": 2,
     "cli_extremal_contr_min": 2,
@@ -95,7 +110,7 @@ HANDLE_BOUNDS = {
     "kernel_projections": 2,
     "extremal_symmetry": 2,
     "extremal_symmetry_via_blocks": 2,
-    "sign_formula_symmetry": 2,
+    "sign_formula_symmetry": 1,
     "nonexistence_witnesses": 2,
     "extract_params": 4,
     "contractive_expansive_split": 4,
@@ -111,9 +126,11 @@ HANDLE_BOUNDS = {
     "split_checks": 2,
     "split_checks_pn": 2,
 }
-SQUARE_BOUNDS = {"svd": 1, "eigh": 4, "eigvalsh": 0}
+SQUARE_BOUNDS = {"svd": 1, "eigh": 3, "eigvalsh": 0}
+# flops of the ambient products of one full_report(p, j, samples=5) at n = 128, rank 64, over n^3
+PRODUCT_NCUBES = 71.125
 # (calls, members) of BlockForm.assemble in one full_report(samples=5) at n = 8, by rank
-ASSEMBLE_BOUNDS = {4: (2, 2), 2: (4, 8)}
+ASSEMBLE_BOUNDS = {4: (1, 1), 2: (3, 7)}
 
 
 @pytest.fixture
@@ -236,11 +253,11 @@ def test_full_report_factors_each_matrix_once(lapack_calls, samples):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("n, with_j, calls", [(8, True, 9), (8, False, 7), (128, True, 9)])
+@pytest.mark.parametrize("n, with_j, calls", [(8, True, 8), (8, False, 6), (128, True, 8)])
 def test_full_report_call_counts_are_pinned(lapack_calls, n, with_j, calls, seed):
-    # P's SVD, the eigh of P + P*, i(P - P*), the anchored corner block and the
-    # sign-formula shift, the two corner SVDs, and with a J the eigh of its
-    # two diagonal blocks: every other decision is a bound that decides here
+    # P's SVD, the eigh of P + P*, i(P - P*) and the anchored corner block,
+    # the two corner SVDs, and with a J the eigh of its two diagonal blocks:
+    # every other decision is a bound that decides here
     rng = np.random.default_rng([seed, 2])
     p = kp.random_idempotent(n, n // 2, 2.0, rng)
     proj = kp.SymmetryFamily.J_PROJECTION
@@ -293,3 +310,87 @@ def test_member_assemblies_in_full_report_at_most_bound(monkeypatch, rank, seed)
     calls_bound, members_bound = ASSEMBLE_BOUNDS[rank]
     assert len(members) <= calls_bound
     assert sum(members) <= members_bound
+
+
+_PACKAGE = pathlib.Path(kp.__file__).resolve().parent
+_COUNTED = "kreinproj_counted_products"
+
+
+class _MatMulToCall(ast.NodeTransformer):
+    """Rewrite each ``a @ b`` as ``_matmul(a, b)``."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.MatMult):
+            return node
+        return ast.copy_location(ast.Call(ast.Name("_matmul", ast.Load()), [node.left, node.right], []), node)
+
+
+class _CountingLoader(importlib.machinery.SourceFileLoader):
+    """Load a module of the package with its products rewritten to call
+    ``matmul``, compiled from its source: no bytecode cache is read or written."""
+
+    def __init__(self, name, path, matmul):
+        super().__init__(name, path)
+        self.matmul = matmul
+
+    def get_code(self, fullname):
+        path = self.get_filename(fullname)
+        tree = ast.fix_missing_locations(_MatMulToCall().visit(ast.parse(self.get_data(path), path)))
+        return compile(tree, path, "exec", dont_inherit=True)
+
+    def exec_module(self, module):
+        module._matmul = self.matmul
+        super().exec_module(module)
+
+
+class _CountingFinder(importlib.abc.MetaPathFinder):
+    """Find the package's modules under the name ``_COUNTED``, each with a :class:`_CountingLoader`."""
+
+    def __init__(self, matmul):
+        self.matmul = matmul
+
+    def find_spec(self, name, path, target=None):
+        if name != _COUNTED and not name.startswith(_COUNTED + "."):
+            return None
+        sub = name[len(_COUNTED) + 1:]
+        source = str(_PACKAGE / (f"{sub}.py" if sub else "__init__.py"))
+        return importlib.util.spec_from_file_location(
+            name, source, loader=_CountingLoader(name, source, self.matmul),
+            submodule_search_locations=None if sub else [str(_PACKAGE)])
+
+
+@pytest.fixture
+def counted_products():
+    """A copy of the package whose products add their m k n to ``flops[0]``."""
+    flops = [0]
+
+    def matmul(a, b):
+        out = a @ b
+        flops[0] += np.size(out) * np.shape(a)[-1]
+        return out
+
+    finder = _CountingFinder(matmul)
+    sys.meta_path.insert(0, finder)
+    try:
+        package = importlib.import_module(_COUNTED)
+    finally:
+        sys.meta_path.remove(finder)
+        for name in [m for m in sys.modules if m == _COUNTED or m.startswith(_COUNTED + ".")]:
+            del sys.modules[name]
+    return package, flops
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_full_report_ambient_products_are_pinned(counted_products, seed):
+    counted, flops = counted_products
+    n = 128
+    rng = np.random.default_rng([seed, 2])
+    p = counted.random_idempotent(n, n // 2, 2.0, rng)
+    proj = counted.SymmetryFamily.J_PROJECTION
+    bf = counted.block_form(p)
+    j = counted.assemble_symmetry(bf, proj, counted.sample_params(bf, proj, 1, seed)[0])
+    flops[0] = 0
+    report = counted.full_report(p, j, samples=5)
+    assert report.passed and "classification" in report.subject
+    assert flops[0] / n**3 == PRODUCT_NCUBES

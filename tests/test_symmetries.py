@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import idempotent_cases, projector_onto
+from conftest import idempotent_cases, projector_onto, wide_corner_idempotents
 from kreinproj import (
     BlockForm,
     ConstraintViolated,
@@ -26,6 +28,7 @@ from kreinproj import (
     random_idempotent,
     sample_params,
     sign_formula_symmetry,
+    spectral_parts,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -267,6 +270,29 @@ def test_sign_formula_singular_shift():
     # cutoff can push the shift into the zero band
     with pytest.raises(SingularShift):
         sign_formula_symmetry(P2, Tolerances(rank_tol=2.0))
+
+
+def test_the_shift_is_judged_singular_at_its_own_scale():
+    # the shift of P2 has eigenvalues +-sqrt(2), so at its own scale
+    # max(1, max |w - 1|) = sqrt(2) it is singular from rank_tol = 1 on; at
+    # P + P*'s scale, 1 + sqrt(2), it would be from about 0.59 on
+    with pytest.raises(SingularShift, match=r"min \|eig\| = 1\.414e\+00"):
+        sign_formula_symmetry(P2, Tolerances(rank_tol=1.0))
+    sign_formula_symmetry(P2, Tolerances(rank_tol=0.99))
+
+
+def _shift_reference(p):
+    """The sign-function route with the shift P + P* - I diagonalized on its own."""
+    total = p + p.conj().T
+    return spectral_parts(total - np.eye(p.shape[0])).sign + 2 * spectral_parts(total).proj_kernel
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.one_of(wide_corner_idempotents(half=True),
+                   st.sampled_from([p for p, _, _ in idempotent_cases(40, seed=11)])))
+def test_sign_formula_matches_the_shift_diagonalized_on_its_own(p):
+    budget = Tolerances().residual_tol * max(1.0, np.linalg.norm(p, 2))
+    assert np.linalg.norm(sign_formula_symmetry(p) - _shift_reference(p)) <= budget
 
 
 def test_witnesses_rank_one_oblique():

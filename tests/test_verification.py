@@ -1345,6 +1345,20 @@ def test_extreme_margins_are_weyl_bounds_with_the_exact_verdict():
                     assert check.margin <= exact.margin + 8 * _EPS * frobenius(rel), (i, exact.name)
 
 
+def test_contr_min_reads_the_symmetry_residual_of_pos_min_bitwise():
+    # contr-min is built as -pos-min, so the report reads its -symmetry
+    # residual from pos-min's; that is bitwise the residual of contr-min itself
+    from kreinproj import extremal_symmetry
+    from kreinproj.verification import _symmetry_residuals
+
+    cases = [p for p, _, _ in idempotent_cases(12, seed=5)] + _wide_corner_cases()
+    for i, p in enumerate(cases):
+        checks = {c.name: c for c in full_report(p, samples=1).checks}
+        own = _symmetry_residuals(extremal_symmetry(p, ExtremalKind.CONTR_MIN)[np.newaxis])[0]
+        assert checks["extremal-contr-min-symmetry"].residual == own, i
+        assert checks["extremal-pos-min-symmetry"].residual == own, i
+
+
 @pytest.mark.parametrize("which", [k.value for k in ExtremalKind] + ["sign-formula"])
 def test_extremal_checks_refuse_a_non_idempotent_p(which):
     # a P that is not idempotent has no block form and so no model: like every
