@@ -23,13 +23,13 @@ from .errors import BadRank, DimensionMismatch, NotIdempotent, NotOrthonormal
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _hermitian_parts,
     _require_square,
     _within,
     as_matrix,
     frobenius,
     is_symmetry,
     rank_of,
-    spectral_parts,
 )
 
 __all__ = [
@@ -279,9 +279,9 @@ class _Factors:
 
     @functools.cached_property
     def sum_parts(self):
-        """``spectral_parts(P + P*)``, read by the sign-function route and
-        the spectral oracles of ``verification``."""
-        return spectral_parts(self.p + self.p.conj().T, self.tol)
+        """``spectral_parts(P + P*)``, read by the sign-function route and the spectral oracles
+        of ``verification``; P + P* is Hermitian by construction: fl(a + conj b) = conj fl(b + conj a)."""
+        return _hermitian_parts(self.p + self.p.conj().T, self.tol)
 
 
 def _complement_form(bf: BlockForm, q: np.ndarray) -> BlockForm:
@@ -413,12 +413,18 @@ def kernel_projections(f: _Factors):
 
 def haar_unitary(n: int, seed=0) -> np.ndarray:
     """Haar-distributed n x n unitary, deterministic in the seed."""
-    rng = as_rng(seed)
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    return _phase_fixed_q(_normals(n, as_rng(seed)))
+
+
+def _normals(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The n x n complex standard normals of :func:`haar_unitary` from ``rng``."""
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+
+
+def _phase_fixed_q(z) -> np.ndarray:
+    """The Q of the QR of ``z``, or of a stack by one ``qr`` (none if empty), fixed to give R a positive diagonal."""
+    q, r = np.linalg.qr(z) if z.size else (z, z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)[..., np.newaxis, :]
     phase = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
     return q * phase
 
@@ -476,6 +482,16 @@ def random_symmetry_on(basis, seed=0, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
 
 def _random_symmetry(k: int, rng: np.random.Generator) -> np.ndarray:
     """The k x k draw of :func:`random_symmetry_on` from ``rng``."""
-    q = haar_unitary(k, rng)
-    signs = rng.integers(0, 2, k) * 2 - 1
-    return (q * signs) @ q.conj().T
+    return _random_symmetries(*(x[np.newaxis] for x in _symmetry_draw(k, rng)))[0]
+
+
+def _symmetry_draw(k: int, rng: np.random.Generator):
+    """``(z, signs)``: what one k x k random symmetry draws from ``rng``, in this order."""
+    return _normals(k, rng), rng.integers(0, 2, k) * 2 - 1
+
+
+def _random_symmetries(z, signs) -> np.ndarray:
+    """The symmetries Q diag(signs) Q* of stacked draws of :func:`_symmetry_draw`, Q the
+    phase-fixed Q of z: one ``qr`` call, each member bitwise the one its draw gives alone."""
+    q = _phase_fixed_q(z)
+    return (q * signs[..., np.newaxis, :]) @ np.swapaxes(q.conj(), -1, -2)

@@ -85,7 +85,13 @@ def as_matrix(a) -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    """Frobenius norm; 0.0 for empty matrices."""
+    """Frobenius norm, 0.0 when empty; complex128 and float64 skip ``np.linalg.norm``'s dispatch, not its sum."""
+    a = np.asarray(a)
+    if a.dtype == np.complex128:
+        re, im = (a := a.ravel(order="K")).real, a.imag
+        return float(np.sqrt(re.dot(re) + im.dot(im)))
+    if a.dtype == np.float64:
+        return float(np.sqrt((a := a.ravel(order="K")).dot(a)))
     return float(np.linalg.norm(a))
 
 
@@ -145,8 +151,7 @@ def hermitian_eig(a, tol: Tolerances = DEFAULT_TOL):
         raise NotHermitian(
             f"asymmetry {asym:.3e} exceeds {tol.residual_tol * scale_of(a):.3e}"
         )
-    h = 0.5 * (a + a.conj().T)
-    w, q = np.linalg.eigh(h)
+    w, q = np.linalg.eigh(0.5 * (a + a.conj().T))
     return w[::-1].copy(), q[:, ::-1].copy()
 
 
@@ -192,9 +197,9 @@ class SpectralParts:
     the matrix; ``min_abs`` is the smallest ``|w|`` (+inf when empty) and
     ``singular`` whether it is in the kernel.  Each part, each projection
     and ``sign = q sign(w) q*`` is built the first time it is read and kept;
-    callers must not modify them.  ``positive_part - negative_part``
-    reconstructs the input and ``proj_positive + proj_negative +
-    proj_kernel`` is the identity.
+    callers must not modify them.  ``positive_part - negative_part`` reconstructs the input and
+    ``proj_positive + proj_negative + proj_kernel`` is the identity.  A matrix Hermitian by
+    construction gets its parts without the guard, by :func:`_hermitian_parts`.
     """
 
     def __init__(self, w, q, tol: Tolerances = DEFAULT_TOL):
@@ -235,6 +240,13 @@ def spectral_parts(a, tol: Tolerances = DEFAULT_TOL) -> SpectralParts:
     projections onto their ranges and onto the null space, from one
     :func:`hermitian_eig` (see :class:`SpectralParts`)."""
     return SpectralParts(*hermitian_eig(a, tol), tol)
+
+
+def _hermitian_parts(a, tol: Tolerances) -> SpectralParts:
+    """:func:`spectral_parts` of a complex ``a`` equal to its adjoint entry by entry,
+    unguarded: its asymmetry is exactly 0 and 0.5 (a + a*) is ``a`` unless 2a overflows."""
+    w, q = np.linalg.eigh(a)
+    return SpectralParts(w[::-1].copy(), q[:, ::-1].copy(), tol)
 
 
 def loewner_geq(a, b, tol: Tolerances = DEFAULT_TOL):

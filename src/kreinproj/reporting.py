@@ -63,6 +63,12 @@ def skipped_check(name, paper_ref, note) -> CheckResult:
     return CheckResult(name, paper_ref, 0.0, 0.0, 0.0, SKIPPED, note)
 
 
+def _renamed(checks, old: str, new: str, ref=None) -> list:
+    """``checks`` with each name's leading ``old`` made ``new``, and cited by ``ref`` if given."""
+    return [CheckResult(new + c.name[len(old):], ref or c.paper_ref, c.residual, c.margin, c.tolerance, c.status,
+                        c.note) for c in checks]
+
+
 @dataclasses.dataclass
 class Report:
     """Ordered collection of checks over one subject."""
@@ -85,8 +91,7 @@ class Report:
 
     def extend_prefixed(self, prefix: str, other: "Report"):
         """Absorb another report's checks under a name prefix."""
-        for c in other.checks:
-            self.checks.append(dataclasses.replace(c, name=f"{prefix}{c.name}"))
+        self.checks += _renamed(other.checks, "", prefix)
 
     def failures(self) -> list:
         return [c for c in self.checks if c.status == FAIL]

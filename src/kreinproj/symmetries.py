@@ -37,7 +37,8 @@ from .idempotents import (
     _Factors,
     _on_handle,
     _per_handle,
-    _random_symmetry,
+    _random_symmetries,
+    _symmetry_draw,
 )
 from .linalg import SpectralParts, as_matrix, frobenius, is_symmetry
 
@@ -155,13 +156,13 @@ def sample_params(bf: BlockForm, family: SymmetryFamily, count: int, seed=0) -> 
     null-space splittings ``bf.corner_split()``: the free part is a random
     symmetry on the null space, the forced part is a sign times the identity
     on its complement.  For the intertwining family the shared sign is drawn
-    uniformly.  Draws are independent (seeded per index), so ordering does
-    not matter.  ``count`` is an integer of at least 1 and ``seed`` a
-    nonnegative integer or None, else ``ValueError``.
+    uniformly.  Draws are independent (seeded per index), so ordering does not matter; the
+    free symmetries of a side are formed by one stacked QR (see :func:`_draws`).  ``count`` is
+    an integer of at least 1 and ``seed`` a nonnegative integer or None, else ``ValueError``.
     """
     family, count, seed = SymmetryFamily(family), _count(count, "count"), _seed(seed)
     split = bf.corner_split()
-    return [_params(bf, family, split, draw) for draw in _draws(bf, family, count, seed)]
+    return [_params(bf, family, split, draw) for draw in _draws(bf, family, np.random.SeedSequence(seed).spawn(count))]
 
 
 def _count(count, name) -> int:
@@ -186,22 +187,23 @@ def _seed(seed):
     return seed
 
 
-def _draws(bf: BlockForm, family: SymmetryFamily, count: int, seed) -> list:
+def _draws(bf: BlockForm, family: SymmetryFamily, children) -> list:
     """The seeded draws behind :func:`sample_params`, one ``(eps, s1, s2)`` per
-    member: the intertwining family's shared sign, and the free symmetries on
-    N(C*) and on N(C) in the coordinates of their bases; None where the family
-    has none."""
+    child of the seed: the intertwining family's shared sign, and the free symmetries on
+    N(C*) and on N(C) in the coordinates of their bases, None where the family has
+    none: each drawn, in order, from its child, and a side's formed by one QR."""
     u_null, _, v_null, _ = bf.corner_split()
     free1 = family is not SymmetryFamily.J_POSITIVE
     free2 = family is not SymmetryFamily.J_CONTRACTIVE
-    out = []
-    for child in np.random.SeedSequence(seed).spawn(count):
+    eps, sides = [], ([], [])
+    for child in children:
         rng = np.random.default_rng(child)
-        eps = (1.0 if rng.integers(0, 2) else -1.0) if free1 and free2 else None
-        s1 = _random_symmetry(u_null.shape[1], rng) if free1 else None
-        s2 = _random_symmetry(v_null.shape[1], rng) if free2 else None
-        out.append((eps, s1, s2))
-    return out
+        eps.append((1.0 if rng.integers(0, 2) else -1.0) if free1 and free2 else None)
+        for draws, null, free in zip(sides, (u_null, v_null), (free1, free2)):
+            if free:
+                draws.append(_symmetry_draw(null.shape[1], rng))
+    s1, s2 = (_random_symmetries(*map(np.stack, zip(*draws))) if draws else [None] * len(eps) for draws in sides)
+    return list(zip(eps, s1, s2))
 
 
 def _params(bf: BlockForm, family: SymmetryFamily, split, draw) -> SymmetryParams:

@@ -37,7 +37,6 @@ read the exact eigenvalues.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from typing import NamedTuple, Optional
@@ -55,6 +54,7 @@ from .linalg import (
     Tolerances,
     SpectralParts,
     _eig_range,
+    _hermitian_parts,
     _within,
     _loewner_diff,
     _range_scale,
@@ -64,13 +64,13 @@ from .linalg import (
     is_symmetry,
     min_eig,
     rank_cutoff,
-    spectral_parts,
     within_scaled,
 )
 from .reporting import (
     FAIL,
     CheckResult,
     Report,
+    _renamed,
     margin_check,
     matrix_digest,
     residual_check,
@@ -355,8 +355,8 @@ _KIND_REFS = {
 @_per_handle
 def _ker_diff(f: _Factors) -> np.ndarray:
     """The spectral oracle of the projection onto N(P - P*)."""
-    # i(P - P*) is Hermitian with the same null space as P - P*.
-    return spectral_parts(1j * (f.p - f.p.conj().T), f.tol).proj_kernel
+    # i(P - P*) has P - P*'s null space and is Hermitian by construction: fl(a - b) = -fl(b - a), times 1j
+    return _hermitian_parts(1j * (f.p - f.p.conj().T), f.tol).proj_kernel
 
 
 @_per_handle
@@ -556,11 +556,6 @@ def _extreme_checks(f: _Factors, kind: ExtremalKind) -> list:
         return _member_checks([f"extremal-{kind.value}"], _KIND_REFS[kind], f, j[np.newaxis], kind.family,
                               symmetry=symmetry)
     return extremal_checks.on(f, kind.value, j)
-
-
-def _renamed(checks, old: str, new: str, ref=None) -> list:
-    """``checks`` with each name's leading ``old`` made ``new``, and cited by ``ref`` if given."""
-    return [dataclasses.replace(c, name=new + c.name[len(old):], paper_ref=ref or c.paper_ref) for c in checks]
 
 
 def split_identity_residuals(split: dec.SplitResult, p) -> dict:
@@ -763,11 +758,11 @@ def _probe_checks(f: _Factors, family, samples, seed, prefix="") -> list:
         member += [margin_check(f"-{name}", ref, 0.0, tol.psd_tol) for name in ("above-min", "below-max")]
         return checks + [c for name in names for c in _renamed(member, "", name)]
     j_min, j_max = extremal_symmetry.on(f, kind_min), extremal_symmetry.on(f, kind_max)
-    draws = _draws(bf, family, samples, seed)
+    children = np.random.SeedSequence(seed).spawn(samples)
     stack = max(1, _STACK_BYTES // (np.dtype(np.complex128).itemsize * max(1, bf.dim) ** 2))
     for start in range(0, samples, stack):
         stop = min(start + stack, samples)
-        params = [_params(bf, family, split, draw) for draw in draws[start:stop]]
+        params = [_params(bf, family, split, draw) for draw in _draws(bf, family, children[start:stop])]
         j1, j2 = (np.stack(side) for side in zip(*params))
         free = null.conj().T @ (j1 if contr else j2) @ null
         checks += _member_checks(names[start:stop], ref, f, _assemble(bf, j1, j2), family, (j_min, j_max, free))
@@ -834,7 +829,7 @@ def _negative_part_checks(f: _Factors, run: _Run):
     """The closed-form negative projection against its spectral oracle."""
     tol, bf = f.tol, f.bf
     formula = dec._negative_part_formula(bf._corner_svd, tol)
-    oracle = spectral_parts(dec.anchored_block(bf.corner), tol)
+    oracle = _hermitian_parts(dec.anchored_block(bf.corner), tol)  # its lower block is written as B*
     yield residual_check(
         "negative-part-closed-form", "Lemma 1",
         frobenius(formula - oracle.proj_negative), tol.residual_tol * oracle.scale,

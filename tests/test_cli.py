@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import glob
+import hashlib
 import json
 import math
 import os
@@ -348,6 +349,19 @@ def test_verify_glob_merges_cases(tmp_path):
     assert failing == {"case2::idempotent"}
     passing_case0 = [c for c in doc["checks"] if c["name"].startswith("case0::")]
     assert passing_case0 and all(c["status"] != "fail" for c in passing_case0)
+
+
+def test_verify_glob_merged_report_bytes_are_pinned(tmp_path):
+    # the merged report renames every case's checks by its stem: any change to
+    # a name, a value or a probe draw changes its bytes
+    write_matrix(tmp_path / "case0.json", P2)
+    write_matrix(tmp_path / "case1.json", np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+    write_matrix(tmp_path / "case2.json", np.array([[1.0, 1.0], [0.0, 0.5]]))
+    out = tmp_path / "merged.json"
+    assert main(["verify", "--glob", str(tmp_path / "case*.json"), "--samples", "3", "--seed", "0",
+                 "--out", str(out)]) == 1
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "418280f48507f458ebb38880fcb384f402bdd313c9ef49bfe86d485c0c285c61"
 
 
 def test_verify_rejects_non_finite_tolerances_before_writing(tmp_path, capsys):

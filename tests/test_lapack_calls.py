@@ -75,7 +75,12 @@ pos-min, contr-min is pos-min negated, each greatest element is its
 family's least, and the probes assemble nothing; P's block-form round trip
 multiplies out its zero and identity blocks without ``assemble``.  At rank
 2, N(C) has dimension 4, so pos-max and the five positive probe samples
-(one stacked call) are assembled too.
+(one stacked call) are assembled too.  ``QR_CALLS`` pins the ``qr`` calls
+that draw random symmetries: a probe's samples take one stacked QR per
+free side of positive dimension and per stack of samples it certifies
+(``verification._STACK_BYTES``), so that report makes one, for the
+positive family, or three with stacks of two members; ``sample_params``
+makes one per such side whatever the count.
 """
 
 import ast
@@ -131,6 +136,9 @@ SQUARE_BOUNDS = {"svd": 1, "eigh": 3, "eigvalsh": 0}
 PRODUCT_NCUBES = 71.125
 # (calls, members) of BlockForm.assemble in one full_report(samples=5) at n = 8, by rank
 ASSEMBLE_BOUNDS = {4: (1, 1), 2: (3, 7)}
+# qr calls of one full_report(samples=5) at n = 8, rank 2, with its own stacks and with stacks of two
+# members, and of sample_params(bf, family, 20, 0) there
+QR_CALLS = {"full_report": 1, "full_report_two_per_stack": 3, "projection": 1, "positive": 1, "contractive": 0}
 
 
 @pytest.fixture
@@ -310,6 +318,25 @@ def test_member_assemblies_in_full_report_at_most_bound(monkeypatch, rank, seed)
     calls_bound, members_bound = ASSEMBLE_BOUNDS[rank]
     assert len(members) <= calls_bound
     assert sum(members) <= members_bound
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("what", sorted(QR_CALLS))
+def test_qr_calls_are_pinned(monkeypatch, what, seed):
+    # at rank 2 the corner is 2 x 6: N(C*) is empty and N(C) has dimension 4,
+    # so the contractive probe draws nothing and the positive probe's samples take one QR a stack
+    p = kp.random_idempotent(8, 2, 2.0, np.random.default_rng([seed, 4]))
+    bf = kp.block_form(p)
+    assert [m.shape[1] for m in bf.corner_split()] == [0, 2, 4, 2]
+    calls, real = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or real(a))
+    if what.startswith("full_report"):
+        if what == "full_report_two_per_stack":
+            monkeypatch.setattr(kp.verification, "_STACK_BYTES", 2 * 16 * 8 * 8)
+        kp.full_report(p, samples=5)
+    else:
+        assert len(kp.sample_params(bf, what, 20, 0)) == 20
+    assert len(calls) == QR_CALLS[what]
 
 
 _PACKAGE = pathlib.Path(kp.__file__).resolve().parent

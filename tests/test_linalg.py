@@ -7,19 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex, random_hermitian
+from conftest import idempotent_cases, random_complex, random_hermitian, wide_corner_idempotents
 from kreinproj import (
     DimensionMismatch,
     NonFinite,
     NotHermitian,
     Tolerances,
+    block_form,
     haar_unitary,
     hermitian_eig,
     is_symmetry,
     loewner_geq,
     spectral_parts,
 )
-from kreinproj.linalg import scale_of, within_scaled
+from kreinproj.decompositions import anchored_block
+from kreinproj.linalg import _hermitian_parts, as_matrix, frobenius, scale_of, within_scaled
 
 SQRT2 = math.sqrt(2.0)
 
@@ -261,3 +263,62 @@ def test_spectral_parts_scale_is_the_spectral_norm(kind, n, seed, k):
     norm = np.linalg.norm(a, 2) if a.size else 0.0
     scale = spectral_parts(a).scale
     assert abs(scale - max(1.0, norm)) <= 8 * max(1, a.shape[0]) * np.finfo(float).eps * norm
+
+
+def _oracle_matrices(p):
+    """The three matrices the report diagonalizes unguarded: P + P*, i(P - P*)
+    and the anchored block [[I, C], [C*, 0]] of P's corner C."""
+    p = as_matrix(p)
+    return {"sum": p + p.conj().T, "diff": 1j * (p - p.conj().T), "anchored": anchored_block(block_form(p).corner)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([case[0] for case in idempotent_cases(24, seed=3)]),
+                 wide_corner_idempotents(half=True)))
+def test_the_oracles_are_hermitian_by_construction(p):
+    # equal to their adjoints entry by entry, so the guard is skipped, and the
+    # unguarded parts are bitwise those of the guarded spectral_parts
+    for name, a in _oracle_matrices(p).items():
+        assert np.array_equal(a, a.conj().T), name
+        got, want = _hermitian_parts(a, Tolerances()), spectral_parts(a)
+        assert got.w.tobytes() == want.w.tobytes() and got.q.tobytes() == want.q.tobytes(), name
+        assert (got.scale, got.min_abs, got.singular) == (want.scale, want.min_abs, want.singular), name
+
+
+def test_spectral_parts_still_guards_its_input():
+    a = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(NotHermitian):
+        spectral_parts(a)
+    with pytest.raises(NotHermitian):
+        spectral_parts(np.diag([1.0 + 1e-6j, 2.0]))  # nor is a complex diagonal
+
+
+def _frobenius_inputs():
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    out = []
+    for a in (c, c.real.copy()):
+        out += [a, np.asfortranarray(a), a.T, a[::2, 1::3], a[1:, ::-1], a.reshape(-1)]
+    out += list(stack) + list(stack.real) + [stack[:, 1], stack.transpose(0, 2, 1)[2]]
+    out += [np.zeros((0, 0), dtype=complex), np.zeros((3, 0)), np.zeros((0,), dtype=complex)]
+    out += [np.array([[1e150, 1e-300j]]), np.array([[3.0, -4.0]])]
+    return out
+
+
+def test_frobenius_is_bitwise_numpys_norm(monkeypatch):
+    # complex128 and float64 in any order or stride take their own route,
+    # any other dtype numpy's, and every value is bitwise np.linalg.norm's
+    inputs = _frobenius_inputs()
+    assert {a.dtype for a in inputs} == {np.dtype(complex), np.dtype(float)}
+    for a in inputs:
+        assert np.float64(frobenius(a)).tobytes() == np.float64(np.linalg.norm(a)).tobytes()
+    calls, real = [], np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda a: calls.append(a.dtype) or real(a))
+    for a in inputs:
+        frobenius(a)
+    assert calls == []
+    others = [np.arange(6).reshape(2, 3), np.ones((2, 2), dtype=np.float32), np.ones(3, dtype=np.complex64)]
+    for a in others:
+        assert frobenius(a) == float(real(a))
+    assert calls == [a.dtype for a in others]

@@ -1,6 +1,7 @@
 """Family assembly, admissible-parameter sampling, and the extreme symmetries."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import idempotent_cases, projector_onto, wide_corner_idempotents
+from conftest import idempotent_cases, projector_onto, structured_idempotent, wide_corner_idempotents
 from kreinproj import (
     BlockForm,
     ConstraintViolated,
@@ -330,3 +331,81 @@ def test_no_sampled_member_dominates_both_witnesses():
             lo_b = np.linalg.eigvalsh(0.5 * ((j - j_b) + (j - j_b).conj().T))[0]
             assert min(lo_a, lo_b) < -1e-6
 
+
+
+def _one_symmetry(k, rng):
+    # one k x k random symmetry drawn and formed alone: a phase-fixed Haar Q
+    # from its own QR, then k signs
+    q = np.zeros((0, 0), dtype=np.complex128)
+    if k:
+        z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        q = q * np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
+    signs = rng.integers(0, 2, k) * 2 - 1
+    return (q * signs) @ q.conj().T
+
+
+def _reference_draws(bf, family, count, seed):
+    # the draws of symmetries._draws member by member, each side's symmetry formed alone
+    u_null, _, v_null, _ = bf.corner_split()
+    free1 = family is not SymmetryFamily.J_POSITIVE
+    free2 = family is not SymmetryFamily.J_CONTRACTIVE
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(count):
+        rng = np.random.default_rng(child)
+        eps = (1.0 if rng.integers(0, 2) else -1.0) if free1 and free2 else None
+        s1 = _one_symmetry(u_null.shape[1], rng) if free1 else None
+        s2 = _one_symmetry(v_null.shape[1], rng) if free2 else None
+        out.append((eps, s1, s2))
+    return out
+
+
+def _rank_one_corner_form(k1, k2):
+    # identity bases and an r x c corner of rank one: N(C*) has dimension k1, N(C) k2
+    r, c = k1 + 1, k2 + 1
+    eye = np.eye(r + c, dtype=np.complex128)
+    corner = np.zeros((r, c), dtype=np.complex128)
+    corner[0, 0] = 1.5
+    return BlockForm(basis_range=eye[:, :r], basis_perp=eye[:, r:], corner=corner)
+
+
+@pytest.mark.parametrize("family", list(SymmetryFamily))
+@pytest.mark.parametrize("count", [1, 5, 20])
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 13])
+def test_stacked_draws_are_bitwise_the_draws_made_one_by_one(k, count, family):
+    from kreinproj.symmetries import _draws
+
+    bf = _rank_one_corner_form(k, k + 1)
+    assert (bf.corner_split()[0].shape[1], bf.corner_split()[2].shape[1]) == (k, k + 1)
+    for seed in (0, 3):
+        got = _draws(bf, family, np.random.SeedSequence(seed).spawn(count))
+        want = _reference_draws(bf, family, count, seed)
+        assert len(got) == len(want) == count
+        for draw, ref in zip(got, want):
+            assert draw[0] == ref[0]
+            for s, s_ref in zip(draw[1:], ref[1:]):
+                assert (s is None) == (s_ref is None)
+                if s is not None:
+                    assert s.dtype == s_ref.dtype and s.shape == s_ref.shape
+                    assert s.tobytes() == s_ref.tobytes()
+
+
+_PINNED_CORNER = np.outer([1.0, 2.0, 0.0], [1.0, 0.0, 1.0, 0.0, 1.0])  # rank one: k = 2 and 4
+_PINNED_PARAMS = {
+    SymmetryFamily.J_PROJECTION: "c92b50347a29a08837f691b722be9b7951e7ffd782a7a5d4e732f8fed4b7dfe9",
+    SymmetryFamily.J_POSITIVE: "5b8be71e2927c98ff40dc98130461c934a9809cf40a00e4d26c51579017b5a4d",
+    SymmetryFamily.J_CONTRACTIVE: "312ecc185703af2b85510551e96aae2b1fb74563b60c8a3218076eb4ff5acb6a",
+}
+
+
+@pytest.mark.parametrize("family", list(SymmetryFamily))
+def test_sample_params_bytes_are_pinned(family):
+    # any change to a draw, its order or how a symmetry is formed from it shows up here
+    bf = block_form(structured_idempotent(8, 3, _PINNED_CORNER, 7))
+    assert [m.shape[1] for m in bf.corner_split()] == [2, 1, 4, 1]
+    digest = hashlib.sha256()
+    for params in sample_params(bf, family, 5, 11):
+        digest.update(params.on_range.tobytes())
+        digest.update(params.on_perp.tobytes())
+    assert digest.hexdigest() == _PINNED_PARAMS[family]

@@ -1214,8 +1214,8 @@ def test_a_probe_with_no_free_part_draws_nothing(monkeypatch):
 
     p = random_idempotent(6, 3, 2.0, seed=1)
     assert block_form(p).corner_split()[0].shape[1] == 0
-    calls, real = [], symmetries._random_symmetry
-    monkeypatch.setattr(symmetries, "_random_symmetry", lambda k, rng: calls.append(k) or real(k, rng))
+    calls, real = [], symmetries._random_symmetries
+    monkeypatch.setattr(symmetries, "_random_symmetries", lambda z, signs: calls.append(z.shape) or real(z, signs))
     first = []
     for samples in (1, 6):
         calls.clear()
