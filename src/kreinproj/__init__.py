@@ -22,8 +22,6 @@ from .errors import (
     NotOrthonormal,
     NotSymmetry,
     NotSymmetryParam,
-    SingularBlock,
-    SingularShift,
 )
 from .linalg import (
     DEFAULT_TOL,

@@ -8,7 +8,7 @@ and writes a machine-readable report.  Each subcommand builds by one route,
 and every check it runs is one of ``verification``'s.
 
 Exit codes: 0 pass, 1 check failure, 2 usage or bad input (a P that is not
-idempotent too), 3 I/O failure, 4 singular shift, 5 a J not admissible for P.
+idempotent too), 3 I/O failure, 5 a J not admissible for P.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ import os
 import sys
 
 from . import decompositions as dec
-from .errors import (
-    FileFormatError,
-    KreinProjError,
-    NotJProjection,
-    SingularBlock,
-    SingularShift,
-)
+from .errors import FileFormatError, KreinProjError, NotJProjection
 from .idempotents import _handle, random_idempotent
 from .linalg import DEFAULT_TOL, Tolerances
 from .matrixio import read_matrix, write_matrix, write_report
@@ -41,7 +35,6 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_SINGULAR_SHIFT = 4
 EXIT_NOT_J_PROJECTION = 5
 
 
@@ -265,10 +258,7 @@ def main(argv=None) -> int:
     except (FileFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except SingularShift as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SINGULAR_SHIFT
-    except (NotJProjection, SingularBlock) as e:
+    except NotJProjection as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_J_PROJECTION
     except (KreinProjError, ValueError) as e:

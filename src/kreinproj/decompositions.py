@@ -16,7 +16,7 @@ import enum
 
 import numpy as np
 
-from .errors import NotJProjection, SingularBlock
+from .errors import NotJProjection
 from .idempotents import CornerFunctions, _corner_split, _Factors, _full_svd, _on_handle, _per_handle
 from .linalg import (
     DEFAULT_TOL,
@@ -26,7 +26,7 @@ from .linalg import (
     spectral_parts,
     within_scaled,
 )
-from .symmetries import SymmetryFamily, assemble_symmetry
+from .symmetries import _assemble
 
 __all__ = [
     "SplitKind",
@@ -104,29 +104,18 @@ def extract_params(f: _Factors, j):
 
     Reads the diagonal blocks of J in block-form coordinates and normalizes
     each through the matrix sign function (block J11 becomes
-    ``J11 (J11^2)^(-1/2)``).  The pair is verified by reassembly; inputs
-    outside the admissible family raise ``NotJProjection``, numerically
-    singular diagonal blocks raise ``SingularBlock``.  Both splits of a
-    report read one extraction, kept on the handle of P.
+    ``J11 (J11^2)^(-1/2)``).  No singularity decision is made: the blocks
+    are J1 T^(-1) and J2 S^(-1), whose eigenvalues are +-1/sqrt(1 + sigma^2).
+    The pair is verified by reassembly; inputs outside the admissible family
+    raise ``NotJProjection``.  Both splits of a report read one extraction,
+    kept on the handle of P.
     """
     bf, tol = f.bf, f.tol
     jpj_res = _intertwining_gap(f, j)
     if jpj_res > tol.residual_tol * f.sp:
         raise NotJProjection(f"J P J differs from P* by {jpj_res:.3e}")
-    j11 = bf.basis_range.conj().T @ j @ bf.basis_range
-    j22 = bf.basis_perp.conj().T @ j @ bf.basis_perp
-    params = []
-    for name, blockm in (("range", j11), ("perp", j22)):
-        parts = spectral_parts(blockm, tol)
-        if parts.singular:
-            raise SingularBlock(
-                f"diagonal {name} block is numerically singular "
-                f"(min |eig| = {parts.min_abs:.3e})"
-            )
-        params.append(parts.sign)
-    j1, j2 = params
-    rebuilt = assemble_symmetry(bf, SymmetryFamily.J_PROJECTION, (j1, j2))
-    if not within_scaled(frobenius(rebuilt - j), tol.residual_tol, j):
+    j1, j2 = (spectral_parts(w.conj().T @ j @ w, tol).sign for w in (bf.basis_range, bf.basis_perp))
+    if not within_scaled(frobenius(_assemble(bf, j1, j2) - j), tol.residual_tol, j):
         raise NotJProjection("J is not in the admissible block-parameterized family")
     return j1, j2
 

@@ -49,13 +49,5 @@ class NotJProjection(KreinProjError):
     """Raised when the pair (P, J) does not satisfy J P J = P* within tolerance."""
 
 
-class SingularShift(KreinProjError):
-    """Raised when P + P* - I is numerically singular and its sign is undefined."""
-
-
-class SingularBlock(KreinProjError):
-    """Raised when a diagonal block that must be invertible is numerically singular."""
-
-
 class FileFormatError(KreinProjError):
     """Raised when a matrix or report file does not match the expected schema."""

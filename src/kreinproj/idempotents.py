@@ -28,6 +28,7 @@ from .linalg import (
     _within,
     as_matrix,
     frobenius,
+    idempotent_rank,
     is_symmetry,
     rank_of,
 )
@@ -233,9 +234,10 @@ class _Factors:
     def _svd(self):
         """``(s, basis_range, basis_perp)`` from the one SVD of P: its singular
         values, read by ``sp``, and its left singular vectors split at the
-        rank of P, with column phases canonicalized, read by ``bf``."""
+        rank of P (:func:`~kreinproj.linalg.idempotent_rank`), with column
+        phases canonicalized, read by ``bf``."""
         u, s, _ = np.linalg.svd(self.p)
-        r = rank_of(s, self.tol)
+        r = idempotent_rank(s, self.tol)
         return s, _canonical_phases(u[:, :r]), _canonical_phases(u[:, r:])
 
     @functools.cached_property

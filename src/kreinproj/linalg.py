@@ -39,6 +39,7 @@ __all__ = [
     "min_eig",
     "rank_of",
     "rank_cutoff",
+    "idempotent_rank",
 ]
 
 
@@ -187,6 +188,14 @@ def rank_cutoff(s, tol: Tolerances = DEFAULT_TOL) -> float:
     return tol.rank_tol * max([1.0, *s[:1]])
 
 
+def idempotent_rank(s, tol: Tolerances = DEFAULT_TOL) -> int:
+    """The rank of an idempotent with the descending singular values ``s``: how
+    many lie above ``min(1/2, rank_cutoff(s, tol))``.  Each nonzero singular
+    value of an idempotent is at least 1, since P P* = W diag(I + C C*, 0) W*,
+    so the gap below 1 decides the rank where the scaled cutoff would drop one."""
+    return int(np.count_nonzero(s > min(0.5, rank_cutoff(s, tol))))
+
+
 class SpectralParts:
     """Positive/negative parts of a Hermitian matrix with the three
     orthogonal projections onto their ranges and onto the kernel, from its
@@ -194,10 +203,9 @@ class SpectralParts:
 
     Eigenvalues inside ``[-rank_tol * scale, rank_tol * scale]`` are assigned
     to the kernel, where ``scale = max(1, max |w|)`` is the tolerance scale of
-    the matrix; ``min_abs`` is the smallest ``|w|`` (+inf when empty) and
-    ``singular`` whether it is in the kernel.  Each part, each projection
-    and ``sign = q sign(w) q*`` is built the first time it is read and kept;
-    callers must not modify them.  ``positive_part - negative_part`` reconstructs the input and
+    the matrix.  Each part, each projection and ``sign = q sign(w) q*`` is
+    built the first time it is read and kept; callers must not modify them.
+    ``positive_part - negative_part`` reconstructs the input and
     ``proj_positive + proj_negative + proj_kernel`` is the identity.  A matrix Hermitian by
     construction gets its parts without the guard, by :func:`_hermitian_parts`.
     """
@@ -205,9 +213,7 @@ class SpectralParts:
     def __init__(self, w, q, tol: Tolerances = DEFAULT_TOL):
         self.w, self.q = w, q
         self.scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
-        self.min_abs = float(np.min(np.abs(w), initial=np.inf))
         cutoff = tol.rank_tol * self.scale
-        self.singular = self.min_abs <= cutoff
         self._pos, self._neg = w > cutoff, w < -cutoff
         self._ker = ~(self._pos | self._neg)
 

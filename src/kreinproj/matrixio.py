@@ -329,10 +329,9 @@ def _matrix_chunks(m: np.ndarray):
     yield b"]}\n"
 
 
-def _numeric_row(row, cols: int):
-    """``row`` as a finite ``(cols, 2)`` int or float array, else None."""
-    if not isinstance(row, list) or len(row) != cols:
-        return None
+def _numeric_row(row: list, cols: int):
+    """``row``, a list of ``cols`` entries, as a finite ``(cols, 2)`` int or
+    float array, else None."""
     try:
         a = np.array(row)
     except (ValueError, TypeError, OverflowError):  # ragged or odd entries

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstraintViolated, NotSymmetryParam, SingularShift
+from .errors import ConstraintViolated, NotSymmetryParam
 from .idempotents import (
     BlockForm,
     _Factors,
@@ -161,8 +161,7 @@ def sample_params(bf: BlockForm, family: SymmetryFamily, count: int, seed=0) -> 
     an integer of at least 1 and ``seed`` a nonnegative integer or None, else ``ValueError``.
     """
     family, count, seed = SymmetryFamily(family), _count(count, "count"), _seed(seed)
-    split = bf.corner_split()
-    return [_params(bf, family, split, draw) for draw in _draws(bf, family, np.random.SeedSequence(seed).spawn(count))]
+    return [_params(bf, family, draw) for draw in _draws(bf, family, np.random.SeedSequence(seed).spawn(count))]
 
 
 def _count(count, name) -> int:
@@ -206,10 +205,10 @@ def _draws(bf: BlockForm, family: SymmetryFamily, children) -> list:
     return list(zip(eps, s1, s2))
 
 
-def _params(bf: BlockForm, family: SymmetryFamily, split, draw) -> SymmetryParams:
+def _params(bf: BlockForm, family: SymmetryFamily, draw) -> SymmetryParams:
     """The family parameters of one draw of :func:`_draws`, from the corner
-    bases ``split = bf.corner_split()``."""
-    u_null, u_range, v_null, v_range = split
+    bases ``bf.corner_split()``."""
+    u_null, u_range, v_null, v_range = bf.corner_split()
     eps, s1, s2 = draw
     r = bf.rank
     c = bf.dim - r
@@ -277,27 +276,20 @@ def sign_formula_symmetry(f: _Factors) -> np.ndarray:
         (P + P* - I) |P + P* - I|^(-1) + 2 proj(N(P + P*))
 
     The shift P + P* - I has the eigenvectors of P + P* with the
-    eigenvalues w - 1, so its spectral parts are read from the one
-    eigendecomposition of P + P* on the handle, which the kernel
-    projection reads too; the shift is not diagonalized on its own.
-    Requires the shift to be numerically invertible at its own scale
-    max(1, max |w - 1|), else ``SingularShift`` (for exactly idempotent P
-    the shift always dominates the identity in modulus, so this only
-    triggers on loose rank cutoffs or corrupted inputs).  Agreement with the
-    spectral pos-max and the kernel identity sign(shift) @ proj(N) =
-    -proj(N) are certified by the report checks
-    ``sign-formula-matches-pos-max`` and ``sign-formula-kernel-action``, see
+    eigenvalues w - 1, so its sign is read from the one eigendecomposition
+    of P + P* on the handle, which the kernel projection reads too; the
+    shift is not diagonalized on its own.  No singularity decision is made:
+    every eigenvalue of P + P* is >= 2 or <= 0 for an idempotent P, so the
+    shift's are at least 1 in modulus.  Agreement with the spectral pos-max
+    and the kernel identity sign(shift) @ proj(N) = -proj(N) are certified
+    by the report checks ``sign-formula-matches-pos-max`` and
+    ``sign-formula-kernel-action``, see
     :func:`kreinproj.verification.extremal_checks`; both compare sums over
     the eigenvectors of P + P*, and the independent route to pos-max is the
     block form's (``extremal-pos-max-block-route``).
     """
     a = f.sum_parts
-    shift = SpectralParts(a.w - 1.0, a.q, f.tol)
-    if shift.singular:
-        raise SingularShift(
-            f"P + P* - I is numerically singular: min |eig| = {shift.min_abs:.3e}"
-        )
-    return shift.sign + 2 * a.proj_kernel
+    return SpectralParts(a.w - 1.0, a.q, f.tol).sign + 2 * a.proj_kernel
 
 
 @_on_handle()

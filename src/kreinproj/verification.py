@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import decompositions as dec
-from .errors import DimensionMismatch, KreinProjError, NotSymmetry, SingularShift
+from .errors import DimensionMismatch, KreinProjError, NotSymmetry
 from .idempotents import (
     _corner_null_projections, _Factors, _handle, _null_projections, _on_handle, _per_handle, kernel_projections,
 )
@@ -750,9 +750,8 @@ def _probe_checks(f: _Factors, family, samples, seed, prefix="") -> list:
         checks += _renamed(_extreme_checks(f, kind)[1:], f"extremal-{kind.value}", prefix + label)
     ref = _FAMILY_REFS[family]
     names = [f"{prefix}sample-{i:03d}" for i in range(samples)]
-    split = bf.corner_split()
     contr = family is SymmetryFamily.J_CONTRACTIVE
-    null = split[0 if contr else 2]
+    null = bf.corner_split()[0 if contr else 2]
     if not null.shape[1]:
         member = _renamed(_extreme_checks(f, kind_min), f"extremal-{kind_min.value}", "", ref)
         member += [margin_check(f"-{name}", ref, 0.0, tol.psd_tol) for name in ("above-min", "below-max")]
@@ -762,7 +761,7 @@ def _probe_checks(f: _Factors, family, samples, seed, prefix="") -> list:
     stack = max(1, _STACK_BYTES // (np.dtype(np.complex128).itemsize * max(1, bf.dim) ** 2))
     for start in range(0, samples, stack):
         stop = min(start + stack, samples)
-        params = [_params(bf, family, split, draw) for draw in _draws(bf, family, children[start:stop])]
+        params = [_params(bf, family, draw) for draw in _draws(bf, family, children[start:stop])]
         j1, j2 = (np.stack(side) for side in zip(*params))
         free = null.conj().T @ (j1 if contr else j2) @ null
         checks += _member_checks(names[start:stop], ref, f, _assemble(bf, j1, j2), family, (j_min, j_max, free))
@@ -790,14 +789,11 @@ def _failed(name, ref, exc) -> CheckResult:
 
 
 def _run_group(name, ref, body, *args) -> list:
-    """The checks ``body(*args)`` yields, ended by a failed check ``name`` if it
-    raises, or by a skipped one if the sign-formula shift is singular."""
+    """The checks ``body(*args)`` yields, ended by a failed check ``name`` if it raises."""
     checks = []
     try:
         for check in body(*args):
             checks.append(check)
-    except SingularShift as e:
-        checks.append(skipped_check(name, ref, str(e)))
     except (KreinProjError, ValueError) as e:
         checks.append(_failed(name, ref, e))
     return checks

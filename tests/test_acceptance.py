@@ -461,11 +461,13 @@ def test_cli_contract(tmp_path):
         # exit 3: I/O failure
         assert main(["verify", str(tmp_path / "missing.json")]) == 3
 
-        # exit 4: singular shift under a loose rank cutoff
+        # exit 1 too: no singularity decision is made on the sign formula's
+        # shift, so a loose rank cutoff fails its checks and writes nothing
         p2_path = tmp_path / "P2.json"
         write_matrix(p2_path, P2)
         assert main(["extremal", str(p2_path), "--which", "sign-formula",
-                     "--tol-rank", "2.0", "-o", str(tmp_path / "y.json")]) == 4
+                     "--tol-rank", "2.0", "-o", str(tmp_path / "y.json")]) == 1
+        assert not (tmp_path / "y.json").exists()
 
         # exit 5: not an admissible pair
         eye_path = tmp_path / "I.json"

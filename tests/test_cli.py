@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -59,6 +60,7 @@ def test_gen_usage_errors(tmp_path):
     assert main(["gen", "symmetry-for", "-o", str(tmp_path / "x.json")]) == 2
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
+    assert main(["verify"]) == 2  # neither a matrix file nor --glob
 
 
 def test_gen_idempotent_rejects_a_non_finite_corner_scale(tmp_path, capsys):
@@ -171,14 +173,16 @@ def test_extremal_sign_formula_cross_path(tmp_path):
     assert np.linalg.norm(read_matrix(a) - read_matrix(b)) <= 1e-12
 
 
-def test_extremal_singular_shift_exit(tmp_path):
-    # an exact idempotent has |P+P*-I| >= I; a huge rank cutoff forces the
-    # singular-shift path
-    p_path = tmp_path / "P.json"
+def test_extremal_sign_formula_under_a_loose_rank_cutoff_fails_its_checks(tmp_path, capsys):
+    # no singularity decision is made on the shift: at rank_tol = 2 the kernel
+    # of P + P* swallows every eigenvalue, so the sign formula's result is off
+    # pos-max and off a symmetry; its checks fail and nothing is written
+    p_path, out = tmp_path / "P.json", tmp_path / "J.json"
     write_matrix(p_path, P2)
     code = main(["extremal", str(p_path), "--which", "sign-formula",
-                 "--tol-rank", "2.0", "-o", str(tmp_path / "J.json")])
-    assert code == 4
+                 "--tol-rank", "2.0", "-o", str(out)])
+    assert code == 1 and not out.exists()
+    assert "FAIL sign-formula-matches-pos-max " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("which", ["pos-max", "sign-formula"])
@@ -487,7 +491,7 @@ def test_empty_idempotent_verify_and_decompose_write_json(tmp_path, capsys):
 
 
 _GOLDENS = sorted(glob.glob(os.path.join(GOLDEN_DIR, "*.json")))
-_EXIT_CODES = {0, 1, 2, 3, 4, 5}  # README's exit table
+_EXIT_CODES = {0, 1, 2, 3, 5}  # README's exit table
 _EDITS = st.lists(
     st.tuples(st.sampled_from(["delete", "insert", "replace"]), st.integers(0, 10**6), st.binary(min_size=1, max_size=1)),
     min_size=1, max_size=3,
@@ -515,3 +519,14 @@ def test_cli_never_raises_on_a_mangled_file(tmp_path_factory, golden, edits):
         path.write_bytes(_mangled(fh.read(), edits))
     assert main(["extremal", str(path), "--which", "contr-max", "-o", str(tmp / "j.json")]) in _EXIT_CODES
     assert main(["verify", str(path), "--samples", "2", "--out", str(tmp / "r.json")]) in _EXIT_CODES
+
+
+def test_the_readme_lists_exactly_the_exit_codes():
+    # the table under "Exit codes:" names each EXIT_* value of the CLI once,
+    # so a retired code cannot linger in the docs
+    from kreinproj import cli
+
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        table = fh.read().split("Exit codes:", 1)[1].split("\n\n")[1]
+    listed = [int(m) for m in re.findall(r"^\| (\d+) +\|", table, flags=re.MULTILINE)]
+    assert sorted(listed) == sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))

@@ -12,7 +12,6 @@ from conftest import idempotent_cases, projector_onto, random_complex, wide_corn
 from kreinproj import (
     DimensionMismatch,
     NotJProjection,
-    SingularBlock,
     SplitKind,
     Tolerances,
     adjoint_similarity,
@@ -133,9 +132,18 @@ def test_extract_params_rejections():
         extract_params(P2, np.eye(2))  # J P J = P differs from P*
     with pytest.raises(NotJProjection):
         extract_params(P2, np.diag([1.0, 0.5]))  # not a symmetry
-    with pytest.raises(SingularBlock):
-        # loose rank cutoff swallows the 1/sqrt(2) diagonal blocks
-        extract_params(P2, HADAMARD, Tolerances(rank_tol=0.8))
+    with pytest.raises(NotJProjection, match="admissible block-parameterized family"):
+        # the gap passes its loose budget; the rebuild from the blocks' signs
+        # (1, 1) is off J = I by 1.08 > 1
+        extract_params(P2, np.eye(2), Tolerances(residual_tol=1.0))
+
+
+def test_extract_params_makes_no_singularity_decision():
+    # a rank cutoff of 0.8 would swallow the 1/sqrt(2) diagonal blocks; their
+    # signs are read off all the same
+    j1, j2 = extract_params(P2, HADAMARD, Tolerances(rank_tol=0.8))
+    np.testing.assert_array_equal(j1, [[1.0]])
+    np.testing.assert_array_equal(j2, [[-1.0]])
 
 
 def test_contractive_expansive_split_hand_cases():

@@ -276,6 +276,8 @@ def test_random_idempotent_contract():
         random_idempotent(3, 4, 1.0, seed=0)
     with pytest.raises(BadRank):
         random_idempotent(3, -1, 1.0, seed=0)
+    with pytest.raises(BadRank, match="corner_scale must be nonnegative, got -1.0"):
+        random_idempotent(4, 2, -1.0)
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])

@@ -133,7 +133,7 @@ HANDLE_BOUNDS = {
 }
 SQUARE_BOUNDS = {"svd": 1, "eigh": 3, "eigvalsh": 0}
 # flops of the ambient products of one full_report(p, j, samples=5) at n = 128, rank 64, over n^3
-PRODUCT_NCUBES = 71.125
+PRODUCT_NCUBES = 70.625
 # (calls, members) of BlockForm.assemble in one full_report(samples=5) at n = 8, by rank
 ASSEMBLE_BOUNDS = {4: (1, 1), 2: (3, 7)}
 # qr calls of one full_report(samples=5) at n = 8, rank 2, with its own stacks and with stacks of two

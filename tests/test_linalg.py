@@ -282,7 +282,7 @@ def test_the_oracles_are_hermitian_by_construction(p):
         assert np.array_equal(a, a.conj().T), name
         got, want = _hermitian_parts(a, Tolerances()), spectral_parts(a)
         assert got.w.tobytes() == want.w.tobytes() and got.q.tobytes() == want.q.tobytes(), name
-        assert (got.scale, got.min_abs, got.singular) == (want.scale, want.min_abs, want.singular), name
+        assert got.scale == want.scale, name
 
 
 def test_spectral_parts_still_guards_its_input():

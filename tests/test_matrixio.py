@@ -91,6 +91,8 @@ def test_render_json_rejects_non_finite():
         render_json(math.inf)
     with pytest.raises(FileFormatError):
         render_json(float("nan"))
+    with pytest.raises(FileFormatError, match="cannot serialize value of type set"):
+        render_json({1})
 
 
 def test_matrix_doc_round_trip():
@@ -121,6 +123,26 @@ def test_write_is_atomic_and_parseable(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["rows"] == 2
     np.testing.assert_array_equal(read_matrix(path), np.eye(2))
+
+
+@pytest.mark.parametrize("m, message", [
+    (np.zeros((2, 2, 2)), "matrix documents require a 2-D array"),
+    (np.array([[1.0, np.nan]]), "matrix contains non-finite entries"),
+])
+def test_write_matrix_refuses_what_it_cannot_write(tmp_path, m, message):
+    with pytest.raises(FileFormatError, match=message):
+        write_matrix(tmp_path / "m.json", m)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    # the temporary file is made beside the target, and a replace that fails
+    # removes it and raises
+    target = tmp_path / "m.json"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_matrix(target, np.eye(2))
+    assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=oct)

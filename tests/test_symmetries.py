@@ -15,7 +15,6 @@ from kreinproj import (
     ConstraintViolated,
     ExtremalKind,
     NotSymmetryParam,
-    SingularShift,
     SymmetryFamily,
     Tolerances,
     assemble_symmetry,
@@ -73,6 +72,9 @@ def test_assemble_rejects_bad_params():
         assemble_symmetry(bf, SymmetryFamily.J_PROJECTION, (np.eye(1), np.eye(1)))
     with pytest.raises(NotSymmetryParam):
         assemble_symmetry(bf, SymmetryFamily.J_PROJECTION, (np.eye(2), np.eye(1)))
+    # (-I, -I) meets the contractive constraint J1 C + C = 0 on its range side
+    with pytest.raises(ConstraintViolated, match="contractive family fixes the perp-side parameter to I"):
+        assemble_symmetry(bf, SymmetryFamily.J_CONTRACTIVE, (-np.eye(1), -np.eye(1)))
 
 
 def test_sample_contractive_singleton_family():
@@ -266,20 +268,14 @@ def test_sign_formula_examples():
     )
 
 
-def test_sign_formula_singular_shift():
-    # exactly idempotent inputs keep |P+P*-I| >= I, so only a loose rank
-    # cutoff can push the shift into the zero band
-    with pytest.raises(SingularShift):
-        sign_formula_symmetry(P2, Tolerances(rank_tol=2.0))
-
-
-def test_the_shift_is_judged_singular_at_its_own_scale():
-    # the shift of P2 has eigenvalues +-sqrt(2), so at its own scale
-    # max(1, max |w - 1|) = sqrt(2) it is singular from rank_tol = 1 on; at
-    # P + P*'s scale, 1 + sqrt(2), it would be from about 0.59 on
-    with pytest.raises(SingularShift, match=r"min \|eig\| = 1\.414e\+00"):
-        sign_formula_symmetry(P2, Tolerances(rank_tol=1.0))
-    sign_formula_symmetry(P2, Tolerances(rank_tol=0.99))
+@pytest.mark.parametrize("rank_tol", [0.99, 1.0, 2.0])
+def test_the_sign_formula_makes_no_singularity_decision(rank_tol):
+    # the shift of P2 has eigenvalues +-sqrt(2): its sign is HADAMARD at every
+    # rank cutoff, even one that swallows them; the cutoff moves only the
+    # kernel projection of P + P*, and the report's checks judge the result
+    tol = Tolerances(rank_tol=rank_tol)
+    kernel = spectral_parts(P2 + P2.T, tol).proj_kernel
+    np.testing.assert_allclose(sign_formula_symmetry(P2, tol) - 2 * kernel, HADAMARD, atol=1e-12)
 
 
 def _shift_reference(p):

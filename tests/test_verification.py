@@ -392,7 +392,7 @@ def test_a_relation_bound_that_does_not_decide_takes_the_exact_eigenvalue(monkey
     # cannot be extracted, leave each verdict to the exact range of its
     # relation: one eigvalsh each of J P, J - P* J P and J (I - P), with the
     # verdicts and the biconditional of the exact route
-    from kreinproj import SingularBlock, verification
+    from kreinproj import NotJProjection, verification
     from kreinproj import decompositions as dec
 
     p = random_idempotent(7, 3, 2.0, seed=5)
@@ -404,7 +404,7 @@ def test_a_relation_bound_that_does_not_decide_takes_the_exact_eigenvalue(monkey
         return (lo[0] - 1e6, lo[1] + 1e6), (hi[0] - 1e6, hi[1] + 1e6)
 
     def unextracted(f, j):
-        raise SingularBlock("diagonal range block is numerically singular")
+        raise NotJProjection("J is not in the admissible block-parameterized family")
 
     if undecided == "widened-bounds":
         monkeypatch.setattr(verification, "_model_bounds", widened)
@@ -1117,18 +1117,16 @@ def _parameter_checks(monkeypatch) -> list:
     return calls
 
 
-def test_parameter_checks_run_only_on_the_callers_parameters(monkeypatch):
+def test_a_report_runs_no_parameter_checks(monkeypatch):
     # the members and extremes a report builds from parameters it draws or
-    # constructs are certified by the report's checks; the parameter checks
-    # run only where extract_params rebuilds the caller's J, once, from P: I - P's
-    # parameters are (J2, J1), read off P's
+    # constructs are certified by the report's checks, and extract_params
+    # rebuilds the caller's J unchecked and compares the rebuild with J; so
+    # the parameter checks of assemble_symmetry run in no report
     proj = SymmetryFamily.J_PROJECTION
     bf = block_form(_RECTANGULAR)
     j = assemble_symmetry(bf, proj, sample_params(bf, proj, 1, 1)[0])
     calls = _parameter_checks(monkeypatch)
     assert full_report(_RECTANGULAR, j, samples=5).passed
-    assert calls == [(2, 2), (5, 5)]
-    calls.clear()
     assert full_report(_RECTANGULAR, samples=5).passed
     assert calls == []
 
@@ -1280,6 +1278,24 @@ def test_a_large_corner_value_passes_the_report(sigma):
     assert [c.name for c in report.failures()] == []
 
 
+@pytest.mark.parametrize("sigma", [1e11, 1e12])
+def test_a_huge_corner_value_keeps_the_rank_and_fails_honestly(sigma):
+    # P = [[I, diag(1, sigma)], [0, 0]]: each nonzero singular value of an
+    # idempotent is at least 1, so P keeps rank 2 where rank_tol * sigma_max
+    # would drop the singular value sqrt(2).  The corner's decision then drops
+    # the corner value 1, and the 11 checks of the members it leaves off their
+    # family fail, and the sign formula's checks run
+    p = np.zeros((4, 4))
+    p[:2, :2] = np.eye(2)
+    p[:2, 2:] = np.diag([1.0, sigma])
+    report = full_report(p, samples=5)
+    assert report.subject["rank"] == 2
+    assert len(report.failures()) == 11
+    assert {"extremal-pos-max-symmetry", "extremal-contr-max-symmetry"} <= {c.name for c in report.failures()}
+    statuses = {c.name: c.status for c in report.checks if c.name.startswith("sign-formula")}
+    assert statuses == {"sign-formula-matches-pos-max": "pass", "sign-formula-kernel-action": "pass"}
+
+
 def _dropped_sigma(p) -> float:
     """The largest corner singular value of ``p`` that its block form's rank decision drops, else 0."""
     from kreinproj.linalg import rank_of
@@ -1415,15 +1431,31 @@ def test_split_margin_statuses_are_those_of_the_exact_margins(p, seed, log_angle
                     assert check.status == margin_check(key, "", exact, check.tolerance).status, key
 
 
-def test_a_failed_extraction_fails_both_split_groups_the_same_way():
-    # at rank_tol = 0.8 the diagonal blocks of J are numerically singular:
+def test_a_failed_extraction_fails_both_split_groups_the_same_way(monkeypatch):
     # the one extraction a report makes raises, and each split group fails on it
-    report = full_report(P2, HADAMARD, tol=dataclasses.replace(DEFAULT_TOL, rank_tol=0.8), samples=1)
+    from kreinproj import NotJProjection
+    from kreinproj import decompositions as dec
+
+    def unextracted(f, j):
+        raise NotJProjection("J is not in the admissible block-parameterized family")
+
+    monkeypatch.setattr(dec.extract_params, "on", unextracted)
+    report = full_report(P2, HADAMARD, samples=1)
     by_name = {c.name: c for c in report.checks}
     assert by_name["j-intertwines-adjoint"].status == "pass"
     for group in ("contractive-expansive-split", "positive-negative-split"):
         assert by_name[group].status == "fail"
-        assert by_name[group].note.startswith("SingularBlock: diagonal range block")
+        assert by_name[group].note == "NotJProjection: J is not in the admissible block-parameterized family"
+
+
+def test_a_loose_rank_cutoff_leaves_the_extraction_to_the_rebuild():
+    # at rank_tol = 0.8 the diagonal blocks of J, +-1/sqrt(2), fall under the
+    # cutoff, but no singularity decision is made on them: the signs are
+    # read off and the rebuild matches, so both split groups run
+    report = full_report(P2, HADAMARD, tol=dataclasses.replace(DEFAULT_TOL, rank_tol=0.8), samples=1)
+    names = {c.name for c in report.checks}
+    for group, prefix in (("contractive-expansive-split", "split-ce-"), ("positive-negative-split", "split-pn-")):
+        assert group not in names and any(name.startswith(prefix) for name in names)
 
 
 @settings(max_examples=40, deadline=None)
