@@ -738,8 +738,27 @@ def report_to_doc(report: Report) -> dict:
     }
 
 
+# One check of a report, field by field as ``render_json`` renders
+# ``dataclasses.asdict`` of a ``CheckResult``: strings by JSON's encoder,
+# the three floats by ``_render_float``.
+_CHECK_TEMPLATE = ('{"name": %s, "paper_ref": %s, "residual": %s, "margin": %s, "tolerance": %s, '
+                   '"status": %s, "note": %s}')
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _render_check(c) -> str:
+    return _CHECK_TEMPLATE % (_json_string(c.name), _json_string(c.paper_ref), _render_float(c.residual),
+                              _render_float(c.margin), _render_float(c.tolerance), _json_string(c.status),
+                              _json_string(c.note))
+
+
 def render_report(report: Report) -> str:
-    return render_json(report_to_doc(report)) + "\n"
+    """The bytes of ``render_json(report_to_doc(report)) + "\\n"``, with each
+    check formatted by one template rather than copied into a dict."""
+    checks = ", ".join(map(_render_check, report.checks))
+    return (f'{{"schema_version": {render_json(SCHEMA_VERSION)}, "subject": {render_json(report.subject)}, '
+            f'"config": {render_json(_config_to_doc(report.config))}, "seed": {render_json(report.seed)}, '
+            f'"checks": [{checks}]}}\n')
 
 
 def write_report(path, report: Report):

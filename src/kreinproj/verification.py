@@ -18,9 +18,10 @@ carries; their oracles here are the spectral projections of P + P* and
 i(P - P*), and the sign-function route to pos-max.  Each distinct family
 member the library builds (the extremes, the probe samples, the member
 ``gen symmetry-for`` writes) is certified once, by :func:`_member_checks`,
-whose Loewner margins are Weyl bounds against the family's exact model, as
-are the split margins; the witness pair is certified by Theorem 8(ii)'s
-argument, from values the report already holds.  The block form of
+whose Loewner margins are Weyl bounds against the family's exact model; the
+splits are certified in P's block coordinates, from one round trip of one
+factor and of J (:func:`split_checks`); the witness pair is certified by
+Theorem 8(ii)'s argument, from values the report already holds.  The block form of
 I - P is derived from P's, on P's handle, so the intertwiners are the
 identity, and its corner, factored on its own, is compared with P's by the
 intertwining, corner-singular-value and corner-null-match checks.  J's
@@ -565,39 +566,44 @@ def split_identity_residuals(split: dec.SplitResult, p) -> dict:
     E1 E2* = E2* E1 = E1 + E2* - I.  Positive/negative: P = Q + R with all
     four products Q R, R Q, Q R*, R* Q vanishing.  Idempotency residuals of
     both factors are always included.  Factors of another shape than a
-    square ``p`` raise ``DimensionMismatch``.
+    square ``p`` raise ``DimensionMismatch``.  Each value is measured on the
+    ambient factors; the report's values are bounds on them (see
+    :func:`split_checks`).
     """
-    p = as_matrix(p)
+    return {key: value() for key, value in _identity_residuals(split, as_matrix(p)).items()}
+
+
+def _identity_residuals(split: dec.SplitResult, p) -> dict:
+    """The values of :func:`split_identity_residuals` for a matrix ``p``, each computed when called."""
     e1, e2 = _split_factors(split, p, "P")
-    eye = np.eye(p.shape[0], dtype=np.complex128)
+
+    def eye():
+        return np.eye(p.shape[0], dtype=np.complex128)
+
     out = {
-        "e1-idempotent": frobenius(e1 @ e1 - e1),
-        "e2-idempotent": frobenius(e2 @ e2 - e2),
+        "e1-idempotent": lambda: frobenius(e1 @ e1 - e1),
+        "e2-idempotent": lambda: frobenius(e2 @ e2 - e2),
     }
     if split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE:
-        adj = e2.conj().T
-        cross = e1 + adj - eye
-        out.update(
-            {
-                "product-12": frobenius(e1 @ e2 - p),
-                "product-21": frobenius(e2 @ e1 - p),
-                "sum": frobenius(e1 + e2 - eye - p),
-                "adjoint-product-12": frobenius(e1 @ adj - cross),
-                "adjoint-product-21": frobenius(adj @ e1 - cross),
-            }
-        )
+        def cross():
+            return e1 + e2.conj().T - eye()
+
+        out.update({
+            "product-12": lambda: frobenius(e1 @ e2 - p),
+            "product-21": lambda: frobenius(e2 @ e1 - p),
+            "sum": lambda: frobenius(e1 + e2 - eye() - p),
+            "adjoint-product-12": lambda: frobenius(e1 @ e2.conj().T - cross()),
+            "adjoint-product-21": lambda: frobenius(e2.conj().T @ e1 - cross()),
+        })
     else:
         q, r = e1, e2
-        radj = r.conj().T
-        out.update(
-            {
-                "sum": frobenius(q + r - p),
-                "product-qr": frobenius(q @ r),
-                "product-rq": frobenius(r @ q),
-                "adjoint-product-qr": frobenius(q @ radj),
-                "adjoint-product-rq": frobenius(radj @ q),
-            }
-        )
+        out.update({
+            "sum": lambda: frobenius(q + r - p),
+            "product-qr": lambda: frobenius(q @ r),
+            "product-rq": lambda: frobenius(r @ q),
+            "adjoint-product-qr": lambda: frobenius(q @ r.conj().T),
+            "adjoint-product-rq": lambda: frobenius(r.conj().T @ q),
+        })
     return out
 
 
@@ -610,23 +616,26 @@ def split_classification_margins(split: dec.SplitResult, j) -> dict:
     margins of :func:`split_checks` are Weyl bounds instead.  Factors of
     another shape than a square ``j`` raise ``DimensionMismatch``.
     """
-    return {key: val if key.endswith("residual") else min_eig(val) for key, val in _split_relations(split, j).items()}
+    return {key: value() for key, value in _relation_values(split, as_matrix(j)).items()}
 
 
-def _split_relations(split: dec.SplitResult, j) -> dict:
-    """The keys of :func:`split_classification_margins`: each Hermitian
-    residual, and the matrix each margin is taken of, J - E1* J E1 and
-    E2* J E2 - J, or J Q and -J R."""
-    j = as_matrix(j)
+def _relation_values(split: dec.SplitResult, j) -> dict:
+    """The values of :func:`split_classification_margins` for a matrix ``j``,
+    each computed when called: each Hermitian residual, and the least
+    eigenvalue of J - E1* J E1 and E2* J E2 - J, or of J Q and -J R."""
     e1, e2 = _split_factors(split, j, "J")
     if split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE:
-        return {"e1-contractive-margin": j - e1.conj().T @ j @ e1, "e2-expansive-margin": e2.conj().T @ j @ e2 - j}
-    jq, jr = j @ e1, j @ e2
+        return {
+            "e1-contractive-margin": lambda: min_eig(j - e1.conj().T @ j @ e1),
+            "e2-expansive-margin": lambda: min_eig(e2.conj().T @ j @ e2 - j),
+        }
+    # J Q and J R, each computed once for its residual and its margin
+    jq, jr = functools.cache(lambda: j @ e1), functools.cache(lambda: j @ e2)
     return {
-        "q-positive-hermitian-residual": frobenius(jq - jq.conj().T),
-        "q-positive-margin": jq,
-        "r-negative-hermitian-residual": frobenius(jr - jr.conj().T),
-        "r-negative-margin": -jr,
+        "q-positive-hermitian-residual": lambda: frobenius(jq() - jq().conj().T),
+        "q-positive-margin": lambda: min_eig(jq()),
+        "r-negative-hermitian-residual": lambda: frobenius(jr() - jr().conj().T),
+        "r-negative-margin": lambda: min_eig(-jr()),
     }
 
 
@@ -652,42 +661,284 @@ def split_checks(split, p, j, tol: Tolerances = DEFAULT_TOL) -> list:
     idempotent raises ``NotIdempotent``, then a ``j`` of another shape, or
     split factors of another shape, ``DimensionMismatch``.
 
-    Each margin is Weyl's lower bound against an exact PSD model, the exact
-    eigenvalue only where that bound does not pass (see
-    :func:`_weyl_margins`).  With S = (I + C* C)^(1/2), J - E1* J E1 =
-    S (I + J2)/2 and E2* J E2 - J = S (I - J2)/2 on range(P)-perp, and J Q
-    and -J R are the same forms on I - P's, with J1 and T = (I + C C*)^(1/2);
-    the model is K S K or K T K, from P's corner SVD, each K = (I +- J2)/2
-    read off the split's perp blocks and Hermitianized."""
+    Each check is settled in P's block coordinates W = [W_r | W_p] (see
+    :func:`_block_bounds`): one factor is measured against W, E1 (or Q) by
+    one round trip W* E W, and its partner is reached through the sum
+    identity, whose residual is measured on the ambient factors; J is
+    measured by one round trip of its Hermitian part.  Every identity,
+    Hermitian residual and margin is then a product of blocks of size r
+    and n - r, plus the terms that the measured structure residuals,
+    ||W* W - I||, P's block-form round trip and the sum residual contribute.
+    A residual records that upper bound, and a margin that lower bound,
+    where it passes its budget; elsewhere the check records the exact
+    ambient value of :func:`split_identity_residuals` or
+    :func:`split_classification_margins`, so each status is the exact one.
+    With S = (I + C* C)^(1/2), J - E1* J E1 = S (I + J2)/2 and E2* J E2 - J
+    = S (I - J2)/2 on range(P)-perp, compared by Weyl with K S K, K read off
+    E1's perp block and Hermitianized; J Q and -J R are [I; C*] Z [I, C]
+    with Z = T^(-1) K T K T^(-1) on range(P), T = (I + C C*)^(1/2), compared
+    by Weyl, after the congruence by T, with the Gram form Y* T^(-1) Y of
+    Y = T Z T."""
     return _split_checks(split, *_handle(p, tol, j))
 
 
 def _split_checks(split, f: _Factors, j, prefix="") -> list:
     """:func:`split_checks` from the factors of P, each check named ``<prefix><key>``."""
-    p, tol, sp = f.p, f.tol, f.sp
     ref = _SPLIT_REFS[split.kind]
-    checks = [
-        residual_check(f"{prefix}{key}", ref, val, tol.residual_tol * sp)
-        for key, val in split_identity_residuals(split, p).items()
-    ]
-    relations = _split_relations(split, j)
-    keys = [key for key in relations if not key.endswith("residual")]
-    # K is E2's then E1's perp block on P's form, Q's then R's on I - P's (corner C*, root T)
-    ce = split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE
-    bf = f.bf if ce else f.comp_bf
-    basis, root = bf.basis_perp, f.bf._fns.s if ce else f.bf._fns.t
-    for key, e in zip(keys, (split.e2, split.e1) if ce else (split.e1, split.e2)):
-        k = basis.conj().T @ e @ basis
-        k = 0.5 * (k + k.conj().T)
-        model = bf.embed_perp(k @ root @ k)
-        margins = _weyl_margins(relations[key][np.newaxis], model, [_model_floor(model)], tol.psd_tol * sp)
-        relations[key] = margins[0]
-    for key, val in relations.items():
-        if key.endswith("residual"):
-            checks.append(residual_check(f"{prefix}{key}", ref, val, tol.residual_tol * sp))
+    residual, psd = f.tol.residual_tol * f.sp, f.tol.psd_tol * f.sp
+    exact = {**_identity_residuals(split, f.p), **_relation_values(split, j)}
+    bounds = _block_bounds(split, f, j)
+    checks = []
+    for key, value in exact.items():
+        bound = bounds.get(key, math.nan)
+        if key.endswith("margin"):
+            checks.append(margin_check(f"{prefix}{key}", ref, bound if bound >= -psd else value(), psd))
         else:
-            checks.append(margin_check(f"{prefix}{key}", ref, val, tol.psd_tol * sp))
+            checks.append(residual_check(f"{prefix}{key}", ref, bound if bound <= residual else value(), residual))
     return checks
+
+
+@_per_handle
+def _basis_residuals(f: _Factors):
+    """``(||W* W - I||_F, ||W [[I, C], [0, 0]] W* - P||_F)`` for P's block
+    form: ``block-basis-unitary`` and ``block-form-round-trip``, which the
+    split bounds read too."""
+    w = f.bf.unitary
+    unitary = frobenius(w.conj().T @ w - np.eye(w.shape[0], dtype=np.complex128))
+    return unitary, frobenius(f.bf.reassemble() - f.p)
+
+
+@_per_handle
+def _j_images(f: _Factors, j):
+    """What both splits read of J: with J_h = (J + J*)/2, a = W_r* J_h W_r,
+    h = W* J_h W g for g = [-C; I] (W g = W_p - W_r C), and the norms
+    ||J_h W_r||_F, ||J_h||_F and ||J - J_h||_F, J's skew part."""
+    bf = f.bf
+    w_r = bf.basis_range
+    jh = j + j.conj().T
+    jh *= 0.5
+    jw = jh @ w_r
+    h = _coordinates(bf, jh @ (bf.basis_perp - w_r @ bf.corner))
+    return w_r.conj().T @ jw, h, _norm(jw), _norm(jh), _norm(j - jh)
+
+
+def _coordinates(bf, x):
+    """W* x for the unitary W = [W_r | W_p] of ``bf``, without forming W."""
+    return np.concatenate([bf.basis_range.conj().T @ x, bf.basis_perp.conj().T @ x])
+
+
+def _norm(a) -> float:
+    """||a||_F from one BLAS dot, for the bounds (not bitwise :func:`frobenius`)."""
+    return math.sqrt(np.vdot(a, a).real)
+
+
+def _grown(x, ex, y, ey, nu) -> float:
+    """An upper bound on ||X^ N Y^ - X Y||_F for blocks with ||X||_2 <= x and
+    ||Y||_2 <= y, off their images X^ and Y^ by at most ex and ey in the
+    Frobenius norm, and ||N - I||_F <= nu: by telescoping,
+    (1 + nu) (x + ex) (y + ey) - x y."""
+    return (1 + nu) * (x + ex) * (y + ey) - x * y
+
+
+def _from_block(value: float, mu: float) -> float:
+    """Ostrowski's bound on the ambient counterpart of a lower bound ``value``
+    on an eigenvalue of W* H W: between value / (1 + mu) and value / (1 - mu)."""
+    return value / (1 + mu) if value >= 0 else value / (1 - mu)
+
+
+def _block_bounds(split, f: _Factors, j) -> dict:
+    """Bounds on the values of :func:`split_identity_residuals` and
+    :func:`split_classification_margins`, keyed alike, from products of
+    blocks in P's coordinates W; empty when ||W* W - I||_F >= 1.
+
+    For a square W with mu = ||W* W - I||_F < 1, the block image X^ = W* X W
+    of an ambient X has ||X||_F <= ||X^||_F / (1 - mu), and that of a
+    product is (X Y)^ = X^ N Y^ with N = (W* W)^(-1), ||N - I||_F <= nu =
+    mu / (1 - mu).  The images of P and of the factors are P_b =
+    [[I, C], [0, 0]] and block models, each off by a measured amount:
+
+    - P^ by at most r_P = mu (2 + mu) ||P_b||_2 + (1 + mu) rho, rho the
+      block-form round trip (``_basis_residuals``);
+    - contractive/expansive: A1 = I - E1 has the model [0 | V1], V1 =
+      [0; I] - m with m = [G12; G22] of G = W* E1 W, off by mu +
+      sqrt(1 + mu) ||E1 W_r - W_r||_F.  By the sum identity A2 = I - E2 =
+      (I - P) - A1 - S with S = E1 + E2 - I - P, so A2^ has the model
+      [0 | V2], V2 = [-C; I] - V1, off by r_P + (1 + mu) ||S||_F more;
+    - positive/negative: Q has the model [[u, v], [0, 0]] of its first
+      block row W_r* Q W, off by sqrt(1 + mu) ||W_p* Q||_F, and R = P - Q
+      + S, S = Q + R - P, the model [[I - u, C - v], [0, 0]], off by r_P +
+      (1 + mu) ||S||_F more.  Their adjoints have the models [V1 | 0] and
+      [V2 | 0], V1 = m = [u*; v*] and V2 = [I; C*] - V1, and each identity
+      of Q and R is one of Q* and R* (||Q R|| = ||R* Q*||, and so on).
+
+    The identities are bounded in :func:`_identity_bounds`, the relations
+    in :func:`_contraction_margins` and :func:`_positive_margins`."""
+    mu, rho = _basis_residuals(f)
+    if not mu < 1:
+        return {}
+    bf, p, n, r = f.bf, f.p, f.bf.dim, f.bf.rank
+    e1, e2 = split.e1, split.e2
+    ce = split.kind is dec.SplitKind.CONTRACTIVE_EXPANSIVE
+    if ce:
+        # bitwise ||E1 + E2 - I - P||_F of split_identity_residuals, with fewer n x n temporaries
+        s = e1 + e2
+        s[np.diag_indices(n)] -= 1.0
+        s -= p
+        s = frobenius(s)
+        err = mu + math.sqrt(1 + mu) * _norm(e1 @ bf.basis_range - bf.basis_range)
+        m = _coordinates(bf, e1 @ bf.basis_perp)
+        # V1 = [0; I] - m and V2 = [-C; I] - V1 = [-C; 0] + m
+        v, rows, others = np.empty((2, *m.shape), dtype=np.complex128), slice(r, n), slice(0, r)
+        np.negative(m, out=v[0])
+        v[1] = m
+        v[0, r:] += np.eye(n - r)
+        v[1, :r] -= bf.corner
+    else:
+        s = frobenius(e1 + e2 - p)
+        err = math.sqrt(1 + mu) * _norm(bf.basis_perp.conj().T @ e1)
+        m = _coordinates(bf, (bf.basis_range.conj().T @ e1).conj().T)
+        # V1 = m and V2 = [I; C*] - V1
+        v, rows, others = np.empty((2, *m.shape), dtype=np.complex128), slice(0, r), slice(r, n)
+        v[0] = m
+        np.negative(m, out=v[1])
+        v[1, :r] += np.eye(r)
+        v[1, r:] += bf.corner.conj().T
+    del m
+    r_p = mu * (2 + mu) * bf._fns.root_norm + (1 + mu) * rho
+    errors = (err, err + r_p + (1 + mu) * s)
+    (idem1, idem2, prod12, prod21, adj12, adj21), shape = _identity_bounds(v, rows, others, errors, mu,
+                                                                           bf._fns.root_norm)
+    # the relations read only the square blocks [q, I - q]
+    qs = v[:, rows].copy()
+    del v
+    if ce:
+        return {"e1-idempotent": idem1, "e2-idempotent": idem2, "product-12": prod12 + s,
+                "product-21": prod21 + s, "sum": s, "adjoint-product-12": adj12, "adjoint-product-21": adj21,
+                **_contraction_margins(f, j, qs, errors, mu, shape)}
+    return {"e1-idempotent": idem1, "e2-idempotent": idem2, "sum": s, "product-qr": prod21,
+            "product-rq": prod12, "adjoint-product-qr": adj21, "adjoint-product-rq": adj12,
+            **_positive_margins(f, j, qs, errors, mu, shape)}
+
+
+def _identity_bounds(v, rows, others, errors, mu, root):
+    """Upper bounds on ||A1^2 - A1||, ||A2^2 - A2||, ||A1 A2||, ||A2 A1||,
+    ||A1 A2*|| and ||A2* A1|| for two factors A1, A2 whose block images are
+    [0 | Vi] up to a permutation of the blocks, within ``errors`` (the
+    contractive/expansive A = I - E, or the adjoints Q* and R*), ``v`` the
+    stack of V1 and V2 with the k x k blocks q1 = q and q2 = I - q in
+    ``rows``; and ``(norms, x, eps)``: upper bounds on ||Vi||_2 and on
+    ||q||_2 and ||I - q||_2, and ||eps||_F below.
+
+    With V2 = G - V1, G = [-c; I] the column of I - P_b (c = C, or -C* for
+    the adjoints), the models give A1 A2 = -(A1^2 - A1) = [0 | V1 - V1 q],
+    A2 A1 = -(A2^2 - A2) = [0 | -V2 q], A1 A2* = V1 V2* and A2* A1 =
+    [[0, 0], [0, V2* V1]]: products of blocks of size r and n - r.  Each
+    identity is ||X Y + L|| for two factors, at most its block value plus
+    :func:`_grown` (plus L's error), over 1 - mu.
+
+    Vi = G qi + [epsi; 0] with eps = -eps2 = p + c q, the rows of V1 - G q
+    = V1 - V1 q - V2 q off q's, so ||Vi||_2 <= ||G||_2 x + ||eps||_F, where
+    ||G||_2 = ``root`` and x bounds both ||q||_2 and ||I - q||_2 from d =
+    ||q^2 - q||_F and s = ||q - q*||_F: q* q = q^2 + (q* - q) q gives
+    x^2 <= (1 + s) x + d."""
+    e1, e2 = errors
+    q = v[0, rows]
+    vq = v @ q
+    idem = vq[0] - v[0]
+    eps = _norm(v[0, others] - vq[0, others] - vq[1, others])
+    skew = 1 + _norm(q - q.conj().T)
+    x = (skew + math.sqrt(skew * skew + 4 * _norm(idem[rows]))) / 2
+    n1, n2 = norms = (min(_norm(v[0]), root * x + eps), min(_norm(v[1]), root * x + eps))
+    idem1, idem2 = _norm(idem), _norm(vq[1])
+    del vq, idem
+    nu = mu / (1 - mu)
+
+    def bound(block, xn, ex, yn, ey, el=0.0):
+        return (block + _grown(xn, ex, yn, ey, nu) + el) / (1 - mu)
+
+    adj12, adj21 = _norm(v[0] @ v[1].conj().T), _norm(v[1].conj().T @ v[0])
+    bounds = (bound(idem1, n1, e1, n1, e1, e1), bound(idem2, n2, e2, n2, e2, e2),
+              bound(idem1, n1, e1, n2, e2), bound(idem2, n2, e2, n1, e1),
+              bound(adj12, n1, e1, n2, e2), bound(adj21, n2, e2, n1, e1))
+    return bounds, (norms, x, eps)
+
+
+def _contraction_margins(f: _Factors, j, qs, errors, mu, shape) -> dict:
+    """Lower bounds on the least eigenvalues of J - E1* J E1 and E2* J E2 - J.
+
+    Their Hermitian parts are F(A1) and -F(A2), F(A) = J_h A + A* J_h -
+    A* J_h A with A = I - E and J_h = (J + J*)/2.  In the model A = [0 | V],
+    V = g q + [eps; 0] with g = [-C; I] (q, eps = q1, eps or I - q1, -eps).
+    With J^ = W* J_h W, h = J^ g and [a; b'] = J^'s first block column (norm
+    at most jc), F's model is [[0, h_top q + a eps], [*, Z + X]], Z = h_bot q
+    + (h_bot q)* - q* h_bot q, and ||X||_F <= 2 jc ||eps|| + ||q||^2 ||C||
+    ||h_top|| + 2 ||q|| ||h_top|| ||eps|| + jc ||eps||^2.  Weyl against
+    K S K, K = herm(q1) or I - herm(q1), and Ostrowski give the bound; F's
+    image is off its model by :func:`_grown` of J^ A and A* J^, and of
+    (A* J^) A."""
+    bf = f.bf
+    r, fns = bf.rank, bf._fns
+    _, h, jc, jn, _ = _j_images(f, j)
+    h_top, h_bot = h[:r], h[r:]
+    hq = h_bot @ qs
+    z = hq + _adj(hq) - _adj(qs) @ hq
+    del hq
+    ks = 0.5 * (qs + _adj(qs))
+    models = ks @ fns.s @ ks
+    norms, x, eps = shape
+    nu, jc, jn, top = mu / (1 - mu), math.sqrt(1 + mu) * jc, (1 + mu) * jn, _norm(h_top)
+    gaps = (_norm(z[0] - models[0]), _norm(z[1] + models[1]))
+    rest = (math.sqrt(2) * (top * x + jc * eps) + 2 * jc * eps + x * x * fns.norm * top
+            + 2 * x * top * eps + jc * eps * eps)
+    out = {}
+    for i, key in enumerate(("e1-contractive-margin", "e2-expansive-margin")):
+        a, e = norms[i], errors[i]
+        # J^ A and A* J^, then A* J^ A as (A* J^) A
+        one = _grown(jn, 0.0, a, e, nu)
+        image = 2 * one + _grown(jn * a, one, a, e, nu)
+        low = -4 * _EPS * _norm(models[i]) - gaps[i] - rest - image
+        out[key] = _from_block(low, mu)
+    return out
+
+
+def _positive_margins(f: _Factors, j, qs, errors, mu, shape) -> dict:
+    """Lower bounds on the least eigenvalues of J Q and -J R, and upper
+    bounds on their Hermitian residuals.
+
+    In the model, Q = [I; 0] L with L = [u, v] = u [I, C] + [0, eps*] and
+    R the same with I - u, C - v (eps* = v - u C, its negative).  J^'s first
+    block column is [a; b'] = b a + [0; kappa] with b = [I; C*] and kappa =
+    b' - C* a = h_top*, so J^ Q's model is b (a u) b* off by at most
+    (jc + ||kappa||) ||eps|| + ||kappa|| ||L||_2, and -J^ R's is
+    b (a u - a) b*.  As b T^(-1) has orthonormal columns, b Z b* =
+    (b T^(-1)) Y (b T^(-1))* with Y = T Z T, so the least eigenvalue of its
+    Hermitian part is at least min(0, lambda_min(herm Y)), and
+    ||b (Z - Z*) b*|| <= ||Y - Y*||.  lambda_min(herm Y) is bounded by Weyl
+    against the Gram form Y* T^(-1) Y.  J's skew part J_s adds (1 + mu)
+    ||J_s||_F ||Q||_2, ||Q||_2 <= ||Q^||_2 / (1 - mu) (or R's), and Q's image
+    is off its model by :func:`_grown` of J^ Q."""
+    bf = f.bf
+    r, fns = bf.rank, bf._fns
+    a, h, jc, jn, js = _j_images(f, j)
+    z = np.empty((2, r, r), dtype=np.complex128)
+    z[0], z[1] = a @ qs[0].conj().T, a
+    ys = fns.t @ z @ fns.t
+    ys[1] = ys[0] - ys[1]
+    grams = _adj(ys) @ (fns.tinv @ ys)
+    grams = 0.5 * (grams + _adj(grams))
+    norms, _, eps = shape
+    nu, jc, jn, kappa = mu / (1 - mu), math.sqrt(1 + mu) * jc, (1 + mu) * jn, _norm(h[:r])
+    out = {}
+    names = (("q-positive-hermitian-residual", "q-positive-margin"),
+             ("r-negative-hermitian-residual", "r-negative-margin"))
+    for (residual, margin), y, gram, ell, e in zip(names, ys, grams, norms, errors):
+        # ||Q||_2 <= ||Q^||_2 / (1 - mu)
+        rest = ((jc + kappa) * eps + kappa * ell + _grown(jn, 0.0, ell, e, nu)
+                + (1 + mu) * js * (ell + e) / (1 - mu))
+        least = min(0.0, -4 * _EPS * _norm(gram) - _norm(y - gram))
+        out[residual] = (_norm(y - y.conj().T) + 2 * rest) / (1 - mu)
+        out[margin] = _from_block(least - rest, mu)
+    return out
 
 
 @_on_handle()
@@ -801,10 +1052,9 @@ def _run_group(name, ref, body, *args) -> list:
 
 def _block_form_checks(f: _Factors, run: _Run):
     budget = f.tol.residual_tol * f.sp
-    w = f.bf.unitary
-    unitary = frobenius(w.conj().T @ w - np.eye(w.shape[0], dtype=np.complex128))
+    unitary, round_trip = _basis_residuals(f)
     yield residual_check("block-basis-unitary", "Eq. (1.1)", unitary, budget)
-    yield residual_check("block-form-round-trip", "Eq. (1.1)", frobenius(f.bf.reassemble() - f.p), budget)
+    yield residual_check("block-form-round-trip", "Eq. (1.1)", round_trip, budget)
 
 
 def _kernel_route_checks(f: _Factors, run: _Run):

@@ -45,10 +45,11 @@ from kreinproj.matrixio import (
     read_matrix,
     render_json,
     render_report,
+    report_to_doc,
     write_matrix,
     write_report,
 )
-from kreinproj.reporting import Report, residual_check
+from kreinproj.reporting import CheckResult, Report, residual_check
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "matrix_golden")
 
@@ -173,6 +174,37 @@ def test_report_rendering_stable():
     doc = json.loads(text)
     assert doc["checks"][0]["status"] == "pass"
     assert doc["checks"][0]["note"] == ""
+
+
+def _report_document_text(report) -> str:
+    return render_json(report_to_doc(report)) + "\n"
+
+
+def test_report_renderer_gives_the_document_route_bytes(tmp_path, monkeypatch):
+    # render_report formats each check by one template; its bytes are those of
+    # render_json over report_to_doc, for every corpus report, a merged
+    # `verify --glob` report, and a check whose strings need escaping
+    from kreinproj import cli
+    from test_report_corpus import full_reports
+
+    for label, report in full_reports().items():
+        assert render_report(report) == _report_document_text(report), label
+
+    merged, real = [], cli.write_report
+    monkeypatch.setattr(cli, "write_report", lambda path, report: merged.append(report) or real(path, report))
+    write_matrix(tmp_path / "case0.json", np.array([[1.0, 1.0], [0.0, 0.0]]))
+    write_matrix(tmp_path / "case1.json", np.array([[1.0, 1.0], [0.0, 0.5]]))
+    out = tmp_path / "merged.json"
+    assert cli.main(["verify", "--glob", str(tmp_path / "case*.json"), "--samples", "2", "--out", str(out)]) == 1
+    assert len(merged) == 1 and any(c.name.startswith("case1::") for c in merged[0].checks)
+    assert out.read_text(encoding="utf-8") == render_report(merged[0]) == _report_document_text(merged[0])
+
+    odd = Report(subject={"dim": 1, "label": 'é "q"'}, checks=[
+        CheckResult('naïve "split" \\ ✓\n\t', "Lemma 1 — §2", 1e-300, -0.0, 5e-324, "pass", 'note "é" ☃ \x01'),
+        residual_check("x", "§1", 2.5, 1.0, note="’"),
+    ], config=Tolerances(), seed=None)
+    assert render_report(odd) == _report_document_text(odd)
+    assert json.loads(render_report(odd))["checks"][0]["name"] == 'naïve "split" \\ ✓\n\t'
 
 
 def _golden_bytes(name) -> bytes:

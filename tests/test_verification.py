@@ -1407,8 +1407,8 @@ def test_split_margin_statuses_are_those_of_the_exact_margins(p, seed, log_angle
     # is the one the exact eigenvalue gets at the same budget: for the
     # report's splits against J, and for those splits against J rotated off
     # the family, where the models no longer match
-    from kreinproj import (KreinProjError, contractive_expansive_split, positive_negative_split, split_checks,
-                           split_classification_margins)
+    from kreinproj import (KreinProjError, NotJProjection, contractive_expansive_split, positive_negative_split,
+                           split_checks, split_classification_margins)
     from kreinproj.reporting import margin_check
 
     j = _projection_member_or_none(p, seed)
@@ -1421,14 +1421,104 @@ def test_split_margin_statuses_are_those_of_the_exact_margins(p, seed, log_angle
         try:
             split = construction(p, j)
         except KreinProjError as e:
-            assert report[group].status == "fail" and report[group].note.startswith(type(e).__name__)
+            # the group fails on the construction's refusal, or, where the
+            # report refused J itself (a J that is no symmetry at its own
+            # scale, or off J P J = P*), is skipped on that refusal
+            assert ((report[group].status == "fail" and report[group].note.startswith(type(e).__name__))
+                    or (report[group].status == "skipped" and isinstance(e, NotJProjection)
+                        and report[group].note in ("J is not a symmetry", "JPJ != P*")))
             continue
-        off_family = {prefix + c.name: c for c in split_checks(split, p, rotated)}
+        off_family ={prefix + c.name: c for c in split_checks(split, p, rotated)}
         for candidate, checks in ((j, report), (rotated, off_family)):
             for key, exact in split_classification_margins(split, candidate).items():
                 if key.endswith("margin"):
                     check = checks[prefix + key]
                     assert check.status == margin_check(key, "", exact, check.tolerance).status, key
+
+
+_SPLIT_IDENTITY_CASES = [p for p, _, _ in idempotent_cases(40, seed=11)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.one_of(wide_corner_idempotents(), st.sampled_from(_SPLIT_IDENTITY_CASES)), seed=st.integers(0, 2**16))
+def test_split_identity_statuses_are_those_of_the_exact_residuals(p, seed):
+    # an identity check records its block bound where that passes and the
+    # exact ambient residual elsewhere, so its status is the exact one; its
+    # value bounds the exact one, up to the rounding of the two routes
+    from kreinproj import (KreinProjError, contractive_expansive_split, positive_negative_split,
+                           split_classification_margins, split_identity_residuals)
+    from kreinproj.linalg import frobenius
+    from kreinproj.reporting import residual_check
+
+    j = _projection_member_or_none(p, seed)
+    if j is None:
+        return
+    report = {c.name: c for c in full_report(p, j, samples=1).checks}
+    for construction, prefix in ((contractive_expansive_split, "split-ce-"), (positive_negative_split, "split-pn-")):
+        try:
+            split = construction(p, j)
+        except KreinProjError:
+            continue
+        size = 1.0 + frobenius(split.e1) + frobenius(split.e2) + frobenius(j)
+        allowance = 8 * (p.shape[0] + 1) * _EPS * size * size
+        exact = {**split_identity_residuals(split, p),
+                 **{key: value for key, value in split_classification_margins(split, j).items()
+                    if key.endswith("residual")}}
+        for key, value in exact.items():
+            check = report[prefix + key]
+            assert check.status == residual_check(key, "", value, check.tolerance).status, key
+            assert check.residual >= value - allowance, key
+
+
+def _off_structure(split, p, j, block):
+    """``split`` with its first factor moved by 10 times the identity budget
+    in one block of P's coordinates W that its block model takes as given:
+    (2, 1) for either kind, (1, 1) for E1 (which is I there) and (2, 2) for Q
+    (which is 0 there)."""
+    import dataclasses
+
+    from kreinproj import block_form
+    from kreinproj.linalg import frobenius
+
+    bf = block_form(p)
+    rows, cols = {"2,1": (bf.basis_perp, bf.basis_range), "1,1": (bf.basis_range, bf.basis_range),
+                  "2,2": (bf.basis_perp, bf.basis_perp)}[block]
+    delta = np.random.default_rng(3).standard_normal((rows.shape[1], cols.shape[1]))
+    budget = DEFAULT_TOL.residual_tol * max(1.0, np.linalg.norm(p, 2))
+    move = rows @ (10 * budget * delta / frobenius(delta)) @ cols.conj().T
+    return dataclasses.replace(split, e1=split.e1 + move)
+
+
+@pytest.mark.parametrize("kind, block", [("contractive-expansive", "2,1"), ("contractive-expansive", "1,1"),
+                                         ("positive-negative", "2,1"), ("positive-negative", "2,2")])
+def test_a_factor_off_its_block_structure_fails_its_split(kind, block, tmp_path, monkeypatch):
+    # the block identities read only the model blocks of the measured factor;
+    # a move in the other blocks is seen through the round trip's structure
+    # residual (and the ambient sum), in split_checks, in a report and
+    # through `kreinproj decompose`
+    from kreinproj import cli, split_checks
+    from kreinproj import decompositions as dec
+    from kreinproj.matrixio import write_matrix
+
+    p = random_idempotent(6, 3, 2.0, seed=2)
+    j = _projection_member_or_none(p, 5)
+    build = dec.contractive_expansive_split if kind == "contractive-expansive" else dec.positive_negative_split
+    prefix = "split-ce-" if build is dec.contractive_expansive_split else "split-pn-"
+    assert all(c.status == "pass" for c in split_checks(build(p, j), p, j))
+    moved = _off_structure(build(p, j), p, j, block)
+    failed = {c.name for c in split_checks(moved, p, j) if c.status == "fail"}
+    assert "sum" in failed and "e1-idempotent" in failed
+
+    real = build.on
+    monkeypatch.setattr(build, "on", lambda f, j: _off_structure(real(f, j), f.p, j, block))
+    report = full_report(p, j, samples=1)
+    assert {c.name for c in report.failures()} == {prefix + name for name in failed}
+    write_matrix(tmp_path / "P.json", p)
+    write_matrix(tmp_path / "J.json", j)
+    flag = "contr-exp" if kind == "contractive-expansive" else "pos-neg"
+    out = str(tmp_path / "split-")
+    assert cli.main(["decompose", str(tmp_path / "P.json"), str(tmp_path / "J.json"), "--kind", flag,
+                     "-o", out]) == cli.EXIT_CHECK_FAILURE
 
 
 def test_a_failed_extraction_fails_both_split_groups_the_same_way(monkeypatch):
