@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -90,9 +91,9 @@ def frobenius(a) -> float:
     a = np.asarray(a)
     if a.dtype == np.complex128:
         re, im = (a := a.ravel(order="K")).real, a.imag
-        return float(np.sqrt(re.dot(re) + im.dot(im)))
+        return math.sqrt(re.dot(re) + im.dot(im))
     if a.dtype == np.float64:
-        return float(np.sqrt((a := a.ravel(order="K")).dot(a)))
+        return math.sqrt((a := a.ravel(order="K")).dot(a))
     return float(np.linalg.norm(a))
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .linalg import Tolerances
-from .reporting import Report
+from .reporting import CheckResult, Report
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -67,6 +67,10 @@ def _render_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# ``json.dumps(s, ensure_ascii=False)`` without building an encoder per call
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def render_json(value) -> str:
     """Deterministic JSON text: insertion-ordered keys, 17-digit floats."""
     if value is None:
@@ -78,10 +82,10 @@ def render_json(value) -> str:
     if isinstance(value, (float, np.floating)):
         return _render_float(float(value))
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
+        return _json_string(value)
     if isinstance(value, dict):
         items = ", ".join(
-            f"{json.dumps(str(k), ensure_ascii=False)}: {render_json(v)}"
+            f"{_json_string(str(k))}: {render_json(v)}"
             for k, v in value.items()
         )
         return "{" + items + "}"
@@ -720,6 +724,9 @@ def read_matrix(path) -> np.ndarray:
     return doc_to_matrix(doc)
 
 
+_CHECK_FIELDS = tuple(f.name for f in dataclasses.fields(CheckResult))
+
+
 def _config_to_doc(config: Tolerances) -> dict:
     return {
         "rank_tol": config.rank_tol,
@@ -734,31 +741,14 @@ def report_to_doc(report: Report) -> dict:
         "subject": report.subject,
         "config": _config_to_doc(report.config),
         "seed": report.seed,
-        "checks": [dataclasses.asdict(c) for c in report.checks],
+        # a check's fields are strings and floats, so a shallow copy is
+        # ``dataclasses.asdict`` without its per-field deepcopy
+        "checks": [{name: getattr(c, name) for name in _CHECK_FIELDS} for c in report.checks],
     }
 
 
-# One check of a report, field by field as ``render_json`` renders
-# ``dataclasses.asdict`` of a ``CheckResult``: strings by JSON's encoder,
-# the three floats by ``_render_float``.
-_CHECK_TEMPLATE = ('{"name": %s, "paper_ref": %s, "residual": %s, "margin": %s, "tolerance": %s, '
-                   '"status": %s, "note": %s}')
-_json_string = json.JSONEncoder(ensure_ascii=False).encode
-
-
-def _render_check(c) -> str:
-    return _CHECK_TEMPLATE % (_json_string(c.name), _json_string(c.paper_ref), _render_float(c.residual),
-                              _render_float(c.margin), _render_float(c.tolerance), _json_string(c.status),
-                              _json_string(c.note))
-
-
 def render_report(report: Report) -> str:
-    """The bytes of ``render_json(report_to_doc(report)) + "\\n"``, with each
-    check formatted by one template rather than copied into a dict."""
-    checks = ", ".join(map(_render_check, report.checks))
-    return (f'{{"schema_version": {render_json(SCHEMA_VERSION)}, "subject": {render_json(report.subject)}, '
-            f'"config": {render_json(_config_to_doc(report.config))}, "seed": {render_json(report.seed)}, '
-            f'"checks": [{checks}]}}\n')
+    return render_json(report_to_doc(report)) + "\n"
 
 
 def write_report(path, report: Report):

@@ -719,17 +719,12 @@ def _j_images(f: _Factors, j):
     jh *= 0.5
     jw = jh @ w_r
     h = _coordinates(bf, jh @ (bf.basis_perp - w_r @ bf.corner))
-    return w_r.conj().T @ jw, h, _norm(jw), _norm(jh), _norm(j - jh)
+    return w_r.conj().T @ jw, h, frobenius(jw), frobenius(jh), frobenius(j - jh)
 
 
 def _coordinates(bf, x):
     """W* x for the unitary W = [W_r | W_p] of ``bf``, without forming W."""
     return np.concatenate([bf.basis_range.conj().T @ x, bf.basis_perp.conj().T @ x])
-
-
-def _norm(a) -> float:
-    """||a||_F from one BLAS dot, for the bounds (not bitwise :func:`frobenius`)."""
-    return math.sqrt(np.vdot(a, a).real)
 
 
 def _grown(x, ex, y, ey, nu) -> float:
@@ -785,7 +780,7 @@ def _block_bounds(split, f: _Factors, j) -> dict:
         s[np.diag_indices(n)] -= 1.0
         s -= p
         s = frobenius(s)
-        err = mu + math.sqrt(1 + mu) * _norm(e1 @ bf.basis_range - bf.basis_range)
+        err = mu + math.sqrt(1 + mu) * frobenius(e1 @ bf.basis_range - bf.basis_range)
         m = _coordinates(bf, e1 @ bf.basis_perp)
         # V1 = [0; I] - m and V2 = [-C; I] - V1 = [-C; 0] + m
         v, rows, others = np.empty((2, *m.shape), dtype=np.complex128), slice(r, n), slice(0, r)
@@ -795,7 +790,7 @@ def _block_bounds(split, f: _Factors, j) -> dict:
         v[1, :r] -= bf.corner
     else:
         s = frobenius(e1 + e2 - p)
-        err = math.sqrt(1 + mu) * _norm(bf.basis_perp.conj().T @ e1)
+        err = math.sqrt(1 + mu) * frobenius(bf.basis_perp.conj().T @ e1)
         m = _coordinates(bf, (bf.basis_range.conj().T @ e1).conj().T)
         # V1 = m and V2 = [I; C*] - V1
         v, rows, others = np.empty((2, *m.shape), dtype=np.complex128), slice(0, r), slice(r, n)
@@ -845,18 +840,18 @@ def _identity_bounds(v, rows, others, errors, mu, root):
     q = v[0, rows]
     vq = v @ q
     idem = vq[0] - v[0]
-    eps = _norm(v[0, others] - vq[0, others] - vq[1, others])
-    skew = 1 + _norm(q - q.conj().T)
-    x = (skew + math.sqrt(skew * skew + 4 * _norm(idem[rows]))) / 2
-    n1, n2 = norms = (min(_norm(v[0]), root * x + eps), min(_norm(v[1]), root * x + eps))
-    idem1, idem2 = _norm(idem), _norm(vq[1])
+    eps = frobenius(v[0, others] - vq[0, others] - vq[1, others])
+    skew = 1 + frobenius(q - q.conj().T)
+    x = (skew + math.sqrt(skew * skew + 4 * frobenius(idem[rows]))) / 2
+    n1, n2 = norms = (min(frobenius(v[0]), root * x + eps), min(frobenius(v[1]), root * x + eps))
+    idem1, idem2 = frobenius(idem), frobenius(vq[1])
     del vq, idem
     nu = mu / (1 - mu)
 
     def bound(block, xn, ex, yn, ey, el=0.0):
         return (block + _grown(xn, ex, yn, ey, nu) + el) / (1 - mu)
 
-    adj12, adj21 = _norm(v[0] @ v[1].conj().T), _norm(v[1].conj().T @ v[0])
+    adj12, adj21 = frobenius(v[0] @ v[1].conj().T), frobenius(v[1].conj().T @ v[0])
     bounds = (bound(idem1, n1, e1, n1, e1, e1), bound(idem2, n2, e2, n2, e2, e2),
               bound(idem1, n1, e1, n2, e2), bound(idem2, n2, e2, n1, e1),
               bound(adj12, n1, e1, n2, e2), bound(adj21, n2, e2, n1, e1))
@@ -886,8 +881,8 @@ def _contraction_margins(f: _Factors, j, qs, errors, mu, shape) -> dict:
     ks = 0.5 * (qs + _adj(qs))
     models = ks @ fns.s @ ks
     norms, x, eps = shape
-    nu, jc, jn, top = mu / (1 - mu), math.sqrt(1 + mu) * jc, (1 + mu) * jn, _norm(h_top)
-    gaps = (_norm(z[0] - models[0]), _norm(z[1] + models[1]))
+    nu, jc, jn, top = mu / (1 - mu), math.sqrt(1 + mu) * jc, (1 + mu) * jn, frobenius(h_top)
+    gaps = (frobenius(z[0] - models[0]), frobenius(z[1] + models[1]))
     rest = (math.sqrt(2) * (top * x + jc * eps) + 2 * jc * eps + x * x * fns.norm * top
             + 2 * x * top * eps + jc * eps * eps)
     out = {}
@@ -896,7 +891,7 @@ def _contraction_margins(f: _Factors, j, qs, errors, mu, shape) -> dict:
         # J^ A and A* J^, then A* J^ A as (A* J^) A
         one = _grown(jn, 0.0, a, e, nu)
         image = 2 * one + _grown(jn * a, one, a, e, nu)
-        low = -4 * _EPS * _norm(models[i]) - gaps[i] - rest - image
+        low = -4 * _EPS * frobenius(models[i]) - gaps[i] - rest - image
         out[key] = _from_block(low, mu)
     return out
 
@@ -927,7 +922,7 @@ def _positive_margins(f: _Factors, j, qs, errors, mu, shape) -> dict:
     grams = _adj(ys) @ (fns.tinv @ ys)
     grams = 0.5 * (grams + _adj(grams))
     norms, _, eps = shape
-    nu, jc, jn, kappa = mu / (1 - mu), math.sqrt(1 + mu) * jc, (1 + mu) * jn, _norm(h[:r])
+    nu, jc, jn, kappa = mu / (1 - mu), math.sqrt(1 + mu) * jc, (1 + mu) * jn, frobenius(h[:r])
     out = {}
     names = (("q-positive-hermitian-residual", "q-positive-margin"),
              ("r-negative-hermitian-residual", "r-negative-margin"))
@@ -935,8 +930,8 @@ def _positive_margins(f: _Factors, j, qs, errors, mu, shape) -> dict:
         # ||Q||_2 <= ||Q^||_2 / (1 - mu)
         rest = ((jc + kappa) * eps + kappa * ell + _grown(jn, 0.0, ell, e, nu)
                 + (1 + mu) * js * (ell + e) / (1 - mu))
-        least = min(0.0, -4 * _EPS * _norm(gram) - _norm(y - gram))
-        out[residual] = (_norm(y - y.conj().T) + 2 * rest) / (1 - mu)
+        least = min(0.0, -4 * _EPS * frobenius(gram) - frobenius(y - gram))
+        out[residual] = (frobenius(y - y.conj().T) + 2 * rest) / (1 - mu)
         out[margin] = _from_block(least - rest, mu)
     return out
 

@@ -63,6 +63,12 @@ def wide_corner_idempotents(draw, low=-8, high=4, rank_tol=None, half=False):
     sigma = 10.0 ** np.array(draw(st.lists(st.floats(low, high), min_size=q, max_size=q)))
     if rank_tol is not None and q > 1 and draw(st.booleans()):
         sigma[np.argmin(sigma)] = rank_tol * max(1.0, sigma.max()) * 10.0 ** draw(st.floats(-1, 1))
-    seed = draw(st.integers(0, 2**16))
+    return corner_idempotent(n, r, sigma, draw(st.integers(0, 2**16)))
+
+
+def corner_idempotent(n, r, sigma, seed):
+    """The idempotent of rank r whose corner has singular values ``sigma``,
+    its bases drawn from ``seed``: one draw of :func:`wide_corner_idempotents`."""
+    q = min(r, n - r)
     u, v = haar_unitary(r, seed), haar_unitary(n - r, seed + 1)
     return structured_idempotent(n, r, (u[:, :q] * sigma) @ v[:, :q].conj().T, seed + 2)

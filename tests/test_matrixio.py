@@ -19,6 +19,7 @@ bit for bit (-0.0 as +0.0), the same doubles as ``json.loads`` plus
 """
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -36,6 +37,7 @@ from hypothesis import strategies as st
 
 from kreinproj import FileFormatError, Tolerances, matrixio, random_idempotent
 from kreinproj.matrixio import (
+    SCHEMA_VERSION,
     _fill_row_checked,
     _matrix_chunks,
     _read_float,
@@ -176,19 +178,24 @@ def test_report_rendering_stable():
     assert doc["checks"][0]["note"] == ""
 
 
-def _report_document_text(report) -> str:
-    return render_json(report_to_doc(report)) + "\n"
+def _asdict_document(report) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "subject": report.subject,
+            "config": {"rank_tol": report.config.rank_tol, "psd_tol": report.config.psd_tol,
+                       "residual_tol": report.config.residual_tol},
+            "seed": report.seed, "checks": [dataclasses.asdict(c) for c in report.checks]}
 
 
-def test_report_renderer_gives_the_document_route_bytes(tmp_path, monkeypatch):
-    # render_report formats each check by one template; its bytes are those of
-    # render_json over report_to_doc, for every corpus report, a merged
-    # `verify --glob` report, and a check whose strings need escaping
+def test_report_document_is_each_checks_fields(tmp_path, monkeypatch):
+    # report_to_doc copies each check's fields shallowly; what render_report
+    # writes reads back as the dataclasses.asdict document, for every corpus
+    # report, a merged `verify --glob` report, and checks whose strings need
+    # escaping, which the renderer encodes as json.dumps does
     from kreinproj import cli
     from test_report_corpus import full_reports
 
     for label, report in full_reports().items():
-        assert render_report(report) == _report_document_text(report), label
+        assert report_to_doc(report) == _asdict_document(report), label
+        assert json.loads(render_report(report)) == _asdict_document(report), label
 
     merged, real = [], cli.write_report
     monkeypatch.setattr(cli, "write_report", lambda path, report: merged.append(report) or real(path, report))
@@ -197,14 +204,17 @@ def test_report_renderer_gives_the_document_route_bytes(tmp_path, monkeypatch):
     out = tmp_path / "merged.json"
     assert cli.main(["verify", "--glob", str(tmp_path / "case*.json"), "--samples", "2", "--out", str(out)]) == 1
     assert len(merged) == 1 and any(c.name.startswith("case1::") for c in merged[0].checks)
-    assert out.read_text(encoding="utf-8") == render_report(merged[0]) == _report_document_text(merged[0])
+    assert out.read_text(encoding="utf-8") == render_report(merged[0])
+    assert json.loads(render_report(merged[0])) == _asdict_document(merged[0])
 
     odd = Report(subject={"dim": 1, "label": 'é "q"'}, checks=[
         CheckResult('naïve "split" \\ ✓\n\t', "Lemma 1 — §2", 1e-300, -0.0, 5e-324, "pass", 'note "é" ☃ \x01'),
         residual_check("x", "§1", 2.5, 1.0, note="’"),
     ], config=Tolerances(), seed=None)
-    assert render_report(odd) == _report_document_text(odd)
-    assert json.loads(render_report(odd))["checks"][0]["name"] == 'naïve "split" \\ ✓\n\t'
+    assert json.loads(render_report(odd)) == _asdict_document(odd)
+    for c in odd.checks:
+        for text in (c.name, c.paper_ref, c.note):
+            assert render_json(text) == json.dumps(text, ensure_ascii=False)
 
 
 def _golden_bytes(name) -> bytes:
