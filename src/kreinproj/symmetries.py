@@ -25,8 +25,10 @@ module only constructs; ``verification`` certifies what it builds.
 
 from __future__ import annotations
 
+import collections
 import enum
 import operator
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -156,12 +158,20 @@ def sample_params(bf: BlockForm, family: SymmetryFamily, count: int, seed=0) -> 
     null-space splittings ``bf.corner_split()``: the free part is a random
     symmetry on the null space, the forced part is a sign times the identity
     on its complement.  For the intertwining family the shared sign is drawn
-    uniformly.  Draws are independent (seeded per index), so ordering does not matter; the
-    free symmetries of a side are formed by one stacked QR (see :func:`_draws`).  ``count`` is
-    an integer of at least 1 and ``seed`` a nonnegative integer or None, else ``ValueError``.
+    uniformly.  Draws are independent (sample i from child i of the seed), so
+    ordering does not matter; the free symmetries of a side are formed by one
+    stacked QR (see :func:`_draws`).  With an integer seed each sample's draw
+    is kept, read-only, in one process-wide memo that the report's probes
+    share, keyed by (seed, sample index, the dimensions of the null spaces
+    the family draws on) and bounded at ``_DRAW_MEMO_BYTES`` (2 MiB, least
+    recently used first out; see :func:`_seeded_draws`); a kept draw is
+    bitwise the one drawn afresh, so no result depends on the memo, and the
+    arrays returned are the caller's own.  ``count`` is an integer
+    of at least 1 and ``seed`` a nonnegative integer or None, else
+    ``ValueError``.
     """
     family, count, seed = SymmetryFamily(family), _count(count, "count"), _seed(seed)
-    return [_params(bf, family, draw) for draw in _draws(bf, family, np.random.SeedSequence(seed).spawn(count))]
+    return list(map(SymmetryParams, *_stack_params(bf, family, _seeded_draws(bf, family, seed, 0, count))))
 
 
 def _count(count, name) -> int:
@@ -205,23 +215,119 @@ def _draws(bf: BlockForm, family: SymmetryFamily, children) -> list:
     return list(zip(eps, s1, s2))
 
 
-def _params(bf: BlockForm, family: SymmetryFamily, draw) -> SymmetryParams:
-    """The family parameters of one draw of :func:`_draws`, from the corner
-    bases ``bf.corner_split()``."""
+# A draw of :func:`_draws` depends only on the seed, the sample index and the
+# dimension of each side its family draws, and a batch of reports meets the
+# same keys again: one pass over the benchmark's report-batch draws 77 probe
+# stacks from 40 keys.  Its working set is 200 draws holding 657 KiB of k x k
+# arrays at 5 samples (k <= 28); the bound holds that more than twice over, so a
+# batch that repeats keeps its draws, and it caps what the memo adds to a
+# process.  A kept draw is charged its arrays' bytes and ``_ENTRY_BYTES`` for
+# its key, tuples and array headers (about 530 bytes a draw by tracemalloc),
+# so draws of empty sides are bounded in number too.
+_DRAW_MEMO_BYTES = 2 << 20
+_ENTRY_BYTES = 512
+
+
+def _draw_bytes(draw) -> int:
+    return _ENTRY_BYTES + sum(s.nbytes for s in draw[1:] if s is not None)
+
+
+class _DrawMemo:
+    """Read-only draws ``(eps, s1, s2)`` by key, at most ``limit`` bytes in all
+    as :func:`_draw_bytes` charges them: past it the least recently used go,
+    and a draw charged more than ``limit`` is not kept.  One lock guards every
+    read and write, so threads share it safely."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.nbytes = 0
+        self._entries = collections.OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        with self._lock:
+            draw = self._entries.get(key)
+            if draw is not None:
+                self._entries.move_to_end(key)
+            return draw
+
+    def put(self, key, draw) -> None:
+        size = _draw_bytes(draw)
+        if size > self.limit:
+            return
+        with self._lock:
+            if key in self._entries:  # drawn by another thread meanwhile, the same bytes
+                return
+            self._entries[key] = draw
+            self.nbytes += size
+            while self.nbytes > self.limit:
+                self.nbytes -= _draw_bytes(self._entries.popitem(last=False)[1])
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+_DRAWS = _DrawMemo(_DRAW_MEMO_BYTES)
+
+
+def _frozen(s):
+    """A read-only copy of ``s`` (None stays None); a copy, so no stack it is a member of is kept."""
+    if s is not None:
+        s = s.copy()
+        s.flags.writeable = False
+    return s
+
+
+def _seeded_draws(bf: BlockForm, family: SymmetryFamily, seed, start: int, stop: int) -> list:
+    """The draws of :func:`_draws` for samples ``start`` to ``stop`` of ``seed``,
+    sample i from child i of the seed.  With an integer seed each is read from
+    ``_DRAWS`` by ``(seed, i, k1, k2)``, k1 and k2 the dimensions of N(C*) and
+    N(C) where the family draws on them and None where it does not, and the
+    misses are drawn together and kept; a seed of None draws afresh (from new
+    entropy on each call) and keeps nothing."""
+    if seed is None:
+        return _draws(bf, family, np.random.SeedSequence().spawn(stop - start))
+    u_null, _, v_null, _ = bf.corner_split()
+    dims = (
+        None if family is SymmetryFamily.J_POSITIVE else u_null.shape[1],
+        None if family is SymmetryFamily.J_CONTRACTIVE else v_null.shape[1],
+    )
+    keys = [(seed, i, *dims) for i in range(start, stop)]
+    draws = [_DRAWS.get(key) for key in keys]
+    missing = [i for i, draw in enumerate(draws) if draw is None]
+    children = [np.random.SeedSequence(seed, spawn_key=(start + i,)) for i in missing]
+    for i, (eps, s1, s2) in zip(missing, _draws(bf, family, children)):
+        draws[i] = (eps, _frozen(s1), _frozen(s2))
+        _DRAWS.put(keys[i], draws[i])
+    return draws
+
+
+def _stack_params(bf: BlockForm, family: SymmetryFamily, draws):
+    """The family parameters of the draws of :func:`_draws` as two stacks
+    ``(j1, j2)``, from the corner bases ``bf.corner_split()``: each block that
+    does not vary with the draw formed once, the free parts by stacked
+    products, each member bitwise the parameters of its draw alone."""
     u_null, u_range, v_null, v_range = bf.corner_split()
-    eps, s1, s2 = draw
-    r = bf.rank
+    eps, s1, s2 = zip(*draws)
+    m, r = len(draws), bf.rank
     c = bf.dim - r
     if family is SymmetryFamily.J_CONTRACTIVE:
-        j1 = u_null @ s1 @ u_null.conj().T - u_range @ u_range.conj().T
-        j2 = np.eye(c, dtype=np.complex128)
+        j1 = u_null @ np.stack(s1) @ u_null.conj().T - u_range @ u_range.conj().T
+        j2 = np.repeat(np.eye(c, dtype=np.complex128)[np.newaxis], m, axis=0)
     elif family is SymmetryFamily.J_POSITIVE:
-        j1 = np.eye(r, dtype=np.complex128)
-        j2 = v_null @ s2 @ v_null.conj().T - v_range @ v_range.conj().T
+        j1 = np.repeat(np.eye(r, dtype=np.complex128)[np.newaxis], m, axis=0)
+        j2 = v_null @ np.stack(s2) @ v_null.conj().T - v_range @ v_range.conj().T
     else:
-        j1 = u_null @ s1 @ u_null.conj().T + eps * u_range @ u_range.conj().T
-        j2 = v_null @ s2 @ v_null.conj().T - eps * v_range @ v_range.conj().T
-    return SymmetryParams(on_range=j1, on_perp=j2)
+        coupled1 = {e: e * u_range @ u_range.conj().T for e in set(eps)}
+        coupled2 = {e: e * v_range @ v_range.conj().T for e in set(eps)}
+        j1 = u_null @ np.stack(s1) @ u_null.conj().T + np.stack([coupled1[e] for e in eps])
+        j2 = v_null @ np.stack(s2) @ v_null.conj().T - np.stack([coupled2[e] for e in eps])
+    return j1, j2
 
 
 @_on_handle()

@@ -82,9 +82,9 @@ from .symmetries import (
     SymmetryFamily,
     _assemble,
     _count,
-    _draws,
-    _params,
     _seed,
+    _seeded_draws,
+    _stack_params,
     extremal_symmetry,
     nonexistence_witnesses,
     sign_formula_symmetry,
@@ -948,9 +948,16 @@ def extremality_probe(f: _Factors, family: SymmetryFamily, samples: int, seed=0)
     :func:`_member_checks`): each margin a certified lower bound, the exact
     eigenvalue when the bound does not decide (see :func:`_weyl_margins`).
     The samples are assembled and certified in stacks, and each check
-    records the value its sample gets when certified alone.  A family whose
-    corner null space is empty has one member, its least element: each
-    sample records its checks and margins of exactly 0.  The extremes are
+    records the value its sample gets when certified alone.  Sample i is
+    the draw of child i of the seed, as :func:`~kreinproj.sample_params`
+    draws it; with an integer seed it is read from the process-wide draw
+    memo by (seed, i, the dimensions of the sides the family draws), where
+    any earlier report or ``sample_params`` call of that key kept it, and a
+    kept draw is bitwise the fresh one, so no check depends on what the
+    process ran before (see :func:`kreinproj.symmetries._seeded_draws`).
+    A family whose corner null space is empty has one member, its least
+    element: each sample records its checks and margins of exactly 0, and
+    nothing is drawn.  The extremes are
     checked for admissibility.  ``samples`` must be an integer of at least
     1 and ``seed`` a nonnegative integer or None, else ``ValueError``.
     """
@@ -1003,12 +1010,10 @@ def _probe_checks(f: _Factors, family, samples, seed, prefix="") -> list:
         member += [margin_check(f"-{name}", ref, 0.0, tol.psd_tol) for name in ("above-min", "below-max")]
         return checks + [c for name in names for c in _renamed(member, "", name)]
     j_min, j_max = extremal_symmetry.on(f, kind_min), extremal_symmetry.on(f, kind_max)
-    children = np.random.SeedSequence(seed).spawn(samples)
     stack = max(1, _STACK_BYTES // (np.dtype(np.complex128).itemsize * max(1, bf.dim) ** 2))
     for start in range(0, samples, stack):
         stop = min(start + stack, samples)
-        params = [_params(bf, family, draw) for draw in _draws(bf, family, children[start:stop])]
-        j1, j2 = (np.stack(side) for side in zip(*params))
+        j1, j2 = _stack_params(bf, family, _seeded_draws(bf, family, seed, start, stop))
         free = null.conj().T @ (j1 if contr else j2) @ null
         checks += _member_checks(names[start:stop], ref, f, _assemble(bf, j1, j2), family, (j_min, j_max, free))
     return checks

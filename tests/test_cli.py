@@ -355,6 +355,29 @@ def test_verify_glob_merges_cases(tmp_path):
     assert passing_case0 and all(c["status"] != "fail" for c in passing_case0)
 
 
+def test_verify_glob_cases_are_the_cases_verified_alone(tmp_path):
+    # both corners are 2 x 6 with null dimensions (0, 2, 4, 2), so the second
+    # case of the glob reads the probe draws the first one kept
+    from kreinproj import block_form, random_idempotent, symmetries
+
+    for name, seed in (("caseA", 1), ("caseB", 2)):
+        p = random_idempotent(8, 2, 2.0, np.random.default_rng([seed, 4]))
+        assert [m.shape[1] for m in block_form(p).corner_split()] == [0, 2, 4, 2]
+        write_matrix(tmp_path / f"{name}.json", p)
+
+    def checks(args, out):
+        symmetries._DRAWS.clear()
+        assert main(["verify", *args, "--samples", "5", "--seed", "3", "--out", str(out)]) == 0
+        return json.loads(out.read_text())["checks"]
+
+    merged = checks(["--glob", str(tmp_path / "case*.json")], tmp_path / "merged.json")
+    for name in ("caseA", "caseB"):
+        alone = checks([str(tmp_path / f"{name}.json")], tmp_path / f"{name}-report.json")
+        prefix = f"{name}::"
+        in_glob = [{**c, "name": c["name"][len(prefix):]} for c in merged if c["name"].startswith(prefix)]
+        assert in_glob == alone
+
+
 def test_verify_glob_merged_report_bytes_are_pinned(tmp_path):
     # the merged report renames every case's checks by its stem: any change to
     # a name, a value or a probe draw changes its bytes

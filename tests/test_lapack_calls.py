@@ -87,7 +87,11 @@ that draw random symmetries: a probe's samples take one stacked QR per
 free side of positive dimension and per stack of samples it certifies
 (``verification._STACK_BYTES``), so that report makes one, for the
 positive family, or three with stacks of two members; ``sample_params``
-makes one per such side whatever the count.
+makes one per such side whatever the count.  Those are the counts of a cold
+process: every seeded draw is kept in ``symmetries._DRAWS``, which the test
+clears first, and ``test_a_warm_draw_memo_makes_no_qr_call`` pins that a
+second report with the same seed and the same corner null dimensions draws
+nothing, so makes no ``qr`` call.
 """
 
 import ast
@@ -337,6 +341,7 @@ def test_qr_calls_are_pinned(monkeypatch, what, seed):
     assert [m.shape[1] for m in bf.corner_split()] == [0, 2, 4, 2]
     calls, real = [], np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or real(a))
+    kp.symmetries._DRAWS.clear()
     if what.startswith("full_report"):
         if what == "full_report_two_per_stack":
             monkeypatch.setattr(kp.verification, "_STACK_BYTES", 2 * 16 * 8 * 8)
@@ -344,6 +349,18 @@ def test_qr_calls_are_pinned(monkeypatch, what, seed):
     else:
         assert len(kp.sample_params(bf, what, 20, 0)) == 20
     assert len(calls) == QR_CALLS[what]
+
+
+def test_a_warm_draw_memo_makes_no_qr_call(monkeypatch):
+    # two inputs whose corners have the same null dimensions (0, 2, 4, 2) and one seed:
+    # the second report's probe draws are the first's, read back from the memo
+    first, second = (kp.random_idempotent(8, 2, 2.0, np.random.default_rng([seed, 4])) for seed in (1, 2))
+    kp.symmetries._DRAWS.clear()
+    kp.full_report(first, samples=5)
+    calls, real = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or real(a))
+    kp.full_report(second, samples=5)
+    assert calls == []
 
 
 _PACKAGE = pathlib.Path(kp.__file__).resolve().parent

@@ -41,7 +41,7 @@ import sys
 import numpy as np
 
 from conftest import idempotent_cases
-from kreinproj import SymmetryFamily, assemble_symmetry, block_form, full_report, sample_params
+from kreinproj import SymmetryFamily, assemble_symmetry, block_form, full_report, sample_params, symmetries
 from kreinproj.matrixio import render_report
 
 CORPUS_PATH = os.path.join(os.path.dirname(__file__), "data", "report_corpus.json")
@@ -98,16 +98,39 @@ def test_reports_match_golden_corpus():
         assert current[label] == checks, label
 
 
-def batch_reports(seeds) -> dict:
-    """The benchmark's report-batch reports of each seed, by ``batch-<seed>/<case>``."""
+def _workloads():
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
     import workloads
 
+    return workloads
+
+
+def batch_reports(seeds) -> dict:
+    """The benchmark's report-batch reports of each seed, by ``batch-<seed>/<case>``."""
+    workloads = _workloads()
     return {
         f"batch-{seed}/{label}": full_report(p, j, samples=workloads.SAMPLES)
         for seed in seeds
         for label, p, j in workloads.report_cases(np.random.SeedSequence([seed, 0]), workloads.BATCH)
     }
+
+
+def test_batch_report_bytes_do_not_depend_on_the_draw_memo():
+    # report-batch's cases rendered with no draw kept, then again after the
+    # same cases warmed the memo in reverse order: every probe draw is then read back
+    workloads = _workloads()
+    cases = workloads.report_cases(np.random.SeedSequence([1, 0]), workloads.BATCH)
+
+    def rendered():
+        return [render_report(full_report(p, j, samples=workloads.SAMPLES)) for _, p, j in cases]
+
+    symmetries._DRAWS.clear()
+    cold = rendered()
+    symmetries._DRAWS.clear()
+    for _, p, j in reversed(cases):
+        full_report(p, j, samples=workloads.SAMPLES)
+    assert len(symmetries._DRAWS) > 0
+    assert rendered() == cold
 
 
 def _seeds(text) -> list:

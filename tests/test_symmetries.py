@@ -357,6 +357,30 @@ def _reference_draws(bf, family, count, seed):
     return out
 
 
+def _reference_params(bf, family, draw):
+    # the parameters of one draw, each block formed for it alone
+    u_null, u_range, v_null, v_range = bf.corner_split()
+    eps, s1, s2 = draw
+    r, c = bf.rank, bf.dim - bf.rank
+    if family is SymmetryFamily.J_CONTRACTIVE:
+        return u_null @ s1 @ u_null.conj().T - u_range @ u_range.conj().T, np.eye(c, dtype=np.complex128)
+    if family is SymmetryFamily.J_POSITIVE:
+        return np.eye(r, dtype=np.complex128), v_null @ s2 @ v_null.conj().T - v_range @ v_range.conj().T
+    return (u_null @ s1 @ u_null.conj().T + eps * u_range @ u_range.conj().T,
+            v_null @ s2 @ v_null.conj().T - eps * v_range @ v_range.conj().T)
+
+
+def _assert_same_draws(got, want):
+    assert len(got) == len(want)
+    for draw, ref in zip(got, want):
+        assert draw[0] == ref[0]
+        for s, s_ref in zip(draw[1:], ref[1:]):
+            assert (s is None) == (s_ref is None)
+            if s is not None:
+                assert s.dtype == s_ref.dtype and s.shape == s_ref.shape
+                assert s.tobytes() == s_ref.tobytes()
+
+
 def _rank_one_corner_form(k1, k2):
     # identity bases and an r x c corner of rank one: N(C*) has dimension k1, N(C) k2
     r, c = k1 + 1, k2 + 1
@@ -377,14 +401,8 @@ def test_stacked_draws_are_bitwise_the_draws_made_one_by_one(k, count, family):
     for seed in (0, 3):
         got = _draws(bf, family, np.random.SeedSequence(seed).spawn(count))
         want = _reference_draws(bf, family, count, seed)
-        assert len(got) == len(want) == count
-        for draw, ref in zip(got, want):
-            assert draw[0] == ref[0]
-            for s, s_ref in zip(draw[1:], ref[1:]):
-                assert (s is None) == (s_ref is None)
-                if s is not None:
-                    assert s.dtype == s_ref.dtype and s.shape == s_ref.shape
-                    assert s.tobytes() == s_ref.tobytes()
+        assert len(want) == count
+        _assert_same_draws(got, want)
 
 
 _PINNED_CORNER = np.outer([1.0, 2.0, 0.0], [1.0, 0.0, 1.0, 0.0, 1.0])  # rank one: k = 2 and 4
@@ -405,3 +423,120 @@ def test_sample_params_bytes_are_pinned(family):
         digest.update(params.on_range.tobytes())
         digest.update(params.on_perp.tobytes())
     assert digest.hexdigest() == _PINNED_PARAMS[family]
+
+
+@pytest.mark.parametrize("family", list(SymmetryFamily))
+@pytest.mark.parametrize("k", [0, 2, 13])
+def test_memo_draws_are_the_reference_draws_cold_and_warm(k, family):
+    # cold, warm, and a stack that mixes kept draws with misses drawn together
+    from kreinproj.symmetries import _DRAWS, _seeded_draws
+
+    bf = _rank_one_corner_form(k, k + 1)
+    for seed in (0, 3):
+        want = _reference_draws(bf, family, 7, seed)
+        _DRAWS.clear()
+        _assert_same_draws(_seeded_draws(bf, family, seed, 0, 7), want)
+        _assert_same_draws(_seeded_draws(bf, family, seed, 0, 7), want)
+        _DRAWS.clear()
+        _assert_same_draws(_seeded_draws(bf, family, seed, 2, 5), want[2:5])
+        _assert_same_draws(_seeded_draws(bf, family, seed, 0, 7), want)
+
+
+@pytest.mark.parametrize("family", list(SymmetryFamily))
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_stacked_params_are_bitwise_the_params_of_each_draw(k, family):
+    from kreinproj.symmetries import _stack_params
+
+    bf = _rank_one_corner_form(k, k + 2)
+    for seed in (0, 3):
+        draws = _reference_draws(bf, family, 6, seed)
+        j1, j2 = _stack_params(bf, family, draws)
+        assert j1.shape == (6, bf.rank, bf.rank) and j2.shape == (6, bf.dim - bf.rank, bf.dim - bf.rank)
+        for i, draw in enumerate(draws):
+            ref1, ref2 = _reference_params(bf, family, draw)
+            assert j1[i].tobytes() == ref1.tobytes() and j2[i].tobytes() == ref2.tobytes()
+        got = sample_params(bf, family, 6, seed)
+        for params, a, b in zip(got, j1, j2):
+            assert params.on_range.tobytes() == a.tobytes() and params.on_perp.tobytes() == b.tobytes()
+
+
+def test_an_unseeded_draw_leaves_the_memo_untouched():
+    from kreinproj.symmetries import _DRAWS
+
+    bf = _rank_one_corner_form(3, 4)
+    _DRAWS.clear()
+    sample_params(bf, SymmetryFamily.J_PROJECTION, 4, 0)
+    kept, nbytes = len(_DRAWS), _DRAWS.nbytes
+    assert kept == 4
+    for family in SymmetryFamily:
+        assert len(sample_params(bf, family, 4, None)) == 4
+    assert (len(_DRAWS), _DRAWS.nbytes) == (kept, nbytes)
+
+
+def test_kept_draws_are_read_only_and_returned_params_are_the_callers():
+    from kreinproj.symmetries import _DRAWS, _seeded_draws
+
+    bf = _rank_one_corner_form(3, 4)
+    family = SymmetryFamily.J_PROJECTION
+    _DRAWS.clear()
+    first = sample_params(bf, family, 3, 5)
+    want = [(p.on_range.copy(), p.on_perp.copy()) for p in first]
+    for params in first:
+        params.on_range[...] = 7.0
+        params.on_perp[...] = -7.0
+    for params, (j1, j2) in zip(sample_params(bf, family, 3, 5), want):
+        assert params.on_range.tobytes() == j1.tobytes() and params.on_perp.tobytes() == j2.tobytes()
+    for _, s1, s2 in _seeded_draws(bf, family, 5, 0, 3):
+        for s in (s1, s2):
+            assert not s.flags.writeable
+            with pytest.raises(ValueError):
+                s[0, 0] = 0.0
+
+
+def test_the_memo_stays_under_its_byte_bound(monkeypatch):
+    from kreinproj import symmetries
+    from kreinproj.symmetries import _ENTRY_BYTES, _DrawMemo, _draw_bytes, _seeded_draws
+
+    # a bound of about three 6 x 6 draws of one side: each new one evicts the least recently used
+    one = _ENTRY_BYTES + 6 * 6 * 16
+    memo = _DrawMemo(3 * one + 100)
+    monkeypatch.setattr(symmetries, "_DRAWS", memo)
+    bf = _rank_one_corner_form(6, 0)
+    assert bf.corner_split()[0].shape[1] == 6
+    family = SymmetryFamily.J_CONTRACTIVE
+    for seed in range(6):
+        _seeded_draws(bf, family, seed, 0, 2)
+        assert memo.nbytes <= memo.limit
+        assert memo.nbytes == sum(_draw_bytes(d) for d in memo._entries.values())
+    assert list(memo._entries) == [(4, 1, 6, None), (5, 0, 6, None), (5, 1, 6, None)]
+    # a read moves a draw to the back: the oldest unread one goes first
+    oldest = next(iter(memo._entries))
+    memo.get(oldest)
+    _seeded_draws(bf, family, 99, 0, 1)
+    assert oldest in memo._entries and len(memo) == 3
+    # a draw larger than the whole bound is not kept
+    large = _rank_one_corner_form(16, 0)
+    assert _ENTRY_BYTES + 16 * 16 * 16 > memo.limit
+    _seeded_draws(large, family, 0, 0, 1)
+    assert (0, 0, 16, None) not in memo._entries and len(memo) == 3
+
+
+def test_threads_sharing_the_memo_draw_what_each_draws_alone():
+    from concurrent.futures import ThreadPoolExecutor
+
+    from kreinproj.symmetries import _DRAWS
+
+    bf = _rank_one_corner_form(4, 5)
+    jobs = [(family, seed) for family in SymmetryFamily for seed in (0, 1, 2)] * 4
+
+    def drawn(job):
+        family, seed = job
+        return [(p.on_range.tobytes(), p.on_perp.tobytes()) for p in sample_params(bf, family, 6, seed)]
+
+    _DRAWS.clear()
+    alone = {job: drawn(job) for job in jobs}
+    _DRAWS.clear()
+    with ThreadPoolExecutor(4) as pool:
+        shared = list(pool.map(drawn, jobs))
+    assert shared == [alone[job] for job in jobs]
+    assert _DRAWS.nbytes <= _DRAWS.limit
